@@ -165,6 +165,27 @@ def herm(x, y) -> complex:
     return complex(np.dot(x, np.conj(y)))
 
 
+def orthonormal_complement(unit: np.ndarray, order) -> list:
+    """Gram-Schmidt over standard basis vectors, taken in ``order``, against
+    the unit vector ``unit``; stops at dimension - 1 vectors.
+
+    Works for real and complex vectors alike (products are Hermitian).
+    """
+    m = unit.shape[0]
+    basis = []
+    for j in order:
+        if len(basis) == m - 1:
+            break
+        v = np.zeros(m, dtype=unit.dtype)
+        v[j] = 1.0
+        for u in [unit] + basis:
+            v = v - np.dot(v, np.conj(u)) * u
+        norm = np.linalg.norm(v)
+        if norm > 1e-8:
+            basis.append(v / norm)
+    return basis
+
+
 def tangent_basis(f: ex.Expr, a, tol: float | None = None,
                   seed: int | None = None) -> TangentBasis:
     """Orthonormal basis of the complex tangent space at a w.r.t. f.
@@ -188,18 +209,7 @@ def tangent_basis(f: ex.Expr, a, tol: float | None = None,
     order = list(range(n))
     if seed is not None:
         np.random.default_rng(seed).shuffle(order)
-    basis = []
-    for j in order:
-        if len(basis) == n - 1:
-            break
-        v = np.zeros(n, dtype=complex)
-        v[j] = 1.0
-        v = v - herm(v, w) * w
-        for u in basis:
-            v = v - herm(v, u) * u
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            basis.append(v / norm)
+    basis = orthonormal_complement(w, order)
     if len(basis) != n - 1:
         raise DegenerateGradient(
             f"Gram-Schmidt produced {len(basis)} tangent vectors, expected {n - 1}")

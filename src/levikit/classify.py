@@ -55,6 +55,7 @@ class DomainClassification:
     domain_verdict: str
     samples: int
     seed: int
+    boundary: tuple             # the classified BoundarySample objects, in order
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,7 @@ def classify_point(f: ex.Expr, a, tol_grad: float | None = None,
 
 
 def classify_domain(d, samples: int, seed: int, tol_grad: float | None = None,
-                    tol_eig: float | None = None, workers: int = 1) -> DomainClassification:
+                    tol_eig: float | None = None) -> DomainClassification:
     """Classify seeded boundary samples; aggregate is the weakest verdict."""
     bset = dom.boundary_sample(d, samples, seed)
 
@@ -154,12 +155,13 @@ def classify_domain(d, samples: int, seed: int, tol_grad: float | None = None,
         f = dom.sample_defining_expr(d, sample)
         return classify_point(f, sample.point, tol_grad=tol_grad, tol_eig=tol_eig)
 
-    verdicts = deterministic_map(work, list(bset.samples), workers)
+    verdicts = deterministic_map(work, bset.samples)
     counts = {name: 0 for name in VERDICT_ORDER}
     for v in verdicts:
         counts[v.verdict] += 1
     overall = next(name for name in VERDICT_ORDER if counts[name] > 0)
-    return DomainClassification(tuple(verdicts), counts, overall, samples, seed)
+    return DomainClassification(tuple(verdicts), counts, overall, samples, seed,
+                                bset.samples)
 
 
 def convexity_point_check(f: ex.Expr, a, tol: float = 1e-9) -> ConvexityVerdict:
@@ -169,21 +171,7 @@ def convexity_point_check(f: ex.Expr, a, tol: float = 1e-9) -> ConvexityVerdict:
     gnorm = float(np.linalg.norm(g))
     if gnorm <= lc.default_gradient_tol(aa):
         return ConvexityVerdict(tuple(aa), (), DEGENERATE, math.nan)
-    m = 2 * aa.shape[0]
-    u = g / gnorm
-    basis = []
-    for j in range(m):
-        if len(basis) == m - 1:
-            break
-        v = np.zeros(m)
-        v[j] = 1.0
-        v -= np.dot(v, u) * u
-        for b in basis:
-            v -= np.dot(v, b) * b
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            basis.append(v / norm)
-    vmat = np.array(basis)
+    vmat = np.array(lc.orthonormal_complement(g / gnorm, range(g.shape[0])))
     hess = lc.real_hessian_matrix(f, aa)
     restricted = vmat @ hess @ vmat.T
     eigs = np.linalg.eigvalsh(restricted)
@@ -196,7 +184,7 @@ def convexity_point_check(f: ex.Expr, a, tol: float = 1e-9) -> ConvexityVerdict:
 # plurisubharmonicity tests
 
 def psh_test_spectral(f: ex.Expr, region, grid: int, seed: int,
-                      tol: float = 1e-9, workers: int = 1) -> PshVerdict:
+                      tol: float = 1e-9) -> PshVerdict:
     """Minimum Levi eigenvalue over seeded interior points of the region."""
     points = dom.interior_sample(region, grid, seed)
 
@@ -213,7 +201,7 @@ def psh_test_spectral(f: ex.Expr, region, grid: int, seed: int,
                                               None, deficit))
         return ("ok", None)
 
-    results = deterministic_map(work, list(points), workers)
+    results = deterministic_map(work, points)
     violations = tuple(v for tag, v in results if tag == "violation")
     skipped = sum(1 for tag, _ in results if tag == "skip")
     verdict = "NotPsh" if violations else "ConsistentWithPsh"
@@ -221,16 +209,10 @@ def psh_test_spectral(f: ex.Expr, region, grid: int, seed: int,
                       len(points) - skipped, skipped)
 
 
-def _as_callable(f):
-    if isinstance(f, ex.Expr):
-        return lambda z: ex.evaluate(f, z).real
-    return f
-
-
 def circle_average_deficit(func, a, direction, radius: float,
                            quadrature: int = DEFAULT_QUADRATURE) -> float:
     """f(a) minus the m-point average of f on the circle a + direction*r*e^it."""
-    func = _as_callable(func)
+    func = ex.as_real_function(func)
     a = ex.as_point(a)
     direction = ex.as_point(direction, a.shape[0])
     angles = 2.0 * np.pi * np.arange(quadrature) / quadrature
@@ -243,7 +225,7 @@ def circle_average_deficit(func, a, direction, radius: float,
 def psh_test_circle_average(func, region, trials: int, seed: int,
                             radii_range=DEFAULT_RADII_RANGE,
                             quadrature: int = DEFAULT_QUADRATURE,
-                            tol: float = 1e-9, workers: int = 1,
+                            tol: float = 1e-9,
                             metric: str | None = None) -> PshVerdict:
     """Sub-mean-value probe on seeded (center, direction, radius) triples.
 
@@ -252,7 +234,7 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
     where the function drops below the -inf cutoff or errors are skipped
     and counted.
     """
-    fcall = _as_callable(func)
+    fcall = ex.as_real_function(func)
     rngs = spawn_rngs(seed, trials)
     lo, hi = radii_range
     if metric is None:
@@ -286,7 +268,7 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
                                                   float(r), float(recheck)))
         return ("ok", None)
 
-    results = deterministic_map(work, rngs, workers)
+    results = deterministic_map(work, rngs)
     violations = tuple(v for tag, v in results if tag == "violation")
     skipped = sum(1 for tag, _ in results if tag == "skip")
     verdict = "NotPsh" if violations else "ConsistentWithPsh"
@@ -294,25 +276,25 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
                       trials - skipped, skipped)
 
 
+def neg_log_distance(region, metric: str):
+    """The point function z -> -ln d(z, boundary) in the given metric."""
+    return lambda z: -math.log(dom.distance_to_boundary(region, z, metric))
+
+
 def log_distance_probe(region, metric: str | None = None, trials: int = 1000,
-                       seed: int = 0, tol: float = 1e-9,
-                       workers: int = 1) -> LogDistanceReport:
+                       seed: int = 0, tol: float = 1e-9) -> LogDistanceReport:
     """Pseudoconvexity evidence: test -ln d(z, boundary) for plurisubharmonicity."""
     if metric is None:
         metric = dom.natural_metric(region)
-
-    def neg_log_dist(z):
-        return -math.log(dom.distance_to_boundary(region, z, metric))
-
-    inner = psh_test_circle_average(neg_log_dist, region, trials, seed,
-                                    tol=tol, workers=workers, metric=metric)
+    inner = psh_test_circle_average(neg_log_distance(region, metric), region,
+                                    trials, seed, tol=tol, metric=metric)
     conclusion = ("NotPseudoconvex" if inner.verdict == "NotPsh"
                   else "ConsistentWithPseudoconvex")
     return LogDistanceReport(conclusion, metric, inner)
 
 
 def strict_psh_test(f: ex.Expr, region, grid: int, seed: int,
-                    tol: float = 1e-9, workers: int = 1) -> StrictPshVerdict:
+                    tol: float = 1e-9) -> StrictPshVerdict:
     """Strict positivity of the Levi spectrum at every sampled point."""
     points = dom.interior_sample(region, grid, seed)
 
@@ -323,8 +305,7 @@ def strict_psh_test(f: ex.Expr, region, grid: int, seed: int,
             return None
         return (float(eigs[0]), tuple(z))
 
-    results = [r for r in deterministic_map(work, list(points), workers)
-               if r is not None]
+    results = [r for r in deterministic_map(work, points) if r is not None]
     if not results:
         raise LevikitError("no evaluable sample points in the region")
     min_eig, witness = min(results, key=lambda r: r[0])

@@ -3,7 +3,8 @@
 Exit codes: 0 = completed with no negative verdicts or witnesses,
 2 = completed and the report embeds witnesses/certificates, 1 = error.
 Reports are byte-identical across repeated runs of an equal config
-(wall time excluded) and across worker counts.
+(wall time excluded).  The ``workers`` key and ``--workers`` flag are
+accepted and echoed for old configs; they have no effect.
 """
 
 from __future__ import annotations
@@ -95,10 +96,9 @@ def _run_classify(cfg):
     tol_grad = cfg.get("tol_grad")
     tol_eig = cfg.get("tol_eig")
     result = cl.classify_domain(d, samples, seed, tol_grad=tol_grad,
-                                tol_eig=tol_eig, workers=workers)
-    bset = dom.boundary_sample(d, samples, seed)
+                                tol_eig=tol_eig)
     records = []
-    for i, (sample, pv) in enumerate(zip(bset.samples, result.verdicts)):
+    for i, (sample, pv) in enumerate(zip(result.boundary, result.verdicts)):
         rec = {"key": f"point-{i:04d}", "point": pv.point,
                "verdict": pv.verdict, "eigenvalues": pv.eigenvalues,
                "min_eigenvalue": pv.min_eigenvalue,
@@ -149,13 +149,11 @@ def _run_psh_test(cfg):
     workers = int(cfg.get("workers", 1))
     metric = cfg.get("metric")
     if mode == "spectral":
-        verdict = cl.psh_test_spectral(f, d, samples, seed, tol=tol,
-                                       workers=workers)
+        verdict = cl.psh_test_spectral(f, d, samples, seed, tol=tol)
     elif mode == "circle":
         quad = int(cfg.get("quadrature", cl.DEFAULT_QUADRATURE))
         verdict = cl.psh_test_circle_average(f, d, samples, seed, tol=tol,
-                                             quadrature=quad, workers=workers,
-                                             metric=metric)
+                                             quadrature=quad, metric=metric)
     else:
         raise ConfigError(f"mode: expected 'spectral' or 'circle', got {mode!r}")
     records = _psh_records(verdict)
@@ -176,7 +174,7 @@ def _run_log_distance(cfg):
     tol = float(cfg.get("tol", 1e-9))
     workers = int(cfg.get("workers", 1))
     result = cl.log_distance_probe(d, metric=metric, trials=trials, seed=seed,
-                                   tol=tol, workers=workers)
+                                   tol=tol)
     records = _psh_records(result.inner)
     records.append({"key": "conclusion", "conclusion": result.conclusion,
                     "metric": result.metric})
@@ -348,11 +346,10 @@ def _run_exhaustion(cfg):
     records = []
     for i, ((first, final, inc), values) in enumerate(
             zip(check.per_sequence, probe.values)):
-        passed = (final > first + exh.BLOWUP_RISE and final > exh.BLOWUP_FLOOR
-                  and inc)
         records.append({"key": f"sequence-{i:04d}", "first": first,
                         "final": final, "eventually_increasing": inc,
-                        "passed": passed, "length": len(values)})
+                        "passed": exh.sequence_passed(first, final, inc),
+                        "length": len(values)})
     records.append({"key": "aggregate", "passed": check.passed,
                     "function": probe.function_id})
     summary = (f"blow-up check {'passed' if check.passed else 'failed'} on "
@@ -423,7 +420,8 @@ def main(argv=None) -> int:
         p.add_argument("--tol", type=float, help="override tolerance")
         p.add_argument("--metric", choices=[dom.EUCLIDEAN, dom.LINFTY],
                        help="override metric")
-        p.add_argument("--workers", type=int, help="override worker count")
+        p.add_argument("--workers", type=int,
+                       help="accepted for old configs; has no effect")
         p.add_argument("--out", help="report output path")
     v = sub.add_parser("verify", help="re-check every witness in a report")
     v.add_argument("report", help="path to a JSON report")

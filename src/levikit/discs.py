@@ -138,7 +138,7 @@ def disc_max_principle_check(func, disc, interior: int = 256,
                              boundary: int = 128, seed: int = 0,
                              tol: float = 1e-9) -> MaxPrincipleResult:
     """Pass iff the sampled interior max stays below the boundary max + tol."""
-    func = _as_callable(func)
+    func = ex.as_real_function(func)
     skipped = 0
 
     def sample_max(params):
@@ -158,12 +158,6 @@ def disc_max_principle_check(func, disc, interior: int = 256,
     outer = sample_max(boundary_parameters(boundary))
     margin = outer - inner
     return MaxPrincipleResult(inner <= outer + tol, inner, outer, margin, skipped)
-
-
-def _as_callable(f):
-    if isinstance(f, ex.Expr):
-        return lambda z: ex.evaluate(f, z).real
-    return f
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import calculus as lc
 from . import expr as ex
 from .errors import (LevikitError, NoInteriorPoint, PointOutsideDomain,
                      SamplingExhausted, UnsupportedMetric)
@@ -389,8 +390,7 @@ def boundary_sample(d, count: int, seed: int) -> BoundarySamples:
                 continue
             z = _bisect_level(d.expr, d.level, z0, z0 + bracket * u,
                               outside=True)
-            g = np.conj(np.array(
-                [ex.evaluate(ex.wirtinger(d.expr, j + 1), z) for j in range(n)]))
+            g = _sublevel_gradient(d, z)
             gn = np.linalg.norm(g)
             outward = tuple(g / gn) if gn > 1e-12 else None
             samples.append(BoundarySample(tuple(z), outward, "level-set"))
@@ -480,8 +480,7 @@ def _cached_boundary_points(d, count, seed):
 
 def _sublevel_gradient(d: Sublevel, b) -> np.ndarray:
     """Steepest-ascent direction of the defining function as a complex vector."""
-    return np.conj(np.array([ex.evaluate(ex.wirtinger(d.expr, j + 1), b)
-                             for j in range(d.dimension)]))
+    return np.conj(lc.complex_gradient(d.expr, b).components)
 
 
 def _reproject_to_level(d: Sublevel, c, tol=_LEVEL_TOL):

@@ -29,6 +29,14 @@ NORM_SQUARED = "norm-squared"
 CANONICAL = "norm-squared-minus-log-distance"
 
 
+def sequence_passed(first: float, final: float, increasing: bool,
+                    rise: float = BLOWUP_RISE,
+                    floor: float = BLOWUP_FLOOR) -> bool:
+    """Blow-up rule for one sequence: it ends above max(first + rise, floor)
+    and is increasing over its tail."""
+    return final > first + rise and final > floor and increasing
+
+
 def build_exhaustion(domain, metric: str | None = None):
     """Callable z -> |z|^2 - ln d(z, boundary) (|z|^2 when there is no boundary).
 
@@ -172,10 +180,8 @@ def _resolve_point_function(domain, function, metric):
         return lambda z: float(np.linalg.norm(np.asarray(z, dtype=complex)) ** 2)
     if function == CANONICAL:
         return build_exhaustion(domain, metric)
-    if isinstance(function, ex.Expr):
-        return lambda z: ex.evaluate(function, z).real
-    if callable(function):
-        return function
+    if isinstance(function, ex.Expr) or callable(function):
+        return ex.as_real_function(function)
     raise LevikitError(f"unknown exhaustion function id {function!r}")
 
 
@@ -255,7 +261,6 @@ def exhaustion_blowup_check(probe: ExhaustionProbe,
         first, final = values[0], values[-1]
         tail = values[-5:]
         increasing = all(b > a for a, b in zip(tail, tail[1:]))
-        passed = final > first + rise and final > floor and increasing
         per.append((first, final, increasing))
-        ok = ok and passed
+        ok = ok and sequence_passed(first, final, increasing, rise, floor)
     return BlowupCheck(ok, tuple(per))

@@ -324,6 +324,13 @@ def evaluate(f: Expr, z) -> complex:
     return go(f)
 
 
+def as_real_function(f):
+    """A point function z -> Re f(z) for an expression; callables pass through."""
+    if isinstance(f, Expr):
+        return lambda z: evaluate(f, z).real
+    return f
+
+
 # ---------------------------------------------------------------------------
 # Wirtinger differentiation
 

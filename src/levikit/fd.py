@@ -14,12 +14,6 @@ from . import expr as ex
 EPS_CBRT = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
-def _as_callable(f):
-    if isinstance(f, ex.Expr):
-        return lambda z: ex.evaluate(f, z)
-    return f
-
-
 def default_step(coordinate: complex) -> float:
     return EPS_CBRT * max(1.0, abs(coordinate))
 
@@ -30,7 +24,8 @@ def wirtinger_fd(f, z, j: int, conjugated: bool = False,
 
     Uses d/dz = (d/dx - i d/dy) / 2 with central differences in x and y.
     """
-    func = _as_callable(f)
+    # complex-valued on purpose: derivative trees need not be real
+    func = (lambda z: ex.evaluate(f, z)) if isinstance(f, ex.Expr) else f
     zz = ex.as_point(z)
     if h is None:
         h = default_step(zz[j - 1])

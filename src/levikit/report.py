@@ -16,6 +16,7 @@ import numpy as np
 
 from . import classify as cl
 from . import domains as dom
+from . import exhaustion as exh
 from . import expr as ex
 from . import hulls
 from . import reinhardt as rh
@@ -130,11 +131,10 @@ def _verify_classify(report, failures):
 def _psh_function(report):
     cfg = report["config"]
     if report["command"] == "log-distance-probe":
-        domain = dom.domain_from_dict(cfg["domain"])
-        metric = cfg["metric"]
-        return lambda z: -math.log(dom.distance_to_boundary(domain, z, metric))
-    f = ex.parse(cfg["expression"], int(cfg["domain"]["dimension"]))
-    return lambda z: ex.evaluate(f, z).real
+        return cl.neg_log_distance(dom.domain_from_dict(cfg["domain"]),
+                                   cfg["metric"])
+    return ex.as_real_function(
+        ex.parse(cfg["expression"], int(cfg["domain"]["dimension"])))
 
 
 def _verify_psh(report, failures):
@@ -244,10 +244,10 @@ def _verify_exhaustion(report, failures):
         if not rec["key"].startswith("sequence"):
             continue
         checked += 1
-        claimed = rec["passed"]
-        rederived = (rec["final"] > rec["first"] + 10.0 and rec["final"] > 50.0
-                     and rec["eventually_increasing"])
-        if claimed != rederived:
+        # float() also decodes the "nan" that marks a too-short sequence
+        rederived = exh.sequence_passed(float(rec["first"]), float(rec["final"]),
+                                        rec["eventually_increasing"])
+        if rec["passed"] != rederived:
             failures.append((rec["key"], "pass flag does not match stored values"))
     return checked
 

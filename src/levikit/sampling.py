@@ -1,13 +1,12 @@
-"""Seeded sampling and deterministic fan-out helpers.
+"""Seeded sampling and the order-preserving map over work items.
 
 Every operation that consumes randomness derives one child seed per work
-item from the master seed, so results are identical no matter how the items
-are distributed over workers.
+item from the master seed, so each item's result depends only on its own
+seed.  Items run one after another: the ``workers`` config key and
+``--workers`` flag are still accepted for old configs and have no effect.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,23 +26,12 @@ def unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
             return v / norm
 
 
-def unit_real_vector(rng: np.random.Generator, m: int) -> np.ndarray:
-    while True:
-        v = rng.standard_normal(m)
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            return v / norm
-
-
 def disc_point(rng: np.random.Generator, radius: float = 1.0) -> complex:
     """Uniform sample from the closed complex disc of the given radius."""
     r = radius * np.sqrt(rng.uniform())
     return r * np.exp(2j * np.pi * rng.uniform())
 
 
-def deterministic_map(fn, items, workers: int = 1) -> list:
-    """Map preserving order; results are independent of the worker count."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def deterministic_map(fn, items) -> list:
+    """Apply ``fn`` to each item in order."""
+    return [fn(item) for item in items]

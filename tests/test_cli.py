@@ -8,6 +8,7 @@ import sys
 import pytest
 import yaml
 
+from levikit import domains as dom
 from levikit import report as rep
 from levikit.cli import main, run_command
 from levikit.errors import ConfigError
@@ -123,6 +124,33 @@ def test_verify_catches_tampering_in_every_witness_kind():
     assert not result.passed
 
 
+def test_verify_catches_flipped_exhaustion_pass_flag():
+    report, _ = run_command("exhaustion", {"domain": BALL_CFG["domain"],
+                                           "sequences": 4})
+    bad = json.loads(rep.report_bytes(report))
+    target = next(r for r in bad["records"] if r["key"].startswith("sequence"))
+    target["passed"] = not target["passed"]
+    result = rep.verify_report(bad)
+    assert not result.passed and result.failures[0][0] == target["key"]
+
+
+def test_verify_reads_short_exhaustion_sequence():
+    # on this non-convex domain only the first point (the interior anchor)
+    # of one approach segment is inside, so its record stores "nan" values
+    cfg = {"domain": {"variant": "sublevel", "dimension": 2,
+                      "expression": "abs2(z1) - abs2(z2)^2 + abs2(z2) - 0.5",
+                      "level": 0.0, "box_center": [[0.0, 0.0], [0.0, 0.0]],
+                      "box_radii": [1.0, 1.5],
+                      "interior_hint": [[0.0, 0.0], [0.0, 0.0]]},
+           "function": "norm-squared", "sequences": 3, "steps": 20}
+    report, code = run_command("exhaustion", cfg)
+    assert code == 2
+    stored = json.loads(rep.report_bytes(report))
+    assert any(r.get("final") == "nan" for r in stored["records"])
+    result = rep.verify_report(stored)
+    assert result.passed and result.checked == 3
+
+
 def test_verify_passes_vacuously_without_witnesses():
     mono = {"domain": {"variant": "reinhardt_union", "dimension": 2,
                        "members": [{"radii": [1.0, 1.0]}]},
@@ -145,6 +173,21 @@ def test_reports_agree_across_worker_counts():
     a, _ = run_command("classify", cfg1)
     b, _ = run_command("classify", cfg8)
     assert a["records"] == b["records"]
+
+
+def test_classify_samples_the_boundary_once(monkeypatch):
+    calls = []
+    real = dom.boundary_sample
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dom, "boundary_sample", counting)
+    report, _ = run_command("classify", dict(BALL_CFG))
+    assert len(calls) == 1
+    assert all(r["source"] == "sphere" for r in report["records"]
+               if r["key"].startswith("point"))
 
 
 def test_log_distance_probe_command_and_verify():
