@@ -152,7 +152,7 @@ def classify_domain(d, samples: int, seed: int, tol_grad: float | None = None,
     bset = dom.boundary_sample(d, samples, seed)
 
     def work(sample):
-        f = dom.sample_defining_expr(d, sample)
+        f = d.defining_expr(sample.face_index)
         return classify_point(f, sample.point, tol_grad=tol_grad, tol_eig=tol_eig)
 
     verdicts = deterministic_map(work, bset.samples)
@@ -237,8 +237,6 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
     fcall = ex.as_real_function(func)
     rngs = spawn_rngs(seed, trials)
     lo, hi = radii_range
-    if metric is None:
-        metric = dom.natural_metric(region)
 
     def work(rng):
         centers = dom.interior_sample_rng(region, 1, rng)
@@ -285,7 +283,7 @@ def log_distance_probe(region, metric: str | None = None, trials: int = 1000,
                        seed: int = 0, tol: float = 1e-9) -> LogDistanceReport:
     """Pseudoconvexity evidence: test -ln d(z, boundary) for plurisubharmonicity."""
     if metric is None:
-        metric = dom.natural_metric(region)
+        metric = region.natural_metric
     inner = psh_test_circle_average(neg_log_distance(region, metric), region,
                                     trials, seed, tol=tol, metric=metric)
     conclusion = ("NotPseudoconvex" if inner.verdict == "NotPsh"

@@ -148,10 +148,14 @@ def _run_psh_test(cfg):
     tol = float(cfg.get("tol", 1e-9))
     workers = int(cfg.get("workers", 1))
     metric = cfg.get("metric")
+    echo = {"domain": domain_echo, "expression": text, "mode": mode,
+            "samples": samples, "seed": seed, "tol": tol, "workers": workers,
+            "metric": metric}
     if mode == "spectral":
         verdict = cl.psh_test_spectral(f, d, samples, seed, tol=tol)
     elif mode == "circle":
         quad = int(cfg.get("quadrature", cl.DEFAULT_QUADRATURE))
+        echo["quadrature"] = quad
         verdict = cl.psh_test_circle_average(f, d, samples, seed, tol=tol,
                                              quadrature=quad, metric=metric)
     else:
@@ -160,15 +164,12 @@ def _run_psh_test(cfg):
     summary = (f"{verdict.verdict} by {verdict.mode} "
                f"({verdict.tested} tested, {verdict.skipped} skipped, "
                f"{len(verdict.violations)} violations)")
-    echo = {"domain": domain_echo, "expression": text, "mode": mode,
-            "samples": samples, "seed": seed, "tol": tol, "workers": workers,
-            "metric": metric}
     return records, summary, verdict.verdict == "NotPsh", echo
 
 
 def _run_log_distance(cfg):
     d, domain_echo = _domain(cfg)
-    metric = cfg.get("metric") or dom.natural_metric(d)
+    metric = cfg.get("metric") or d.natural_metric
     trials = int(cfg.get("trials", 1000))
     seed = int(cfg.get("seed", 0))
     tol = float(cfg.get("tol", 1e-9))
@@ -207,38 +208,33 @@ def _run_reinhardt(cfg):
     return records, summary, result.witness is not None, echo
 
 
-def _cvec(pairs, path):
-    try:
-        return tuple(complex(p[0], p[1]) for p in pairs)
-    except (TypeError, IndexError):
-        raise ConfigError(f"{path}: expected a list of [re, im] pairs") from None
-
-
 def _disc_family(cfg, n):
     spec = _require(cfg, "disc_family")
+    if not isinstance(spec, dict):
+        raise ConfigError("disc_family: must be a mapping")
+
+    def vector(key, length=n):
+        path = f"disc_family.{key}"
+        return ex.point_from_pairs(_require(spec, key, path), path, length)
+
     variant = spec.get("variant")
     j_min = int(spec.get("j_min", 2))
     j_max = int(spec.get("j_max", 20))
     j_values = list(range(j_min, j_max + 1))
     if variant == "hartogs":
-        family, limit = discs.hartogs_family(float(spec.get("r", 1.0)),
-                                             int(spec.get("dimension", n)),
-                                             j_values)
+        if int(spec.get("dimension", n)) != n:
+            raise ConfigError(f"disc_family.dimension: must equal the domain dimension {n}")
+        family, limit = discs.hartogs_family(float(spec.get("r", 1.0)), n, j_values)
         return family, limit, j_values, spec
     if variant == "affine_sweep":
         family, limit = discs.affine_sweep_family(
-            _cvec(spec["from_center"], "disc_family.from_center"),
-            _cvec(spec["to_center"], "disc_family.to_center"),
-            _cvec(spec["direction"], "disc_family.direction"),
+            vector("from_center"), vector("to_center"), vector("direction"),
             float(spec.get("radius", 1.0)), j_values)
         return family, limit, j_values, spec
     if variant == "exp_twisted":
         family, limit = discs.exp_twisted_family(
-            _cvec(spec["center"], "disc_family.center"),
-            _cvec(spec["dir_primary"], "disc_family.dir_primary"),
-            _cvec(spec["dir_secondary"], "disc_family.dir_secondary"),
-            float(spec.get("r", 1.0)),
-            [complex(c[0], c[1]) for c in spec["g_coefficients"]], j_values)
+            vector("center"), vector("dir_primary"), vector("dir_secondary"),
+            float(spec.get("r", 1.0)), vector("g_coefficients", None), j_values)
         return family, limit, j_values, spec
     raise ConfigError(f"disc_family.variant: unknown variant {variant!r}")
 
@@ -287,7 +283,8 @@ def _run_hull(cfg):
     else:
         rows = _require(cfg, "points")
         if is_complex:
-            pts = np.array([[complex(p[0], p[1]) for p in row] for row in rows])
+            pts = np.array([ex.point_from_pairs(row, f"points[{i}]")
+                            for i, row in enumerate(rows)])
         else:
             pts = np.array(rows, dtype=float)
         pset = hulls.PointSet(pts, is_complex)
@@ -303,10 +300,9 @@ def _run_hull(cfg):
                 pset, query, functionals=int(cfg.get("functionals", 500)),
                 seed=seed, tol=tol)
         elif kind == "polynomial":
-            query = np.array([complex(p[0], p[1]) for p in q])
+            query = ex.point_from_pairs(q, f"queries[{i}]", pset.dimension)
             res = hulls.polynomial_hull_membership(
                 pset, query, degree=int(cfg.get("degree", 8)),
-                family="monomials+random" if cfg.get("random_count") else "monomials",
                 count=int(cfg.get("random_count", 0)), seed=seed, tol=tol)
         else:
             raise ConfigError(f"kind: expected 'affine' or 'polynomial', got {kind!r}")

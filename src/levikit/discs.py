@@ -219,14 +219,13 @@ def exp_twisted_family(center, dir_primary, dir_secondary, r: float,
     return family, limit
 
 
-def continuity_probe(domain, family, limit_disc=None, j_values=None,
+def continuity_probe(domain, family, limit_disc, j_values=None,
                      interior: int = 256, boundary: int = 128,
                      seed: int = 0) -> DiscReport:
     """Check a disc family against the continuity principle on a domain.
 
-    ``family`` is a sequence of discs (with ``j_values`` labelling them) or a
-    callable j -> disc evaluated at ``j_values``.  Without a closed-form
-    ``limit_disc`` the limit is the family evaluated at j = 10^6.
+    ``family`` is a sequence of discs, labelled by ``j_values`` (default
+    1, 2, ...), and ``limit_disc`` is its limit.
 
     Raises FamilyLeavesDomain when any indexed disc (image or boundary)
     leaves the domain: the probe is then inapplicable.  A violation is
@@ -234,18 +233,9 @@ def continuity_probe(domain, family, limit_disc=None, j_values=None,
     inside but some sampled limit point escapes; that point re-checks as a
     strict membership failure.
     """
-    if callable(family) and not isinstance(family, (list, tuple)):
-        if j_values is None:
-            j_values = list(range(2, 21))
-        discs = [family(j) for j in j_values]
-        if limit_disc is None:
-            limit_disc = family(J_LIMIT)
-    else:
-        discs = list(family)
-        if j_values is None:
-            j_values = list(range(1, len(discs) + 1))
-        if limit_disc is None:
-            raise LevikitError("a disc sequence needs an explicit limit disc")
+    discs = list(family)
+    if j_values is None:
+        j_values = list(range(1, len(discs) + 1))
 
     inner_params = interior_parameters(interior, seed, radius_cap=0.999)
     outer_params = boundary_parameters(boundary)

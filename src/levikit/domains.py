@@ -1,5 +1,9 @@
 """Declarative domain descriptions with membership, sampling and distances.
 
+Each variant is one class that owns its geometry; ``Domain`` holds the
+shared defaults.  The module functions are the entry points: they normalize
+the point once and resolve the metric, then call the variant's methods.
+
 Every distance-consuming operation takes a ``metric`` parameter
 ("euclidean" or "linfty", complex-modulus max norm); passing None selects
 the variant's natural metric: Euclidean for balls and sublevel sets, L-infinity
@@ -34,107 +38,8 @@ def _as_rtuple(v):
     return tuple(float(x) for x in np.atleast_1d(np.asarray(v, dtype=float)))
 
 
-@dataclass(frozen=True)
-class Ball:
-    center: tuple
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _as_ctuple(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
-
-    @property
-    def dimension(self):
-        return len(self.center)
-
-
-@dataclass(frozen=True)
-class Polydisc:
-    center: tuple
-    radii: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _as_ctuple(self.center))
-        object.__setattr__(self, "radii", _as_rtuple(self.radii))
-        if len(self.center) != len(self.radii):
-            raise ValueError("center and radii must have equal length")
-        if any(r <= 0 for r in self.radii):
-            raise ValueError("polydisc radii must be positive")
-
-    @property
-    def dimension(self):
-        return len(self.center)
-
-
-@dataclass(frozen=True)
-class ReinhardtUnion:
-    members: tuple
-
-    def __post_init__(self):
-        members = tuple(self.members)
-        object.__setattr__(self, "members", members)
-        if not members:
-            raise ValueError("ReinhardtUnion needs at least one member polydisc")
-        n = members[0].dimension
-        for m in members:
-            if not isinstance(m, Polydisc):
-                raise ValueError("ReinhardtUnion members must be polydiscs")
-            if m.dimension != n:
-                raise ValueError("ReinhardtUnion members must share dimension")
-            if any(c != 0 for c in m.center):
-                raise ValueError("ReinhardtUnion members must be centered at 0")
-
-    @property
-    def dimension(self):
-        return self.members[0].dimension
-
-
-@dataclass(frozen=True)
-class Sublevel:
-    """Open set {f < level}; box_center/box_radii bound the sampling region."""
-
-    expr: ex.Expr
-    level: float
-    dimension: int
-    box_center: tuple = None
-    box_radii: tuple = None
-    interior_hint: tuple = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "level", float(self.level))
-        object.__setattr__(self, "dimension", int(self.dimension))
-        if ex.max_index(self.expr) > self.dimension:
-            raise ValueError("expression uses variables beyond the declared dimension")
-        if self.box_center is not None:
-            object.__setattr__(self, "box_center", _as_ctuple(self.box_center))
-            object.__setattr__(self, "box_radii", _as_rtuple(self.box_radii))
-        if self.interior_hint is not None:
-            object.__setattr__(self, "interior_hint", _as_ctuple(self.interior_hint))
-
-
-@dataclass(frozen=True)
-class Intersection:
-    members: tuple
-
-    def __post_init__(self):
-        members = tuple(self.members)
-        object.__setattr__(self, "members", members)
-        if not members:
-            raise ValueError("Intersection needs at least one member")
-        n = members[0].dimension
-        if any(m.dimension != n for m in members):
-            raise ValueError("Intersection members must share dimension")
-
-    @property
-    def dimension(self):
-        return self.members[0].dimension
-
-
-@dataclass(frozen=True)
-class WholeSpace:
-    dimension: int
+def _ctuple_to_list(t):
+    return [[x.real, x.imag] for x in t]
 
 
 @dataclass(frozen=True)
@@ -157,134 +62,473 @@ class BoundarySamples:
         return len(self.samples)
 
 
-def natural_metric(d) -> str:
-    if isinstance(d, (Polydisc, ReinhardtUnion)):
-        return LINFTY
-    return EUCLIDEAN
+_VARIANTS = {}
 
 
-def _norm(v, metric):
-    if metric == EUCLIDEAN:
-        return float(np.linalg.norm(v))
-    if metric == LINFTY:
-        return float(np.max(np.abs(v)))
-    raise UnsupportedMetric(f"unknown metric {metric!r}")
+class Domain:
+    """Defaults shared by the variants.  A variant implements ``contains``,
+    ``interior_distance``, ``to_dict`` and ``from_dict``; its class statement
+    names it and registers it for ``domain_from_dict``.  Every ``zz`` passed
+    in is a point already normalized by ``ex.as_point``."""
 
+    def __init_subclass__(cls, variant: str, natural_metric: str = EUCLIDEAN):
+        super().__init_subclass__()
+        cls.variant = variant
+        cls.natural_metric = natural_metric
+        _VARIANTS[variant] = cls
 
-# ---------------------------------------------------------------------------
-# membership
+    def bounding_polydisc(self) -> Polydisc:
+        """A polydisc containing the domain, used for rejection sampling."""
+        raise LevikitError(f"no bounding region for {type(self).__name__}")
 
-def contains(d, z) -> bool:
-    """Exact membership per variant; all inequalities are strict (open sets)."""
-    zz = ex.as_point(z, d.dimension)
-    if isinstance(d, Ball):
-        return float(np.linalg.norm(zz - np.asarray(d.center))) < d.radius
-    if isinstance(d, Polydisc):
-        gaps = np.abs(zz - np.asarray(d.center))
-        return bool(np.all(gaps < np.asarray(d.radii)))
-    if isinstance(d, ReinhardtUnion):
-        return any(contains(m, zz) for m in d.members)
-    if isinstance(d, Sublevel):
-        return ex.evaluate(d.expr, zz).real < d.level
-    if isinstance(d, Intersection):
-        return all(contains(m, zz) for m in d.members)
-    if isinstance(d, WholeSpace):
-        return True
-    raise TypeError(f"not a domain: {d!r}")
-
-
-# ---------------------------------------------------------------------------
-# bounding regions and interior sampling
-
-def bounding_polydisc(d) -> Polydisc:
-    """A polydisc containing the domain, used for rejection sampling."""
-    if isinstance(d, Ball):
-        return Polydisc(d.center, (d.radius,) * d.dimension)
-    if isinstance(d, Polydisc):
-        return d
-    if isinstance(d, ReinhardtUnion):
-        radii = np.max([m.radii for m in d.members], axis=0)
-        return Polydisc((0,) * d.dimension, radii)
-    if isinstance(d, Sublevel):
-        if d.box_center is None:
-            raise LevikitError("Sublevel domain needs a bounding box for sampling")
-        return Polydisc(d.box_center, d.box_radii)
-    if isinstance(d, Intersection):
-        boxes = []
-        for m in d.members:
+    def interior_sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Rejection sampling from the bounding polydisc, shape (count, n)."""
+        box = self.bounding_polydisc()
+        center = np.asarray(box.center)
+        out = []
+        attempts = 0
+        while len(out) < count:
+            attempts += 1
+            if attempts > max(1000, 200 * count):
+                raise SamplingExhausted(
+                    f"interior sampling of {type(self).__name__} failed",
+                    len(out) / attempts)
+            z = center + np.array([disc_point(rng, r) for r in box.radii])
             try:
-                boxes.append(bounding_polydisc(m))
+                inside = self.contains(z)
             except LevikitError:
                 continue
-        if not boxes:
-            raise LevikitError("Intersection has no bounded member to sample from")
-        return min(boxes, key=lambda b: float(np.prod(b.radii)))
-    raise LevikitError(f"no bounding region for {type(d).__name__}")
+            if inside:
+                out.append(z)
+        return np.array(out)
+
+    def boundary_sample(self, count: int, rng: np.random.Generator) -> BoundarySamples:
+        raise LevikitError(f"boundary sampling not supported for {type(self).__name__}")
+
+    def exterior_distance(self, zz, metric) -> float:
+        raise UnsupportedMetric(f"exterior distance not available for {type(self).__name__}")
+
+    def defining_expr(self, face: int | None = None) -> ex.Expr:
+        """A defining function: global, or for one face where faces exist."""
+        raise LevikitError(f"no global defining function for {type(self).__name__}")
 
 
-def interior_sample(d, count: int, seed: int) -> np.ndarray:
-    """Seeded interior points, shape (count, n)."""
-    return interior_sample_rng(d, count, np.random.default_rng(seed))
+def _nudge_outside(d, z, center, part):
+    """Scale ``z[part] - center[part]`` outward by ulps until membership fails.
+
+    Analytic boundary points round to either side of the surface; samples
+    are contractually outside the open set, so push across when needed.
+    """
+    for _ in range(8):
+        if not d.contains(z):
+            break
+        z[part] = center[part] + (z[part] - center[part]) * (1.0 + 4e-16)
+    return z
 
 
-def interior_sample_rng(d, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Interior points drawn from an existing generator."""
-    n = d.dimension
-    if isinstance(d, WholeSpace):
-        return rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-    if isinstance(d, Ball):
-        center = np.asarray(d.center)
+@dataclass(frozen=True)
+class Ball(Domain, variant="ball"):
+    center: tuple
+    radius: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", _as_ctuple(self.center))
+        object.__setattr__(self, "radius", float(self.radius))
+        if self.radius <= 0:
+            raise ValueError("ball radius must be positive")
+
+    @property
+    def dimension(self):
+        return len(self.center)
+
+    def contains(self, zz) -> bool:
+        return float(np.linalg.norm(zz - np.asarray(self.center))) < self.radius
+
+    def bounding_polydisc(self) -> Polydisc:
+        return Polydisc(self.center, (self.radius,) * self.dimension)
+
+    def interior_sample(self, count, rng):
+        n = self.dimension
+        center = np.asarray(self.center)
         out = np.empty((count, n), dtype=complex)
         for i in range(count):
             u = unit_vector(rng, n)
-            out[i] = center + d.radius * rng.uniform() ** (1.0 / (2 * n)) * u
+            out[i] = center + self.radius * rng.uniform() ** (1.0 / (2 * n)) * u
         return out
-    if isinstance(d, Polydisc):
-        center = np.asarray(d.center)
-        out = np.empty((count, n), dtype=complex)
-        for i in range(count):
-            out[i] = center + np.array([disc_point(rng, r) for r in d.radii])
+
+    def boundary_sample(self, count, rng):
+        center = np.asarray(self.center)
+        samples = []
+        for _ in range(count):
+            u = unit_vector(rng, self.dimension)
+            z = _nudge_outside(self, center + self.radius * u, center, ...)
+            samples.append(BoundarySample(tuple(z), tuple(u), "sphere"))
+        return BoundarySamples(tuple(samples))
+
+    def interior_distance(self, zz, metric) -> float:
+        if metric == EUCLIDEAN:
+            return self.radius - float(np.linalg.norm(zz - np.asarray(self.center)))
+        return _ball_interior_linfty(np.abs(zz - np.asarray(self.center)),
+                                     self.radius)
+
+    def exterior_distance(self, zz, metric) -> float:
+        if metric == EUCLIDEAN:
+            return float(np.linalg.norm(zz - np.asarray(self.center))) - self.radius
+        return _ball_exterior_linfty(np.abs(zz - np.asarray(self.center)),
+                                     self.radius)
+
+    def defining_expr(self, face=None) -> ex.Expr:
+        total = ex.const(-self.radius ** 2)
+        for j, c in enumerate(self.center):
+            total = ex.add(total, ex.abs2(ex.sub(ex.var(j + 1), ex.const(c))))
+        return total
+
+    def to_dict(self) -> dict:
+        return {"variant": self.variant, "dimension": self.dimension,
+                "center": _ctuple_to_list(self.center), "radius": self.radius}
+
+    @classmethod
+    def from_dict(cls, spec, path):
+        return cls(ex.point_from_pairs(spec["center"], f"{path}.center"),
+                   spec["radius"])
+
+
+def _ball_interior_linfty(a_gaps, radius) -> float:
+    # largest t with the closed polydisc of radius t inside the ball:
+    # n t^2 + 2 t sum(a) + (sum(a^2) - r^2) = 0, positive root
+    n = a_gaps.shape[0]
+    s1 = float(np.sum(a_gaps))
+    s2 = float(np.sum(a_gaps ** 2))
+    disc = s1 * s1 - n * (s2 - radius * radius)
+    return (-s1 + math.sqrt(disc)) / n
+
+
+def _ball_exterior_linfty(a_gaps, radius) -> float:
+    # smallest t with the closed polydisc of radius t touching the sphere
+    lo, hi = 0.0, float(np.max(a_gaps))
+
+    def nearest(t):
+        return math.sqrt(float(np.sum(np.maximum(a_gaps - t, 0.0) ** 2)))
+
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if nearest(mid) > radius:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@dataclass(frozen=True)
+class Polydisc(Domain, variant="polydisc", natural_metric=LINFTY):
+    center: tuple
+    radii: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", _as_ctuple(self.center))
+        object.__setattr__(self, "radii", _as_rtuple(self.radii))
+        if len(self.center) != len(self.radii):
+            raise ValueError("center and radii must have equal length")
+        if any(r <= 0 for r in self.radii):
+            raise ValueError("polydisc radii must be positive")
+
+    @property
+    def dimension(self):
+        return len(self.center)
+
+    def contains(self, zz) -> bool:
+        return bool(np.all(np.abs(zz - np.asarray(self.center)) < np.asarray(self.radii)))
+
+    def bounding_polydisc(self) -> Polydisc:
+        return self
+
+    def boundary_sample(self, count, rng):
+        n = self.dimension
+        center = np.asarray(self.center)
+        samples = []
+        for _ in range(count):
+            face = int(rng.integers(n))
+            phase = np.exp(2j * np.pi * rng.uniform())
+            z = center + np.array([disc_point(rng, r) for r in self.radii])
+            z[face] = center[face] + self.radii[face] * phase
+            z = _nudge_outside(self, z, center, face)
+            outward = np.zeros(n, dtype=complex)
+            outward[face] = phase
+            samples.append(BoundarySample(tuple(z), tuple(outward),
+                                          f"face-{face + 1}", face_index=face))
+        return BoundarySamples(tuple(samples))
+
+    def interior_distance(self, zz, metric) -> float:
+        # for interior points the Euclidean and L-infinity gaps coincide:
+        # only the binding face coordinate needs to move
+        return float(np.min(np.asarray(self.radii) - np.abs(zz - np.asarray(self.center))))
+
+    def exterior_distance(self, zz, metric) -> float:
+        over = np.maximum(np.abs(zz - np.asarray(self.center))
+                          - np.asarray(self.radii), 0.0)
+        if metric == EUCLIDEAN:
+            return float(np.linalg.norm(over))
+        return float(np.max(over))
+
+    def defining_expr(self, face=None) -> ex.Expr:
+        """Local defining function |z_j - c_j|^2 - r_j^2 for face j."""
+        if face is None:
+            return super().defining_expr()
+        return ex.sub(ex.abs2(ex.sub(ex.var(face + 1), ex.const(self.center[face]))),
+                      ex.const(self.radii[face] * self.radii[face]))
+
+    def to_dict(self) -> dict:
+        return {"variant": self.variant, "dimension": self.dimension,
+                "center": _ctuple_to_list(self.center), "radii": list(self.radii)}
+
+    @classmethod
+    def from_dict(cls, spec, path):
+        return cls(ex.point_from_pairs(spec["center"], f"{path}.center"),
+                   tuple(spec["radii"]))
+
+
+@dataclass(frozen=True)
+class ReinhardtUnion(Domain, variant="reinhardt_union", natural_metric=LINFTY):
+    members: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "members", tuple(self.members))
+        if not self.members:
+            raise ValueError("ReinhardtUnion needs at least one member polydisc")
+        n = self.members[0].dimension
+        for m in self.members:
+            if not isinstance(m, Polydisc):
+                raise ValueError("ReinhardtUnion members must be polydiscs")
+            if m.dimension != n:
+                raise ValueError("ReinhardtUnion members must share dimension")
+            if any(c != 0 for c in m.center):
+                raise ValueError("ReinhardtUnion members must be centered at 0")
+
+    @property
+    def dimension(self):
+        return self.members[0].dimension
+
+    def contains(self, zz) -> bool:
+        return any(m.contains(zz) for m in self.members)
+
+    def bounding_polydisc(self) -> Polydisc:
+        return Polydisc((0,) * self.dimension,
+                        np.max([m.radii for m in self.members], axis=0))
+
+    def interior_distance(self, zz, metric) -> float:
+        best = 0.0
+        for m in self.members:
+            if m.contains(zz):
+                best = max(best, m.interior_distance(zz, metric))
+        return best
+
+    def exterior_distance(self, zz, metric) -> float:
+        return min(m.exterior_distance(zz, metric) for m in self.members)
+
+    def to_dict(self) -> dict:
+        return {"variant": self.variant, "dimension": self.dimension,
+                "members": [{"radii": list(m.radii)} for m in self.members]}
+
+    @classmethod
+    def from_dict(cls, spec, path):
+        return cls(tuple(Polydisc((0,) * len(m["radii"]), tuple(m["radii"]))
+                         for m in spec["members"]))
+
+
+@dataclass(frozen=True)
+class Sublevel(Domain, variant="sublevel"):
+    """Open set {f < level}; box_center/box_radii bound the sampling region."""
+
+    expr: ex.Expr
+    level: float
+    dimension: int
+    box_center: tuple = None
+    box_radii: tuple = None
+    interior_hint: tuple = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "level", float(self.level))
+        object.__setattr__(self, "dimension", int(self.dimension))
+        if ex.max_index(self.expr) > self.dimension:
+            raise ValueError("expression uses variables beyond the declared dimension")
+        if self.box_center is not None:
+            object.__setattr__(self, "box_center", _as_ctuple(self.box_center))
+            object.__setattr__(self, "box_radii", _as_rtuple(self.box_radii))
+        if self.interior_hint is not None:
+            object.__setattr__(self, "interior_hint", _as_ctuple(self.interior_hint))
+        if any(v is not None and len(v) != self.dimension for v in
+               (self.box_center, self.box_radii, self.interior_hint)):
+            raise ValueError("box_center, box_radii and interior_hint need "
+                             "one entry per dimension")
+
+    def contains(self, zz) -> bool:
+        return ex.evaluate(self.expr, zz).real < self.level
+
+    def bounding_polydisc(self) -> Polydisc:
+        if self.box_center is None:
+            raise LevikitError("Sublevel domain needs a bounding box for sampling")
+        return Polydisc(self.box_center, self.box_radii)
+
+    def _interior_point(self, rng) -> np.ndarray:
+        if self.interior_hint is not None:
+            z0 = np.asarray(self.interior_hint)
+            if self.contains(z0):
+                return z0
+        box = self.bounding_polydisc()
+        center = np.asarray(box.center)
+        for _ in range(500):
+            z = center + np.array([disc_point(rng, r) for r in box.radii])
+            try:
+                if self.contains(z):
+                    return z
+            except LevikitError:
+                continue
+        raise NoInteriorPoint(
+            f"no point with f < {self.level} found among trial samples")
+
+    def boundary_sample(self, count, rng):
+        """Bisection along random rays from an interior point."""
+        z0 = self._interior_point(rng)
+        box = self.bounding_polydisc()
+        t_max = 2.0 * float(np.sum(box.radii)) + float(np.linalg.norm(
+            z0 - np.asarray(box.center)))
+        samples = []
+        skipped = 0
+        attempts = 0
+        while len(samples) < count:
+            attempts += 1
+            if attempts > 100 * count:
+                raise SamplingExhausted("sublevel boundary sampling failed",
+                                        len(samples) / attempts)
+            u = unit_vector(rng, self.dimension)
+            t = 1e-3 * t_max
+            bracket = None
+            while t <= t_max:
+                try:
+                    v = ex.evaluate(self.expr, z0 + t * u).real
+                except LevikitError:
+                    break
+                if v >= self.level:
+                    bracket = t
+                    break
+                t *= 2.0
+            if bracket is None:
+                skipped += 1
+                continue
+            z = _bisect_level(self.expr, self.level, z0, z0 + bracket * u,
+                              outside=True)
+            g = self._gradient(z)
+            gn = np.linalg.norm(g)
+            outward = tuple(g / gn) if gn > 1e-12 else None
+            samples.append(BoundarySample(tuple(z), outward, "level-set"))
+        return BoundarySamples(tuple(samples), skipped)
+
+    def _gradient(self, b) -> np.ndarray:
+        """Steepest-ascent direction of the defining function as a complex vector."""
+        return np.conj(lc.complex_gradient(self.expr, b).components)
+
+    def _reproject_to_level(self, c, tol=_LEVEL_TOL):
+        """Pull a near-boundary point back onto the level set along the gradient."""
+        v = ex.evaluate(self.expr, c).real - self.level
+        if abs(v) <= tol:
+            return c
+        g = self._gradient(c)
+        gn = np.linalg.norm(g)
+        if gn < 1e-12:
+            return None
+        ghat = g / gn
+        direction = -np.sign(v) * ghat
+        s = abs(v) / gn
+        for _ in range(60):
+            probe = c + s * direction
+            try:
+                vp = ex.evaluate(self.expr, probe).real - self.level
+            except LevikitError:
+                return None
+            if vp * v <= 0:
+                inside_pt, outside_pt = (c, probe) if v < 0 else (probe, c)
+                return _bisect_level(self.expr, self.level, inside_pt, outside_pt)
+            s *= 2.0
+        return None
+
+    def _foot_point(self, z, b0, steps=12):
+        """Slide a boundary point along the level set toward the query point."""
+        b = np.asarray(b0)
+        best = float(np.linalg.norm(z - b))
+        for _ in range(steps):
+            g = self._gradient(b)
+            gn = np.linalg.norm(g)
+            if gn < 1e-12:
+                break
+            ghat = g / gn
+            diff = z - b
+            tang = diff - np.real(np.dot(diff, ghat.conj())) * ghat
+            if np.linalg.norm(tang) <= 1e-12 * max(1.0, best):
+                break
+            scale = 1.0
+            improved = False
+            for _ in range(6):
+                candidate = self._reproject_to_level(b + scale * tang)
+                if candidate is not None:
+                    dist = float(np.linalg.norm(z - candidate))
+                    if dist < best - 1e-15:
+                        b, best = candidate, dist
+                        improved = True
+                        break
+                scale *= 0.5
+            if not improved:
+                break
+        return b
+
+    def interior_distance(self, zz, metric, samples=512, seed=0) -> float:
+        """Sample-based distance to the level set, refined to the nearest foot point.
+
+        Resolution-limited: the refinement starts from the nearest seeded
+        boundary samples, so badly undersampled level-set branches can be missed.
+        """
+        pts = _cached_boundary_points(self, samples, seed)
+        dists = np.array([_norm(zz - b, metric) for b in pts])
+        best = float(np.min(dists))
+        for idx in np.argsort(dists)[:3]:
+            refined = self._foot_point(zz, pts[idx])
+            best = min(best, _norm(zz - refined, metric))
+        return best
+
+    exterior_distance = interior_distance
+
+    def defining_expr(self, face=None) -> ex.Expr:
+        return ex.sub(self.expr, ex.const(self.level))
+
+    def to_dict(self) -> dict:
+        out = {"variant": self.variant, "dimension": self.dimension,
+               "expression": ex.to_text(self.expr), "level": self.level}
+        if self.box_center is not None:
+            out["box_center"] = _ctuple_to_list(self.box_center)
+            out["box_radii"] = list(self.box_radii)
+        if self.interior_hint is not None:
+            out["interior_hint"] = _ctuple_to_list(self.interior_hint)
         return out
-    box = bounding_polydisc(d)
-    center = np.asarray(box.center)
-    out = []
-    attempts = 0
-    max_attempts = max(1000, 200 * count)
-    while len(out) < count:
-        attempts += 1
-        if attempts > max_attempts:
-            raise SamplingExhausted(
-                f"interior sampling of {type(d).__name__} failed",
-                len(out) / attempts)
-        z = center + np.array([disc_point(rng, r) for r in box.radii])
-        try:
-            inside = contains(d, z)
-        except LevikitError:
-            continue
-        if inside:
-            out.append(z)
-    return np.array(out)
+
+    @classmethod
+    def from_dict(cls, spec, path):
+        n = int(spec["dimension"])
+        f = ex.parse(spec["expression"], n)
+        kwargs = {}
+        if "box_center" in spec:
+            kwargs["box_center"] = ex.point_from_pairs(spec["box_center"],
+                                                       f"{path}.box_center")
+            kwargs["box_radii"] = tuple(spec["box_radii"])
+        if "interior_hint" in spec:
+            kwargs["interior_hint"] = ex.point_from_pairs(
+                spec["interior_hint"], f"{path}.interior_hint")
+        return cls(f, spec.get("level", 0.0), n, **kwargs)
 
 
-# ---------------------------------------------------------------------------
-# boundary sampling
-
-def _sublevel_interior_point(d: Sublevel, rng) -> np.ndarray:
-    if d.interior_hint is not None:
-        z0 = np.asarray(d.interior_hint)
-        if ex.evaluate(d.expr, z0).real < d.level:
-            return z0
-    box = bounding_polydisc(d)
-    center = np.asarray(box.center)
-    for _ in range(500):
-        z = center + np.array([disc_point(rng, r) for r in box.radii])
-        try:
-            if ex.evaluate(d.expr, z).real < d.level:
-                return z
-        except LevikitError:
-            continue
-    raise NoInteriorPoint(
-        f"no point with f < {d.level} found among trial samples")
+def _norm(v, metric):
+    """Norm in a metric the entry points have already checked."""
+    if metric == EUCLIDEAN:
+        return float(np.linalg.norm(v))
+    return float(np.max(np.abs(v)))
 
 
 def _bisect_level(f: ex.Expr, level, z_in, z_out, tol=_LEVEL_TOL, max_iter=200,
@@ -314,19 +558,101 @@ def _bisect_level(f: ex.Expr, level, z_in, z_out, tol=_LEVEL_TOL, max_iter=200,
     return z_in + (hi if outside else 0.5 * (lo + hi)) * seg
 
 
-def _nudge_outside(d, point, center) -> np.ndarray:
-    """Scale the offset from the center outward by ulps until membership fails.
+@lru_cache(maxsize=64)
+def _cached_boundary_points(d, count, seed):
+    return np.array([s.point for s in boundary_sample(d, count, seed).samples])
 
-    Analytic boundary points round to either side of the surface; samples
-    are contractually outside the open set, so push across when needed.
-    """
-    z = np.asarray(point)
-    c = np.asarray(center)
-    for _ in range(8):
-        if not contains(d, z):
-            return z
-        z = c + (z - c) * (1.0 + 4e-16)
-    return z
+
+@dataclass(frozen=True)
+class Intersection(Domain, variant="intersection"):
+    members: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "members", tuple(self.members))
+        if not self.members:
+            raise ValueError("Intersection needs at least one member")
+        n = self.members[0].dimension
+        if any(m.dimension != n for m in self.members):
+            raise ValueError("Intersection members must share dimension")
+
+    @property
+    def dimension(self):
+        return self.members[0].dimension
+
+    def contains(self, zz) -> bool:
+        return all(m.contains(zz) for m in self.members)
+
+    def bounding_polydisc(self) -> Polydisc:
+        boxes = []
+        for m in self.members:
+            try:
+                boxes.append(m.bounding_polydisc())
+            except LevikitError:
+                continue
+        if not boxes:
+            raise LevikitError("Intersection has no bounded member to sample from")
+        return min(boxes, key=lambda b: float(np.prod(b.radii)))
+
+    def interior_distance(self, zz, metric) -> float:
+        return min(m.interior_distance(zz, metric) for m in self.members)
+
+    def to_dict(self) -> dict:
+        return {"variant": self.variant, "dimension": self.dimension,
+                "members": [m.to_dict() for m in self.members]}
+
+    @classmethod
+    def from_dict(cls, spec, path):
+        return cls(tuple(domain_from_dict(m, f"{path}.members[{i}]")
+                         for i, m in enumerate(spec["members"])))
+
+
+@dataclass(frozen=True)
+class WholeSpace(Domain, variant="whole_space"):
+    dimension: int
+
+    def contains(self, zz) -> bool:
+        return True
+
+    def interior_sample(self, count, rng):
+        n = self.dimension
+        return rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+
+    def interior_distance(self, zz, metric) -> float:
+        return math.inf
+
+    def to_dict(self) -> dict:
+        return {"variant": self.variant, "dimension": self.dimension}
+
+    @classmethod
+    def from_dict(cls, spec, path):
+        return cls(int(spec["dimension"]))
+
+
+# ---------------------------------------------------------------------------
+# entry points: normalize the point once, then call the variant
+
+def _resolve(d, z, metric):
+    zz = ex.as_point(z, d.dimension)
+    if metric is None:
+        metric = d.natural_metric
+    if metric not in (EUCLIDEAN, LINFTY):
+        raise UnsupportedMetric(f"unknown metric {metric!r}")
+    return zz, metric
+
+
+def contains(d, z) -> bool:
+    """Exact membership per variant; all inequalities are strict (open sets)."""
+    return d.contains(ex.as_point(z, d.dimension))
+
+
+def interior_sample(d, count: int, seed: int) -> np.ndarray:
+    """Seeded interior points, shape (count, n)."""
+    return interior_sample_rng(d, count, np.random.default_rng(seed))
+
+
+def interior_sample_rng(d, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Interior points drawn from an existing generator."""
+    return d.interior_sample(count, rng)
 
 
 def boundary_sample(d, count: int, seed: int) -> BoundarySamples:
@@ -335,351 +661,46 @@ def boundary_sample(d, count: int, seed: int) -> BoundarySamples:
     Supported variants: Ball and Polydisc (analytic) and Sublevel with a
     bounding box (bisection along random rays from an interior point).
     """
-    rng = np.random.default_rng(seed)
-    n = d.dimension
-    samples = []
-    if isinstance(d, Ball):
-        center = np.asarray(d.center)
-        for _ in range(count):
-            u = unit_vector(rng, n)
-            z = _nudge_outside(d, center + d.radius * u, center)
-            samples.append(BoundarySample(tuple(z), tuple(u), "sphere"))
-        return BoundarySamples(tuple(samples))
-    if isinstance(d, Polydisc):
-        center = np.asarray(d.center)
-        for _ in range(count):
-            face = int(rng.integers(n))
-            phase = np.exp(2j * np.pi * rng.uniform())
-            z = center + np.array([disc_point(rng, r) for r in d.radii])
-            z[face] = center[face] + d.radii[face] * phase
-            for _ in range(8):
-                if not contains(d, z):
-                    break
-                z[face] = center[face] + (z[face] - center[face]) * (1.0 + 4e-16)
-            outward = np.zeros(n, dtype=complex)
-            outward[face] = phase
-            samples.append(BoundarySample(tuple(z), tuple(outward),
-                                          f"face-{face + 1}", face_index=face))
-        return BoundarySamples(tuple(samples))
-    if isinstance(d, Sublevel):
-        z0 = _sublevel_interior_point(d, rng)
-        box = bounding_polydisc(d)
-        t_max = 2.0 * float(np.sum(box.radii)) + float(np.linalg.norm(
-            z0 - np.asarray(box.center)))
-        skipped = 0
-        attempts = 0
-        while len(samples) < count:
-            attempts += 1
-            if attempts > 100 * count:
-                raise SamplingExhausted("sublevel boundary sampling failed",
-                                        len(samples) / attempts)
-            u = unit_vector(rng, n)
-            t = 1e-3 * t_max
-            bracket = None
-            while t <= t_max:
-                try:
-                    v = ex.evaluate(d.expr, z0 + t * u).real
-                except LevikitError:
-                    break
-                if v >= d.level:
-                    bracket = t
-                    break
-                t *= 2.0
-            if bracket is None:
-                skipped += 1
-                continue
-            z = _bisect_level(d.expr, d.level, z0, z0 + bracket * u,
-                              outside=True)
-            g = _sublevel_gradient(d, z)
-            gn = np.linalg.norm(g)
-            outward = tuple(g / gn) if gn > 1e-12 else None
-            samples.append(BoundarySample(tuple(z), outward, "level-set"))
-        return BoundarySamples(tuple(samples), skipped)
-    raise LevikitError(
-        f"boundary sampling not supported for {type(d).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# distances
-
-def _ball_interior_linfty(a_gaps, radius) -> float:
-    # largest t with the closed polydisc of radius t inside the ball:
-    # n t^2 + 2 t sum(a) + (sum(a^2) - r^2) = 0, positive root
-    n = a_gaps.shape[0]
-    s1 = float(np.sum(a_gaps))
-    s2 = float(np.sum(a_gaps ** 2))
-    disc = s1 * s1 - n * (s2 - radius * radius)
-    return (-s1 + math.sqrt(disc)) / n
-
-
-def _ball_exterior_linfty(a_gaps, radius) -> float:
-    # smallest t with the closed polydisc of radius t touching the sphere
-    lo, hi = 0.0, float(np.max(a_gaps))
-
-    def nearest(t):
-        return math.sqrt(float(np.sum(np.maximum(a_gaps - t, 0.0) ** 2)))
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if nearest(mid) > radius:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _interior_distance(d, zz, metric) -> float:
-    if isinstance(d, Ball):
-        gaps = np.abs(zz - np.asarray(d.center))
-        if metric == EUCLIDEAN:
-            return d.radius - float(np.linalg.norm(zz - np.asarray(d.center)))
-        return _ball_interior_linfty(gaps, d.radius)
-    if isinstance(d, Polydisc):
-        # for interior points the Euclidean and L-infinity gaps coincide:
-        # only the binding face coordinate needs to move
-        gaps = np.asarray(d.radii) - np.abs(zz - np.asarray(d.center))
-        return float(np.min(gaps))
-    if isinstance(d, ReinhardtUnion):
-        best = 0.0
-        for m in d.members:
-            if contains(m, zz):
-                best = max(best, _interior_distance(m, zz, metric))
-        return best
-    if isinstance(d, Intersection):
-        return min(_interior_distance(m, zz, metric) for m in d.members)
-    if isinstance(d, Sublevel):
-        return _sublevel_distance(d, zz, metric)
-    if isinstance(d, WholeSpace):
-        return math.inf
-    raise TypeError(f"not a domain: {d!r}")
-
-
-def _exterior_distance(d, zz, metric) -> float:
-    if isinstance(d, Ball):
-        gaps = np.abs(zz - np.asarray(d.center))
-        if metric == EUCLIDEAN:
-            return float(np.linalg.norm(zz - np.asarray(d.center))) - d.radius
-        return _ball_exterior_linfty(gaps, d.radius)
-    if isinstance(d, Polydisc):
-        over = np.maximum(np.abs(zz - np.asarray(d.center)) - np.asarray(d.radii), 0.0)
-        if metric == EUCLIDEAN:
-            return float(np.linalg.norm(over))
-        return float(np.max(over))
-    if isinstance(d, ReinhardtUnion):
-        return min(_exterior_distance(m, zz, metric) for m in d.members)
-    if isinstance(d, Sublevel):
-        return _sublevel_distance(d, zz, metric)
-    raise UnsupportedMetric(
-        f"exterior distance not available for {type(d).__name__}")
-
-
-@lru_cache(maxsize=64)
-def _cached_boundary_points(d, count, seed):
-    return np.array([s.point for s in boundary_sample(d, count, seed).samples])
-
-
-def _sublevel_gradient(d: Sublevel, b) -> np.ndarray:
-    """Steepest-ascent direction of the defining function as a complex vector."""
-    return np.conj(lc.complex_gradient(d.expr, b).components)
-
-
-def _reproject_to_level(d: Sublevel, c, tol=_LEVEL_TOL):
-    """Pull a near-boundary point back onto the level set along the gradient."""
-    v = ex.evaluate(d.expr, c).real - d.level
-    if abs(v) <= tol:
-        return c
-    g = _sublevel_gradient(d, c)
-    gn = np.linalg.norm(g)
-    if gn < 1e-12:
-        return None
-    ghat = g / gn
-    direction = -np.sign(v) * ghat
-    s = abs(v) / gn
-    for _ in range(60):
-        probe = c + s * direction
-        try:
-            vp = ex.evaluate(d.expr, probe).real - d.level
-        except LevikitError:
-            return None
-        if vp * v <= 0:
-            inside_pt, outside_pt = (c, probe) if v < 0 else (probe, c)
-            return _bisect_level(d.expr, d.level, inside_pt, outside_pt)
-        s *= 2.0
-    return None
-
-
-def _foot_point(d: Sublevel, z, b0, steps=12):
-    """Slide a boundary point along the level set toward the query point."""
-    b = np.asarray(b0)
-    best = float(np.linalg.norm(z - b))
-    for _ in range(steps):
-        g = _sublevel_gradient(d, b)
-        gn = np.linalg.norm(g)
-        if gn < 1e-12:
-            break
-        ghat = g / gn
-        diff = z - b
-        tang = diff - np.real(np.dot(diff, ghat.conj())) * ghat
-        if np.linalg.norm(tang) <= 1e-12 * max(1.0, best):
-            break
-        scale = 1.0
-        improved = False
-        for _ in range(6):
-            candidate = _reproject_to_level(d, b + scale * tang)
-            if candidate is not None:
-                dist = float(np.linalg.norm(z - candidate))
-                if dist < best - 1e-15:
-                    b, best = candidate, dist
-                    improved = True
-                    break
-            scale *= 0.5
-        if not improved:
-            break
-    return b
-
-
-def _sublevel_distance(d: Sublevel, zz, metric, samples=512, seed=0) -> float:
-    """Sample-based distance to the level set, refined to the nearest foot point.
-
-    Resolution-limited: the refinement starts from the nearest seeded
-    boundary samples, so badly undersampled level-set branches can be missed.
-    """
-    pts = _cached_boundary_points(d, samples, seed)
-    dists = np.array([_norm(zz - b, metric) for b in pts])
-    best = float(np.min(dists))
-    for idx in np.argsort(dists)[:3]:
-        refined = _foot_point(d, zz, pts[idx])
-        best = min(best, _norm(zz - refined, metric))
-    return best
+    return d.boundary_sample(count, np.random.default_rng(seed))
 
 
 def distance_to_boundary(d, z, metric: str | None = None) -> float:
     """Distance from an interior point to the boundary in the chosen metric."""
-    zz = ex.as_point(z, d.dimension)
-    if metric is None:
-        metric = natural_metric(d)
-    if metric not in (EUCLIDEAN, LINFTY):
-        raise UnsupportedMetric(f"unknown metric {metric!r}")
-    if not contains(d, zz):
+    zz, metric = _resolve(d, z, metric)
+    if not d.contains(zz):
         raise PointOutsideDomain(f"{tuple(zz)} is not inside the domain")
-    return _interior_distance(d, zz, metric)
+    return d.interior_distance(zz, metric)
 
 
 def signed_distance(d, z, metric: str | None = None) -> float:
     """Negative inside the closure, positive outside, ~0 on the boundary."""
-    zz = ex.as_point(z, d.dimension)
-    if metric is None:
-        metric = natural_metric(d)
-    if metric not in (EUCLIDEAN, LINFTY):
-        raise UnsupportedMetric(f"unknown metric {metric!r}")
-    if contains(d, zz):
-        return -_interior_distance(d, zz, metric)
-    return _exterior_distance(d, zz, metric)
-
-
-# ---------------------------------------------------------------------------
-# defining functions
-
-def defining_expr(d) -> ex.Expr:
-    """A global defining function where the variant admits one."""
-    if isinstance(d, Ball):
-        total = ex.const(-d.radius ** 2)
-        for j, c in enumerate(d.center):
-            total = ex.add(total, ex.abs2(ex.sub(ex.var(j + 1), ex.const(c))))
-        return total
-    if isinstance(d, Sublevel):
-        return ex.sub(d.expr, ex.const(d.level))
-    raise LevikitError(f"no global defining function for {type(d).__name__}")
+    zz, metric = _resolve(d, z, metric)
+    if d.contains(zz):
+        return -d.interior_distance(zz, metric)
+    return d.exterior_distance(zz, metric)
 
 
 def face_defining_expr(d: Polydisc, face: int) -> ex.Expr:
     """Local defining function |z_j - c_j|^2 - r_j^2 for one polydisc face."""
-    c = d.center[face]
-    r = d.radii[face]
-    return ex.sub(ex.abs2(ex.sub(ex.var(face + 1), ex.const(c))),
-                  ex.const(r * r))
-
-
-def sample_defining_expr(d, sample: BoundarySample) -> ex.Expr:
-    """Defining function appropriate for a boundary sample of d."""
-    if isinstance(d, Polydisc):
-        return face_defining_expr(d, sample.face_index)
-    return defining_expr(d)
-
-
-# ---------------------------------------------------------------------------
-# config serialization
-
-def _ctuple_to_list(t):
-    return [[x.real, x.imag] for x in t]
-
-
-def _list_to_ctuple(v, path):
-    try:
-        return tuple(complex(p[0], p[1]) for p in v)
-    except (TypeError, IndexError):
-        raise LevikitError(f"{path}: expected a list of [re, im] pairs") from None
+    return d.defining_expr(face)
 
 
 def domain_to_dict(d) -> dict:
-    if isinstance(d, Ball):
-        return {"variant": "ball", "dimension": d.dimension,
-                "center": _ctuple_to_list(d.center), "radius": d.radius}
-    if isinstance(d, Polydisc):
-        return {"variant": "polydisc", "dimension": d.dimension,
-                "center": _ctuple_to_list(d.center), "radii": list(d.radii)}
-    if isinstance(d, ReinhardtUnion):
-        return {"variant": "reinhardt_union", "dimension": d.dimension,
-                "members": [{"radii": list(m.radii)} for m in d.members]}
-    if isinstance(d, Sublevel):
-        out = {"variant": "sublevel", "dimension": d.dimension,
-               "expression": ex.to_text(d.expr), "level": d.level}
-        if d.box_center is not None:
-            out["box_center"] = _ctuple_to_list(d.box_center)
-            out["box_radii"] = list(d.box_radii)
-        if d.interior_hint is not None:
-            out["interior_hint"] = _ctuple_to_list(d.interior_hint)
-        return out
-    if isinstance(d, Intersection):
-        return {"variant": "intersection", "dimension": d.dimension,
-                "members": [domain_to_dict(m) for m in d.members]}
-    if isinstance(d, WholeSpace):
-        return {"variant": "whole_space", "dimension": d.dimension}
-    raise TypeError(f"not a domain: {d!r}")
+    return d.to_dict()
 
 
 def domain_from_dict(spec: dict, path: str = "domain"):
+    """Build a domain from its config form; ``dimension`` must match the data."""
     variant = spec.get("variant")
-    if variant == "ball":
-        return Ball(_list_to_ctuple(spec["center"], f"{path}.center"),
-                    spec["radius"])
-    if variant == "polydisc":
-        return Polydisc(_list_to_ctuple(spec["center"], f"{path}.center"),
-                        tuple(spec["radii"]))
-    if variant == "reinhardt_union":
-        members = []
-        for i, m in enumerate(spec["members"]):
-            radii = tuple(m["radii"])
-            members.append(Polydisc((0,) * len(radii), radii))
-        return ReinhardtUnion(tuple(members))
-    if variant == "sublevel":
-        n = int(spec["dimension"])
-        f = ex.parse(spec["expression"], n)
-        kwargs = {}
-        if "box_center" in spec:
-            kwargs["box_center"] = _list_to_ctuple(spec["box_center"],
-                                                   f"{path}.box_center")
-            kwargs["box_radii"] = tuple(spec["box_radii"])
-        if "interior_hint" in spec:
-            kwargs["interior_hint"] = _list_to_ctuple(spec["interior_hint"],
-                                                      f"{path}.interior_hint")
-        return Sublevel(f, spec.get("level", 0.0), n, **kwargs)
-    if variant == "intersection":
-        return Intersection(tuple(domain_from_dict(m, f"{path}.members[{i}]")
-                                  for i, m in enumerate(spec["members"])))
-    if variant == "whole_space":
-        return WholeSpace(int(spec["dimension"]))
-    raise LevikitError(f"{path}.variant: unknown variant {variant!r}")
+    cls = _VARIANTS.get(str(variant))
+    if cls is None:
+        raise LevikitError(f"{path}.variant: unknown variant {variant!r}")
+    d = cls.from_dict(spec, path)
+    declared = spec.get("dimension", d.dimension)
+    if declared != d.dimension:
+        raise LevikitError(f"{path}.dimension: declared {declared!r}, but the "
+                           f"domain data has {d.dimension} coordinates")
+    return d
 
 
 def hartogs_figure() -> ReinhardtUnion:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 import re as _regex
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import EvalDomainError, ExprSyntaxError
+from .errors import ConfigError, EvalDomainError, ExprSyntaxError
 
 UNARY_OPS = ("re", "im", "abs", "abs2", "ln", "exp", "conj", "neg")
 BINARY_OPS = ("add", "sub", "mul", "div")
@@ -250,6 +250,18 @@ def as_point(z, n: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a flat coordinate vector, got shape {a.shape}")
     if n is not None and a.shape[0] != n:
         raise ValueError(f"expected dimension {n}, got {a.shape[0]}")
+    return a
+
+
+def point_from_pairs(pairs, path: str, n: int | None = None) -> np.ndarray:
+    """Decode a config list of [re, im] pairs into a 1-d complex array;
+    ConfigError names the field ``path`` if it is malformed or not n long."""
+    try:
+        a = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: expected a list of [re, im] pairs") from None
+    if n is not None and a.shape[0] != n:
+        raise ConfigError(f"{path}: expected {n} coordinates, got {a.shape[0]}")
     return a
 
 

@@ -216,30 +216,24 @@ def _eval_poly(exponents, coefficients, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def polynomial_hull_membership(k_set: PointSet, z, degree: int,
-                               family: str = "monomials", count: int = 0,
+def polynomial_hull_membership(k_set: PointSet, z, degree: int, count: int = 0,
                                seed: int = 0, tol: float = 1e-9) -> HullMembershipResult:
     """Outer polynomial-family test: Outside iff some tested p has
     |p(z)| > sup_K |p| + tol.
 
-    The family is every monomial of total degree 1..degree, optionally plus
-    ``count`` seeded polynomials with unit-modulus coefficients on the same
+    The family is every monomial of total degree 1..degree plus ``count``
+    seeded polynomials with unit-modulus coefficients on the same
     basis.  Inside only means the tested family does not separate; no claim
     is made about the true holomorphically convex hull.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    if family not in ("monomials", "random", "monomials+random"):
-        raise ValueError(f"unknown polynomial family {family!r}")
     pts = k_set.points.astype(complex)
     zz = np.asarray(z, dtype=complex).reshape(1, -1)
     exps = monomial_exponents(pts.shape[1], degree)
 
-    candidates = []
-    if family in ("monomials", "monomials+random"):
-        for e in exps:
-            candidates.append(([e], [1.0 + 0j]))
-    if family in ("random", "monomials+random") or count > 0:
+    candidates = [([e], [1.0 + 0j]) for e in exps]
+    if count > 0:
         rng = np.random.default_rng(seed)
         for _ in range(count):
             coeffs = np.exp(2j * np.pi * rng.uniform(size=len(exps)))

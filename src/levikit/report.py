@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import calculus as lc
 from . import classify as cl
 from . import domains as dom
 from . import exhaustion as exh
@@ -93,31 +94,26 @@ class VerifyResult:
     failures: tuple            # (record key, reason) pairs
 
 
-def _as_complex_vector(pairs):
-    return np.array([complex(p[0], p[1]) for p in pairs])
+def _record_vector(rec, field):
+    return ex.point_from_pairs(rec[field], f"{rec['key']}.{field}")
 
 
 def _verify_classify(report, failures):
-    cfg = report["config"]
-    domain = dom.domain_from_dict(cfg["domain"])
+    domain = dom.domain_from_dict(report["config"]["domain"])
     checked = 0
     for rec in report["records"]:
         if rec["key"].startswith("aggregate"):
             continue
         checked += 1
-        point = _as_complex_vector(rec["point"])
+        point = _record_vector(rec, "point")
         if rec["verdict"] == cl.DEGENERATE:
             continue
         rederived = cl.verdict_from_spectrum(rec["eigenvalues"], rec["tol_eig"])
         if rederived != rec["verdict"]:
             failures.append((rec["key"], "verdict does not match stored spectrum"))
             continue
-        face = rec.get("face_index")
-        if face is not None:
-            f = dom.face_defining_expr(domain, face)
-        else:
-            f = dom.defining_expr(domain)
-        fresh = cl.classify_point(f, point, tol_grad=rec["tol_grad"],
+        fresh = cl.classify_point(domain.defining_expr(rec.get("face_index")),
+                                  point, tol_grad=rec["tol_grad"],
                                   tol_eig=rec["tol_eig"])
         if fresh.verdict != rec["verdict"]:
             failures.append((rec["key"], "recomputed verdict differs"))
@@ -128,46 +124,37 @@ def _verify_classify(report, failures):
     return checked
 
 
-def _psh_function(report):
-    cfg = report["config"]
-    if report["command"] == "log-distance-probe":
-        return cl.neg_log_distance(dom.domain_from_dict(cfg["domain"]),
-                                   cfg["metric"])
-    return ex.as_real_function(
-        ex.parse(cfg["expression"], int(cfg["domain"]["dimension"])))
-
-
 def _verify_psh(report, failures):
     cfg = report["config"]
     tol = cfg.get("tol", 1e-9)
-    checked = 0
+    # reports written before quadrature was echoed used the default
+    quadrature = cfg.get("quadrature", cl.DEFAULT_QUADRATURE)
     spectral = cfg.get("mode") == "spectral"
-    if spectral:
-        f = ex.parse(cfg["expression"], int(cfg["domain"]["dimension"]))
+    if report["command"] == "log-distance-probe":
+        f = cl.neg_log_distance(dom.domain_from_dict(cfg["domain"]), cfg["metric"])
     else:
-        func = _psh_function(report)
+        f = ex.parse(cfg["expression"], int(cfg["domain"]["dimension"]))
+    checked = 0
     for rec in report["records"]:
         if not rec["key"].startswith("violation"):
             continue
         checked += 1
-        point = _as_complex_vector(rec["point"])
+        point = _record_vector(rec, "point")
         if spectral:
-            from . import calculus as lc
             eigs = lc.levi_matrix(f, point).eigenvalues()
             if not eigs[0] < -tol:
                 failures.append((rec["key"], "minimum eigenvalue no longer negative"))
         else:
-            direction = _as_complex_vector(rec["direction"])
-            deficit = cl.circle_average_deficit(func, point, direction,
-                                                rec["radius"])
+            deficit = cl.circle_average_deficit(f, point,
+                                                _record_vector(rec, "direction"),
+                                                rec["radius"], quadrature)
             if not deficit > tol:
                 failures.append((rec["key"], "circle-average deficit does not re-check"))
     return checked
 
 
 def _verify_reinhardt(report, failures):
-    cfg = report["config"]
-    domain = dom.domain_from_dict(cfg["domain"])
+    domain = dom.domain_from_dict(report["config"]["domain"])
     checked = 0
     for rec in report["records"]:
         if not rec["key"].startswith("witness"):
@@ -188,14 +175,13 @@ def _verify_reinhardt(report, failures):
 
 
 def _verify_disc_probe(report, failures):
-    cfg = report["config"]
-    domain = dom.domain_from_dict(cfg["domain"])
+    domain = dom.domain_from_dict(report["config"]["domain"])
     checked = 0
     for rec in report["records"]:
         if not rec["key"].startswith("violation"):
             continue
         checked += 1
-        witness = _as_complex_vector(rec["witness"])
+        witness = _record_vector(rec, "witness")
         if dom.contains(domain, witness):
             failures.append((rec["key"], "limit point no longer fails membership"))
     return checked
@@ -203,7 +189,11 @@ def _verify_disc_probe(report, failures):
 
 def _verify_hull(report, failures):
     cfg = report["config"]
-    pts = _as_complex_vector_matrix(cfg["points"], cfg["is_complex"])
+    if cfg["is_complex"]:
+        pts = np.array([ex.point_from_pairs(row, f"config.points[{i}]")
+                        for i, row in enumerate(cfg["points"])])
+    else:
+        pts = np.array(cfg["points"], dtype=float)
     checked = 0
     tol = cfg.get("tol", 1e-9)
     for rec in report["records"]:
@@ -221,21 +211,16 @@ def _verify_hull(report, failures):
             value = abs(float(u @ x) + b)
             norm_k = float(np.max(np.abs(pts.astype(float) @ u + b)))
         else:
-            coeffs = [complex(c[0], c[1]) for c in cert["coefficients"]]
+            coeffs = ex.point_from_pairs(cert["coefficients"],
+                                         f"{rec['key']}.certificate.coefficients")
             exps = [tuple(e) for e in cert["exponents"]]
-            x = _as_complex_vector(rec["query"])
+            x = _record_vector(rec, "query")
             value = abs(complex(hulls._eval_poly(exps, coeffs,
                                                  x.reshape(1, -1))[0]))
             norm_k = float(np.max(np.abs(hulls._eval_poly(exps, coeffs, pts))))
         if not value > norm_k + tol:
             failures.append((rec["key"], "separation certificate does not re-check"))
     return checked
-
-
-def _as_complex_vector_matrix(rows, is_complex):
-    if is_complex:
-        return np.array([[complex(p[0], p[1]) for p in row] for row in rows])
-    return np.array(rows, dtype=float)
 
 
 def _verify_exhaustion(report, failures):

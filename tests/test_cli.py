@@ -325,3 +325,75 @@ def test_console_entry_point_runs():
          "--samples", "2"],
         capture_output=True, text=True, check=True)
     assert "derivative self-test passed" in proc.stdout
+
+
+def test_psh_circle_report_echoes_quadrature_and_verifies_with_it():
+    # a 2-point rule misreads re(z1^2), which is harmonic, as non-psh; the
+    # stored violations re-check only under the same rule
+    cfg = {"domain": {"variant": "ball", "dimension": 1,
+                      "center": [[0.0, 0.0]], "radius": 1.0},
+           "expression": "re(z1^2)", "mode": "circle", "quadrature": 2,
+           "samples": 60, "seed": 0}
+    report, code = run_command("psh-test", dict(cfg))
+    assert code == 2 and report["config"]["quadrature"] == 2
+    result = rep.verify_report(json.loads(rep.report_bytes(report)))
+    assert result.passed and result.checked > 0
+    clean, code = run_command("psh-test", dict(cfg, quadrature=64))
+    assert code == 0 and clean["config"]["quadrature"] == 64
+
+
+def test_verify_reads_psh_circle_report_without_quadrature():
+    cfg = {"domain": BALL_CFG["domain"], "expression": "-(abs2(z1) + abs2(z2))",
+           "mode": "circle", "samples": 20}
+    report, _ = run_command("psh-test", cfg)
+    old = json.loads(rep.report_bytes(report))
+    del old["config"]["quadrature"]
+    result = rep.verify_report(old)
+    assert result.passed and result.checked > 0
+
+
+SUBLEVEL3 = {"variant": "sublevel", "dimension": 3,
+             "expression": "abs2(z1) + abs2(z2) + abs2(z3) - 1", "level": 0.0}
+
+
+@pytest.mark.parametrize("family, field", [
+    ({"variant": "affine_sweep", "from_center": [[0.0, 0.0]] * 3,
+      "to_center": [[0.1, 0.0]] * 3, "direction": [[0.0, 0.0], [1.0, 0.0]]},
+     "disc_family.direction"),
+    ({"variant": "exp_twisted", "center": [[0.0, 0.0]] * 2,
+      "dir_primary": [[1.0, 0.0]] * 3, "dir_secondary": [[0.0, 0.0]] * 3,
+      "g_coefficients": [[0.0, 0.0]]}, "disc_family.center"),
+])
+def test_disc_family_vector_shorter_than_domain_names_field(family, field):
+    with pytest.raises(ConfigError, match=rf"{field}: expected 3 coordinates"):
+        run_command("disc-probe", {"domain": SUBLEVEL3, "disc_family": family})
+
+
+def test_missing_disc_family_field_names_field():
+    family = {"variant": "affine_sweep", "from_center": [[0.0, 0.0]] * 3,
+              "direction": [[1.0, 0.0]] * 3}
+    with pytest.raises(ConfigError, match="disc_family.to_center: required"):
+        run_command("disc-probe", {"domain": SUBLEVEL3, "disc_family": family})
+
+
+@pytest.mark.parametrize("points, queries, field", [
+    ([[[1.0, 0.0]], [0.5]], [[[0.0, 0.0]]], r"points\[1\]"),
+    ([[[1.0, 0.0]], [[0.0, 1.0]]], [[[0.0, 0.0]], [[1.0, 2.0, 3.0]]],
+     r"queries\[1\]"),
+])
+def test_complex_hull_entry_that_is_not_a_pair_names_field(points, queries,
+                                                           field):
+    cfg = {"kind": "polynomial", "points": points, "queries": queries}
+    with pytest.raises(ConfigError, match=rf"{field}: expected a list of "
+                                          r"\[re, im\] pairs"):
+        run_command("hull", cfg)
+
+
+def test_domain_dimension_mismatch_is_a_config_error(tmp_path, capsys):
+    cfg = dict(BALL_CFG, domain=dict(BALL_CFG["domain"], dimension=3))
+    with pytest.raises(ConfigError, match=r"domain\.dimension: declared 3"):
+        run_command("classify", cfg)
+    path = tmp_path / "mismatch.yaml"
+    path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert main(["classify", "--config", str(path)]) == 1
+    assert "domain.dimension" in capsys.readouterr().err

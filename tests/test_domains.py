@@ -200,3 +200,35 @@ def test_reinhardt_union_validation():
     with pytest.raises(ValueError, match="share dimension"):
         dom.ReinhardtUnion((dom.Polydisc((0, 0), (1, 1)),
                             dom.Polydisc((0,), (1,))))
+
+
+@pytest.mark.parametrize("spec", [
+    {"variant": "ball", "dimension": 3, "center": [[0.0, 0.0]] * 2,
+     "radius": 1.0},
+    {"variant": "polydisc", "dimension": 3, "center": [[0.0, 0.0]] * 2,
+     "radii": [1.0, 1.0]},
+    {"variant": "reinhardt_union", "dimension": 3,
+     "members": [{"radii": [1.0, 2.0]}, {"radii": [2.0, 1.0]}]},
+    {"variant": "intersection", "dimension": 1,
+     "members": [{"variant": "ball", "center": [[0.0, 0.0]] * 2,
+                  "radius": 1.0}]},
+])
+def test_declared_dimension_must_match_domain_data(spec):
+    with pytest.raises(LevikitError, match=r"domain\.dimension"):
+        dom.domain_from_dict(spec)
+
+
+def test_sublevel_box_must_have_the_declared_dimension():
+    f = ex.parse("abs2(z1) - 1", 2)
+    with pytest.raises(ValueError, match="one entry per dimension"):
+        dom.Sublevel(f, 0.0, 2, box_center=(0, 0, 0), box_radii=(1, 1, 1))
+
+
+def test_unsupported_operations_name_the_variant():
+    ws = dom.WholeSpace(2)
+    with pytest.raises(LevikitError, match="boundary sampling not supported "
+                                           "for WholeSpace"):
+        dom.boundary_sample(ws, 3, seed=0)
+    with pytest.raises(LevikitError, match="no global defining function "
+                                           "for Polydisc"):
+        dom.Polydisc((0, 0), (1, 1)).defining_expr()

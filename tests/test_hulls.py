@@ -133,7 +133,6 @@ def test_polynomial_membership_with_random_family_keeps_soundness():
     circle = hulls.complex_points(
         [[np.exp(2j * np.pi * k / 64)] for k in range(64)])
     res = hulls.polynomial_hull_membership(circle, [0.2 + 0.1j], 6,
-                                           family="monomials+random",
                                            count=40, seed=5)
     assert res.verdict == "Inside"
 
