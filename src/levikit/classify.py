@@ -32,7 +32,7 @@ DEGENERATE = "DegenerateGradient"
 # weakest first; a domain verdict is the weakest sampled point verdict
 VERDICT_ORDER = (NOT_LEVI, DEGENERATE, LEVI_ONLY, STRICTLY_PSEUDOCONVEX)
 
-DEFAULT_RADII_RANGE = (1e-3, 0.3)
+RADII_RANGE = (1e-3, 0.3)  # circle radii, as fractions of the boundary distance
 DEFAULT_QUADRATURE = 64
 NEG_INF_CUTOFF = -1e12
 
@@ -223,20 +223,19 @@ def circle_average_deficit(func, a, direction, radius: float,
 
 
 def psh_test_circle_average(func, region, trials: int, seed: int,
-                            radii_range=DEFAULT_RADII_RANGE,
                             quadrature: int = DEFAULT_QUADRATURE,
                             tol: float = 1e-9,
                             metric: str | None = None) -> PshVerdict:
     """Sub-mean-value probe on seeded (center, direction, radius) triples.
 
-    Radii are log-uniform over ``radii_range`` times the local boundary
+    Radii are log-uniform over ``RADII_RANGE`` times the local boundary
     distance, so every tested closed disc stays inside the region.  Samples
     where the function drops below the -inf cutoff or errors are skipped
     and counted.
     """
     fcall = ex.as_real_function(func)
     rngs = spawn_rngs(seed, trials)
-    lo, hi = radii_range
+    lo, hi = RADII_RANGE
 
     def work(rng):
         centers = dom.interior_sample_rng(region, 1, rng)

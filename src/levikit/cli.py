@@ -13,7 +13,6 @@ import argparse
 import sys
 import time
 
-import numpy as np
 import yaml
 
 from . import classify as cl
@@ -74,6 +73,20 @@ def _require(cfg, key, path=None):
     return cfg[key]
 
 
+def _count(spec, key, default, minimum=1, path=None) -> int:
+    """spec[key], or the default, as an integer of at least ``minimum``;
+    ConfigError names the field ``path`` (default: the key) otherwise."""
+    path = path or key
+    value = spec.get(key, default)
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}") from None
+    if number < minimum:
+        raise ConfigError(f"{path}: must be at least {minimum}, got {number}")
+    return number
+
+
 def _domain(cfg) -> tuple:
     spec = _require(cfg, "domain")
     if not isinstance(spec, dict):
@@ -90,7 +103,7 @@ def _domain(cfg) -> tuple:
 
 def _run_classify(cfg):
     d, domain_echo = _domain(cfg)
-    samples = int(cfg.get("samples", 200))
+    samples = _count(cfg, "samples", 200)
     seed = int(cfg.get("seed", 0))
     workers = int(cfg.get("workers", 1))
     tol_grad = cfg.get("tol_grad")
@@ -99,12 +112,7 @@ def _run_classify(cfg):
                                 tol_eig=tol_eig)
     records = []
     for i, (sample, pv) in enumerate(zip(result.boundary, result.verdicts)):
-        rec = {"key": f"point-{i:04d}", "point": pv.point,
-               "verdict": pv.verdict, "eigenvalues": pv.eigenvalues,
-               "min_eigenvalue": pv.min_eigenvalue,
-               "gradient_norm": pv.gradient_norm,
-               "tol_eig": pv.tol_eig, "tol_grad": pv.tol_grad,
-               "source": sample.source}
+        rec = {"key": f"point-{i:04d}", **vars(pv), "source": sample.source}
         if sample.face_index is not None:
             rec["face_index"] = sample.face_index
         records.append(rec)
@@ -126,11 +134,8 @@ def _run_classify(cfg):
 
 
 def _psh_records(verdict: cl.PshVerdict):
-    records = []
-    for i, v in enumerate(verdict.violations):
-        records.append({"key": f"violation-{i:04d}", "point": v.point,
-                        "direction": v.direction, "radius": v.radius,
-                        "deficit": v.deficit})
+    records = [{"key": f"violation-{i:04d}", **vars(v)}
+               for i, v in enumerate(verdict.violations)]
     records.append({"key": "aggregate", "mode": verdict.mode,
                     "verdict": verdict.verdict, "tested": verdict.tested,
                     "skipped": verdict.skipped,
@@ -143,7 +148,7 @@ def _run_psh_test(cfg):
     text = _require(cfg, "expression")
     f = ex.parse(text, d.dimension)
     mode = cfg.get("mode", "spectral")
-    samples = int(cfg.get("samples", 200))
+    samples = _count(cfg, "samples", 200)
     seed = int(cfg.get("seed", 0))
     tol = float(cfg.get("tol", 1e-9))
     workers = int(cfg.get("workers", 1))
@@ -154,7 +159,7 @@ def _run_psh_test(cfg):
     if mode == "spectral":
         verdict = cl.psh_test_spectral(f, d, samples, seed, tol=tol)
     elif mode == "circle":
-        quad = int(cfg.get("quadrature", cl.DEFAULT_QUADRATURE))
+        quad = _count(cfg, "quadrature", cl.DEFAULT_QUADRATURE)
         echo["quadrature"] = quad
         verdict = cl.psh_test_circle_average(f, d, samples, seed, tol=tol,
                                              quadrature=quad, metric=metric)
@@ -170,7 +175,7 @@ def _run_psh_test(cfg):
 def _run_log_distance(cfg):
     d, domain_echo = _domain(cfg)
     metric = cfg.get("metric") or d.natural_metric
-    trials = int(cfg.get("trials", 1000))
+    trials = _count(cfg, "trials", 1000)
     seed = int(cfg.get("seed", 0))
     tol = float(cfg.get("tol", 1e-9))
     workers = int(cfg.get("workers", 1))
@@ -192,17 +197,13 @@ def _run_reinhardt(cfg):
     if not isinstance(d, dom.ReinhardtUnion):
         raise ConfigError("domain.variant: reinhardt command needs a "
                           "reinhardt_union domain")
-    trials = int(cfg.get("trials", 10000))
+    trials = _count(cfg, "trials", 10000)
     seed = int(cfg.get("seed", rh.DEFAULT_SEED))
     result = rh.not_domain_of_holomorphy_report(d, trials, seed)
     records = [{"key": "conclusion", "conclusion": result.conclusion,
                 "reason": result.reason, "trials": result.trials}]
     if result.witness is not None:
-        w = result.witness
-        records.append({"key": "witness", "p": w.p, "q": w.q,
-                        "midpoint": w.midpoint, "p_defect": w.p_defect,
-                        "q_defect": w.q_defect,
-                        "midpoint_defect": w.midpoint_defect})
+        records.append({"key": "witness", **vars(result.witness)})
     summary = f"{result.conclusion}: {result.reason}"
     echo = {"domain": domain_echo, "trials": trials, "seed": seed}
     return records, summary, result.witness is not None, echo
@@ -218,8 +219,8 @@ def _disc_family(cfg, n):
         return ex.point_from_pairs(_require(spec, key, path), path, length)
 
     variant = spec.get("variant")
-    j_min = int(spec.get("j_min", 2))
-    j_max = int(spec.get("j_max", 20))
+    j_min = _count(spec, "j_min", 2, path="disc_family.j_min")
+    j_max = _count(spec, "j_max", 20, minimum=j_min, path="disc_family.j_max")
     j_values = list(range(j_min, j_max + 1))
     if variant == "hartogs":
         if int(spec.get("dimension", n)) != n:
@@ -242,8 +243,8 @@ def _disc_family(cfg, n):
 def _run_disc_probe(cfg):
     d, domain_echo = _domain(cfg)
     family, limit, j_values, family_echo = _disc_family(cfg, d.dimension)
-    interior = int(cfg.get("interior", 256))
-    boundary = int(cfg.get("boundary", 128))
+    interior = _count(cfg, "interior", 256)
+    boundary = _count(cfg, "boundary", 128)
     seed = int(cfg.get("seed", 0))
     echo = {"domain": domain_echo, "disc_family": family_echo,
             "interior": interior, "boundary": boundary, "seed": seed}
@@ -254,11 +255,8 @@ def _run_disc_probe(cfg):
     except FamilyLeavesDomain as err:
         records = [{"key": "inapplicable", "reason": str(err)}]
         return records, f"probe inapplicable: {err}", False, echo
-    records = []
-    for chk in result.per_index:
-        records.append({"key": f"index-{chk.j:07d}", "j": chk.j,
-                        "image_inside": chk.image_inside,
-                        "boundary_inside": chk.boundary_inside})
+    records = [{"key": f"index-{chk.j:07d}", **vars(chk)}
+               for chk in result.per_index]
     records.append({"key": "limit", "family": result.family_id,
                     "limit_boundary_inside": result.limit_boundary_inside,
                     "limit_points": result.limit_points})
@@ -275,55 +273,45 @@ def _run_disc_probe(cfg):
 
 def _run_hull(cfg):
     kind = cfg.get("kind", "affine")
+    if kind not in ("affine", "polynomial"):
+        raise ConfigError(f"kind: expected 'affine' or 'polynomial', got {kind!r}")
     is_complex = bool(cfg.get("is_complex", kind == "polynomial"))
     if "points_file" in cfg and cfg["points_file"]:
         pset = hulls.load_point_set(cfg["points_file"],
                                     int(_require(cfg, "dimension")),
                                     is_complex)
     else:
-        rows = _require(cfg, "points")
-        if is_complex:
-            pts = np.array([ex.point_from_pairs(row, f"points[{i}]")
-                            for i, row in enumerate(rows)])
-        else:
-            pts = np.array(rows, dtype=float)
-        pset = hulls.PointSet(pts, is_complex)
+        pset = hulls.PointSet(hulls.decode_points(_require(cfg, "points"),
+                                                  is_complex, "points"),
+                              is_complex)
     queries = _require(cfg, "queries")
+    query_points = hulls.decode_points(queries, kind == "polynomial", "queries",
+                                       pset.dimension)
     seed = int(cfg.get("seed", 0))
     tol = float(cfg.get("tol", 1e-9))
+    functionals = _count(cfg, "functionals", 500)
+    degree = _count(cfg, "degree", 8)
+    random_count = _count(cfg, "random_count", 0, minimum=0)
     records = []
-    outside = 0
-    for i, q in enumerate(queries):
+    for i, query in enumerate(query_points):
         if kind == "affine":
-            query = np.asarray(q, dtype=float)
-            res = hulls.affine_hull_membership(
-                pset, query, functionals=int(cfg.get("functionals", 500)),
-                seed=seed, tol=tol)
-        elif kind == "polynomial":
-            query = ex.point_from_pairs(q, f"queries[{i}]", pset.dimension)
-            res = hulls.polynomial_hull_membership(
-                pset, query, degree=int(cfg.get("degree", 8)),
-                count=int(cfg.get("random_count", 0)), seed=seed, tol=tol)
+            res = hulls.affine_hull_membership(pset, query, functionals=functionals,
+                                               seed=seed, tol=tol)
         else:
-            raise ConfigError(f"kind: expected 'affine' or 'polynomial', got {kind!r}")
-        outside += res.verdict == "Outside"
-        records.append({"key": f"query-{i:04d}", "query": res.query,
-                        "verdict": res.verdict, "certificate": res.certificate,
-                        "tested": res.tested, "best_margin": res.best_margin})
+            res = hulls.polynomial_hull_membership(pset, query, degree=degree,
+                                                   count=random_count, seed=seed,
+                                                   tol=tol)
+        records.append({"key": f"query-{i:04d}", **vars(res)})
+    outside = sum(r["verdict"] == "Outside" for r in records)
     bound = hulls.hull_boundedness_check(pset)
     records.append({"key": "bounds", "per_coordinate": bound.per_coordinate,
                     "bound": bound.bound})
     summary = (f"{outside}/{len(queries)} queries separated ({kind} family); "
                f"coordinate bound {bound.bound:.6g}")
-    if is_complex:
-        points_echo = [[[c.real, c.imag] for c in row] for row in pset.points]
-    else:
-        points_echo = [[float(v) for v in row] for row in pset.points]
-    echo = {"kind": kind, "is_complex": is_complex, "points": points_echo,
+    echo = {"kind": kind, "is_complex": is_complex, "points": pset.points,
             "queries": [rep.to_jsonable(q) for q in queries], "seed": seed,
-            "tol": tol, "functionals": int(cfg.get("functionals", 500)),
-            "degree": int(cfg.get("degree", 8)),
-            "random_count": int(cfg.get("random_count", 0))}
+            "tol": tol, "functionals": functionals, "degree": degree,
+            "random_count": random_count}
     return records, summary, outside > 0, echo
 
 
@@ -333,9 +321,9 @@ def _run_exhaustion(cfg):
     if function not in (exh.CANONICAL, exh.NORM_SQUARED):
         function = ex.parse(function, d.dimension)
     metric = cfg.get("metric")
-    sequences = int(cfg.get("sequences", 8))
+    sequences = _count(cfg, "sequences", 8)
     seed = int(cfg.get("seed", 0))
-    steps = int(cfg.get("steps", 56))
+    steps = _count(cfg, "steps", 56)
     probe = exh.make_probe(d, function=function, metric=metric,
                            sequences=sequences, seed=seed, steps=steps)
     check = exh.exhaustion_blowup_check(probe)
@@ -357,7 +345,7 @@ def _run_exhaustion(cfg):
 
 
 def _run_selftest(cfg):
-    samples = int(cfg.get("samples", 50))
+    samples = _count(cfg, "samples", 50)
     seed = int(cfg.get("seed", 0))
     tol = float(cfg.get("tol", 1e-6))
     result = run_selftest(points_per_expr=samples, seed=seed, tolerance=tol)

@@ -427,10 +427,10 @@ class Sublevel(Domain, variant="sublevel"):
         """Steepest-ascent direction of the defining function as a complex vector."""
         return np.conj(lc.complex_gradient(self.expr, b).components)
 
-    def _reproject_to_level(self, c, tol=_LEVEL_TOL):
+    def _reproject_to_level(self, c):
         """Pull a near-boundary point back onto the level set along the gradient."""
         v = ex.evaluate(self.expr, c).real - self.level
-        if abs(v) <= tol:
+        if abs(v) <= _LEVEL_TOL:
             return c
         g = self._gradient(c)
         gn = np.linalg.norm(g)
@@ -451,11 +451,11 @@ class Sublevel(Domain, variant="sublevel"):
             s *= 2.0
         return None
 
-    def _foot_point(self, z, b0, steps=12):
+    def _foot_point(self, z, b0):
         """Slide a boundary point along the level set toward the query point."""
         b = np.asarray(b0)
         best = float(np.linalg.norm(z - b))
-        for _ in range(steps):
+        for _ in range(12):
             g = self._gradient(b)
             gn = np.linalg.norm(g)
             if gn < 1e-12:
@@ -480,13 +480,13 @@ class Sublevel(Domain, variant="sublevel"):
                 break
         return b
 
-    def interior_distance(self, zz, metric, samples=512, seed=0) -> float:
+    def interior_distance(self, zz, metric) -> float:
         """Sample-based distance to the level set, refined to the nearest foot point.
 
-        Resolution-limited: the refinement starts from the nearest seeded
+        Resolution-limited: the refinement starts from the nearest of 512 seeded
         boundary samples, so badly undersampled level-set branches can be missed.
         """
-        pts = _cached_boundary_points(self, samples, seed)
+        pts = _cached_boundary_points(self)
         dists = np.array([_norm(zz - b, metric) for b in pts])
         best = float(np.min(dists))
         for idx in np.argsort(dists)[:3]:
@@ -531,25 +531,24 @@ def _norm(v, metric):
     return float(np.max(np.abs(v)))
 
 
-def _bisect_level(f: ex.Expr, level, z_in, z_out, tol=_LEVEL_TOL, max_iter=200,
-                  outside: bool = False):
-    """Point on the segment [z_in, z_out] with |f - level| <= tol.
+def _bisect_level(f: ex.Expr, level, z_in, z_out, outside: bool = False):
+    """Point on the segment [z_in, z_out] with |f - level| <= _LEVEL_TOL.
 
     With ``outside`` the returned point additionally satisfies f >= level
     (it is the outer bracket endpoint), so it never re-enters the open set.
     """
     lo, hi = 0.0, 1.0
     seg = z_out - z_in
-    for _ in range(max_iter):
+    for _ in range(200):
         if outside:
             z_hi = z_in + hi * seg
             v_hi = ex.evaluate(f, z_hi).real - level
-            if 0 <= v_hi <= tol:
+            if 0 <= v_hi <= _LEVEL_TOL:
                 return z_hi
         mid = 0.5 * (lo + hi)
         z = z_in + mid * seg
         v = ex.evaluate(f, z).real - level
-        if not outside and abs(v) <= tol:
+        if not outside and abs(v) <= _LEVEL_TOL:
             return z
         if v < 0:
             lo = mid
@@ -559,8 +558,8 @@ def _bisect_level(f: ex.Expr, level, z_in, z_out, tol=_LEVEL_TOL, max_iter=200,
 
 
 @lru_cache(maxsize=64)
-def _cached_boundary_points(d, count, seed):
-    return np.array([s.point for s in boundary_sample(d, count, seed).samples])
+def _cached_boundary_points(d):
+    return np.array([s.point for s in boundary_sample(d, 512, 0).samples])
 
 
 @dataclass(frozen=True)

@@ -29,12 +29,10 @@ NORM_SQUARED = "norm-squared"
 CANONICAL = "norm-squared-minus-log-distance"
 
 
-def sequence_passed(first: float, final: float, increasing: bool,
-                    rise: float = BLOWUP_RISE,
-                    floor: float = BLOWUP_FLOOR) -> bool:
-    """Blow-up rule for one sequence: it ends above max(first + rise, floor)
-    and is increasing over its tail."""
-    return final > first + rise and final > floor and increasing
+def sequence_passed(first: float, final: float, increasing: bool) -> bool:
+    """Blow-up rule for one sequence: it ends above
+    max(first + BLOWUP_RISE, BLOWUP_FLOOR) and is increasing over its tail."""
+    return final > first + BLOWUP_RISE and final > BLOWUP_FLOOR and increasing
 
 
 def build_exhaustion(domain, metric: str | None = None):
@@ -246,11 +244,8 @@ def make_probe(domain, function=CANONICAL, metric: str | None = None,
                            tuple(seqs), tuple(vals))
 
 
-def exhaustion_blowup_check(probe: ExhaustionProbe,
-                            rise: float = BLOWUP_RISE,
-                            floor: float = BLOWUP_FLOOR) -> BlowupCheck:
-    """Pass iff every recorded sequence ends above max(first + rise, floor)
-    and is increasing over its tail."""
+def exhaustion_blowup_check(probe: ExhaustionProbe) -> BlowupCheck:
+    """Pass iff every sequence has 3 or more values and passes sequence_passed."""
     per = []
     ok = True
     for values in probe.values:
@@ -262,5 +257,5 @@ def exhaustion_blowup_check(probe: ExhaustionProbe,
         tail = values[-5:]
         increasing = all(b > a for a, b in zip(tail, tail[1:]))
         per.append((first, final, increasing))
-        ok = ok and sequence_passed(first, final, increasing, rise, floor)
+        ok = ok and sequence_passed(first, final, increasing)
     return BlowupCheck(ok, tuple(per))

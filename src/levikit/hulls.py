@@ -13,7 +13,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import LevikitError
+from . import expr as ex
+from .errors import ConfigError, LevikitError
 
 
 @dataclass
@@ -67,6 +68,32 @@ def load_point_set(path, dimension: int, is_complex: bool = True) -> PointSet:
     if not rows:
         raise LevikitError(f"{path}: no points found")
     return PointSet(np.array(rows), is_complex=is_complex)
+
+
+def decode_points(rows, is_complex: bool, path: str,
+                  n: int | None = None) -> np.ndarray:
+    """Config rows as a (k, n) array: each row is n reals, or n [re, im]
+    pairs when ``is_complex``; without ``n`` the first row fixes it, so
+    there must be one.  ConfigError names ``path[i]`` for a bad row."""
+    if not isinstance(rows, (list, tuple)):
+        raise ConfigError(f"{path}: expected a list of points")
+    if n is None and not rows:
+        raise ConfigError(f"{path}: expected at least one point")
+    out = []
+    for i, row in enumerate(rows):
+        if is_complex:
+            x = ex.point_from_pairs(row, f"{path}[{i}]", n)
+        else:
+            try:
+                x = np.asarray(row, dtype=float)
+            except (TypeError, ValueError):
+                x = None
+            if x is None or x.ndim != 1 or (n is not None and len(x) != n):
+                count = "" if n is None else f"{n} "
+                raise ConfigError(f"{path}[{i}]: expected a list of {count}real numbers")
+        n = len(x)
+        out.append(x)
+    return np.array(out, dtype=complex if is_complex else float)
 
 
 @dataclass(frozen=True)
@@ -162,6 +189,11 @@ def affine_functionals(seed: int, count: int, dimension: int,
     return raw / norms, offsets
 
 
+def _affine_sizes(dirs, offs, pts, x) -> tuple:
+    """(|A(x)|, sup_K |A|) for each functional A(y) = dirs[i] . y + offs[i]."""
+    return np.abs(dirs @ x + offs), np.max(np.abs(pts @ dirs.T + offs), axis=0)
+
+
 def affine_hull_membership(k_set: PointSet, x, functionals: int = 500,
                            seed: int = 0, tol: float = 1e-9) -> HullMembershipResult:
     """Sampled-affine-functional membership test against the convex hull of K.
@@ -178,8 +210,7 @@ def affine_hull_membership(k_set: PointSet, x, functionals: int = 500,
     xx = np.asarray(x, dtype=float)
     bound = 2.0 * max(float(np.max(np.abs(pts))), float(np.max(np.abs(xx))), 1e-12)
     dirs, offs = affine_functionals(seed, functionals, pts.shape[1], bound)
-    values = np.abs(dirs @ xx + offs)
-    norms = np.max(np.abs(pts @ dirs.T + offs), axis=0)
+    values, norms = _affine_sizes(dirs, offs, pts, xx)
     margins = values - norms
     idx = int(np.argmax(margins))
     best_margin = float(margins[idx])
@@ -216,6 +247,12 @@ def _eval_poly(exponents, coefficients, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _polynomial_sizes(exponents, coefficients, pts, z) -> tuple:
+    """(|p(z)|, sup_K |p|) for p = sum of coefficient * monomial; z is (1, n)."""
+    value = abs(complex(_eval_poly(exponents, coefficients, z)[0]))
+    return value, float(np.max(np.abs(_eval_poly(exponents, coefficients, pts))))
+
+
 def polynomial_hull_membership(k_set: PointSet, z, degree: int, count: int = 0,
                                seed: int = 0, tol: float = 1e-9) -> HullMembershipResult:
     """Outer polynomial-family test: Outside iff some tested p has
@@ -242,8 +279,7 @@ def polynomial_hull_membership(k_set: PointSet, z, degree: int, count: int = 0,
     best_margin = -math.inf
     certificate = None
     for exponents, coefficients in candidates:
-        value = abs(complex(_eval_poly(exponents, coefficients, zz)[0]))
-        norm_k = float(np.max(np.abs(_eval_poly(exponents, coefficients, pts))))
+        value, norm_k = _polynomial_sizes(exponents, coefficients, pts, zz)
         margin = value - norm_k
         if margin > best_margin:
             best_margin = margin
@@ -264,6 +300,32 @@ def polynomial_hull_membership(k_set: PointSet, z, degree: int, count: int = 0,
     query = tuple((v.real, v.imag) for v in np.asarray(z, dtype=complex))
     return HullMembershipResult(query, verdict, certificate,
                                 len(candidates), best_margin)
+
+
+def certificate_failure(points: np.ndarray, query, certificate, tol: float,
+                        path: str) -> str | None:
+    """Why a stored Outside verdict fails to re-check, or None when its
+    certificate still separates the report's ``query`` field from the
+    (k, n) ``points`` of K by more than ``tol``; ``path`` names the record
+    in decoding errors."""
+    if certificate is None:
+        return "Outside verdict without certificate"
+    if certificate["kind"] == "affine":
+        values, norms = _affine_sizes(
+            np.array([certificate["direction"]], dtype=float),
+            certificate["offset"], points.astype(float),
+            np.asarray(query, dtype=float))
+        value, norm_k = values[0], norms[0]
+    else:
+        value, norm_k = _polynomial_sizes(
+            certificate["exponents"],
+            ex.point_from_pairs(certificate["coefficients"],
+                                f"{path}.certificate.coefficients"),
+            points.astype(complex),
+            ex.point_from_pairs(query, f"{path}.query").reshape(1, -1))
+    if value > norm_k + tol:
+        return None
+    return "separation certificate does not re-check"
 
 
 @dataclass(frozen=True)

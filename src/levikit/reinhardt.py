@@ -68,18 +68,36 @@ def log_image_membership(d: ReinhardtUnion, x) -> bool:
     return log_image_defect(d, x) < 0.0
 
 
+def witness_failure(d: ReinhardtUnion, p, q, midpoint) -> str | None:
+    """Why (p, q, midpoint) is not a log-convexity witness, or None when it
+    is: p and q lie in the log image, the midpoint lies outside it by more
+    than WITNESS_TOL, and it is the midpoint of p and q."""
+    # the midpoint test comes first: it rejects almost every sampled pair,
+    # so the search pays for one defect evaluation per trial
+    if not log_image_defect(d, midpoint) > WITNESS_TOL:
+        return "midpoint defect does not re-check"
+    if not log_image_membership(d, p):
+        return "endpoint p left the log image"
+    if not log_image_membership(d, q):
+        return "endpoint q left the log image"
+    if max(abs(m - 0.5 * (a + b)) for m, a, b in zip(midpoint, p, q)) > 1e-12:
+        return "midpoint is not the midpoint of p and q"
+    return None
+
+
 def log_convexity_test(d: ReinhardtUnion, trials: int = 10000,
-                       seed: int = DEFAULT_SEED, tail: float = BOX_TAIL) -> LogConvexityResult:
+                       seed: int = DEFAULT_SEED) -> LogConvexityResult:
     """Sample log-image point pairs and test their midpoints.
 
-    Rejection sampling runs in the box [max ln r_j - tail, max ln r_j] per
-    coordinate.  The first failing midpoint is re-verified and returned as a
-    witness; raises SamplingExhausted when the image is hit too rarely.
+    Rejection sampling runs in the box [max ln r_j - BOX_TAIL, max ln r_j]
+    per coordinate.  The first triple that ``witness_failure`` accepts is
+    returned as a witness; raises SamplingExhausted when the image is hit
+    too rarely.
     """
     rng = np.random.default_rng(seed)
     lr = _log_radii(d)
     hi = np.max(lr, axis=0)
-    lo = hi - tail
+    lo = hi - BOX_TAIL
     accepted = 0
     attempts = 0
 
@@ -98,18 +116,13 @@ def log_convexity_test(d: ReinhardtUnion, trials: int = 10000,
         p = draw_image_point()
         q = draw_image_point()
         mid = 0.5 * (p + q)
-        mid_defect = log_image_defect(d, mid)
-        if mid_defect > WITNESS_TOL:
-            p_defect = log_image_defect(d, p)
-            q_defect = log_image_defect(d, q)
-            # re-verify the full triple before emitting the certificate
-            if p_defect < 0 and q_defect < 0 and mid_defect > WITNESS_TOL:
-                witness = LogConvexityWitness(
-                    tuple(float(v) for v in p), tuple(float(v) for v in q),
-                    tuple(float(v) for v in mid),
-                    p_defect, q_defect, mid_defect)
-                return LogConvexityResult(witness, trials, accepted,
-                                          accepted / attempts)
+        if witness_failure(d, p, q, mid) is None:
+            witness = LogConvexityWitness(
+                tuple(float(v) for v in p), tuple(float(v) for v in q),
+                tuple(float(v) for v in mid), log_image_defect(d, p),
+                log_image_defect(d, q), log_image_defect(d, mid))
+            return LogConvexityResult(witness, trials, accepted,
+                                      accepted / attempts)
     return LogConvexityResult(None, trials, accepted, accepted / attempts)
 
 

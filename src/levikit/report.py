@@ -98,166 +98,127 @@ def _record_vector(rec, field):
     return ex.point_from_pairs(rec[field], f"{rec['key']}.{field}")
 
 
-def _verify_classify(report, failures):
+def _keyed(prefix):
+    return lambda report: [r for r in report["records"]
+                           if r["key"].startswith(prefix)]
+
+
+# Per command: the records that hold witnesses, and a factory that reads
+# the report once and returns the per-record check (a failure reason, or
+# None when the witness re-checks).
+
+def _classify_check(report):
     domain = dom.domain_from_dict(report["config"]["domain"])
-    checked = 0
-    for rec in report["records"]:
-        if rec["key"].startswith("aggregate"):
-            continue
-        checked += 1
+
+    def check(rec):
         point = _record_vector(rec, "point")
         if rec["verdict"] == cl.DEGENERATE:
-            continue
-        rederived = cl.verdict_from_spectrum(rec["eigenvalues"], rec["tol_eig"])
-        if rederived != rec["verdict"]:
-            failures.append((rec["key"], "verdict does not match stored spectrum"))
-            continue
+            return None
+        if cl.verdict_from_spectrum(rec["eigenvalues"], rec["tol_eig"]) != rec["verdict"]:
+            return "verdict does not match stored spectrum"
         fresh = cl.classify_point(domain.defining_expr(rec.get("face_index")),
                                   point, tol_grad=rec["tol_grad"],
                                   tol_eig=rec["tol_eig"])
         if fresh.verdict != rec["verdict"]:
-            failures.append((rec["key"], "recomputed verdict differs"))
-        elif fresh.eigenvalues and max(
+            return "recomputed verdict differs"
+        if fresh.eigenvalues and max(
                 abs(a - b) for a, b in zip(fresh.eigenvalues, rec["eigenvalues"])
                 ) > 1e-8 * (1.0 + abs(fresh.eigenvalues[0])):
-            failures.append((rec["key"], "recomputed eigenvalues differ"))
-    return checked
+            return "recomputed eigenvalues differ"
+        return None
+
+    return check
 
 
-def _verify_psh(report, failures):
+def _psh_check(report):
     cfg = report["config"]
     tol = cfg.get("tol", 1e-9)
-    # reports written before quadrature was echoed used the default
-    quadrature = cfg.get("quadrature", cl.DEFAULT_QUADRATURE)
-    spectral = cfg.get("mode") == "spectral"
     if report["command"] == "log-distance-probe":
         f = cl.neg_log_distance(dom.domain_from_dict(cfg["domain"]), cfg["metric"])
     else:
         f = ex.parse(cfg["expression"], int(cfg["domain"]["dimension"]))
-    checked = 0
-    for rec in report["records"]:
-        if not rec["key"].startswith("violation"):
-            continue
-        checked += 1
-        point = _record_vector(rec, "point")
-        if spectral:
-            eigs = lc.levi_matrix(f, point).eigenvalues()
-            if not eigs[0] < -tol:
-                failures.append((rec["key"], "minimum eigenvalue no longer negative"))
-        else:
-            deficit = cl.circle_average_deficit(f, point,
-                                                _record_vector(rec, "direction"),
-                                                rec["radius"], quadrature)
-            if not deficit > tol:
-                failures.append((rec["key"], "circle-average deficit does not re-check"))
-    return checked
+    if cfg.get("mode") == "spectral":
+        def check(rec):
+            eigs = lc.levi_matrix(f, _record_vector(rec, "point")).eigenvalues()
+            return None if eigs[0] < -tol else "minimum eigenvalue no longer negative"
+        return check
+    # reports written before quadrature was echoed used the default
+    quadrature = cfg.get("quadrature", cl.DEFAULT_QUADRATURE)
+
+    def check(rec):
+        deficit = cl.circle_average_deficit(f, _record_vector(rec, "point"),
+                                            _record_vector(rec, "direction"),
+                                            rec["radius"], quadrature)
+        return None if deficit > tol else "circle-average deficit does not re-check"
+
+    return check
 
 
-def _verify_reinhardt(report, failures):
+def _reinhardt_check(report):
     domain = dom.domain_from_dict(report["config"]["domain"])
-    checked = 0
-    for rec in report["records"]:
-        if not rec["key"].startswith("witness"):
-            continue
-        checked += 1
-        p, q, mid = rec["p"], rec["q"], rec["midpoint"]
-        if not rh.log_image_membership(domain, p):
-            failures.append((rec["key"], "endpoint p left the log image"))
-        elif not rh.log_image_membership(domain, q):
-            failures.append((rec["key"], "endpoint q left the log image"))
-        elif not rh.log_image_defect(domain, mid) > rh.WITNESS_TOL:
-            failures.append((rec["key"], "midpoint defect does not re-check"))
-        else:
-            expected = [0.5 * (a + b) for a, b in zip(p, q)]
-            if max(abs(m - e) for m, e in zip(mid, expected)) > 1e-12:
-                failures.append((rec["key"], "midpoint is not the midpoint of p and q"))
-    return checked
+    return lambda rec: rh.witness_failure(domain, rec["p"], rec["q"],
+                                          rec["midpoint"])
 
 
-def _verify_disc_probe(report, failures):
+def _disc_check(report):
     domain = dom.domain_from_dict(report["config"]["domain"])
-    checked = 0
-    for rec in report["records"]:
-        if not rec["key"].startswith("violation"):
-            continue
-        checked += 1
-        witness = _record_vector(rec, "witness")
-        if dom.contains(domain, witness):
-            failures.append((rec["key"], "limit point no longer fails membership"))
-    return checked
+
+    def check(rec):
+        if dom.contains(domain, _record_vector(rec, "witness")):
+            return "limit point no longer fails membership"
+        return None
+
+    return check
 
 
-def _verify_hull(report, failures):
+def _hull_check(report):
     cfg = report["config"]
-    if cfg["is_complex"]:
-        pts = np.array([ex.point_from_pairs(row, f"config.points[{i}]")
-                        for i, row in enumerate(cfg["points"])])
-    else:
-        pts = np.array(cfg["points"], dtype=float)
-    checked = 0
+    points = hulls.decode_points(cfg["points"], cfg["is_complex"], "config.points")
     tol = cfg.get("tol", 1e-9)
-    for rec in report["records"]:
-        cert = rec.get("certificate")
-        if rec.get("verdict") != "Outside":
-            continue
-        checked += 1
-        if cert is None:
-            failures.append((rec["key"], "Outside verdict without certificate"))
-            continue
-        if cert["kind"] == "affine":
-            u = np.asarray(cert["direction"], dtype=float)
-            b = cert["offset"]
-            x = np.asarray(rec["query"], dtype=float)
-            value = abs(float(u @ x) + b)
-            norm_k = float(np.max(np.abs(pts.astype(float) @ u + b)))
-        else:
-            coeffs = ex.point_from_pairs(cert["coefficients"],
-                                         f"{rec['key']}.certificate.coefficients")
-            exps = [tuple(e) for e in cert["exponents"]]
-            x = _record_vector(rec, "query")
-            value = abs(complex(hulls._eval_poly(exps, coeffs,
-                                                 x.reshape(1, -1))[0]))
-            norm_k = float(np.max(np.abs(hulls._eval_poly(exps, coeffs, pts))))
-        if not value > norm_k + tol:
-            failures.append((rec["key"], "separation certificate does not re-check"))
-    return checked
+    return lambda rec: hulls.certificate_failure(
+        points, rec["query"], rec["certificate"], tol, rec["key"])
 
 
-def _verify_exhaustion(report, failures):
-    checked = 0
-    for rec in report["records"]:
-        if not rec["key"].startswith("sequence"):
-            continue
-        checked += 1
+def _exhaustion_check(report):
+    def check(rec):
         # float() also decodes the "nan" that marks a too-short sequence
-        rederived = exh.sequence_passed(float(rec["first"]), float(rec["final"]),
-                                        rec["eventually_increasing"])
-        if rec["passed"] != rederived:
-            failures.append((rec["key"], "pass flag does not match stored values"))
-    return checked
+        if rec["passed"] != exh.sequence_passed(float(rec["first"]),
+                                                float(rec["final"]),
+                                                rec["eventually_increasing"]):
+            return "pass flag does not match stored values"
+        return None
+
+    return check
 
 
-def _verify_selftest(report, failures):
+def _selftest_check(report):
     from .selftest import run_selftest
     cfg = report["config"]
-    fresh = run_selftest(points_per_expr=cfg.get("samples", 50),
-                         seed=cfg.get("seed", 0),
-                         tolerance=cfg.get("tol", 1e-6))
-    checked = 1
-    if fresh.passed != (not report["has_witnesses"]):
-        failures.append(("selftest", "re-run outcome differs from report"))
-    return checked
+
+    def check(rec):
+        fresh = run_selftest(points_per_expr=cfg.get("samples", 50),
+                             seed=cfg.get("seed", 0),
+                             tolerance=cfg.get("tol", 1e-6))
+        if fresh.passed != rec["passed"]:
+            return "re-run outcome differs from report"
+        return None
+
+    return check
 
 
-_VERIFIERS = {
-    "classify": _verify_classify,
-    "psh-test": _verify_psh,
-    "log-distance-probe": _verify_psh,
-    "reinhardt": _verify_reinhardt,
-    "disc-probe": _verify_disc_probe,
-    "hull": _verify_hull,
-    "exhaustion": _verify_exhaustion,
-    "derivative-selftest": _verify_selftest,
+_CHECKS = {
+    "classify": (_keyed("point"), _classify_check),
+    "psh-test": (_keyed("violation"), _psh_check),
+    "log-distance-probe": (_keyed("violation"), _psh_check),
+    "reinhardt": (_keyed("witness"), _reinhardt_check),
+    "disc-probe": (_keyed("violation"), _disc_check),
+    "hull": (lambda report: [r for r in report["records"]
+                             if r.get("verdict") == "Outside"], _hull_check),
+    "exhaustion": (_keyed("sequence"), _exhaustion_check),
+    # the self-test re-runs as a whole: its one witness is the report's outcome
+    "derivative-selftest": (lambda report: [{"key": "selftest",
+                                             "passed": not report["has_witnesses"]}],
+                            _selftest_check),
 }
 
 
@@ -265,9 +226,14 @@ def verify_report(report: dict) -> VerifyResult:
     """Re-check every embedded witness and certificate through the
     originating module; vacuously passes when there is nothing to check."""
     command = report.get("command")
-    verifier = _VERIFIERS.get(command)
-    if verifier is None:
+    if command not in _CHECKS:
         raise LevikitError(f"unknown command {command!r} in report")
-    failures: list = []
-    checked = verifier(report, failures)
-    return VerifyResult(not failures, checked, tuple(failures))
+    select, make_check = _CHECKS[command]
+    records = select(report)
+    check = make_check(report)
+    failures = []
+    for rec in records:
+        reason = check(rec)
+        if reason is not None:
+            failures.append((rec["key"], reason))
+    return VerifyResult(not failures, len(records), tuple(failures))

@@ -123,6 +123,43 @@ def test_verify_catches_tampering_in_every_witness_kind():
     result = rep.verify_report(bad)
     assert not result.passed
 
+    def first_failure(command, cfg, select, tamper):
+        report, code = run_command(command, cfg)
+        assert code == 2 and rep.verify_report(report).passed
+        bad = json.loads(rep.report_bytes(report))
+        target = next(r for r in bad["records"] if select(r))
+        tamper(target)
+        result = rep.verify_report(bad)
+        assert not result.passed
+        return result.failures[0], target["key"]
+
+    # reinhardt: midpoint moved inside the log image
+    failure, key = first_failure("reinhardt", dict(HARTOGS_CFG),
+                                 lambda r: r["key"] == "witness",
+                                 lambda r: r.update(midpoint=[-5.0, -5.0]))
+    assert failure == (key, "midpoint defect does not re-check")
+
+    # polynomial hull: certificate coefficient zeroed
+    poly_cfg = {"kind": "polynomial",
+                "points": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                "queries": [[[2.0, 0.0], [0.0, 0.0]]], "degree": 3}
+    failure, key = first_failure(
+        "hull", poly_cfg, lambda r: r.get("verdict") == "Outside",
+        lambda r: r["certificate"]["coefficients"].__setitem__(0, [0.0, 0.0]))
+    assert failure == (key, "separation certificate does not re-check")
+
+    # psh-test: the Levi form of this function is negative only near z1 = 0,
+    # and its violations are moved to z1 = 0.9
+    psh_cfg = {"domain": BALL_CFG["domain"], "samples": 30, "seed": 2,
+               "expression": "abs2(z1)^2 - 0.5*abs2(z1) + abs2(z2)"}
+    for mode, reason in [("spectral", "minimum eigenvalue no longer negative"),
+                         ("circle", "circle-average deficit does not re-check")]:
+        failure, key = first_failure(
+            "psh-test", dict(psh_cfg, mode=mode),
+            lambda r: r["key"].startswith("violation"),
+            lambda r: r.update(point=[[0.9, 0.0], [0.0, 0.0]]))
+        assert failure == (key, reason)
+
 
 def test_verify_catches_flipped_exhaustion_pass_flag():
     report, _ = run_command("exhaustion", {"domain": BALL_CFG["domain"],
@@ -397,3 +434,52 @@ def test_domain_dimension_mismatch_is_a_config_error(tmp_path, capsys):
     path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
     assert main(["classify", "--config", str(path)]) == 1
     assert "domain.dimension" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ({"kind": "affine", "points": [[0, 0], [1]], "queries": [[0.5, 0.5]]},
+     r"points\[1\]: expected a list of 2 real numbers"),
+    ({"kind": "polynomial", "points": [[[0, 0], [1, 0]], [[1, 0]]],
+      "queries": [[[0, 0], [0, 0]]]}, r"points\[1\]: expected 2 coordinates"),
+    ({"kind": "affine", "is_complex": True,
+      "points": [[[0, 0], [1, 0]], [[1, 0]]], "queries": [[0.5, 0.5]]},
+     r"points\[1\]: expected 2 coordinates"),
+    ({"kind": "affine", "points": [[0, 0], [1, 0]], "queries": [[0.5]]},
+     r"queries\[0\]: expected a list of 2 real numbers"),
+    ({"kind": "affine", "points": [], "queries": [[0.5]]},
+     "points: expected at least one point"),
+])
+def test_malformed_hull_rows_name_the_row(cfg, field):
+    with pytest.raises(ConfigError, match=field):
+        run_command("hull", cfg)
+
+
+HULL_SQUARE = {"kind": "affine", "points": [[0, 0], [1, 0], [1, 1]],
+               "queries": [[0.5, 0.5]]}
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("classify", dict(BALL_CFG, samples="abc"), "samples: expected an integer"),
+    ("classify", dict(BALL_CFG, samples=0), "samples: must be at least 1"),
+    ("reinhardt", dict(HARTOGS_CFG, trials=0), "trials: must be at least 1"),
+    ("log-distance-probe", dict(HARTOGS_CFG, trials=0), "trials: must be at least 1"),
+    ("psh-test", {"domain": BALL_CFG["domain"], "expression": "abs2(z1)",
+                  "mode": "circle", "quadrature": 0},
+     "quadrature: must be at least 1"),
+    ("hull", dict(HULL_SQUARE, functionals=0), "functionals: must be at least 1"),
+    ("hull", dict(HULL_SQUARE, degree=0), "degree: must be at least 1"),
+    ("hull", dict(HULL_SQUARE, random_count=-1), "random_count: must be at least 0"),
+    ("disc-probe", {"domain": BALL_CFG["domain"],
+                    "disc_family": {"variant": "hartogs", "r": 0.5, "j_min": 0}},
+     "disc_family.j_min: must be at least 1"),
+    ("disc-probe", {"domain": BALL_CFG["domain"],
+                    "disc_family": {"variant": "hartogs", "r": 0.5, "j_min": 5,
+                                    "j_max": 3}},
+     "disc_family.j_max: must be at least 5"),
+    ("exhaustion", {"domain": BALL_CFG["domain"], "sequences": 0},
+     "sequences: must be at least 1"),
+    ("derivative-selftest", {"samples": 0}, "samples: must be at least 1"),
+])
+def test_count_fields_must_be_positive_integers(command, cfg, message):
+    with pytest.raises(ConfigError, match=message):
+        run_command(command, cfg)
