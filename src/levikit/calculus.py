@@ -66,16 +66,10 @@ def _grad_trees(f: ex.Expr, n: int):
 
 
 @lru_cache(maxsize=None)
-def _mixed_trees(f: ex.Expr, n: int):
+def _second_trees(f: ex.Expr, n: int, mixed: bool):
+    """d2 f / dz_j dzbar_k when ``mixed``, else d2 f / dz_j dz_k."""
     grads = _grad_trees(f, n)
-    return tuple(tuple(ex.wirtinger(grads[j], k + 1, True) for k in range(n))
-                 for j in range(n))
-
-
-@lru_cache(maxsize=None)
-def _unmixed_trees(f: ex.Expr, n: int):
-    grads = _grad_trees(f, n)
-    return tuple(tuple(ex.wirtinger(grads[j], k + 1, False) for k in range(n))
+    return tuple(tuple(ex.wirtinger(grads[j], k + 1, mixed) for k in range(n))
                  for j in range(n))
 
 
@@ -95,7 +89,7 @@ def levi_matrix(f: ex.Expr, z) -> LeviMatrix:
     """
     zz = ex.as_point(z)
     n = zz.shape[0]
-    trees = _mixed_trees(f, n)
+    trees = _second_trees(f, n, True)
     h = np.array([[ex.evaluate(trees[j][k], zz) for k in range(n)]
                   for j in range(n)])
     scale = max(1.0, float(np.max(np.abs(h))))
@@ -120,7 +114,7 @@ def unmixed_matrix(f: ex.Expr, z) -> np.ndarray:
     """Symmetrized matrix of unmixed second derivatives d2 f / dz_j dz_k."""
     zz = ex.as_point(z)
     n = zz.shape[0]
-    trees = _unmixed_trees(f, n)
+    trees = _second_trees(f, n, False)
     a = np.array([[ex.evaluate(trees[j][k], zz) for k in range(n)]
                   for j in range(n)])
     return 0.5 * (a + a.T)
@@ -217,11 +211,10 @@ def tangent_basis(f: ex.Expr, a, tol: float | None = None,
     return TangentBasis(mat, zz, gnorm)
 
 
-def restricted_levi_matrix(f: ex.Expr, basis: TangentBasis) -> np.ndarray:
+def restricted_levi_matrix(levi: LeviMatrix, basis: TangentBasis) -> np.ndarray:
     """Levi form written in the tangent basis: B[p][q] = form(v_p, v_q)."""
-    h = levi_matrix(f, basis.point).entries
     v = basis.vectors
-    return v @ h @ v.conj().T
+    return v @ levi.entries @ v.conj().T
 
 
 def taylor_decompose(f: ex.Expr, a, z) -> TaylorParts:

@@ -133,9 +133,10 @@ def classify_point(f: ex.Expr, a, tol_grad: float | None = None,
     except DegenerateGradient:
         return PointVerdict(tuple(aa), 0.0, (), DEGENERATE, math.nan,
                             tol_eig if tol_eig is not None else math.nan, tol_grad)
-    restricted = lc.restricted_levi_matrix(f, basis)
+    levi = lc.levi_matrix(f, aa)
+    restricted = lc.restricted_levi_matrix(levi, basis)
     if tol_eig is None:
-        tol_eig = default_eig_tol(lc.levi_matrix(f, aa).entries)
+        tol_eig = default_eig_tol(levi.entries)
     if restricted.shape[0] == 0:
         return PointVerdict(tuple(aa), basis.gradient_norm, (),
                             STRICTLY_PSEUDOCONVEX, math.inf, tol_eig, tol_grad)

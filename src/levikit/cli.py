@@ -87,6 +87,27 @@ def _count(spec, key, default, minimum=1, path=None) -> int:
     return number
 
 
+def _real(spec, key, default, path=None):
+    """spec[key], or the default: a number as given, a numeric string (YAML
+    reads ``1e-9`` as one) as a float, null only where the default is null;
+    ConfigError names the field ``path`` (default: the key) otherwise."""
+    value = spec.get(key, default)
+    if isinstance(value, (int, float)) or value is None is default:
+        return value
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path or key}: expected a number, got {value!r}") from None
+
+
+def _check_common(cfg) -> None:
+    """The keys every command accepts: a seed numpy takes, a worker count
+    and a numeric tolerance."""
+    _count(cfg, "seed", 0, minimum=0)
+    _count(cfg, "workers", 1)
+    _real(cfg, "tol", 0.0)
+
+
 def _domain(cfg) -> tuple:
     spec = _require(cfg, "domain")
     if not isinstance(spec, dict):
@@ -95,7 +116,7 @@ def _domain(cfg) -> tuple:
         d = dom.domain_from_dict(spec)
     except (KeyError, ValueError, LevikitError) as err:
         raise ConfigError(f"domain: {err}") from None
-    return d, dom.domain_to_dict(d)
+    return d, d.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +127,8 @@ def _run_classify(cfg):
     samples = _count(cfg, "samples", 200)
     seed = int(cfg.get("seed", 0))
     workers = int(cfg.get("workers", 1))
-    tol_grad = cfg.get("tol_grad")
-    tol_eig = cfg.get("tol_eig")
+    tol_grad = _real(cfg, "tol_grad", None)
+    tol_eig = _real(cfg, "tol_eig", None)
     result = cl.classify_domain(d, samples, seed, tol_grad=tol_grad,
                                 tol_eig=tol_eig)
     records = []
@@ -223,19 +244,21 @@ def _disc_family(cfg, n):
     j_max = _count(spec, "j_max", 20, minimum=j_min, path="disc_family.j_max")
     j_values = list(range(j_min, j_max + 1))
     if variant == "hartogs":
-        if int(spec.get("dimension", n)) != n:
+        if _count(spec, "dimension", n, path="disc_family.dimension") != n:
             raise ConfigError(f"disc_family.dimension: must equal the domain dimension {n}")
-        family, limit = discs.hartogs_family(float(spec.get("r", 1.0)), n, j_values)
+        family, limit = discs.hartogs_family(
+            float(_real(spec, "r", 1.0, path="disc_family.r")), n, j_values)
         return family, limit, j_values, spec
     if variant == "affine_sweep":
         family, limit = discs.affine_sweep_family(
             vector("from_center"), vector("to_center"), vector("direction"),
-            float(spec.get("radius", 1.0)), j_values)
+            float(_real(spec, "radius", 1.0, path="disc_family.radius")), j_values)
         return family, limit, j_values, spec
     if variant == "exp_twisted":
         family, limit = discs.exp_twisted_family(
             vector("center"), vector("dir_primary"), vector("dir_secondary"),
-            float(spec.get("r", 1.0)), vector("g_coefficients", None), j_values)
+            float(_real(spec, "r", 1.0, path="disc_family.r")),
+            vector("g_coefficients", None), j_values)
         return family, limit, j_values, spec
     raise ConfigError(f"disc_family.variant: unknown variant {variant!r}")
 
@@ -277,9 +300,9 @@ def _run_hull(cfg):
         raise ConfigError(f"kind: expected 'affine' or 'polynomial', got {kind!r}")
     is_complex = bool(cfg.get("is_complex", kind == "polynomial"))
     if "points_file" in cfg and cfg["points_file"]:
+        _require(cfg, "dimension")
         pset = hulls.load_point_set(cfg["points_file"],
-                                    int(_require(cfg, "dimension")),
-                                    is_complex)
+                                    _count(cfg, "dimension", None), is_complex)
     else:
         pset = hulls.PointSet(hulls.decode_points(_require(cfg, "points"),
                                                   is_complex, "points"),
@@ -382,6 +405,7 @@ def run_command(command: str, cfg: dict) -> tuple[dict, int]:
     if command not in _RUNNERS:
         raise ConfigError(f"command: unknown command {command!r}")
     _check_keys(command, cfg)
+    _check_common(cfg)
     start = time.perf_counter()
     records, summary, has_witnesses, echo = _RUNNERS[command](cfg)
     wall = time.perf_counter() - start

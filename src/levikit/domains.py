@@ -316,11 +316,9 @@ class ReinhardtUnion(Domain, variant="reinhardt_union", natural_metric=LINFTY):
                         np.max([m.radii for m in self.members], axis=0))
 
     def interior_distance(self, zz, metric) -> float:
-        best = 0.0
-        for m in self.members:
-            if m.contains(zz):
-                best = max(best, m.interior_distance(zz, metric))
-        return best
+        # callers have checked that zz is in the union; a member that misses
+        # zz has a gap <= 0, so the largest gap is a containing member's
+        return max(m.interior_distance(zz, metric) for m in self.members)
 
     def exterior_distance(self, zz, metric) -> float:
         return min(m.exterior_distance(zz, metric) for m in self.members)
@@ -401,22 +399,12 @@ class Sublevel(Domain, variant="sublevel"):
                 raise SamplingExhausted("sublevel boundary sampling failed",
                                         len(samples) / attempts)
             u = unit_vector(rng, self.dimension)
-            t = 1e-3 * t_max
-            bracket = None
-            while t <= t_max:
-                try:
-                    v = ex.evaluate(self.expr, z0 + t * u).real
-                except LevikitError:
-                    break
-                if v >= self.level:
-                    bracket = t
-                    break
-                t *= 2.0
-            if bracket is None:
+            # f - level < 0 at z0; 10 doublings end at 0.512 * t_max
+            z_out = self._march(z0, u, 1e-3 * t_max, -1.0, 10)
+            if z_out is None:
                 skipped += 1
                 continue
-            z = _bisect_level(self.expr, self.level, z0, z0 + bracket * u,
-                              outside=True)
+            z = _bisect_level(self.expr, self.level, z0, z_out, outside=True)
             g = self._gradient(z)
             gn = np.linalg.norm(g)
             outward = tuple(g / gn) if gn > 1e-12 else None
@@ -427,6 +415,22 @@ class Sublevel(Domain, variant="sublevel"):
         """Steepest-ascent direction of the defining function as a complex vector."""
         return np.conj(lc.complex_gradient(self.expr, b).components)
 
+    def _march(self, z, direction, s, v, steps):
+        """The first point ``z + s * direction``, ``s`` doubling ``steps``
+        times, where f - level changes sign against ``v`` (f - level at
+        ``z``, or a value of its sign); None when no point does, or when f
+        cannot be evaluated at one."""
+        for _ in range(steps):
+            probe = z + s * direction
+            try:
+                vp = ex.evaluate(self.expr, probe).real - self.level
+            except LevikitError:
+                return None
+            if vp * v <= 0:
+                return probe
+            s *= 2.0
+        return None
+
     def _reproject_to_level(self, c):
         """Pull a near-boundary point back onto the level set along the gradient."""
         v = ex.evaluate(self.expr, c).real - self.level
@@ -436,20 +440,11 @@ class Sublevel(Domain, variant="sublevel"):
         gn = np.linalg.norm(g)
         if gn < 1e-12:
             return None
-        ghat = g / gn
-        direction = -np.sign(v) * ghat
-        s = abs(v) / gn
-        for _ in range(60):
-            probe = c + s * direction
-            try:
-                vp = ex.evaluate(self.expr, probe).real - self.level
-            except LevikitError:
-                return None
-            if vp * v <= 0:
-                inside_pt, outside_pt = (c, probe) if v < 0 else (probe, c)
-                return _bisect_level(self.expr, self.level, inside_pt, outside_pt)
-            s *= 2.0
-        return None
+        probe = self._march(c, -np.sign(v) * (g / gn), abs(v) / gn, v, 60)
+        if probe is None:
+            return None
+        inside_pt, outside_pt = (c, probe) if v < 0 else (probe, c)
+        return _bisect_level(self.expr, self.level, inside_pt, outside_pt)
 
     def _foot_point(self, z, b0):
         """Slide a boundary point along the level set toward the query point."""
@@ -535,20 +530,21 @@ def _bisect_level(f: ex.Expr, level, z_in, z_out, outside: bool = False):
     """Point on the segment [z_in, z_out] with |f - level| <= _LEVEL_TOL.
 
     With ``outside`` the returned point additionally satisfies f >= level
-    (it is the outer bracket endpoint), so it never re-enters the open set.
+    (it is the outer bracket endpoint), so it never re-enters the open set;
+    every outer endpoint but z_out is a midpoint, tested when evaluated.
     """
     lo, hi = 0.0, 1.0
     seg = z_out - z_in
+    if outside:
+        z_hi = z_in + hi * seg
+        if 0 <= ex.evaluate(f, z_hi).real - level <= _LEVEL_TOL:
+            return z_hi
     for _ in range(200):
-        if outside:
-            z_hi = z_in + hi * seg
-            v_hi = ex.evaluate(f, z_hi).real - level
-            if 0 <= v_hi <= _LEVEL_TOL:
-                return z_hi
         mid = 0.5 * (lo + hi)
         z = z_in + mid * seg
         v = ex.evaluate(f, z).real - level
-        if not outside and abs(v) <= _LEVEL_TOL:
+        on_level = 0 <= v <= _LEVEL_TOL if outside else abs(v) <= _LEVEL_TOL
+        if on_level:
             return z
         if v < 0:
             lo = mid
@@ -677,15 +673,6 @@ def signed_distance(d, z, metric: str | None = None) -> float:
     if d.contains(zz):
         return -d.interior_distance(zz, metric)
     return d.exterior_distance(zz, metric)
-
-
-def face_defining_expr(d: Polydisc, face: int) -> ex.Expr:
-    """Local defining function |z_j - c_j|^2 - r_j^2 for one polydisc face."""
-    return d.defining_expr(face)
-
-
-def domain_to_dict(d) -> dict:
-    return d.to_dict()
 
 
 def domain_from_dict(spec: dict, path: str = "domain"):

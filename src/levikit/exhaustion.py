@@ -206,8 +206,7 @@ def make_probe(domain, function=CANONICAL, metric: str | None = None,
             pts = [(1.0 + k) * u for k in range(steps)]
             seqs.append(tuple(tuple(complex(c) for c in p) for p in pts))
             vals.append(tuple(float(fn(p)) for p in pts))
-        return ExhaustionProbe(fid, dom.domain_to_dict(domain),
-                               tuple(seqs), tuple(vals))
+        return ExhaustionProbe(fid, domain.to_dict(), tuple(seqs), tuple(vals))
 
     paths = _approach_paths(domain, sequences, seed)
     ts = [10.0 ** (-k) for k in range(steps)]
@@ -221,8 +220,7 @@ def make_probe(domain, function=CANONICAL, metric: str | None = None,
                           for p, t in zip(pts, ts)]
             seqs.append(tuple(tuple(complex(c) for c in p) for p in pts))
             vals.append(tuple(values))
-        return ExhaustionProbe(fid, dom.domain_to_dict(domain),
-                               tuple(seqs), tuple(vals))
+        return ExhaustionProbe(fid, domain.to_dict(), tuple(seqs), tuple(vals))
 
     # generic fallback: float-point evaluation, resolution-limited
     fn = _resolve_point_function(domain, function, metric)
@@ -240,8 +238,7 @@ def make_probe(domain, function=CANONICAL, metric: str | None = None,
             values.append(float(fn(z)))
         seqs.append(tuple(pts))
         vals.append(tuple(values))
-    return ExhaustionProbe(fid, dom.domain_to_dict(domain),
-                           tuple(seqs), tuple(vals))
+    return ExhaustionProbe(fid, domain.to_dict(), tuple(seqs), tuple(vals))
 
 
 def exhaustion_blowup_check(probe: ExhaustionProbe) -> BlowupCheck:

@@ -53,7 +53,11 @@ def load_point_set(path, dimension: int, is_complex: bool = True) -> PointSet:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            vals = [float(v) for v in line.split(",")]
+            try:
+                vals = [float(v) for v in line.split(",")]
+            except ValueError:
+                raise LevikitError(f"{path}:{lineno}: expected comma-separated "
+                                   f"numbers") from None
             if is_complex:
                 if len(vals) != 2 * dimension:
                     raise LevikitError(

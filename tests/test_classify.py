@@ -38,6 +38,20 @@ def test_classify_point_saddle_is_not_levi():
     assert pv.eigenvalues == (-1.0,)
 
 
+def test_classify_point_builds_one_levi_matrix(monkeypatch):
+    real = lc.levi_matrix
+    calls = []
+
+    def counting(f, z):
+        calls.append(z)
+        return real(f, z)
+
+    monkeypatch.setattr(lc, "levi_matrix", counting)
+    pv = cl.classify_point(SADDLE_F, [1, 0])
+    assert pv.verdict == cl.NOT_LEVI
+    assert len(calls) == 1
+
+
 def test_classify_point_degenerate_gradient():
     pv = cl.classify_point(ex.parse("abs2(z1)", 2), [0, 0.5])
     assert pv.verdict == cl.DEGENERATE
@@ -92,7 +106,7 @@ def test_verdict_invariant_under_scaling():
         assert np.allclose(2 * np.array(a.eigenvalues), b.eigenvalues,
                            atol=1e-10)
     for s in faces:
-        f = dom.face_defining_expr(POLY2, s.face_index)
+        f = POLY2.defining_expr(s.face_index)
         a = cl.classify_point(f, s.point)
         b = cl.classify_point(ex.const(2) * f, s.point)
         assert a.verdict == b.verdict

@@ -11,7 +11,7 @@ import yaml
 from levikit import domains as dom
 from levikit import report as rep
 from levikit.cli import main, run_command
-from levikit.errors import ConfigError
+from levikit.errors import ConfigError, LevikitError
 
 BALL_CFG = {
     "domain": {"variant": "ball", "dimension": 2,
@@ -289,6 +289,15 @@ def test_hull_command_reads_points_file(tmp_path):
     assert len(report["config"]["points"]) == 4
 
 
+def test_points_file_with_a_non_numeric_token_names_the_line(tmp_path):
+    path = tmp_path / "k.txt"
+    path.write_text("0.0,0.0\n0.0,zero\n", encoding="utf-8")
+    cfg = {"kind": "affine", "is_complex": False, "dimension": 2,
+           "points_file": str(path), "queries": [[0.5, 0.5]]}
+    with pytest.raises(LevikitError, match=r"k\.txt:2: expected comma-separated"):
+        run_command("hull", cfg)
+
+
 def test_exhaustion_command():
     cfg = {"domain": BALL_CFG["domain"], "sequences": 4}
     report, code = run_command("exhaustion", cfg)
@@ -483,3 +492,44 @@ HULL_SQUARE = {"kind": "affine", "points": [[0, 0], [1, 0], [1, 1]],
 def test_count_fields_must_be_positive_integers(command, cfg, message):
     with pytest.raises(ConfigError, match=message):
         run_command(command, cfg)
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("classify", dict(BALL_CFG, seed="x"), "seed: expected an integer"),
+    ("classify", dict(BALL_CFG, seed=-1), "seed: must be at least 0"),
+    ("reinhardt", dict(HARTOGS_CFG, seed=None), "seed: expected an integer"),
+    ("log-distance-probe", dict(HARTOGS_CFG, tol="x"), "tol: expected a number"),
+    ("derivative-selftest", {"tol": [1e-6]}, "tol: expected a number"),
+    ("exhaustion", {"domain": BALL_CFG["domain"], "workers": "two"},
+     "workers: expected an integer"),
+    ("classify", dict(BALL_CFG, workers=0), "workers: must be at least 1"),
+    ("classify", dict(BALL_CFG, tol_grad="x"), "tol_grad: expected a number"),
+    ("classify", dict(BALL_CFG, tol_eig=[0]), "tol_eig: expected a number"),
+    ("hull", {"kind": "affine", "is_complex": False, "dimension": "two",
+              "points_file": "k.txt", "queries": [[0.5, 0.5]]},
+     "dimension: expected an integer"),
+    ("disc-probe", {"domain": BALL_CFG["domain"],
+                    "disc_family": {"variant": "hartogs", "dimension": "two"}},
+     "disc_family.dimension: expected an integer"),
+    ("disc-probe", {"domain": BALL_CFG["domain"],
+                    "disc_family": {"variant": "hartogs", "r": "x"}},
+     "disc_family.r: expected a number"),
+    ("disc-probe", {"domain": BALL_CFG["domain"],
+                    "disc_family": {"variant": "affine_sweep",
+                                    "from_center": [[0, 0], [0, 0]],
+                                    "to_center": [[0.5, 0], [0, 0]],
+                                    "direction": [[0, 0], [1, 0]],
+                                    "radius": "wide"}},
+     "disc_family.radius: expected a number"),
+])
+def test_numeric_fields_must_be_numbers(command, cfg, message):
+    with pytest.raises(ConfigError, match=message):
+        run_command(command, cfg)
+
+
+def test_numeric_fields_keep_their_echo():
+    # YAML reads 1e-9 as a string; numbers are echoed as given
+    report, _ = run_command("classify", dict(BALL_CFG, samples=5, tol="1e-9",
+                                             tol_grad="1e-8", tol_eig=0))
+    assert report["config"]["tol_grad"] == 1e-8
+    assert json.dumps(report["config"]["tol_eig"]) == "0"

@@ -59,6 +59,23 @@ def test_sublevel_boundary_samples_hit_level_set():
         assert abs(np.linalg.norm(np.asarray(s.point)) - 1.0) <= 1e-9
 
 
+def test_outside_bisection_evaluates_each_point_once(monkeypatch):
+    f = ex.parse("abs2(z1) + abs2(z2) - 1", 2)
+    real = ex.evaluate
+    points = []
+
+    def recording(g, z):
+        points.append(tuple(np.asarray(z)))
+        return real(g, z)
+
+    monkeypatch.setattr(ex, "evaluate", recording)
+    z = dom._bisect_level(f, 0.0, np.zeros(2, dtype=complex),
+                          np.array([1.5, 0.5j]), outside=True)
+    assert len(points) > 2
+    assert len(set(points)) == len(points)
+    assert 0 <= real(f, z).real <= 1e-10
+
+
 def test_sublevel_no_interior_point():
     f = ex.parse("abs2(z1) + 1", 1)   # always >= 1, never < 0
     d = dom.Sublevel(f, 0.0, 1, box_center=(0,), box_radii=(2,))
@@ -110,6 +127,23 @@ def test_hartogs_distance_member_formula():
         offs = np.array([(d - 1e-9) * math.sqrt(rng.uniform())
                          * np.exp(2j * np.pi * rng.uniform()) for _ in range(2)])
         assert dom.contains(hf, z + offs)
+
+
+def test_hartogs_distance_tests_each_member_once(monkeypatch):
+    real = dom.Polydisc.contains
+    tested = []
+
+    def counting(self, zz):
+        tested.append(id(self))
+        return real(self, zz)
+
+    monkeypatch.setattr(dom.Polydisc, "contains", counting)
+    hf = dom.hartogs_figure()
+    for z, expected in (([1, 1], E - 1), ([E ** 1.5, 1.0], E - 1),
+                        ([1.0, E ** 1.5], E - 1)):
+        tested.clear()
+        assert dom.distance_to_boundary(hf, z) == pytest.approx(expected)
+        assert len(set(tested)) == len(tested)
 
 
 def test_ball_linfty_distance_interior_and_exterior():
@@ -191,7 +225,7 @@ def test_domain_dict_round_trip():
         dom.WholeSpace(3),
     ]
     for d in examples:
-        assert dom.domain_from_dict(dom.domain_to_dict(d)) == d
+        assert dom.domain_from_dict(d.to_dict()) == d
 
 
 def test_reinhardt_union_validation():
