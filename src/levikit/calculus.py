@@ -73,6 +73,15 @@ def _second_trees(f: ex.Expr, n: int, mixed: bool):
                  for j in range(n))
 
 
+def _second_derivatives(f: ex.Expr, z, mixed: bool):
+    """(z as a point, the n x n matrix of second derivatives of f there)."""
+    zz = ex.as_point(z)
+    n = zz.shape[0]
+    trees = _second_trees(f, n, mixed)
+    return zz, np.array([[ex.evaluate(trees[j][k], zz) for k in range(n)]
+                         for j in range(n)])
+
+
 def complex_gradient(f: ex.Expr, z) -> ComplexGradient:
     """(df/dz_1, ..., df/dz_n) evaluated at z."""
     zz = ex.as_point(z)
@@ -87,11 +96,7 @@ def levi_matrix(f: ex.Expr, z) -> LeviMatrix:
     Raises NonHermitianLeviMatrix when the result is not Hermitian within
     HERMITIAN_TOL, which signals a non-real-valued input.
     """
-    zz = ex.as_point(z)
-    n = zz.shape[0]
-    trees = _second_trees(f, n, True)
-    h = np.array([[ex.evaluate(trees[j][k], zz) for k in range(n)]
-                  for j in range(n)])
+    zz, h = _second_derivatives(f, z, True)
     scale = max(1.0, float(np.max(np.abs(h))))
     if np.max(np.abs(h - h.conj().T)) > HERMITIAN_TOL * scale:
         raise NonHermitianLeviMatrix(
@@ -112,11 +117,7 @@ def levi_form(f: ex.Expr, z, delta) -> float:
 
 def unmixed_matrix(f: ex.Expr, z) -> np.ndarray:
     """Symmetrized matrix of unmixed second derivatives d2 f / dz_j dz_k."""
-    zz = ex.as_point(z)
-    n = zz.shape[0]
-    trees = _second_trees(f, n, False)
-    a = np.array([[ex.evaluate(trees[j][k], zz) for k in range(n)]
-                  for j in range(n)])
+    a = _second_derivatives(f, z, False)[1]
     return 0.5 * (a + a.T)
 
 

@@ -100,12 +100,11 @@ def _real(spec, key, default, path=None):
         raise ConfigError(f"{path or key}: expected a number, got {value!r}") from None
 
 
-def _check_common(cfg) -> None:
-    """The keys every command accepts: a seed numpy takes, a worker count
-    and a numeric tolerance."""
-    _count(cfg, "seed", 0, minimum=0)
-    _count(cfg, "workers", 1)
-    _real(cfg, "tol", 0.0)
+def _check_common(cfg, seed=0, tol=1e-9) -> tuple:
+    """(seed, workers, tol): the keys every command accepts, read once as a
+    seed numpy takes, a worker count and a numeric tolerance (a float)."""
+    return (_count(cfg, "seed", seed, minimum=0), _count(cfg, "workers", 1),
+            float(_real(cfg, "tol", tol)))
 
 
 def _domain(cfg) -> tuple:
@@ -123,10 +122,9 @@ def _domain(cfg) -> tuple:
 # per-command runners: config -> (records, summary, has_witnesses, echo)
 
 def _run_classify(cfg):
+    seed, workers, _ = _check_common(cfg)
     d, domain_echo = _domain(cfg)
     samples = _count(cfg, "samples", 200)
-    seed = int(cfg.get("seed", 0))
-    workers = int(cfg.get("workers", 1))
     tol_grad = _real(cfg, "tol_grad", None)
     tol_eig = _real(cfg, "tol_eig", None)
     result = cl.classify_domain(d, samples, seed, tol_grad=tol_grad,
@@ -165,14 +163,12 @@ def _psh_records(verdict: cl.PshVerdict):
 
 
 def _run_psh_test(cfg):
+    seed, workers, tol = _check_common(cfg)
     d, domain_echo = _domain(cfg)
     text = _require(cfg, "expression")
     f = ex.parse(text, d.dimension)
     mode = cfg.get("mode", "spectral")
     samples = _count(cfg, "samples", 200)
-    seed = int(cfg.get("seed", 0))
-    tol = float(cfg.get("tol", 1e-9))
-    workers = int(cfg.get("workers", 1))
     metric = cfg.get("metric")
     echo = {"domain": domain_echo, "expression": text, "mode": mode,
             "samples": samples, "seed": seed, "tol": tol, "workers": workers,
@@ -194,12 +190,10 @@ def _run_psh_test(cfg):
 
 
 def _run_log_distance(cfg):
+    seed, workers, tol = _check_common(cfg)
     d, domain_echo = _domain(cfg)
     metric = cfg.get("metric") or d.natural_metric
     trials = _count(cfg, "trials", 1000)
-    seed = int(cfg.get("seed", 0))
-    tol = float(cfg.get("tol", 1e-9))
-    workers = int(cfg.get("workers", 1))
     result = cl.log_distance_probe(d, metric=metric, trials=trials, seed=seed,
                                    tol=tol)
     records = _psh_records(result.inner)
@@ -214,12 +208,12 @@ def _run_log_distance(cfg):
 
 
 def _run_reinhardt(cfg):
+    seed, _, _ = _check_common(cfg, seed=rh.DEFAULT_SEED)
     d, domain_echo = _domain(cfg)
     if not isinstance(d, dom.ReinhardtUnion):
         raise ConfigError("domain.variant: reinhardt command needs a "
                           "reinhardt_union domain")
     trials = _count(cfg, "trials", 10000)
-    seed = int(cfg.get("seed", rh.DEFAULT_SEED))
     result = rh.not_domain_of_holomorphy_report(d, trials, seed)
     records = [{"key": "conclusion", "conclusion": result.conclusion,
                 "reason": result.reason, "trials": result.trials}]
@@ -242,39 +236,39 @@ def _disc_family(cfg, n):
     variant = spec.get("variant")
     j_min = _count(spec, "j_min", 2, path="disc_family.j_min")
     j_max = _count(spec, "j_max", 20, minimum=j_min, path="disc_family.j_max")
-    j_values = list(range(j_min, j_max + 1))
+    j_values = range(j_min, j_max + 1)
     if variant == "hartogs":
         if _count(spec, "dimension", n, path="disc_family.dimension") != n:
             raise ConfigError(f"disc_family.dimension: must equal the domain dimension {n}")
         family, limit = discs.hartogs_family(
             float(_real(spec, "r", 1.0, path="disc_family.r")), n, j_values)
-        return family, limit, j_values, spec
+        return family, limit, spec
     if variant == "affine_sweep":
         family, limit = discs.affine_sweep_family(
             vector("from_center"), vector("to_center"), vector("direction"),
             float(_real(spec, "radius", 1.0, path="disc_family.radius")), j_values)
-        return family, limit, j_values, spec
+        return family, limit, spec
     if variant == "exp_twisted":
         family, limit = discs.exp_twisted_family(
             vector("center"), vector("dir_primary"), vector("dir_secondary"),
             float(_real(spec, "r", 1.0, path="disc_family.r")),
             vector("g_coefficients", None), j_values)
-        return family, limit, j_values, spec
+        return family, limit, spec
     raise ConfigError(f"disc_family.variant: unknown variant {variant!r}")
 
 
 def _run_disc_probe(cfg):
+    seed, _, _ = _check_common(cfg)
     d, domain_echo = _domain(cfg)
-    family, limit, j_values, family_echo = _disc_family(cfg, d.dimension)
+    family, limit, family_echo = _disc_family(cfg, d.dimension)
     interior = _count(cfg, "interior", 256)
     boundary = _count(cfg, "boundary", 128)
-    seed = int(cfg.get("seed", 0))
     echo = {"domain": domain_echo, "disc_family": family_echo,
             "interior": interior, "boundary": boundary, "seed": seed}
     try:
         result = discs.continuity_probe(d, family, limit_disc=limit,
-                                        j_values=j_values, interior=interior,
-                                        boundary=boundary, seed=seed)
+                                        interior=interior, boundary=boundary,
+                                        seed=seed)
     except FamilyLeavesDomain as err:
         records = [{"key": "inapplicable", "reason": str(err)}]
         return records, f"probe inapplicable: {err}", False, echo
@@ -295,14 +289,21 @@ def _run_disc_probe(cfg):
 
 
 def _run_hull(cfg):
+    seed, _, tol = _check_common(cfg)
     kind = cfg.get("kind", "affine")
     if kind not in ("affine", "polynomial"):
         raise ConfigError(f"kind: expected 'affine' or 'polynomial', got {kind!r}")
-    is_complex = bool(cfg.get("is_complex", kind == "polynomial"))
+    is_complex = cfg.get("is_complex", kind == "polynomial")
+    if not isinstance(is_complex, bool):
+        raise ConfigError(f"is_complex: expected true or false, got {is_complex!r}")
     if "points_file" in cfg and cfg["points_file"]:
         _require(cfg, "dimension")
-        pset = hulls.load_point_set(cfg["points_file"],
-                                    _count(cfg, "dimension", None), is_complex)
+        try:
+            pset = hulls.load_point_set(cfg["points_file"],
+                                        _count(cfg, "dimension", None), is_complex)
+        except OSError as err:
+            raise ConfigError(f"points_file: cannot read {cfg['points_file']!r}: "
+                              f"{err.strerror}") from None
     else:
         pset = hulls.PointSet(hulls.decode_points(_require(cfg, "points"),
                                                   is_complex, "points"),
@@ -310,8 +311,6 @@ def _run_hull(cfg):
     queries = _require(cfg, "queries")
     query_points = hulls.decode_points(queries, kind == "polynomial", "queries",
                                        pset.dimension)
-    seed = int(cfg.get("seed", 0))
-    tol = float(cfg.get("tol", 1e-9))
     functionals = _count(cfg, "functionals", 500)
     degree = _count(cfg, "degree", 8)
     random_count = _count(cfg, "random_count", 0, minimum=0)
@@ -339,13 +338,13 @@ def _run_hull(cfg):
 
 
 def _run_exhaustion(cfg):
+    seed, _, _ = _check_common(cfg)
     d, domain_echo = _domain(cfg)
     function = cfg.get("function", exh.CANONICAL)
     if function not in (exh.CANONICAL, exh.NORM_SQUARED):
         function = ex.parse(function, d.dimension)
     metric = cfg.get("metric")
     sequences = _count(cfg, "sequences", 8)
-    seed = int(cfg.get("seed", 0))
     steps = _count(cfg, "steps", 56)
     probe = exh.make_probe(d, function=function, metric=metric,
                            sequences=sequences, seed=seed, steps=steps)
@@ -368,9 +367,8 @@ def _run_exhaustion(cfg):
 
 
 def _run_selftest(cfg):
+    seed, _, tol = _check_common(cfg, tol=1e-6)
     samples = _count(cfg, "samples", 50)
-    seed = int(cfg.get("seed", 0))
-    tol = float(cfg.get("tol", 1e-6))
     result = run_selftest(points_per_expr=samples, seed=seed, tolerance=tol)
     records = []
     for i, chk in enumerate(result.checks):
@@ -405,7 +403,6 @@ def run_command(command: str, cfg: dict) -> tuple[dict, int]:
     if command not in _RUNNERS:
         raise ConfigError(f"command: unknown command {command!r}")
     _check_keys(command, cfg)
-    _check_common(cfg)
     start = time.perf_counter()
     records, summary, has_witnesses, echo = _RUNNERS[command](cfg)
     wall = time.perf_counter() - start

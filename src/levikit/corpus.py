@@ -7,6 +7,9 @@ vanishing divisors), so finite-difference oracles stay well conditioned.
 
 import numpy as np
 
+from . import expr as ex
+from .hulls import monomial_exponents
+
 
 def _away_from_zero(j, margin=0.3):
     return lambda z: abs(z[j - 1]) > margin
@@ -65,12 +68,8 @@ def holomorphic_polynomials(count, n, degree, seed, lower_bound=None):
     keeps -ln|h| finite on the disc images used by the maximum-principle
     tests.
     """
-    from . import expr as ex
-    from itertools import product
-
     rng = np.random.default_rng(seed)
-    exponents = [e for e in product(range(degree + 1), repeat=n)
-                 if 0 < sum(e) <= degree]
+    exponents = monomial_exponents(n, degree)
     polys = []
     for _ in range(count):
         k = rng.integers(2, min(5, len(exponents)) + 1)

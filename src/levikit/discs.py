@@ -20,6 +20,8 @@ from .errors import FamilyLeavesDomain, LevikitError
 from .sampling import disc_point
 
 J_LIMIT = 10 ** 6
+# default family indices j
+J_VALUES = range(2, 21)
 # keep random interior samples off the rim so the equispaced boundary grid
 # always dominates them for smooth integrands
 INTERIOR_RADIUS_CAP = 0.98
@@ -180,52 +182,47 @@ class DiscReport:
     witness: tuple             # limit point failing membership, or None
 
 
-def hartogs_family(r: float, dimension: int = 2, j_values=None):
-    """The discs (r + 1/j, w, 0, ...) plus their closed-form limit disc."""
-    if j_values is None:
-        j_values = range(2, 21)
-    discs = [HartogsDisc(r, j, dimension) for j in j_values]
+def hartogs_family(r: float, dimension: int = 2, j_values=J_VALUES):
+    """(j, disc) pairs of the discs (r + 1/j, w, 0, ...) plus their
+    closed-form limit disc."""
+    family = [(j, HartogsDisc(r, j, dimension)) for j in j_values]
     center = [0j] * dimension
     center[0] = complex(r)
     direction = [0j] * dimension
     direction[1] = 1.0 + 0j
     limit = AffineDisc(tuple(center), tuple(direction), 1.0)
-    return discs, limit
+    return family, limit
 
 
 def affine_sweep_family(from_center, to_center, direction, radius: float,
-                        j_values=None):
-    """Affine discs whose centers march from one anchor toward another;
-    the limit disc sits at the target anchor."""
-    if j_values is None:
-        j_values = range(2, 21)
+                        j_values=J_VALUES):
+    """(j, disc) pairs of affine discs whose centers march from one anchor
+    toward another; the limit disc sits at the target anchor."""
     start = np.asarray(from_center, dtype=complex)
     target = np.asarray(to_center, dtype=complex)
-    family = [AffineDisc(tuple(start + (1.0 - 1.0 / j) * (target - start)),
-                         direction, radius) for j in j_values]
+    family = [(j, AffineDisc(tuple(start + (1.0 - 1.0 / j) * (target - start)),
+                             direction, radius)) for j in j_values]
     limit = AffineDisc(tuple(target), direction, radius)
     return family, limit
 
 
 def exp_twisted_family(center, dir_primary, dir_secondary, r: float,
-                       g_coefficients, j_values=None):
-    """Exp-twisted discs with twist amplitude t_j = 1 - 1/j; limit has t = 1."""
-    if j_values is None:
-        j_values = range(2, 21)
+                       g_coefficients, j_values=J_VALUES):
+    """(j, disc) pairs of exp-twisted discs with twist amplitude
+    t_j = 1 - 1/j; the limit has t = 1."""
     coeffs = tuple(complex(c) for c in g_coefficients)
-    family = [ExpTwistedDisc(center, dir_primary, dir_secondary, r,
-                             1.0 - 1.0 / j, coeffs) for j in j_values]
+    family = [(j, ExpTwistedDisc(center, dir_primary, dir_secondary, r,
+                                 1.0 - 1.0 / j, coeffs)) for j in j_values]
     limit = ExpTwistedDisc(center, dir_primary, dir_secondary, r, 1.0, coeffs)
     return family, limit
 
 
-def continuity_probe(domain, family, limit_disc, j_values=None,
-                     interior: int = 256, boundary: int = 128,
-                     seed: int = 0) -> DiscReport:
+def continuity_probe(domain, family, limit_disc, interior: int = 256,
+                     boundary: int = 128, seed: int = 0) -> DiscReport:
     """Check a disc family against the continuity principle on a domain.
 
-    ``family`` is a sequence of discs, labelled by ``j_values`` (default
-    1, 2, ...), and ``limit_disc`` is its limit.
+    ``family`` is a sequence of (j, disc) pairs, as the family builders
+    return it, and ``limit_disc`` is its limit.
 
     Raises FamilyLeavesDomain when any indexed disc (image or boundary)
     leaves the domain: the probe is then inapplicable.  A violation is
@@ -233,15 +230,11 @@ def continuity_probe(domain, family, limit_disc, j_values=None,
     inside but some sampled limit point escapes; that point re-checks as a
     strict membership failure.
     """
-    discs = list(family)
-    if j_values is None:
-        j_values = list(range(1, len(discs) + 1))
-
     inner_params = interior_parameters(interior, seed, radius_cap=0.999)
     outer_params = boundary_parameters(boundary)
 
     per_index = []
-    for j, disc in zip(j_values, discs):
+    for j, disc in family:
         image_ok = all(dom.contains(domain, disc.at(w)) for w in inner_params)
         boundary_ok = all(dom.contains(domain, disc.at(w)) for w in outer_params)
         per_index.append(IndexCheck(int(j), image_ok, boundary_ok))
@@ -250,7 +243,7 @@ def continuity_probe(domain, family, limit_disc, j_values=None,
                 f"disc {disc.describe()} (j={j}) leaves the domain; "
                 "the continuity probe does not apply")
 
-    family_id = discs[0].describe() if discs else "empty"
+    family_id = family[0][1].describe() if family else "empty"
     limit_boundary_inside = all(dom.contains(domain, limit_disc.at(w))
                                 for w in outer_params)
     limit_points = tuple(tuple(complex(c) for c in limit_disc.at(w))

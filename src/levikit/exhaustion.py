@@ -35,6 +35,10 @@ def sequence_passed(first: float, final: float, increasing: bool) -> bool:
     return final > first + BLOWUP_RISE and final > BLOWUP_FLOOR and increasing
 
 
+def _norm_squared(z) -> float:
+    return float(np.linalg.norm(np.asarray(z, dtype=complex)) ** 2)
+
+
 def build_exhaustion(domain, metric: str | None = None):
     """Callable z -> |z|^2 - ln d(z, boundary) (|z|^2 when there is no boundary).
 
@@ -43,13 +47,13 @@ def build_exhaustion(domain, metric: str | None = None):
     Euclidean distance unless another metric is requested.
     """
     if isinstance(domain, dom.WholeSpace):
-        return lambda z: float(np.linalg.norm(np.asarray(z, dtype=complex)) ** 2)
+        return _norm_squared
     if metric is None:
         metric = dom.EUCLIDEAN
 
     def f(z):
         zz = np.asarray(z, dtype=complex)
-        return float(np.linalg.norm(zz) ** 2) - math.log(
+        return _norm_squared(zz) - math.log(
             dom.distance_to_boundary(domain, zz, metric))
 
     return f
@@ -175,7 +179,7 @@ def _approach_paths(domain, count, seed):
 
 def _resolve_point_function(domain, function, metric):
     if function == NORM_SQUARED:
-        return lambda z: float(np.linalg.norm(np.asarray(z, dtype=complex)) ** 2)
+        return _norm_squared
     if function == CANONICAL:
         return build_exhaustion(domain, metric)
     if isinstance(function, ex.Expr) or callable(function):
@@ -213,11 +217,9 @@ def make_probe(domain, function=CANONICAL, metric: str | None = None,
     if paths is not None and function in (NORM_SQUARED, CANONICAL):
         for path, dist in paths:
             pts = [path(t) for t in ts]
-            if function == NORM_SQUARED:
-                values = [float(np.linalg.norm(p) ** 2) for p in pts]
-            else:
-                values = [float(np.linalg.norm(p) ** 2) - math.log(dist(t))
-                          for p, t in zip(pts, ts)]
+            values = [_norm_squared(p) for p in pts]
+            if function == CANONICAL:
+                values = [v - math.log(dist(t)) for v, t in zip(values, ts)]
             seqs.append(tuple(tuple(complex(c) for c in p) for p in pts))
             vals.append(tuple(values))
         return ExhaustionProbe(fid, domain.to_dict(), tuple(seqs), tuple(vals))

@@ -17,15 +17,13 @@ import numpy as np
 
 from .errors import ConfigError, EvalDomainError, ExprSyntaxError
 
-UNARY_OPS = ("re", "im", "abs", "abs2", "ln", "exp", "conj", "neg")
-BINARY_OPS = ("add", "sub", "mul", "div")
-
 
 @dataclass(frozen=True)
 class Expr:
     """One node of an expression tree.
 
-    ``kind`` is "const", "var", "pow", one of UNARY_OPS or one of BINARY_OPS.
+    ``kind`` is "const", "var", "pow", "neg", a function name of
+    ``_FUNCS``, or one of "add", "sub", "mul", "div".
     Payload fields are only meaningful for the matching kind; ``exponent``
     is always a non-negative integer (negative powers go through "div").
     """
@@ -203,8 +201,10 @@ def exp_(a: Expr) -> Expr:
     return Expr("exp", (a,))
 
 
-_UNARY_CTOR = {"re": re_, "im": im_, "abs": abs_, "abs2": abs2,
-               "ln": ln, "exp": exp_, "conj": conj, "neg": neg}
+# the function names of the grammar, with their constructors
+_FUNCS = {"re": re_, "im": im_, "abs": abs_, "abs2": abs2, "ln": ln,
+          "exp": exp_, "conj": conj}
+_CTOR = {**_FUNCS, "neg": neg, "add": add, "sub": sub, "mul": mul, "div": div}
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +235,7 @@ def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
     kids = tuple(substitute(c, mapping) for c in e.children)
     if e.kind == "pow":
         return power(kids[0], e.exponent)
-    if e.kind in _UNARY_CTOR:
-        return _UNARY_CTOR[e.kind](kids[0])
-    return {"add": add, "sub": sub, "mul": mul, "div": div}[e.kind](*kids)
+    return _CTOR[e.kind](*kids)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +446,6 @@ def is_real_valued(f: Expr, samples: int = 50, seed: int = 0,
 _TOKEN_RX = _regex.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
                            r"|\d+(?:[eE][+-]?\d+)?)|([a-zA-Z][a-zA-Z0-9]*)|([-+*/^()]))")
 
-_FUNCS = ("re", "im", "abs", "abs2", "ln", "exp", "conj")
-
 
 def _tokenize(text):
     pos = 0
@@ -557,7 +553,7 @@ class _Parser:
                 self.expect_op("(")
                 e = self.expr()
                 self.expect_op(")")
-                return _UNARY_CTOR[val](e)
+                return _FUNCS[val](e)
             m = _regex.fullmatch(r"z(\d+)", val)
             if m:
                 j = int(m.group(1))
@@ -617,7 +613,7 @@ def to_text(e: Expr) -> str:
         if k == "var":
             base = f"z{node.index}"
             return f"conj({base})" if node.conjugated else base
-        if k in ("re", "im", "abs", "abs2", "ln", "exp", "conj"):
+        if k in _FUNCS:
             return f"{k}({go(node.children[0], 0)})"
         if k == "neg":
             # "-X^k" parses as (-X)^k, so the child must outrank pow here

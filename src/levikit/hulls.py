@@ -119,9 +119,7 @@ def convex_hull_2d(points) -> list:
     else:
         pts = np.asarray(points, dtype=float)
     uniq = sorted({(float(p[0]), float(p[1])) for p in pts})
-    if len(uniq) == 1:
-        return uniq
-    if len(uniq) == 2:
+    if len(uniq) <= 2:
         return uniq
 
     def cross(o, a, b):
@@ -137,10 +135,8 @@ def convex_hull_2d(points) -> list:
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 0:        # all collinear: keep the segment endpoints
-        return [uniq[0], uniq[-1]]
-    return hull
+    # collinear points leave the two segment endpoints
+    return lower[:-1] + upper[:-1]
 
 
 def polygon_contains(vertices, p, tol: float = 0.0) -> bool:

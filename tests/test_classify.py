@@ -181,6 +181,23 @@ def test_circle_average_norm_squared():
         assert v.deficit == pytest.approx(v.radius ** 2, rel=1e-6)
 
 
+def test_circle_average_evaluates_each_trial_once():
+    # one centre value and one circle of 64 points per tested trial; a
+    # violation is stored as computed, not evaluated again
+    calls = []
+
+    def f(z):
+        calls.append(1)
+        return -float(np.sum(np.abs(z) ** 2))
+
+    res = cl.psh_test_circle_average(f, BALL2, trials=20, seed=0)
+    assert res.tested == 20 and res.violations
+    assert len(calls) == 20 * (1 + cl.DEFAULT_QUADRATURE) == 1300
+    for v in res.violations:
+        assert v.deficit == cl.circle_average_deficit(f, v.point, v.direction,
+                                                      v.radius)
+
+
 def test_log_distance_probe_ball_and_polydisc_consistent():
     for region in (BALL2, POLY2):
         rep = cl.log_distance_probe(region, trials=300, seed=0)

@@ -298,6 +298,25 @@ def test_points_file_with_a_non_numeric_token_names_the_line(tmp_path):
         run_command("hull", cfg)
 
 
+def test_missing_points_file_is_a_config_error(tmp_path, capsys):
+    cfg = {"kind": "affine", "is_complex": False, "dimension": 2,
+           "points_file": str(tmp_path / "absent.txt"), "queries": [[0.5, 0.5]]}
+    with pytest.raises(ConfigError, match=r"points_file: cannot read .*absent\.txt"):
+        run_command("hull", cfg)
+    config = tmp_path / "hull.yaml"
+    config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert main(["hull", "--config", str(config)]) == 1
+    assert "error: points_file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
+def test_is_complex_must_be_true_or_false(value):
+    cfg = {"kind": "affine", "is_complex": value,
+           "points": [[0, 0], [1, 0], [0, 1]], "queries": [[0.2, 0.2]]}
+    with pytest.raises(ConfigError, match="is_complex: expected true or false"):
+        run_command("hull", cfg)
+
+
 def test_exhaustion_command():
     cfg = {"domain": BALL_CFG["domain"], "sequences": 4}
     report, code = run_command("exhaustion", cfg)

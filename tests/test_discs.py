@@ -75,7 +75,7 @@ def test_max_principle_margin_scales_linearly():
 
 def test_hartogs_family_monotone_and_limit_matches_closed_form():
     family, limit = discs.hartogs_family(1.0, 2, j_values=range(2, 12))
-    firsts = [d.at(0)[0].real for d in family]
+    firsts = [d.at(0)[0].real for _, d in family]
     assert all(a > b for a, b in zip(firsts, firsts[1:]))
     numeric_limit = discs.HartogsDisc(1.0, discs.J_LIMIT)
     for w in (0, 0.5, 1j):
@@ -93,6 +93,13 @@ def test_continuity_probe_compact_complement_violation():
     assert rep.limit_boundary_inside
 
 
+def test_continuity_probe_labels_each_disc_by_its_family_index():
+    rep = discs.continuity_probe(dom.Ball((0, 0), 3.0),
+                                 *discs.hartogs_family(1.0, 2))
+    assert rep.per_index[0].j == 2
+    assert [chk.j for chk in rep.per_index] == list(discs.J_VALUES)
+
+
 def test_continuity_probe_ball_of_radius_two_no_violation():
     family, limit = discs.hartogs_family(1.0, 2)
     rep = discs.continuity_probe(dom.Ball((0, 0), 2.0), family,
@@ -104,7 +111,7 @@ def test_continuity_probe_family_leaving_domain_raises():
     family, limit = discs.hartogs_family(1.0, 2, j_values=[1, 2, 3])
     with pytest.raises(FamilyLeavesDomain):
         discs.continuity_probe(dom.Ball((0, 0), 2.0), family,
-                               limit_disc=limit, j_values=[1, 2, 3])
+                               limit_disc=limit)
 
 
 def _hartogs_exp_twisted_family():
@@ -139,8 +146,7 @@ def _hartogs_exp_twisted_family():
 def test_continuity_probe_hartogs_exp_twisted_violation():
     hf = dom.hartogs_figure()
     family, limit = _hartogs_exp_twisted_family()
-    rep = discs.continuity_probe(hf, family, limit_disc=limit,
-                                 j_values=range(2, 9), seed=0)
+    rep = discs.continuity_probe(hf, family, limit_disc=limit, seed=0)
     assert rep.violation
     assert rep.limit_boundary_inside
     assert not dom.contains(hf, rep.witness)
@@ -156,8 +162,7 @@ def test_continuity_probe_affine_sweep_on_hartogs_finds_nothing():
     family, limit = discs.affine_sweep_family(
         (1.0, 1.0), (2.0, 2.0), (0.4, -0.4), 1.0, j_values=range(2, 12))
     try:
-        rep = discs.continuity_probe(hf, family, limit_disc=limit,
-                                     j_values=range(2, 12), seed=0)
+        rep = discs.continuity_probe(hf, family, limit_disc=limit, seed=0)
         assert not rep.violation
     except FamilyLeavesDomain:
         pass   # sweep exits en route: equally conclusive of no witness
