@@ -18,8 +18,8 @@ from .discs import (AffineDisc, ExpTwistedDisc, HartogsDisc, continuity_probe,
                     disc_eval, disc_max_principle_check, hartogs_family)
 from .domains import (Ball, Intersection, Polydisc, ReinhardtUnion, Sublevel,
                       WholeSpace, boundary_sample, contains,
-                      distance_to_boundary, hartogs_figure, interior_sample,
-                      signed_distance)
+                      distance_to_boundary, distances_to_boundary,
+                      hartogs_figure, interior_sample, signed_distance)
 from .errors import (ConfigError, DegenerateGradient, EvalDomainError,
                      ExprSyntaxError, FamilyLeavesDomain, LevikitError,
                      NoInteriorPoint, PointOutsideDomain, SamplingExhausted)

@@ -210,14 +210,22 @@ def psh_test_spectral(f: ex.Expr, region, grid: int, seed: int,
                       len(points) - skipped, skipped)
 
 
+def _rows(func):
+    """The row form of a point function, an (m, n) array to its m values:
+    its own ``rows`` attribute if it has one, else one call per row."""
+    return getattr(func, "rows", None) or (lambda zz: [func(z) for z in zz])
+
+
 def _circle_mean(func, a, direction, radius: float, quadrature: int) -> float:
-    """The m-point average of a point function on the circle a + direction*r*e^it."""
+    """The m-point average of a point function on the circle a + direction*r*e^it,
+    from one call of its row form on all m points."""
     a = ex.as_point(a)
     direction = ex.as_point(direction, a.shape[0])
     angles = 2.0 * np.pi * np.arange(quadrature) / quadrature
     total = 0.0
-    for t in angles:
-        total += func(a + direction * radius * np.exp(1j * t))
+    # left to right: np.sum and, from Python 3.12, sum() round differently
+    for value in _rows(func)(a + (direction * radius) * np.exp(1j * angles)[:, None]):
+        total += value
     return total / quadrature
 
 
@@ -278,8 +286,17 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
 
 
 def neg_log_distance(region, metric: str):
-    """The point function z -> -ln d(z, boundary) in the given metric."""
-    return lambda z: -math.log(dom.distance_to_boundary(region, z, metric))
+    """The point function z -> -ln d(z, boundary) in the given metric, with
+    a row form that asks for all the rows' distances at once."""
+    def point(z):
+        return -math.log(dom.distance_to_boundary(region, z, metric))
+
+    def rows(zz):
+        return [-math.log(d) for d in
+                dom.distances_to_boundary(region, zz, metric).tolist()]
+
+    point.rows = rows
+    return point
 
 
 def log_distance_probe(region, metric: str | None = None, trials: int = 1000,

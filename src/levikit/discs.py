@@ -17,7 +17,7 @@ import numpy as np
 from . import domains as dom
 from . import expr as ex
 from .errors import FamilyLeavesDomain, LevikitError
-from .sampling import disc_point
+from .sampling import disc_points
 
 J_LIMIT = 10 ** 6
 # default family indices j
@@ -121,10 +121,7 @@ def interior_parameters(count: int, seed: int,
                         radius_cap: float = INTERIOR_RADIUS_CAP) -> np.ndarray:
     """Seeded interior parameters; w = 0 is always the first entry."""
     rng = np.random.default_rng(seed)
-    out = [0j]
-    while len(out) < count:
-        out.append(disc_point(rng, radius_cap))
-    return np.array(out)
+    return np.concatenate(([0j], disc_points(rng, [radius_cap] * (count - 1))))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce, wraps
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from . import calculus as lc
 from . import expr as ex
 from .errors import (LevikitError, NoInteriorPoint, PointOutsideDomain,
                      SamplingExhausted, UnsupportedMetric)
-from .sampling import disc_point, unit_vector
+from .sampling import disc_points, unit_vector
 
 EUCLIDEAN = "euclidean"
 LINFTY = "linfty"
@@ -69,7 +69,9 @@ class Domain:
     """Defaults shared by the variants.  A variant implements ``contains``,
     ``interior_distance``, ``to_dict`` and ``from_dict``; its class statement
     names it and registers it for ``domain_from_dict``.  Every ``zz`` passed
-    in is a point already normalized by ``ex.as_point``."""
+    in is a point already normalized by ``ex.as_point``; ``contains`` and
+    ``interior_distance`` also take an (m, n) array of such points and
+    answer one value per row."""
 
     def __init_subclass__(cls, variant: str, natural_metric: str = EUCLIDEAN):
         super().__init_subclass__()
@@ -93,7 +95,7 @@ class Domain:
                 raise SamplingExhausted(
                     f"interior sampling of {type(self).__name__} failed",
                     len(out) / attempts)
-            z = center + np.array([disc_point(rng, r) for r in box.radii])
+            z = center + disc_points(rng, box.radii)
             try:
                 inside = self.contains(z)
             except LevikitError:
@@ -111,6 +113,17 @@ class Domain:
     def defining_expr(self, face: int | None = None) -> ex.Expr:
         """A defining function: global, or for one face where faces exist."""
         raise LevikitError(f"no global defining function for {type(self).__name__}")
+
+
+def _per_row(method):
+    """Answer an (m, n) array with one call of a one-point method per row:
+    for the variants whose array arithmetic would round differently."""
+    @wraps(method)
+    def rows_or_point(self, zz, *args):
+        if zz.ndim == 2:
+            return np.array([method(self, z, *args) for z in zz])
+        return method(self, zz, *args)
+    return rows_or_point
 
 
 def _nudge_outside(d, z, center, part):
@@ -141,6 +154,7 @@ class Ball(Domain, variant="ball"):
     def dimension(self):
         return len(self.center)
 
+    @_per_row
     def contains(self, zz) -> bool:
         return float(np.linalg.norm(zz - np.asarray(self.center))) < self.radius
 
@@ -165,6 +179,7 @@ class Ball(Domain, variant="ball"):
             samples.append(BoundarySample(tuple(z), tuple(u), "sphere"))
         return BoundarySamples(tuple(samples))
 
+    @_per_row
     def interior_distance(self, zz, metric) -> float:
         if metric == EUCLIDEAN:
             return self.radius - float(np.linalg.norm(zz - np.asarray(self.center)))
@@ -236,8 +251,8 @@ class Polydisc(Domain, variant="polydisc", natural_metric=LINFTY):
     def dimension(self):
         return len(self.center)
 
-    def contains(self, zz) -> bool:
-        return bool(np.all(np.abs(zz - np.asarray(self.center)) < np.asarray(self.radii)))
+    def contains(self, zz):
+        return (np.abs(zz - np.asarray(self.center)) < np.asarray(self.radii)).all(axis=-1)
 
     def bounding_polydisc(self) -> Polydisc:
         return self
@@ -249,7 +264,7 @@ class Polydisc(Domain, variant="polydisc", natural_metric=LINFTY):
         for _ in range(count):
             face = int(rng.integers(n))
             phase = np.exp(2j * np.pi * rng.uniform())
-            z = center + np.array([disc_point(rng, r) for r in self.radii])
+            z = center + disc_points(rng, self.radii)
             z[face] = center[face] + self.radii[face] * phase
             z = _nudge_outside(self, z, center, face)
             outward = np.zeros(n, dtype=complex)
@@ -258,10 +273,10 @@ class Polydisc(Domain, variant="polydisc", natural_metric=LINFTY):
                                           f"face-{face + 1}", face_index=face))
         return BoundarySamples(tuple(samples))
 
-    def interior_distance(self, zz, metric) -> float:
+    def interior_distance(self, zz, metric):
         # for interior points the Euclidean and L-infinity gaps coincide:
         # only the binding face coordinate needs to move
-        return float(np.min(np.asarray(self.radii) - np.abs(zz - np.asarray(self.center))))
+        return (np.asarray(self.radii) - np.abs(zz - np.asarray(self.center))).min(axis=-1)
 
     def exterior_distance(self, zz, metric) -> float:
         over = np.maximum(np.abs(zz - np.asarray(self.center))
@@ -308,17 +323,17 @@ class ReinhardtUnion(Domain, variant="reinhardt_union", natural_metric=LINFTY):
     def dimension(self):
         return self.members[0].dimension
 
-    def contains(self, zz) -> bool:
-        return any(m.contains(zz) for m in self.members)
+    def contains(self, zz):
+        return reduce(np.logical_or, (m.contains(zz) for m in self.members))
 
     def bounding_polydisc(self) -> Polydisc:
         return Polydisc((0,) * self.dimension,
                         np.max([m.radii for m in self.members], axis=0))
 
-    def interior_distance(self, zz, metric) -> float:
+    def interior_distance(self, zz, metric):
         # callers have checked that zz is in the union; a member that misses
         # zz has a gap <= 0, so the largest gap is a containing member's
-        return max(m.interior_distance(zz, metric) for m in self.members)
+        return reduce(np.maximum, (m.interior_distance(zz, metric) for m in self.members))
 
     def exterior_distance(self, zz, metric) -> float:
         return min(m.exterior_distance(zz, metric) for m in self.members)
@@ -359,6 +374,7 @@ class Sublevel(Domain, variant="sublevel"):
             raise ValueError("box_center, box_radii and interior_hint need "
                              "one entry per dimension")
 
+    @_per_row
     def contains(self, zz) -> bool:
         return ex.evaluate(self.expr, zz).real < self.level
 
@@ -375,7 +391,7 @@ class Sublevel(Domain, variant="sublevel"):
         box = self.bounding_polydisc()
         center = np.asarray(box.center)
         for _ in range(500):
-            z = center + np.array([disc_point(rng, r) for r in box.radii])
+            z = center + disc_points(rng, box.radii)
             try:
                 if self.contains(z):
                     return z
@@ -475,6 +491,7 @@ class Sublevel(Domain, variant="sublevel"):
                 break
         return b
 
+    @_per_row
     def interior_distance(self, zz, metric) -> float:
         """Sample-based distance to the level set, refined to the nearest foot point.
 
@@ -574,8 +591,14 @@ class Intersection(Domain, variant="intersection"):
     def dimension(self):
         return self.members[0].dimension
 
-    def contains(self, zz) -> bool:
-        return all(m.contains(zz) for m in self.members)
+    def contains(self, zz):
+        # as all() would: no member is asked once every row is outside
+        inside = True
+        for m in self.members:
+            inside = np.logical_and(inside, m.contains(zz))
+            if not np.any(inside):
+                break
+        return inside
 
     def bounding_polydisc(self) -> Polydisc:
         boxes = []
@@ -588,8 +611,8 @@ class Intersection(Domain, variant="intersection"):
             raise LevikitError("Intersection has no bounded member to sample from")
         return min(boxes, key=lambda b: float(np.prod(b.radii)))
 
-    def interior_distance(self, zz, metric) -> float:
-        return min(m.interior_distance(zz, metric) for m in self.members)
+    def interior_distance(self, zz, metric):
+        return reduce(np.minimum, (m.interior_distance(zz, metric) for m in self.members))
 
     def to_dict(self) -> dict:
         return {"variant": self.variant, "dimension": self.dimension,
@@ -605,15 +628,15 @@ class Intersection(Domain, variant="intersection"):
 class WholeSpace(Domain, variant="whole_space"):
     dimension: int
 
-    def contains(self, zz) -> bool:
-        return True
+    def contains(self, zz):
+        return np.full(zz.shape[:-1], True)
 
     def interior_sample(self, count, rng):
         n = self.dimension
         return rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
 
-    def interior_distance(self, zz, metric) -> float:
-        return math.inf
+    def interior_distance(self, zz, metric):
+        return np.full(zz.shape[:-1], math.inf)
 
     def to_dict(self) -> dict:
         return {"variant": self.variant, "dimension": self.dimension}
@@ -626,18 +649,18 @@ class WholeSpace(Domain, variant="whole_space"):
 # ---------------------------------------------------------------------------
 # entry points: normalize the point once, then call the variant
 
-def _resolve(d, z, metric):
-    zz = ex.as_point(z, d.dimension)
+def _metric(d, metric):
+    """The metric asked for, or the variant's natural one for None."""
     if metric is None:
-        metric = d.natural_metric
+        return d.natural_metric
     if metric not in (EUCLIDEAN, LINFTY):
         raise UnsupportedMetric(f"unknown metric {metric!r}")
-    return zz, metric
+    return metric
 
 
 def contains(d, z) -> bool:
     """Exact membership per variant; all inequalities are strict (open sets)."""
-    return d.contains(ex.as_point(z, d.dimension))
+    return bool(d.contains(ex.as_point(z, d.dimension)))
 
 
 def interior_sample(d, count: int, seed: int) -> np.ndarray:
@@ -661,17 +684,32 @@ def boundary_sample(d, count: int, seed: int) -> BoundarySamples:
 
 def distance_to_boundary(d, z, metric: str | None = None) -> float:
     """Distance from an interior point to the boundary in the chosen metric."""
-    zz, metric = _resolve(d, z, metric)
+    zz = ex.as_point(z, d.dimension)
+    metric = _metric(d, metric)
     if not d.contains(zz):
         raise PointOutsideDomain(f"{tuple(zz)} is not inside the domain")
+    return float(d.interior_distance(zz, metric))
+
+
+def distances_to_boundary(d, rows, metric: str | None = None) -> np.ndarray:
+    """``distance_to_boundary`` of each row of an (m, n) array, as one array
+    call on the closed-form variants; PointOutsideDomain if any row is outside."""
+    zz = np.asarray(rows, dtype=complex)
+    if zz.ndim != 2 or zz.shape[1] != d.dimension:
+        raise ValueError(f"expected rows of dimension {d.dimension}, got shape {zz.shape}")
+    metric = _metric(d, metric)
+    outside = ~d.contains(zz)
+    if np.any(outside):
+        raise PointOutsideDomain(f"{tuple(zz[np.argmax(outside)])} is not inside the domain")
     return d.interior_distance(zz, metric)
 
 
 def signed_distance(d, z, metric: str | None = None) -> float:
     """Negative inside the closure, positive outside, ~0 on the boundary."""
-    zz, metric = _resolve(d, z, metric)
+    zz = ex.as_point(z, d.dimension)
+    metric = _metric(d, metric)
     if d.contains(zz):
-        return -d.interior_distance(zz, metric)
+        return -float(d.interior_distance(zz, metric))
     return d.exterior_distance(zz, metric)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import domains as dom
 from . import expr as ex
 from .errors import LevikitError, SamplingExhausted
-from .sampling import disc_point, unit_vector
+from .sampling import disc_points, unit_vector
 
 BLOWUP_RISE = 10.0
 BLOWUP_FLOOR = 50.0
@@ -132,7 +132,7 @@ def _reinhardt_paths(d: dom.ReinhardtUnion, count, seed):
         m_idx = int(rng.integers(len(d.members)))
         owner = d.members[m_idx]
         j = int(rng.integers(n))
-        b = np.array([disc_point(rng, r) for r in owner.radii])
+        b = disc_points(rng, owner.radii)
         b[j] = owner.radii[j] * np.exp(2j * np.pi * rng.uniform())
         if any(dom.contains(m, b) for m in d.members):
             continue          # face point covered by another member: not on the boundary

@@ -26,10 +26,14 @@ def unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
             return v / norm
 
 
-def disc_point(rng: np.random.Generator, radius: float = 1.0) -> complex:
-    """Uniform sample from the closed complex disc of the given radius."""
-    r = radius * np.sqrt(rng.uniform())
-    return r * np.exp(2j * np.pi * rng.uniform())
+def disc_points(rng: np.random.Generator, radii) -> np.ndarray:
+    """One uniform sample from each closed disc about 0 with the given radii.
+
+    Draws (modulus, angle) pairs in the order of ``radii``, so it takes the
+    same numbers from ``rng`` as one two-draw sample per disc.
+    """
+    u = rng.uniform(size=(len(radii), 2))
+    return np.asarray(radii) * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
 
 
 def deterministic_map(fn, items) -> list:

@@ -32,6 +32,7 @@ from levikit import domains as dom
 from levikit import report as rep
 from levikit.cli import load_config_file, run_command
 from levikit.errors import LevikitError
+from levikit.sampling import unit_vector
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden.json")
@@ -56,6 +57,7 @@ QUARTIC3 = {"variant": "sublevel", "dimension": 3,
             "expression": "abs2(z1)^2 + abs2(z2)^2 + abs2(z3) - 1", "level": 0.0,
             "box_center": [[0.0, 0.0]] * 3, "box_radii": [1.5, 1.5, 1.5],
             "interior_hint": [[0.0, 0.0]] * 3}
+SPHERE_NO_HINT = {k: v for k, v in SPHERE.items() if k != "interior_hint"}
 # not pseudoconvex: the Levi form restricted to the tangent space changes sign
 MIXTURE = {"variant": "sublevel", "dimension": 2,
            "expression": "abs2(z1) - abs2(z2) + abs2(z2)^2 - 0.1", "level": 0.0,
@@ -265,6 +267,33 @@ def _classification(spec, samples, seed):
     return data, result.domain_verdict, len(result.verdicts)
 
 
+def _interior(spec, count, seed):
+    points = dom.interior_sample(dom.domain_from_dict(spec), count, seed)
+    return points, f"{len(points)} interior points", len(points)
+
+
+def _circle_deficits(spec, metric, seed):
+    """Raw deficits of -ln d at seeded (centre, direction, radius) triples,
+    at quadratures 64 and 8; radii run up to 1.5 times the local distance,
+    so some circles leave the domain and record the error's class."""
+    d = dom.domain_from_dict(spec)
+    f = cl.neg_log_distance(d, metric)
+    rng = np.random.default_rng(seed)
+    rows = []
+    for a in dom.interior_sample_rng(d, 25, rng):
+        direction = unit_vector(rng, d.dimension)
+        r = dom.distance_to_boundary(d, a, metric) * rng.uniform(0.01, 1.5)
+        row = [a, direction, r]
+        for quadrature in (64, 8):
+            try:
+                row.append(cl.circle_average_deficit(f, a, direction, r, quadrature))
+            except LevikitError as err:
+                row.append(type(err).__name__)
+        rows.append(row)
+    left = sum(isinstance(row[3], str) for row in rows)
+    return rows, f"{len(rows)} triples, {left} circles leave the domain", len(rows)
+
+
 def _lib(fn, *args):
     return ("lib", fn, args)
 
@@ -283,6 +312,19 @@ LIBRARY_CASES = {
     "lib-classify-sphere-sublevel": _lib(_classification, SPHERE, 6, 1),
     "lib-classify-polydisc": _lib(_classification, POLYDISC, 6, 2),
     "lib-classify-mixture": _lib(_classification, MIXTURE, 10, 3),
+    # the rejection sampler and the sublevel interior point without a hint
+    "lib-interior-polydisc": _lib(_interior, POLYDISC, 40, 0),
+    "lib-interior-hartogs": _lib(_interior, HARTOGS, 40, 1),
+    "lib-interior-intersection": _lib(_interior, INTERSECTION, 40, 2),
+    "lib-interior-sphere-sublevel": _lib(_interior, SPHERE, 40, 3),
+    "lib-boundary-sphere-no-hint": _lib(_boundary, SPHERE_NO_HINT, 6, 4),
+    # circle means of -ln d, bit for bit: about 150 triples
+    "lib-deficit-hartogs-linfty": _lib(_circle_deficits, HARTOGS, dom.LINFTY, 0),
+    "lib-deficit-hartogs-euclidean": _lib(_circle_deficits, HARTOGS, dom.EUCLIDEAN, 1),
+    "lib-deficit-polydisc-linfty": _lib(_circle_deficits, POLYDISC, dom.LINFTY, 2),
+    "lib-deficit-intersection": _lib(_circle_deficits, INTERSECTION, dom.EUCLIDEAN, 3),
+    "lib-deficit-ball-euclidean": _lib(_circle_deficits, BALL2, dom.EUCLIDEAN, 4),
+    "lib-deficit-ball-c3-linfty": _lib(_circle_deficits, BALL3, dom.LINFTY, 5),
 }
 
 CASES = {**CLI_CASES, **LIBRARY_CASES}

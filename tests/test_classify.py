@@ -10,6 +10,8 @@ from levikit import classify as cl
 from levikit import discs
 from levikit import domains as dom
 from levikit import expr as ex
+from levikit.errors import PointOutsideDomain
+from levikit.sampling import spawn_rngs, unit_vector
 
 from helpers import compose_with_matrix, random_unitary
 
@@ -278,3 +280,73 @@ def test_neg_inf_samples_are_skipped():
 
     res = cl.psh_test_circle_average(f, dom.Ball((0,), 1.0), trials=60, seed=0)
     assert res.skipped > 0
+
+
+# the -ln d probe evaluates each circle with one array call
+
+def _point_loop_deficit(f, a, direction, r, quadrature):
+    # one point at a time, summed left to right
+    total = 0.0
+    for t in 2.0 * np.pi * np.arange(quadrature) / quadrature:
+        total += f(a + direction * r * np.exp(1j * t))
+    return f(a) - total / quadrature
+
+
+@pytest.mark.parametrize("region, metric", [
+    (dom.hartogs_figure(), dom.LINFTY), (dom.hartogs_figure(), dom.EUCLIDEAN),
+    (dom.Polydisc((0, 0.5j), (1, 2)), dom.LINFTY),
+    (dom.Intersection((BALL2, dom.Polydisc((0.3, 0), (0.9, 0.8)))), dom.EUCLIDEAN),
+    (dom.Ball((0.2, 0, 0), 1.5), dom.LINFTY)])
+def test_batched_circle_deficit_equals_the_point_loop(region, metric):
+    f = cl.neg_log_distance(region, metric)
+    rng = np.random.default_rng(11)
+    for a in dom.interior_sample_rng(region, 10, rng):
+        direction = unit_vector(rng, region.dimension)
+        r = 0.9 * dom.distance_to_boundary(region, a, metric)
+        for quadrature in (64, 8):
+            expected = _point_loop_deficit(f, a, direction, r, quadrature)
+            assert cl.circle_average_deficit(f, a, direction, r, quadrature) == expected
+            assert cl.circle_average_deficit(lambda z: f(z), a, direction, r,
+                                             quadrature) == expected
+
+
+def test_circle_that_crosses_the_boundary_skips_its_trial():
+    region = dom.Polydisc((0, 0), (1, 1))
+    small = dom.Polydisc((0, 0), (0.8, 0.8))
+    res = cl.psh_test_circle_average(cl.neg_log_distance(small, dom.LINFTY), region,
+                                     trials=200, seed=3, metric=dom.LINFTY)
+    # the same trials, one point at a time
+    centre_out = crossing = 0
+    for rng in spawn_rngs(3, 200):
+        a = dom.interior_sample_rng(region, 1, rng)[0]
+        direction = unit_vector(rng, 2)
+        local = dom.distance_to_boundary(region, a, dom.LINFTY)
+        r = local * math.exp(rng.uniform(*map(math.log, cl.RADII_RANGE)))
+        circle = [a + direction * r * np.exp(1j * t) for t in
+                  2.0 * np.pi * np.arange(cl.DEFAULT_QUADRATURE) / cl.DEFAULT_QUADRATURE]
+        if not dom.contains(small, a):
+            centre_out += 1
+        elif not all(dom.contains(small, z) for z in circle):
+            crossing += 1
+    assert crossing > 0
+    assert res.skipped == centre_out + crossing
+    assert res.tested == 200 - res.skipped
+    with pytest.raises(PointOutsideDomain):
+        cl.circle_average_deficit(cl.neg_log_distance(small, dom.LINFTY),
+                                  [0.7, 0], [1, 0], 0.2)
+
+
+def test_hartogs_trial_asks_each_member_for_three_distances(monkeypatch):
+    # the local distance, the centre's and one array call for the circle
+    real = dom.Polydisc.interior_distance
+    calls = []
+
+    def counting(self, zz, metric):
+        calls.append(zz.shape)
+        return real(self, zz, metric)
+
+    monkeypatch.setattr(dom.Polydisc, "interior_distance", counting)
+    rep = cl.log_distance_probe(dom.hartogs_figure(), trials=20, seed=0)
+    assert rep.inner.tested == 20
+    assert len(calls) == 20 * 3 * 2
+    assert calls.count((cl.DEFAULT_QUADRATURE, 2)) == 20 * 2

@@ -266,3 +266,64 @@ def test_unsupported_operations_name_the_variant():
     with pytest.raises(LevikitError, match="no global defining function "
                                            "for Polydisc"):
         dom.Polydisc((0, 0), (1, 1)).defining_expr()
+
+
+# batched geometry: an (m, n) array gets the same bits as one point at a time
+
+def _near_boundary(d, z, center, steps=60):
+    """The point of the ray from ``center`` through ``z`` that bisection
+    pushes furthest out while it stays inside: within ~1e-15 of a face."""
+    lo, hi = 1.0, 1.0
+    while dom.contains(d, center + hi * (z - center)):
+        hi *= 2.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if dom.contains(d, center + mid * (z - center)):
+            lo = mid
+        else:
+            hi = mid
+    return center + lo * (z - center)
+
+
+BATCHED = {
+    "polydisc": dom.Polydisc((0.1j, -0.2), (1.0, 2.0)),
+    "hartogs": dom.hartogs_figure(),
+    "intersection": dom.Intersection((dom.Ball((0, 0), 1.0),
+                                      dom.Polydisc((0.3, 0), (0.9, 0.8)))),
+    "ball-c2": dom.Ball((0.2, -0.1j), 1.5),
+    "ball-c3": dom.Ball((0.2, 0, -0.1j), 1.5),
+}
+
+
+@pytest.mark.parametrize("metric", [dom.EUCLIDEAN, dom.LINFTY])
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_batched_distances_equal_per_row_distances(name, metric):
+    d = BATCHED[name]
+    center = np.asarray(d.bounding_polydisc().center)
+    inner = dom.interior_sample(d, 40, 7)
+    rows = np.vstack([inner, [_near_boundary(d, z, center) for z in inner[:20]]])
+    per_row = [dom.distance_to_boundary(d, z, metric) for z in rows]
+    assert min(per_row[40:]) < 1e-12
+    assert dom.distances_to_boundary(d, rows, metric).tolist() == per_row
+    assert d.contains(rows).tolist() == [True] * len(rows)
+
+
+@pytest.mark.parametrize("metric", [dom.EUCLIDEAN, dom.LINFTY])
+def test_batched_distances_on_whole_space_and_sublevel(metric):
+    rows = dom.interior_sample(dom.Polydisc((0, 0), (0.6, 0.6)), 3, 0)
+    sphere = dom.Sublevel(ex.parse("abs2(z1) + abs2(z2) - 1", 2), 0.0, 2,
+                          (0, 0), (1.5, 1.5), (0, 0))
+    for d in (dom.WholeSpace(2), sphere,
+              dom.Intersection((dom.WholeSpace(2), dom.hartogs_figure()))):
+        per_row = [dom.distance_to_boundary(d, z, metric) for z in rows]
+        assert dom.distances_to_boundary(d, rows, metric).tolist() == per_row
+
+
+def test_batched_distances_raise_when_any_row_is_outside():
+    hf = dom.hartogs_figure()
+    rows = np.array([[1.0, 1.0], [E ** 1.5, E ** 1.5], [0.5, 0.5]])
+    with pytest.raises(PointOutsideDomain, match=str(E ** 1.5)):
+        dom.distances_to_boundary(hf, rows)
+    assert dom.distances_to_boundary(hf, rows[[0, 2]]).tolist() == [E - 1, E - 0.5]
+    with pytest.raises(ValueError):
+        dom.distances_to_boundary(hf, rows[0])
