@@ -77,16 +77,15 @@ def _second_derivatives(f: ex.Expr, z, mixed: bool):
     """(z as a point, the n x n matrix of second derivatives of f there)."""
     zz = ex.as_point(z)
     n = zz.shape[0]
-    trees = _second_trees(f, n, mixed)
-    return zz, np.array([[ex.evaluate(trees[j][k], zz) for k in range(n)]
-                         for j in range(n)])
+    values = ex.evaluate([t for row in _second_trees(f, n, mixed) for t in row], zz)
+    return zz, np.array(values).reshape(n, n)
 
 
 def complex_gradient(f: ex.Expr, z) -> ComplexGradient:
     """(df/dz_1, ..., df/dz_n) evaluated at z."""
     zz = ex.as_point(z)
     n = zz.shape[0]
-    comps = np.array([ex.evaluate(g, zz) for g in _grad_trees(f, n)])
+    comps = np.array(ex.evaluate(_grad_trees(f, n), zz))
     return ComplexGradient(comps, zz)
 
 

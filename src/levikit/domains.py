@@ -107,6 +107,10 @@ class Domain:
     def boundary_sample(self, count: int, rng: np.random.Generator) -> BoundarySamples:
         raise LevikitError(f"boundary sampling not supported for {type(self).__name__}")
 
+    def approach_paths(self, count, rng, steps, metric) -> list | None:
+        """Exact paths for the exhaustion probe; None where there are none."""
+        return None
+
     def exterior_distance(self, zz, metric) -> float:
         raise UnsupportedMetric(f"exterior distance not available for {type(self).__name__}")
 
@@ -178,6 +182,28 @@ class Ball(Domain, variant="ball"):
             z = _nudge_outside(self, center + self.radius * u, center, ...)
             samples.append(BoundarySample(tuple(z), tuple(u), "sphere"))
         return BoundarySamples(tuple(samples))
+
+    def approach_paths(self, count, rng, steps, metric):
+        """Radial paths c + (1 - t) R u to boundary samples.  d(t) is R t, or
+        in L-infinity the root of ``_ball_interior_linfty`` at a = (1 - t) R |u|,
+        rewritten so that no digits cancel as t -> 0."""
+        center = np.asarray(self.center)
+        r, n = self.radius, self.dimension
+        paths = []
+        for s in self.boundary_sample(count, rng):
+            u = np.asarray(s.point) - center
+            u = u / np.linalg.norm(u)
+            s1 = float(np.sum(np.abs(u)))
+
+            def dist(t):
+                if metric == EUCLIDEAN:
+                    return r * t
+                return r * t * (2.0 - t) / ((1.0 - t) * s1 + math.sqrt(
+                    ((1.0 - t) * s1) ** 2 + n * t * (2.0 - t)))
+
+            paths.append([(center + (1.0 - t) * r * u, dist(t))
+                          for t in approach_parameters(steps)])
+        return paths
 
     @_per_row
     def interior_distance(self, zz, metric) -> float:
@@ -273,6 +299,11 @@ class Polydisc(Domain, variant="polydisc", natural_metric=LINFTY):
                                           f"face-{face + 1}", face_index=face))
         return BoundarySamples(tuple(samples))
 
+    def approach_paths(self, count, rng, steps, metric):
+        faces = [(np.asarray(s.point), s.face_index, self.radii[s.face_index])
+                 for s in self.boundary_sample(count, rng)]
+        return _face_paths((self,), faces, steps, np.asarray(self.center))
+
     def interior_distance(self, zz, metric):
         # for interior points the Euclidean and L-infinity gaps coincide:
         # only the binding face coordinate needs to move
@@ -330,6 +361,35 @@ class ReinhardtUnion(Domain, variant="reinhardt_union", natural_metric=LINFTY):
         return Polydisc((0,) * self.dimension,
                         np.max([m.radii for m in self.members], axis=0))
 
+    def _exposed_faces(self, count, rng):
+        """Seeded face points of the members that no member contains, as
+        (point, face, face radius of the member drawn) triples."""
+        faces = []
+        attempts = 0
+        while len(faces) < count:
+            attempts += 1
+            if attempts > 500 * count:
+                raise SamplingExhausted("no exposed Reinhardt face points found",
+                                        len(faces) / attempts)
+            owner = self.members[int(rng.integers(len(self.members)))]
+            j = int(rng.integers(self.dimension))
+            b = disc_points(rng, owner.radii)
+            b[j] = owner.radii[j] * np.exp(2j * np.pi * rng.uniform())
+            if not self.contains(b):
+                faces.append((b, j, owner.radii[j]))
+        return faces
+
+    def boundary_sample(self, count, rng):
+        samples = []
+        for b, j, _ in self._exposed_faces(count, rng):
+            outward = np.zeros(self.dimension, dtype=complex)
+            outward[j] = b[j] / abs(b[j])
+            samples.append(BoundarySample(tuple(b), tuple(outward), f"face-{j + 1}", j))
+        return BoundarySamples(tuple(samples))
+
+    def approach_paths(self, count, rng, steps, metric):
+        return _face_paths(self.members, self._exposed_faces(count, rng), steps)
+
     def interior_distance(self, zz, metric):
         # callers have checked that zz is in the union; a member that misses
         # zz has a gap <= 0, so the largest gap is a containing member's
@@ -346,6 +406,42 @@ class ReinhardtUnion(Domain, variant="reinhardt_union", natural_metric=LINFTY):
     def from_dict(cls, spec, path):
         return cls(tuple(Polydisc((0,) * len(m["radii"]), tuple(m["radii"]))
                          for m in spec["members"]))
+
+
+def _face_paths(members, faces, steps, center=None):
+    """Paths that move z_j of each face point (b, j, r) of polydiscs centred at
+    ``center`` (the origin, never added, when None) to c_j + (1 - t) r phase.
+    d(t) is the largest gap over the members holding the point, the face gap
+    formed as (r_m - r) + t r to stay exact as t -> 0.  ``np.abs`` of an array
+    and ``abs`` of one entry can differ in the last bit; each variant keeps
+    the one its reports were made with."""
+    paths = []
+    for b, j, r in faces:
+        if center is None:
+            offsets, moduli = b, np.abs(b)
+        else:
+            offsets = b - center
+            moduli = [abs(x) for x in offsets]
+        phase = offsets[j] / abs(offsets[j])
+
+        def point(t):
+            z = b.copy()
+            z[j] = (1.0 - t) * r * phase
+            if center is not None:
+                z[j] += center[j]
+            return z
+
+        def dist(t):
+            best = 0.0
+            for m in members:
+                gap = min((m.radii[k] - r) + t * r if k == j else m.radii[k] - moduli[k]
+                          for k in range(len(b)))
+                if gap > 0:
+                    best = max(best, gap)
+            return best
+
+        paths.append([(point(t), dist(t)) for t in approach_parameters(steps)])
+    return paths
 
 
 @dataclass(frozen=True)
@@ -638,6 +734,11 @@ class WholeSpace(Domain, variant="whole_space"):
     def interior_distance(self, zz, metric):
         return np.full(zz.shape[:-1], math.inf)
 
+    def approach_paths(self, count, rng, steps, metric):
+        """Outward rays (1 + k) u, k < steps, at infinite distance."""
+        return [[((1.0 + k) * u, math.inf) for k in range(steps)]
+                for u in (unit_vector(rng, self.dimension) for _ in range(count))]
+
     def to_dict(self) -> dict:
         return {"variant": self.variant, "dimension": self.dimension}
 
@@ -676,19 +777,28 @@ def interior_sample_rng(d, count: int, rng: np.random.Generator) -> np.ndarray:
 def boundary_sample(d, count: int, seed: int) -> BoundarySamples:
     """Seeded points on the boundary, accurate to ~1e-8 per variant.
 
-    Supported variants: Ball and Polydisc (analytic) and Sublevel with a
-    bounding box (bisection along random rays from an interior point).
+    Supported variants: Ball and Polydisc (analytic), ReinhardtUnion (exposed
+    member faces) and Sublevel with a bounding box (bisection along random
+    rays from an interior point).
     """
     return d.boundary_sample(count, np.random.default_rng(seed))
 
 
+def approach_parameters(steps: int) -> list:
+    """The path parameters t = 10^-k, k < steps, of the exhaustion probe."""
+    return [10.0 ** (-k) for k in range(steps)]
+
+
+def approach_paths(d, count: int, seed: int, steps: int, metric: str | None = None):
+    """Seeded exact paths for the exhaustion probe, ``steps`` (point, distance)
+    pairs each with d in closed form: to the boundary at ``approach_parameters``,
+    or outward rays at infinite distance.  None for a variant without them."""
+    return d.approach_paths(count, np.random.default_rng(seed), steps, _metric(d, metric))
+
+
 def distance_to_boundary(d, z, metric: str | None = None) -> float:
     """Distance from an interior point to the boundary in the chosen metric."""
-    zz = ex.as_point(z, d.dimension)
-    metric = _metric(d, metric)
-    if not d.contains(zz):
-        raise PointOutsideDomain(f"{tuple(zz)} is not inside the domain")
-    return float(d.interior_distance(zz, metric))
+    return float(distances_to_boundary(d, ex.as_point(z, d.dimension)[None], metric)[0])
 
 
 def distances_to_boundary(d, rows, metric: str | None = None) -> np.ndarray:
@@ -698,9 +808,9 @@ def distances_to_boundary(d, rows, metric: str | None = None) -> np.ndarray:
     if zz.ndim != 2 or zz.shape[1] != d.dimension:
         raise ValueError(f"expected rows of dimension {d.dimension}, got shape {zz.shape}")
     metric = _metric(d, metric)
-    outside = ~d.contains(zz)
-    if np.any(outside):
-        raise PointOutsideDomain(f"{tuple(zz[np.argmax(outside)])} is not inside the domain")
+    inside = d.contains(zz)
+    if not inside.all():
+        raise PointOutsideDomain(f"{tuple(zz[np.argmin(inside)])} is not inside the domain")
     return d.interior_distance(zz, metric)
 
 

@@ -5,9 +5,9 @@ The canonical exhaustion of a domain with non-empty boundary is
 has compact sublevel sets.  Blow-up along finitely many witnessed approach
 sequences stands in for the untestable limit statement.
 
-Approach sequences are exact radial paths: the boundary distance along a
-path is evaluated from the path parameter in closed form, because the naive
-r - |z| subtraction stalls at machine epsilon long before the recorded
+Approach sequences are the domain's exact paths: the boundary distance along
+a path is evaluated from the path parameter in closed form, because the
+naive r - |z| subtraction stalls at machine epsilon long before the recorded
 values cross the blow-up thresholds.
 """
 
@@ -20,8 +20,7 @@ import numpy as np
 
 from . import domains as dom
 from . import expr as ex
-from .errors import LevikitError, SamplingExhausted
-from .sampling import disc_points, unit_vector
+from .errors import LevikitError
 
 BLOWUP_RISE = 10.0
 BLOWUP_FLOOR = 50.0
@@ -39,22 +38,25 @@ def _norm_squared(z) -> float:
     return float(np.linalg.norm(np.asarray(z, dtype=complex)) ** 2)
 
 
+def _canonical(z, distance) -> float:
+    """|z|^2 - ln d, or |z|^2 at infinite distance."""
+    if math.isinf(distance):
+        return _norm_squared(z)
+    return _norm_squared(z) - math.log(distance)
+
+
 def build_exhaustion(domain, metric: str | None = None):
     """Callable z -> |z|^2 - ln d(z, boundary) (|z|^2 when there is no boundary).
 
     Defined and finite on the whole domain; raises PointOutsideDomain when
-    misused on exterior points.  The canonical construction uses the
-    Euclidean distance unless another metric is requested.
+    misused on exterior points.  The distance is taken in the domain's
+    natural metric unless another is requested; for interior points of
+    polydiscs and Reinhardt unions the Euclidean and L-infinity distances
+    coincide, so the default is Euclidean wherever they differ.
     """
-    if isinstance(domain, dom.WholeSpace):
-        return _norm_squared
-    if metric is None:
-        metric = dom.EUCLIDEAN
-
     def f(z):
         zz = np.asarray(z, dtype=complex)
-        return _norm_squared(zz) - math.log(
-            dom.distance_to_boundary(domain, zz, metric))
+        return _canonical(zz, dom.distance_to_boundary(domain, zz, metric))
 
     return f
 
@@ -73,110 +75,6 @@ class BlowupCheck:
     per_sequence: tuple        # (first, final, eventually_increasing) triples
 
 
-# ---------------------------------------------------------------------------
-# exact radial approach paths with stable parametric distances
-
-def _ball_paths(d: dom.Ball, count, seed):
-    center = np.asarray(d.center)
-    paths = []
-    for s in dom.boundary_sample(d, count, seed).samples:
-        u = np.asarray(s.point) - center
-        u = u / np.linalg.norm(u)
-
-        def path(t, u=u):
-            return center + (1.0 - t) * d.radius * u
-
-        def dist(t):
-            return d.radius * t
-
-        paths.append((path, dist))
-    return paths
-
-
-def _polydisc_paths(d: dom.Polydisc, count, seed):
-    center = np.asarray(d.center)
-    radii = np.asarray(d.radii)
-    paths = []
-    for s in dom.boundary_sample(d, count, seed).samples:
-        j = s.face_index
-        b = np.asarray(s.point)
-        offsets = b - center
-        phase = offsets[j] / abs(offsets[j])
-        other = [float(radii[k] - abs(offsets[k]))
-                 for k in range(d.dimension) if k != j]
-        gap_other = min(other) if other else math.inf
-
-        def path(t, b=b, j=j, phase=phase):
-            z = b.copy()
-            z[j] = center[j] + (1.0 - t) * radii[j] * phase
-            return z
-
-        def dist(t, j=j, gap_other=gap_other):
-            return min(radii[j] * t, gap_other)
-
-        paths.append((path, dist))
-    return paths
-
-
-def _reinhardt_paths(d: dom.ReinhardtUnion, count, seed):
-    """Paths to exposed member faces, scaling the binding coordinate only."""
-    rng = np.random.default_rng(seed)
-    n = d.dimension
-    paths = []
-    attempts = 0
-    while len(paths) < count:
-        attempts += 1
-        if attempts > 500 * count:
-            raise SamplingExhausted("no exposed Reinhardt face points found",
-                                    len(paths) / attempts)
-        m_idx = int(rng.integers(len(d.members)))
-        owner = d.members[m_idx]
-        j = int(rng.integers(n))
-        b = disc_points(rng, owner.radii)
-        b[j] = owner.radii[j] * np.exp(2j * np.pi * rng.uniform())
-        if any(dom.contains(m, b) for m in d.members):
-            continue          # face point covered by another member: not on the boundary
-        moduli = np.abs(b)
-        face_r = owner.radii[j]
-        phase = b[j] / abs(b[j])
-
-        def path(t, b=b, j=j, face_r=face_r, phase=phase):
-            z = b.copy()
-            z[j] = (1.0 - t) * face_r * phase
-            return z
-
-        def dist(t, moduli=moduli, j=j, face_r=face_r):
-            best = 0.0
-            for member in d.members:
-                gaps = []
-                inside = True
-                for k in range(n):
-                    if k == j:
-                        g = (member.radii[k] - face_r) + t * face_r
-                    else:
-                        g = member.radii[k] - moduli[k]
-                    if g <= 0:
-                        inside = False
-                        break
-                    gaps.append(g)
-                if inside:
-                    best = max(best, min(gaps))
-            return best
-
-        paths.append((path, dist))
-    return paths
-
-
-def _approach_paths(domain, count, seed):
-    if isinstance(domain, dom.Ball):
-        return _ball_paths(domain, count, seed)
-    if isinstance(domain, dom.Polydisc):
-        return _polydisc_paths(domain, count, seed)
-    if isinstance(domain, dom.ReinhardtUnion):
-        return _reinhardt_paths(domain, count, seed)
-    return None
-
-
 def _resolve_point_function(domain, function, metric):
     if function == NORM_SQUARED:
         return _norm_squared
@@ -187,59 +85,45 @@ def _resolve_point_function(domain, function, metric):
     raise LevikitError(f"unknown exhaustion function id {function!r}")
 
 
+def _segment_paths(domain, count, seed, steps):
+    """Float points on the segments from seeded boundary samples to one
+    interior anchor at t = 10^-k, kept where inside: resolution-limited, and
+    with no closed-form distance (None)."""
+    anchor = dom.interior_sample(domain, 1, seed)[0]
+    paths = []
+    for s in dom.boundary_sample(domain, count, seed + 1):
+        b = np.asarray(s.point)
+        points = (b + t * (anchor - b) for t in dom.approach_parameters(steps))
+        paths.append([(z, None) for z in points if dom.contains(domain, z)])
+    return paths
+
+
 def make_probe(domain, function=CANONICAL, metric: str | None = None,
                sequences: int = 8, seed: int = 0,
                steps: int = 56) -> ExhaustionProbe:
     """Record function values along seeded approach sequences.
 
-    Boundary paths use the exact radial parametrization t = 10^-k with the
-    closed-form distance d(t); boundaryless domains get radially outward
-    paths instead.  User expressions are evaluated at the recorded float
-    points directly.
+    The built-in functions run along the domain's exact paths
+    (``domains.approach_paths``) with the closed-form distance d(t).  Other
+    functions are evaluated at float points: along the exact paths where
+    they never near a boundary (rays on the whole space), and otherwise
+    along segments to an interior anchor, which also serve domains without
+    exact paths.
     """
     fid = function if isinstance(function, str) else (
         ex.to_text(function) if isinstance(function, ex.Expr) else "user-callable")
+    fn = _resolve_point_function(domain, function, metric)
+    paths = dom.approach_paths(domain, sequences, seed, steps, metric)
+    # float points of an exact path round onto the boundary it approaches
+    if paths is None or (function not in (NORM_SQUARED, CANONICAL) and any(
+            math.isfinite(d) for path in paths for _, d in path)):
+        paths = _segment_paths(domain, sequences, seed, steps)
     seqs = []
     vals = []
-
-    if isinstance(domain, dom.WholeSpace):
-        fn = _resolve_point_function(domain, function, metric)
-        rng = np.random.default_rng(seed)
-        for _ in range(sequences):
-            u = unit_vector(rng, domain.dimension)
-            pts = [(1.0 + k) * u for k in range(steps)]
-            seqs.append(tuple(tuple(complex(c) for c in p) for p in pts))
-            vals.append(tuple(float(fn(p)) for p in pts))
-        return ExhaustionProbe(fid, domain.to_dict(), tuple(seqs), tuple(vals))
-
-    paths = _approach_paths(domain, sequences, seed)
-    ts = [10.0 ** (-k) for k in range(steps)]
-    if paths is not None and function in (NORM_SQUARED, CANONICAL):
-        for path, dist in paths:
-            pts = [path(t) for t in ts]
-            values = [_norm_squared(p) for p in pts]
-            if function == CANONICAL:
-                values = [v - math.log(dist(t)) for v, t in zip(values, ts)]
-            seqs.append(tuple(tuple(complex(c) for c in p) for p in pts))
-            vals.append(tuple(values))
-        return ExhaustionProbe(fid, domain.to_dict(), tuple(seqs), tuple(vals))
-
-    # generic fallback: float-point evaluation, resolution-limited
-    fn = _resolve_point_function(domain, function, metric)
-    anchor = dom.interior_sample(domain, 1, seed)[0]
-    boundary = dom.boundary_sample(domain, sequences, seed + 1)
-    for s in boundary.samples:
-        b = np.asarray(s.point)
-        pts = []
-        values = []
-        for t in ts:
-            z = b + t * (anchor - b)
-            if not dom.contains(domain, z):
-                continue
-            pts.append(tuple(complex(c) for c in z))
-            values.append(float(fn(z)))
-        seqs.append(tuple(pts))
-        vals.append(tuple(values))
+    for path in paths:
+        seqs.append(tuple(tuple(complex(c) for c in z) for z, _ in path))
+        vals.append(tuple(_canonical(z, d) if function == CANONICAL and d is not None
+                          else float(fn(z)) for z, d in path))
     return ExhaustionProbe(fid, domain.to_dict(), tuple(seqs), tuple(vals))
 
 

@@ -266,9 +266,11 @@ def point_from_pairs(pairs, path: str, n: int | None = None) -> np.ndarray:
 _REAL_IMAG_TOL = 1e-12
 
 
-def evaluate(f: Expr, z) -> complex:
+def evaluate(f, z):
     """Evaluate ``f`` at the point ``z`` (any complex sequence).
 
+    ``f`` is one tree, or a sequence of trees evaluated in one pass: a node
+    they share is computed once, and the values come back as a list.
     Raises EvalDomainError for ln of a non-positive (or non-real) argument
     and for division by exactly zero, carrying the offending subexpression.
     """
@@ -331,7 +333,7 @@ def evaluate(f: Expr, z) -> complex:
         memo[id(e)] = v
         return v
 
-    return go(f)
+    return go(f) if isinstance(f, Expr) else [go(e) for e in f]
 
 
 def as_real_function(f):

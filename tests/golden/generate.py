@@ -71,6 +71,11 @@ INTERSECTION = {"variant": "intersection", "dimension": 2,
                                     "center": [[0.3, 0.0], [0.0, 0.0]],
                                     "radii": [0.9, 0.8]}]}
 WHOLE = {"variant": "whole_space", "dimension": 2}
+POLYDISC_OFF = {"variant": "polydisc", "dimension": 2,
+                "center": [[0.5, -0.25], [-1.0, 0.3]], "radii": [1.0, 0.7]}
+REINHARDT3 = {"variant": "reinhardt_union", "dimension": 2,
+              "members": [{"radii": [1.0, 3.0]}, {"radii": [2.0, 2.0]},
+                          {"radii": [3.0, 0.5]}]}
 
 HULL_POINTS = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.2],
                [0.3, 0.7], [1.2, 0.5], [-0.2, 0.4]]
@@ -207,8 +212,8 @@ CLI_CASES = {
                                         "queries": [[[0.2, 0], [0.1, 0]],
                                                     [[1.5, 0], [1.5, 0]]],
                                         "degree": 3}),
-    # exhaustion: every path family, both built-in functions, a user
-    # expression on the generic path, and an unsupported combination
+    # exhaustion: every path family under both metrics, both built-in
+    # functions, and user expressions on the segment path
     "exhaustion-ball-canonical": _cli("exhaustion", {"domain": BALL3, "sequences": 3,
                                                      "steps": 20}),
     "exhaustion-polydisc-norm-squared": _cli("exhaustion", {
@@ -222,8 +227,22 @@ CLI_CASES = {
     "exhaustion-sphere-expression": _cli("exhaustion", {
         "domain": SPHERE, "sequences": 2, "steps": 12,
         "function": "-ln(1 - abs2(z1) - abs2(z2))"}),
-    "exhaustion-reinhardt-expression-unsupported": _cli("exhaustion", {
+    "exhaustion-reinhardt-expression": _cli("exhaustion", {
         "domain": HARTOGS, "function": "abs2(z1)", "sequences": 2}),
+    "exhaustion-ball-linfty": _cli("exhaustion", {"domain": BALL3, "sequences": 3,
+                                                  "metric": "linfty", "seed": 2}),
+    "exhaustion-polydisc-off-centre": _cli("exhaustion", {"domain": POLYDISC_OFF,
+                                                          "sequences": 4, "seed": 2}),
+    "exhaustion-reinhardt3-canonical": _cli("exhaustion", {"domain": REINHARDT3,
+                                                           "sequences": 6, "seed": 5}),
+    "exhaustion-reinhardt3-norm-squared": _cli("exhaustion", {
+        "domain": REINHARDT3, "function": "norm-squared", "sequences": 3, "seed": 6}),
+    "exhaustion-ball-expression": _cli("exhaustion", {
+        "domain": BALL2, "sequences": 3, "steps": 20, "seed": 1,
+        "function": "-ln(1 - abs2(z1) - abs2(z2))"}),
+    "exhaustion-polydisc-expression": _cli("exhaustion", {
+        "domain": POLYDISC_OFF, "sequences": 3, "steps": 16, "seed": 3,
+        "function": "abs2(z1) + abs2(z2)"}),
     # derivative-selftest
     "selftest-small": _cli("derivative-selftest", {"samples": 3, "seed": 1}),
 }
@@ -371,11 +390,18 @@ def run_case(name: str) -> dict:
 
 def main() -> int:
     cases = {name: run_case(name) for name in CASES}
+    with open(GOLDEN, encoding="utf-8") as fh:
+        old = json.load(fh)["cases"]
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump({"numpy": np.__version__, "cases": cases}, fh, indent=1,
                   sort_keys=True)
         fh.write("\n")
     print(f"wrote {len(cases)} cases to {GOLDEN}", file=sys.stderr)
+    for name in sorted(cases):
+        if old.get(name) != cases[name]:
+            print(f"{'new' if name not in old else 'changed'}: {name}", file=sys.stderr)
+    for name in sorted(set(old) - set(cases)):
+        print(f"removed: {name}", file=sys.stderr)
     return 0
 
 

@@ -266,3 +266,16 @@ def test_defining_function_independence_on_ball_examples():
     m1 = np.linalg.eigvalsh(lc.restricted_levi_matrix(lc.levi_matrix(f1, a), b1))
     m2 = np.linalg.eigvalsh(lc.restricted_levi_matrix(lc.levi_matrix(f2, a), b2))
     assert m1[0] > 0 and m2[0] > 0
+
+
+def test_derivative_matrices_evaluate_their_trees_in_one_call(monkeypatch):
+    calls = []
+    evaluate = ex.evaluate
+    monkeypatch.setattr(ex, "evaluate", lambda f, z: calls.append(f) or evaluate(f, z))
+    f = ex.parse("abs2(z1)^2 + abs2(z2)^2 + abs2(z3) - 1", 3)
+    z = [0.1, 0.2j, 0.3 - 0.1j]
+    lc.levi_matrix(f, z)
+    assert [len(trees) for trees in calls] == [9]
+    calls.clear()
+    lc.complex_gradient(f, z)
+    assert [len(trees) for trees in calls] == [3]

@@ -10,7 +10,7 @@ from levikit import classify as cl
 from levikit import discs
 from levikit import domains as dom
 from levikit import expr as ex
-from levikit.errors import PointOutsideDomain
+from levikit.errors import LevikitError, PointOutsideDomain
 from levikit.sampling import spawn_rngs, unit_vector
 
 from helpers import compose_with_matrix, random_unitary
@@ -350,3 +350,9 @@ def test_hartogs_trial_asks_each_member_for_three_distances(monkeypatch):
     assert rep.inner.tested == 20
     assert len(calls) == 20 * 3 * 2
     assert calls.count((cl.DEFAULT_QUADRATURE, 2)) == 20 * 2
+
+
+def test_classify_on_reinhardt_union_needs_a_defining_function():
+    with pytest.raises(LevikitError, match="no global defining function for "
+                                           "ReinhardtUnion"):
+        cl.classify_domain(dom.hartogs_figure(), 4, 0)

@@ -8,7 +8,7 @@ import pytest
 from levikit import domains as dom
 from levikit import expr as ex
 from levikit.errors import (LevikitError, NoInteriorPoint, PointOutsideDomain,
-                            UnsupportedMetric)
+                            SamplingExhausted, UnsupportedMetric)
 
 E = math.e
 
@@ -96,6 +96,37 @@ def test_point_outside_raises():
     b = dom.Ball((0, 0), 1.0)
     with pytest.raises(PointOutsideDomain):
         dom.distance_to_boundary(b, [2, 0])
+    # the dimension is checked first, then the metric, then membership
+    with pytest.raises(ValueError, match="expected dimension 2, got 3"):
+        dom.distance_to_boundary(b, [5, 5, 5], "taxicab")
+    with pytest.raises(UnsupportedMetric):
+        dom.distance_to_boundary(b, [5, 5], "taxicab")
+    with pytest.raises(PointOutsideDomain) as err:
+        dom.distance_to_boundary(b, [5, 0.5j])
+    assert str(err.value) == f"{tuple(ex.as_point([5, 0.5j]))} is not inside the domain"
+
+
+def test_reinhardt_boundary_samples_are_exposed_face_points():
+    hf = dom.hartogs_figure()
+    samples = dom.boundary_sample(hf, 60, seed=3)
+    assert len(samples) == 60
+    for s in samples:
+        z = np.asarray(s.point)
+        j = s.face_index
+        assert s.source == f"face-{j + 1}"
+        assert not dom.contains(hf, z)
+        assert dom.contains(hf, z - 1e-9 * np.asarray(s.outward))
+        assert any(abs(abs(z[j]) - m.radii[j]) <= 1e-12 * m.radii[j]
+                   and abs(z[1 - j]) < m.radii[1 - j] for m in hf.members)
+
+
+def test_reinhardt_face_sampling_tests_each_point_once(monkeypatch):
+    tested = []
+    monkeypatch.setattr(dom.ReinhardtUnion, "contains",
+                        lambda self, zz: tested.append(zz) or True)
+    with pytest.raises(SamplingExhausted, match="no exposed Reinhardt face points"):
+        dom.boundary_sample(dom.hartogs_figure(), 2, seed=0)
+    assert len(tested) == 1000
 
 
 def test_polydisc_distance_matches_face_sampling_oracle():

@@ -91,3 +91,54 @@ def test_user_expression_probe():
     probe = exh.make_probe(BALL, function=ex.parse("abs2(z1) + abs2(z2)", 2),
                            sequences=3, seed=0, steps=12)
     assert not exh.exhaustion_blowup_check(probe).passed
+
+
+BALL3 = dom.Ball((0.2, -0.1j, 0.3 + 0.1j), 1.5)
+
+
+def test_ball_linfty_probe_matches_build_exhaustion():
+    # the float distance at a recorded point loses digits like eps / t,
+    # which the tolerance allows for; the probe's d(t) is in closed form
+    for d in (BALL, BALL3):
+        probe = exh.make_probe(d, metric=dom.LINFTY, sequences=4, seed=0, steps=7)
+        f = exh.build_exhaustion(d, dom.LINFTY)
+        for seq, values in zip(probe.sequences, probe.values):
+            for k, (z, v) in enumerate(zip(seq, values)):
+                assert v == pytest.approx(f(z), rel=1e-12 + 1e-16 * 10.0 ** k)
+
+
+def test_ball_linfty_path_distance_is_exact_near_the_boundary():
+    mp = pytest.importorskip("mpmath")
+    center = np.asarray(BALL3.center)
+    paths = dom.approach_paths(BALL3, 3, 0, 13, dom.LINFTY)
+    for s, path in zip(dom.boundary_sample(BALL3, 3, 0), paths):
+        u = np.asarray(s.point) - center
+        u = u / np.linalg.norm(u)
+        for k in (4, 8, 12):
+            with mp.workdps(50):
+                moduli = [abs(mp.mpc(x.real, x.imag)) for x in u]
+                unit = mp.sqrt(sum(m * m for m in moduli))
+                a = [(1 - mp.mpf(10.0 ** -k)) * BALL3.radius * m / unit for m in moduli]
+                s1 = sum(a)
+                s2 = sum(x * x for x in a)
+                exact = (-s1 + mp.sqrt(s1 * s1 - 3 * (s2 - BALL3.radius ** 2))) / 3
+            assert path[k][1] == pytest.approx(float(exact), rel=1e-13)
+
+
+def test_user_expression_runs_on_the_segment_path_of_a_reinhardt_union():
+    hf = dom.hartogs_figure()
+    probe = exh.make_probe(hf, function=ex.parse("abs2(z1)", 2), sequences=3,
+                           seed=0, steps=20)
+    assert len(probe.sequences) == 3
+    for seq, values in zip(probe.sequences, probe.values):
+        assert seq and all(dom.contains(hf, z) for z in seq)
+        assert values == pytest.approx([abs(z[0]) ** 2 for z in seq], rel=1e-15)
+
+
+def test_user_expression_on_whole_space_runs_along_the_rays():
+    ws = dom.WholeSpace(2)
+    probe = exh.make_probe(ws, function=ex.parse("abs2(z1) + abs2(z2)", 2),
+                           sequences=2, seed=0, steps=5)
+    assert probe.sequences == exh.make_probe(ws, sequences=2, seed=0, steps=5).sequences
+    for values in probe.values:
+        assert values == pytest.approx([(1.0 + k) ** 2 for k in range(5)])

@@ -216,3 +216,20 @@ def test_printer_round_trip_preserves_conj_folding():
     text = ex.to_text(tree)
     assert text == "conj(z2)*z1"
     assert ex.parse(text, 2) == tree
+
+
+def test_one_pass_over_trees_matches_one_tree_at_a_time():
+    for idx, (text, n, guard) in enumerate(CORPUS):
+        f = ex.parse(text, n)
+        grads = [ex.wirtinger(f, j, c) for j in range(1, n + 1) for c in (False, True)]
+        trees = [f, *grads, *(ex.wirtinger(g, k, c) for g in grads
+                              for k in range(1, n + 1) for c in (False, True))]
+        for z in corpus_points(guard, n, 3, idx):
+            one_pass = ex.evaluate(trees, z)
+            assert list(map(repr, one_pass)) == [repr(ex.evaluate(t, z)) for t in trees]
+
+
+def test_one_pass_raises_at_the_first_failing_tree():
+    trees = [ex.parse("abs2(z1)", 1), ex.parse("ln(re(z1))", 1)]
+    with pytest.raises(EvalDomainError, match="ln of non-positive"):
+        ex.evaluate(trees, [-1.0])

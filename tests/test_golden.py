@@ -35,3 +35,20 @@ def test_golden_case(name):
         expected = {k: expected[k] for k in LOOSE_FIELDS}
         got = {k: got[k] for k in LOOSE_FIELDS}
     assert got == expected
+
+
+def test_generate_names_the_cases_whose_entries_changed(tmp_path, monkeypatch, capsys):
+    # error-only cases: their entries do not depend on the numpy version
+    same, changed, new = "disc-unknown-variant", "psh-bad-mode", "classify-unknown-key"
+    old = {"numpy": GOLDEN["numpy"],
+           "cases": {same: GOLDEN["cases"][same], "gone": {},
+                     changed: {**GOLDEN["cases"][changed], "records": 99}}}
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(old), encoding="utf-8")
+    monkeypatch.setattr(generate, "GOLDEN", str(path))
+    monkeypatch.setattr(generate, "CASES", {n: generate.CASES[n] for n in (same, changed, new)})
+    assert generate.main() == 0
+    lines = capsys.readouterr().err.splitlines()[1:]
+    assert lines == [f"new: {new}", f"changed: {changed}", "removed: gone"]
+    assert sorted(json.loads(path.read_text(encoding="utf-8"))["cases"]) == sorted(
+        (same, changed, new))
