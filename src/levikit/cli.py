@@ -32,7 +32,7 @@ _ALLOWED_KEYS = {
     "psh-test": _COMMON_KEYS | {"domain", "expression", "mode", "samples",
                                 "quadrature", "metric"},
     "log-distance-probe": _COMMON_KEYS | {"domain", "metric", "trials"},
-    "reinhardt": _COMMON_KEYS | {"domain", "trials"},
+    "reinhardt": _COMMON_KEYS | {"domain"},
     "disc-probe": _COMMON_KEYS | {"domain", "disc_family", "interior", "boundary"},
     "hull": _COMMON_KEYS | {"kind", "points", "points_file", "is_complex",
                             "dimension", "queries", "functionals", "degree",
@@ -100,11 +100,19 @@ def _real(spec, key, default, path=None):
         raise ConfigError(f"{path or key}: expected a number, got {value!r}") from None
 
 
-def _check_common(cfg, seed=0, tol=1e-9) -> tuple:
+def _check_common(cfg, tol=1e-9) -> tuple:
     """(seed, workers, tol): the keys every command accepts, read once as a
     seed numpy takes, a worker count and a numeric tolerance (a float)."""
-    return (_count(cfg, "seed", seed, minimum=0), _count(cfg, "workers", 1),
+    return (_count(cfg, "seed", 0, minimum=0), _count(cfg, "workers", 1),
             float(_real(cfg, "tol", tol)))
+
+
+def _metric(cfg):
+    """The ``metric`` key: euclidean, linfty, or None when it is absent."""
+    metric = cfg.get("metric")
+    if metric in (None, dom.EUCLIDEAN, dom.LINFTY):
+        return metric
+    raise ConfigError(f"metric: expected 'euclidean' or 'linfty', got {metric!r}")
 
 
 def _domain(cfg) -> tuple:
@@ -169,7 +177,7 @@ def _run_psh_test(cfg):
     f = ex.parse(text, d.dimension)
     mode = cfg.get("mode", "spectral")
     samples = _count(cfg, "samples", 200)
-    metric = cfg.get("metric")
+    metric = _metric(cfg)
     echo = {"domain": domain_echo, "expression": text, "mode": mode,
             "samples": samples, "seed": seed, "tol": tol, "workers": workers,
             "metric": metric}
@@ -192,7 +200,7 @@ def _run_psh_test(cfg):
 def _run_log_distance(cfg):
     seed, workers, tol = _check_common(cfg)
     d, domain_echo = _domain(cfg)
-    metric = cfg.get("metric") or d.natural_metric
+    metric = _metric(cfg) or d.natural_metric
     trials = _count(cfg, "trials", 1000)
     result = cl.log_distance_probe(d, metric=metric, trials=trials, seed=seed,
                                    tol=tol)
@@ -208,20 +216,18 @@ def _run_log_distance(cfg):
 
 
 def _run_reinhardt(cfg):
-    seed, _, _ = _check_common(cfg, seed=rh.DEFAULT_SEED)
+    _check_common(cfg)
     d, domain_echo = _domain(cfg)
     if not isinstance(d, dom.ReinhardtUnion):
         raise ConfigError("domain.variant: reinhardt command needs a "
                           "reinhardt_union domain")
-    trials = _count(cfg, "trials", 10000)
-    result = rh.not_domain_of_holomorphy_report(d, trials, seed)
+    result = rh.log_convexity_test(d)
     records = [{"key": "conclusion", "conclusion": result.conclusion,
-                "reason": result.reason, "trials": result.trials}]
+                "reason": result.reason}]
     if result.witness is not None:
         records.append({"key": "witness", **vars(result.witness)})
     summary = f"{result.conclusion}: {result.reason}"
-    echo = {"domain": domain_echo, "trials": trials, "seed": seed}
-    return records, summary, result.witness is not None, echo
+    return records, summary, result.witness is not None, {"domain": domain_echo}
 
 
 def _disc_family(cfg, n):
@@ -343,7 +349,7 @@ def _run_exhaustion(cfg):
     function = cfg.get("function", exh.CANONICAL)
     if function not in (exh.CANONICAL, exh.NORM_SQUARED):
         function = ex.parse(function, d.dimension)
-    metric = cfg.get("metric")
+    metric = _metric(cfg)
     sequences = _count(cfg, "sequences", 8)
     steps = _count(cfg, "steps", 56)
     probe = exh.make_probe(d, function=function, metric=metric,

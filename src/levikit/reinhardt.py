@@ -1,10 +1,13 @@
 """Logarithmic images of complete Reinhardt domains and log-convexity tests.
 
-A complete Reinhardt domain given as a finite union of polydiscs centered
-at 0 has exact log-image membership: x is in the image iff some member
-dominates e^x componentwise.  A midpoint of two image points falling
-outside the image certifies non-log-convexity, which in turn certifies
-that the domain is not a domain of holomorphy.
+For a finite union of polydiscs centered at 0, x lies in the log image iff
+some member dominates e^x componentwise, so the image is a union of orthants
+{x < a_k}, a_k = ln r_k.  The domain is a domain of holomorphy iff that
+union is convex (Jarnicki & Pflug, *First Steps in SCV: Reinhardt Domains*,
+2008), which holds iff one member contains all the others: the closure of a
+convex union is a convex polyhedron with axis-parallel facets only, so an
+orthant, and its corner is a member's.  Otherwise two image points whose
+midpoint lies outside the image are a witness against holomorphy.
 """
 
 from __future__ import annotations
@@ -14,13 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import ReinhardtUnion
-from .errors import SamplingExhausted
 
-BOX_TAIL = 10.0           # nats toward -inf for rejection sampling
 WITNESS_TOL = 1e-9
-# midpoint failures live in a small corner of the sampling box, so not every
-# seed reaches one within the default trial budget; this one does, quickly
-DEFAULT_SEED = 1
 
 
 @dataclass(frozen=True)
@@ -34,23 +32,11 @@ class LogConvexityWitness:
 
 
 @dataclass(frozen=True)
-class LogConvexityResult:
-    witness: LogConvexityWitness       # None when no midpoint failed
-    trials: int
-    accepted_pairs: int
-    acceptance_rate: float
-
-    @property
-    def convex_so_far(self) -> bool:
-        return self.witness is None
-
-
-@dataclass(frozen=True)
 class ReinhardtReport:
-    conclusion: str           # "NotDomainOfHolomorphy" | "NoObstructionFound"
+    # DomainOfHolomorphy, NotDomainOfHolomorphy or NoObstructionFound
+    conclusion: str
     reason: str
-    witness: LogConvexityWitness
-    trials: int
+    witness: LogConvexityWitness   # None unless NotDomainOfHolomorphy
 
 
 def _log_radii(d: ReinhardtUnion) -> np.ndarray:
@@ -72,8 +58,6 @@ def witness_failure(d: ReinhardtUnion, p, q, midpoint) -> str | None:
     """Why (p, q, midpoint) is not a log-convexity witness, or None when it
     is: p and q lie in the log image, the midpoint lies outside it by more
     than WITNESS_TOL, and it is the midpoint of p and q."""
-    # the midpoint test comes first: it rejects almost every sampled pair,
-    # so the search pays for one defect evaluation per trial
     if not log_image_defect(d, midpoint) > WITNESS_TOL:
         return "midpoint defect does not re-check"
     if not log_image_membership(d, p):
@@ -85,62 +69,59 @@ def witness_failure(d: ReinhardtUnion, p, q, midpoint) -> str | None:
     return None
 
 
-def log_convexity_test(d: ReinhardtUnion, trials: int = 10000,
-                       seed: int = DEFAULT_SEED) -> LogConvexityResult:
-    """Sample log-image point pairs and test their midpoints.
-
-    Rejection sampling runs in the box [max ln r_j - BOX_TAIL, max ln r_j]
-    per coordinate.  The first triple that ``witness_failure`` accepts is
-    returned as a witness; raises SamplingExhausted when the image is hit
-    too rarely.
+def _widest_gap(a: np.ndarray) -> tuple:
+    """(p, q) across the widest gap.  From a maximal corner a_l toward a
+    corner a_k not below it, s(t) = a_l + t (a_k - a_l) meets no closed
+    orthant for 0 < t < t1, its first covered point.  With mu the defect of
+    s(t1 / 2), p = a_l - mu/2 and q = s(t1) - mu/2 have midpoint defect mu/2.
     """
-    rng = np.random.default_rng(seed)
-    lr = _log_radii(d)
-    hi = np.max(lr, axis=0)
-    lo = hi - BOX_TAIL
-    accepted = 0
-    attempts = 0
-
-    def draw_image_point():
-        nonlocal accepted, attempts
-        for _ in range(1000):
-            attempts += 1
-            x = rng.uniform(lo, hi)
-            if log_image_membership(d, x):
-                accepted += 1
-                return x
-        raise SamplingExhausted("too few log-image points found",
-                                accepted / max(attempts, 1))
-
-    for _ in range(trials):
-        p = draw_image_point()
-        q = draw_image_point()
-        mid = 0.5 * (p + q)
-        if witness_failure(d, p, q, mid) is None:
-            witness = LogConvexityWitness(
-                tuple(float(v) for v in p), tuple(float(v) for v in q),
-                tuple(float(v) for v in mid), log_image_defect(d, p),
-                log_image_defect(d, q), log_image_defect(d, mid))
-            return LogConvexityResult(witness, trials, accepted,
-                                      accepted / attempts)
-    return LogConvexityResult(None, trials, accepted, accepted / attempts)
+    # a zero-width gap at a corner: witness_failure rejects it
+    best, p, q = 0.0, a[0], a[0]
+    for corner in a:
+        gap = a - corner
+        if np.any(np.all(gap >= 0, axis=1) & np.any(gap > 0, axis=1)):
+            continue                      # member l lies inside another
+        for d in gap:
+            if np.all(d <= 0):
+                continue                  # member k lies inside member l
+            # s(t) <= a_m exactly for t in [lo_m, hi_m], and never when a
+            # coordinate with d_j = 0 already exceeds a_mj
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = gap / d
+            lo = np.max(np.where(d < 0, ratio, 0.0), axis=1)
+            hi = np.min(np.where(d > 0, ratio, np.inf), axis=1)
+            covered = (lo <= hi) & np.all((d != 0) | (gap >= 0), axis=1)
+            t1 = np.min(lo[covered & (lo > 0)])
+            margin = np.min(np.max(corner + 0.5 * t1 * d - a, axis=1))
+            if margin > best:
+                best, p, q = margin, corner, corner + t1 * d
+    return p - 0.5 * best, q - 0.5 * best
 
 
-def not_domain_of_holomorphy_report(d: ReinhardtUnion, trials: int = 10000,
-                                    seed: int = DEFAULT_SEED) -> ReinhardtReport:
-    """Conclude non-holomorphy from a verified log-convexity witness.
-
-    A complete Reinhardt domain with center 0 whose logarithmic image is not
-    convex is not a domain of holomorphy (power series about 0 converge on
-    the log-convex hull), so a midpoint witness settles the question.
-    """
-    result = log_convexity_test(d, trials, seed)
-    if result.witness is not None:
+def log_convexity_test(d: ReinhardtUnion) -> ReinhardtReport:
+    """Whether the union is a domain of holomorphy, exactly: yes when a
+    member contains all others, no with the widest-gap midpoint witness."""
+    a = _log_radii(d)
+    for i, corner in enumerate(a):
+        if np.all(a <= corner):
+            return ReinhardtReport(
+                "DomainOfHolomorphy",
+                f"the union equals member {i} (radii {d.members[i].radii}), "
+                f"a polydisc", None)
+    p, q = _widest_gap(a)
+    mid = 0.5 * (p + q)
+    if witness_failure(d, p, q, mid) is not None:
         return ReinhardtReport(
-            "NotDomainOfHolomorphy",
-            "complete Reinhardt domain with non-convex logarithmic image",
-            result.witness, trials)
+            "NoObstructionFound",
+            f"no member contains all others, but every gap in the logarithmic "
+            f"image is narrower than the witness tolerance {WITNESS_TOL:g}", None)
     return ReinhardtReport(
-        "NoObstructionFound",
-        f"no log-convexity violation at this sample size ({trials} trials)",
-        None, trials)
+        "NotDomainOfHolomorphy",
+        "complete Reinhardt domain with non-convex logarithmic image",
+        LogConvexityWitness(tuple(float(v) for v in p), tuple(float(v) for v in q),
+                            tuple(float(v) for v in mid), log_image_defect(d, p),
+                            log_image_defect(d, q), log_image_defect(d, mid)))
+
+
+# the same test, under the name of the answer it reports
+not_domain_of_holomorphy_report = log_convexity_test

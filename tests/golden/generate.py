@@ -161,10 +161,11 @@ CLI_CASES = {
                                                         "trials": 20}),
     "logdist-sphere-sublevel": _cli("log-distance-probe", {"domain": SPHERE,
                                                            "trials": 1}),
-    # reinhardt: a witness, a log-convex union, a domain of the wrong kind
-    "reinhardt-hartogs-seed2": _cli("reinhardt", {"domain": HARTOGS, "trials": 3000,
-                                                  "seed": 2}),
-    "reinhardt-square-union": _cli("reinhardt", {"domain": SQUARE_UNION, "trials": 500}),
+    # reinhardt: a witness (with a seed the exact test ignores), a staircase
+    # of three corners, a log-convex union, a domain of the wrong kind
+    "reinhardt-hartogs-seed-ignored": _cli("reinhardt", {"domain": HARTOGS, "seed": 2}),
+    "reinhardt-staircase-reinhardt3": _cli("reinhardt", {"domain": REINHARDT3}),
+    "reinhardt-square-union": _cli("reinhardt", {"domain": SQUARE_UNION}),
     "reinhardt-ball-rejected": _cli("reinhardt", {"domain": BALL2}),
     # disc-probe: the three families, non-default index ranges, a family
     # that leaves the domain and a limit boundary that does

@@ -64,7 +64,7 @@ def test_criterion_02_polydisc_levi_only():
 def test_criterion_03_hartogs_log_convexity_witness():
     start = time.perf_counter()
     hf = dom.hartogs_figure()
-    result = rh.log_convexity_test(hf, trials=10000)
+    result = rh.log_convexity_test(hf)
     elapsed = time.perf_counter() - start
     w = result.witness
     ok = w is not None

@@ -190,8 +190,7 @@ def test_verify_reads_short_exhaustion_sequence():
 
 def test_verify_passes_vacuously_without_witnesses():
     mono = {"domain": {"variant": "reinhardt_union", "dimension": 2,
-                       "members": [{"radii": [1.0, 1.0]}]},
-            "trials": 500}
+                       "members": [{"radii": [1.0, 1.0]}]}}
     report, code = run_command("reinhardt", mono)
     assert code == 0
     result = rep.verify_report(report)
@@ -489,7 +488,8 @@ HULL_SQUARE = {"kind": "affine", "points": [[0, 0], [1, 0], [1, 1]],
 @pytest.mark.parametrize("command, cfg, message", [
     ("classify", dict(BALL_CFG, samples="abc"), "samples: expected an integer"),
     ("classify", dict(BALL_CFG, samples=0), "samples: must be at least 1"),
-    ("reinhardt", dict(HARTOGS_CFG, trials=0), "trials: must be at least 1"),
+    ("reinhardt", dict(HARTOGS_CFG, trials=0),
+     "trials: unknown key for command 'reinhardt'"),
     ("log-distance-probe", dict(HARTOGS_CFG, trials=0), "trials: must be at least 1"),
     ("psh-test", {"domain": BALL_CFG["domain"], "expression": "abs2(z1)",
                   "mode": "circle", "quadrature": 0},
@@ -544,6 +544,18 @@ def test_count_fields_must_be_positive_integers(command, cfg, message):
 def test_numeric_fields_must_be_numbers(command, cfg, message):
     with pytest.raises(ConfigError, match=message):
         run_command(command, cfg)
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("psh-test", {"domain": BALL_CFG["domain"], "expression": "abs2(z1)",
+                  "mode": "circle"}),
+    ("log-distance-probe", dict(HARTOGS_CFG)),
+    ("exhaustion", {"domain": BALL_CFG["domain"]}),
+])
+def test_unknown_metric_is_a_config_error(command, cfg):
+    with pytest.raises(ConfigError, match="metric: expected 'euclidean' or "
+                                          "'linfty', got 'foo'"):
+        run_command(command, dict(cfg, metric="foo"))
 
 
 def test_numeric_fields_keep_their_echo():
