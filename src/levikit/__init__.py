@@ -22,7 +22,7 @@ from .domains import (Ball, Intersection, Polydisc, ReinhardtUnion, Sublevel,
                       hartogs_figure, interior_sample, signed_distance)
 from .errors import (ConfigError, DegenerateGradient, EvalDomainError,
                      ExprSyntaxError, FamilyLeavesDomain, LevikitError,
-                     NoInteriorPoint, PointOutsideDomain, SamplingExhausted)
+                     PointOutsideDomain, SamplingExhausted)
 from .exhaustion import build_exhaustion, exhaustion_blowup_check, make_probe
 from .expr import Expr, evaluate, is_real_valued, parse, to_text, wirtinger
 from .hulls import (PointSet, affine_hull_membership, convex_hull_2d,

@@ -216,24 +216,27 @@ def _rows(func):
     return getattr(func, "rows", None) or (lambda zz: [func(z) for z in zz])
 
 
-def _circle_mean(func, a, direction, radius: float, quadrature: int) -> float:
-    """The m-point average of a point function on the circle a + direction*r*e^it,
-    from one call of its row form on all m points."""
+def _center_and_circle_mean(func, a, direction, radius: float, quadrature: int):
+    """(f(a), the m-point average of f on the circle a + direction*r*e^it),
+    from one call of the point function's row form on a and the m points."""
     a = ex.as_point(a)
     direction = ex.as_point(direction, a.shape[0])
     angles = 2.0 * np.pi * np.arange(quadrature) / quadrature
+    circle = a + (direction * radius) * np.exp(1j * angles)[:, None]
+    center, *values = _rows(func)(np.vstack([a, circle]))
     total = 0.0
     # left to right: np.sum and, from Python 3.12, sum() round differently
-    for value in _rows(func)(a + (direction * radius) * np.exp(1j * angles)[:, None]):
+    for value in values:
         total += value
-    return total / quadrature
+    return center, total / quadrature
 
 
 def circle_average_deficit(func, a, direction, radius: float,
                            quadrature: int = DEFAULT_QUADRATURE) -> float:
     """f(a) minus the m-point average of f on the circle a + direction*r*e^it."""
-    func = ex.as_real_function(func)
-    return func(ex.as_point(a)) - _circle_mean(func, a, direction, radius, quadrature)
+    center, mean = _center_and_circle_mean(ex.as_real_function(func), a,
+                                           direction, radius, quadrature)
+    return center - mean
 
 
 def psh_test_circle_average(func, region, trials: int, seed: int,
@@ -266,12 +269,12 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
         if r >= local:
             return ("skip", None)
         try:
-            center_val = fcall(a)
-            if center_val <= NEG_INF_CUTOFF:
-                return ("skip", None)
-            deficit = center_val - _circle_mean(fcall, a, delta, r, quadrature)
+            center_val, mean = _center_and_circle_mean(fcall, a, delta, r, quadrature)
         except LevikitError:
             return ("skip", None)
+        if center_val <= NEG_INF_CUTOFF:
+            return ("skip", None)
+        deficit = center_val - mean
         if deficit > tol:
             return ("violation", PshViolation(tuple(a), tuple(delta),
                                               float(r), float(deficit)))

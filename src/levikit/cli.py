@@ -177,6 +177,7 @@ def _run_psh_test(cfg):
     f = ex.parse(text, d.dimension)
     mode = cfg.get("mode", "spectral")
     samples = _count(cfg, "samples", 200)
+    quad = _count(cfg, "quadrature", cl.DEFAULT_QUADRATURE)
     metric = _metric(cfg)
     echo = {"domain": domain_echo, "expression": text, "mode": mode,
             "samples": samples, "seed": seed, "tol": tol, "workers": workers,
@@ -184,7 +185,6 @@ def _run_psh_test(cfg):
     if mode == "spectral":
         verdict = cl.psh_test_spectral(f, d, samples, seed, tol=tol)
     elif mode == "circle":
-        quad = _count(cfg, "quadrature", cl.DEFAULT_QUADRATURE)
         echo["quadrature"] = quad
         verdict = cl.psh_test_circle_average(f, d, samples, seed, tol=tol,
                                              quadrature=quad, metric=metric)
@@ -314,6 +314,9 @@ def _run_hull(cfg):
         pset = hulls.PointSet(hulls.decode_points(_require(cfg, "points"),
                                                   is_complex, "points"),
                               is_complex)
+    if kind == "affine" and is_complex:
+        raise ConfigError("is_complex: the affine hull test takes real points; "
+                          "use kind: polynomial for complex points")
     queries = _require(cfg, "queries")
     query_points = hulls.decode_points(queries, kind == "polynomial", "queries",
                                        pset.dimension)

@@ -9,6 +9,7 @@ import numpy as np
 
 from . import expr as ex
 from .hulls import monomial_exponents
+from .sampling import rejection_sample
 
 
 def _away_from_zero(j, margin=0.3):
@@ -45,19 +46,16 @@ CORPUS = [
 ]
 
 
-def corpus_points(guard, n, count, seed, scale=0.8, max_tries=1000):
+def corpus_points(guard, n, count, seed):
     """Seeded sample points in C^n satisfying the entry's guard."""
     rng = np.random.default_rng(seed)
-    points = []
-    tries = 0
-    while len(points) < count:
-        z = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        tries += 1
-        if tries > max_tries:
-            raise RuntimeError("guard rejected too many sample points")
-        if guard(z):
-            points.append(z)
-    return points
+
+    def draw():
+        z = 0.8 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        return z if guard(z) else None
+
+    return rejection_sample(draw, count, 1000,
+                            "guard rejected too many sample points")[0]
 
 
 def holomorphic_polynomials(count, n, degree, seed, lower_bound=None):

@@ -21,9 +21,8 @@ import numpy as np
 
 from . import calculus as lc
 from . import expr as ex
-from .errors import (LevikitError, NoInteriorPoint, PointOutsideDomain,
-                     SamplingExhausted, UnsupportedMetric)
-from .sampling import disc_points, unit_vector
+from .errors import LevikitError, PointOutsideDomain, UnsupportedMetric
+from .sampling import disc_points, rejection_sample, unit_vector
 
 EUCLIDEAN = "euclidean"
 LINFTY = "linfty"
@@ -87,22 +86,18 @@ class Domain:
         """Rejection sampling from the bounding polydisc, shape (count, n)."""
         box = self.bounding_polydisc()
         center = np.asarray(box.center)
-        out = []
-        attempts = 0
-        while len(out) < count:
-            attempts += 1
-            if attempts > max(1000, 200 * count):
-                raise SamplingExhausted(
-                    f"interior sampling of {type(self).__name__} failed",
-                    len(out) / attempts)
+
+        def draw():
             z = center + disc_points(rng, box.radii)
             try:
-                inside = self.contains(z)
+                return z if self.contains(z) else None
             except LevikitError:
-                continue
-            if inside:
-                out.append(z)
-        return np.array(out)
+                return None
+
+        samples, _ = rejection_sample(
+            draw, count, max(1000, 200 * count),
+            f"interior sampling of {type(self).__name__} failed")
+        return np.array(samples)
 
     def boundary_sample(self, count: int, rng: np.random.Generator) -> BoundarySamples:
         raise LevikitError(f"boundary sampling not supported for {type(self).__name__}")
@@ -112,7 +107,7 @@ class Domain:
         return None
 
     def exterior_distance(self, zz, metric) -> float:
-        raise UnsupportedMetric(f"exterior distance not available for {type(self).__name__}")
+        raise LevikitError(f"exterior distance not available for {type(self).__name__}")
 
     def defining_expr(self, face: int | None = None) -> ex.Expr:
         """A defining function: global, or for one face where faces exist."""
@@ -364,20 +359,15 @@ class ReinhardtUnion(Domain, variant="reinhardt_union", natural_metric=LINFTY):
     def _exposed_faces(self, count, rng):
         """Seeded face points of the members that no member contains, as
         (point, face, face radius of the member drawn) triples."""
-        faces = []
-        attempts = 0
-        while len(faces) < count:
-            attempts += 1
-            if attempts > 500 * count:
-                raise SamplingExhausted("no exposed Reinhardt face points found",
-                                        len(faces) / attempts)
+        def draw():
             owner = self.members[int(rng.integers(len(self.members)))]
             j = int(rng.integers(self.dimension))
             b = disc_points(rng, owner.radii)
             b[j] = owner.radii[j] * np.exp(2j * np.pi * rng.uniform())
-            if not self.contains(b):
-                faces.append((b, j, owner.radii[j]))
-        return faces
+            return None if self.contains(b) else (b, j, owner.radii[j])
+
+        return rejection_sample(draw, count, 500 * count,
+                                "no exposed Reinhardt face points found")[0]
 
     def boundary_sample(self, count, rng):
         samples = []
@@ -484,17 +474,7 @@ class Sublevel(Domain, variant="sublevel"):
             z0 = np.asarray(self.interior_hint)
             if self.contains(z0):
                 return z0
-        box = self.bounding_polydisc()
-        center = np.asarray(box.center)
-        for _ in range(500):
-            z = center + disc_points(rng, box.radii)
-            try:
-                if self.contains(z):
-                    return z
-            except LevikitError:
-                continue
-        raise NoInteriorPoint(
-            f"no point with f < {self.level} found among trial samples")
+        return self.interior_sample(1, rng)[0]
 
     def boundary_sample(self, count, rng):
         """Bisection along random rays from an interior point."""
@@ -502,26 +482,22 @@ class Sublevel(Domain, variant="sublevel"):
         box = self.bounding_polydisc()
         t_max = 2.0 * float(np.sum(box.radii)) + float(np.linalg.norm(
             z0 - np.asarray(box.center)))
-        samples = []
-        skipped = 0
-        attempts = 0
-        while len(samples) < count:
-            attempts += 1
-            if attempts > 100 * count:
-                raise SamplingExhausted("sublevel boundary sampling failed",
-                                        len(samples) / attempts)
+
+        def draw():
             u = unit_vector(rng, self.dimension)
             # f - level < 0 at z0; 10 doublings end at 0.512 * t_max
             z_out = self._march(z0, u, 1e-3 * t_max, -1.0, 10)
             if z_out is None:
-                skipped += 1
-                continue
+                return None
             z = _bisect_level(self.expr, self.level, z0, z_out, outside=True)
             g = self._gradient(z)
             gn = np.linalg.norm(g)
             outward = tuple(g / gn) if gn > 1e-12 else None
-            samples.append(BoundarySample(tuple(z), outward, "level-set"))
-        return BoundarySamples(tuple(samples), skipped)
+            return BoundarySample(tuple(z), outward, "level-set")
+
+        samples, skipped_rays = rejection_sample(draw, count, 100 * count,
+                                                 "sublevel boundary sampling failed")
+        return BoundarySamples(tuple(samples), skipped_rays)
 
     def _gradient(self, b) -> np.ndarray:
         """Steepest-ascent direction of the defining function as a complex vector."""

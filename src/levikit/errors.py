@@ -47,10 +47,6 @@ class PointOutsideDomain(LevikitError):
     """A distance or exhaustion query was made for a point outside the domain."""
 
 
-class NoInteriorPoint(LevikitError):
-    """No point with f < level was found among the trial samples."""
-
-
 class SamplingExhausted(LevikitError):
     """Rejection sampling accepted too few points to run the requested test."""
 

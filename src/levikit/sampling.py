@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import SamplingExhausted
+
 
 def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     """One independent generator per work item, derived from ``seed``."""
@@ -34,6 +36,23 @@ def disc_points(rng: np.random.Generator, radii) -> np.ndarray:
     """
     u = rng.uniform(size=(len(radii), 2))
     return np.asarray(radii) * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+
+
+def rejection_sample(draw, count: int, budget: int, what: str) -> tuple[list, int]:
+    """Call ``draw()`` until ``count`` draws have returned a sample; a draw
+    returns its sample, or None when it is rejected.  Returns the samples in
+    draw order and the number of rejected draws.  SamplingExhausted, with
+    ``what`` and the acceptance rate, after ``budget`` draws without them."""
+    samples = []
+    drawn = 0
+    while len(samples) < count:
+        if drawn == budget:
+            raise SamplingExhausted(what, len(samples) / budget)
+        drawn += 1
+        sample = draw()
+        if sample is not None:
+            samples.append(sample)
+    return samples, drawn - len(samples)
 
 
 def deterministic_map(fn, items) -> list:

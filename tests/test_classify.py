@@ -336,8 +336,8 @@ def test_circle_that_crosses_the_boundary_skips_its_trial():
                                   [0.7, 0], [1, 0], 0.2)
 
 
-def test_hartogs_trial_asks_each_member_for_three_distances(monkeypatch):
-    # the local distance, the centre's and one array call for the circle
+def test_hartogs_trial_asks_each_member_for_two_distances(monkeypatch):
+    # the local distance, and one array call for the centre and its circle
     real = dom.Polydisc.interior_distance
     calls = []
 
@@ -348,8 +348,9 @@ def test_hartogs_trial_asks_each_member_for_three_distances(monkeypatch):
     monkeypatch.setattr(dom.Polydisc, "interior_distance", counting)
     rep = cl.log_distance_probe(dom.hartogs_figure(), trials=20, seed=0)
     assert rep.inner.tested == 20
-    assert len(calls) == 20 * 3 * 2
-    assert calls.count((cl.DEFAULT_QUADRATURE, 2)) == 20 * 2
+    assert len(calls) == 20 * 2 * 2
+    assert calls.count((1, 2)) == 20 * 2
+    assert calls.count((cl.DEFAULT_QUADRATURE + 1, 2)) == 20 * 2
 
 
 def test_classify_on_reinhardt_union_needs_a_defining_function():

@@ -481,6 +481,21 @@ def test_malformed_hull_rows_name_the_row(cfg, field):
         run_command("hull", cfg)
 
 
+def test_affine_hull_rejects_complex_points(tmp_path):
+    # the affine test runs on real points: imaginary parts would be dropped
+    cfg = {"kind": "affine", "is_complex": True,
+           "points": [[[0, 0], [0, 0]], [[1, 5], [0, 0]]], "queries": [[0.5, 0.0]]}
+    with pytest.raises(ConfigError, match="is_complex: the affine hull test "
+                                          "takes real points"):
+        run_command("hull", cfg)
+    path = tmp_path / "k.txt"
+    path.write_text("0,0,0,0\n1,5,0,0\n", encoding="utf-8")
+    file_cfg = {"kind": "affine", "is_complex": True, "dimension": 2,
+                "points_file": str(path), "queries": [[0.5, 0.0]]}
+    with pytest.raises(ConfigError, match="is_complex: the affine hull test"):
+        run_command("hull", file_cfg)
+
+
 HULL_SQUARE = {"kind": "affine", "points": [[0, 0], [1, 0], [1, 1]],
                "queries": [[0.5, 0.5]]}
 
@@ -507,6 +522,9 @@ HULL_SQUARE = {"kind": "affine", "points": [[0, 0], [1, 0], [1, 1]],
     ("exhaustion", {"domain": BALL_CFG["domain"], "sequences": 0},
      "sequences: must be at least 1"),
     ("derivative-selftest", {"samples": 0}, "samples: must be at least 1"),
+    ("psh-test", {"domain": BALL_CFG["domain"], "expression": "abs2(z1)",
+                  "mode": "spectral", "quadrature": "abc"},
+     "quadrature: expected an integer"),
 ])
 def test_count_fields_must_be_positive_integers(command, cfg, message):
     with pytest.raises(ConfigError, match=message):

@@ -7,8 +7,8 @@ import pytest
 
 from levikit import domains as dom
 from levikit import expr as ex
-from levikit.errors import (LevikitError, NoInteriorPoint, PointOutsideDomain,
-                            SamplingExhausted, UnsupportedMetric)
+from levikit.errors import (LevikitError, PointOutsideDomain, SamplingExhausted,
+                            UnsupportedMetric)
 
 E = math.e
 
@@ -79,7 +79,7 @@ def test_outside_bisection_evaluates_each_point_once(monkeypatch):
 def test_sublevel_no_interior_point():
     f = ex.parse("abs2(z1) + 1", 1)   # always >= 1, never < 0
     d = dom.Sublevel(f, 0.0, 1, box_center=(0,), box_radii=(2,))
-    with pytest.raises(NoInteriorPoint):
+    with pytest.raises(SamplingExhausted, match="interior sampling of Sublevel"):
         dom.boundary_sample(d, 4, seed=0)
 
 
@@ -228,11 +228,20 @@ def test_intersection_and_whole_space():
     assert not dom.contains(lens, [-0.5, 0])
     d = dom.distance_to_boundary(lens, [0.25, 0])
     assert d == pytest.approx(min(1 - 0.25, 1 - 0.25))
-    with pytest.raises(UnsupportedMetric):
+    with pytest.raises(LevikitError, match="exterior distance not available"):
         dom.signed_distance(lens, [5, 5])
     ws = dom.WholeSpace(2)
     assert dom.contains(ws, [1e6, 1e6])
     assert dom.distance_to_boundary(ws, [0, 0]) == math.inf
+
+
+@pytest.mark.parametrize("metric", [dom.EUCLIDEAN, dom.LINFTY])
+def test_intersection_exterior_distance_is_not_a_metric_error(metric):
+    lens = dom.Intersection((dom.Ball((0, 0), 1.0), dom.Polydisc((0, 0), (1, 1))))
+    with pytest.raises(LevikitError) as err:
+        dom.signed_distance(lens, [5, 5], metric)
+    assert type(err.value) is LevikitError
+    assert str(err.value) == "exterior distance not available for Intersection"
 
 
 def test_sublevel_distance_resolution():
