@@ -184,6 +184,15 @@ def convexity_point_check(f: ex.Expr, a, tol: float = 1e-9) -> ConvexityVerdict:
 # ---------------------------------------------------------------------------
 # plurisubharmonicity tests
 
+def _psh_verdict(mode: str, outcomes) -> PshVerdict:
+    """The verdict of a psh test from one outcome per item: a PshViolation,
+    True for an item that passed, or None for a skipped one."""
+    violations = tuple(o for o in outcomes if isinstance(o, PshViolation))
+    skipped = sum(o is None for o in outcomes)
+    verdict = "NotPsh" if violations else "ConsistentWithPsh"
+    return PshVerdict(mode, verdict, violations, len(outcomes) - skipped, skipped)
+
+
 def psh_test_spectral(f: ex.Expr, region, grid: int, seed: int,
                       tol: float = 1e-9) -> PshVerdict:
     """Minimum Levi eigenvalue over seeded interior points of the region."""
@@ -193,21 +202,13 @@ def psh_test_spectral(f: ex.Expr, region, grid: int, seed: int,
         try:
             h = lc.levi_matrix(f, z)
         except LevikitError:
-            return ("skip", None)
+            return None
         eigs, vecs = np.linalg.eigh(h.entries)
         if eigs[0] < -tol:
-            direction = vecs[:, 0]
-            deficit = float(-eigs[0])
-            return ("violation", PshViolation(tuple(z), tuple(direction),
-                                              None, deficit))
-        return ("ok", None)
+            return PshViolation(tuple(z), tuple(vecs[:, 0]), None, float(-eigs[0]))
+        return True
 
-    results = deterministic_map(work, points)
-    violations = tuple(v for tag, v in results if tag == "violation")
-    skipped = sum(1 for tag, _ in results if tag == "skip")
-    verdict = "NotPsh" if violations else "ConsistentWithPsh"
-    return PshVerdict("LeviSpectral", verdict, violations,
-                      len(points) - skipped, skipped)
+    return _psh_verdict("LeviSpectral", deterministic_map(work, points))
 
 
 def _rows(func):
@@ -262,30 +263,24 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
         try:
             local = dom.distance_to_boundary(region, a, metric)
         except LevikitError:
-            return ("skip", None)
+            return None
         if not math.isfinite(local):
             local = 1.0
         r = local * math.exp(rng.uniform(math.log(lo), math.log(hi)))
         if r >= local:
-            return ("skip", None)
+            return None
         try:
             center_val, mean = _center_and_circle_mean(fcall, a, delta, r, quadrature)
         except LevikitError:
-            return ("skip", None)
+            return None
         if center_val <= NEG_INF_CUTOFF:
-            return ("skip", None)
+            return None
         deficit = center_val - mean
         if deficit > tol:
-            return ("violation", PshViolation(tuple(a), tuple(delta),
-                                              float(r), float(deficit)))
-        return ("ok", None)
+            return PshViolation(tuple(a), tuple(delta), float(r), float(deficit))
+        return True
 
-    results = deterministic_map(work, rngs)
-    violations = tuple(v for tag, v in results if tag == "violation")
-    skipped = sum(1 for tag, _ in results if tag == "skip")
-    verdict = "NotPsh" if violations else "ConsistentWithPsh"
-    return PshVerdict("CircleAverage", verdict, violations,
-                      trials - skipped, skipped)
+    return _psh_verdict("CircleAverage", deterministic_map(work, rngs))
 
 
 def neg_log_distance(region, metric: str):

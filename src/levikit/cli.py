@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 
 import yaml
 
@@ -323,16 +324,14 @@ def _run_hull(cfg):
     functionals = _count(cfg, "functionals", 500)
     degree = _count(cfg, "degree", 8)
     random_count = _count(cfg, "random_count", 0, minimum=0)
-    records = []
-    for i, query in enumerate(query_points):
-        if kind == "affine":
-            res = hulls.affine_hull_membership(pset, query, functionals=functionals,
-                                               seed=seed, tol=tol)
-        else:
-            res = hulls.polynomial_hull_membership(pset, query, degree=degree,
-                                                   count=random_count, seed=seed,
-                                                   tol=tol)
-        records.append({"key": f"query-{i:04d}", **vars(res)})
+    if kind == "affine":
+        member = partial(hulls.affine_hull_membership, pset,
+                         functionals=functionals, seed=seed, tol=tol)
+    else:
+        member = partial(hulls.polynomial_hull_membership, pset, degree=degree,
+                         count=random_count, seed=seed, tol=tol)
+    records = [{"key": f"query-{i:04d}", **vars(member(query))}
+               for i, query in enumerate(query_points)]
     outside = sum(r["verdict"] == "Outside" for r in records)
     bound = hulls.hull_boundedness_check(pset)
     records.append({"key": "bounds", "per_coordinate": bound.per_coordinate,

@@ -106,6 +106,18 @@ class Domain:
         """Exact paths for the exhaustion probe; None where there are none."""
         return None
 
+    def point_paths(self, count: int, seed: int, steps: int) -> list:
+        """Paths for a function evaluated at float points, with no closed-form
+        distance (None): the segments from seeded boundary samples to one
+        interior anchor at t = 10^-k, kept where inside."""
+        anchor = interior_sample(self, 1, seed)[0]
+        paths = []
+        for s in boundary_sample(self, count, seed + 1):
+            b = np.asarray(s.point)
+            points = (b + t * (anchor - b) for t in approach_parameters(steps))
+            paths.append([(z, None) for z in points if contains(self, z)])
+        return paths
+
     def exterior_distance(self, zz, metric) -> float:
         raise LevikitError(f"exterior distance not available for {type(self).__name__}")
 
@@ -715,6 +727,10 @@ class WholeSpace(Domain, variant="whole_space"):
         return [[((1.0 + k) * u, math.inf) for k in range(steps)]
                 for u in (unit_vector(rng, self.dimension) for _ in range(count))]
 
+    def point_paths(self, count, seed, steps):
+        """No boundary for float points to round onto: the outward rays."""
+        return self.approach_paths(count, np.random.default_rng(seed), steps, None)
+
     def to_dict(self) -> dict:
         return {"variant": self.variant, "dimension": self.dimension}
 
@@ -768,8 +784,10 @@ def approach_parameters(steps: int) -> list:
 def approach_paths(d, count: int, seed: int, steps: int, metric: str | None = None):
     """Seeded exact paths for the exhaustion probe, ``steps`` (point, distance)
     pairs each with d in closed form: to the boundary at ``approach_parameters``,
-    or outward rays at infinite distance.  None for a variant without them."""
-    return d.approach_paths(count, np.random.default_rng(seed), steps, _metric(d, metric))
+    or outward rays at infinite distance.  A variant without them gives its
+    ``point_paths``."""
+    paths = d.approach_paths(count, np.random.default_rng(seed), steps, _metric(d, metric))
+    return d.point_paths(count, seed, steps) if paths is None else paths
 
 
 def distance_to_boundary(d, z, metric: str | None = None) -> float:

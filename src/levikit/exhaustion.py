@@ -85,39 +85,24 @@ def _resolve_point_function(domain, function, metric):
     raise LevikitError(f"unknown exhaustion function id {function!r}")
 
 
-def _segment_paths(domain, count, seed, steps):
-    """Float points on the segments from seeded boundary samples to one
-    interior anchor at t = 10^-k, kept where inside: resolution-limited, and
-    with no closed-form distance (None)."""
-    anchor = dom.interior_sample(domain, 1, seed)[0]
-    paths = []
-    for s in dom.boundary_sample(domain, count, seed + 1):
-        b = np.asarray(s.point)
-        points = (b + t * (anchor - b) for t in dom.approach_parameters(steps))
-        paths.append([(z, None) for z in points if dom.contains(domain, z)])
-    return paths
-
-
 def make_probe(domain, function=CANONICAL, metric: str | None = None,
                sequences: int = 8, seed: int = 0,
                steps: int = 56) -> ExhaustionProbe:
     """Record function values along seeded approach sequences.
 
     The built-in functions run along the domain's exact paths
-    (``domains.approach_paths``) with the closed-form distance d(t).  Other
-    functions are evaluated at float points: along the exact paths where
-    they never near a boundary (rays on the whole space), and otherwise
-    along segments to an interior anchor, which also serve domains without
-    exact paths.
+    (``domains.approach_paths``) with the closed-form distance d(t), or
+    along its point paths where it has none.  Other functions are evaluated
+    at the float points of the point paths (``Domain.point_paths``), since
+    the float points of an exact path round onto the boundary it approaches.
     """
     fid = function if isinstance(function, str) else (
         ex.to_text(function) if isinstance(function, ex.Expr) else "user-callable")
     fn = _resolve_point_function(domain, function, metric)
-    paths = dom.approach_paths(domain, sequences, seed, steps, metric)
-    # float points of an exact path round onto the boundary it approaches
-    if paths is None or (function not in (NORM_SQUARED, CANONICAL) and any(
-            math.isfinite(d) for path in paths for _, d in path)):
-        paths = _segment_paths(domain, sequences, seed, steps)
+    if function in (NORM_SQUARED, CANONICAL):
+        paths = dom.approach_paths(domain, sequences, seed, steps, metric)
+    else:
+        paths = domain.point_paths(sequences, seed, steps)
     seqs = []
     vals = []
     for path in paths:

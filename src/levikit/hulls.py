@@ -58,6 +58,8 @@ def load_point_set(path, dimension: int, is_complex: bool = True) -> PointSet:
             except ValueError:
                 raise LevikitError(f"{path}:{lineno}: expected comma-separated "
                                    f"numbers") from None
+            if not all(map(math.isfinite, vals)):
+                raise ConfigError(f"{path}:{lineno}: coordinates must be finite")
             if is_complex:
                 if len(vals) != 2 * dimension:
                     raise LevikitError(
@@ -78,7 +80,8 @@ def decode_points(rows, is_complex: bool, path: str,
                   n: int | None = None) -> np.ndarray:
     """Config rows as a (k, n) array: each row is n reals, or n [re, im]
     pairs when ``is_complex``; without ``n`` the first row fixes it, so
-    there must be one.  ConfigError names ``path[i]`` for a bad row."""
+    there must be one.  ConfigError names ``path[i]`` for a bad or
+    non-finite row."""
     if not isinstance(rows, (list, tuple)):
         raise ConfigError(f"{path}: expected a list of points")
     if n is None and not rows:
@@ -95,6 +98,8 @@ def decode_points(rows, is_complex: bool, path: str,
             if x is None or x.ndim != 1 or (n is not None and len(x) != n):
                 count = "" if n is None else f"{n} "
                 raise ConfigError(f"{path}[{i}]: expected a list of {count}real numbers")
+        if not np.isfinite(x).all():
+            raise ConfigError(f"{path}[{i}]: coordinates must be finite")
         n = len(x)
         out.append(x)
     return np.array(out, dtype=complex if is_complex else float)
@@ -107,6 +112,24 @@ class HullMembershipResult:
     certificate: dict          # separating functional/polynomial, or None
     tested: int
     best_margin: float         # max over tested of |A(x)| - ||A||_K
+
+
+def _membership(query, values, norms, tol, certificate) -> HullMembershipResult:
+    """The verdict shared by both families, from |f(x)| and sup_K |f| of each
+    tested f: the first largest margin |f(x)| - sup_K |f| decides, and
+    ``certificate(i)`` describes f_i for an Outside certificate."""
+    margins = values - norms
+    if np.isnan(margins).any():
+        raise LevikitError("hull membership margin is NaN: a tested function "
+                           "is not finite at the query or on K")
+    idx = int(np.argmax(margins))
+    best_margin = float(margins[idx])
+    if best_margin > tol:
+        return HullMembershipResult(query, "Outside", {
+            **certificate(idx), "value": float(values[idx]),
+            "norm_on_set": float(norms[idx])}, len(margins), best_margin)
+    verdict = "BoundaryAmbiguous" if best_margin >= -tol else "Inside"
+    return HullMembershipResult(query, verdict, None, len(margins), best_margin)
 
 
 # ---------------------------------------------------------------------------
@@ -209,23 +232,13 @@ def affine_hull_membership(k_set: PointSet, x, functionals: int = 500,
     pts = k_set.points.astype(float)
     xx = np.asarray(x, dtype=float)
     bound = 2.0 * max(float(np.max(np.abs(pts))), float(np.max(np.abs(xx))), 1e-12)
+    if not math.isfinite(bound):
+        raise LevikitError(f"affine offset bound 2*max|coordinate| is {bound}, "
+                           f"not finite")
     dirs, offs = affine_functionals(seed, functionals, pts.shape[1], bound)
     values, norms = _affine_sizes(dirs, offs, pts, xx)
-    margins = values - norms
-    idx = int(np.argmax(margins))
-    best_margin = float(margins[idx])
-    certificate = None
-    if best_margin > tol:
-        verdict = "Outside"
-        certificate = {"kind": "affine", "direction": tuple(dirs[idx]),
-                       "offset": float(offs[idx]), "value": float(values[idx]),
-                       "norm_on_set": float(norms[idx])}
-    elif best_margin >= -tol:
-        verdict = "BoundaryAmbiguous"
-    else:
-        verdict = "Inside"
-    return HullMembershipResult(tuple(float(v) for v in xx), verdict,
-                                certificate, functionals, best_margin)
+    return _membership(tuple(float(v) for v in xx), values, norms, tol, lambda i: {
+        "kind": "affine", "direction": tuple(dirs[i]), "offset": float(offs[i])})
 
 
 # ---------------------------------------------------------------------------
@@ -269,37 +282,16 @@ def polynomial_hull_membership(k_set: PointSet, z, degree: int, count: int = 0,
     zz = np.asarray(z, dtype=complex).reshape(1, -1)
     exps = monomial_exponents(pts.shape[1], degree)
 
-    candidates = [([e], [1.0 + 0j]) for e in exps]
-    if count > 0:
-        rng = np.random.default_rng(seed)
-        for _ in range(count):
-            coeffs = np.exp(2j * np.pi * rng.uniform(size=len(exps)))
-            candidates.append((exps, list(coeffs)))
-
-    best_margin = -math.inf
-    certificate = None
-    for exponents, coefficients in candidates:
-        value, norm_k = _polynomial_sizes(exponents, coefficients, pts, zz)
-        margin = value - norm_k
-        if margin > best_margin:
-            best_margin = margin
-            if margin > tol:
-                certificate = {"kind": "polynomial",
-                               "exponents": [list(e) for e in exponents],
-                               "coefficients": [[c.real, c.imag]
-                                                for c in map(complex, coefficients)],
-                               "value": value, "norm_on_set": norm_k}
-    if best_margin > tol:
-        verdict = "Outside"
-    elif best_margin >= -tol:
-        verdict = "BoundaryAmbiguous"
-        certificate = None
-    else:
-        verdict = "Inside"
-        certificate = None
+    rng = np.random.default_rng(seed)
+    candidates = [([e], [1.0 + 0j]) for e in exps] + [
+        (exps, list(np.exp(2j * np.pi * rng.uniform(size=len(exps)))))
+        for _ in range(count)]
+    values, norms = np.array([_polynomial_sizes(exponents, coefficients, pts, zz)
+                              for exponents, coefficients in candidates]).T
     query = tuple((v.real, v.imag) for v in np.asarray(z, dtype=complex))
-    return HullMembershipResult(query, verdict, certificate,
-                                len(candidates), best_margin)
+    return _membership(query, values, norms, tol, lambda i: {
+        "kind": "polynomial", "exponents": [list(e) for e in candidates[i][0]],
+        "coefficients": [[c.real, c.imag] for c in map(complex, candidates[i][1])]})
 
 
 def certificate_failure(points: np.ndarray, query, certificate, tol: float,

@@ -46,34 +46,25 @@ def run_selftest(points_per_expr: int = 50, seed: int = 0,
     for idx, (text, n, guard) in enumerate(CORPUS):
         f = ex.parse(text, n)
         pts = corpus_points(guard, n, points_per_expr, seed + idx)
+        # (label, function, symbolic tree, k, conj): each first derivative
+        # of f, then d/dz_k and d/dzbar_k of each d/dz_j f
+        firsts = {(j, c): ex.wirtinger(f, j, c) for j in range(1, n + 1)
+                  for c in (False, True)}
+        derivatives = [(f"d{'bar' if c else ''}z{j}", f, tree, j, c)
+                       for (j, c), tree in firsts.items()]
+        derivatives += [(f"d2 z{j} {'bar' if c else ''}z{k}", firsts[j, False],
+                         ex.wirtinger(firsts[j, False], k, c), k, c)
+                        for j in range(1, n + 1) for k in range(1, n + 1)
+                        for c in (True, False)]
         worst = 0.0
         worst_case = ""
-        counted = 0
-        firsts = {}
-        for j in range(1, n + 1):
-            for conj_flag in (False, True):
-                firsts[(j, conj_flag)] = ex.wirtinger(f, j, conj_flag)
         for z in pts:
-            for (j, conj_flag), sym_tree in firsts.items():
-                sym = ex.evaluate(sym_tree, z)
-                num = fd.wirtinger_fd(f, z, j, conj_flag)
-                err = _rel_err(sym, num)
-                counted += 1
+            for label, fn, tree, k, conj in derivatives:
+                err = _rel_err(ex.evaluate(tree, z), fd.wirtinger_fd(fn, z, k, conj))
                 if err > worst:
                     worst = err
-                    worst_case = f"d{'bar' if conj_flag else ''}z{j} at {tuple(z)}"
-            for j in range(1, n + 1):
-                base = firsts[(j, False)]
-                for k in range(1, n + 1):
-                    for conj_flag in (True, False):
-                        sym = ex.evaluate(ex.wirtinger(base, k, conj_flag), z)
-                        num = fd.wirtinger_fd(base, z, k, conj_flag)
-                        err = _rel_err(sym, num)
-                        counted += 1
-                        if err > worst:
-                            worst = err
-                            worst_case = (f"d2 z{j} {'bar' if conj_flag else ''}z{k}"
-                                          f" at {tuple(z)}")
-        checks.append(ExprCheck(text, n, len(pts), counted, worst, worst_case))
+                    worst_case = f"{label} at {tuple(z)}"
+        checks.append(ExprCheck(text, n, len(pts), len(pts) * len(derivatives),
+                                worst, worst_case))
         overall = max(overall, worst)
     return SelfTestResult(tuple(checks), overall, tolerance)

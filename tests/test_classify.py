@@ -172,6 +172,14 @@ def test_psh_spectral_pluriharmonic_on_annulus():
     assert res.verdict == "ConsistentWithPsh"
 
 
+def test_psh_spectral_counts_its_skipped_points():
+    # ln(re(z1)) is undefined at the 24 of 40 points with re(z1) <= 0
+    res = cl.psh_test_spectral(ex.parse("ln(re(z1))*abs2(z2)", 2),
+                               dom.Ball((0, 0), 1.0), 40, 0)
+    assert (res.verdict, res.tested, res.skipped, len(res.violations)) == (
+        "NotPsh", 16, 24, 16)
+
+
 def test_circle_average_norm_squared():
     res = cl.psh_test_circle_average(ex.parse("abs2(z1) + abs2(z2)", 2),
                                      BALL2, trials=100, seed=0)

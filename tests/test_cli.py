@@ -481,6 +481,43 @@ def test_malformed_hull_rows_name_the_row(cfg, field):
         run_command("hull", cfg)
 
 
+AFFINE_TRIANGLE = {"kind": "affine", "points": [[0, 0], [1, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize("cfg, field", [
+    (dict(AFFINE_TRIANGLE, queries=[[math.nan, 0]]), r"queries\[0\]"),
+    (dict(AFFINE_TRIANGLE, queries=[[0.2, 0.2], [math.inf, 0]]), r"queries\[1\]"),
+    (dict(AFFINE_TRIANGLE, points=[[0, 0], [math.nan, 0]], queries=[[0.2, 0.2]]),
+     r"points\[1\]"),
+    ({"kind": "polynomial", "points": [[[0, 0], [0, 0]], [[1, 0], [0, 0]]],
+      "queries": [[[math.nan, 0], [0, 0]]]}, r"queries\[0\]"),
+    ({"kind": "polynomial", "points": [[[0, 0], [0, 0]], [[1, 0], [0, 0]]],
+      "queries": [[[math.inf, 0], [0, 0]]]}, r"queries\[0\]"),
+])
+def test_non_finite_hull_coordinates_name_the_row(cfg, field):
+    with pytest.raises(ConfigError, match=rf"{field}: coordinates must be finite"):
+        run_command("hull", cfg)
+
+
+def test_non_finite_points_file_coordinate_names_the_line(tmp_path):
+    path = tmp_path / "k.txt"
+    path.write_text("0.0,0.0\n1.0,inf\n", encoding="utf-8")
+    cfg = {"kind": "affine", "is_complex": False, "dimension": 2,
+           "points_file": str(path), "queries": [[0.5, 0.5]]}
+    with pytest.raises(ConfigError, match=r"k\.txt:2: coordinates must be finite"):
+        run_command("hull", cfg)
+
+
+def test_overflowing_affine_offset_bound_is_an_error(tmp_path, capsys):
+    cfg = dict(AFFINE_TRIANGLE, queries=[[1e308, 0]])
+    with pytest.raises(LevikitError, match="offset bound"):
+        run_command("hull", cfg)
+    config = tmp_path / "hull.yaml"
+    config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert main(["hull", "--config", str(config)]) == 1
+    assert "error: affine offset bound" in capsys.readouterr().err
+
+
 def test_affine_hull_rejects_complex_points(tmp_path):
     # the affine test runs on real points: imaginary parts would be dropped
     cfg = {"kind": "affine", "is_complex": True,

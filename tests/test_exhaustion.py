@@ -142,3 +142,20 @@ def test_user_expression_on_whole_space_runs_along_the_rays():
     assert probe.sequences == exh.make_probe(ws, sequences=2, seed=0, steps=5).sequences
     for values in probe.values:
         assert values == pytest.approx([(1.0 + k) ** 2 for k in range(5)])
+
+
+def test_user_expression_on_a_reinhardt_union_samples_the_faces_once(monkeypatch):
+    hf = dom.hartogs_figure()
+    calls = []
+    sample = dom.ReinhardtUnion._exposed_faces
+
+    def counted(self, count, rng):
+        calls.append(count)
+        return sample(self, count, rng)
+
+    monkeypatch.setattr(dom.ReinhardtUnion, "_exposed_faces", counted)
+    exh.make_probe(hf, function=ex.parse("abs2(z1)", 2), sequences=4, seed=0)
+    assert calls == [4]
+    calls.clear()
+    exh.make_probe(hf, sequences=4, seed=0)
+    assert calls == [4]

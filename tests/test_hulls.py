@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from levikit import hulls
+from levikit.errors import LevikitError
 
 from helpers import brute_force_extreme_points
 
@@ -175,3 +176,23 @@ def test_load_point_set(tmp_path):
     real.write_text("1.0,2.0\n3.0,4.0\n", encoding="utf-8")
     rset = hulls.load_point_set(real, 2, is_complex=False)
     assert rset.points.shape == (2, 2) and not rset.is_complex
+
+
+def test_first_of_tied_polynomial_candidates_is_the_certificate():
+    # z2 and z1 (in monomial order) both reach |p(z)| = 2 against sup_K = 0
+    res = hulls.polynomial_hull_membership(hulls.complex_points([[0, 0]]),
+                                           [2, 2], 1)
+    assert res.verdict == "Outside" and res.best_margin == 2.0
+    assert res.certificate["exponents"] == [[0, 1]]
+
+
+@pytest.mark.parametrize("member", [
+    lambda: hulls.affine_hull_membership(
+        hulls.real_points([[0, 0], [1, 0], [0, 1]]), [math.nan, 0.0]),
+    lambda: hulls.polynomial_hull_membership(
+        hulls.complex_points([[0, 0], [1, 0]]), [complex(math.nan, 0.0), 0], 1),
+], ids=["affine", "polynomial"])
+def test_nan_margin_is_an_error_in_both_families(member):
+    with pytest.raises(LevikitError, match="margin is NaN"):
+        member()
+
