@@ -1,8 +1,9 @@
 """Complex gradients, Levi matrices, tangent bases and second-order data.
 
 All derivatives are exact symbolic Wirtinger derivatives evaluated at the
-requested point; derivative trees are cached per expression, so repeated
-point queries against one function stay cheap.
+requested point; derivative trees, and the programs ``expr.evaluate``
+compiles from them, are cached per expression, so repeated point queries
+against one function stay cheap.
 """
 
 from __future__ import annotations
@@ -61,23 +62,23 @@ class TaylorParts:
 
 
 @lru_cache(maxsize=None)
-def _grad_trees(f: ex.Expr, n: int):
-    return tuple(ex.wirtinger(f, j + 1, False) for j in range(n))
+def _grad_trees(f: ex.Expr, n: int) -> ex.Roots:
+    return ex.Roots(ex.wirtinger(f, j + 1, False) for j in range(n))
 
 
 @lru_cache(maxsize=None)
-def _second_trees(f: ex.Expr, n: int, mixed: bool):
-    """d2 f / dz_j dzbar_k when ``mixed``, else d2 f / dz_j dz_k."""
+def _second_trees(f: ex.Expr, n: int, mixed: bool) -> ex.Roots:
+    """d2 f / dz_j dzbar_k when ``mixed``, else d2 f / dz_j dz_k, row by row."""
     grads = _grad_trees(f, n)
-    return tuple(tuple(ex.wirtinger(grads[j], k + 1, mixed) for k in range(n))
-                 for j in range(n))
+    return ex.Roots(ex.wirtinger(grads[j], k + 1, mixed)
+                    for j in range(n) for k in range(n))
 
 
 def _second_derivatives(f: ex.Expr, z, mixed: bool):
     """(z as a point, the n x n matrix of second derivatives of f there)."""
     zz = ex.as_point(z)
     n = zz.shape[0]
-    values = ex.evaluate([t for row in _second_trees(f, n, mixed) for t in row], zz)
+    values = ex.evaluate(_second_trees(f, n, mixed), zz)
     return zz, np.array(values).reshape(n, n)
 
 

@@ -68,6 +68,23 @@ class Expr:
     def __str__(self):
         return to_text(self)
 
+    def _fields(self):
+        return (self.kind, self.children, self.value, self.index,
+                self.conjugated, self.exponent)
+
+    def __hash__(self):
+        # the dataclass's field hash, computed once per node: the derivative
+        # caches look trees up by it, and it would otherwise walk the tree
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(self._fields())
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        # the fields only: the cached hash and program belong to this process
+        return Expr, self._fields()
+
 
 def _coerce(x):
     if isinstance(x, Expr):
@@ -243,7 +260,10 @@ def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
 
 def as_point(z, n: int | None = None) -> np.ndarray:
     """Normalize a point/vector of C^n to a 1-d complex array."""
-    a = np.atleast_1d(np.asarray(z, dtype=complex))
+    if type(z) is np.ndarray and z.dtype == complex and z.ndim == 1:
+        a = z   # what the conversions below return for it, without their calls
+    else:
+        a = np.atleast_1d(np.asarray(z, dtype=complex))
     if a.ndim != 1:
         raise ValueError(f"expected a flat coordinate vector, got shape {a.shape}")
     if n is not None and a.shape[0] != n:
@@ -266,74 +286,133 @@ def point_from_pairs(pairs, path: str, n: int | None = None) -> np.ndarray:
 _REAL_IMAG_TOL = 1e-12
 
 
+class Roots(tuple):
+    """Trees that ``evaluate`` runs together.  Their compiled program is
+    kept on the tuple, so a cache that holds the tuple compiles them once."""
+
+
 def evaluate(f, z):
     """Evaluate ``f`` at the point ``z`` (any complex sequence).
 
-    ``f`` is one tree, or a sequence of trees evaluated in one pass: a node
-    they share is computed once, and the values come back as a list.
-    Raises EvalDomainError for ln of a non-positive (or non-real) argument
-    and for division by exactly zero, carrying the offending subexpression.
+    ``f`` is one tree, or a sequence of trees evaluated in one pass whose
+    values come back as a list.  On first use the trees are compiled into
+    one straight-line Python function: each distinct node object is one
+    local, computed in depth-first order (a quotient's denominator first)
+    with CPython complex arithmetic, so the values are those of a walk over
+    the trees bit for bit.  The function is kept on the tree, or on a
+    ``Roots`` tuple; any other sequence is compiled again on every call.
+    Raises EvalDomainError for ln of a non-positive (or non-real) argument,
+    for division by exactly zero and for a variable beyond the point's
+    dimension, carrying the offending subexpression and the point; when
+    several are reachable, the first in that order is raised.
     """
     zz = as_point(z)
-    memo: dict[int, complex] = {}
+    program = getattr(f, "_program", None) or _compiled(f)
+    return program(zz)[0] if isinstance(f, Expr) else program(zz)
 
-    def go(e: Expr) -> complex:
-        got = memo.get(id(e))
-        if got is not None:
-            return got
+
+def _compiled(f):
+    """The program of a tree or a sequence of trees, kept on ``f`` when it
+    is an ``Expr`` or a ``Roots``: never in a table keyed by ``id``, which a
+    freed tree hands on to the next one built."""
+    single = isinstance(f, Expr)
+    program = _compile((f,) if single else tuple(f))
+    if single or isinstance(f, Roots):
+        object.__setattr__(f, "_program", program)
+    return program
+
+
+# the value of each node kind from its children's locals {0}, {1}
+_OPS = {
+    "add": "{0} + {1}", "sub": "{0} - {1}", "mul": "{0} * {1}",
+    "neg": "-{0}", "conj": "{0}.conjugate()",
+    "re": "complex({0}.real)", "im": "complex({0}.imag)",
+    "abs": "complex(abs({0}))",
+    "abs2": "complex({0}.real * {0}.real + {0}.imag * {0}.imag)",
+    "ln": "complex(_log({0}.real))", "exp": "complex(_exp(complex({0})))",
+}
+
+
+def _fail(message, node, zz):
+    return EvalDomainError(message, to_text(node), tuple(zz))
+
+
+def _beyond_dimension(var_nodes, zz):
+    """The error for the first variable, in program order, beyond ``zz``."""
+    n = zz.shape[0]
+    e = next(e for e in var_nodes if e.index > n)
+    return _fail(f"variable z{e.index} exceeds point dimension {n}", e, zz)
+
+
+def _compile(roots):
+    """One function ``program(zz)`` returning the list of the roots' values
+    at the point array ``zz``.
+
+    Locals are named by node identity, as a memo over one walk would be;
+    ``==`` would merge constants such as (-2.5+0j) and (-2.5-0j).  Every
+    node stays alive in ``roots`` while this runs, so no ``id`` is reused.
+    """
+    local = {}
+    consts = []         # const values, bound to default arguments
+    params = []
+    failing = []        # the subexpressions that domain errors name
+    var_nodes = []
+    body = []
+
+    def visit(e):
+        name = local.get(id(e))
+        if name is not None:
+            return name
         k = e.kind
+        kids = e.children
         if k == "const":
-            v = e.value
-        elif k == "var":
-            if e.index > zz.shape[0]:
-                raise EvalDomainError(
-                    f"variable z{e.index} exceeds point dimension {zz.shape[0]}",
-                    to_text(e), tuple(zz))
-            v = zz[e.index - 1]
-            if e.conjugated:
-                v = v.conjugate()
-        elif k == "add":
-            v = go(e.children[0]) + go(e.children[1])
-        elif k == "sub":
-            v = go(e.children[0]) - go(e.children[1])
-        elif k == "mul":
-            v = go(e.children[0]) * go(e.children[1])
+            name = local[id(e)] = f"v{len(local)}"
+            params.append(f"{name}=_k[{len(consts)}]")
+            consts.append(complex(e.value))
+            return name
+        if k == "var":
+            var_nodes.append(e)
+            code = f"z[{e.index - 1}]" + (".conjugate()" if e.conjugated else "")
         elif k == "div":
-            den = go(e.children[1])
-            if den == 0:
-                raise EvalDomainError("division by zero",
-                                      to_text(e.children[1]), tuple(zz))
-            v = go(e.children[0]) / den
+            den = visit(kids[1])
+            body.append(f"if {den} == 0: raise _fail('division by zero', "
+                        f"_n[{len(failing)}], zz)")
+            failing.append(kids[1])
+            code = f"{visit(kids[0])} / {den}"
         elif k == "pow":
-            v = go(e.children[0]) ** e.exponent
-        elif k == "neg":
-            v = -go(e.children[0])
-        elif k == "re":
-            v = complex(go(e.children[0]).real)
-        elif k == "im":
-            v = complex(go(e.children[0]).imag)
-        elif k == "abs":
-            v = complex(abs(go(e.children[0])))
-        elif k == "abs2":
-            w = go(e.children[0])
-            v = complex(w.real * w.real + w.imag * w.imag)
-        elif k == "conj":
-            v = go(e.children[0]).conjugate()
-        elif k == "ln":
-            w = go(e.children[0])
-            if abs(w.imag) > _REAL_IMAG_TOL * max(1.0, abs(w)) or w.real <= 0:
-                raise EvalDomainError(f"ln of non-positive argument {w}",
-                                      to_text(e.children[0]), tuple(zz))
-            v = complex(math.log(w.real))
-        elif k == "exp":
-            v = np.exp(complex(go(e.children[0])))
+            code = f"{visit(kids[0])} ** {e.exponent!r}"
+        elif k in _OPS:
+            args = list(map(visit, kids))   # a comprehension would add a frame per level
+            if k == "ln":
+                w = args[0]
+                body.append(f"if abs({w}.imag) > {_REAL_IMAG_TOL!r} * max(1.0, abs({w}))"
+                            f" or {w}.real <= 0: raise _fail("
+                            f"f'ln of non-positive argument {{{w}}}', "
+                            f"_n[{len(failing)}], zz)")
+                failing.append(kids[0])
+            code = _OPS[k].format(*args)
         else:
-            raise ValueError(f"unknown node kind {k!r}")
-        v = complex(v)
-        memo[id(e)] = v
-        return v
+            body.append(f"raise ValueError({f'unknown node kind {k!r}'!r})")
+            code = "None"
+        name = local[id(e)] = f"v{len(local)}"
+        body.append(f"{name} = {code}")
+        return name
 
-    return go(f) if isinstance(f, Expr) else [go(e) for e in f]
+    results = [visit(r) for r in roots]
+    source = "\n".join([
+        f"def program({', '.join(['zz', *params])}):",
+        "    z = zz.tolist()",
+        "    try:",
+        *(f"        {line}" for line in body or ["pass"]),
+        "    except IndexError:",
+        "        raise _beyond_dimension(_vars, zz) from None",
+        f"    return [{', '.join(results)}]",
+    ])
+    namespace = {"_k": consts, "_n": failing, "_vars": var_nodes, "_fail": _fail,
+                 "_beyond_dimension": _beyond_dimension, "_log": math.log,
+                 "_exp": np.exp}
+    exec(source, namespace)
+    return namespace["program"]
 
 
 def as_real_function(f):

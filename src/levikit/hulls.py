@@ -124,6 +124,10 @@ def _membership(query, values, norms, tol, certificate) -> HullMembershipResult:
                            "is not finite at the query or on K")
     idx = int(np.argmax(margins))
     best_margin = float(margins[idx])
+    if math.isinf(best_margin):
+        raise LevikitError(f"hull membership margin is {best_margin}: |f(x)| is "
+                           f"{values[idx]} and sup_K |f| is {norms[idx]} for "
+                           f"tested function {idx}")
     if best_margin > tol:
         return HullMembershipResult(query, "Outside", {
             **certificate(idx), "value": float(values[idx]),
@@ -261,9 +265,17 @@ def _eval_poly(exponents, coefficients, pts: np.ndarray) -> np.ndarray:
 
 
 def _polynomial_sizes(exponents, coefficients, pts, z) -> tuple:
-    """(|p(z)|, sup_K |p|) for p = sum of coefficient * monomial; z is (1, n)."""
-    value = abs(complex(_eval_poly(exponents, coefficients, z)[0]))
-    return value, float(np.max(np.abs(_eval_poly(exponents, coefficients, pts))))
+    """(|p(z)|, sup_K |p|) for p = sum of coefficient * monomial; z is (1, n).
+    A size beyond the float range comes back infinite (or NaN), without a
+    warning, for ``_membership`` to reject."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        at_z = complex(_eval_poly(exponents, coefficients, z)[0])
+        norm = float(np.max(np.abs(_eval_poly(exponents, coefficients, pts))))
+    try:
+        value = abs(at_z)
+    except OverflowError:   # finite parts, but a modulus above the float range
+        value = math.inf
+    return value, norm
 
 
 def polynomial_hull_membership(k_set: PointSet, z, degree: int, count: int = 0,

@@ -1,8 +1,11 @@
 """Shared oracles and utilities for the test suite."""
 
+import math
+
 import numpy as np
 
 from levikit import expr as ex
+from levikit.errors import EvalDomainError
 
 
 def brute_force_extreme_points(points: np.ndarray) -> set:
@@ -55,3 +58,69 @@ def compose_with_matrix(f: ex.Expr, v: np.ndarray) -> ex.Expr:
                 row = ex.add(row, ex.mul(ex.const(v[j, k]), ex.var(k + 1)))
         mapping[j + 1] = row
     return ex.substitute(f, mapping)
+
+
+def walk_evaluate(f, z):
+    """The recursive evaluator that ``expr.evaluate``'s compiled programs
+    replace: one walk over the trees with a memo by node identity, kept as
+    the oracle they must match bit for bit, errors included."""
+    zz = ex.as_point(z)
+    memo: dict[int, complex] = {}
+
+    def go(e: ex.Expr) -> complex:
+        got = memo.get(id(e))
+        if got is not None:
+            return got
+        k = e.kind
+        if k == "const":
+            v = e.value
+        elif k == "var":
+            if e.index > zz.shape[0]:
+                raise EvalDomainError(
+                    f"variable z{e.index} exceeds point dimension {zz.shape[0]}",
+                    ex.to_text(e), tuple(zz))
+            v = zz[e.index - 1]
+            if e.conjugated:
+                v = v.conjugate()
+        elif k == "add":
+            v = go(e.children[0]) + go(e.children[1])
+        elif k == "sub":
+            v = go(e.children[0]) - go(e.children[1])
+        elif k == "mul":
+            v = go(e.children[0]) * go(e.children[1])
+        elif k == "div":
+            den = go(e.children[1])
+            if den == 0:
+                raise EvalDomainError("division by zero",
+                                      ex.to_text(e.children[1]), tuple(zz))
+            v = go(e.children[0]) / den
+        elif k == "pow":
+            v = go(e.children[0]) ** e.exponent
+        elif k == "neg":
+            v = -go(e.children[0])
+        elif k == "re":
+            v = complex(go(e.children[0]).real)
+        elif k == "im":
+            v = complex(go(e.children[0]).imag)
+        elif k == "abs":
+            v = complex(abs(go(e.children[0])))
+        elif k == "abs2":
+            w = go(e.children[0])
+            v = complex(w.real * w.real + w.imag * w.imag)
+        elif k == "conj":
+            v = go(e.children[0]).conjugate()
+        elif k == "ln":
+            w = go(e.children[0])
+            if abs(w.imag) > ex._REAL_IMAG_TOL * max(1.0, abs(w)) or w.real <= 0:
+                raise EvalDomainError(f"ln of non-positive argument {w}",
+                                      ex.to_text(e.children[0]), tuple(zz))
+            v = complex(math.log(w.real))
+        elif k == "exp":
+            v = np.exp(complex(go(e.children[0])))
+        else:
+            raise ValueError(f"unknown node kind {k!r}")
+        v = complex(v)
+        memo[id(e)] = v
+        return v
+
+    return go(f) if isinstance(f, ex.Expr) else [go(e) for e in f]

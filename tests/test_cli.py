@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -389,6 +390,29 @@ def test_console_entry_point_runs():
          "--samples", "2"],
         capture_output=True, text=True, check=True)
     assert "derivative self-test passed" in proc.stdout
+
+
+def test_canonical_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # a C^3 sublevel classify in two fresh interpreters: evaluation order
+    # taken from ids, hashes or set iteration would differ between them
+    cfg = {"domain": {"variant": "sublevel", "dimension": 3, "level": 0.0,
+                      "expression": "abs2(z1) + abs2(z2) + abs2(z3) + abs2("
+                                    "(0.3-0.2*i)*z1*z2 + (0.5+0.1*i)*z3^2 - z2) - 1",
+                      "box_center": [[0.0, 0.0]] * 3, "box_radii": [1.0] * 3,
+                      "interior_hint": [[0.0, 0.0]] * 3},
+           "samples": 12, "seed": 3}
+    config = tmp_path / "c3.yaml"
+    config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    canonical = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"report-{hash_seed}.json"
+        subprocess.run([sys.executable, "-m", "levikit.cli", "classify",
+                        "--config", str(config), "--out", str(out)],
+                       env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+                       capture_output=True, text=True, check=True)
+        canonical.append(rep.canonical_bytes(rep.load_report(out)))
+    assert canonical[0] == canonical[1]
+    assert b"StrictlyPseudoconvex" in canonical[0]
 
 
 def test_psh_circle_report_echoes_quadrature_and_verifies_with_it():

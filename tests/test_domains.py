@@ -367,3 +367,17 @@ def test_batched_distances_raise_when_any_row_is_outside():
     assert dom.distances_to_boundary(hf, rows[[0, 2]]).tolist() == [E - 1, E - 0.5]
     with pytest.raises(ValueError):
         dom.distances_to_boundary(hf, rows[0])
+
+
+@pytest.mark.parametrize("metric", [dom.EUCLIDEAN, dom.LINFTY])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_row_norms_equal_the_per_row_norm_bit_for_bit(n, metric):
+    # the sublevel distance takes its nearest of 512 cached boundary points
+    # from one array call; each row must keep the one-row norm's bits
+    rng = np.random.default_rng(n)
+    pts = rng.standard_normal((512, n)) + 1j * rng.standard_normal((512, n))
+    for _ in range(20):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        rows = dom._row_norms(z - pts, metric)
+        assert [v.hex() for v in rows.tolist()] == [
+            dom._norm(z - b, metric).hex() for b in pts]

@@ -1,8 +1,14 @@
 """Parser, evaluator and Wirtinger engine tests."""
 
+import math
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from helpers import walk_evaluate
 from levikit import expr as ex
 from levikit import fd
 from levikit.corpus import CORPUS, corpus_points
@@ -233,3 +239,117 @@ def test_one_pass_raises_at_the_first_failing_tree():
     trees = [ex.parse("abs2(z1)", 1), ex.parse("ln(re(z1))", 1)]
     with pytest.raises(EvalDomainError, match="ln of non-positive"):
         ex.evaluate(trees, [-1.0])
+
+
+# ---------------------------------------------------------------------------
+# compiled programs against the recursive walk, bit for bit
+
+def _outcome(evaluate, f, z):
+    """Each value's real and imaginary bits, or what the evaluation raised."""
+    try:
+        got = evaluate(f, z)
+    except EvalDomainError as err:
+        return ("EvalDomainError", str(err), err.base_message, err.subexpression,
+                repr(err.point))
+    except (ArithmeticError, RuntimeWarning) as err:
+        return (type(err).__name__, str(err))
+    values = got if isinstance(got, list) else [got]
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+_PARTS = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-300, 1e200, math.inf]
+_UNARY = ("neg", "re", "im", "abs", "abs2", "conj", "ln", "exp")
+_BINARY = ("add", "sub", "mul", "div")
+
+
+@st.composite
+def _forests(draw):
+    """1-3 roots over a pool of nodes built with ``Expr`` itself (no
+    folding), every kind drawn; children come from the pool, so subtrees
+    are shared, and equal constants are distinct objects."""
+    pool = []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(("const", "var", "pow") + _UNARY + _BINARY)
+                    if pool else st.sampled_from(("const", "var")))
+        if kind == "const":
+            node = ex.Expr("const", value=complex(draw(st.sampled_from(_PARTS)),
+                                                  draw(st.sampled_from(_PARTS))))
+        elif kind == "var":
+            node = ex.Expr("var", index=draw(st.integers(1, 3)),
+                           conjugated=draw(st.booleans()))
+        elif kind == "pow":
+            node = ex.Expr("pow", (draw(st.sampled_from(pool)),),
+                           exponent=draw(st.integers(2, 7)))
+        else:
+            arity = 2 if kind in _BINARY else 1
+            node = ex.Expr(kind, tuple(draw(st.sampled_from(pool))
+                                       for _ in range(arity)))
+        pool.append(node)
+    return [pool[-1], *draw(st.lists(st.sampled_from(pool), max_size=2))]
+
+
+_COORDS = st.complex_numbers(max_magnitude=4.0) | st.sampled_from(
+    [0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1 + 0j, -1 + 0j, 2j])
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_forests(), st.lists(_COORDS, min_size=1, max_size=3))
+def test_compiled_program_matches_the_walk_bit_for_bit(roots, z):
+    # values by float.hex; errors by class, message, subexpression and
+    # point, the first in walk order where several are reachable
+    with np.errstate(all="ignore"):
+        assert _outcome(ex.evaluate, roots, z) == _outcome(walk_evaluate, roots, z)
+        assert _outcome(ex.evaluate, roots[0], z) == _outcome(walk_evaluate, roots[0], z)
+        # the program kept on the root answers a second call alike
+        assert _outcome(ex.evaluate, roots[0], z) == _outcome(walk_evaluate, roots[0], z)
+
+
+@pytest.mark.parametrize("text, point, message", [
+    ("ln(z1) + 1/z2", [0, 0], "ln of non-positive argument 0j in subexpression z1"),
+    ("1/z2 + ln(z1)", [0, 0], "division by zero in subexpression z2"),
+    # a quotient's denominator runs before its numerator
+    ("ln(z1) / z2", [0, 0], "division by zero in subexpression z2"),
+    ("z2 / ln(z1)", [0, 0], "ln of non-positive argument 0j in subexpression z1"),
+    ("1/z1 + z3", [0, 0], "division by zero in subexpression z1"),
+    ("z3 + 1/z1", [0, 0], "variable z3 exceeds point dimension 2 in subexpression z3"),
+    # an imaginary part above 1e-12 * max(1, |w|) is not real enough for ln
+    ("ln(z1)", [1 + 2e-12j], "ln of non-positive argument (1+2e-12j) in subexpression z1"),
+])
+def test_first_reachable_error_in_walk_order_is_raised(text, point, message):
+    f = ex.parse(text, 3)
+    with pytest.raises(EvalDomainError) as err:
+        ex.evaluate(f, point)
+    assert str(err.value).startswith(message)
+    assert _outcome(ex.evaluate, f, point) == _outcome(walk_evaluate, f, point)
+
+
+def test_signed_zero_constants_are_not_merged():
+    # (-2.5+0j) == (-2.5-0j), but their products with i differ in sign bits
+    a, b = ex.const(complex(-2.5, 0.0)), ex.const(complex(-2.5, -0.0))
+    f = ex.Expr("add", (ex.Expr("mul", (a, ex.var(1))), ex.Expr("mul", (b, ex.var(1)))))
+    assert _outcome(ex.evaluate, [f, a, b], [complex(0.0, 1.0)]) == _outcome(
+        walk_evaluate, [f, a, b], [complex(0.0, 1.0)])
+    assert ex.evaluate(b, [0]).imag.hex() == "-0x0.0p+0"
+
+
+def test_freed_trees_never_lend_their_programs():
+    # a freed tree's id is handed on to the next one built; each new tree
+    # must run its own program
+    rng = np.random.default_rng(7)
+    for _ in range(3000):
+        tree = _random_tree(rng, depth=int(rng.integers(0, 4)), n=2)
+        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        with np.errstate(all="ignore"):
+            assert _outcome(ex.evaluate, tree, z) == _outcome(walk_evaluate, tree, z)
+        del tree
+
+
+def test_pickled_tree_leaves_its_hash_and_program_behind():
+    f = ex.parse("ln(abs2(z1) + 1) / z2", 2)
+    ex.evaluate(f, [1, 2])
+    hash(f)
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and not {"_hash", "_program"} & vars(g).keys()
+    assert hash(g) == hash(f)
+    assert ex.evaluate(g, [1, 2]) == ex.evaluate(f, [1, 2])

@@ -1,6 +1,7 @@
 """Convex hull, affine membership and polynomial membership tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,3 +197,18 @@ def test_nan_margin_is_an_error_in_both_families(member):
     with pytest.raises(LevikitError, match="margin is NaN"):
         member()
 
+
+@pytest.mark.parametrize("points, query, degree, named", [
+    # z1^2 at 1e200 overflows
+    ([[0, 0], [1, 0]], [1e200, 0], 2,
+     r"margin is inf: \|f\(x\)\| is inf and sup_K \|f\| is 1.0 for tested function 4"),
+    # finite parts whose modulus is above the float range
+    ([[0, 0], [1, 0]], [complex(1.5e308, 1.5e308), 0], 1,
+     r"margin is inf: \|f\(x\)\| is inf and sup_K \|f\| is 1.0 for tested function 1"),
+], ids=["power", "modulus"])
+def test_overflowing_polynomial_is_an_error_not_a_certificate(points, query, degree, named):
+    # the non-finite size is named, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LevikitError, match=named):
+            hulls.polynomial_hull_membership(hulls.complex_points(points), query, degree)
