@@ -27,7 +27,6 @@ from .exhaustion import build_exhaustion, exhaustion_blowup_check, make_probe
 from .expr import Expr, evaluate, is_real_valued, parse, to_text, wirtinger
 from .hulls import (PointSet, affine_hull_membership, convex_hull_2d,
                     hull_boundedness_check, polynomial_hull_membership)
-from .reinhardt import (log_convexity_test, log_image_membership,
-                        not_domain_of_holomorphy_report)
+from .reinhardt import log_convexity_test, log_image_membership
 
 __version__ = "0.1.0"

@@ -62,16 +62,16 @@ class TaylorParts:
 
 
 @lru_cache(maxsize=None)
-def _grad_trees(f: ex.Expr, n: int) -> ex.Roots:
-    return ex.Roots(ex.wirtinger(f, j + 1, False) for j in range(n))
+def _grad_trees(f: ex.Expr, n: int) -> tuple:
+    return tuple(ex.wirtinger(f, j + 1, False) for j in range(n))
 
 
 @lru_cache(maxsize=None)
-def _second_trees(f: ex.Expr, n: int, mixed: bool) -> ex.Roots:
+def _second_trees(f: ex.Expr, n: int, mixed: bool) -> tuple:
     """d2 f / dz_j dzbar_k when ``mixed``, else d2 f / dz_j dz_k, row by row."""
     grads = _grad_trees(f, n)
-    return ex.Roots(ex.wirtinger(grads[j], k + 1, mixed)
-                    for j in range(n) for k in range(n))
+    return tuple(ex.wirtinger(grads[j], k + 1, mixed)
+                 for j in range(n) for k in range(n))
 
 
 def _second_derivatives(f: ex.Expr, z, mixed: bool):

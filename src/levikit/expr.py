@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re as _regex
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -17,8 +18,9 @@ import numpy as np
 
 from .errors import ConfigError, EvalDomainError, ExprSyntaxError
 
+_NODES = weakref.WeakValueDictionary()
 
-@dataclass(frozen=True)
+
 class Expr:
     """One node of an expression tree.
 
@@ -26,14 +28,35 @@ class Expr:
     ``_FUNCS``, or one of "add", "sub", "mul", "div".
     Payload fields are only meaningful for the matching kind; ``exponent``
     is always a non-negative integer (negative powers go through "div").
+
+    Nodes are hash-consed in ``_NODES``: building one returns the live node
+    of the same kind, children, payload and constant bits, so ``==`` and
+    ``hash`` are identity.  Constants are keyed by the bits of both parts:
+    (-2.5+0j) and (-2.5-0j) are two nodes, and every NaN constant is one.
     """
 
-    kind: str
-    children: tuple["Expr", ...] = ()
-    value: complex = 0j
-    index: int = 0
-    conjugated: bool = False
-    exponent: int = 0
+    __slots__ = ("kind", "children", "value", "index", "conjugated", "exponent",
+                 "__weakref__")
+
+    def __new__(cls, kind: str, children: tuple = (), value: complex = 0j,
+                index: int = 0, conjugated: bool = False, exponent: int = 0):
+        value = complex(value)
+        key = (kind, children, value.real.hex(), value.imag.hex(), index,
+               conjugated, exponent)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, field in zip(cls.__slots__, (kind, children, value, index,
+                                                   conjugated, exponent)):
+                object.__setattr__(node, name, field)
+            _NODES[key] = node
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: Expr nodes are shared")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: Expr nodes are shared")
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -68,22 +91,10 @@ class Expr:
     def __str__(self):
         return to_text(self)
 
-    def _fields(self):
-        return (self.kind, self.children, self.value, self.index,
-                self.conjugated, self.exponent)
-
-    def __hash__(self):
-        # the dataclass's field hash, computed once per node: the derivative
-        # caches look trees up by it, and it would otherwise walk the tree
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self._fields())
-            object.__setattr__(self, "_hash", h)
-        return h
-
     def __reduce__(self):
-        # the fields only: the cached hash and program belong to this process
-        return Expr, self._fields()
+        # through __new__: unpickling, copy and deepcopy return the live node
+        return Expr, (self.kind, self.children, self.value, self.index,
+                      self.conjugated, self.exponent)
 
 
 def _coerce(x):
@@ -286,40 +297,26 @@ def point_from_pairs(pairs, path: str, n: int | None = None) -> np.ndarray:
 _REAL_IMAG_TOL = 1e-12
 
 
-class Roots(tuple):
-    """Trees that ``evaluate`` runs together.  Their compiled program is
-    kept on the tuple, so a cache that holds the tuple compiles them once."""
-
-
 def evaluate(f, z):
     """Evaluate ``f`` at the point ``z`` (any complex sequence).
 
     ``f`` is one tree, or a sequence of trees evaluated in one pass whose
     values come back as a list.  On first use the trees are compiled into
-    one straight-line Python function: each distinct node object is one
-    local, computed in depth-first order (a quotient's denominator first)
-    with CPython complex arithmetic, so the values are those of a walk over
-    the trees bit for bit.  The function is kept on the tree, or on a
-    ``Roots`` tuple; any other sequence is compiled again on every call.
+    one straight-line Python function: each node is one local, computed in
+    depth-first order (a quotient's denominator first) with CPython complex
+    arithmetic, so the values are those of a walk over the trees bit for
+    bit.  The function is kept for the life of the process, under the tuple
+    of the trees.
     Raises EvalDomainError for ln of a non-positive (or non-real) argument,
-    for division by exactly zero and for a variable beyond the point's
-    dimension, carrying the offending subexpression and the point; when
-    several are reachable, the first in that order is raised.
+    for division by exactly zero, for a power or modulus that overflows and
+    for a variable beyond the point's dimension, carrying the offending
+    subexpression and the point; when several are reachable, the first in
+    that order is raised.
     """
     zz = as_point(z)
-    program = getattr(f, "_program", None) or _compiled(f)
-    return program(zz)[0] if isinstance(f, Expr) else program(zz)
-
-
-def _compiled(f):
-    """The program of a tree or a sequence of trees, kept on ``f`` when it
-    is an ``Expr`` or a ``Roots``: never in a table keyed by ``id``, which a
-    freed tree hands on to the next one built."""
-    single = isinstance(f, Expr)
-    program = _compile((f,) if single else tuple(f))
-    if single or isinstance(f, Roots):
-        object.__setattr__(f, "_program", program)
-    return program
+    if isinstance(f, Expr):
+        return _compile((f,))(zz)[0]
+    return _compile(tuple(f))(zz)
 
 
 # the value of each node kind from its children's locals {0}, {1}
@@ -344,14 +341,10 @@ def _beyond_dimension(var_nodes, zz):
     return _fail(f"variable z{e.index} exceeds point dimension {n}", e, zz)
 
 
+@lru_cache(maxsize=None)
 def _compile(roots):
     """One function ``program(zz)`` returning the list of the roots' values
-    at the point array ``zz``.
-
-    Locals are named by node identity, as a memo over one walk would be;
-    ``==`` would merge constants such as (-2.5+0j) and (-2.5-0j).  Every
-    node stays alive in ``roots`` while this runs, so no ``id`` is reused.
-    """
+    at the point array ``zz``; kept for each tuple of roots."""
     local = {}
     consts = []         # const values, bound to default arguments
     params = []
@@ -360,15 +353,15 @@ def _compile(roots):
     body = []
 
     def visit(e):
-        name = local.get(id(e))
+        name = local.get(e)
         if name is not None:
             return name
         k = e.kind
         kids = e.children
         if k == "const":
-            name = local[id(e)] = f"v{len(local)}"
+            name = local[e] = f"v{len(local)}"
             params.append(f"{name}=_k[{len(consts)}]")
-            consts.append(complex(e.value))
+            consts.append(e.value)
             return name
         if k == "var":
             var_nodes.append(e)
@@ -394,8 +387,15 @@ def _compile(roots):
         else:
             body.append(f"raise ValueError({f'unknown node kind {k!r}'!r})")
             code = "None"
-        name = local[id(e)] = f"v{len(local)}"
-        body.append(f"{name} = {code}")
+        name = local[e] = f"v{len(local)}"
+        if k in ("pow", "abs"):
+            # CPython raises OverflowError where a mul would give inf
+            body.append(f"try: {name} = {code}")
+            body.append(f"except OverflowError: raise _fail('overflow', "
+                        f"_n[{len(failing)}], zz) from None")
+            failing.append(e)
+        else:
+            body.append(f"{name} = {code}")
         return name
 
     results = [visit(r) for r in roots]
@@ -424,10 +424,6 @@ def as_real_function(f):
 
 # ---------------------------------------------------------------------------
 # Wirtinger differentiation
-
-_HALF = const(0.5)
-_MINUS_HALF_I = const(-0.5j)
-
 
 @lru_cache(maxsize=None)
 def _wirt(e: Expr, j: int, conjugated: bool) -> Expr:
@@ -460,10 +456,10 @@ def _wirt(e: Expr, j: int, conjugated: bool) -> Expr:
         return conj(_wirt(a, j, not conjugated))
     if k == "re":
         # re(u) = (u + conj u) / 2
-        return mul(_HALF, add(_wirt(a, j, conjugated), conj(_wirt(a, j, not conjugated))))
+        return mul(const(0.5), add(_wirt(a, j, conjugated), conj(_wirt(a, j, not conjugated))))
     if k == "im":
         # im(u) = (u - conj u) / (2i)
-        return mul(_MINUS_HALF_I, sub(_wirt(a, j, conjugated), conj(_wirt(a, j, not conjugated))))
+        return mul(const(-0.5j), sub(_wirt(a, j, conjugated), conj(_wirt(a, j, not conjugated))))
     if k == "abs2":
         # abs2(u) = u * conj(u)
         return add(mul(_wirt(a, j, conjugated), conj(a)),

@@ -121,7 +121,3 @@ def log_convexity_test(d: ReinhardtUnion) -> ReinhardtReport:
         LogConvexityWitness(tuple(float(v) for v in p), tuple(float(v) for v in q),
                             tuple(float(v) for v in mid), log_image_defect(d, p),
                             log_image_defect(d, q), log_image_defect(d, mid)))
-
-
-# the same test, under the name of the answer it reports
-not_domain_of_holomorphy_report = log_convexity_test

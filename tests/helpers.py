@@ -60,6 +60,16 @@ def compose_with_matrix(f: ex.Expr, v: np.ndarray) -> ex.Expr:
     return ex.substitute(f, mapping)
 
 
+def same_structure(a: ex.Expr, b: ex.Expr) -> bool:
+    """Structural equality of two trees: fields by value ``==``, children
+    recursively.  Unlike ``is`` it takes (-2.5+0j) and (-2.5-0j) as equal,
+    which ``to_text`` prints alike, as -2.5."""
+    return (a.kind == b.kind and a.value == b.value and a.index == b.index
+            and a.conjugated == b.conjugated and a.exponent == b.exponent
+            and len(a.children) == len(b.children)
+            and all(map(same_structure, a.children, b.children)))
+
+
 def walk_evaluate(f, z):
     """The recursive evaluator that ``expr.evaluate``'s compiled programs
     replace: one walk over the trees with a memo by node identity, kept as
@@ -94,16 +104,18 @@ def walk_evaluate(f, z):
                 raise EvalDomainError("division by zero",
                                       ex.to_text(e.children[1]), tuple(zz))
             v = go(e.children[0]) / den
-        elif k == "pow":
-            v = go(e.children[0]) ** e.exponent
+        elif k in ("pow", "abs"):
+            w = go(e.children[0])
+            try:
+                v = w ** e.exponent if k == "pow" else abs(w)
+            except OverflowError:
+                raise EvalDomainError("overflow", ex.to_text(e), tuple(zz)) from None
         elif k == "neg":
             v = -go(e.children[0])
         elif k == "re":
             v = complex(go(e.children[0]).real)
         elif k == "im":
             v = complex(go(e.children[0]).imag)
-        elif k == "abs":
-            v = complex(abs(go(e.children[0])))
         elif k == "abs2":
             w = go(e.children[0])
             v = complex(w.real * w.real + w.imag * w.imag)

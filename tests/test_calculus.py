@@ -279,3 +279,15 @@ def test_derivative_matrices_evaluate_their_trees_in_one_call(monkeypatch):
     calls.clear()
     lc.complex_gradient(f, z)
     assert [len(trees) for trees in calls] == [3]
+
+
+def test_gradient_bits_do_not_depend_on_what_was_differentiated_before():
+    # (-2.5+0j) == (-2.5-0j), but the two trees are two nodes with their own
+    # derivatives; these are the bits of each in a fresh interpreter
+    plus = ex.mul(ex.mul(ex.const(complex(-2.5, 0.0)), ex.var(1)), ex.var(2))
+    minus = ex.mul(ex.mul(ex.const(complex(-2.5, -0.0)), ex.var(1)), ex.var(2))
+    bits = []
+    for f in (plus, minus):
+        g = lc.complex_gradient(f, [0, 0.5 - 0.25j]).components[1]
+        bits.append((g.real.hex(), g.imag.hex()))
+    assert bits == [("-0x0.0p+0", "0x0.0p+0"), ("0x0.0p+0", "-0x0.0p+0")]

@@ -309,6 +309,23 @@ def test_missing_points_file_is_a_config_error(tmp_path, capsys):
     assert "error: points_file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expression, hint", [
+    ("abs2(z1^2) - 1", [1.0e+200, 0.0]), ("abs(z1) - 1", [1.5e+308, 1.5e+308])])
+def test_overflowing_power_or_modulus_is_an_error_exit(tmp_path, capsys, expression,
+                                                       hint):
+    # with z1*z1 in place of z1^2 the value at the hint is inf, and the run
+    # passes; the power and the modulus raise OverflowError in CPython
+    cfg = {"domain": {"variant": "sublevel", "dimension": 1, "level": 0.0,
+                      "expression": expression, "box_center": [[0.0, 0.0]],
+                      "box_radii": [1.0], "interior_hint": [hint]},
+           "samples": 4, "seed": 0}
+    config = tmp_path / "overflow.yaml"
+    config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert main(["classify", "--config", str(config)]) == 1
+    assert "error: overflow in subexpression" in capsys.readouterr().err
+
+
+
 @pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
 def test_is_complex_must_be_true_or_false(value):
     cfg = {"kind": "affine", "is_complex": value,
@@ -358,6 +375,7 @@ def test_cli_error_paths(tmp_path, capsys):
 def test_shipped_configs_run():
     from pathlib import Path
     commands = {"ball_classify": "classify",
+                "quartic_classify": "classify",
                 "hartogs_reinhardt": "reinhardt",
                 "hartogs_log_distance": "log-distance-probe",
                 "polydisc_exhaustion": "exhaustion"}
@@ -406,11 +424,16 @@ def test_canonical_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     canonical = []
     for hash_seed in ("0", "1"):
         out = tmp_path / f"report-{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         subprocess.run([sys.executable, "-m", "levikit.cli", "classify",
                         "--config", str(config), "--out", str(out)],
-                       env=dict(os.environ, PYTHONHASHSEED=hash_seed),
-                       capture_output=True, text=True, check=True)
+                       env=env, capture_output=True, text=True, check=True)
         canonical.append(rep.canonical_bytes(rep.load_report(out)))
+        # in its own process verify re-derives every tree from the echoed
+        # text; in process it would share the run's nodes and programs
+        checked = subprocess.run([sys.executable, "-m", "levikit.cli", "verify", str(out)],
+                                 env=env, capture_output=True, text=True, check=True)
+        assert "12 witnesses checked" in checked.stdout
     assert canonical[0] == canonical[1]
     assert b"StrictlyPseudoconvex" in canonical[0]
 

@@ -61,7 +61,7 @@ def test_ball_shaped_union_is_a_staircase():
     for t in np.linspace(0.05, np.pi / 2 - 0.05, 24):
         members.append(dom.Polydisc((0, 0), (math.cos(t), math.sin(t))))
     union = dom.ReinhardtUnion(tuple(members))
-    report = rh.not_domain_of_holomorphy_report(union)
+    report = rh.log_convexity_test(union)
     assert report.conclusion == "NotDomainOfHolomorphy"
     w = report.witness
     assert rh.witness_failure(union, w.p, w.q, w.midpoint) is None
@@ -69,7 +69,7 @@ def test_ball_shaped_union_is_a_staircase():
 
 
 def test_hartogs_report_concludes_not_domain_of_holomorphy():
-    report = rh.not_domain_of_holomorphy_report(HF)
+    report = rh.log_convexity_test(HF)
     assert report.conclusion == "NotDomainOfHolomorphy"
     assert report.witness is not None
     assert "logarithmic image" in report.reason
