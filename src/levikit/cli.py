@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from functools import partial
 
 import yaml
 
@@ -24,7 +23,7 @@ from . import expr as ex
 from . import hulls
 from . import reinhardt as rh
 from . import report as rep
-from .errors import ConfigError, FamilyLeavesDomain, LevikitError
+from .errors import ConfigError, EvalDomainError, FamilyLeavesDomain, LevikitError
 from .selftest import run_selftest
 
 _COMMON_KEYS = {"seed", "out", "workers", "tol"}
@@ -47,7 +46,8 @@ _ALLOWED_KEYS = {
 def load_config_file(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            # libyaml parses where PyYAML has it; PyYAML resolves the values
+            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except yaml.YAMLError as err:
@@ -122,6 +122,8 @@ def _domain(cfg) -> tuple:
         raise ConfigError("domain: must be a mapping")
     try:
         d = dom.domain_from_dict(spec)
+    except EvalDomainError:
+        raise   # names its subexpression and point already
     except (KeyError, ValueError, LevikitError) as err:
         raise ConfigError(f"domain: {err}") from None
     return d, d.to_dict()
@@ -312,9 +314,8 @@ def _run_hull(cfg):
             raise ConfigError(f"points_file: cannot read {cfg['points_file']!r}: "
                               f"{err.strerror}") from None
     else:
-        pset = hulls.PointSet(hulls.decode_points(_require(cfg, "points"),
-                                                  is_complex, "points"),
-                              is_complex)
+        points = hulls.decode_points(_require(cfg, "points"), is_complex, "points")
+        pset = hulls.PointSet(points, is_complex)
     if kind == "affine" and is_complex:
         raise ConfigError("is_complex: the affine hull test takes real points; "
                           "use kind: polynomial for complex points")
@@ -324,14 +325,10 @@ def _run_hull(cfg):
     functionals = _count(cfg, "functionals", 500)
     degree = _count(cfg, "degree", 8)
     random_count = _count(cfg, "random_count", 0, minimum=0)
-    if kind == "affine":
-        member = partial(hulls.affine_hull_membership, pset,
-                         functionals=functionals, seed=seed, tol=tol)
-    else:
-        member = partial(hulls.polynomial_hull_membership, pset, degree=degree,
-                         count=random_count, seed=seed, tol=tol)
-    records = [{"key": f"query-{i:04d}", **vars(member(query))}
-               for i, query in enumerate(query_points)]
+    results = (hulls.affine_hull_membership(pset, query_points, functionals, seed, tol)
+               if kind == "affine" else hulls.polynomial_hull_membership(
+                   pset, query_points, degree, random_count, seed, tol))
+    records = [{"key": f"query-{i:04d}", **vars(r)} for i, r in enumerate(results)]
     outside = sum(r["verdict"] == "Outside" for r in records)
     bound = hulls.hull_boundedness_check(pset)
     records.append({"key": "bounds", "per_coordinate": bound.per_coordinate,

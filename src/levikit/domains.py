@@ -21,7 +21,7 @@ import numpy as np
 
 from . import calculus as lc
 from . import expr as ex
-from .errors import LevikitError, PointOutsideDomain, UnsupportedMetric
+from .errors import ConfigError, LevikitError, PointOutsideDomain, UnsupportedMetric
 from .sampling import disc_points, rejection_sample, unit_vector
 
 EUCLIDEAN = "euclidean"
@@ -617,7 +617,13 @@ class Sublevel(Domain, variant="sublevel"):
         if "interior_hint" in spec:
             kwargs["interior_hint"] = ex.point_from_pairs(
                 spec["interior_hint"], f"{path}.interior_hint")
-        return cls(f, spec.get("level", 0.0), n, **kwargs)
+        d = cls(f, spec.get("level", 0.0), n, **kwargs)
+        if d.interior_hint is not None:
+            gap = ex.evaluate(f, d.interior_hint).real - d.level
+            if not gap < 0:
+                raise ConfigError(f"{path}.interior_hint: f - level is {gap!r} "
+                                  f"there, not below 0")
+        return d
 
 
 def _norm(v, metric):

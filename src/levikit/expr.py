@@ -331,7 +331,7 @@ _OPS = {
 
 
 def _fail(message, node, zz):
-    return EvalDomainError(message, to_text(node), tuple(zz))
+    return EvalDomainError(message, to_text(node), tuple(zz.tolist()))
 
 
 def _beyond_dimension(var_nodes, zz):
@@ -510,7 +510,7 @@ def is_real_valued(f: Expr, samples: int = 50, seed: int = 0,
         try:
             v = evaluate(f, z)
         except EvalDomainError as err:
-            raise err.with_point(tuple(z)) from None
+            raise err.with_point(tuple(z.tolist())) from None
         if abs(v.imag) > worst_imag:
             worst_imag = abs(v.imag)
             worst = tuple(z)

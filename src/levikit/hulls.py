@@ -33,9 +33,6 @@ class PointSet:
     def dimension(self):
         return self.points.shape[1]
 
-    def __len__(self):
-        return self.points.shape[0]
-
 
 def real_points(arr) -> PointSet:
     return PointSet(np.asarray(arr, dtype=float), is_complex=False)
@@ -60,17 +57,11 @@ def load_point_set(path, dimension: int, is_complex: bool = True) -> PointSet:
                                    f"numbers") from None
             if not all(map(math.isfinite, vals)):
                 raise ConfigError(f"{path}:{lineno}: coordinates must be finite")
-            if is_complex:
-                if len(vals) != 2 * dimension:
-                    raise LevikitError(
-                        f"{path}:{lineno}: expected {2 * dimension} numbers")
-                rows.append([complex(vals[2 * j], vals[2 * j + 1])
-                             for j in range(dimension)])
-            else:
-                if len(vals) != dimension:
-                    raise LevikitError(
-                        f"{path}:{lineno}: expected {dimension} numbers")
-                rows.append(vals)
+            width = 2 * dimension if is_complex else dimension
+            if len(vals) != width:
+                raise LevikitError(f"{path}:{lineno}: expected {width} numbers")
+            rows.append([complex(*vals[2 * j:2 * j + 2]) for j in range(dimension)]
+                        if is_complex else vals)
     if not rows:
         raise LevikitError(f"{path}: no points found")
     return PointSet(np.array(rows), is_complex=is_complex)
@@ -141,10 +132,7 @@ def _membership(query, values, norms, tol, certificate) -> HullMembershipResult:
 
 def convex_hull_2d(points) -> list:
     """Counterclockwise extreme points; collinear interior points excluded."""
-    if isinstance(points, PointSet):
-        pts = points.points
-    else:
-        pts = np.asarray(points, dtype=float)
+    pts = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=float)
     uniq = sorted({(float(p[0]), float(p[1])) for p in pts})
     if len(uniq) <= 2:
         return uniq
@@ -152,18 +140,16 @@ def convex_hull_2d(points) -> list:
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower = []
-    for p in uniq:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(uniq):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]     # its last point starts the other chain
+
     # collinear points leave the two segment endpoints
-    return lower[:-1] + upper[:-1]
+    return chain(uniq) + chain(reversed(uniq))
 
 
 def polygon_contains(vertices, p, tol: float = 0.0) -> bool:
@@ -201,48 +187,52 @@ def distance_to_polygon(vertices, p) -> float:
 # ---------------------------------------------------------------------------
 # affine outer approximation (real hull)
 
-def affine_functionals(seed: int, count: int, dimension: int,
-                       bound: float) -> tuple:
-    """(directions, offsets) for the sampled affine family A(y) = u.y + b.
-
-    Directions and offsets come from separately spawned streams so the
-    family for a larger count extends the family for a smaller count
-    exactly (seed-prefix monotonicity).
-    """
+def affine_functionals(seed: int, count: int, dimension: int) -> tuple:
+    """(directions, draws) of the sampled affine family A(y) = u.y + b: unit
+    directions u, and the ``random()`` draws d from which an offset bound B
+    gives b = -B + (2B) * d, what ``Generator.uniform(-B, B)`` computes.
+    The two come from separately spawned streams, so the family for a
+    larger count extends the family for a smaller count exactly."""
     ss_u, ss_b = np.random.SeedSequence(seed).spawn(2)
     raw = np.random.default_rng(ss_u).standard_normal((count, dimension))
     norms = np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-300)
-    offsets = np.random.default_rng(ss_b).uniform(-bound, bound, size=count)
-    return raw / norms, offsets
+    return raw / norms, np.random.default_rng(ss_b).random(count)
 
 
-def _affine_sizes(dirs, offs, pts, x) -> tuple:
-    """(|A(x)|, sup_K |A|) for each functional A(y) = dirs[i] . y + offs[i]."""
-    return np.abs(dirs @ x + offs), np.max(np.abs(pts @ dirs.T + offs), axis=0)
-
-
-def affine_hull_membership(k_set: PointSet, x, functionals: int = 500,
-                           seed: int = 0, tol: float = 1e-9) -> HullMembershipResult:
-    """Sampled-affine-functional membership test against the convex hull of K.
+def affine_hull_membership(k_set: PointSet, queries, functionals: int = 500,
+                           seed: int = 0, tol: float = 1e-9) -> list:
+    """Sampled-affine-functional membership of each query in the convex hull
+    of K, one result per query.
 
     Functionals are A(y) = u . y + b with unit u and offset b uniform in
-    [-B, B], B = 2 * coordinate bound of K and x; offsets matter because the
-    comparison runs on |A|.  The functional family extends monotonically
-    with the count for a fixed seed, so growing ``functionals`` never flips
-    an Outside verdict back to Inside.
+    [-B, B], B = 2 * coordinate bound of K and the query; offsets matter
+    because the comparison runs on |A|.  One family serves every query, and
+    K is projected on its directions once: rounding p + b is monotone in p,
+    so sup_K |A| = max(|hi + b|, |lo + b|) over the largest and smallest
+    projections, bit for bit.  Growing ``functionals`` extends the family,
+    so it never flips an Outside verdict back to Inside.
     """
     if functionals < 1:
         raise ValueError("functional count must be >= 1")
     pts = k_set.points.astype(float)
-    xx = np.asarray(x, dtype=float)
-    bound = 2.0 * max(float(np.max(np.abs(pts))), float(np.max(np.abs(xx))), 1e-12)
-    if not math.isfinite(bound):
-        raise LevikitError(f"affine offset bound 2*max|coordinate| is {bound}, "
-                           f"not finite")
-    dirs, offs = affine_functionals(seed, functionals, pts.shape[1], bound)
-    values, norms = _affine_sizes(dirs, offs, pts, xx)
-    return _membership(tuple(float(v) for v in xx), values, norms, tol, lambda i: {
-        "kind": "affine", "direction": tuple(dirs[i]), "offset": float(offs[i])})
+    k_max = float(np.max(np.abs(pts)))
+    dirs, draws = affine_functionals(seed, functionals, pts.shape[1])
+    proj = pts @ dirs.T
+    hi, lo = proj.max(axis=0), proj.min(axis=0)
+    results = []
+    for x in queries:
+        xx = np.asarray(x, dtype=float)
+        bound = 2.0 * max(k_max, float(np.max(np.abs(xx))), 1e-12)
+        if not math.isfinite(bound):
+            raise LevikitError(f"affine offset bound 2*max|coordinate| is {bound}, "
+                               f"not finite")
+        offs = -bound + (2.0 * bound) * draws
+        norms = np.maximum(np.abs(hi + offs), np.abs(lo + offs))
+        results.append(_membership(
+            tuple(float(v) for v in xx), np.abs(dirs @ xx + offs), norms, tol,
+            lambda i: {"kind": "affine", "direction": tuple(dirs[i]),
+                       "offset": float(offs[i])}))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -264,24 +254,28 @@ def _eval_poly(exponents, coefficients, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _polynomial_sizes(exponents, coefficients, pts, z) -> tuple:
-    """(|p(z)|, sup_K |p|) for p = sum of coefficient * monomial; z is (1, n).
-    A size beyond the float range comes back infinite (or NaN), without a
-    warning, for ``_membership`` to reject."""
+def _sup_modulus(exponents, coefficients, pts) -> float:
+    """max |p| over the rows of ``pts``, for p = sum of coefficient * monomial.
+    Here and in ``_modulus_at`` a size beyond the float range comes back
+    infinite (or NaN), without a warning, for ``_membership`` to reject."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(_eval_poly(exponents, coefficients, pts))))
+
+
+def _modulus_at(exponents, coefficients, z) -> float:
+    """|p(z)| for a (1, n) array z."""
     with np.errstate(over="ignore", invalid="ignore"):
         at_z = complex(_eval_poly(exponents, coefficients, z)[0])
-        norm = float(np.max(np.abs(_eval_poly(exponents, coefficients, pts))))
     try:
-        value = abs(at_z)
+        return abs(at_z)
     except OverflowError:   # finite parts, but a modulus above the float range
-        value = math.inf
-    return value, norm
+        return math.inf
 
 
-def polynomial_hull_membership(k_set: PointSet, z, degree: int, count: int = 0,
-                               seed: int = 0, tol: float = 1e-9) -> HullMembershipResult:
-    """Outer polynomial-family test: Outside iff some tested p has
-    |p(z)| > sup_K |p| + tol.
+def polynomial_hull_membership(k_set: PointSet, queries, degree: int, count: int = 0,
+                               seed: int = 0, tol: float = 1e-9) -> list:
+    """Outer polynomial-family test, one result per query z: Outside iff some
+    tested p has |p(z)| > sup_K |p| + tol, with sup_K |p| computed once.
 
     The family is every monomial of total degree 1..degree plus ``count``
     seeded polynomials with unit-modulus coefficients on the same
@@ -291,19 +285,22 @@ def polynomial_hull_membership(k_set: PointSet, z, degree: int, count: int = 0,
     if degree < 1:
         raise ValueError("degree must be >= 1")
     pts = k_set.points.astype(complex)
-    zz = np.asarray(z, dtype=complex).reshape(1, -1)
     exps = monomial_exponents(pts.shape[1], degree)
 
     rng = np.random.default_rng(seed)
     candidates = [([e], [1.0 + 0j]) for e in exps] + [
         (exps, list(np.exp(2j * np.pi * rng.uniform(size=len(exps)))))
         for _ in range(count)]
-    values, norms = np.array([_polynomial_sizes(exponents, coefficients, pts, zz)
-                              for exponents, coefficients in candidates]).T
-    query = tuple((v.real, v.imag) for v in np.asarray(z, dtype=complex))
-    return _membership(query, values, norms, tol, lambda i: {
-        "kind": "polynomial", "exponents": [list(e) for e in candidates[i][0]],
-        "coefficients": [[c.real, c.imag] for c in map(complex, candidates[i][1])]})
+    norms = np.array([_sup_modulus(e, c, pts) for e, c in candidates])
+    results = []
+    for z in queries:
+        zz = np.asarray(z, dtype=complex).reshape(1, -1)
+        values = np.array([_modulus_at(e, c, zz) for e, c in candidates])
+        results.append(_membership(tuple((v.real, v.imag) for v in zz[0]), values, norms,
+                                   tol, lambda i: {
+            "kind": "polynomial", "exponents": [list(e) for e in candidates[i][0]],
+            "coefficients": [[c.real, c.imag] for c in map(complex, candidates[i][1])]}))
+    return results
 
 
 def certificate_failure(points: np.ndarray, query, certificate, tol: float,
@@ -311,22 +308,22 @@ def certificate_failure(points: np.ndarray, query, certificate, tol: float,
     """Why a stored Outside verdict fails to re-check, or None when its
     certificate still separates the report's ``query`` field from the
     (k, n) ``points`` of K by more than ``tol``; ``path`` names the record
-    in decoding errors."""
+    in decoding errors.  An affine sup_K |A| is the direct maximum over K,
+    independent of the projection extremes the membership test uses."""
     if certificate is None:
         return "Outside verdict without certificate"
     if certificate["kind"] == "affine":
-        values, norms = _affine_sizes(
-            np.array([certificate["direction"]], dtype=float),
-            certificate["offset"], points.astype(float),
-            np.asarray(query, dtype=float))
-        value, norm_k = values[0], norms[0]
+        direction = np.array([certificate["direction"]], dtype=float)
+        offset = certificate["offset"]
+        value = np.abs(direction @ np.asarray(query, dtype=float) + offset)[0]
+        norm_k = np.max(np.abs(points.astype(float) @ direction.T + offset))
     else:
-        value, norm_k = _polynomial_sizes(
-            certificate["exponents"],
-            ex.point_from_pairs(certificate["coefficients"],
-                                f"{path}.certificate.coefficients"),
-            points.astype(complex),
-            ex.point_from_pairs(query, f"{path}.query").reshape(1, -1))
+        exponents = certificate["exponents"]
+        coefficients = ex.point_from_pairs(certificate["coefficients"],
+                                           f"{path}.certificate.coefficients")
+        value = _modulus_at(exponents, coefficients, ex.point_from_pairs(
+            query, f"{path}.query").reshape(1, -1))
+        norm_k = _sup_modulus(exponents, coefficients, points.astype(complex))
     if value > norm_k + tol:
         return None
     return "separation certificate does not re-check"

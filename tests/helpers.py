@@ -5,7 +5,8 @@ import math
 import numpy as np
 
 from levikit import expr as ex
-from levikit.errors import EvalDomainError
+from levikit import hulls
+from levikit.errors import EvalDomainError, LevikitError
 
 
 def brute_force_extreme_points(points: np.ndarray) -> set:
@@ -88,7 +89,7 @@ def walk_evaluate(f, z):
             if e.index > zz.shape[0]:
                 raise EvalDomainError(
                     f"variable z{e.index} exceeds point dimension {zz.shape[0]}",
-                    ex.to_text(e), tuple(zz))
+                    ex.to_text(e), tuple(zz.tolist()))
             v = zz[e.index - 1]
             if e.conjugated:
                 v = v.conjugate()
@@ -102,14 +103,14 @@ def walk_evaluate(f, z):
             den = go(e.children[1])
             if den == 0:
                 raise EvalDomainError("division by zero",
-                                      ex.to_text(e.children[1]), tuple(zz))
+                                      ex.to_text(e.children[1]), tuple(zz.tolist()))
             v = go(e.children[0]) / den
         elif k in ("pow", "abs"):
             w = go(e.children[0])
             try:
                 v = w ** e.exponent if k == "pow" else abs(w)
             except OverflowError:
-                raise EvalDomainError("overflow", ex.to_text(e), tuple(zz)) from None
+                raise EvalDomainError("overflow", ex.to_text(e), tuple(zz.tolist())) from None
         elif k == "neg":
             v = -go(e.children[0])
         elif k == "re":
@@ -125,7 +126,7 @@ def walk_evaluate(f, z):
             w = go(e.children[0])
             if abs(w.imag) > ex._REAL_IMAG_TOL * max(1.0, abs(w)) or w.real <= 0:
                 raise EvalDomainError(f"ln of non-positive argument {w}",
-                                      ex.to_text(e.children[0]), tuple(zz))
+                                      ex.to_text(e.children[0]), tuple(zz.tolist()))
             v = complex(math.log(w.real))
         elif k == "exp":
             v = np.exp(complex(go(e.children[0])))
@@ -136,3 +137,52 @@ def walk_evaluate(f, z):
         return v
 
     return go(f) if isinstance(f, ex.Expr) else [go(e) for e in f]
+
+
+def affine_membership_oracle(k_set, x, functionals=500, seed=0, tol=1e-9):
+    """The per-query affine test that ``hulls.affine_hull_membership``
+    batches: for each query the family is redrawn with ``uniform(-B, B)``
+    offsets and K is projected on it again, and sup_K |A| is the direct
+    maximum over K.  Kept as the oracle the batch must match bit for bit."""
+    pts = k_set.points.astype(float)
+    xx = np.asarray(x, dtype=float)
+    bound = 2.0 * max(float(np.max(np.abs(pts))), float(np.max(np.abs(xx))), 1e-12)
+    if not math.isfinite(bound):
+        raise LevikitError(f"affine offset bound 2*max|coordinate| is {bound}, "
+                           f"not finite")
+    ss_u, ss_b = np.random.SeedSequence(seed).spawn(2)
+    raw = np.random.default_rng(ss_u).standard_normal((functionals, pts.shape[1]))
+    dirs = raw / np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-300)
+    offs = np.random.default_rng(ss_b).uniform(-bound, bound, size=functionals)
+    values = np.abs(dirs @ xx + offs)
+    norms = np.max(np.abs(pts @ dirs.T + offs), axis=0)
+    return hulls._membership(tuple(float(v) for v in xx), values, norms, tol, lambda i: {
+        "kind": "affine", "direction": tuple(dirs[i]), "offset": float(offs[i])})
+
+
+def polynomial_membership_oracle(k_set, z, degree, count=0, seed=0, tol=1e-9):
+    """The per-query polynomial test that ``hulls.polynomial_hull_membership``
+    batches: sup_K |p| of every candidate is computed again for each
+    query.  Kept as the oracle the batch must match bit for bit."""
+    pts = k_set.points.astype(complex)
+    zz = np.asarray(z, dtype=complex).reshape(1, -1)
+    exps = hulls.monomial_exponents(pts.shape[1], degree)
+    rng = np.random.default_rng(seed)
+    candidates = [([e], [1.0 + 0j]) for e in exps] + [
+        (exps, list(np.exp(2j * np.pi * rng.uniform(size=len(exps)))))
+        for _ in range(count)]
+    sizes = []
+    for exponents, coefficients in candidates:
+        with np.errstate(over="ignore", invalid="ignore"):
+            at_z = complex(hulls._eval_poly(exponents, coefficients, zz)[0])
+            norm = float(np.max(np.abs(hulls._eval_poly(exponents, coefficients, pts))))
+        try:
+            value = abs(at_z)
+        except OverflowError:
+            value = math.inf
+        sizes.append((value, norm))
+    values, norms = np.array(sizes).T
+    query = tuple((v.real, v.imag) for v in np.asarray(z, dtype=complex))
+    return hulls._membership(query, values, norms, tol, lambda i: {
+        "kind": "polynomial", "exponents": [list(e) for e in candidates[i][0]],
+        "coefficients": [[c.real, c.imag] for c in map(complex, candidates[i][1])]})

@@ -207,10 +207,10 @@ def test_criterion_10_hull_cross_validation():
         pts = rng.standard_normal((100, 2))
         pset = hulls.real_points(pts)
         hull = hulls.convex_hull_2d(pts)
-        for _ in range(1000):
-            q = 2.0 * rng.standard_normal(2)
-            res = hulls.affine_hull_membership(pset, q, functionals=500,
+        queries = 2.0 * rng.standard_normal((1000, 2))
+        results = hulls.affine_hull_membership(pset, queries, functionals=500,
                                                seed=trial)
+        for q, res in zip(queries, results):
             inside_exact = hulls.polygon_contains(hull, q, tol=1e-12)
             if inside_exact and res.verdict == "Outside":
                 false_outside += 1

@@ -11,7 +11,7 @@ import yaml
 
 from levikit import domains as dom
 from levikit import report as rep
-from levikit.cli import main, run_command
+from levikit.cli import load_config_file, main, run_command
 from levikit.errors import ConfigError, LevikitError
 
 BALL_CFG = {
@@ -322,8 +322,71 @@ def test_overflowing_power_or_modulus_is_an_error_exit(tmp_path, capsys, express
     config = tmp_path / "overflow.yaml"
     config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
     assert main(["classify", "--config", str(config)]) == 1
-    assert "error: overflow in subexpression" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: overflow in subexpression" in err
+    # the point as plain complex values, e.g. ((1e+200+0j),)
+    assert f"at point ({complex(*hint)!r},)" in err and "np.complex128" not in err
 
+
+def test_interior_hint_outside_the_domain_is_a_config_error(tmp_path, capsys):
+    # z1*z1 overflows to inf without an error, so f - level is inf at the hint
+    cfg = {"domain": {"variant": "sublevel", "dimension": 1, "level": 0.0,
+                      "expression": "abs2(z1*z1) - 1", "box_center": [[0.0, 0.0]],
+                      "box_radii": [1.0], "interior_hint": [[1.0e+200, 0.0]]},
+           "samples": 4, "seed": 0}
+    with pytest.raises(ConfigError, match=r"domain\.interior_hint: f - level is inf "
+                                          r"there, not below 0"):
+        run_command("classify", cfg)
+    # on the boundary f - level is 0, which is not below 0 either
+    on_boundary = {**cfg, "domain": {**cfg["domain"], "expression": "abs2(z1) - 1",
+                                     "interior_hint": [[1.0, 0.0]]}}
+    with pytest.raises(ConfigError, match=r"domain\.interior_hint: f - level is 0\.0 "):
+        run_command("classify", on_boundary)
+    config = tmp_path / "hint.yaml"
+    config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert main(["classify", "--config", str(config)]) == 1
+    assert "domain.interior_hint: f - level is inf" in capsys.readouterr().err
+
+
+_YAML_EDGES = """\
+tol: 1e-9
+flag: yes
+nothing: ~
+base: &base {radius: 1.0, center: [[0.0, 0.0]]}
+copy: *base
+merged: {<<: *base, radius: 2.0}
+"""
+
+
+def _both_loaders(text):
+    return [yaml.load(text, Loader=loader)
+            for loader in (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader))]
+
+
+def test_config_loader_reads_what_the_python_safe_loader_reads(tmp_path):
+    from pathlib import Path
+    config_dir = Path(__file__).resolve().parent.parent / "configs"
+    for path in sorted(config_dir.glob("*.yaml")):
+        text = path.read_text(encoding="utf-8")
+        python, loaded = _both_loaders(text)
+        assert python == loaded == load_config_file(path), path.name
+    python, loaded = _both_loaders(_YAML_EDGES)
+    path = tmp_path / "edges.yaml"
+    path.write_text(_YAML_EDGES, encoding="utf-8")
+    assert python == loaded == load_config_file(path)
+    # YAML 1.1 as PyYAML resolves it: 1e-9 (no dot) is a string, yes is true
+    assert python["tol"] == "1e-9" and python["flag"] is True
+    assert python["nothing"] is None and python["copy"] == python["base"]
+    assert python["merged"] == {"radius": 2.0, "center": [[0.0, 0.0]]}
+
+
+def test_invalid_yaml_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("domain: {variant: ball\nsamples: [1, 2\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="config file is not valid YAML"):
+        load_config_file(path)
+    assert main(["classify", "--config", str(path)]) == 1
+    assert "error: config file is not valid YAML" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
@@ -375,6 +438,7 @@ def test_cli_error_paths(tmp_path, capsys):
 def test_shipped_configs_run():
     from pathlib import Path
     commands = {"ball_classify": "classify",
+                "hull_affine": "hull",
                 "quartic_classify": "classify",
                 "hartogs_reinhardt": "reinhardt",
                 "hartogs_log_distance": "log-distance-probe",
@@ -383,8 +447,7 @@ def test_shipped_configs_run():
     paths = sorted(config_dir.glob("*.yaml"))
     assert len(paths) == len(commands)
     for path in paths:
-        cfg = yaml.safe_load(path.read_text(encoding="utf-8"))
-        report, code = run_command(commands[path.stem], cfg)
+        report, code = run_command(commands[path.stem], load_config_file(path))
         assert code in (0, 2)
         assert rep.verify_report(report).passed
 

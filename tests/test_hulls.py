@@ -5,11 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levikit import hulls
 from levikit.errors import LevikitError
 
-from helpers import brute_force_extreme_points
+from helpers import (affine_membership_oracle, brute_force_extreme_points,
+                     polynomial_membership_oracle)
 
 
 def test_hull_of_square_plus_center():
@@ -39,9 +42,8 @@ def test_hull_matches_brute_force_oracle():
 
 def test_affine_membership_inside_and_outside():
     square = hulls.real_points([[0, 0], [1, 0], [1, 1], [0, 1]])
-    inside = hulls.affine_hull_membership(square, [0.5, 0.5])
+    inside, outside = hulls.affine_hull_membership(square, [[0.5, 0.5], [2, 0]])
     assert inside.verdict == "Inside"
-    outside = hulls.affine_hull_membership(square, [2, 0])
     assert outside.verdict == "Outside"
     cert = outside.certificate
     u = np.asarray(cert["direction"])
@@ -60,10 +62,10 @@ def test_affine_membership_cross_validation():
         false_outside = 0
         outside_missed = 0
         outside_far = 0
-        for _ in range(200):
-            q = 1.6 * rng.standard_normal(2)
-            res = hulls.affine_hull_membership(pset, q, functionals=500,
+        queries = 1.6 * rng.standard_normal((200, 2))
+        results = hulls.affine_hull_membership(pset, queries, functionals=500,
                                                seed=trial)
+        for q, res in zip(queries, results):
             exact_inside = hulls.polygon_contains(hull, q, tol=1e-12)
             if exact_inside and res.verdict == "Outside":
                 false_outside += 1
@@ -78,10 +80,10 @@ def test_affine_membership_cross_validation():
 def test_affine_membership_monotone_in_functional_count():
     rng = np.random.default_rng(2)
     pts = hulls.real_points(rng.standard_normal((40, 2)))
-    queries = [2.0 * rng.standard_normal(2) for _ in range(50)]
-    for q in queries:
-        small = hulls.affine_hull_membership(pts, q, functionals=100, seed=9)
-        large = hulls.affine_hull_membership(pts, q, functionals=400, seed=9)
+    queries = 2.0 * rng.standard_normal((50, 2))
+    for small, large in zip(
+            hulls.affine_hull_membership(pts, queries, functionals=100, seed=9),
+            hulls.affine_hull_membership(pts, queries, functionals=400, seed=9)):
         if small.verdict == "Outside":
             assert large.verdict == "Outside"
             assert large.best_margin >= small.best_margin - 1e-15
@@ -91,16 +93,14 @@ def test_affine_membership_idempotent_under_certified_inside_points():
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((50, 2))
     pset = hulls.real_points(pts)
-    inside_points = []
-    for _ in range(100):
-        q = rng.standard_normal(2)
-        if hulls.affine_hull_membership(pset, q, seed=4).verdict == "Inside":
-            inside_points.append(q)
+    candidates = rng.standard_normal((100, 2))
+    inside_points = [q for q, res in zip(
+        candidates, hulls.affine_hull_membership(pset, candidates, seed=4))
+        if res.verdict == "Inside"]
     augmented = hulls.real_points(np.vstack([pts, inside_points]))
-    for _ in range(100):
-        q = 1.5 * rng.standard_normal(2)
-        a = hulls.affine_hull_membership(pset, q, seed=4)
-        b = hulls.affine_hull_membership(augmented, q, seed=4)
+    queries = 1.5 * rng.standard_normal((100, 2))
+    for a, b in zip(hulls.affine_hull_membership(pset, queries, seed=4),
+                    hulls.affine_hull_membership(augmented, queries, seed=4)):
         assert a.verdict == b.verdict
         assert a.best_margin == pytest.approx(b.best_margin, abs=1e-14)
 
@@ -109,12 +109,12 @@ def test_polynomial_membership_circle():
     circle = hulls.complex_points(
         [[np.exp(2j * np.pi * k / 64)] for k in range(64)])
     for degree in (1, 3, 8):
-        res = hulls.polynomial_hull_membership(circle, [0], degree)
+        res, = hulls.polynomial_hull_membership(circle, [[0]], degree)
         assert res.verdict == "Inside"   # maximum modulus forces |p(0)| <= 1
-    out = hulls.polynomial_hull_membership(circle, [2], 8)
+    out, = hulls.polynomial_hull_membership(circle, [[2]], 8)
     assert out.verdict == "Outside"
     # the identity map already separates at degree 1
-    ident = hulls.polynomial_hull_membership(circle, [2], 1)
+    ident, = hulls.polynomial_hull_membership(circle, [[2]], 1)
     assert ident.verdict == "Outside"
     assert ident.certificate["exponents"] == [[1]]
 
@@ -123,9 +123,9 @@ def test_polynomial_membership_distinguished_boundary_of_polydisc():
     torus = hulls.complex_points(
         [[np.exp(2j * np.pi * j / 24), np.exp(2j * np.pi * k / 24)]
          for j in range(24) for k in range(24)])
-    res = hulls.polynomial_hull_membership(torus, [0.5, 0.5], 8)
+    res, = hulls.polynomial_hull_membership(torus, [[0.5, 0.5]], 8)
     assert res.verdict == "Inside"
-    out = hulls.polynomial_hull_membership(torus, [0, 5], 1)
+    out, = hulls.polynomial_hull_membership(torus, [[0, 5]], 1)
     assert out.verdict == "Outside"
     # separated by the second coordinate function
     assert out.certificate["exponents"] == [[0, 1]]
@@ -134,8 +134,8 @@ def test_polynomial_membership_distinguished_boundary_of_polydisc():
 def test_polynomial_membership_with_random_family_keeps_soundness():
     circle = hulls.complex_points(
         [[np.exp(2j * np.pi * k / 64)] for k in range(64)])
-    res = hulls.polynomial_hull_membership(circle, [0.2 + 0.1j], 6,
-                                           count=40, seed=5)
+    res, = hulls.polynomial_hull_membership(circle, [[0.2 + 0.1j]], 6,
+                                            count=40, seed=5)
     assert res.verdict == "Inside"
 
 
@@ -143,9 +143,10 @@ def test_outside_certificates_reverify_with_margin():
     rng = np.random.default_rng(6)
     pts = hulls.complex_points(rng.standard_normal((30, 2))
                                + 1j * rng.standard_normal((30, 2)))
-    for _ in range(20):
-        q = 3.0 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        res = hulls.polynomial_hull_membership(pts, q, 4, count=10, seed=7)
+    queries = [3.0 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+               for _ in range(20)]
+    for q, res in zip(queries, hulls.polynomial_hull_membership(
+            pts, queries, 4, count=10, seed=7)):
         if res.verdict == "Outside":
             cert = res.certificate
             coeffs = [complex(c[0], c[1]) for c in cert["coefficients"]]
@@ -181,17 +182,17 @@ def test_load_point_set(tmp_path):
 
 def test_first_of_tied_polynomial_candidates_is_the_certificate():
     # z2 and z1 (in monomial order) both reach |p(z)| = 2 against sup_K = 0
-    res = hulls.polynomial_hull_membership(hulls.complex_points([[0, 0]]),
-                                           [2, 2], 1)
+    res, = hulls.polynomial_hull_membership(hulls.complex_points([[0, 0]]),
+                                            [[2, 2]], 1)
     assert res.verdict == "Outside" and res.best_margin == 2.0
     assert res.certificate["exponents"] == [[0, 1]]
 
 
 @pytest.mark.parametrize("member", [
     lambda: hulls.affine_hull_membership(
-        hulls.real_points([[0, 0], [1, 0], [0, 1]]), [math.nan, 0.0]),
+        hulls.real_points([[0, 0], [1, 0], [0, 1]]), [[math.nan, 0.0]]),
     lambda: hulls.polynomial_hull_membership(
-        hulls.complex_points([[0, 0], [1, 0]]), [complex(math.nan, 0.0), 0], 1),
+        hulls.complex_points([[0, 0], [1, 0]]), [[complex(math.nan, 0.0), 0]], 1),
 ], ids=["affine", "polynomial"])
 def test_nan_margin_is_an_error_in_both_families(member):
     with pytest.raises(LevikitError, match="margin is NaN"):
@@ -211,4 +212,79 @@ def test_overflowing_polynomial_is_an_error_not_a_certificate(points, query, deg
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(LevikitError, match=named):
-            hulls.polynomial_hull_membership(hulls.complex_points(points), query, degree)
+            hulls.polynomial_hull_membership(hulls.complex_points(points), [query],
+                                             degree)
+
+
+def _same_bits(batched, oracle):
+    """Field for field, floats by their bits: the repr of a float is its
+    shortest round trip, so equal reprs are equal bits (signed zeros too)."""
+    assert len(batched) == len(oracle)
+    for got, want in zip(batched, oracle):
+        for field in ("query", "verdict", "certificate", "tested", "best_margin"):
+            assert repr(getattr(got, field)) == repr(getattr(want, field)), field
+
+
+def _hull_queries(rng, pts, count):
+    """Queries inside K (convex combinations), beyond max|K| (each with its
+    own offset bound), points of K themselves, near the origin, and one
+    repeat; complex where K is."""
+    k, n = pts.shape
+
+    def gauss(rows):
+        z = rng.standard_normal((rows, n))
+        return z + 1j * rng.standard_normal((rows, n)) if pts.dtype == complex else z
+
+    far = gauss(count)
+    far *= (1.5 + 3.0 * rng.random((count, 1))) * np.max(np.abs(pts)) / np.max(
+        np.abs(far), axis=1, keepdims=True)
+    rows = np.vstack([rng.dirichlet(np.ones(k), size=count) @ pts, far,
+                      pts[rng.integers(0, k, size=count)], 0.5 * gauss(count)])
+    rows = rows[rng.permutation(len(rows))]
+    return np.vstack([rows, rows[:1]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.integers(1, 300), st.sampled_from([0.0, 1e-9, 1e-3]),
+       st.sampled_from([1e-6, 1.0, 1e3]))
+def test_batched_affine_membership_matches_the_per_query_oracle(k, n, seed,
+                                                               functionals, tol,
+                                                               scale):
+    rng = np.random.default_rng(seed)
+    pset = hulls.real_points(scale * rng.standard_normal((k, n)))
+    queries = _hull_queries(rng, pset.points, 4)
+    batched = hulls.affine_hull_membership(pset, queries, functionals, seed, tol)
+    _same_bits(batched, [affine_membership_oracle(pset, q, functionals, seed, tol)
+                         for q in queries])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.integers(1, 3), st.integers(0, 4))
+def test_batched_polynomial_membership_matches_the_per_query_oracle(k, n, seed,
+                                                                   degree, count):
+    rng = np.random.default_rng(seed)
+    pset = hulls.complex_points(rng.standard_normal((k, n))
+                                + 1j * rng.standard_normal((k, n)))
+    queries = _hull_queries(rng, pset.points, 2)
+    batched = hulls.polynomial_hull_membership(pset, queries, degree, count, seed)
+    _same_bits(batched, [polynomial_membership_oracle(pset, q, degree, count, seed)
+                         for q in queries])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.floats(1e-12, 1e300, allow_nan=False, allow_infinity=False))
+def test_offsets_from_draws_equal_uniform_bit_for_bit(seed, bound):
+    _, draws = hulls.affine_functionals(seed, 200, 2)
+    ss_b = np.random.SeedSequence(seed).spawn(2)[1]
+    uniform = np.random.default_rng(ss_b).uniform(-bound, bound, size=200)
+    assert np.array_equal((-bound + (2.0 * bound) * draws).view(np.int64),
+                          uniform.view(np.int64))
+
+
+def test_no_queries_give_no_results():
+    square = hulls.real_points([[0, 0], [1, 0], [1, 1], [0, 1]])
+    assert hulls.affine_hull_membership(square, np.empty((0, 2))) == []
+    assert hulls.polynomial_hull_membership(hulls.complex_points([[1, 0]]), [], 2) == []
