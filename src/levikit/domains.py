@@ -27,6 +27,9 @@ from .sampling import disc_points, rejection_sample, unit_vector
 EUCLIDEAN = "euclidean"
 LINFTY = "linfty"
 _LEVEL_TOL = 1e-10
+# rejection-sampling candidates drawn and tested at once; about 4 are
+# needed per point of the Hartogs figure, so 8 mostly take one block
+_CANDIDATE_BLOCK = 8
 
 
 def _as_ctuple(v):
@@ -83,21 +86,52 @@ class Domain:
         raise LevikitError(f"no bounding region for {type(self).__name__}")
 
     def interior_sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Rejection sampling from the bounding polydisc, shape (count, n)."""
+        """Rejection sampling from the bounding polydisc, shape (count, n).
+
+        Candidates are drawn and tested ``_CANDIDATE_BLOCK`` at a time, and a
+        candidate where ``contains`` raises a LevikitError is rejected.  The
+        points, the draws counted against the budget and the state ``rng``
+        is left in are those of one draw and one test per candidate: when
+        the last block has candidates past the count-th sample, ``rng`` is
+        set back to its state on entry and draws the used candidates again.
+        That works for any bit generator and keeps a buffered 32-bit half,
+        which ``advance`` would clear.
+        """
         box = self.bounding_polydisc()
         center = np.asarray(box.center)
+        start = rng.bit_generator.state
+        pending = []
 
         def draw():
-            z = center + disc_points(rng, box.radii)
-            try:
-                return z if self.contains(z) else None
-            except LevikitError:
-                return None
+            if not pending:
+                z = center + disc_points(rng, box.radii, _CANDIDATE_BLOCK)
+                pending.extend(reversed(list(zip(z, self._contains_rows(z)))))
+            z, inside = pending.pop()
+            return z if inside else None
 
-        samples, _ = rejection_sample(
+        samples, rejected = rejection_sample(
             draw, count, max(1000, 200 * count),
             f"interior sampling of {type(self).__name__} failed")
+        if pending:
+            rng.bit_generator.state = start
+            rng.uniform(size=(count + rejected, self.dimension, 2))
         return np.array(samples)
+
+    def _contains_rows(self, zz) -> list:
+        """``contains`` of each row of an (m, n) array, False for a row where
+        it raises a LevikitError: one call for all rows, and a call per row
+        only when that one raises."""
+        try:
+            return list(self.contains(zz))
+        except LevikitError:
+            pass
+        inside = []
+        for z in zz:
+            try:
+                inside.append(bool(self.contains(z)))
+            except LevikitError:
+                inside.append(False)
+        return inside
 
     def boundary_sample(self, count: int, rng: np.random.Generator) -> BoundarySamples:
         raise LevikitError(f"boundary sampling not supported for {type(self).__name__}")
@@ -135,6 +169,21 @@ def _per_row(method):
             return np.array([method(self, z, *args) for z in zz])
         return method(self, zz, *args)
     return rows_or_point
+
+
+def _once(method):
+    """A method of no arguments whose first value is kept on the instance:
+    the frozen variants build their bounding polydisc once."""
+    name = f"_{method.__name__}_value"
+
+    @wraps(method)
+    def cached(self):
+        try:
+            return self.__dict__[name]
+        except KeyError:
+            value = self.__dict__[name] = method(self)
+            return value
+    return cached
 
 
 def _nudge_outside(d, z, center, part):
@@ -364,6 +413,7 @@ class ReinhardtUnion(Domain, variant="reinhardt_union", natural_metric=LINFTY):
     def contains(self, zz):
         return reduce(np.logical_or, (m.contains(zz) for m in self.members))
 
+    @_once
     def bounding_polydisc(self) -> Polydisc:
         return Polydisc((0,) * self.dimension,
                         np.max([m.radii for m in self.members], axis=0))
@@ -476,6 +526,7 @@ class Sublevel(Domain, variant="sublevel"):
     def contains(self, zz) -> bool:
         return ex.evaluate(self.expr, zz).real < self.level
 
+    @_once
     def bounding_polydisc(self) -> Polydisc:
         if self.box_center is None:
             raise LevikitError("Sublevel domain needs a bounding box for sampling")
@@ -700,6 +751,7 @@ class Intersection(Domain, variant="intersection"):
                 break
         return inside
 
+    @_once
     def bounding_polydisc(self) -> Polydisc:
         boxes = []
         for m in self.members:

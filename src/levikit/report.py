@@ -26,8 +26,15 @@ from .errors import LevikitError
 SCHEMA_VERSION = 1
 
 
+_PLAIN = frozenset((str, int, bool, type(None)))
+
+
 def to_jsonable(obj):
     """Recursively convert numpy/complex values into plain JSON types."""
+    # exact types first: np.float64 is a float subclass and takes the ladder
+    kind = type(obj)
+    if kind in _PLAIN or (kind is float and math.isfinite(obj)):
+        return obj
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -28,14 +28,17 @@ def unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
             return v / norm
 
 
-def disc_points(rng: np.random.Generator, radii) -> np.ndarray:
-    """One uniform sample from each closed disc about 0 with the given radii.
+def disc_points(rng: np.random.Generator, radii, count: int | None = None) -> np.ndarray:
+    """One uniform sample from each closed disc about 0 with the given radii,
+    or with ``count``, ``count`` such points as the rows of an array.
 
     Draws (modulus, angle) pairs in the order of ``radii``, so it takes the
-    same numbers from ``rng`` as one two-draw sample per disc.
+    same numbers from ``rng`` as one two-draw sample per disc, and ``count``
+    points take the numbers of ``count`` calls without it.
     """
-    u = rng.uniform(size=(len(radii), 2))
-    return np.asarray(radii) * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+    shape = (len(radii), 2) if count is None else (count, len(radii), 2)
+    u = rng.uniform(size=shape)
+    return np.asarray(radii) * np.sqrt(u[..., 0]) * np.exp(2j * np.pi * u[..., 1])
 
 
 def rejection_sample(draw, count: int, budget: int, what: str) -> tuple[list, int]:

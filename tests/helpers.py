@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 
+from levikit import classify as cl
+from levikit import domains as dom
 from levikit import expr as ex
 from levikit import hulls
 from levikit.errors import EvalDomainError, LevikitError
+from levikit.sampling import disc_points, rejection_sample, spawn_rngs, unit_vector
 
 
 def brute_force_extreme_points(points: np.ndarray) -> set:
@@ -186,3 +189,71 @@ def polynomial_membership_oracle(k_set, z, degree, count=0, seed=0, tol=1e-9):
     return hulls._membership(query, values, norms, tol, lambda i: {
         "kind": "polynomial", "exponents": [list(e) for e in candidates[i][0]],
         "coefficients": [[c.real, c.imag] for c in map(complex, candidates[i][1])]})
+
+
+def interior_sample_oracle(region, count, rng):
+    """``Domain.interior_sample`` with one candidate drawn and tested per
+    turn of the rejection loop, which the block draws replace: the points
+    and the generator's state afterwards must match bit for bit.  Variants
+    with their own sampler use it."""
+    if type(region).interior_sample is not dom.Domain.interior_sample:
+        return region.interior_sample(count, rng)
+    box = region.bounding_polydisc()
+    center = np.asarray(box.center)
+
+    def draw():
+        z = center + disc_points(rng, box.radii)
+        try:
+            return z if region.contains(z) else None
+        except LevikitError:
+            return None
+
+    samples, _ = rejection_sample(
+        draw, count, max(1000, 200 * count),
+        f"interior sampling of {type(region).__name__} failed")
+    return np.array(samples)
+
+
+def circle_probe_oracle(func, region, trials, seed, quadrature=cl.DEFAULT_QUADRATURE,
+                        tol=1e-9, metric=None):
+    """``classify.psh_test_circle_average`` one trial at a time, which the
+    chunked probe replaces: per trial a one-candidate interior sample, one
+    distance call for the centre and one row call for the centre and its
+    circle, each trial skipped on its own LevikitError.  Kept as the oracle
+    the chunks must match field for field."""
+    rows = cl._rows(ex.as_real_function(func))
+    lo, hi = cl.RADII_RANGE
+    outcomes = []
+    for rng in spawn_rngs(seed, trials):
+        a = interior_sample_oracle(region, 1, rng)[0]
+        delta = unit_vector(rng, region.dimension)
+        try:
+            local = dom.distance_to_boundary(region, a, metric)
+        except LevikitError:
+            outcomes.append(None)
+            continue
+        if not math.isfinite(local):
+            local = 1.0
+        r = local * math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        if r >= local:
+            outcomes.append(None)
+            continue
+        angles = 2.0 * np.pi * np.arange(quadrature) / quadrature
+        circle = a + (delta * r) * np.exp(1j * angles)[:, None]
+        try:
+            center_val, *values = rows(np.vstack([a, circle]))
+        except LevikitError:
+            outcomes.append(None)
+            continue
+        total = 0.0
+        for value in values:
+            total += value
+        deficit = center_val - total / quadrature
+        if center_val <= cl.NEG_INF_CUTOFF:
+            outcomes.append(None)
+        elif deficit > tol:
+            outcomes.append(cl.PshViolation(tuple(a), tuple(delta), float(r),
+                                            float(deficit)))
+        else:
+            outcomes.append(True)
+    return cl._psh_verdict("CircleAverage", outcomes)

@@ -10,10 +10,10 @@ from levikit import classify as cl
 from levikit import discs
 from levikit import domains as dom
 from levikit import expr as ex
-from levikit.errors import LevikitError, PointOutsideDomain
+from levikit.errors import LevikitError, PointOutsideDomain, SamplingExhausted
 from levikit.sampling import spawn_rngs, unit_vector
 
-from helpers import compose_with_matrix, random_unitary
+from helpers import circle_probe_oracle, compose_with_matrix, random_unitary
 
 BALL2 = dom.Ball((0, 0), 1.0)
 POLY2 = dom.Polydisc((0, 0), (1, 1))
@@ -226,6 +226,11 @@ def test_log_distance_probe_hartogs_not_pseudoconvex():
         v.point, v.direction, v.radius)
     assert deficit > 1e-9
     assert deficit == pytest.approx(v.deficit, rel=1e-12)
+    # and bit for bit through the row form that verify uses, although the
+    # probe computed each deficit inside a chunk's row call
+    f = cl.neg_log_distance(hf, rep.metric)
+    for v in rep.inner.violations:
+        assert cl.circle_average_deficit(f, v.point, v.direction, v.radius) == v.deficit
 
 
 def test_strict_psh_classifications():
@@ -344,8 +349,9 @@ def test_circle_that_crosses_the_boundary_skips_its_trial():
                                   [0.7, 0], [1, 0], 0.2)
 
 
-def test_hartogs_trial_asks_each_member_for_two_distances(monkeypatch):
-    # the local distance, and one array call for the centre and its circle
+def test_hartogs_chunk_asks_each_member_for_two_distance_arrays(monkeypatch):
+    # per chunk and member: one array call for the centres' distances, one
+    # for every centre and circle point of the chunk
     real = dom.Polydisc.interior_distance
     calls = []
 
@@ -354,14 +360,77 @@ def test_hartogs_trial_asks_each_member_for_two_distances(monkeypatch):
         return real(self, zz, metric)
 
     monkeypatch.setattr(dom.Polydisc, "interior_distance", counting)
-    rep = cl.log_distance_probe(dom.hartogs_figure(), trials=20, seed=0)
-    assert rep.inner.tested == 20
-    assert len(calls) == 20 * 2 * 2
-    assert calls.count((1, 2)) == 20 * 2
-    assert calls.count((cl.DEFAULT_QUADRATURE + 1, 2)) == 20 * 2
+    trials = cl._TRIAL_CHUNK + 5
+    rep = cl.log_distance_probe(dom.hartogs_figure(), trials=trials, seed=0)
+    assert rep.inner.tested == trials
+    rows = cl.DEFAULT_QUADRATURE + 1
+    assert calls == [(cl._TRIAL_CHUNK, 2)] * 2 + [(cl._TRIAL_CHUNK * rows, 2)] * 2 \
+        + [(5, 2)] * 2 + [(5 * rows, 2)] * 2
 
 
 def test_classify_on_reinhardt_union_needs_a_defining_function():
     with pytest.raises(LevikitError, match="no global defining function for "
                                            "ReinhardtUnion"):
         cl.classify_domain(dom.hartogs_figure(), 4, 0)
+
+
+# the chunked probe against the per-trial oracle, floats compared by repr
+
+SPHERE2 = dom.Sublevel(ex.parse("abs2(z1) + abs2(z2) - 1", 2), 0.0, 2,
+                       (0, 0), (1.5, 1.5), (0, 0))
+PROBE_REGIONS = {
+    "ball": BALL2,
+    "polydisc": dom.Polydisc((0, 0.5j), (1, 2)),
+    "hartogs": dom.hartogs_figure(),
+    "ball-and-polydisc": dom.Intersection((BALL2, dom.Polydisc((0.3, 0), (0.9, 0.8)))),
+    "whole-space": dom.WholeSpace(2),
+}
+CHUNK_SIZES = (1, cl._TRIAL_CHUNK - 1, cl._TRIAL_CHUNK, cl._TRIAL_CHUNK + 1)
+
+
+@pytest.mark.parametrize("trials", CHUNK_SIZES)
+@pytest.mark.parametrize("metric", [dom.EUCLIDEAN, dom.LINFTY])
+@pytest.mark.parametrize("name", sorted(PROBE_REGIONS))
+def test_chunked_log_distance_probe_equals_the_per_trial_oracle(name, metric, trials):
+    region = PROBE_REGIONS[name]
+    f = cl.neg_log_distance(region, metric)
+    for seed in (0, 7):
+        got = cl.psh_test_circle_average(f, region, trials, seed, metric=metric)
+        assert repr(got) == repr(circle_probe_oracle(f, region, trials, seed,
+                                                     metric=metric))
+
+
+@pytest.mark.parametrize("trials", CHUNK_SIZES + (300,))
+@pytest.mark.parametrize("text", ["-ln(re(z1) + 0.5)", "re(z1)^2 - abs2(z2)"])
+def test_chunked_probe_of_an_expression_equals_the_per_trial_oracle(text, trials):
+    # the first raises (ln of a non-positive argument) where Re z1 <= -0.5,
+    # and 36 of the 300 trials of seed 0 are skipped; the second is not psh
+    f = ex.parse(text, 2)
+    got = cl.psh_test_circle_average(f, BALL2, trials, 0)
+    assert repr(got) == repr(circle_probe_oracle(f, BALL2, trials, 0))
+    if trials == 300:
+        assert (got.tested, got.skipped, bool(got.violations)) == (
+            (264, 36, False) if text.startswith("-ln") else (300, 0, True))
+
+
+def test_chunked_probe_on_a_sublevel_domain_equals_the_per_trial_oracle():
+    # sampled distances: circles near the level set can leave the domain
+    for metric in (dom.EUCLIDEAN, dom.LINFTY):
+        f = cl.neg_log_distance(SPHERE2, metric)
+        got = cl.psh_test_circle_average(f, SPHERE2, 3, 1, quadrature=8, metric=metric)
+        assert repr(got) == repr(circle_probe_oracle(f, SPHERE2, 3, 1, quadrature=8,
+                                                     metric=metric))
+
+
+def test_chunked_probe_lets_other_errors_escape():
+    def f(z):
+        if abs(z[0]) > 0.9:
+            raise ValueError("not a LevikitError")
+        return 0.0
+
+    with pytest.raises(ValueError, match="not a LevikitError"):
+        cl.psh_test_circle_average(f, BALL2, 200, 0)
+    empty = dom.Sublevel(ex.parse("abs2(z1) + 1", 1), 0.0, 1, box_center=(0,),
+                         box_radii=(2,))
+    with pytest.raises(SamplingExhausted, match="interior sampling of Sublevel"):
+        cl.psh_test_circle_average(lambda z: 0.0, empty, 3, 0)

@@ -10,6 +10,8 @@ from levikit import expr as ex
 from levikit.errors import (LevikitError, PointOutsideDomain, SamplingExhausted,
                             UnsupportedMetric)
 
+from helpers import interior_sample_oracle
+
 E = math.e
 
 
@@ -381,3 +383,64 @@ def test_row_norms_equal_the_per_row_norm_bit_for_bit(n, metric):
         rows = dom._row_norms(z - pts, metric)
         assert [v.hex() for v in rows.tolist()] == [
             dom._norm(z - b, metric).hex() for b in pts]
+
+
+# block-drawn rejection sampling against one candidate per draw
+
+SAMPLED = {
+    "polydisc": dom.Polydisc((0.5, -0.25j), (1.0, 0.7)),
+    "hartogs": dom.hartogs_figure(),
+    "intersection": dom.Intersection((dom.Ball((0, 0), 1.0),
+                                      dom.Polydisc((0.3, 0), (0.9, 0.8)))),
+    "sphere-sublevel": dom.Sublevel(ex.parse("abs2(z1) + abs2(z2) - 1", 2), 0.0, 2,
+                                    (0, 0), (1.5, 1.5)),
+    # f raises (ln of a non-positive argument) where Re z1 <= -0.8: those
+    # candidates are rejected, not the blocks they were drawn in
+    "sublevel-raising": dom.Sublevel(ex.parse("abs2(z1) - 1 + 0.1*ln(re(z1) + 0.8)", 1),
+                                     0.0, 1, (0,), (1.0,)),
+}
+
+
+@pytest.mark.parametrize("count", [1, 3, 8, 9, 40])
+@pytest.mark.parametrize("name", sorted(SAMPLED))
+def test_block_draws_equal_one_candidate_per_draw(name, count):
+    d = SAMPLED[name]
+    for seed in range(4):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        if seed % 2:
+            # a buffered 32-bit half stays buffered
+            assert rng.integers(7) == ref.integers(7)
+        got = dom.interior_sample_rng(d, count, rng)
+        assert got.tobytes() == interior_sample_oracle(d, count, ref).tobytes()
+        assert rng.integers(1 << 20) == ref.integers(1 << 20)
+        assert rng.random() == ref.random()
+
+
+def test_block_draws_reject_only_the_raising_rows():
+    d = SAMPLED["sublevel-raising"]
+    raising = 0
+    for z in dom.Polydisc((0,), (1.0,)).interior_sample(400, np.random.default_rng(0)):
+        try:
+            d.contains(z)
+        except LevikitError:
+            raising += 1
+    assert raising > 20
+    points = dom.interior_sample(d, 400, 0)
+    assert points.tobytes() == interior_sample_oracle(
+        d, 400, np.random.default_rng(0)).tobytes()
+    assert np.all(points.real > -0.8)
+
+
+def test_block_draws_report_the_acceptance_rate_of_one_candidate_per_draw():
+    # about 1 in 550 candidates falls in this thin union
+    thin = dom.ReinhardtUnion((dom.Polydisc((0, 0), (1.0, 0.03)),
+                               dom.Polydisc((0, 0), (0.03, 1.0))))
+    rates = []
+    for seed in range(6):
+        with pytest.raises(SamplingExhausted) as got:
+            dom.interior_sample(thin, 5, seed)
+        with pytest.raises(SamplingExhausted) as expected:
+            interior_sample_oracle(thin, 5, np.random.default_rng(seed))
+        assert str(got.value) == str(expected.value)
+        rates.append(got.value.acceptance_rate)
+    assert len(set(rates)) > 1

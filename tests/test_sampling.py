@@ -18,6 +18,11 @@ def test_disc_points_match_one_draw_per_disc(n):
                              for r in radii])
         assert got.tobytes() == expected.tobytes()
         assert rng.uniform() == ref.uniform()
+        # a block of points takes the draws of one call per point
+        block = disc_points(rng, radii, 1 + seed % 5)
+        assert block.tobytes() == np.array([disc_points(ref, radii)
+                                            for _ in block]).tobytes()
+        assert rng.uniform() == ref.uniform()
 
 
 def test_rejection_sample_keeps_draw_order_and_counts_rejections():
