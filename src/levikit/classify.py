@@ -22,7 +22,7 @@ from . import calculus as lc
 from . import domains as dom
 from . import expr as ex
 from .errors import DegenerateGradient, LevikitError
-from .sampling import deterministic_map, spawn_rngs, unit_vector
+from .sampling import block_values, deterministic_map, spawn_rngs, unit_vector
 
 STRICTLY_PSEUDOCONVEX = "StrictlyPseudoconvex"
 LEVI_ONLY = "LeviPseudoconvexOnly"
@@ -239,27 +239,6 @@ def _center_and_mean(values):
     return center, total / len(values)
 
 
-def _block_values(rows, blocks) -> list:
-    """The values of the row form ``rows`` on an (m, k, n) array of blocks,
-    as m lists of k values, from one call on all m*k rows.  When that call
-    raises a LevikitError, each block is called alone, and a block whose call
-    raises one gets None: an error masks its own block, not its neighbours."""
-    m, k, n = blocks.shape
-    try:
-        values = list(rows(blocks.reshape(m * k, n)))
-    except LevikitError:
-        pass
-    else:
-        return [values[i * k:(i + 1) * k] for i in range(m)]
-    out = []
-    for block in blocks:
-        try:
-            out.append(list(rows(block)))
-        except LevikitError:
-            out.append(None)
-    return out
-
-
 def circle_average_deficit(func, a, direction, radius: float,
                            quadrature: int = DEFAULT_QUADRATURE) -> float:
     """f(a) minus the m-point average of f on the circle a + direction*r*e^it."""
@@ -295,7 +274,7 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
     ``distances_to_boundary`` gives the chunk's centre distances, and one
     call of the point function's row form covers every kept trial's centre
     and circle.  A LevikitError in either call is resolved trial by trial
-    (``_block_values``), so it skips only the trials that raise it, as one
+    (``block_values``), so it skips only the trials that raise it, as one
     trial at a time would; other exceptions propagate.
     """
     rows = _rows(ex.as_real_function(func))
@@ -313,7 +292,7 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
         outcomes = [None] * len(draws)
         kept, circles = [], []
         for i, ((a, delta, log_t), dist) in enumerate(
-                zip(draws, _block_values(distances, centers[:, None]))):
+                zip(draws, block_values(distances, centers[:, None]))):
             if dist is None:
                 continue
             local = dist[0] if math.isfinite(dist[0]) else 1.0
@@ -323,7 +302,7 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
                 circles.append(_circle_rows(a, delta, r, roots))
         if not kept:
             return outcomes
-        for (i, a, delta, r), values in zip(kept, _block_values(rows, np.array(circles))):
+        for (i, a, delta, r), values in zip(kept, block_values(rows, np.array(circles))):
             if values is None:
                 continue
             center_val, mean = _center_and_mean(values)

@@ -136,7 +136,8 @@ class MaxPrincipleResult:
 def disc_max_principle_check(func, disc, interior: int = 256,
                              boundary: int = 128, seed: int = 0,
                              tol: float = 1e-9) -> MaxPrincipleResult:
-    """Pass iff the sampled interior max stays below the boundary max + tol."""
+    """Pass iff the sampled interior max stays below the boundary max + tol.
+    A sample where ``func`` raises a LevikitError or is NaN is skipped."""
     func = ex.as_real_function(func)
     skipped = 0
 
@@ -147,9 +148,10 @@ def disc_max_principle_check(func, disc, interior: int = 256,
             try:
                 v = func(disc.at(w))
             except LevikitError:
+                v = math.nan
+            if math.isnan(v):
                 skipped += 1
-                continue
-            if v > best:
+            elif v > best:
                 best = v
         return best
 

@@ -2,7 +2,8 @@
 
 Each variant is one class that owns its geometry; ``Domain`` holds the
 shared defaults.  The module functions are the entry points: they normalize
-the point once and resolve the metric, then call the variant's methods.
+the point once, lift it to one row and resolve the metric, then call the
+variant's methods.
 
 Every distance-consuming operation takes a ``metric`` parameter
 ("euclidean" or "linfty", complex-modulus max norm); passing None selects
@@ -22,7 +23,7 @@ import numpy as np
 from . import calculus as lc
 from . import expr as ex
 from .errors import ConfigError, LevikitError, PointOutsideDomain, UnsupportedMetric
-from .sampling import disc_points, rejection_sample, unit_vector
+from .sampling import block_values, disc_points, rejection_sample, unit_vector
 
 EUCLIDEAN = "euclidean"
 LINFTY = "linfty"
@@ -70,10 +71,12 @@ _VARIANTS = {}
 class Domain:
     """Defaults shared by the variants.  A variant implements ``contains``,
     ``interior_distance``, ``to_dict`` and ``from_dict``; its class statement
-    names it and registers it for ``domain_from_dict``.  Every ``zz`` passed
-    in is a point already normalized by ``ex.as_point``; ``contains`` and
-    ``interior_distance`` also take an (m, n) array of such points and
-    answer one value per row."""
+    names it and registers it for ``domain_from_dict``.  ``contains`` and
+    ``interior_distance`` take rows only: an (m, n) complex array, answered
+    with one value per row.  ``exterior_distance`` takes one point, a 1-d
+    array from ``ex.as_point``.  The entry points ``contains``,
+    ``distance_to_boundary`` and ``signed_distance`` lift a point to one
+    row; code here that tests one point calls ``contains(d, z)``."""
 
     def __init_subclass__(cls, variant: str, natural_metric: str = EUCLIDEAN):
         super().__init_subclass__()
@@ -105,9 +108,10 @@ class Domain:
         def draw():
             if not pending:
                 z = center + disc_points(rng, box.radii, _CANDIDATE_BLOCK)
-                pending.extend(reversed(list(zip(z, self._contains_rows(z)))))
-            z, inside = pending.pop()
-            return z if inside else None
+                inside = block_values(self.contains, z[:, None])
+                pending.extend(reversed(list(zip(z, inside))))
+            z, inside = pending.pop()   # [bool], or None where contains raised
+            return z if inside and inside[0] else None
 
         samples, rejected = rejection_sample(
             draw, count, max(1000, 200 * count),
@@ -116,22 +120,6 @@ class Domain:
             rng.bit_generator.state = start
             rng.uniform(size=(count + rejected, self.dimension, 2))
         return np.array(samples)
-
-    def _contains_rows(self, zz) -> list:
-        """``contains`` of each row of an (m, n) array, False for a row where
-        it raises a LevikitError: one call for all rows, and a call per row
-        only when that one raises."""
-        try:
-            return list(self.contains(zz))
-        except LevikitError:
-            pass
-        inside = []
-        for z in zz:
-            try:
-                inside.append(bool(self.contains(z)))
-            except LevikitError:
-                inside.append(False)
-        return inside
 
     def boundary_sample(self, count: int, rng: np.random.Generator) -> BoundarySamples:
         raise LevikitError(f"boundary sampling not supported for {type(self).__name__}")
@@ -160,17 +148,6 @@ class Domain:
         raise LevikitError(f"no global defining function for {type(self).__name__}")
 
 
-def _per_row(method):
-    """Answer an (m, n) array with one call of a one-point method per row:
-    for the variants whose array arithmetic would round differently."""
-    @wraps(method)
-    def rows_or_point(self, zz, *args):
-        if zz.ndim == 2:
-            return np.array([method(self, z, *args) for z in zz])
-        return method(self, zz, *args)
-    return rows_or_point
-
-
 def _once(method):
     """A method of no arguments whose first value is kept on the instance:
     the frozen variants build their bounding polydisc once."""
@@ -193,7 +170,7 @@ def _nudge_outside(d, z, center, part):
     are contractually outside the open set, so push across when needed.
     """
     for _ in range(8):
-        if not d.contains(z):
+        if not contains(d, z):
             break
         z[part] = center[part] + (z[part] - center[part]) * (1.0 + 4e-16)
     return z
@@ -214,9 +191,8 @@ class Ball(Domain, variant="ball"):
     def dimension(self):
         return len(self.center)
 
-    @_per_row
-    def contains(self, zz) -> bool:
-        return float(np.linalg.norm(zz - np.asarray(self.center))) < self.radius
+    def contains(self, zz):
+        return _row_norms(zz - np.asarray(self.center), EUCLIDEAN) < self.radius
 
     def bounding_polydisc(self) -> Polydisc:
         return Polydisc(self.center, (self.radius,) * self.dimension)
@@ -261,12 +237,11 @@ class Ball(Domain, variant="ball"):
                           for t in approach_parameters(steps)])
         return paths
 
-    @_per_row
-    def interior_distance(self, zz, metric) -> float:
+    def interior_distance(self, zz, metric):
+        gaps = zz - np.asarray(self.center)
         if metric == EUCLIDEAN:
-            return self.radius - float(np.linalg.norm(zz - np.asarray(self.center)))
-        return _ball_interior_linfty(np.abs(zz - np.asarray(self.center)),
-                                     self.radius)
+            return self.radius - _row_norms(gaps, EUCLIDEAN)
+        return _ball_interior_linfty(np.abs(gaps), self.radius)
 
     def exterior_distance(self, zz, metric) -> float:
         if metric == EUCLIDEAN:
@@ -290,14 +265,13 @@ class Ball(Domain, variant="ball"):
                    spec["radius"])
 
 
-def _ball_interior_linfty(a_gaps, radius) -> float:
-    # largest t with the closed polydisc of radius t inside the ball:
-    # n t^2 + 2 t sum(a) + (sum(a^2) - r^2) = 0, positive root
-    n = a_gaps.shape[0]
-    s1 = float(np.sum(a_gaps))
-    s2 = float(np.sum(a_gaps ** 2))
-    disc = s1 * s1 - n * (s2 - radius * radius)
-    return (-s1 + math.sqrt(disc)) / n
+def _ball_interior_linfty(a_gaps, radius):
+    # per row of gaps a, the largest t with the closed polydisc of radius t
+    # inside the ball: n t^2 + 2 t sum(a) + (sum(a^2) - r^2) = 0, positive root
+    n = a_gaps.shape[-1]
+    s1 = np.sum(a_gaps, axis=-1)
+    s2 = np.sum(a_gaps ** 2, axis=-1)
+    return (-s1 + np.sqrt(s1 * s1 - n * (s2 - radius * radius))) / n
 
 
 def _ball_exterior_linfty(a_gaps, radius) -> float:
@@ -426,7 +400,7 @@ class ReinhardtUnion(Domain, variant="reinhardt_union", natural_metric=LINFTY):
             j = int(rng.integers(self.dimension))
             b = disc_points(rng, owner.radii)
             b[j] = owner.radii[j] * np.exp(2j * np.pi * rng.uniform())
-            return None if self.contains(b) else (b, j, owner.radii[j])
+            return None if contains(self, b) else (b, j, owner.radii[j])
 
         return rejection_sample(draw, count, 500 * count,
                                 "no exposed Reinhardt face points found")[0]
@@ -522,9 +496,8 @@ class Sublevel(Domain, variant="sublevel"):
             raise ValueError("box_center, box_radii and interior_hint need "
                              "one entry per dimension")
 
-    @_per_row
-    def contains(self, zz) -> bool:
-        return ex.evaluate(self.expr, zz).real < self.level
+    def contains(self, zz):
+        return np.array([ex.evaluate(self.expr, z).real < self.level for z in zz])
 
     @_once
     def bounding_polydisc(self) -> Polydisc:
@@ -535,7 +508,7 @@ class Sublevel(Domain, variant="sublevel"):
     def _interior_point(self, rng) -> np.ndarray:
         if self.interior_hint is not None:
             z0 = np.asarray(self.interior_hint)
-            if self.contains(z0):
+            if contains(self, z0):
                 return z0
         return self.interior_sample(1, rng)[0]
 
@@ -626,22 +599,25 @@ class Sublevel(Domain, variant="sublevel"):
                 break
         return b
 
-    @_per_row
-    def interior_distance(self, zz, metric) -> float:
+    def interior_distance(self, zz, metric):
         """Sample-based distance to the level set, refined to the nearest foot point.
 
         Resolution-limited: the refinement starts from the nearest of 512 seeded
         boundary samples, so badly undersampled level-set branches can be missed.
+        The foot-point search runs one row at a time.
         """
         pts = _cached_boundary_points(self)
-        dists = _row_norms(zz - pts, metric)
-        best = float(np.min(dists))
-        for idx in np.argsort(dists)[:3]:
-            refined = self._foot_point(zz, pts[idx])
-            best = min(best, _norm(zz - refined, metric))
-        return best
+        out = np.empty(len(zz))
+        for i, z in enumerate(zz):
+            dists = _row_norms(z - pts, metric)
+            best = float(np.min(dists))
+            for idx in np.argsort(dists)[:3]:
+                best = min(best, _norm(z - self._foot_point(z, pts[idx]), metric))
+            out[i] = best
+        return out
 
-    exterior_distance = interior_distance
+    def exterior_distance(self, zz, metric) -> float:
+        return float(self.interior_distance(zz[None], metric)[0])
 
     def defining_expr(self, face=None) -> ex.Expr:
         return ex.sub(self.expr, ex.const(self.level))
@@ -808,7 +784,7 @@ class WholeSpace(Domain, variant="whole_space"):
 
 
 # ---------------------------------------------------------------------------
-# entry points: normalize the point once, then call the variant
+# entry points: normalize the point once, lift it to a row, call the variant
 
 def _metric(d, metric):
     """The metric asked for, or the variant's natural one for None."""
@@ -821,7 +797,7 @@ def _metric(d, metric):
 
 def contains(d, z) -> bool:
     """Exact membership per variant; all inequalities are strict (open sets)."""
-    return bool(d.contains(ex.as_point(z, d.dimension)))
+    return bool(d.contains(ex.as_point(z, d.dimension)[None])[0])
 
 
 def interior_sample(d, count: int, seed: int) -> np.ndarray:
@@ -878,11 +854,11 @@ def distances_to_boundary(d, rows, metric: str | None = None) -> np.ndarray:
 
 def signed_distance(d, z, metric: str | None = None) -> float:
     """Negative inside the closure, positive outside, ~0 on the boundary."""
-    zz = ex.as_point(z, d.dimension)
+    row = ex.as_point(z, d.dimension)[None]
     metric = _metric(d, metric)
-    if d.contains(zz):
-        return -float(d.interior_distance(zz, metric))
-    return d.exterior_distance(zz, metric)
+    if d.contains(row)[0]:
+        return -float(d.interior_distance(row, metric)[0])
+    return d.exterior_distance(row[0], metric)
 
 
 def domain_from_dict(spec: dict, path: str = "domain"):

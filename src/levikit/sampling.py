@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SamplingExhausted
+from .errors import LevikitError, SamplingExhausted
 
 
 def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
@@ -56,6 +56,28 @@ def rejection_sample(draw, count: int, budget: int, what: str) -> tuple[list, in
         if sample is not None:
             samples.append(sample)
     return samples, drawn - len(samples)
+
+
+def block_values(rows, blocks) -> list:
+    """The values of the row function ``rows`` on an (m, k, n) array of
+    blocks, as m lists of k values, from one call on all m*k rows.  When that
+    call raises a LevikitError, each block is called alone, and a block whose
+    call raises one gets None: an error masks its own block, not its
+    neighbours."""
+    m, k, n = blocks.shape
+    try:
+        values = list(rows(blocks.reshape(m * k, n)))
+    except LevikitError:
+        pass
+    else:
+        return [values[i * k:(i + 1) * k] for i in range(m)]
+    out = []
+    for block in blocks:
+        try:
+            out.append(list(rows(block)))
+        except LevikitError:
+            out.append(None)
+    return out
 
 
 def deterministic_map(fn, items) -> list:

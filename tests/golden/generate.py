@@ -99,6 +99,8 @@ CLI_CASES = {
     "shipped-quartic-classify": _shipped("classify", "quartic_classify.yaml"),
     "shipped-hartogs-log-distance": _shipped("log-distance-probe",
                                              "hartogs_log_distance.yaml"),
+    "shipped-ball-log-distance": _shipped("log-distance-probe",
+                                          "ball_log_distance.yaml"),
     "shipped-hartogs-reinhardt": _shipped("reinhardt", "hartogs_reinhardt.yaml"),
     "shipped-polydisc-exhaustion": _shipped("exhaustion", "polydisc_exhaustion.yaml"),
     "shipped-psh-circle": _shipped("psh-test", "psh_circle.yaml"),

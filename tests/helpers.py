@@ -204,7 +204,7 @@ def interior_sample_oracle(region, count, rng):
     def draw():
         z = center + disc_points(rng, box.radii)
         try:
-            return z if region.contains(z) else None
+            return z if region.contains(z[None])[0] else None
         except LevikitError:
             return None
 
@@ -212,6 +212,26 @@ def interior_sample_oracle(region, count, rng):
         draw, count, max(1000, 200 * count),
         f"interior sampling of {type(region).__name__} failed")
     return np.array(samples)
+
+
+def ball_oracle(ball, z, metric):
+    """(membership, interior distance) of one point of a ball, from the
+    one-point formulas the ball's row methods replace: ``np.linalg.norm``
+    of the offset, and in L-infinity the positive root of
+    n t^2 + 2 t sum(a) + (sum(a^2) - r^2) = 0 over the moduli a of the
+    offset, taken with ``math.sqrt``.  The distance is None outside."""
+    gaps = np.asarray(z) - np.asarray(ball.center)
+    norm = float(np.linalg.norm(gaps))
+    if not norm < ball.radius:
+        return False, None
+    if metric == dom.EUCLIDEAN:
+        return True, ball.radius - norm
+    a = np.abs(gaps)
+    n = a.shape[0]
+    s1 = float(np.sum(a))
+    s2 = float(np.sum(a ** 2))
+    disc = s1 * s1 - n * (s2 - ball.radius * ball.radius)
+    return True, (-s1 + math.sqrt(disc)) / n
 
 
 def circle_probe_oracle(func, region, trials, seed, quadrature=cl.DEFAULT_QUADRATURE,

@@ -65,6 +65,13 @@ def test_max_principle_fails_for_superharmonic():
     assert res.margin < 0
 
 
+def test_max_principle_counts_nan_values_as_skipped():
+    disc = discs.AffineDisc((0, 0), (1, 0), 1.0)
+    res = discs.disc_max_principle_check(lambda z: math.nan, disc,
+                                         interior=16, boundary=8)
+    assert res.skipped == 16 + 8
+
+
 def test_max_principle_margin_scales_linearly():
     f = ex.parse("abs2(z1) + re(z1*z2)", 2)
     disc = discs.AffineDisc((0.3, -0.2j), (0.6, 0.8), 0.7)

@@ -10,7 +10,7 @@ from levikit import expr as ex
 from levikit.errors import (LevikitError, PointOutsideDomain, SamplingExhausted,
                             UnsupportedMetric)
 
-from helpers import interior_sample_oracle
+from helpers import ball_oracle, interior_sample_oracle
 
 E = math.e
 
@@ -125,10 +125,11 @@ def test_reinhardt_boundary_samples_are_exposed_face_points():
 def test_reinhardt_face_sampling_tests_each_point_once(monkeypatch):
     tested = []
     monkeypatch.setattr(dom.ReinhardtUnion, "contains",
-                        lambda self, zz: tested.append(zz) or True)
+                        lambda self, zz: tested.append(zz) or np.full(len(zz), True))
     with pytest.raises(SamplingExhausted, match="no exposed Reinhardt face points"):
         dom.boundary_sample(dom.hartogs_figure(), 2, seed=0)
     assert len(tested) == 1000
+    assert all(zz.shape == (1, 2) for zz in tested)
 
 
 def test_polydisc_distance_matches_face_sampling_oracle():
@@ -313,8 +314,9 @@ def test_unsupported_operations_name_the_variant():
 # batched geometry: an (m, n) array gets the same bits as one point at a time
 
 def _near_boundary(d, z, center, steps=60):
-    """The point of the ray from ``center`` through ``z`` that bisection
-    pushes furthest out while it stays inside: within ~1e-15 of a face."""
+    """The points of the ray from ``center`` through ``z`` that bisection
+    pushes furthest out while they stay inside, and furthest in while they
+    stay outside: within ~1e-15 of a face, on either side."""
     lo, hi = 1.0, 1.0
     while dom.contains(d, center + hi * (z - center)):
         hi *= 2.0
@@ -324,7 +326,7 @@ def _near_boundary(d, z, center, steps=60):
             lo = mid
         else:
             hi = mid
-    return center + lo * (z - center)
+    return center + lo * (z - center), center + hi * (z - center)
 
 
 BATCHED = {
@@ -334,6 +336,8 @@ BATCHED = {
                                       dom.Polydisc((0.3, 0), (0.9, 0.8)))),
     "ball-c2": dom.Ball((0.2, -0.1j), 1.5),
     "ball-c3": dom.Ball((0.2, 0, -0.1j), 1.5),
+    **{f"ball-c{n}": dom.Ball([0.2, -0.1j, 0.05 + 0.3j, 0, -0.4, 0.1j, 0.3, -0.2j][:n],
+                              0.75 + 0.25 * n) for n in (1, 4, 5, 6, 7, 8)},
 }
 
 
@@ -343,11 +347,21 @@ def test_batched_distances_equal_per_row_distances(name, metric):
     d = BATCHED[name]
     center = np.asarray(d.bounding_polydisc().center)
     inner = dom.interior_sample(d, 40, 7)
-    rows = np.vstack([inner, [_near_boundary(d, z, center) for z in inner[:20]]])
+    near, outside = zip(*(_near_boundary(d, z, center) for z in inner[:20]))
+    rows = np.vstack([inner, near])
     per_row = [dom.distance_to_boundary(d, z, metric) for z in rows]
     assert min(per_row[40:]) < 1e-12
-    assert dom.distances_to_boundary(d, rows, metric).tolist() == per_row
+    batched = dom.distances_to_boundary(d, rows, metric).tolist()
+    assert batched == per_row
     assert d.contains(rows).tolist() == [True] * len(rows)
+    assert d.contains(np.array(outside)).tolist() == [False] * len(outside)
+    if isinstance(d, dom.Ball):
+        # both sides above run the ball's row methods: compare with the
+        # one-point formulas as well, bit for bit
+        both = np.vstack([rows, outside])
+        expected = [ball_oracle(d, z, metric) for z in both]
+        assert d.contains(both).tolist() == [inside for inside, _ in expected]
+        assert [v.hex() for v in batched] == [dist.hex() for _, dist in expected[:60]]
 
 
 @pytest.mark.parametrize("metric", [dom.EUCLIDEAN, dom.LINFTY])
@@ -421,7 +435,7 @@ def test_block_draws_reject_only_the_raising_rows():
     raising = 0
     for z in dom.Polydisc((0,), (1.0,)).interior_sample(400, np.random.default_rng(0)):
         try:
-            d.contains(z)
+            d.contains(z[None])
         except LevikitError:
             raising += 1
     assert raising > 20
