@@ -275,10 +275,13 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
     call of the point function's row form covers every kept trial's centre
     and circle.  A LevikitError in either call is resolved trial by trial
     (``block_values``), so it skips only the trials that raise it, as one
-    trial at a time would; other exceptions propagate.
+    trial at a time would; other exceptions propagate.  When the function
+    is ``neg_log_distance`` of this region and metric, a centre's value is
+    -ln of its distance, and the row call covers the circles only.
     """
     rows = _rows(ex.as_real_function(func))
     roots = _unit_roots(quadrature)
+    of_center = getattr(func, "neg_log_of", None) == (region, metric)
     log_lo, log_hi = (math.log(r) for r in RADII_RANGE)
 
     def distances(zz):
@@ -298,13 +301,16 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
             local = dist[0] if math.isfinite(dist[0]) else 1.0
             r = local * math.exp(log_t)
             if r < local:
-                kept.append((i, a, delta, r))
-                circles.append(_circle_rows(a, delta, r, roots))
+                kept.append((i, a, delta, r, dist[0]))
+                circle = _circle_rows(a, delta, r, roots)
+                circles.append(circle[1:] if of_center else circle)
         if not kept:
             return outcomes
-        for (i, a, delta, r), values in zip(kept, block_values(rows, np.array(circles))):
+        for (i, a, delta, r, dist), values in zip(kept, block_values(rows, np.array(circles))):
             if values is None:
                 continue
+            if of_center:
+                values = [-math.log(dist), *values]
             center_val, mean = _center_and_mean(values)
             if center_val <= NEG_INF_CUTOFF:
                 continue
@@ -331,6 +337,7 @@ def neg_log_distance(region, metric: str):
                 dom.distances_to_boundary(region, zz, metric).tolist()]
 
     point.rows = rows
+    point.neg_log_of = (region, metric)
     return point
 
 

@@ -150,7 +150,7 @@ class Domain:
 
 def _once(method):
     """A method of no arguments whose first value is kept on the instance:
-    the frozen variants build their bounding polydisc once."""
+    the frozen variants build their bounding polydisc and programs once."""
     name = f"_{method.__name__}_value"
 
     @wraps(method)
@@ -224,7 +224,7 @@ class Ball(Domain, variant="ball"):
         paths = []
         for s in self.boundary_sample(count, rng):
             u = np.asarray(s.point) - center
-            u = u / np.linalg.norm(u)
+            u = u / _norm(u, EUCLIDEAN)
             s1 = float(np.sum(np.abs(u)))
 
             def dist(t):
@@ -245,7 +245,7 @@ class Ball(Domain, variant="ball"):
 
     def exterior_distance(self, zz, metric) -> float:
         if metric == EUCLIDEAN:
-            return float(np.linalg.norm(zz - np.asarray(self.center))) - self.radius
+            return _norm(zz - np.asarray(self.center), EUCLIDEAN) - self.radius
         return _ball_exterior_linfty(np.abs(zz - np.asarray(self.center)),
                                      self.radius)
 
@@ -343,7 +343,7 @@ class Polydisc(Domain, variant="polydisc", natural_metric=LINFTY):
         over = np.maximum(np.abs(zz - np.asarray(self.center))
                           - np.asarray(self.radii), 0.0)
         if metric == EUCLIDEAN:
-            return float(np.linalg.norm(over))
+            return _norm(over, EUCLIDEAN)
         return float(np.max(over))
 
     def defining_expr(self, face=None) -> ex.Expr:
@@ -497,7 +497,16 @@ class Sublevel(Domain, variant="sublevel"):
                              "one entry per dimension")
 
     def contains(self, zz):
-        return np.array([ex.evaluate(self.expr, z).real < self.level for z in zz])
+        value = self._value_program()
+        return np.array([value(z)[0].real < self.level for z in zz.tolist()])
+
+    @_once
+    def _value_program(self):
+        return ex.program((self.expr,))
+
+    @_once
+    def _gradient_program(self):
+        return ex.program(lc._grad_trees(self.expr, self.dimension))
 
     @_once
     def bounding_polydisc(self) -> Polydisc:
@@ -516,18 +525,18 @@ class Sublevel(Domain, variant="sublevel"):
         """Bisection along random rays from an interior point."""
         z0 = self._interior_point(rng)
         box = self.bounding_polydisc()
-        t_max = 2.0 * float(np.sum(box.radii)) + float(np.linalg.norm(
-            z0 - np.asarray(box.center)))
+        t_max = 2.0 * float(np.sum(box.radii)) + _norm(z0 - box.center, EUCLIDEAN)
+        start = z0.tolist()
 
         def draw():
             u = unit_vector(rng, self.dimension)
             # f - level < 0 at z0; 10 doublings end at 0.512 * t_max
-            z_out = self._march(z0, u, 1e-3 * t_max, -1.0, 10)
+            z_out = self._march(start, u.tolist(), 1e-3 * t_max, -1.0, 10)
             if z_out is None:
                 return None
-            z = _bisect_level(self.expr, self.level, z0, z_out, outside=True)
+            z = _bisect_level(self._value_program(), self.level, start, z_out, True)
             g = self._gradient(z)
-            gn = np.linalg.norm(g)
+            gn = _norm(g, EUCLIDEAN)
             outward = tuple(g / gn) if gn > 1e-12 else None
             return BoundarySample(tuple(z), outward, "level-set")
 
@@ -537,17 +546,17 @@ class Sublevel(Domain, variant="sublevel"):
 
     def _gradient(self, b) -> np.ndarray:
         """Steepest-ascent direction of the defining function as a complex vector."""
-        return np.conj(lc.complex_gradient(self.expr, b).components)
+        return np.conj(np.array(self._gradient_program()(b.tolist())))
 
     def _march(self, z, direction, s, v, steps):
         """The first point ``z + s * direction``, ``s`` doubling ``steps``
         times, where f - level changes sign against ``v`` (f - level at
         ``z``, or a value of its sign); None when no point does, or when f
-        cannot be evaluated at one."""
+        cannot be evaluated at one.  Points and direction are lists."""
         for _ in range(steps):
-            probe = z + s * direction
+            probe = _step(z, s, direction)
             try:
-                vp = ex.evaluate(self.expr, probe).real - self.level
+                vp = self._value_program()(probe)[0].real - self.level
             except LevikitError:
                 return None
             if vp * v <= 0:
@@ -557,39 +566,40 @@ class Sublevel(Domain, variant="sublevel"):
 
     def _reproject_to_level(self, c):
         """Pull a near-boundary point back onto the level set along the gradient."""
-        v = ex.evaluate(self.expr, c).real - self.level
+        zc = c.tolist()
+        v = self._value_program()(zc)[0].real - self.level
         if abs(v) <= _LEVEL_TOL:
             return c
         g = self._gradient(c)
-        gn = np.linalg.norm(g)
+        gn = _norm(g, EUCLIDEAN)
         if gn < 1e-12:
             return None
-        probe = self._march(c, -np.sign(v) * (g / gn), abs(v) / gn, v, 60)
+        probe = self._march(zc, (-np.sign(v) * (g / gn)).tolist(), abs(v) / gn, v, 60)
         if probe is None:
             return None
-        inside_pt, outside_pt = (c, probe) if v < 0 else (probe, c)
-        return _bisect_level(self.expr, self.level, inside_pt, outside_pt)
+        inside_pt, outside_pt = (zc, probe) if v < 0 else (probe, zc)
+        return _bisect_level(self._value_program(), self.level, inside_pt, outside_pt)
 
     def _foot_point(self, z, b0):
         """Slide a boundary point along the level set toward the query point."""
         b = np.asarray(b0)
-        best = float(np.linalg.norm(z - b))
+        best = _norm(z - b, EUCLIDEAN)
         for _ in range(12):
             g = self._gradient(b)
-            gn = np.linalg.norm(g)
+            gn = _norm(g, EUCLIDEAN)
             if gn < 1e-12:
                 break
             ghat = g / gn
             diff = z - b
             tang = diff - np.real(np.dot(diff, ghat.conj())) * ghat
-            if np.linalg.norm(tang) <= 1e-12 * max(1.0, best):
+            if _norm(tang, EUCLIDEAN) <= 1e-12 * max(1.0, best):
                 break
             scale = 1.0
             improved = False
             for _ in range(6):
                 candidate = self._reproject_to_level(b + scale * tang)
                 if candidate is not None:
-                    dist = float(np.linalg.norm(z - candidate))
+                    dist = _norm(z - candidate, EUCLIDEAN)
                     if dist < best - 1e-15:
                         b, best = candidate, dist
                         improved = True
@@ -654,9 +664,11 @@ class Sublevel(Domain, variant="sublevel"):
 
 
 def _norm(v, metric):
-    """Norm in a metric the entry points have already checked."""
+    """Norm of a contiguous 1-d array in a checked metric; the Euclidean one
+    is ``np.linalg.norm``'s own formula, bit for bit, without its dispatch."""
     if metric == EUCLIDEAN:
-        return float(np.linalg.norm(v))
+        re, im = v.real, v.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
     return float(np.max(np.abs(v)))
 
 
@@ -670,31 +682,41 @@ def _row_norms(rows, metric):
     return np.max(np.abs(rows), axis=1)
 
 
-def _bisect_level(f: ex.Expr, level, z_in, z_out, outside: bool = False):
-    """Point on the segment [z_in, z_out] with |f - level| <= _LEVEL_TOL.
+def _step(z, t, direction):
+    """The point list ``z + t * direction`` for a real ``t``, as numpy forms
+    it: ``t`` is made complex first, so signed zeros come out alike (but for
+    a product that underflows to 0, whose sign numpy's FMA kernels keep)."""
+    t = complex(t, 0.0)
+    return [a + t * d for a, d in zip(z, direction)]
+
+
+def _bisect_level(value, level, z_in, z_out, outside: bool = False):
+    """Point on the segment [z_in, z_out] with |f - level| <= _LEVEL_TOL, for
+    ``value`` the program of f and the ends lists; returned as an array.
 
     With ``outside`` the returned point additionally satisfies f >= level
     (it is the outer bracket endpoint), so it never re-enters the open set;
     every outer endpoint but z_out is a midpoint, tested when evaluated.
     """
     lo, hi = 0.0, 1.0
-    seg = z_out - z_in
+    seg = [b - a for a, b in zip(z_in, z_out)]
     if outside:
-        z_hi = z_in + hi * seg
-        if 0 <= ex.evaluate(f, z_hi).real - level <= _LEVEL_TOL:
-            return z_hi
+        z_hi = _step(z_in, hi, seg)
+        if 0 <= value(z_hi)[0].real - level <= _LEVEL_TOL:
+            return np.array(z_hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        z = z_in + mid * seg
-        v = ex.evaluate(f, z).real - level
+        t = complex(mid, 0.0)   # _step, written out in the hot loop
+        z = [a + t * s for a, s in zip(z_in, seg)]
+        v = value(z)[0].real - level
         on_level = 0 <= v <= _LEVEL_TOL if outside else abs(v) <= _LEVEL_TOL
         if on_level:
-            return z
+            return np.array(z)
         if v < 0:
             lo = mid
         else:
             hi = mid
-    return z_in + (hi if outside else 0.5 * (lo + hi)) * seg
+    return np.array(_step(z_in, hi if outside else 0.5 * (lo + hi), seg))
 
 
 @lru_cache(maxsize=64)

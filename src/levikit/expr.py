@@ -271,10 +271,7 @@ def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
 
 def as_point(z, n: int | None = None) -> np.ndarray:
     """Normalize a point/vector of C^n to a 1-d complex array."""
-    if type(z) is np.ndarray and z.dtype == complex and z.ndim == 1:
-        a = z   # what the conversions below return for it, without their calls
-    else:
-        a = np.atleast_1d(np.asarray(z, dtype=complex))
+    a = np.atleast_1d(np.asarray(z, dtype=complex))
     if a.ndim != 1:
         raise ValueError(f"expected a flat coordinate vector, got shape {a.shape}")
     if n is not None and a.shape[0] != n:
@@ -301,22 +298,19 @@ def evaluate(f, z):
     """Evaluate ``f`` at the point ``z`` (any complex sequence).
 
     ``f`` is one tree, or a sequence of trees evaluated in one pass whose
-    values come back as a list.  On first use the trees are compiled into
-    one straight-line Python function: each node is one local, computed in
-    depth-first order (a quotient's denominator first) with CPython complex
-    arithmetic, so the values are those of a walk over the trees bit for
-    bit.  The function is kept for the life of the process, under the tuple
-    of the trees.
+    values come back as a list.  This is ``program`` run on the point's
+    coordinates as a list of Python complex; loops that already hold such
+    a list call the program directly.
     Raises EvalDomainError for ln of a non-positive (or non-real) argument,
     for division by exactly zero, for a power or modulus that overflows and
     for a variable beyond the point's dimension, carrying the offending
     subexpression and the point; when several are reachable, the first in
     that order is raised.
     """
-    zz = as_point(z)
+    z = as_point(z).tolist()
     if isinstance(f, Expr):
-        return _compile((f,))(zz)[0]
-    return _compile(tuple(f))(zz)
+        return program((f,))(z)[0]
+    return program(tuple(f))(z)
 
 
 # the value of each node kind from its children's locals {0}, {1}
@@ -330,21 +324,25 @@ _OPS = {
 }
 
 
-def _fail(message, node, zz):
-    return EvalDomainError(message, to_text(node), tuple(zz.tolist()))
+def _fail(message, node, z):
+    return EvalDomainError(message, to_text(node), tuple(z))
 
 
-def _beyond_dimension(var_nodes, zz):
-    """The error for the first variable, in program order, beyond ``zz``."""
-    n = zz.shape[0]
+def _beyond_dimension(var_nodes, z):
+    """The error for the first variable, in program order, beyond ``z``."""
+    n = len(z)
     e = next(e for e in var_nodes if e.index > n)
-    return _fail(f"variable z{e.index} exceeds point dimension {n}", e, zz)
+    return _fail(f"variable z{e.index} exceeds point dimension {n}", e, z)
 
 
 @lru_cache(maxsize=None)
-def _compile(roots):
-    """One function ``program(zz)`` returning the list of the roots' values
-    at the point array ``zz``; kept for each tuple of roots."""
+def program(roots):
+    """The program of a tuple of trees: a function of ``z``, a list of Python
+    complex (numpy scalars would change the arithmetic), that returns the
+    list of the roots' values there.  Compiled once per tuple and kept for
+    the process: each node is one local, computed in depth-first order (a
+    quotient's denominator first) with CPython complex arithmetic, so the
+    values are a walk's over the trees bit for bit.  Errors: see ``evaluate``."""
     local = {}
     consts = []         # const values, bound to default arguments
     params = []
@@ -369,7 +367,7 @@ def _compile(roots):
         elif k == "div":
             den = visit(kids[1])
             body.append(f"if {den} == 0: raise _fail('division by zero', "
-                        f"_n[{len(failing)}], zz)")
+                        f"_n[{len(failing)}], z)")
             failing.append(kids[1])
             code = f"{visit(kids[0])} / {den}"
         elif k == "pow":
@@ -381,7 +379,7 @@ def _compile(roots):
                 body.append(f"if abs({w}.imag) > {_REAL_IMAG_TOL!r} * max(1.0, abs({w}))"
                             f" or {w}.real <= 0: raise _fail("
                             f"f'ln of non-positive argument {{{w}}}', "
-                            f"_n[{len(failing)}], zz)")
+                            f"_n[{len(failing)}], z)")
                 failing.append(kids[0])
             code = _OPS[k].format(*args)
         else:
@@ -392,7 +390,7 @@ def _compile(roots):
             # CPython raises OverflowError where a mul would give inf
             body.append(f"try: {name} = {code}")
             body.append(f"except OverflowError: raise _fail('overflow', "
-                        f"_n[{len(failing)}], zz) from None")
+                        f"_n[{len(failing)}], z) from None")
             failing.append(e)
         else:
             body.append(f"{name} = {code}")
@@ -400,12 +398,11 @@ def _compile(roots):
 
     results = [visit(r) for r in roots]
     source = "\n".join([
-        f"def program({', '.join(['zz', *params])}):",
-        "    z = zz.tolist()",
+        f"def program({', '.join(['z', *params])}):",
         "    try:",
         *(f"        {line}" for line in body or ["pass"]),
         "    except IndexError:",
-        "        raise _beyond_dimension(_vars, zz) from None",
+        "        raise _beyond_dimension(_vars, z) from None",
         f"    return [{', '.join(results)}]",
     ])
     namespace = {"_k": consts, "_n": failing, "_vars": var_nodes, "_fail": _fail,

@@ -104,6 +104,8 @@ CLI_CASES = {
     "shipped-hartogs-reinhardt": _shipped("reinhardt", "hartogs_reinhardt.yaml"),
     "shipped-polydisc-exhaustion": _shipped("exhaustion", "polydisc_exhaustion.yaml"),
     "shipped-psh-circle": _shipped("psh-test", "psh_circle.yaml"),
+    "shipped-quartic-log-distance": _shipped("log-distance-probe",
+                                             "quartic_log_distance.yaml"),
     # classify: every variant with a boundary sampler, a C^3 ball, a
     # non-convex sublevel domain, explicit tolerances and two errors
     "classify-ball-c3": _cli("classify", {"domain": BALL3, "samples": 12, "seed": 1}),

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from levikit import calculus as lc
 from levikit import classify as cl
 from levikit import domains as dom
 from levikit import expr as ex
@@ -277,3 +278,91 @@ def circle_probe_oracle(func, region, trials, seed, quadrature=cl.DEFAULT_QUADRA
         else:
             outcomes.append(True)
     return cl._psh_verdict("CircleAverage", outcomes)
+
+
+# The sublevel foot-point search as it ran before its points became lists of
+# Python complex: numpy points, one ``expr.evaluate`` per value, one
+# ``calculus.complex_gradient`` per gradient and ``np.linalg.norm``.  Kept as
+# the oracles that ``Sublevel._foot_point``, ``_reproject_to_level``,
+# ``_march`` and ``domains._bisect_level`` must match bit for bit.
+
+def bisect_level_oracle(f, level, z_in, z_out, outside=False):
+    lo, hi = 0.0, 1.0
+    seg = z_out - z_in
+    if outside:
+        z_hi = z_in + hi * seg
+        if 0 <= ex.evaluate(f, z_hi).real - level <= dom._LEVEL_TOL:
+            return z_hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        z = z_in + mid * seg
+        v = ex.evaluate(f, z).real - level
+        on_level = 0 <= v <= dom._LEVEL_TOL if outside else abs(v) <= dom._LEVEL_TOL
+        if on_level:
+            return z
+        if v < 0:
+            lo = mid
+        else:
+            hi = mid
+    return z_in + (hi if outside else 0.5 * (lo + hi)) * seg
+
+
+def _gradient_oracle(d, b):
+    return np.conj(lc.complex_gradient(d.expr, b).components)
+
+
+def march_oracle(d, z, direction, s, v, steps):
+    for _ in range(steps):
+        probe = z + s * direction
+        try:
+            vp = ex.evaluate(d.expr, probe).real - d.level
+        except LevikitError:
+            return None
+        if vp * v <= 0:
+            return probe
+        s *= 2.0
+    return None
+
+
+def reproject_oracle(d, c):
+    v = ex.evaluate(d.expr, c).real - d.level
+    if abs(v) <= dom._LEVEL_TOL:
+        return c
+    g = _gradient_oracle(d, c)
+    gn = np.linalg.norm(g)
+    if gn < 1e-12:
+        return None
+    probe = march_oracle(d, c, -np.sign(v) * (g / gn), abs(v) / gn, v, 60)
+    if probe is None:
+        return None
+    inside_pt, outside_pt = (c, probe) if v < 0 else (probe, c)
+    return bisect_level_oracle(d.expr, d.level, inside_pt, outside_pt)
+
+
+def foot_point_oracle(d, z, b0):
+    b = np.asarray(b0)
+    best = float(np.linalg.norm(z - b))
+    for _ in range(12):
+        g = _gradient_oracle(d, b)
+        gn = np.linalg.norm(g)
+        if gn < 1e-12:
+            break
+        ghat = g / gn
+        diff = z - b
+        tang = diff - np.real(np.dot(diff, ghat.conj())) * ghat
+        if np.linalg.norm(tang) <= 1e-12 * max(1.0, best):
+            break
+        scale = 1.0
+        improved = False
+        for _ in range(6):
+            candidate = reproject_oracle(d, b + scale * tang)
+            if candidate is not None:
+                dist = float(np.linalg.norm(z - candidate))
+                if dist < best - 1e-15:
+                    b, best = candidate, dist
+                    improved = True
+                    break
+            scale *= 0.5
+        if not improved:
+            break
+    return b

@@ -351,7 +351,8 @@ def test_circle_that_crosses_the_boundary_skips_its_trial():
 
 def test_hartogs_chunk_asks_each_member_for_two_distance_arrays(monkeypatch):
     # per chunk and member: one array call for the centres' distances, one
-    # for every centre and circle point of the chunk
+    # for every circle point of the chunk (a centre's -ln d is -ln of its
+    # distance from the first call)
     real = dom.Polydisc.interior_distance
     calls = []
 
@@ -363,7 +364,7 @@ def test_hartogs_chunk_asks_each_member_for_two_distance_arrays(monkeypatch):
     trials = cl._TRIAL_CHUNK + 5
     rep = cl.log_distance_probe(dom.hartogs_figure(), trials=trials, seed=0)
     assert rep.inner.tested == trials
-    rows = cl.DEFAULT_QUADRATURE + 1
+    rows = cl.DEFAULT_QUADRATURE
     assert calls == [(cl._TRIAL_CHUNK, 2)] * 2 + [(cl._TRIAL_CHUNK * rows, 2)] * 2 \
         + [(5, 2)] * 2 + [(5 * rows, 2)] * 2
 

@@ -443,6 +443,7 @@ def test_shipped_configs_run():
                 "hartogs_reinhardt": "reinhardt",
                 "hartogs_log_distance": "log-distance-probe",
                 "ball_log_distance": "log-distance-probe",
+                "quartic_log_distance": "log-distance-probe",
                 "polydisc_exhaustion": "exhaustion",
                 "psh_circle": "psh-test"}
     config_dir = Path(__file__).resolve().parent.parent / "configs"

@@ -1,16 +1,24 @@
 """Domain membership, sampling and distance tests."""
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levikit import domains as dom
 from levikit import expr as ex
 from levikit.errors import (LevikitError, PointOutsideDomain, SamplingExhausted,
                             UnsupportedMetric)
 
-from helpers import ball_oracle, interior_sample_oracle
+from helpers import (ball_oracle, bisect_level_oracle, foot_point_oracle,
+                     interior_sample_oracle, march_oracle, reproject_oracle)
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "golden"))
+import generate  # noqa: E402
 
 E = math.e
 
@@ -61,21 +69,19 @@ def test_sublevel_boundary_samples_hit_level_set():
         assert abs(np.linalg.norm(np.asarray(s.point)) - 1.0) <= 1e-9
 
 
-def test_outside_bisection_evaluates_each_point_once(monkeypatch):
+def test_outside_bisection_evaluates_each_point_once():
     f = ex.parse("abs2(z1) + abs2(z2) - 1", 2)
-    real = ex.evaluate
+    program = ex.program((f,))
     points = []
 
-    def recording(g, z):
-        points.append(tuple(np.asarray(z)))
-        return real(g, z)
+    def recording(z):
+        points.append(tuple(z))
+        return program(z)
 
-    monkeypatch.setattr(ex, "evaluate", recording)
-    z = dom._bisect_level(f, 0.0, np.zeros(2, dtype=complex),
-                          np.array([1.5, 0.5j]), outside=True)
+    z = dom._bisect_level(recording, 0.0, [0j, 0j], [1.5 + 0j, 0.5j], outside=True)
     assert len(points) > 2
     assert len(set(points)) == len(points)
-    assert 0 <= real(f, z).real <= 1e-10
+    assert 0 <= ex.evaluate(f, z).real <= 1e-10
 
 
 def test_sublevel_no_interior_point():
@@ -458,3 +464,81 @@ def test_block_draws_report_the_acceptance_rate_of_one_candidate_per_draw():
         assert str(got.value) == str(expected.value)
         rates.append(got.value.acceptance_rate)
     assert len(set(rates)) > 1
+
+
+# the sublevel foot-point search on lists of Python complex against the numpy
+# oracles it replaced, points compared by the hex form of every part
+
+GOLDEN_SUBLEVELS = {name: dom.domain_from_dict(getattr(generate, name))
+                    for name in ("SPHERE", "QUARTIC3", "MIXTURE")}
+# parts of both signed zeros, and of either sign on both sides of the level
+# sets.  Nonzero parts stay above 1e-150, so no product in a step underflows
+# to zero: there numpy's own bits depend on the CPU (see the test below).
+PART = (st.sampled_from([0.0, -0.0]) | st.floats(1e-150, 1.6)
+        | st.floats(-1.6, -1e-150))
+
+
+def _hex(z):
+    return None if z is None else [(complex(x).real.hex(), complex(x).imag.hex())
+                                   for x in z]
+
+
+@st.composite
+def _domain_and_rows(draw, count):
+    """A golden sublevel domain and ``count`` points of its dimension."""
+    name = draw(st.sampled_from(sorted(GOLDEN_SUBLEVELS)))
+    d = GOLDEN_SUBLEVELS[name]
+    parts = st.lists(PART, min_size=2 * d.dimension, max_size=2 * d.dimension)
+    rows = [draw(parts) for _ in range(count)]
+    return d, [np.array([complex(re, im) for re, im in zip(p[::2], p[1::2])])
+               for p in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_domain_and_rows(3), st.booleans(), st.floats(1e-3, 2.0))
+def test_sublevel_steps_on_lists_equal_the_numpy_oracles(case, outside, s):
+    d, (a, b, c) = case
+    value = d._value_program()
+    assert _hex(dom._bisect_level(value, d.level, a.tolist(), b.tolist(), outside)) \
+        == _hex(bisect_level_oracle(d.expr, d.level, a, b, outside))
+    for v in (-1.0, 1.0):
+        assert _hex(d._march(a.tolist(), c.tolist(), s, v, 10)) \
+            == _hex(march_oracle(d, a, c, s, v, 10))
+    assert _hex(d._reproject_to_level(a)) == _hex(reproject_oracle(d, a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_domain_and_rows(1), st.integers(0, 511))
+def test_sublevel_foot_point_equals_the_numpy_oracle(case, start):
+    d, (z,) = case
+    b0 = dom._cached_boundary_points(d)[start]
+    assert _hex(d._foot_point(z, b0)) == _hex(foot_point_oracle(d, z, b0))
+
+
+@given(st.lists(st.tuples(PART, PART, PART, PART), min_size=1, max_size=8),
+       st.just(0.0) | st.floats(1e-100, 2.0))
+def test_step_on_lists_is_numpy_float_times_complex(parts, t):
+    z = [complex(a, b) for a, b, _, _ in parts]
+    direction = [complex(c, e) for _, _, c, e in parts]
+    assert _hex(dom._step(z, t, direction)) == _hex(np.array(z) + t * np.array(direction))
+
+
+def test_step_where_a_product_underflows_is_cpython_on_every_cpu():
+    # t * s_re underflows to -0 here.  CPython, numpy scalars and numpy's
+    # baseline array kernel then subtract 0 * s_im = -0 and give +0; numpy's
+    # fused multiply-add kernels (x86-64-v3 and later) round the exact sum
+    # once and give -0, so the old numpy step kept the -0 on such CPUs only
+    (z,) = dom._step([complex(-0.0, 0.0)], 1e-200, [complex(-1e-200, -0.0)])
+    assert (z.real.hex(), z.imag.hex()) == ("0x0.0p+0", "0x0.0p+0")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_norm_is_numpy_norm_bit_for_bit(n):
+    # complex, and real as in Polydisc.exterior_distance; every caller passes
+    # a contiguous array (the real part of a complex one is a strided view)
+    rng = np.random.default_rng(n)
+    for scale in (1e-160, 1e-3, 1.0, 1e150):
+        for _ in range(200):
+            w = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            for v in (w, w.real.copy()):
+                assert dom._norm(v, dom.EUCLIDEAN).hex() == float(np.linalg.norm(v)).hex()
