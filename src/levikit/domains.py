@@ -23,6 +23,7 @@ import numpy as np
 from . import calculus as lc
 from . import expr as ex
 from .errors import ConfigError, LevikitError, PointOutsideDomain, UnsupportedMetric
+from .modulus import ModulusGeometry
 from .sampling import block_values, disc_points, rejection_sample, unit_vector
 
 EUCLIDEAN = "euclidean"
@@ -610,12 +611,27 @@ class Sublevel(Domain, variant="sublevel"):
         return b
 
     def interior_distance(self, zz, metric):
-        """Sample-based distance to the level set, refined to the nearest foot point.
+        """Distance from each row to the level set {f = level}.
 
-        Resolution-limited: the refinement starts from the nearest of 512 seeded
-        boundary samples, so badly undersampled level-set branches can be missed.
-        The foot-point search runs one row at a time.
+        When f depends on z only through the moduli |z_j| (``ex.moduli_only``),
+        the distance is exact: d(z) = dist(|z|, Γ) in the same metric, with
+        Γ = {s >= 0 : f(s) = level}, since aligning the phases of a boundary
+        point with those of z keeps it on the boundary and moves it no
+        farther (Jarnicki & Pflug, First Steps in Several Complex Variables:
+        Reinhardt Domains, EMS 2008, ch. 1).  Γ is meshed once per domain,
+        on the first call, and each row's nearest mesh points are refined by
+        Newton's method on the contact conditions of the metric (``modulus``).
+
+        Every other expression keeps the sampled path: the nearest of 512
+        seeded boundary samples, refined one row at a time by the Euclidean
+        foot-point search and measured in ``metric``.  That is an upper
+        bound on d, and badly undersampled level-set branches can be missed.
         """
+        if self._moduli_only():
+            return self._modulus_geometry().distances(zz, metric == EUCLIDEAN)
+        return self._sampled_distance(zz, metric)
+
+    def _sampled_distance(self, zz, metric):
         pts = _cached_boundary_points(self)
         out = np.empty(len(zz))
         for i, z in enumerate(zz):
@@ -625,6 +641,16 @@ class Sublevel(Domain, variant="sublevel"):
                 best = min(best, _norm(z - self._foot_point(z, pts[idx]), metric))
             out[i] = best
         return out
+
+    @_once
+    def _moduli_only(self):
+        return ex.moduli_only(self.expr)
+
+    @_once
+    def _modulus_geometry(self) -> ModulusGeometry:
+        box = self.bounding_polydisc()
+        return ModulusGeometry(self.expr, self.level,
+                               [abs(c) + r for c, r in zip(box.center, box.radii)])
 
     def exterior_distance(self, zz, metric) -> float:
         return float(self.interior_distance(zz[None], metric)[0])

@@ -247,6 +247,14 @@ def max_index(e: Expr) -> int:
     return max(max_index(c) for c in e.children)
 
 
+def moduli_only(e: Expr) -> bool:
+    """True when every variable is the direct argument of ``abs2`` or
+    ``abs``, so that ``e`` depends on z only through the moduli |z_j|."""
+    if e.kind in ("abs2", "abs") and e.children[0].kind == "var":
+        return True
+    return e.kind != "var" and all(moduli_only(c) for c in e.children)
+
+
 def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
     """Replace each variable j in ``mapping`` by the given expression.
 

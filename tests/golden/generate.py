@@ -57,11 +57,19 @@ QUARTIC3 = {"variant": "sublevel", "dimension": 3,
             "expression": "abs2(z1)^2 + abs2(z2)^2 + abs2(z3) - 1", "level": 0.0,
             "box_center": [[0.0, 0.0]] * 3, "box_radii": [1.5, 1.5, 1.5],
             "interior_hint": [[0.0, 0.0]] * 3}
+QUARTIC = {**SPHERE, "expression": "abs2(z1)^2 + abs2(z2)^2 - 1",
+           "box_radii": [1.0, 1.0]}
 SPHERE_NO_HINT = {k: v for k, v in SPHERE.items() if k != "interior_hint"}
 # not pseudoconvex: the Levi form restricted to the tangent space changes sign
 MIXTURE = {"variant": "sublevel", "dimension": 2,
            "expression": "abs2(z1) - abs2(z2) + abs2(z2)^2 - 0.1", "level": 0.0,
            "box_center": ORIGIN2, "box_radii": [1.0, 1.2],
+           "interior_hint": ORIGIN2}
+# not Reinhardt: the last term depends on the phases, so its distances
+# stay on the sampled foot-point path
+PSH_SUM = {"variant": "sublevel", "dimension": 2,
+           "expression": "abs2(z1) + abs2(z2) + abs2(z1*z2 + 0.5*z1^2) - 1",
+           "level": 0.0, "box_center": ORIGIN2, "box_radii": [1.0, 1.0],
            "interior_hint": ORIGIN2}
 # C^2 minus the closed unit ball
 COMPLEMENT = {"variant": "sublevel", "dimension": 2,
@@ -106,6 +114,8 @@ CLI_CASES = {
     "shipped-psh-circle": _shipped("psh-test", "psh_circle.yaml"),
     "shipped-quartic-log-distance": _shipped("log-distance-probe",
                                              "quartic_log_distance.yaml"),
+    "shipped-quartic-mixed-log-distance": _shipped("log-distance-probe",
+                                                   "quartic_mixed_log_distance.yaml"),
     # classify: every variant with a boundary sampler, a C^3 ball, a
     # non-convex sublevel domain, explicit tolerances and two errors
     "classify-ball-c3": _cli("classify", {"domain": BALL3, "samples": 12, "seed": 1}),
@@ -147,8 +157,10 @@ CLI_CASES = {
                                                     "expression": "-abs2(z1)"}),
     "psh-bad-mode": _cli("psh-test", {"domain": BALL2, "mode": "radial",
                                       "expression": "abs2(z1)"}),
-    # log-distance-probe: all closed-form variants under both metrics,
-    # the Hartogs figure with violations, and a sampled sublevel distance
+    # log-distance-probe: all closed-form variants under both metrics, the
+    # Hartogs figure with violations, modulus-space sublevel distances under
+    # both metrics, and the sampled distance of a sublevel domain that is
+    # not Reinhardt
     "logdist-hartogs-euclidean": _cli("log-distance-probe",
                                       {"domain": HARTOGS, "metric": "euclidean",
                                        "trials": 150, "seed": 1}),
@@ -168,6 +180,11 @@ CLI_CASES = {
                                                         "trials": 20}),
     "logdist-sphere-sublevel": _cli("log-distance-probe", {"domain": SPHERE,
                                                            "trials": 1}),
+    "logdist-psh-sum-sublevel": _cli("log-distance-probe", {"domain": PSH_SUM,
+                                                            "trials": 3}),
+    "logdist-quartic-linfty": _cli("log-distance-probe", {"domain": QUARTIC,
+                                                          "metric": "linfty",
+                                                          "trials": 12, "seed": 1}),
     # reinhardt: a witness (with a seed the exact test ignores), a staircase
     # of three corners, a log-convex union, a domain of the wrong kind
     "reinhardt-hartogs-seed-ignored": _cli("reinhardt", {"domain": HARTOGS, "seed": 2}),

@@ -366,3 +366,88 @@ def foot_point_oracle(d, z, b0):
         if not improved:
             break
     return b
+
+
+# Reinhardt sublevel distances in C^2 by a one-dimensional search over
+# Γ = {s >= 0 : f(s) = level}.  Γ is parametrised by the angle of the ray
+# from 0 in the modulus plane, and f at moduli is evaluated through sympy
+# (abs2(x) is x^2 there).  The best point of a dense scan of rays is
+# minimised over the neighbouring angles; an L-infinity minimum where both
+# coordinate gaps are equal is a corner of the cube, s + t σ, whose t is
+# solved as a root.  The last root is solved again in mpmath.
+
+def _modulus_functions(d):
+    import sympy
+    s1, s2, r, t = sympy.symbols("s1 s2 r t", real=True)
+    text = ex.to_text(d.expr).replace("^", "**")
+    f = sympy.sympify(text, locals={"abs2": lambda x: x ** 2, "abs": sympy.Abs,
+                                    "z1": s1, "z2": s2}) - d.level
+    on_ray = f.subs({s1: r * sympy.cos(t), s2: r * sympy.sin(t)})
+    return (sympy.lambdify((r, t), on_ray, "numpy"),
+            sympy.lambdify((r, t), sympy.diff(on_ray, r), "math"),
+            sympy.lambdify((s1, s2), f, "mpmath"))
+
+
+_MODULUS_ORACLES = {}
+
+
+def _newton(f, df, x):
+    for _ in range(60):
+        dx = float(f(x)) / df(x)
+        x -= dx
+        if abs(dx) <= 1e-16 * abs(x):
+            break
+    return x
+
+
+def modulus_distance_oracle(d, z, metric, rays=1001, steps=200):
+    """dist(|z|, Γ) for a Reinhardt sublevel domain in C^2 with a bounding
+    box, in the metric asked for."""
+    import mpmath
+    from scipy.optimize import minimize_scalar
+    if d not in _MODULUS_ORACLES:
+        f, df, f_mp = _modulus_functions(d)
+        reach = math.hypot(*(abs(c) + r for c, r in zip(d.box_center, d.box_radii)))
+        angles = np.linspace(0.0, math.pi / 2, rays)
+        radii = np.linspace(0.0, reach, steps + 1)
+        values = f(radii[None, :], angles[:, None]) * np.ones((rays, 1))
+        crossings = [(angles[i], _newton(lambda r: f(r, angles[i]), lambda r: df(r, angles[i]),
+                                         radii[k]))
+                     for i, k in zip(*np.nonzero((values[:, :-1] < 0) != (values[:, 1:] < 0)))]
+        _MODULUS_ORACLES[d] = (crossings, f, df, f_mp, math.pi / 2 / (rays - 1))
+    crossings, f, df, f_mp, step = _MODULUS_ORACLES[d]
+    s = np.abs(np.asarray(z, dtype=complex))
+
+    def point(t, r):
+        return r * np.array([math.cos(t), math.sin(t)])
+
+    def gap(p):
+        diff = np.abs(s - p)
+        return float(np.hypot(*diff)) if metric == dom.EUCLIDEAN else float(np.max(diff))
+
+    t0, r0 = min(crossings, key=lambda c: gap(point(*c)))
+    radius = {}
+
+    def along(t):
+        r = radius[t] = _newton(lambda r: f(r, t), lambda r: df(r, t), r0)
+        return gap(point(t, r))
+
+    # the bounded search keeps off the ends, where Γ meets an axis
+    bounds = (max(0.0, t0 - step), min(math.pi / 2, t0 + step))
+    t = min((minimize_scalar(along, bounds=bounds, method="bounded",
+                             options={"xatol": 1e-14}).x, *bounds), key=along)
+    p = point(t, radius[t])
+    diff = p - s
+    with mpmath.workdps(40):
+        s_mp = [mpmath.mpf(float(x)) for x in s]
+        if metric == dom.LINFTY and abs(abs(diff[0]) - abs(diff[1])) <= 1e-6:
+            sigma = np.sign(diff)
+            c = mpmath.findroot(lambda c: f_mp(*(x + c * e for x, e in zip(s_mp, sigma))),
+                                mpmath.mpf(float(np.max(np.abs(diff)))))
+            return float(abs(c))
+        r = mpmath.mpf(radius[t])
+        r = mpmath.findroot(lambda r: f_mp(r * mpmath.cos(t), r * mpmath.sin(t)),
+                            (r * (1 - 1e-12), r * (1 + 1e-12)), solver="anderson")
+        gaps = [abs(x - r * g(t)) for x, g in zip(s_mp, (mpmath.cos, mpmath.sin))]
+        return float(mpmath.sqrt(sum(x * x for x in gaps)) if metric == dom.EUCLIDEAN
+                     else max(gaps))

@@ -444,6 +444,7 @@ def test_shipped_configs_run():
                 "hartogs_log_distance": "log-distance-probe",
                 "ball_log_distance": "log-distance-probe",
                 "quartic_log_distance": "log-distance-probe",
+                "quartic_mixed_log_distance": "log-distance-probe",
                 "polydisc_exhaustion": "exhaustion",
                 "psh_circle": "psh-test"}
     config_dir = Path(__file__).resolve().parent.parent / "configs"
@@ -453,6 +454,20 @@ def test_shipped_configs_run():
         report, code = run_command(commands[path.stem], load_config_file(path))
         assert code in (0, 2)
         assert rep.verify_report(report).passed
+
+
+def test_mixed_quartic_config_keeps_only_its_true_witness():
+    # with sampled distances this config reported a second violation, at
+    # radius 0.0580, whose exact deficit is -4.958e-3; the one at radius
+    # 0.0110 is real, since the domain is not pseudoconvex
+    from pathlib import Path
+    path = Path(__file__).resolve().parent.parent / "configs" / "quartic_mixed_log_distance.yaml"
+    report, code = run_command("log-distance-probe", load_config_file(path))
+    radii = [r["radius"] for r in report["records"] if r["key"].startswith("violation")]
+    assert code == 2 and report["summary"].startswith("NotPseudoconvex")
+    assert not any(abs(r - 0.058) < 5e-4 for r in radii)
+    assert any(abs(r - 0.011) < 5e-4 for r in radii)
+    assert rep.verify_report(report).passed
 
 
 def test_classify_polydisc_report_verifies_through_face_functions():

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 
 from levikit import domains as dom
 from levikit import expr as ex
+from levikit import modulus
 from levikit.errors import (LevikitError, PointOutsideDomain, SamplingExhausted,
                             UnsupportedMetric)
 
 from helpers import (ball_oracle, bisect_level_oracle, foot_point_oracle,
-                     interior_sample_oracle, march_oracle, reproject_oracle)
+                     interior_sample_oracle, march_oracle, modulus_distance_oracle,
+                     reproject_oracle)
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "golden"))
 import generate  # noqa: E402
@@ -470,7 +473,7 @@ def test_block_draws_report_the_acceptance_rate_of_one_candidate_per_draw():
 # oracles it replaced, points compared by the hex form of every part
 
 GOLDEN_SUBLEVELS = {name: dom.domain_from_dict(getattr(generate, name))
-                    for name in ("SPHERE", "QUARTIC3", "MIXTURE")}
+                    for name in ("SPHERE", "QUARTIC3", "MIXTURE", "PSH_SUM")}
 # parts of both signed zeros, and of either sign on both sides of the level
 # sets.  Nonzero parts stay above 1e-150, so no product in a step underflows
 # to zero: there numpy's own bits depend on the CPU (see the test below).
@@ -542,3 +545,160 @@ def test_norm_is_numpy_norm_bit_for_bit(n):
             w = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
             for v in (w, w.real.copy()):
                 assert dom._norm(v, dom.EUCLIDEAN).hex() == float(np.linalg.norm(v)).hex()
+
+
+# Reinhardt sublevel distances in modulus space, against the one-dimensional
+# oracle over Γ, the sampled path they replaced and boundary points of D
+
+C05 = {**generate.QUARTIC, "expression": "abs2(z1)^2 + abs2(z2)^2 - 0.5*abs2(z1)*abs2(z2) - 1",
+       "box_radii": [3.5, 3.5]}
+REINHARDT_SUBLEVELS = {name: dom.domain_from_dict(spec) for name, spec in (
+    ("SPHERE", generate.SPHERE), ("QUARTIC", generate.QUARTIC),
+    ("MIXTURE", generate.MIXTURE), ("C05", C05), ("QUARTIC3", generate.QUARTIC3))}
+METRICS = (dom.EUCLIDEAN, dom.LINFTY)
+
+
+def _box_rows(d, count, seed, scale=0.8):
+    """Seeded rows in the bounding polydisc scaled by ``scale``, inside D or not."""
+    rng = np.random.default_rng(seed)
+    return np.asarray(d.box_center) + scale * (
+        dom.disc_points(rng, d.box_radii, count))
+
+
+def test_only_moduli_only_sublevel_domains_leave_the_sampled_path():
+    assert all(d._moduli_only() for d in REINHARDT_SUBLEVELS.values())
+    assert not GOLDEN_SUBLEVELS["PSH_SUM"]._moduli_only()
+
+
+@pytest.mark.parametrize("name", ["SPHERE", "QUARTIC", "MIXTURE", "C05"])
+@pytest.mark.parametrize("metric", METRICS)
+def test_modulus_distance_matches_the_oracle_over_gamma(name, metric):
+    d = REINHARDT_SUBLEVELS[name]
+    rows = np.vstack([dom.interior_sample(d, 6, 11), _box_rows(d, 4, 12)])
+    got = d.interior_distance(rows, metric)
+    want = [modulus_distance_oracle(d, z, metric) for z in rows]
+    assert got == pytest.approx(want, rel=1e-9, abs=0)
+
+
+def test_the_row_where_the_sampled_distance_was_1_6_percent_too_large():
+    d = REINHARDT_SUBLEVELS["QUARTIC"]
+    z = np.array([[0.11153 - 0.49210j, -0.28788 + 0.40084j]])
+    got = float(d.interior_distance(z, dom.EUCLIDEAN)[0])
+    assert got == pytest.approx(modulus_distance_oracle(d, z[0], dom.EUCLIDEAN), rel=1e-9)
+    # the aligned-phase point of the search that found it, on D's boundary
+    # up to its printed digits
+    w = np.array([0.21296 - 0.93962j, -0.35580 + 0.49540j])
+    assert got < float(np.linalg.norm(z[0] - w)) < 0.4735
+    assert float(d._sampled_distance(z, dom.EUCLIDEAN)[0]) > 1.016 * got
+
+
+def test_quartic_distances_at_the_origin():
+    d = REINHARDT_SUBLEVELS["QUARTIC"]
+    origin = np.zeros((1, 2), dtype=complex)
+    assert d.interior_distance(origin, dom.EUCLIDEAN)[0] == pytest.approx(1.0, rel=1e-12)
+    assert d.interior_distance(origin, dom.LINFTY)[0] == pytest.approx(2 ** -0.25, rel=1e-12)
+
+
+_BOUNDARY = {}
+
+
+def _boundary_points(name):
+    if name not in _BOUNDARY:
+        d = REINHARDT_SUBLEVELS[name]
+        _BOUNDARY[name] = np.array([s.point for s in dom.boundary_sample(d, 64, 5)])
+    return _BOUNDARY[name]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(REINHARDT_SUBLEVELS)), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 63), st.sampled_from(METRICS))
+def test_modulus_distance_is_at_most_that_of_boundary_points(name, seed, k, metric):
+    d = REINHARDT_SUBLEVELS[name]
+    z = _box_rows(d, 1, seed, scale=1.0)[0]
+    w = _boundary_points(name)[k]
+    # the same moduli with the phases of z is a boundary point too
+    phases = np.where(z == 0, 1, z / np.where(z == 0, 1, np.abs(z)))
+    got = d.interior_distance(z[None], metric)[0]
+    # a boundary sample has 0 <= f - level <= 1e-10, so it may lie that
+    # far outside Γ
+    for point in (w, np.abs(w) * phases):
+        assert got <= dom._norm(z - point, metric) + 1e-8
+
+
+def test_linfty_quartic_distances_are_at_most_those_of_aligned_boundary_points():
+    # the sampled path, which minimised the Euclidean distance, failed this
+    # on every row
+    d = REINHARDT_SUBLEVELS["QUARTIC"]
+    rows = dom.interior_sample(d, 64, 0)
+    moduli = np.abs(np.array([s.point for s in dom.boundary_sample(d, 256, 1)]))
+    got = d.interior_distance(rows, dom.LINFTY)
+    aligned = np.abs(np.abs(rows)[:, None, :] - moduli[None]).max(axis=2).min(axis=1)
+    assert np.all(got <= aligned + 1e-8)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_quartic_c3_distances_are_at_most_the_sampled_ones(metric):
+    d = REINHARDT_SUBLEVELS["QUARTIC3"]
+    rows = dom.interior_sample(d, 6, 3)
+    assert np.all(d.interior_distance(rows, metric)
+                  <= d._sampled_distance(rows, metric) * (1 + 1e-9))
+
+
+@pytest.mark.parametrize("name", ["QUARTIC", "MIXTURE", "QUARTIC3"])
+@pytest.mark.parametrize("metric", METRICS)
+def test_a_row_alone_equals_the_row_in_a_batch(name, metric):
+    d = REINHARDT_SUBLEVELS[name]
+    rows = _box_rows(d, 2 * modulus._ROW_CHUNK + 3, 21)
+    batch = d.interior_distance(rows, metric)
+    order = np.random.default_rng(0).permutation(len(rows))
+    assert d.interior_distance(rows[order], metric).tobytes() == batch[order].tobytes()
+    for i in (0, modulus._ROW_CHUNK, len(rows) - 1):
+        assert d.interior_distance(rows[i:i + 1], metric).tobytes() == batch[i:i + 1].tobytes()
+
+
+def test_gamma_is_built_on_the_first_distance_call_only():
+    d = dom.domain_from_dict(generate.QUARTIC)
+    assert dom.contains(d, [0.1, 0.2])
+    assert "__modulus_geometry_value" not in vars(d)
+    dom.distance_to_boundary(d, [0.1, 0.2])
+    geometry = vars(d)["__modulus_geometry_value"]
+    dom.distance_to_boundary(d, [0.3, 0.2], dom.LINFTY)
+    assert d._modulus_geometry() is geometry
+
+
+def test_a_domain_without_a_box_raises_as_before():
+    d = dom.domain_from_dict(generate.COMPLEMENT)
+    with pytest.raises(LevikitError, match="needs a bounding box"):
+        dom.distance_to_boundary(d, [1.0, 1.0])
+
+
+def test_a_refinement_that_does_not_converge_raises(monkeypatch):
+    monkeypatch.setattr(modulus, "_NEWTON_STEPS", 1)
+    d = dom.domain_from_dict(generate.QUARTIC)
+    with pytest.raises(LevikitError, match=re.escape(
+            "sublevel domain (abs2(z1))^2 + (abs2(z2))^2 - 1 < 0.0: "
+            "the modulus-space refinement of row 1 did not converge")):
+        d.interior_distance(np.array([[0.0, 0.0], [0.3, 0.1j]]), dom.EUCLIDEAN)
+
+
+def test_a_sign_change_at_a_pole_is_no_level_crossing():
+    d = dom.Sublevel(ex.parse("1 / (abs2(z1) + abs2(z2) - 0.3)", 2), 0.0, 2,
+                     box_center=(0, 0), box_radii=(1.0, 1.0))
+    with pytest.raises(LevikitError, match="level crossing on the ray .* did not converge"):
+        dom.distance_to_boundary(d, [0.1, 0.1])
+
+
+def test_kinks_of_abs_on_the_axes_are_reached():
+    # Γ is the segment s1 + s2 = 1 for the first domain; for the second,
+    # s2 = 0.5 + s1, whose nearest point to s = (0, 0.3) is its end (0, 0.5)
+    diamond = dom.Sublevel(ex.parse("abs(z1) + abs(z2) - 1", 2), 0.0, 2,
+                           box_center=(0, 0), box_radii=(1.5, 1.5))
+    z = np.array([[1.375, 0.38j]])
+    assert diamond.interior_distance(z, dom.EUCLIDEAN)[0] == pytest.approx(
+        0.755 / math.sqrt(2), rel=1e-12)
+    assert diamond.interior_distance(z, dom.LINFTY)[0] == pytest.approx(0.755 / 2, rel=1e-12)
+    valley = dom.Sublevel(ex.parse("abs(z2) - abs(z1) - 0.5", 2), 0.0, 2,
+                          box_center=(0, 0), box_radii=(1.0, 1.0))
+    z = np.array([[0.0, 0.3]])
+    assert valley.interior_distance(z, dom.EUCLIDEAN)[0] == pytest.approx(0.2, rel=1e-12)
+    assert valley.interior_distance(z, dom.LINFTY)[0] == pytest.approx(0.2, rel=1e-12)

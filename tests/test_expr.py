@@ -25,6 +25,21 @@ def test_parse_sum_of_squares():
     assert ex.evaluate(f, [1, 1j]) == 2
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("abs2(z1)^2 + abs2(z2)^2 - 1", True),
+    ("abs(z1) * abs2(z2) - ln(1 + abs(z2))", True),
+    ("abs2(conj(z1)) + 3", True),
+    ("2.5", True),
+    ("abs2(z1*z2)", False),
+    ("abs2(z1) + abs2(z2) + abs2(z1*z2 + 0.5*z1^2) - 1", False),
+    ("abs(z1 - 1)", False),
+    ("abs2(z1) + re(z2)", False),
+    ("abs2(abs(z1)) - abs(z2)^3", True),
+])
+def test_moduli_only_needs_every_variable_directly_under_abs2_or_abs(text, expected):
+    assert ex.moduli_only(ex.parse(text, 2)) is expected
+
+
 def test_parse_re_im_product():
     f = ex.parse("re(z1)*im(z2)", 2)
     assert f.kind == "mul"
