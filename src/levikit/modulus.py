@@ -40,9 +40,10 @@ class ModulusGeometry:
     """Γ of {f < level}, meshed by every crossing of fixed rays of R^n_{>=0}
     from 0 to the box of moduli [0, top_j]: a sign change of f - level
     between two of ``_RAY_STEPS`` steps of a ray is solved by
-    ``_bracketed_root``.  Keeps the mesh points, each one's nearest others
-    and the spacing: the largest distance from a point to the farthest of
-    those, or a ray step where that is more."""
+    ``_bracketed_root``, and a step with an end where f has no value is
+    skipped.  Keeps the mesh points, each one's nearest others and the
+    spacing: the largest distance from a point to the farthest of those,
+    or a ray step where that is more."""
 
     def __init__(self, f: ex.Expr, level: float, top):
         self.f, self.level = f, level
@@ -51,17 +52,29 @@ class ModulusGeometry:
         def at(t, u):
             return value([complex(t * x, 0.0) for x in u])[0].real - level
 
+        def at_or_none(t, u):
+            try:
+                return at(t, u)
+            except LevikitError:
+                return None
+
         points, reaches = [], []
         for u in _directions(len(top)):
             reach = min(m / x for m, x in zip(top, u) if x > 0)
             reaches.append(reach)
             ts = [reach * i / _RAY_STEPS for i in range(_RAY_STEPS + 1)]
-            vs = [at(t, u) for t in ts]
+            # None where f has no value: a pole at t = 0 or on an axis
+            vs = [at_or_none(t, u) for t in ts]
             for lo, hi, v_lo, v_hi in zip(ts, ts[1:], vs, vs[1:]):
-                if (v_lo < 0) != (v_hi < 0):
-                    t = _bracketed_root(lambda t: at(t, u), lo, hi, v_lo, v_hi)
-                    # a sign change across a pole is no root
-                    if not abs(at(t, u)) <= 1e-10 * max(1.0, abs(v_lo), abs(v_hi)):
+                if v_lo is not None and v_hi is not None and (v_lo < 0) != (v_hi < 0):
+                    try:
+                        t = _bracketed_root(lambda t: at(t, u), lo, hi, v_lo, v_hi)
+                        v = at(t, u)
+                    except LevikitError:
+                        v = None
+                    # a sign change across a pole, or where f cannot be
+                    # evaluated, is no root
+                    if v is None or not abs(v) <= 1e-10 * max(1.0, abs(v_lo), abs(v_hi)):
                         raise self._error(f"the level crossing on the ray {u} "
                                           f"did not converge")
                     points.append([t * x for x in u])
@@ -143,16 +156,22 @@ class ModulusGeometry:
         of the cube, and at least one coordinate on a face.  At a contact
         the active σ_j g_j share one sign, + from inside D and - from
         outside, so σ_j is that sign times sign(g_j) at c; both signs where
-        g_j may change sign within about a mesh spacing of c, and -1 where
-        c_j is 0 (the face that reaches 0 from s_j >= 0)."""
+        g_j may change sign within about a mesh spacing of c or f has no
+        value at s, and -1 where c_j is 0 (the face that reaches 0 from
+        s_j >= 0)."""
         if euclidean:
             options = [(None, _PIN) if not x else (None,) for x in c]
         else:
             _, g, hess = self._derivatives(c, [j for j, x in enumerate(c) if x])
-            side = 1.0 if self._value([complex(x, 0.0) for x in s])[0].real < self.level \
-                else -1.0
+            try:
+                side = 1.0 if self._value([complex(x, 0.0) for x in s])[0].real < self.level \
+                    else -1.0
+            except LevikitError:
+                # f has no value at s (a pole on an axis): either side
+                side = None
             options = [(0.0, -1.0, _PIN) if not x else
-                       (0.0, 1.0, -1.0) if abs(w) <= 2 * self.spacing * sum(map(abs, h))
+                       (0.0, 1.0, -1.0) if side is None
+                       or abs(w) <= 2 * self.spacing * sum(map(abs, h))
                        else (0.0, side * math.copysign(1.0, w)) for x, w, h in zip(c, g, hess)]
         return [m for m in itertools.product(*options)
                 if any(x is not _PIN and (euclidean or x) for x in m)]

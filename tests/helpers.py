@@ -370,84 +370,101 @@ def foot_point_oracle(d, z, b0):
 
 # Reinhardt sublevel distances in C^2 by a one-dimensional search over
 # Γ = {s >= 0 : f(s) = level}.  Γ is parametrised by the angle of the ray
-# from 0 in the modulus plane, and f at moduli is evaluated through sympy
-# (abs2(x) is x^2 there).  The best point of a dense scan of rays is
-# minimised over the neighbouring angles; an L-infinity minimum where both
-# coordinate gaps are equal is a corner of the cube, s + t σ, whose t is
-# solved as a root.  The last root is solved again in mpmath.
+# from 0 in the modulus plane, and f at moduli is a numpy walk over the tree
+# at real points, NaN where f has no value (a pole, ln of a non-positive
+# number).  A dense scan of rays gives Γ's crossings, each solved by
+# bisection; the nearest one is refined by zooming in on the angle, each
+# angle's radius the crossing nearest the last best radius.  Needs numpy only.
 
-def _modulus_functions(d):
-    import sympy
-    s1, s2, r, t = sympy.symbols("s1 s2 r t", real=True)
-    text = ex.to_text(d.expr).replace("^", "**")
-    f = sympy.sympify(text, locals={"abs2": lambda x: x ** 2, "abs": sympy.Abs,
-                                    "z1": s1, "z2": s2}) - d.level
-    on_ray = f.subs({s1: r * sympy.cos(t), s2: r * sympy.sin(t)})
-    return (sympy.lambdify((r, t), on_ray, "numpy"),
-            sympy.lambdify((r, t), sympy.diff(on_ray, r), "math"),
-            sympy.lambdify((s1, s2), f, "mpmath"))
+def _tree_values(e, s):
+    """Re e at the real point s (a pair of arrays), NaN where e has no value."""
+    k = e.kind
+    if k == "const":
+        return np.asarray(e.value, dtype=complex)
+    if k == "var":
+        return s[e.index - 1].astype(complex)
+    a, *rest = (_tree_values(c, s) for c in e.children)
+    if k == "add":
+        return a + rest[0]
+    if k == "sub":
+        return a - rest[0]
+    if k == "mul":
+        return a * rest[0]
+    if k == "div":
+        return a / np.where(rest[0] == 0, np.nan, rest[0])
+    if k == "neg":
+        return -a
+    if k == "pow":
+        return a ** e.exponent
+    if k in ("abs", "abs2"):
+        return np.abs(a) ** (1 if k == "abs" else 2) + 0j
+    if k == "ln":
+        return np.log(np.where(a.real > 0, a.real, np.nan)) + 0j
+    if k == "exp":
+        return np.exp(a)
+    if k in ("re", "im", "conj"):
+        return {"re": a.real + 0j, "im": a.imag + 0j, "conj": np.conj(a)}[k]
+    raise ValueError(f"unknown node kind {k!r}")
+
+
+def _on_rays(d):
+    """f - level at radius r along the angle t, arrays broadcast."""
+    def f(r, t):
+        with np.errstate(all="ignore"):
+            v = _tree_values(d.expr, (r * np.cos(t), r * np.sin(t))).real - d.level
+        return np.where(np.isfinite(v), v, np.nan)
+    return f
+
+
+def _ray_roots(f, t, lo, hi):
+    """The crossing of f(., t) in each bracket [lo, hi], by bisection."""
+    v_lo = f(lo, t)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        v = f(mid, t)
+        left = (v < 0) != (v_lo < 0)
+        lo, hi, v_lo = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, v_lo, v)
+    return 0.5 * (lo + hi)
 
 
 _MODULUS_ORACLES = {}
 
 
-def _newton(f, df, x):
-    for _ in range(60):
-        dx = float(f(x)) / df(x)
-        x -= dx
-        if abs(dx) <= 1e-16 * abs(x):
-            break
-    return x
-
-
-def modulus_distance_oracle(d, z, metric, rays=1001, steps=200):
+def modulus_distance_oracle(d, z, metric, rays=1001, steps=200, angles=65):
     """dist(|z|, Γ) for a Reinhardt sublevel domain in C^2 with a bounding
     box, in the metric asked for."""
-    import mpmath
-    from scipy.optimize import minimize_scalar
+    f = _on_rays(d)
+    reach = math.hypot(*(abs(c) + r for c, r in zip(d.box_center, d.box_radii)))
     if d not in _MODULUS_ORACLES:
-        f, df, f_mp = _modulus_functions(d)
-        reach = math.hypot(*(abs(c) + r for c, r in zip(d.box_center, d.box_radii)))
-        angles = np.linspace(0.0, math.pi / 2, rays)
-        radii = np.linspace(0.0, reach, steps + 1)
-        values = f(radii[None, :], angles[:, None]) * np.ones((rays, 1))
-        crossings = [(angles[i], _newton(lambda r: f(r, angles[i]), lambda r: df(r, angles[i]),
-                                         radii[k]))
-                     for i, k in zip(*np.nonzero((values[:, :-1] < 0) != (values[:, 1:] < 0)))]
-        _MODULUS_ORACLES[d] = (crossings, f, df, f_mp, math.pi / 2 / (rays - 1))
-    crossings, f, df, f_mp, step = _MODULUS_ORACLES[d]
+        t = np.linspace(0.0, math.pi / 2, rays)[:, None]
+        r = np.linspace(0.0, reach, steps + 1)[None, :]
+        v = f(r, t) * np.ones((rays, 1))
+        i, k = np.nonzero((v[:, :-1] < 0) != (v[:, 1:] < 0)
+                          & np.isfinite(v[:, :-1]) & np.isfinite(v[:, 1:]))
+        _MODULUS_ORACLES[d] = (t[i, 0], _ray_roots(f, t[i, 0], r[0, k], r[0, k + 1]))
+    ts, rs = _MODULUS_ORACLES[d]
     s = np.abs(np.asarray(z, dtype=complex))
 
-    def point(t, r):
-        return r * np.array([math.cos(t), math.sin(t)])
+    def gaps(t, r):
+        diff = np.abs(np.stack([r * np.cos(t), r * np.sin(t)]) - s[:, None])
+        return np.hypot(*diff) if metric == dom.EUCLIDEAN else diff.max(axis=0)
 
-    def gap(p):
-        diff = np.abs(s - p)
-        return float(np.hypot(*diff)) if metric == dom.EUCLIDEAN else float(np.max(diff))
-
-    t0, r0 = min(crossings, key=lambda c: gap(point(*c)))
-    radius = {}
-
-    def along(t):
-        r = radius[t] = _newton(lambda r: f(r, t), lambda r: df(r, t), r0)
-        return gap(point(t, r))
-
-    # the bounded search keeps off the ends, where Γ meets an axis
-    bounds = (max(0.0, t0 - step), min(math.pi / 2, t0 + step))
-    t = min((minimize_scalar(along, bounds=bounds, method="bounded",
-                             options={"xatol": 1e-14}).x, *bounds), key=along)
-    p = point(t, radius[t])
-    diff = p - s
-    with mpmath.workdps(40):
-        s_mp = [mpmath.mpf(float(x)) for x in s]
-        if metric == dom.LINFTY and abs(abs(diff[0]) - abs(diff[1])) <= 1e-6:
-            sigma = np.sign(diff)
-            c = mpmath.findroot(lambda c: f_mp(*(x + c * e for x, e in zip(s_mp, sigma))),
-                                mpmath.mpf(float(np.max(np.abs(diff)))))
-            return float(abs(c))
-        r = mpmath.mpf(radius[t])
-        r = mpmath.findroot(lambda r: f_mp(r * mpmath.cos(t), r * mpmath.sin(t)),
-                            (r * (1 - 1e-12), r * (1 + 1e-12)), solver="anderson")
-        gaps = [abs(x - r * g(t)) for x, g in zip(s_mp, (mpmath.cos, mpmath.sin))]
-        return float(mpmath.sqrt(sum(x * x for x in gaps)) if metric == dom.EUCLIDEAN
-                     else max(gaps))
+    best = int(np.argmin(gaps(ts, rs)))
+    t0, r0 = ts[best], rs[best]
+    lo, hi = max(0.0, t0 - math.pi / 2 / (rays - 1)), min(math.pi / 2, t0 + math.pi / 2 / (rays - 1))
+    width = 2 * reach / steps
+    while hi - lo > 1e-13:
+        t = np.linspace(lo, hi, angles)
+        # each angle's crossing nearest r0, from a fine scan about it
+        r = np.maximum(r0 + width * np.linspace(-1.0, 1.0, 65), 0.0)
+        v = f(r[None, :], t[:, None])
+        change = (v[:, :-1] < 0) != (v[:, 1:] < 0)
+        change &= np.isfinite(v[:, :-1]) & np.isfinite(v[:, 1:])
+        near = np.where(change, np.abs(r[:-1] - r0), np.inf).argmin(axis=1)
+        found = change[np.arange(angles), near]
+        radius = _ray_roots(f, t, r[near], r[near + 1])
+        g = np.where(found, gaps(t, radius), np.inf)
+        i = int(np.argmin(g))
+        r0 = radius[i]
+        lo, hi = t[max(i - 1, 0)], t[min(i + 1, angles - 1)]
+    return float(g[i])

@@ -688,6 +688,20 @@ def test_a_sign_change_at_a_pole_is_no_level_crossing():
         dom.distance_to_boundary(d, [0.1, 0.1])
 
 
+@pytest.mark.parametrize("metric", METRICS)
+def test_a_pole_on_an_axis_leaves_the_mesh_and_the_rows_alone(metric):
+    # f has no value where z1 = 0: on the z2 axis, at the origin that every
+    # ray starts from, and at the moduli of the last two rows
+    d = dom.Sublevel(ex.parse("abs2(z1) + abs2(z2) + 0.01/abs2(z1) - 1", 2), 0.0, 2,
+                     box_center=(0, 0), box_radii=(1.5, 1.5))
+    rows = np.vstack([dom.interior_sample(d, 6, 1), _box_rows(d, 6, 2),
+                      [[0, 0.5j], [0, 0]]])
+    got = d.interior_distance(rows, metric)
+    want = [modulus_distance_oracle(d, z, metric) for z in rows]
+    assert got == pytest.approx(want, rel=1e-9, abs=0)
+    assert np.all(got <= d._sampled_distance(rows, metric) * (1 + 1e-9))
+
+
 def test_kinks_of_abs_on_the_axes_are_reached():
     # Γ is the segment s1 + s2 = 1 for the first domain; for the second,
     # s2 = 0.5 + s1, whose nearest point to s = (0, 0.3) is its end (0, 0.5)
