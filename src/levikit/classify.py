@@ -223,9 +223,11 @@ def _unit_roots(quadrature: int) -> np.ndarray:
     return np.exp(1j * angles)[:, None]
 
 
-def _circle_rows(a, direction, radius: float, roots) -> np.ndarray:
-    """The centre a, then the circle points a + direction*r*root, one per row."""
-    return np.vstack([a, a + (direction * radius) * roots])
+def _circle_rows(a, direction, radius, roots) -> np.ndarray:
+    """Per trial, the centre a, then the circle points a + direction*r*root:
+    (k, 1 + m, n) from centres and directions (k, n) and radii (k,)."""
+    a = a[:, None]
+    return np.concatenate((a, a + (direction * radius[:, None])[:, None] * roots), axis=1)
 
 
 def _center_and_mean(values):
@@ -244,14 +246,14 @@ def circle_average_deficit(func, a, direction, radius: float,
     """f(a) minus the m-point average of f on the circle a + direction*r*e^it."""
     a = ex.as_point(a)
     direction = ex.as_point(direction, a.shape[0])
-    rows = _circle_rows(a, direction, radius, _unit_roots(quadrature))
+    rows = _circle_rows(a[None], direction[None], np.array([radius]), _unit_roots(quadrature))[0]
     center, mean = _center_and_mean(_rows(ex.as_real_function(func))(rows))
     return center - mean
 
 
 # trials per chunk: enough to make the row calls few, few enough that a
-# chunk's arrays stay small (on the 3000-trial Hartogs probe, peak RSS was
-# 40.4 MB with 32-trial chunks, 41.5 MB with 128 and 77 MB with one chunk)
+# chunk's arrays stay small (3000-trial Hartogs probe, fresh interpreter: peak
+# RSS 40.8 MB with 32-trial chunks, 41.9 MB with 128, 70 MB with one chunk)
 _TRIAL_CHUNK = 32
 
 
@@ -267,17 +269,16 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
     and counted.  Each centre and circle is evaluated once: point functions
     are deterministic, and ``verify`` re-checks every stored violation.
 
-    Trials run in chunks of ``_TRIAL_CHUNK``.  Each trial draws its centre,
-    direction and log-radius from its own generator, in that order (the
-    centre's rejection sampler tests candidates in blocks and leaves the
-    generator where one candidate at a time would).  Then one call of
-    ``distances_to_boundary`` gives the chunk's centre distances, and one
-    call of the point function's row form covers every kept trial's centre
-    and circle.  A LevikitError in either call is resolved trial by trial
-    (``block_values``), so it skips only the trials that raise it, as one
-    trial at a time would; other exceptions propagate.  When the function
-    is ``neg_log_distance`` of this region and metric, a centre's value is
-    -ln of its distance, and the row call covers the circles only.
+    Trials run in chunks of ``_TRIAL_CHUNK``; each draws its centre,
+    direction and log-radius from its own generator, in that order.  Per
+    chunk, one rejection loop draws every centre (``dom.interior_points``,
+    bit for bit what each generator alone would draw), one call of
+    ``distances_to_boundary`` gives their distances, and one call of the
+    point function's row form covers one array of every kept trial's centre
+    and circle.  A LevikitError in either call skips only the trials that
+    raise it (``block_values``); other exceptions propagate.  For
+    ``neg_log_distance`` of this region and metric, a centre's value is -ln
+    of its distance, and the row call covers the circles only.
     """
     rows = _rows(ex.as_real_function(func))
     roots = _unit_roots(quadrature)
@@ -288,25 +289,25 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
         return dom.distances_to_boundary(region, zz, metric).tolist()
 
     def chunk_outcomes(rngs):
-        draws = [(dom.interior_sample_rng(region, 1, rng)[0],
-                  unit_vector(rng, region.dimension),
-                  rng.uniform(log_lo, log_hi)) for rng in rngs]
-        centers = np.array([a for a, _, _ in draws])
-        outcomes = [None] * len(draws)
-        kept, circles = [], []
-        for i, ((a, delta, log_t), dist) in enumerate(
-                zip(draws, block_values(distances, centers[:, None]))):
+        centers = dom.interior_points(region, rngs)
+        deltas = np.array([unit_vector(rng, region.dimension) for rng in rngs])
+        log_ts = [rng.uniform(log_lo, log_hi) for rng in rngs]
+        outcomes = [None] * len(rngs)
+        kept = []
+        for i, dist in enumerate(block_values(distances, centers[:, None])):
             if dist is None:
                 continue
             local = dist[0] if math.isfinite(dist[0]) else 1.0
-            r = local * math.exp(log_t)
+            r = local * math.exp(log_ts[i])
             if r < local:
-                kept.append((i, a, delta, r, dist[0]))
-                circle = _circle_rows(a, delta, r, roots)
-                circles.append(circle[1:] if of_center else circle)
+                kept.append((i, r, dist[0]))
         if not kept:
             return outcomes
-        for (i, a, delta, r, dist), values in zip(kept, block_values(rows, np.array(circles))):
+        index, radii, dists = (list(c) for c in zip(*kept))
+        circles = _circle_rows(centers[index], deltas[index], np.array(radii), roots)
+        if of_center:
+            circles = np.ascontiguousarray(circles[:, 1:])  # frees the full array
+        for i, r, dist, values in zip(index, radii, dists, block_values(rows, circles)):
             if values is None:
                 continue
             if of_center:
@@ -315,8 +316,8 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
             if center_val <= NEG_INF_CUTOFF:
                 continue
             deficit = center_val - mean
-            outcomes[i] = (PshViolation(tuple(a), tuple(delta), float(r), float(deficit))
-                           if deficit > tol else True)
+            outcomes[i] = (PshViolation(tuple(centers[i]), tuple(deltas[i]), float(r),
+                                        float(deficit)) if deficit > tol else True)
         return outcomes
 
     rngs = spawn_rngs(seed, trials)

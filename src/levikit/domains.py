@@ -22,9 +22,10 @@ import numpy as np
 
 from . import calculus as lc
 from . import expr as ex
-from .errors import ConfigError, LevikitError, PointOutsideDomain, UnsupportedMetric
+from .errors import (ConfigError, LevikitError, PointOutsideDomain, SamplingExhausted,
+                     UnsupportedMetric)
 from .modulus import ModulusGeometry
-from .sampling import block_values, disc_points, rejection_sample, unit_vector
+from .sampling import block_values, disc_points, disc_points_at, rejection_sample, unit_vector
 
 EUCLIDEAN = "euclidean"
 LINFTY = "linfty"
@@ -90,37 +91,38 @@ class Domain:
         raise LevikitError(f"no bounding region for {type(self).__name__}")
 
     def interior_sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Rejection sampling from the bounding polydisc, shape (count, n).
+        """Rejection sampling from the bounding polydisc, shape (count, n)."""
+        return self._interior_rows([rng], count)[0]
 
-        Candidates are drawn and tested ``_CANDIDATE_BLOCK`` at a time, and a
-        candidate where ``contains`` raises a LevikitError is rejected.  The
-        points, the draws counted against the budget and the state ``rng``
-        is left in are those of one draw and one test per candidate: when
-        the last block has candidates past the count-th sample, ``rng`` is
-        set back to its state on entry and draws the used candidates again.
-        That works for any bit generator and keeps a buffered 32-bit half,
-        which ``advance`` would clear.
-        """
+    def _interior_rows(self, rngs, count: int) -> np.ndarray:
+        """``count`` points per generator, shape (len(rngs), count, n): each
+        round, every generator still short draws ``_CANDIDATE_BLOCK``
+        candidates, one ``contains`` call tests them all, and a candidate where
+        it raises a LevikitError is rejected.  Points, budgets and final states
+        are those of one draw and test per candidate: a generator whose last
+        block ran past its count-th sample is set back to its state on entry
+        and redraws the used candidates, which keeps a buffered 32-bit half.
+        Of the generators that run out, the first raises."""
         box = self.bounding_polydisc()
-        center = np.asarray(box.center)
-        start = rng.bit_generator.state
-        pending = []
-
-        def draw():
-            if not pending:
-                z = center + disc_points(rng, box.radii, _CANDIDATE_BLOCK)
-                inside = block_values(self.contains, z[:, None])
-                pending.extend(reversed(list(zip(z, inside))))
-            z, inside = pending.pop()   # [bool], or None where contains raised
-            return z if inside and inside[0] else None
-
-        samples, rejected = rejection_sample(
-            draw, count, max(1000, 200 * count),
-            f"interior sampling of {type(self).__name__} failed")
-        if pending:
-            rng.bit_generator.state = start
-            rng.uniform(size=(count + rejected, self.dimension, 2))
-        return np.array(samples)
+        n, budget = self.dimension, max(1000, 200 * count)
+        starts = [rng.bit_generator.state for rng in rngs]
+        samples, drawn = [[] for _ in rngs], [0] * len(rngs)
+        while short := [g for g, got in enumerate(samples) if len(got) < count]:
+            u = np.stack([rngs[g].uniform(size=(_CANDIDATE_BLOCK, n, 2)) for g in short])
+            z = np.asarray(box.center) + disc_points_at(u, box.radii)
+            inside = [bool(v and v[0]) for v in block_values(self.contains, z.reshape(-1, 1, n))]
+            for g, zs, ok in zip(short, z, np.reshape(inside, z.shape[:2]).tolist()):
+                got, room = samples[g], min(_CANDIDATE_BLOCK, budget - drawn[g])
+                hits = [j for j in range(room) if ok[j]][:count - len(got)]
+                got += [zs[j] for j in hits]
+                drawn[g] += hits[-1] + 1 if len(got) == count else room
+                if len(got) < count and drawn[g] == budget:
+                    raise SamplingExhausted(f"interior sampling of {type(self).__name__} "
+                                            f"failed", len(got) / budget)
+                if len(got) == count and drawn[g] % _CANDIDATE_BLOCK:
+                    rngs[g].bit_generator.state = starts[g]
+                    rngs[g].uniform(size=(drawn[g], n, 2))
+        return np.array(samples).reshape(len(rngs), count, n)
 
     def boundary_sample(self, count: int, rng: np.random.Generator) -> BoundarySamples:
         raise LevikitError(f"boundary sampling not supported for {type(self).__name__}")
@@ -856,6 +858,14 @@ def interior_sample(d, count: int, seed: int) -> np.ndarray:
 def interior_sample_rng(d, count: int, rng: np.random.Generator) -> np.ndarray:
     """Interior points drawn from an existing generator."""
     return d.interior_sample(count, rng)
+
+
+def interior_points(d, rngs) -> np.ndarray:
+    """``interior_sample_rng(d, 1, rng)[0]`` on each generator, bit for bit and
+    leaving it in the same state, as the rows of one array."""
+    if type(d).interior_sample is Domain.interior_sample:
+        return d._interior_rows(rngs, 1)[:, 0]
+    return np.array([d.interior_sample(1, rng)[0] for rng in rngs]).reshape(-1, d.dimension)
 
 
 def boundary_sample(d, count: int, seed: int) -> BoundarySamples:

@@ -37,7 +37,11 @@ def disc_points(rng: np.random.Generator, radii, count: int | None = None) -> np
     points take the numbers of ``count`` calls without it.
     """
     shape = (len(radii), 2) if count is None else (count, len(radii), 2)
-    u = rng.uniform(size=shape)
+    return disc_points_at(rng.uniform(size=shape), radii)
+
+
+def disc_points_at(u, radii) -> np.ndarray:
+    """``disc_points`` at its uniforms ``u``: (modulus, angle) pairs, (..., n, 2)."""
     return np.asarray(radii) * np.sqrt(u[..., 0]) * np.exp(2j * np.pi * u[..., 1])
 
 
@@ -70,7 +74,7 @@ def block_values(rows, blocks) -> list:
     except LevikitError:
         pass
     else:
-        return [values[i * k:(i + 1) * k] for i in range(m)]
+        return [values[i:i + k] for i in range(0, m * k, k)]
     out = []
     for block in blocks:
         try:

@@ -116,6 +116,8 @@ CLI_CASES = {
                                              "quartic_log_distance.yaml"),
     "shipped-quartic-mixed-log-distance": _shipped("log-distance-probe",
                                                    "quartic_mixed_log_distance.yaml"),
+    "shipped-intersection-log-distance": _shipped("log-distance-probe",
+                                                  "intersection_log_distance.yaml"),
     # classify: every variant with a boundary sampler, a C^3 ball, a
     # non-convex sublevel domain, explicit tolerances and two errors
     "classify-ball-c3": _cli("classify", {"domain": BALL3, "samples": 12, "seed": 1}),

@@ -235,6 +235,17 @@ def ball_oracle(ball, z, metric):
     return True, (-s1 + math.sqrt(disc)) / n
 
 
+# the regions the chunked circle probe is checked on against its oracle
+PROBE_REGIONS = {
+    "ball": dom.Ball((0, 0), 1.0),
+    "polydisc": dom.Polydisc((0, 0.5j), (1, 2)),
+    "hartogs": dom.hartogs_figure(),
+    "ball-and-polydisc": dom.Intersection((dom.Ball((0, 0), 1.0),
+                                           dom.Polydisc((0.3, 0), (0.9, 0.8)))),
+    "whole-space": dom.WholeSpace(2),
+}
+
+
 def circle_probe_oracle(func, region, trials, seed, quadrature=cl.DEFAULT_QUADRATURE,
                         tol=1e-9, metric=None):
     """``classify.psh_test_circle_average`` one trial at a time, which the

@@ -13,7 +13,8 @@ from levikit import expr as ex
 from levikit.errors import LevikitError, PointOutsideDomain, SamplingExhausted
 from levikit.sampling import spawn_rngs, unit_vector
 
-from helpers import circle_probe_oracle, compose_with_matrix, random_unitary
+from helpers import (PROBE_REGIONS, circle_probe_oracle, compose_with_matrix,
+                     interior_sample_oracle, random_unitary)
 
 BALL2 = dom.Ball((0, 0), 1.0)
 POLY2 = dom.Polydisc((0, 0), (1, 1))
@@ -379,13 +380,6 @@ def test_classify_on_reinhardt_union_needs_a_defining_function():
 
 SPHERE2 = dom.Sublevel(ex.parse("abs2(z1) + abs2(z2) - 1", 2), 0.0, 2,
                        (0, 0), (1.5, 1.5), (0, 0))
-PROBE_REGIONS = {
-    "ball": BALL2,
-    "polydisc": dom.Polydisc((0, 0.5j), (1, 2)),
-    "hartogs": dom.hartogs_figure(),
-    "ball-and-polydisc": dom.Intersection((BALL2, dom.Polydisc((0.3, 0), (0.9, 0.8)))),
-    "whole-space": dom.WholeSpace(2),
-}
 CHUNK_SIZES = (1, cl._TRIAL_CHUNK - 1, cl._TRIAL_CHUNK, cl._TRIAL_CHUNK + 1)
 
 
@@ -435,3 +429,76 @@ def test_chunked_probe_lets_other_errors_escape():
                          box_radii=(2,))
     with pytest.raises(SamplingExhausted, match="interior sampling of Sublevel"):
         cl.psh_test_circle_average(lambda z: 0.0, empty, 3, 0)
+
+
+def test_probe_raises_the_oracles_exhaustion_inside_a_chunk():
+    # about 1 in 550 candidates falls in this thin union, so in a chunk of
+    # 32 trials some generators use up their 1,000 draws and others do not
+    thin = dom.ReinhardtUnion((dom.Polydisc((0, 0), (1.0, 0.03)),
+                               dom.Polydisc((0, 0), (0.03, 1.0))))
+    for f in (cl.neg_log_distance(thin, dom.LINFTY), lambda z: 0.0):
+        for seed in range(3):
+            with pytest.raises(SamplingExhausted) as got:
+                cl.psh_test_circle_average(f, thin, cl._TRIAL_CHUNK, seed,
+                                           metric=dom.LINFTY)
+            with pytest.raises(SamplingExhausted) as expected:
+                circle_probe_oracle(f, thin, cl._TRIAL_CHUNK, seed, metric=dom.LINFTY)
+            assert type(got.value) is type(expected.value)
+            assert str(got.value) == str(expected.value)
+    # the sampler alone: the chunk raises, and the generators before the
+    # first that runs out give the oracle's rows
+    rows, exhausted = [], []
+    for i, rng in enumerate(spawn_rngs(0, cl._TRIAL_CHUNK)):
+        try:
+            rows.append(interior_sample_oracle(thin, 1, rng)[0])
+        except SamplingExhausted:
+            exhausted.append(i)
+    assert 0 < len(exhausted) < cl._TRIAL_CHUNK // 2
+    with pytest.raises(SamplingExhausted, match="ReinhardtUnion failed"):
+        dom.interior_points(thin, spawn_rngs(0, cl._TRIAL_CHUNK))
+    first = exhausted[0]
+    got = dom.interior_points(thin, spawn_rngs(0, cl._TRIAL_CHUNK)[:first])
+    assert got.tobytes() == np.array(rows[:first]).tobytes()
+
+
+# parts of both signed zeros and of either sign; nonzero parts stay above
+# 1e-100, so no product in a circle point underflows to zero, where numpy's
+# fused multiply-add kernels keep a sign that its baseline kernel does not
+CIRCLE_PARTS = [0.0, -0.0, 1e-100, -1e-100, 0.3, -0.7, 1.25, -2.5]
+
+
+def _hex_rows(rows):
+    return [[(x.real.hex(), x.imag.hex()) for x in row] for row in rows.tolist()]
+
+
+def test_stacked_circle_rows_equal_one_trial_at_a_time():
+    rng = np.random.default_rng(5)
+    roots = cl._unit_roots(cl.DEFAULT_QUADRATURE)
+    for n in (1, 2, 3):
+        k = 40
+        parts = rng.choice(CIRCLE_PARTS, size=(2, k, n, 2))
+        a, direction = parts[..., 0] + 1j * parts[..., 1]
+        radii = np.exp(rng.uniform(math.log(1e-4), math.log(5.0), size=k))
+        got = cl._circle_rows(a, direction, radii, roots)
+        assert got.shape == (k, 1 + cl.DEFAULT_QUADRATURE, n)
+        for i in range(k):
+            one = cl._circle_rows(a[i:i + 1], direction[i:i + 1], radii[i:i + 1], roots)[0]
+            # the circle as it was built before the chunk's rows were stacked
+            before = np.vstack([a[i], a[i] + (direction[i] * float(radii[i])) * roots])
+            assert _hex_rows(got[i]) == _hex_rows(one) == _hex_rows(before)
+
+
+def test_stored_hartogs_violations_pass_verify():
+    from levikit import report as rep
+    from levikit.cli import run_command
+    report, code = run_command("log-distance-probe", {
+        "domain": dom.hartogs_figure().to_dict(), "trials": 300, "seed": 3})
+    violations = [r for r in report["records"] if r["key"].startswith("violation")]
+    assert code == 2 and violations
+    assert rep.verify_report(report).passed
+    # verify's deficit is the stored one, bit for bit
+    f = cl.neg_log_distance(dom.hartogs_figure(), report["config"]["metric"])
+    for record in violations:
+        assert cl.circle_average_deficit(
+            f, rep._record_vector(record, "point"), rep._record_vector(record, "direction"),
+            record["radius"]) == record["deficit"]

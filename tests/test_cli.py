@@ -445,6 +445,7 @@ def test_shipped_configs_run():
                 "ball_log_distance": "log-distance-probe",
                 "quartic_log_distance": "log-distance-probe",
                 "quartic_mixed_log_distance": "log-distance-probe",
+                "intersection_log_distance": "log-distance-probe",
                 "polydisc_exhaustion": "exhaustion",
                 "psh_circle": "psh-test"}
     config_dir = Path(__file__).resolve().parent.parent / "configs"

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from levikit import domains as dom
 from levikit import expr as ex
 from levikit import modulus
+from levikit.sampling import spawn_rngs
 from levikit.errors import (LevikitError, PointOutsideDomain, SamplingExhausted,
                             UnsupportedMetric)
 
-from helpers import (ball_oracle, bisect_level_oracle, foot_point_oracle,
+from helpers import (PROBE_REGIONS, ball_oracle, bisect_level_oracle, foot_point_oracle,
                      interior_sample_oracle, march_oracle, modulus_distance_oracle,
                      reproject_oracle)
 
@@ -467,6 +468,62 @@ def test_block_draws_report_the_acceptance_rate_of_one_candidate_per_draw():
         assert str(got.value) == str(expected.value)
         rates.append(got.value.acceptance_rate)
     assert len(set(rates)) > 1
+
+
+# one rejection loop for many generators against one candidate per draw on each
+
+MANY = {**{f"sampled-{k}": d for k, d in SAMPLED.items()},
+        **{f"probe-{k}": d for k, d in PROBE_REGIONS.items()}}
+
+
+@pytest.mark.parametrize("generators", [1, 31, 32, 33])
+@pytest.mark.parametrize("name", sorted(MANY))
+def test_interior_points_equal_one_oracle_sample_per_generator(name, generators):
+    d = MANY[name]
+    for seed in range(2):
+        rngs = spawn_rngs(seed, generators)
+        refs = spawn_rngs(seed, generators)
+        for i in range(seed, generators, 3):
+            # a buffered 32-bit half stays buffered
+            assert rngs[i].integers(7) == refs[i].integers(7)
+        got = dom.interior_points(d, rngs)
+        assert got.shape == (generators, d.dimension)
+        for row, rng, ref in zip(got, rngs, refs):
+            assert row.tobytes() == interior_sample_oracle(d, 1, ref)[0].tobytes()
+            assert rng.integers(1 << 20) == ref.integers(1 << 20)
+            assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("name", sorted(MANY))
+def test_no_generators_and_no_points_give_empty_rows(name):
+    d = MANY[name]
+    assert dom.interior_points(d, []).shape == (0, d.dimension)
+    rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+    assert dom.interior_sample_rng(d, 0, rng).shape == (0, d.dimension)
+    assert rng.random() == ref.random()
+
+
+def test_interior_points_reject_only_the_raising_rows(monkeypatch):
+    d = SAMPLED["sublevel-raising"]
+    real = dom.Sublevel.contains
+    raised = []
+
+    def recording(self, zz):
+        try:
+            return real(self, zz)
+        except LevikitError:
+            raised.append(len(zz))
+            raise
+
+    monkeypatch.setattr(dom.Sublevel, "contains", recording)
+    rngs, refs = spawn_rngs(3, 33), spawn_rngs(3, 33)
+    points = dom.interior_points(d, rngs)
+    # the round's one call raised, and so did its raising candidates alone
+    assert raised.count(1) > 1 and max(raised) == 33 * dom._CANDIDATE_BLOCK
+    monkeypatch.setattr(dom.Sublevel, "contains", real)
+    assert points.tobytes() == np.array(
+        [interior_sample_oracle(d, 1, ref)[0] for ref in refs]).tobytes()
+    assert np.all(points.real > -0.8)
 
 
 # the sublevel foot-point search on lists of Python complex against the numpy
