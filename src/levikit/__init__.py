@@ -7,13 +7,10 @@ with re-checkable certificates.
 """
 
 from .calculus import (ComplexGradient, LeviMatrix, TangentBasis, TaylorParts,
-                       complex_gradient, levi_form, levi_matrix,
-                       levi_polynomial, real_hessian_form, real_hessian_matrix,
+                       complex_gradient, levi_matrix, levi_polynomial,
                        tangent_basis, taylor_decompose)
-from .classify import (classify_domain, classify_point, convexity_point_check,
-                       levilemma_diagnostic, log_distance_probe,
-                       psh_test_circle_average, psh_test_spectral,
-                       strict_psh_test)
+from .classify import (classify_domain, classify_point, log_distance_probe,
+                       psh_test_circle_average, psh_test_spectral)
 from .discs import (AffineDisc, ExpTwistedDisc, HartogsDisc, continuity_probe,
                     disc_eval, disc_max_principle_check, hartogs_family)
 from .domains import (Ball, Intersection, Polydisc, ReinhardtUnion, Sublevel,

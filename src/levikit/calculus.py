@@ -34,10 +34,6 @@ class LeviMatrix:
     entries: np.ndarray
     point: np.ndarray
 
-    def quadratic_form(self, delta) -> complex:
-        d = ex.as_point(delta, self.entries.shape[0])
-        return complex(d @ self.entries @ d.conj())
-
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.entries)
 
@@ -105,59 +101,14 @@ def levi_matrix(f: ex.Expr, z) -> LeviMatrix:
     return LeviMatrix(h, zz)
 
 
-def levi_form(f: ex.Expr, z, delta) -> float:
-    """The Hermitian quadratic form sum_jk f_{z_j zbar_k} delta_j conj(delta_k)."""
-    q = levi_matrix(f, z).quadratic_form(delta)
-    if abs(q.imag) > HERMITIAN_TOL * max(1.0, abs(q)):
-        raise NonHermitianLeviMatrix(
-            f"quadratic form has imaginary part {q.imag}; "
-            "is the function real-valued?")
-    return q.real
-
-
 def unmixed_matrix(f: ex.Expr, z) -> np.ndarray:
     """Symmetrized matrix of unmixed second derivatives d2 f / dz_j dz_k."""
     a = _second_derivatives(f, z, False)[1]
     return 0.5 * (a + a.T)
 
 
-def real_gradient(f: ex.Expr, z) -> np.ndarray:
-    """Gradient of f as a function of (x_1..x_n, y_1..y_n); real 2n-vector."""
-    g = complex_gradient(f, z).components
-    return np.concatenate([2.0 * g.real, -2.0 * g.imag])
-
-
-def real_hessian_matrix(f: ex.Expr, z) -> np.ndarray:
-    """Real 2n x 2n Hessian in (x_1..x_n, y_1..y_n) coordinates.
-
-    Assembled from the Wirtinger second derivatives via the standard change
-    of variables; valid for real-valued C^2 functions.
-    """
-    a = unmixed_matrix(f, z)
-    b = levi_matrix(f, z).entries
-    xx = 2.0 * (a.real + b.real)
-    yy = 2.0 * (b.real - a.real)
-    xy = 2.0 * (b.imag - a.imag)
-    yx = -2.0 * (a.imag + b.imag)
-    return np.block([[xx, xy], [yx, yy]])
-
-
-def real_hessian_form(f: ex.Expr, z, delta_real) -> float:
-    """sum_jk d2f/dx_j dx_k delta_j delta_k for a real 2n-direction."""
-    h = real_hessian_matrix(f, z)
-    d = np.asarray(delta_real, dtype=float)
-    if d.shape != (h.shape[0],):
-        raise ValueError(f"expected a real vector of length {h.shape[0]}")
-    return float(d @ h @ d)
-
-
 def default_gradient_tol(a) -> float:
     return 1e-8 * (1.0 + float(np.linalg.norm(ex.as_point(a))))
-
-
-def herm(x, y) -> complex:
-    """Hermitian scalar product sum_j x_j conj(y_j)."""
-    return complex(np.dot(x, np.conj(y)))
 
 
 def orthonormal_complement(unit: np.ndarray, order) -> list:

@@ -76,34 +76,10 @@ class PshVerdict:
 
 
 @dataclass(frozen=True)
-class StrictPshVerdict:
-    verdict: str                # "StrictConsistent" | "NotStrict"
-    min_eigenvalue: float
-    witness: tuple
-    tested: int
-
-
-@dataclass(frozen=True)
 class LogDistanceReport:
     conclusion: str             # "ConsistentWithPseudoconvex" | "NotPseudoconvex"
     metric: str
     inner: PshVerdict
-
-
-@dataclass(frozen=True)
-class ConvexityVerdict:
-    point: tuple
-    eigenvalues: tuple          # restricted real Hessian spectrum
-    verdict: str                # "ConvexCertified" | "NotConvexCertified" | DEGENERATE
-    min_eigenvalue: float
-
-
-@dataclass(frozen=True)
-class LeviLemmaEstimate:
-    c: float
-    ok: bool
-    witness: tuple              # (point, direction) of tangential negativity, or None
-    tested: int
 
 
 def default_eig_tol(h: np.ndarray) -> float:
@@ -163,22 +139,6 @@ def classify_domain(d, samples: int, seed: int, tol_grad: float | None = None,
     overall = next(name for name in VERDICT_ORDER if counts[name] > 0)
     return DomainClassification(tuple(verdicts), counts, overall, samples, seed,
                                 bset.samples)
-
-
-def convexity_point_check(f: ex.Expr, a, tol: float = 1e-9) -> ConvexityVerdict:
-    """Real-Hessian analogue: spectrum restricted to the real tangent hyperplane."""
-    aa = ex.as_point(a)
-    g = lc.real_gradient(f, aa)
-    gnorm = float(np.linalg.norm(g))
-    if gnorm <= lc.default_gradient_tol(aa):
-        return ConvexityVerdict(tuple(aa), (), DEGENERATE, math.nan)
-    vmat = np.array(lc.orthonormal_complement(g / gnorm, range(g.shape[0])))
-    hess = lc.real_hessian_matrix(f, aa)
-    restricted = vmat @ hess @ vmat.T
-    eigs = np.linalg.eigvalsh(restricted)
-    verdict = "ConvexCertified" if eigs[0] >= -tol else "NotConvexCertified"
-    return ConvexityVerdict(tuple(aa), tuple(float(v) for v in eigs),
-                            verdict, float(eigs[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -353,62 +313,3 @@ def log_distance_probe(region, metric: str | None = None, trials: int = 1000,
                   else "ConsistentWithPseudoconvex")
     return LogDistanceReport(conclusion, metric, inner)
 
-
-def strict_psh_test(f: ex.Expr, region, grid: int, seed: int,
-                    tol: float = 1e-9) -> StrictPshVerdict:
-    """Strict positivity of the Levi spectrum at every sampled point."""
-    points = dom.interior_sample(region, grid, seed)
-
-    def work(z):
-        try:
-            eigs = lc.levi_matrix(f, z).eigenvalues()
-        except LevikitError:
-            return None
-        return (float(eigs[0]), tuple(z))
-
-    results = [r for r in deterministic_map(work, points) if r is not None]
-    if not results:
-        raise LevikitError("no evaluable sample points in the region")
-    min_eig, witness = min(results, key=lambda r: r[0])
-    verdict = "StrictConsistent" if min_eig > tol else "NotStrict"
-    return StrictPshVerdict(verdict, min_eig, witness, len(results))
-
-
-def levilemma_diagnostic(f: ex.Expr, region, samples: int, seed: int,
-                         tol: float = 1e-10) -> LeviLemmaEstimate:
-    """Empirical smallest c with form(delta) >= -c |delta| |<delta, conj grad>|.
-
-    Tests raw random directions and their tangential projections at seeded
-    interior points; reports failure when a tangential direction carries a
-    negative form value (no finite c fits).
-    """
-    points = dom.interior_sample(region, samples, seed)
-    rngs = spawn_rngs(seed + 1, len(points))
-    c = 0.0
-    tested = 0
-    for z, rng in zip(points, rngs):
-        try:
-            h = lc.levi_matrix(f, z).entries
-            grad = lc.complex_gradient(f, z).components
-        except LevikitError:
-            continue
-        delta = unit_vector(rng, region.dimension)
-        gnorm = np.linalg.norm(grad)
-        if gnorm < 1e-12:
-            continue
-        w = grad.conj() / gnorm
-        tangential = delta - lc.herm(delta, w) * w
-        for direction in (delta, tangential):
-            dn = np.linalg.norm(direction)
-            if dn < 1e-12:
-                continue
-            form = float(np.real(direction @ h @ direction.conj()))
-            tested += 1
-            if form >= 0:
-                continue
-            proj = abs(np.dot(direction, grad))
-            if proj <= 1e-10 * gnorm * dn:
-                return LeviLemmaEstimate(math.inf, False,
-                                         (tuple(z), tuple(direction)), tested)
-            c = max(c, -form / (dn * proj))
-    return LeviLemmaEstimate(c, True, None, tested)

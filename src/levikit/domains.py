@@ -852,16 +852,11 @@ def contains(d, z) -> bool:
 
 def interior_sample(d, count: int, seed: int) -> np.ndarray:
     """Seeded interior points, shape (count, n)."""
-    return interior_sample_rng(d, count, np.random.default_rng(seed))
-
-
-def interior_sample_rng(d, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Interior points drawn from an existing generator."""
-    return d.interior_sample(count, rng)
+    return d.interior_sample(count, np.random.default_rng(seed))
 
 
 def interior_points(d, rngs) -> np.ndarray:
-    """``interior_sample_rng(d, 1, rng)[0]`` on each generator, bit for bit and
+    """``d.interior_sample(1, rng)[0]`` on each generator, bit for bit and
     leaving it in the same state, as the rows of one array."""
     if type(d).interior_sample is Domain.interior_sample:
         return d._interior_rows(rngs, 1)[:, 0]

@@ -326,7 +326,7 @@ def _circle_deficits(spec, metric, seed):
     f = cl.neg_log_distance(d, metric)
     rng = np.random.default_rng(seed)
     rows = []
-    for a in dom.interior_sample_rng(d, 25, rng):
+    for a in d.interior_sample(25, rng):
         direction = unit_vector(rng, d.dimension)
         r = dom.distance_to_boundary(d, a, metric) * rng.uniform(0.01, 1.5)
         row = [a, direction, r]

@@ -49,34 +49,32 @@ def test_levi_matrix_of_pluriharmonic_is_zero():
     assert np.max(np.abs(h2)) <= 1e-8
 
 
-def test_levi_form_values():
+def _hermitian_form(f, z, v):
+    v = np.asarray(v, dtype=complex)
+    return v @ lc.levi_matrix(f, z).entries @ v.conj()
+
+
+def test_levi_matrix_hermitian_form_values():
     f = ex.parse("abs2(z1) + abs2(z2)", 2)
-    assert lc.levi_form(f, [1, 1j], [3, 4]) == pytest.approx(25.0)
-    assert lc.levi_form(f, [1, 1j], [0, 0]) == 0.0
+    assert _hermitian_form(f, [1, 1j], [3, 4]) == pytest.approx(25.0)
+    assert _hermitian_form(f, [1, 1j], [0, 0]) == 0.0
     g = ex.parse("abs2(z1) - abs2(z2)", 2)
-    val = lc.levi_form(g, [0.2, 0.4j], [0, 1])
+    val = _hermitian_form(g, [0.2, 0.4j], [0, 1])
     assert val == pytest.approx(-1.0)
     num = fd.wirtinger_fd(ex.wirtinger(g, 2, False), [0.2, 0.4j], 2, True)
-    assert abs(val - num.real) < 1e-7
+    assert abs(val - num) < 1e-7
 
 
-def test_levi_form_rejects_non_real_valued_functions():
+def test_levi_matrix_rejects_non_real_valued_functions():
     with pytest.raises(NonHermitianLeviMatrix):
         lc.levi_matrix(ex.parse("z1*abs2(z1)", 1), [1 + 2j])
 
 
-def test_real_hessian_form_values():
-    f = ex.parse("abs2(z1)", 1)
-    assert lc.real_hessian_form(f, [0.3 + 0.4j], [1, 0]) == pytest.approx(2.0)
-    saddle = ex.parse("re(z1)^2 - im(z1)^2", 1)
-    assert lc.real_hessian_form(saddle, [0.1 + 0.2j], [0, 1]) == pytest.approx(-2.0)
-    quartic = ex.parse("abs2(z1)^2", 1)
-    assert lc.real_hessian_form(quartic, [1.0], [1, 0]) == pytest.approx(12.0)
-
-
-def test_real_hessian_matches_real_finite_differences():
-    # independent oracle: second differences of f regarded as R^2 -> R
-    f = ex.parse("exp(abs2(z1)) - 1", 1)
+def test_levi_and_unmixed_matrices_match_real_finite_differences():
+    # independent oracle: second differences of f regarded as R^2 -> R;
+    # at z = x + iy, f_{z zbar} = (f_xx + f_yy)/4 and
+    # f_{zz} = (f_xx - f_yy)/4 - i f_xy/2
+    f = ex.parse("exp(abs2(z1)) - 1 + re(z1^3)", 1)
 
     def freal(x, y):
         return ex.evaluate(f, [complex(x, y)]).real
@@ -87,11 +85,11 @@ def test_real_hessian_matches_real_finite_differences():
     fyy = (freal(x0, y0 + h) - 2 * freal(x0, y0) + freal(x0, y0 - h)) / h**2
     fxy = (freal(x0 + h, y0 + h) - freal(x0 + h, y0 - h)
            - freal(x0 - h, y0 + h) + freal(x0 - h, y0 - h)) / (4 * h**2)
-    hess = lc.real_hessian_matrix(f, [complex(x0, y0)])
-    assert hess[0, 0] == pytest.approx(fxx, rel=1e-5)
-    assert hess[1, 1] == pytest.approx(fyy, rel=1e-5)
-    assert hess[0, 1] == pytest.approx(fxy, rel=1e-5)
-    assert np.allclose(hess, hess.T, atol=1e-12)
+    z = [complex(x0, y0)]
+    levi = lc.levi_matrix(f, z).entries[0, 0]
+    unmixed = lc.unmixed_matrix(f, z)[0, 0]
+    assert abs(levi - (fxx + fyy) / 4) <= 1e-6
+    assert abs(unmixed - ((fxx - fyy) / 4 - 0.5j * fxy)) <= 1e-6
 
 
 def test_tangent_basis_on_sphere():
@@ -129,7 +127,7 @@ def test_tangent_basis_orthonormal_and_orthogonal_to_gradient():
     grad = lc.complex_gradient(f, a).components
     w = grad.conj()
     for v in vmat:
-        assert abs(lc.herm(v, w)) <= 1e-10
+        assert abs(np.vdot(w, v)) <= 1e-10
 
 
 def test_tangent_basis_span_invariant_under_seed():
@@ -207,15 +205,15 @@ def test_levi_matrix_hermitian_on_corpus():
             assert np.max(np.abs(h - h.conj().T)) <= 1e-10 * max(1.0, np.max(np.abs(h)))
 
 
-def test_levi_form_scaling_in_direction():
+def test_levi_matrix_hermitian_form_scales_with_the_direction():
     f = ex.parse("abs2(z1)^2 + abs2(z2)", 2)
     z = [0.5 + 0.2j, -0.3]
     delta = np.array([1 - 0.5j, 0.25j])
-    base = lc.levi_form(f, z, delta)
+    base = _hermitian_form(f, z, delta)
     rng = np.random.default_rng(3)
     for _ in range(20):
         c = rng.standard_normal() + 1j * rng.standard_normal()
-        scaled = lc.levi_form(f, z, c * delta)
+        scaled = _hermitian_form(f, z, c * delta)
         assert abs(scaled - abs(c) ** 2 * base) <= 1e-10 * max(1.0, abs(base))
 
 

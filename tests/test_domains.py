@@ -434,7 +434,7 @@ def test_block_draws_equal_one_candidate_per_draw(name, count):
         if seed % 2:
             # a buffered 32-bit half stays buffered
             assert rng.integers(7) == ref.integers(7)
-        got = dom.interior_sample_rng(d, count, rng)
+        got = d.interior_sample(count, rng)
         assert got.tobytes() == interior_sample_oracle(d, count, ref).tobytes()
         assert rng.integers(1 << 20) == ref.integers(1 << 20)
         assert rng.random() == ref.random()
@@ -499,7 +499,7 @@ def test_no_generators_and_no_points_give_empty_rows(name):
     d = MANY[name]
     assert dom.interior_points(d, []).shape == (0, d.dimension)
     rng, ref = np.random.default_rng(1), np.random.default_rng(1)
-    assert dom.interior_sample_rng(d, 0, rng).shape == (0, d.dimension)
+    assert d.interior_sample(0, rng).shape == (0, d.dimension)
     assert rng.random() == ref.random()
 
 
