@@ -336,7 +336,7 @@ def _run_hull(cfg):
     summary = (f"{outside}/{len(queries)} queries separated ({kind} family); "
                f"coordinate bound {bound.bound:.6g}")
     echo = {"kind": kind, "is_complex": is_complex, "points": pset.points,
-            "queries": [rep.to_jsonable(q) for q in queries], "seed": seed,
+            "queries": queries, "seed": seed,
             "tol": tol, "functionals": functionals, "degree": degree,
             "random_count": random_count}
     return records, summary, outside > 0, echo

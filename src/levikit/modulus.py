@@ -151,14 +151,17 @@ class ModulusGeometry:
         """The contact conditions to refine the mesh point c under, one
         entry per coordinate, in every combination.  _PIN keeps it at 0 (a
         face of the orthant, where ``abs`` has a kink), offered where c_j is
-        0, and not on every coordinate.  Otherwise: None, the Euclidean foot
-        point; in L-infinity 0, free, or σ_j = ±1, on the face s_j + σ_j t
-        of the cube, and at least one coordinate on a face.  At a contact
-        the active σ_j g_j share one sign, + from inside D and - from
-        outside, so σ_j is that sign times sign(g_j) at c; both signs where
-        g_j may change sign within about a mesh spacing of c or f has no
-        value at s, and -1 where c_j is 0 (the face that reaches 0 from
-        s_j >= 0)."""
+        0, and not on every coordinate; in L-infinity also where s_j is no
+        more than the distance from s to c, so that the cube can reach the
+        face, since where φ is flat to higher order in p_j at 0 (|z_j|^4)
+        Newton on ∂φ/∂p_j = 0 creeps to the face without converging.
+        Otherwise: None, the Euclidean foot point; in L-infinity 0, free, or
+        σ_j = ±1, on the face s_j + σ_j t of the cube, and at least one
+        coordinate on a face.  At a contact the active σ_j g_j share one
+        sign, + from inside D and - from outside, so σ_j is that sign times
+        sign(g_j) at c; both signs where g_j may change sign within about a
+        mesh spacing of c or f has no value at s, and -1 where c_j is 0 (the
+        face that reaches 0 from s_j >= 0)."""
         if euclidean:
             options = [(None, _PIN) if not x else (None,) for x in c]
         else:
@@ -169,10 +172,13 @@ class ModulusGeometry:
             except LevikitError:
                 # f has no value at s (a pole on an axis): either side
                 side = None
+            gap = max(abs(x - y) for x, y in zip(c, s))
             options = [(0.0, -1.0, _PIN) if not x else
-                       (0.0, 1.0, -1.0) if side is None
-                       or abs(w) <= 2 * self.spacing * sum(map(abs, h))
-                       else (0.0, side * math.copysign(1.0, w)) for x, w, h in zip(c, g, hess)]
+                       ((0.0, 1.0, -1.0) if side is None
+                        or abs(w) <= 2 * self.spacing * sum(map(abs, h))
+                        else (0.0, side * math.copysign(1.0, w)))
+                       + ((_PIN,) if y <= gap else ())
+                       for x, y, w, h in zip(c, s, g, hess)]
         return [m for m in itertools.product(*options)
                 if any(x is not _PIN and (euclidean or x) for x in m)]
 

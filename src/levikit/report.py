@@ -30,15 +30,23 @@ _PLAIN = frozenset((str, int, bool, type(None)))
 
 
 def to_jsonable(obj):
-    """Recursively convert numpy/complex values into plain JSON types."""
+    """Recursively convert numpy/complex values into plain JSON types.
+
+    Plain values, the ``_PLAIN`` types and finite floats, come back as they
+    are; the comprehensions keep them inline and recurse for the rest only
+    (``-inf < v < inf`` is ``math.isfinite`` for a float, without a call)."""
     # exact types first: np.float64 is a float subclass and takes the ladder
     kind = type(obj)
-    if kind in _PLAIN or (kind is float and math.isfinite(obj)):
+    if kind in _PLAIN or (kind is float and -math.inf < obj < math.inf):
         return obj
     if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
+        return {str(k): v if type(v) in _PLAIN or (
+                    type(v) is float and -math.inf < v < math.inf) else to_jsonable(v)
+                for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
+        return [v if type(v) in _PLAIN or (
+                    type(v) is float and -math.inf < v < math.inf) else to_jsonable(v)
+                for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
     if isinstance(obj, (np.complexfloating,)):
@@ -46,7 +54,7 @@ def to_jsonable(obj):
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
+        return to_jsonable(obj.tolist())
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj

@@ -104,6 +104,7 @@ CLI_CASES = {
     # the shipped configs, as read from configs/
     "shipped-ball-classify": _shipped("classify", "ball_classify.yaml"),
     "shipped-hull-affine": _shipped("hull", "hull_affine.yaml"),
+    "shipped-hull-polynomial": _shipped("hull", "hull_polynomial.yaml"),
     "shipped-quartic-classify": _shipped("classify", "quartic_classify.yaml"),
     "shipped-hartogs-log-distance": _shipped("log-distance-probe",
                                              "hartogs_log_distance.yaml"),

@@ -160,8 +160,10 @@ def affine_membership_oracle(k_set, x, functionals=500, seed=0, tol=1e-9):
     offs = np.random.default_rng(ss_b).uniform(-bound, bound, size=functionals)
     values = np.abs(dirs @ xx + offs)
     norms = np.max(np.abs(pts @ dirs.T + offs), axis=0)
-    return hulls._membership(tuple(float(v) for v in xx), values, norms, tol, lambda i: {
-        "kind": "affine", "direction": tuple(dirs[i]), "offset": float(offs[i])})
+    return hulls._membership([tuple(float(v) for v in xx)], values[None], norms[None],
+                             tol, lambda _, i: {"kind": "affine",
+                                                "direction": tuple(dirs[i]),
+                                                "offset": float(offs[i])})[0]
 
 
 def polynomial_membership_oracle(k_set, z, degree, count=0, seed=0, tol=1e-9):
@@ -187,9 +189,9 @@ def polynomial_membership_oracle(k_set, z, degree, count=0, seed=0, tol=1e-9):
         sizes.append((value, norm))
     values, norms = np.array(sizes).T
     query = tuple((v.real, v.imag) for v in np.asarray(z, dtype=complex))
-    return hulls._membership(query, values, norms, tol, lambda i: {
+    return hulls._membership([query], values[None], norms[None], tol, lambda _, i: {
         "kind": "polynomial", "exponents": [list(e) for e in candidates[i][0]],
-        "coefficients": [[c.real, c.imag] for c in map(complex, candidates[i][1])]})
+        "coefficients": [[c.real, c.imag] for c in map(complex, candidates[i][1])]})[0]
 
 
 def interior_sample_oracle(region, count, rng):

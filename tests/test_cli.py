@@ -439,6 +439,7 @@ def test_shipped_configs_run():
     from pathlib import Path
     commands = {"ball_classify": "classify",
                 "hull_affine": "hull",
+                "hull_polynomial": "hull",
                 "quartic_classify": "classify",
                 "hartogs_reinhardt": "reinhardt",
                 "hartogs_log_distance": "log-distance-probe",

@@ -1,6 +1,7 @@
 """Convex hull, affine membership and polynomial membership tests."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -271,6 +272,53 @@ def test_batched_polynomial_membership_matches_the_per_query_oracle(k, n, seed,
     batched = hulls.polynomial_hull_membership(pset, queries, degree, count, seed)
     _same_bits(batched, [polynomial_membership_oracle(pset, q, degree, count, seed)
                          for q in queries])
+
+
+@pytest.mark.parametrize("count", [63, 64, 65, 129])
+def test_affine_membership_matches_the_oracle_across_query_chunks(count):
+    # one short chunk, one full, one spilling by a query, two full and one more
+    rng = np.random.default_rng(count)
+    pset = hulls.real_points(rng.standard_normal((30, 3)))
+    queries = 1.5 * rng.standard_normal((count, 3))
+    batched = hulls.affine_hull_membership(pset, queries, 200, count)
+    assert {r.verdict for r in batched} == {"Inside", "Outside"}
+    _same_bits(batched, [affine_membership_oracle(pset, q, 200, count)
+                         for q in queries])
+
+
+def _first_oracle_error(pset, queries):
+    for q in queries:
+        try:
+            affine_membership_oracle(pset, q)
+        except LevikitError as err:
+            return str(err)
+    raise AssertionError("no query fails")
+
+
+@pytest.mark.parametrize("first, second", [("nan", "overflow"), ("overflow", "nan")])
+def test_first_failing_query_of_a_chunk_raises(first, second):
+    # both bad queries sit in the second chunk, behind good ones
+    bad = {"nan": [math.nan, 0.5], "overflow": [0.5, 1e308]}
+    queries = [[0.2, 0.3]] * 70 + [bad[first]] + [[3.0, 3.0]] * 5 + [bad[second]]
+    square = hulls.real_points([[0, 0], [1, 0], [1, 1], [0, 1]])
+    expected = _first_oracle_error(square, queries)
+    assert ("NaN" in expected) == (first == "nan")
+    with pytest.raises(LevikitError, match=f"^{re.escape(expected)}$"):
+        hulls.affine_hull_membership(square, queries)
+
+
+@pytest.mark.parametrize("query, named", [
+    # 2 * 9e307 is above the float range
+    ([-9e307, 0.0], r"offset bound 2\*max\|coordinate\| is inf, not finite"),
+    # B = 1.2e308 is finite, the offset range 2B is not
+    ([6e307, 0.0], "margin is NaN"),
+], ids=["bound", "range"])
+def test_overflowing_offsets_are_an_error_without_a_warning(query, named):
+    square = hulls.real_points([[0, 0], [1, 0], [1, 1], [0, 1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LevikitError, match=named):
+            hulls.affine_hull_membership(square, [[0.5, 0.5], query])
 
 
 @settings(max_examples=50, deadline=None)
