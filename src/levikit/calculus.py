@@ -20,32 +20,6 @@ HERMITIAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class ComplexGradient:
-    components: np.ndarray
-    point: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
-
-
-@dataclass(frozen=True)
-class LeviMatrix:
-    entries: np.ndarray
-    point: np.ndarray
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
-
-
-@dataclass(frozen=True)
-class TangentBasis:
-    vectors: np.ndarray        # (n-1, n), rows orthonormal, all Hermitian-orthogonal to conj(grad)
-    point: np.ndarray
-    gradient_norm: float
-
-
-@dataclass(frozen=True)
 class TaylorParts:
     constant: float
     linear: float
@@ -78,16 +52,14 @@ def _second_derivatives(f: ex.Expr, z, mixed: bool):
     return zz, np.array(values).reshape(n, n)
 
 
-def complex_gradient(f: ex.Expr, z) -> ComplexGradient:
-    """(df/dz_1, ..., df/dz_n) evaluated at z."""
+def complex_gradient(f: ex.Expr, z) -> np.ndarray:
+    """(df/dz_1, ..., df/dz_n) evaluated at z, an (n,) array."""
     zz = ex.as_point(z)
-    n = zz.shape[0]
-    comps = np.array(ex.evaluate(_grad_trees(f, n), zz))
-    return ComplexGradient(comps, zz)
+    return np.array(ex.evaluate(_grad_trees(f, zz.shape[0]), zz))
 
 
-def levi_matrix(f: ex.Expr, z) -> LeviMatrix:
-    """Matrix of mixed second derivatives d2 f / dz_j dzbar_k at z.
+def levi_matrix(f: ex.Expr, z) -> np.ndarray:
+    """(n, n) matrix of mixed second derivatives d2 f / dz_j dzbar_k at z.
 
     Raises NonHermitianLeviMatrix when the result is not Hermitian within
     HERMITIAN_TOL, which signals a non-real-valued input.
@@ -98,7 +70,7 @@ def levi_matrix(f: ex.Expr, z) -> LeviMatrix:
         raise NonHermitianLeviMatrix(
             f"mixed-derivative matrix is not Hermitian at {tuple(zz)}; "
             "is the function real-valued?")
-    return LeviMatrix(h, zz)
+    return h
 
 
 def unmixed_matrix(f: ex.Expr, z) -> np.ndarray:
@@ -111,15 +83,15 @@ def default_gradient_tol(a) -> float:
     return 1e-8 * (1.0 + float(np.linalg.norm(ex.as_point(a))))
 
 
-def orthonormal_complement(unit: np.ndarray, order) -> list:
-    """Gram-Schmidt over standard basis vectors, taken in ``order``, against
-    the unit vector ``unit``; stops at dimension - 1 vectors.
+def orthonormal_complement(unit: np.ndarray) -> list:
+    """Gram-Schmidt over the standard basis vectors, in order, against the
+    unit vector ``unit``; stops at dimension - 1 vectors.
 
     Works for real and complex vectors alike (products are Hermitian).
     """
     m = unit.shape[0]
     basis = []
-    for j in order:
+    for j in range(m):
         if len(basis) == m - 1:
             break
         v = np.zeros(m, dtype=unit.dtype)
@@ -132,13 +104,12 @@ def orthonormal_complement(unit: np.ndarray, order) -> list:
     return basis
 
 
-def tangent_basis(f: ex.Expr, a, tol: float | None = None,
-                  seed: int | None = None) -> TangentBasis:
-    """Orthonormal basis of the complex tangent space at a w.r.t. f.
+def tangent_basis(f: ex.Expr, a, tol: float | None = None) -> tuple:
+    """(basis, |grad f(a)|): an orthonormal basis of the complex tangent space
+    at a w.r.t. f as the rows of an (n-1, n) array, and the gradient norm.
 
     The tangent space is the Hermitian-orthogonal complement of
-    conj(grad f(a)).  Gram-Schmidt runs over the standard basis vectors;
-    ``seed`` permutes their order (the span is contractual, the basis not).
+    conj(grad f(a)); Gram-Schmidt runs over the standard basis vectors.
     Raises DegenerateGradient when |grad f(a)| <= tol.
     """
     zz = ex.as_point(a)
@@ -146,27 +117,15 @@ def tangent_basis(f: ex.Expr, a, tol: float | None = None,
     if tol is None:
         tol = default_gradient_tol(zz)
     grad = complex_gradient(f, zz)
-    gnorm = grad.norm
+    gnorm = float(np.linalg.norm(grad))
     if gnorm <= tol:
         raise DegenerateGradient(
             f"|grad f| = {gnorm:.3g} <= {tol:.3g} at {tuple(zz)}")
-    w = grad.components.conj() / gnorm
-
-    order = list(range(n))
-    if seed is not None:
-        np.random.default_rng(seed).shuffle(order)
-    basis = orthonormal_complement(w, order)
+    basis = orthonormal_complement(grad.conj() / gnorm)
     if len(basis) != n - 1:
         raise DegenerateGradient(
             f"Gram-Schmidt produced {len(basis)} tangent vectors, expected {n - 1}")
-    mat = np.array(basis) if basis else np.zeros((0, n), dtype=complex)
-    return TangentBasis(mat, zz, gnorm)
-
-
-def restricted_levi_matrix(levi: LeviMatrix, basis: TangentBasis) -> np.ndarray:
-    """Levi form written in the tangent basis: B[p][q] = form(v_p, v_q)."""
-    v = basis.vectors
-    return v @ levi.entries @ v.conj().T
+    return (np.array(basis) if basis else np.zeros((0, n), dtype=complex)), gnorm
 
 
 def taylor_decompose(f: ex.Expr, a, z) -> TaylorParts:
@@ -180,11 +139,11 @@ def taylor_decompose(f: ex.Expr, a, z) -> TaylorParts:
     d = zz - aa
     f_a = ex.evaluate(f, aa).real
     f_z = ex.evaluate(f, zz).real
-    grad = complex_gradient(f, aa).components
+    grad = complex_gradient(f, aa)
     linear = 2.0 * float(np.real(np.dot(d, grad)))
     lam = unmixed_matrix(f, aa)
     lambda_part = float(np.real(d @ lam @ d))
-    levi = float(np.real(d @ levi_matrix(f, aa).entries @ d.conj()))
+    levi = float(np.real(d @ levi_matrix(f, aa) @ d.conj()))
     remainder = f_z - (f_a + linear + lambda_part + levi)
     return TaylorParts(f_a, linear, lambda_part, levi, remainder)
 
@@ -197,7 +156,7 @@ def levi_polynomial(f: ex.Expr, a) -> ex.Expr:
     """
     aa = ex.as_point(a)
     n = aa.shape[0]
-    grad = complex_gradient(f, aa).components
+    grad = complex_gradient(f, aa)
     lam = unmixed_matrix(f, aa)
     shifted = [ex.sub(ex.var(j + 1), ex.const(aa[j])) for j in range(n)]
     g = ex.const(0)

@@ -105,20 +105,21 @@ def classify_point(f: ex.Expr, a, tol_grad: float | None = None,
     if tol_grad is None:
         tol_grad = lc.default_gradient_tol(aa)
     try:
-        basis = lc.tangent_basis(f, aa, tol=tol_grad)
+        basis, gnorm = lc.tangent_basis(f, aa, tol=tol_grad)
     except DegenerateGradient:
         return PointVerdict(tuple(aa), 0.0, (), DEGENERATE, math.nan,
                             tol_eig if tol_eig is not None else math.nan, tol_grad)
     levi = lc.levi_matrix(f, aa)
-    restricted = lc.restricted_levi_matrix(levi, basis)
+    # the Levi form written in the tangent basis
+    restricted = basis @ levi @ basis.conj().T
     if tol_eig is None:
-        tol_eig = default_eig_tol(levi.entries)
+        tol_eig = default_eig_tol(levi)
     if restricted.shape[0] == 0:
-        return PointVerdict(tuple(aa), basis.gradient_norm, (),
+        return PointVerdict(tuple(aa), gnorm, (),
                             STRICTLY_PSEUDOCONVEX, math.inf, tol_eig, tol_grad)
     eigs = np.linalg.eigvalsh(restricted)
     verdict = verdict_from_spectrum(eigs, tol_eig)
-    return PointVerdict(tuple(aa), basis.gradient_norm,
+    return PointVerdict(tuple(aa), gnorm,
                         tuple(float(v) for v in eigs), verdict,
                         float(eigs[0]), tol_eig, tol_grad)
 
@@ -163,7 +164,7 @@ def psh_test_spectral(f: ex.Expr, region, grid: int, seed: int,
             h = lc.levi_matrix(f, z)
         except LevikitError:
             return None
-        eigs, vecs = np.linalg.eigh(h.entries)
+        eigs, vecs = np.linalg.eigh(h)
         if eigs[0] < -tol:
             return PshViolation(tuple(z), tuple(vecs[:, 0]), None, float(-eigs[0]))
         return True

@@ -308,34 +308,33 @@ def _run_hull(cfg):
     if "points_file" in cfg and cfg["points_file"]:
         _require(cfg, "dimension")
         try:
-            pset = hulls.load_point_set(cfg["points_file"],
-                                        _count(cfg, "dimension", None), is_complex)
+            points = hulls.load_point_set(cfg["points_file"],
+                                          _count(cfg, "dimension", None), is_complex)
         except OSError as err:
             raise ConfigError(f"points_file: cannot read {cfg['points_file']!r}: "
                               f"{err.strerror}") from None
     else:
         points = hulls.decode_points(_require(cfg, "points"), is_complex, "points")
-        pset = hulls.PointSet(points, is_complex)
     if kind == "affine" and is_complex:
         raise ConfigError("is_complex: the affine hull test takes real points; "
                           "use kind: polynomial for complex points")
     queries = _require(cfg, "queries")
     query_points = hulls.decode_points(queries, kind == "polynomial", "queries",
-                                       pset.dimension)
+                                       points.shape[1])
     functionals = _count(cfg, "functionals", 500)
     degree = _count(cfg, "degree", 8)
     random_count = _count(cfg, "random_count", 0, minimum=0)
-    results = (hulls.affine_hull_membership(pset, query_points, functionals, seed, tol)
+    results = (hulls.affine_hull_membership(points, query_points, functionals, seed, tol)
                if kind == "affine" else hulls.polynomial_hull_membership(
-                   pset, query_points, degree, random_count, seed, tol))
+                   points, query_points, degree, random_count, seed, tol))
     records = [{"key": f"query-{i:04d}", **vars(r)} for i, r in enumerate(results)]
     outside = sum(r["verdict"] == "Outside" for r in records)
-    bound = hulls.hull_boundedness_check(pset)
+    bound = hulls.hull_boundedness_check(points)
     records.append({"key": "bounds", "per_coordinate": bound.per_coordinate,
                     "bound": bound.bound})
     summary = (f"{outside}/{len(queries)} queries separated ({kind} family); "
                f"coordinate bound {bound.bound:.6g}")
-    echo = {"kind": kind, "is_complex": is_complex, "points": pset.points,
+    echo = {"kind": kind, "is_complex": is_complex, "points": points,
             "queries": queries, "seed": seed,
             "tol": tol, "functionals": functionals, "degree": degree,
             "random_count": random_count}

@@ -106,13 +106,6 @@ class ExpTwistedDisc:
         return f"exp_twisted(r={self.r}, t={self.t})"
 
 
-def disc_eval(disc, w: complex) -> np.ndarray:
-    """Image of one parameter value; requires |w| <= 1."""
-    if abs(w) > 1.0 + 1e-12:
-        raise ValueError(f"|w| = {abs(w)} exceeds 1")
-    return disc.at(w)
-
-
 def boundary_parameters(count: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(count) / count)
 

@@ -30,9 +30,6 @@ class EvalDomainError(LevikitError):
             message += f" at point {point}"
         super().__init__(message)
 
-    def with_point(self, point):
-        return EvalDomainError(self.base_message, self.subexpression, point)
-
 
 class DegenerateGradient(LevikitError):
     """Gradient too small to define a tangent space at the requested point."""

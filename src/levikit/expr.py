@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re as _regex
 import weakref
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -484,42 +483,6 @@ def wirtinger(f: Expr, j: int, conjugated: bool = False) -> Expr:
     if j < 1:
         raise ValueError(f"variable index must be >= 1, got {j}")
     return _wirt(f, j, bool(conjugated))
-
-
-# ---------------------------------------------------------------------------
-# real-valuedness probe
-
-@dataclass(frozen=True)
-class RealValueCheck:
-    is_real_valued: bool
-    witness: tuple
-    max_abs_imag: float
-
-
-def is_real_valued(f: Expr, samples: int = 50, seed: int = 0,
-                   tol: float = 1e-9, n: int | None = None) -> RealValueCheck:
-    """Evaluate ``f`` at seeded random points and test max |Im f| <= tol.
-
-    Returns the worst point either way; domain errors propagate with the
-    sample point attached.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if n is None:
-        n = max(max_index(f), 1)
-    rng = np.random.default_rng(seed)
-    worst = None
-    worst_imag = -1.0
-    for _ in range(samples):
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        try:
-            v = evaluate(f, z)
-        except EvalDomainError as err:
-            raise err.with_point(tuple(z.tolist())) from None
-        if abs(v.imag) > worst_imag:
-            worst_imag = abs(v.imag)
-            worst = tuple(z)
-    return RealValueCheck(worst_imag <= tol, worst, worst_imag)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ def default_step(coordinate: complex) -> float:
     return EPS_CBRT * max(1.0, abs(coordinate))
 
 
-def wirtinger_fd(f, z, j: int, conjugated: bool = False,
-                 h: float | None = None) -> complex:
+def wirtinger_fd(f, z, j: int, conjugated: bool = False) -> complex:
     """d f / d z_j (or d f / d conj z_j) from directional real derivatives.
 
     Uses d/dz = (d/dx - i d/dy) / 2 with central differences in x and y.
@@ -27,8 +26,7 @@ def wirtinger_fd(f, z, j: int, conjugated: bool = False,
     # complex-valued on purpose: derivative trees need not be real
     func = (lambda z: ex.evaluate(f, z)) if isinstance(f, ex.Expr) else f
     zz = ex.as_point(z)
-    if h is None:
-        h = default_step(zz[j - 1])
+    h = default_step(zz[j - 1])
     step = np.zeros_like(zz)
     step[j - 1] = h
     fx = (func(zz + step) - func(zz - step)) / (2.0 * h)

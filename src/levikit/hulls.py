@@ -17,33 +17,17 @@ from . import expr as ex
 from .errors import ConfigError, LevikitError
 
 
-@dataclass
-class PointSet:
-    points: np.ndarray         # (k, n)
-    is_complex: bool
-
-    def __post_init__(self):
-        dtype = complex if self.is_complex else float
-        pts = np.atleast_2d(np.asarray(self.points, dtype=dtype))
-        if pts.size == 0:
-            raise ValueError("point set must be non-empty")
-        self.points = pts
-
-    @property
-    def dimension(self):
-        return self.points.shape[1]
+def _point_set(points, dtype) -> np.ndarray:
+    """K as a non-empty (k, n) array of ``dtype``."""
+    pts = np.atleast_2d(np.asarray(points, dtype=dtype))
+    if pts.size == 0:
+        raise ValueError("point set must be non-empty")
+    return pts
 
 
-def real_points(arr) -> PointSet:
-    return PointSet(np.asarray(arr, dtype=float), is_complex=False)
-
-
-def complex_points(arr) -> PointSet:
-    return PointSet(np.asarray(arr, dtype=complex), is_complex=True)
-
-
-def load_point_set(path, dimension: int, is_complex: bool = True) -> PointSet:
-    """One point per line, comma-separated real/imag pairs (2n numbers for C^n)."""
+def load_point_set(path, dimension: int, is_complex: bool = True) -> np.ndarray:
+    """K as a (k, n) array from a file: one point per line, comma-separated
+    real/imag pairs (2n numbers for C^n), or n reals unless ``is_complex``."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -64,7 +48,7 @@ def load_point_set(path, dimension: int, is_complex: bool = True) -> PointSet:
                         if is_complex else vals)
     if not rows:
         raise LevikitError(f"{path}: no points found")
-    return PointSet(np.array(rows), is_complex=is_complex)
+    return np.array(rows)
 
 
 def decode_points(rows, is_complex: bool, path: str,
@@ -151,7 +135,7 @@ def _membership(queries, values, norms, tol, certificate) -> list:
 
 def convex_hull_2d(points) -> list:
     """Counterclockwise extreme points; collinear interior points excluded."""
-    pts = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=float)
+    pts = np.asarray(points, dtype=float)
     uniq = sorted({(float(p[0]), float(p[1])) for p in pts})
     if len(uniq) <= 2:
         return uniq
@@ -221,10 +205,10 @@ def affine_functionals(seed: int, count: int, dimension: int) -> tuple:
 _QUERY_CHUNK = 64      # queries per array pass of affine_hull_membership
 
 
-def affine_hull_membership(k_set: PointSet, queries, functionals: int = 500,
+def affine_hull_membership(k_set, queries, functionals: int = 500,
                            seed: int = 0, tol: float = 1e-9) -> list:
     """Sampled-affine-functional membership of each query in the convex hull
-    of K, one result per query.
+    of K, the rows of the (k, n) real array ``k_set``, one result per query.
 
     Functionals are A(y) = u . y + b with unit u and offset b uniform in
     [-B, B], B = 2 * coordinate bound of K and the query; offsets matter
@@ -246,7 +230,7 @@ def affine_hull_membership(k_set: PointSet, queries, functionals: int = 500,
     """
     if functionals < 1:
         raise ValueError("functional count must be >= 1")
-    pts = k_set.points.astype(float)
+    pts = _point_set(k_set, float)
     k_max = float(np.max(np.abs(pts)))
     dirs, draws = affine_functionals(seed, functionals, pts.shape[1])
     proj = pts @ dirs.T
@@ -311,10 +295,11 @@ def _modulus_at(exponents, coefficients, z) -> float:
         return math.inf
 
 
-def polynomial_hull_membership(k_set: PointSet, queries, degree: int, count: int = 0,
+def polynomial_hull_membership(k_set, queries, degree: int, count: int = 0,
                                seed: int = 0, tol: float = 1e-9) -> list:
-    """Outer polynomial-family test, one result per query z: Outside iff some
-    tested p has |p(z)| > sup_K |p| + tol, with sup_K |p| computed once.
+    """Outer polynomial-family test, one result per query z, with K the rows
+    of the (k, n) array ``k_set``: Outside iff some tested p has
+    |p(z)| > sup_K |p| + tol, with sup_K |p| computed once.
 
     The family is every monomial of total degree 1..degree plus ``count``
     seeded polynomials with unit-modulus coefficients on the same
@@ -323,7 +308,7 @@ def polynomial_hull_membership(k_set: PointSet, queries, degree: int, count: int
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    pts = k_set.points.astype(complex)
+    pts = _point_set(k_set, complex)
     exps = monomial_exponents(pts.shape[1], degree)
 
     rng = np.random.default_rng(seed)
@@ -373,8 +358,8 @@ class CoordinateBound:
     bound: float
 
 
-def hull_boundedness_check(k_set: PointSet) -> CoordinateBound:
-    """sup_K |z_j| per coordinate; any query exceeding a bound is Outside
-    via that coordinate functional."""
-    per = tuple(float(v) for v in np.max(np.abs(k_set.points), axis=0))
+def hull_boundedness_check(k_set) -> CoordinateBound:
+    """sup_K |z_j| per coordinate over the rows of the (k, n) array ``k_set``;
+    any query exceeding a bound is Outside via that coordinate functional."""
+    per = tuple(float(v) for v in np.max(np.abs(_point_set(k_set, None)), axis=0))
     return CoordinateBound(per, max(per))

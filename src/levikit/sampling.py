@@ -31,20 +31,18 @@ def unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
             return v / norm
 
 
-def disc_points(rng: np.random.Generator, radii, count: int | None = None) -> np.ndarray:
-    """One uniform sample from each closed disc about 0 with the given radii,
-    or with ``count``, ``count`` such points as the rows of an array.
+def disc_points(rng: np.random.Generator, radii) -> np.ndarray:
+    """One uniform sample from each closed disc about 0 with the given radii.
 
     Draws (modulus, angle) pairs in the order of ``radii``, so it takes the
-    same numbers from ``rng`` as one two-draw sample per disc, and ``count``
-    points take the numbers of ``count`` calls without it.
+    same numbers from ``rng`` as one two-draw sample per disc.
     """
-    shape = (len(radii), 2) if count is None else (count, len(radii), 2)
-    return disc_points_at(rng.uniform(size=shape), radii)
+    return disc_points_at(rng.uniform(size=(len(radii), 2)), radii)
 
 
 def disc_points_at(u, radii) -> np.ndarray:
-    """``disc_points`` at its uniforms ``u``: (modulus, angle) pairs, (..., n, 2)."""
+    """``disc_points`` at its uniforms ``u``: (modulus, angle) pairs, (..., n, 2);
+    a (k, n, 2) block of uniforms gives k points, the draws of k calls."""
     return np.asarray(radii) * np.sqrt(u[..., 0]) * np.exp(2j * np.pi * u[..., 1])
 
 

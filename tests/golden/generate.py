@@ -119,6 +119,7 @@ CLI_CASES = {
                                                    "quartic_mixed_log_distance.yaml"),
     "shipped-intersection-log-distance": _shipped("log-distance-probe",
                                                   "intersection_log_distance.yaml"),
+    "shipped-complement-disc-probe": _shipped("disc-probe", "complement_disc_probe.yaml"),
     # classify: every variant with a boundary sampler, a C^3 ball, a
     # non-convex sublevel domain, explicit tolerances and two errors
     "classify-ball-c3": _cli("classify", {"domain": BALL3, "samples": 12, "seed": 1}),

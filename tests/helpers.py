@@ -148,7 +148,7 @@ def affine_membership_oracle(k_set, x, functionals=500, seed=0, tol=1e-9):
     batches: for each query the family is redrawn with ``uniform(-B, B)``
     offsets and K is projected on it again, and sup_K |A| is the direct
     maximum over K.  Kept as the oracle the batch must match bit for bit."""
-    pts = k_set.points.astype(float)
+    pts = np.asarray(k_set, dtype=float)
     xx = np.asarray(x, dtype=float)
     bound = 2.0 * max(float(np.max(np.abs(pts))), float(np.max(np.abs(xx))), 1e-12)
     if not math.isfinite(bound):
@@ -170,7 +170,7 @@ def polynomial_membership_oracle(k_set, z, degree, count=0, seed=0, tol=1e-9):
     """The per-query polynomial test that ``hulls.polynomial_hull_membership``
     batches: sup_K |p| of every candidate is computed again for each
     query.  Kept as the oracle the batch must match bit for bit."""
-    pts = k_set.points.astype(complex)
+    pts = np.asarray(k_set, dtype=complex)
     zz = np.asarray(z, dtype=complex).reshape(1, -1)
     exps = hulls.monomial_exponents(pts.shape[1], degree)
     rng = np.random.default_rng(seed)
@@ -321,7 +321,7 @@ def bisect_level_oracle(f, level, z_in, z_out, outside=False):
 
 
 def _gradient_oracle(d, b):
-    return np.conj(lc.complex_gradient(d.expr, b).components)
+    return np.conj(lc.complex_gradient(d.expr, b))
 
 
 def march_oracle(d, z, direction, s, v, steps):

@@ -205,10 +205,9 @@ def test_criterion_10_hull_cross_validation():
     start = time.perf_counter()
     for trial in range(20):
         pts = rng.standard_normal((100, 2))
-        pset = hulls.real_points(pts)
         hull = hulls.convex_hull_2d(pts)
         queries = 2.0 * rng.standard_normal((1000, 2))
-        results = hulls.affine_hull_membership(pset, queries, functionals=500,
+        results = hulls.affine_hull_membership(pts, queries, functionals=500,
                                                seed=trial)
         for q, res in zip(queries, results):
             inside_exact = hulls.polygon_contains(hull, q, tol=1e-12)

@@ -18,18 +18,18 @@ def test_gradient_of_ball_defining_function():
     rng = np.random.default_rng(0)
     for _ in range(10):
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        g = lc.complex_gradient(BALL, z).components
+        g = lc.complex_gradient(BALL, z)
         assert np.allclose(g, np.conj(z - BALL_CENTER), atol=1e-12)
 
 
 def test_gradient_of_re_is_constant_half():
-    g = lc.complex_gradient(ex.parse("re(z1)", 2), [2j, 1]).components
+    g = lc.complex_gradient(ex.parse("re(z1)", 2), [2j, 1])
     assert np.allclose(g, [0.5, 0.0])
 
 
 def test_gradient_of_quartic_matches_finite_differences():
     f = ex.parse("abs2(z1)^2", 1)
-    g = lc.complex_gradient(f, [2.0]).components
+    g = lc.complex_gradient(f, [2.0])
     assert g[0] == pytest.approx(16.0)  # 2 z zbar^2 at z = 2
     num = fd.wirtinger_fd(f, [2.0], 1, False)
     assert abs(g[0] - num) < 1e-6 * 16
@@ -37,21 +37,21 @@ def test_gradient_of_quartic_matches_finite_differences():
 
 def test_levi_matrix_of_norm_squared_is_identity():
     f = ex.parse("abs2(z1) + abs2(z2)", 2)
-    h = lc.levi_matrix(f, [0.3 + 1j, -2]).entries
+    h = lc.levi_matrix(f, [0.3 + 1j, -2])
     assert np.allclose(h, np.eye(2), atol=1e-14)
 
 
 def test_levi_matrix_of_pluriharmonic_is_zero():
-    h = lc.levi_matrix(ex.parse("re(z1)", 2), [1j, 2]).entries
+    h = lc.levi_matrix(ex.parse("re(z1)", 2), [1j, 2])
     assert np.allclose(h, 0)
     # -ln|g| for non-vanishing holomorphic g is pluriharmonic
-    h2 = lc.levi_matrix(ex.parse("-ln(abs(z1))", 1), [2 + 1j]).entries
+    h2 = lc.levi_matrix(ex.parse("-ln(abs(z1))", 1), [2 + 1j])
     assert np.max(np.abs(h2)) <= 1e-8
 
 
 def _hermitian_form(f, z, v):
     v = np.asarray(v, dtype=complex)
-    return v @ lc.levi_matrix(f, z).entries @ v.conj()
+    return v @ lc.levi_matrix(f, z) @ v.conj()
 
 
 def test_levi_matrix_hermitian_form_values():
@@ -86,7 +86,7 @@ def test_levi_and_unmixed_matrices_match_real_finite_differences():
     fxy = (freal(x0 + h, y0 + h) - freal(x0 + h, y0 - h)
            - freal(x0 - h, y0 + h) + freal(x0 - h, y0 - h)) / (4 * h**2)
     z = [complex(x0, y0)]
-    levi = lc.levi_matrix(f, z).entries[0, 0]
+    levi = lc.levi_matrix(f, z)[0, 0]
     unmixed = lc.unmixed_matrix(f, z)[0, 0]
     assert abs(levi - (fxx + fyy) / 4) <= 1e-6
     assert abs(unmixed - ((fxx - fyy) / 4 - 0.5j * fxy)) <= 1e-6
@@ -94,24 +94,24 @@ def test_levi_and_unmixed_matrices_match_real_finite_differences():
 
 def test_tangent_basis_on_sphere():
     f = ex.parse("abs2(z1) + abs2(z2) - 1", 2)
-    basis = lc.tangent_basis(f, [1, 0])
-    assert basis.vectors.shape == (1, 2)
-    v = basis.vectors[0]
+    basis, _ = lc.tangent_basis(f, [1, 0])
+    assert basis.shape == (1, 2)
+    v = basis[0]
     assert abs(abs(v[1]) - 1.0) < 1e-12 and abs(v[0]) < 1e-12
 
 
 def test_tangent_basis_on_polydisc_face_kills_first_coordinate():
     f = ex.parse("abs2(z1) - 1", 2)
-    basis = lc.tangent_basis(f, [1, 0.5])
-    for v in basis.vectors:
+    basis, _ = lc.tangent_basis(f, [1, 0.5])
+    for v in basis:
         assert abs(v[0]) <= 1e-10
 
 
 def test_tangent_basis_of_linear_function_spans_second_axis():
     # gradient of re(z1) is (1/2, 0); any unitary equivalent of (0, 1) is fine
-    basis = lc.tangent_basis(ex.parse("re(z1)", 2), [0, 0])
-    assert basis.vectors.shape == (1, 2)
-    v = basis.vectors[0]
+    basis, gnorm = lc.tangent_basis(ex.parse("re(z1)", 2), [0, 0])
+    assert basis.shape == (1, 2) and gnorm == 0.5
+    v = basis[0]
     assert abs(abs(v[1]) - 1.0) <= 1e-12 and abs(v[0]) <= 1e-12
 
 
@@ -120,31 +120,13 @@ def test_tangent_basis_orthonormal_and_orthogonal_to_gradient():
     rng = np.random.default_rng(5)
     a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     a = a / np.linalg.norm(a) * np.sqrt(2)
-    basis = lc.tangent_basis(f, a)
-    vmat = basis.vectors
+    vmat, _ = lc.tangent_basis(f, a)
     gram = vmat @ vmat.conj().T
     assert np.allclose(gram, np.eye(2), atol=1e-10)
-    grad = lc.complex_gradient(f, a).components
+    grad = lc.complex_gradient(f, a)
     w = grad.conj()
     for v in vmat:
         assert abs(np.vdot(w, v)) <= 1e-10
-
-
-def test_tangent_basis_span_invariant_under_seed():
-    cases = [
-        ("abs2(z1) + abs2(z2) + abs2(z3) - 2", [0.9, 0.5 + 0.5j, 0.7j]),
-        ("abs2(z1)^2 + abs2(z2) - abs2(z3) - 0.3", [0.8, 0.4j, 0.5]),
-        ("re(z1*z2) + abs2(z3) + abs2(z1) - 1", [0.7, -0.3, 0.6j]),
-    ]
-    for text, a in cases:
-        f = ex.parse(text, 3)
-        levi = lc.levi_matrix(f, a)
-        for seed in (7, 123):
-            b1 = lc.tangent_basis(f, a, seed=None)
-            b2 = lc.tangent_basis(f, a, seed=seed)
-            e1 = np.linalg.eigvalsh(lc.restricted_levi_matrix(levi, b1))
-            e2 = np.linalg.eigvalsh(lc.restricted_levi_matrix(levi, b2))
-            assert np.allclose(e1, e2, atol=1e-8)
 
 
 def test_degenerate_gradient_raises():
@@ -198,10 +180,11 @@ def test_levi_matrix_hermitian_on_corpus():
     from levikit.corpus import CORPUS, corpus_points
     for text, n, guard in CORPUS:
         f = ex.parse(text, n)
-        if not ex.is_real_valued(f, samples=10, seed=1).is_real_valued:
+        points = corpus_points(guard, n, 3, seed=13)
+        if any(ex.evaluate(f, z).imag != 0 for z in points):
             continue
-        for z in corpus_points(guard, n, 3, seed=13):
-            h = lc.levi_matrix(f, z).entries
+        for z in points:
+            h = lc.levi_matrix(f, z)
             assert np.max(np.abs(h - h.conj().T)) <= 1e-10 * max(1.0, np.max(np.abs(h)))
 
 
@@ -221,9 +204,9 @@ def test_levi_matrix_additivity():
     f = ex.parse("abs2(z1)^2", 2)
     g = ex.parse("abs2(z2) + re(z1*z2)", 2)
     z = [0.4 - 0.1j, 0.2 + 0.3j]
-    hf = lc.levi_matrix(f, z).entries
-    hg = lc.levi_matrix(g, z).entries
-    hsum = lc.levi_matrix(f + g, z).entries
+    hf = lc.levi_matrix(f, z)
+    hg = lc.levi_matrix(g, z)
+    hsum = lc.levi_matrix(f + g, z)
     assert np.allclose(hsum, hf + hg, atol=1e-10)
 
 
@@ -237,7 +220,7 @@ def test_pluriharmonicity_of_log_modulus_corpus():
             z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             if abs(ex.evaluate(g, z)) < 0.3:
                 continue
-            h = lc.levi_matrix(f, z).entries
+            h = lc.levi_matrix(f, z)
             assert np.max(np.abs(h)) <= 1e-8
 
 
@@ -245,12 +228,12 @@ def test_levi_spectrum_invariant_under_unitary_composition():
     f = ex.parse("abs2(z1) + abs2(z2) - 1", 2)
     a = np.array([0.6, 0.8j])
     rng = np.random.default_rng(17)
-    eigs = np.linalg.eigvalsh(lc.levi_matrix(f, a).entries)
+    eigs = np.linalg.eigvalsh(lc.levi_matrix(f, a))
     for _ in range(5):
         v = random_unitary(rng, 2)
         fv = compose_with_matrix(f, v)
         a_back = np.linalg.solve(v, a)
-        eigs_v = np.linalg.eigvalsh(lc.levi_matrix(fv, a_back).entries)
+        eigs_v = np.linalg.eigvalsh(lc.levi_matrix(fv, a_back))
         assert np.allclose(np.sort(eigs), np.sort(eigs_v), atol=1e-8)
 
 
@@ -259,10 +242,10 @@ def test_defining_function_independence_on_ball_examples():
     f1 = ex.parse("abs2(z1) + abs2(z2) - 1", 2)
     f2 = ex.parse("ln(abs2(z1) + abs2(z2) + 0.0001) - ln(1.0001)", 2)
     a = [1.0, 0.0]
-    b1 = lc.tangent_basis(f1, a)
-    b2 = lc.tangent_basis(f2, a)
-    m1 = np.linalg.eigvalsh(lc.restricted_levi_matrix(lc.levi_matrix(f1, a), b1))
-    m2 = np.linalg.eigvalsh(lc.restricted_levi_matrix(lc.levi_matrix(f2, a), b2))
+    b1, _ = lc.tangent_basis(f1, a)
+    b2, _ = lc.tangent_basis(f2, a)
+    m1 = np.linalg.eigvalsh(b1 @ lc.levi_matrix(f1, a) @ b1.conj().T)
+    m2 = np.linalg.eigvalsh(b2 @ lc.levi_matrix(f2, a) @ b2.conj().T)
     assert m1[0] > 0 and m2[0] > 0
 
 
@@ -286,6 +269,6 @@ def test_gradient_bits_do_not_depend_on_what_was_differentiated_before():
     minus = ex.mul(ex.mul(ex.const(complex(-2.5, -0.0)), ex.var(1)), ex.var(2))
     bits = []
     for f in (plus, minus):
-        g = lc.complex_gradient(f, [0, 0.5 - 0.25j]).components[1]
+        g = lc.complex_gradient(f, [0, 0.5 - 0.25j])[1]
         bits.append((g.real.hex(), g.imag.hex()))
     assert bits == [("-0x0.0p+0", "0x0.0p+0"), ("0x0.0p+0", "-0x0.0p+0")]

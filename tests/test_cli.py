@@ -448,7 +448,8 @@ def test_shipped_configs_run():
                 "quartic_mixed_log_distance": "log-distance-probe",
                 "intersection_log_distance": "log-distance-probe",
                 "polydisc_exhaustion": "exhaustion",
-                "psh_circle": "psh-test"}
+                "psh_circle": "psh-test",
+                "complement_disc_probe": "disc-probe"}
     config_dir = Path(__file__).resolve().parent.parent / "configs"
     paths = sorted(config_dir.glob("*.yaml"))
     assert len(paths) == len(commands)

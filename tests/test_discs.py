@@ -16,14 +16,12 @@ E = math.e
 
 def test_affine_disc_eval():
     d = discs.AffineDisc((0, 0), (1, 0), 1.0)
-    assert np.allclose(discs.disc_eval(d, 1j), [1j, 0])
-    with pytest.raises(ValueError):
-        discs.disc_eval(d, 1.5)
+    assert np.allclose(d.at(1j), [1j, 0])
 
 
 def test_hartogs_disc_eval():
     d = discs.HartogsDisc(1.0, 2)
-    assert np.allclose(discs.disc_eval(d, 0.5), [1.5, 0.5])
+    assert np.allclose(d.at(0.5), [1.5, 0.5])
 
 
 def test_exp_twisted_with_zero_amplitude_reduces_to_affine():

@@ -618,8 +618,8 @@ METRICS = (dom.EUCLIDEAN, dom.LINFTY)
 def _box_rows(d, count, seed, scale=0.8):
     """Seeded rows in the bounding polydisc scaled by ``scale``, inside D or not."""
     rng = np.random.default_rng(seed)
-    return np.asarray(d.box_center) + scale * (
-        dom.disc_points(rng, d.box_radii, count))
+    return np.asarray(d.box_center) + scale * dom.disc_points_at(
+        rng.uniform(size=(count, len(d.box_radii), 2)), d.box_radii)
 
 
 def test_only_moduli_only_sublevel_domains_leave_the_sampled_path():

@@ -115,21 +115,6 @@ def test_wirtinger_quartic_against_finite_differences():
     assert abs(ex.evaluate(d, [1]) - num) < 1e-8
 
 
-def test_is_real_valued():
-    check = ex.is_real_valued(ex.parse("abs2(z1) - 1", 1), samples=20, seed=0)
-    assert check.is_real_valued
-    check2 = ex.is_real_valued(ex.parse("z1", 1), samples=20, seed=0)
-    assert not check2.is_real_valued
-    assert abs(complex(check2.witness[0]).imag) > 0
-    check3 = ex.is_real_valued(ex.parse("re(z1) + im(z1)", 1), samples=20, seed=0)
-    assert check3.is_real_valued
-
-
-def test_is_real_valued_propagates_domain_error_with_point():
-    with pytest.raises(EvalDomainError, match="at point"):
-        ex.is_real_valued(ex.parse("ln(re(z1))", 1), samples=50, seed=0)
-
-
 def test_conjugation_duality_on_corpus():
     # eval(d f/d z_j) == conj(eval(d conj(f)/d zbar_j)) at seeded points
     for text, n, guard in CORPUS:

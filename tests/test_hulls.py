@@ -42,14 +42,14 @@ def test_hull_matches_brute_force_oracle():
 
 
 def test_affine_membership_inside_and_outside():
-    square = hulls.real_points([[0, 0], [1, 0], [1, 1], [0, 1]])
+    square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
     inside, outside = hulls.affine_hull_membership(square, [[0.5, 0.5], [2, 0]])
     assert inside.verdict == "Inside"
     assert outside.verdict == "Outside"
     cert = outside.certificate
     u = np.asarray(cert["direction"])
     value = abs(u @ np.array([2.0, 0.0]) + cert["offset"])
-    norm_k = max(abs(u @ p + cert["offset"]) for p in square.points)
+    norm_k = max(abs(u @ p + cert["offset"]) for p in square)
     assert value > norm_k + 1e-9
 
 
@@ -58,13 +58,12 @@ def test_affine_membership_cross_validation():
     rng = np.random.default_rng(1)
     for trial in range(3):
         pts = rng.standard_normal((60, 2))
-        pset = hulls.real_points(pts)
         hull = hulls.convex_hull_2d(pts)
         false_outside = 0
         outside_missed = 0
         outside_far = 0
         queries = 1.6 * rng.standard_normal((200, 2))
-        results = hulls.affine_hull_membership(pset, queries, functionals=500,
+        results = hulls.affine_hull_membership(pts, queries, functionals=500,
                                                seed=trial)
         for q, res in zip(queries, results):
             exact_inside = hulls.polygon_contains(hull, q, tol=1e-12)
@@ -80,7 +79,7 @@ def test_affine_membership_cross_validation():
 
 def test_affine_membership_monotone_in_functional_count():
     rng = np.random.default_rng(2)
-    pts = hulls.real_points(rng.standard_normal((40, 2)))
+    pts = rng.standard_normal((40, 2))
     queries = 2.0 * rng.standard_normal((50, 2))
     for small, large in zip(
             hulls.affine_hull_membership(pts, queries, functionals=100, seed=9),
@@ -93,22 +92,20 @@ def test_affine_membership_monotone_in_functional_count():
 def test_affine_membership_idempotent_under_certified_inside_points():
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((50, 2))
-    pset = hulls.real_points(pts)
     candidates = rng.standard_normal((100, 2))
     inside_points = [q for q, res in zip(
-        candidates, hulls.affine_hull_membership(pset, candidates, seed=4))
+        candidates, hulls.affine_hull_membership(pts, candidates, seed=4))
         if res.verdict == "Inside"]
-    augmented = hulls.real_points(np.vstack([pts, inside_points]))
+    augmented = np.vstack([pts, inside_points])
     queries = 1.5 * rng.standard_normal((100, 2))
-    for a, b in zip(hulls.affine_hull_membership(pset, queries, seed=4),
+    for a, b in zip(hulls.affine_hull_membership(pts, queries, seed=4),
                     hulls.affine_hull_membership(augmented, queries, seed=4)):
         assert a.verdict == b.verdict
         assert a.best_margin == pytest.approx(b.best_margin, abs=1e-14)
 
 
 def test_polynomial_membership_circle():
-    circle = hulls.complex_points(
-        [[np.exp(2j * np.pi * k / 64)] for k in range(64)])
+    circle = [[np.exp(2j * np.pi * k / 64)] for k in range(64)]
     for degree in (1, 3, 8):
         res, = hulls.polynomial_hull_membership(circle, [[0]], degree)
         assert res.verdict == "Inside"   # maximum modulus forces |p(0)| <= 1
@@ -121,9 +118,8 @@ def test_polynomial_membership_circle():
 
 
 def test_polynomial_membership_distinguished_boundary_of_polydisc():
-    torus = hulls.complex_points(
-        [[np.exp(2j * np.pi * j / 24), np.exp(2j * np.pi * k / 24)]
-         for j in range(24) for k in range(24)])
+    torus = [[np.exp(2j * np.pi * j / 24), np.exp(2j * np.pi * k / 24)]
+             for j in range(24) for k in range(24)]
     res, = hulls.polynomial_hull_membership(torus, [[0.5, 0.5]], 8)
     assert res.verdict == "Inside"
     out, = hulls.polynomial_hull_membership(torus, [[0, 5]], 1)
@@ -133,8 +129,7 @@ def test_polynomial_membership_distinguished_boundary_of_polydisc():
 
 
 def test_polynomial_membership_with_random_family_keeps_soundness():
-    circle = hulls.complex_points(
-        [[np.exp(2j * np.pi * k / 64)] for k in range(64)])
+    circle = [[np.exp(2j * np.pi * k / 64)] for k in range(64)]
     res, = hulls.polynomial_hull_membership(circle, [[0.2 + 0.1j]], 6,
                                             count=40, seed=5)
     assert res.verdict == "Inside"
@@ -142,8 +137,7 @@ def test_polynomial_membership_with_random_family_keeps_soundness():
 
 def test_outside_certificates_reverify_with_margin():
     rng = np.random.default_rng(6)
-    pts = hulls.complex_points(rng.standard_normal((30, 2))
-                               + 1j * rng.standard_normal((30, 2)))
+    pts = rng.standard_normal((30, 2)) + 1j * rng.standard_normal((30, 2))
     queries = [3.0 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
                for _ in range(20)]
     for q, res in zip(queries, hulls.polynomial_hull_membership(
@@ -154,17 +148,15 @@ def test_outside_certificates_reverify_with_margin():
             exps = [tuple(e) for e in cert["exponents"]]
             value = abs(hulls._eval_poly(exps, coeffs, q.reshape(1, -1))[0])
             norm_k = float(np.max(np.abs(
-                hulls._eval_poly(exps, coeffs, pts.points))))
+                hulls._eval_poly(exps, coeffs, pts))))
             assert value > norm_k + 1e-9
 
 
 def test_hull_boundedness_check():
-    circle = hulls.complex_points(
-        [[np.exp(2j * np.pi * k / 32)] for k in range(32)])
+    circle = [[np.exp(2j * np.pi * k / 32)] for k in range(32)]
     bound = hulls.hull_boundedness_check(circle)
     assert bound.bound == pytest.approx(1.0, abs=1e-12)
-    more = hulls.complex_points(
-        [[np.exp(2j * np.pi * k / 32)] for k in range(32)] + [[3.0]])
+    more = circle + [[3.0]]
     assert hulls.hull_boundedness_check(more).bound >= bound.bound
 
 
@@ -172,28 +164,27 @@ def test_load_point_set(tmp_path):
     path = tmp_path / "points.txt"
     path.write_text("# comment\n1.0,0.0,0.0,1.0\n0.5,-0.5,2.0,0.0\n",
                     encoding="utf-8")
-    pset = hulls.load_point_set(path, 2, is_complex=True)
-    assert pset.points.shape == (2, 2)
-    assert pset.points[0][1] == 1j
+    pts = hulls.load_point_set(path, 2, is_complex=True)
+    assert pts.shape == (2, 2) and pts.dtype == complex
+    assert pts[0][1] == 1j
     real = tmp_path / "real.txt"
     real.write_text("1.0,2.0\n3.0,4.0\n", encoding="utf-8")
-    rset = hulls.load_point_set(real, 2, is_complex=False)
-    assert rset.points.shape == (2, 2) and not rset.is_complex
+    rpts = hulls.load_point_set(real, 2, is_complex=False)
+    assert rpts.shape == (2, 2) and rpts.dtype == float
 
 
 def test_first_of_tied_polynomial_candidates_is_the_certificate():
     # z2 and z1 (in monomial order) both reach |p(z)| = 2 against sup_K = 0
-    res, = hulls.polynomial_hull_membership(hulls.complex_points([[0, 0]]),
-                                            [[2, 2]], 1)
+    res, = hulls.polynomial_hull_membership([[0, 0]], [[2, 2]], 1)
     assert res.verdict == "Outside" and res.best_margin == 2.0
     assert res.certificate["exponents"] == [[0, 1]]
 
 
 @pytest.mark.parametrize("member", [
     lambda: hulls.affine_hull_membership(
-        hulls.real_points([[0, 0], [1, 0], [0, 1]]), [[math.nan, 0.0]]),
+        [[0, 0], [1, 0], [0, 1]], [[math.nan, 0.0]]),
     lambda: hulls.polynomial_hull_membership(
-        hulls.complex_points([[0, 0], [1, 0]]), [[complex(math.nan, 0.0), 0]], 1),
+        [[0, 0], [1, 0]], [[complex(math.nan, 0.0), 0]], 1),
 ], ids=["affine", "polynomial"])
 def test_nan_margin_is_an_error_in_both_families(member):
     with pytest.raises(LevikitError, match="margin is NaN"):
@@ -213,8 +204,7 @@ def test_overflowing_polynomial_is_an_error_not_a_certificate(points, query, deg
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(LevikitError, match=named):
-            hulls.polynomial_hull_membership(hulls.complex_points(points), [query],
-                                             degree)
+            hulls.polynomial_hull_membership(points, [query], degree)
 
 
 def _same_bits(batched, oracle):
@@ -253,8 +243,8 @@ def test_batched_affine_membership_matches_the_per_query_oracle(k, n, seed,
                                                                functionals, tol,
                                                                scale):
     rng = np.random.default_rng(seed)
-    pset = hulls.real_points(scale * rng.standard_normal((k, n)))
-    queries = _hull_queries(rng, pset.points, 4)
+    pset = scale * rng.standard_normal((k, n))
+    queries = _hull_queries(rng, pset, 4)
     batched = hulls.affine_hull_membership(pset, queries, functionals, seed, tol)
     _same_bits(batched, [affine_membership_oracle(pset, q, functionals, seed, tol)
                          for q in queries])
@@ -266,9 +256,8 @@ def test_batched_affine_membership_matches_the_per_query_oracle(k, n, seed,
 def test_batched_polynomial_membership_matches_the_per_query_oracle(k, n, seed,
                                                                    degree, count):
     rng = np.random.default_rng(seed)
-    pset = hulls.complex_points(rng.standard_normal((k, n))
-                                + 1j * rng.standard_normal((k, n)))
-    queries = _hull_queries(rng, pset.points, 2)
+    pset = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    queries = _hull_queries(rng, pset, 2)
     batched = hulls.polynomial_hull_membership(pset, queries, degree, count, seed)
     _same_bits(batched, [polynomial_membership_oracle(pset, q, degree, count, seed)
                          for q in queries])
@@ -278,7 +267,7 @@ def test_batched_polynomial_membership_matches_the_per_query_oracle(k, n, seed,
 def test_affine_membership_matches_the_oracle_across_query_chunks(count):
     # one short chunk, one full, one spilling by a query, two full and one more
     rng = np.random.default_rng(count)
-    pset = hulls.real_points(rng.standard_normal((30, 3)))
+    pset = rng.standard_normal((30, 3))
     queries = 1.5 * rng.standard_normal((count, 3))
     batched = hulls.affine_hull_membership(pset, queries, 200, count)
     assert {r.verdict for r in batched} == {"Inside", "Outside"}
@@ -300,7 +289,7 @@ def test_first_failing_query_of_a_chunk_raises(first, second):
     # both bad queries sit in the second chunk, behind good ones
     bad = {"nan": [math.nan, 0.5], "overflow": [0.5, 1e308]}
     queries = [[0.2, 0.3]] * 70 + [bad[first]] + [[3.0, 3.0]] * 5 + [bad[second]]
-    square = hulls.real_points([[0, 0], [1, 0], [1, 1], [0, 1]])
+    square = [[0, 0], [1, 0], [1, 1], [0, 1]]
     expected = _first_oracle_error(square, queries)
     assert ("NaN" in expected) == (first == "nan")
     with pytest.raises(LevikitError, match=f"^{re.escape(expected)}$"):
@@ -314,7 +303,7 @@ def test_first_failing_query_of_a_chunk_raises(first, second):
     ([6e307, 0.0], "margin is NaN"),
 ], ids=["bound", "range"])
 def test_overflowing_offsets_are_an_error_without_a_warning(query, named):
-    square = hulls.real_points([[0, 0], [1, 0], [1, 1], [0, 1]])
+    square = [[0, 0], [1, 0], [1, 1], [0, 1]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(LevikitError, match=named):
@@ -333,6 +322,6 @@ def test_offsets_from_draws_equal_uniform_bit_for_bit(seed, bound):
 
 
 def test_no_queries_give_no_results():
-    square = hulls.real_points([[0, 0], [1, 0], [1, 1], [0, 1]])
+    square = [[0, 0], [1, 0], [1, 1], [0, 1]]
     assert hulls.affine_hull_membership(square, np.empty((0, 2))) == []
-    assert hulls.polynomial_hull_membership(hulls.complex_points([[1, 0]]), [], 2) == []
+    assert hulls.polynomial_hull_membership([[1, 0]], [], 2) == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from levikit.errors import SamplingExhausted
-from levikit.sampling import disc_points, rejection_sample
+from levikit.sampling import disc_points, disc_points_at, rejection_sample
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -19,7 +19,7 @@ def test_disc_points_match_one_draw_per_disc(n):
         assert got.tobytes() == expected.tobytes()
         assert rng.uniform() == ref.uniform()
         # a block of points takes the draws of one call per point
-        block = disc_points(rng, radii, 1 + seed % 5)
+        block = disc_points_at(rng.uniform(size=(1 + seed % 5, n, 2)), radii)
         assert block.tobytes() == np.array([disc_points(ref, radii)
                                             for _ in block]).tobytes()
         assert rng.uniform() == ref.uniform()
