@@ -58,6 +58,35 @@ def complex_gradient(f: ex.Expr, z) -> np.ndarray:
     return np.array(ex.evaluate(_grad_trees(f, zz.shape[0]), zz))
 
 
+def _row_errors(prog, zz, failed) -> list:
+    """Per row of zz, None or the error the scalar program raises there."""
+    return [None if i < 0 else ex.row_error(prog, z) for z, i in zip(zz, failed.tolist())]
+
+
+def complex_gradients(f: ex.Expr, zz: np.ndarray) -> tuple:
+    """``complex_gradient`` at each row of an (m, n) array, from one row call
+    of the gradient's program: the (m, n) values and, per row, None or the
+    error that ``complex_gradient`` raises there."""
+    prog = ex.program(_grad_trees(f, zz.shape[1]))
+    values, failed = prog.rows(zz)
+    return values, _row_errors(prog, zz, failed)
+
+
+def _non_hermitian(h: np.ndarray):
+    """Whether each matrix of an (..., n, n) stack fails the Hermitian check
+    of ``levi_matrix``; its scale is Python's max(1.0, max|h|), which keeps
+    1.0 where max|h| is NaN."""
+    top = np.abs(h).max(axis=(-2, -1))
+    scale = np.where(top > 1.0, top, 1.0)
+    return np.abs(h - h.conj().swapaxes(-2, -1)).max(axis=(-2, -1)) > HERMITIAN_TOL * scale
+
+
+def _hermitian_error(zz) -> NonHermitianLeviMatrix:
+    return NonHermitianLeviMatrix(
+        f"mixed-derivative matrix is not Hermitian at {tuple(zz)}; "
+        "is the function real-valued?")
+
+
 def levi_matrix(f: ex.Expr, z) -> np.ndarray:
     """(n, n) matrix of mixed second derivatives d2 f / dz_j dzbar_k at z.
 
@@ -65,12 +94,24 @@ def levi_matrix(f: ex.Expr, z) -> np.ndarray:
     HERMITIAN_TOL, which signals a non-real-valued input.
     """
     zz, h = _second_derivatives(f, z, True)
-    scale = max(1.0, float(np.max(np.abs(h))))
-    if np.max(np.abs(h - h.conj().T)) > HERMITIAN_TOL * scale:
-        raise NonHermitianLeviMatrix(
-            f"mixed-derivative matrix is not Hermitian at {tuple(zz)}; "
-            "is the function real-valued?")
+    if _non_hermitian(h):
+        raise _hermitian_error(zz)
     return h
+
+
+def levi_matrices(f: ex.Expr, zz: np.ndarray) -> tuple:
+    """``levi_matrix`` at each row of an (m, n) array, from one row call of
+    the second derivatives' program: the (m, n, n) stack and, per row, None
+    or the error that ``levi_matrix`` raises there (an evaluation error,
+    else NonHermitianLeviMatrix)."""
+    m, n = zz.shape
+    prog = ex.program(_second_trees(f, n, True))
+    values, failed = prog.rows(zz)
+    h = values.reshape(m, n, n)
+    errors = _row_errors(prog, zz, failed)
+    for i in np.flatnonzero(_non_hermitian(h)).tolist():
+        errors[i] = errors[i] or _hermitian_error(zz[i])
+    return h, errors
 
 
 def unmixed_matrix(f: ex.Expr, z) -> np.ndarray:
@@ -113,11 +154,17 @@ def tangent_basis(f: ex.Expr, a, tol: float | None = None) -> tuple:
     Raises DegenerateGradient when |grad f(a)| <= tol.
     """
     zz = ex.as_point(a)
-    n = zz.shape[0]
     if tol is None:
         tol = default_gradient_tol(zz)
     grad = complex_gradient(f, zz)
     gnorm = float(np.linalg.norm(grad))
+    return basis_from_gradient(grad, gnorm, tol, zz), gnorm
+
+
+def basis_from_gradient(grad: np.ndarray, gnorm: float, tol: float, zz) -> np.ndarray:
+    """The rows of ``tangent_basis`` at the point zz from the gradient there
+    and its norm; raises DegenerateGradient as ``tangent_basis`` does."""
+    n = grad.shape[0]
     if gnorm <= tol:
         raise DegenerateGradient(
             f"|grad f| = {gnorm:.3g} <= {tol:.3g} at {tuple(zz)}")
@@ -125,7 +172,7 @@ def tangent_basis(f: ex.Expr, a, tol: float | None = None) -> tuple:
     if len(basis) != n - 1:
         raise DegenerateGradient(
             f"Gram-Schmidt produced {len(basis)} tangent vectors, expected {n - 1}")
-    return (np.array(basis) if basis else np.zeros((0, n), dtype=complex)), gnorm
+    return np.array(basis) if basis else np.zeros((0, n), dtype=complex)
 
 
 def taylor_decompose(f: ex.Expr, a, z) -> TaylorParts:

@@ -82,8 +82,9 @@ class LogDistanceReport:
     inner: PshVerdict
 
 
-def default_eig_tol(h: np.ndarray) -> float:
-    return 1e-6 * (1.0 + float(np.linalg.norm(h, 2)))
+def default_eig_tol(h: np.ndarray):
+    """1e-6 * (1 + ||h||_2) for a matrix h, or for each of an (..., n, n) stack."""
+    return 1e-6 * (1.0 + np.linalg.norm(h, 2, axis=(-2, -1)))
 
 
 def verdict_from_spectrum(eigenvalues, tol_eig: float) -> str:
@@ -101,39 +102,102 @@ def verdict_from_spectrum(eigenvalues, tol_eig: float) -> str:
 def classify_point(f: ex.Expr, a, tol_grad: float | None = None,
                    tol_eig: float | None = None) -> PointVerdict:
     """Classify one boundary point of {f < 0} by its restricted Levi spectrum."""
-    aa = ex.as_point(a)
-    if tol_grad is None:
-        tol_grad = lc.default_gradient_tol(aa)
+    return classify_points([f], [a], [tol_grad], [tol_eig])[0]
+
+
+def _default_eig_tols(levi) -> list:
+    """``default_eig_tol`` of each matrix of a stack, from one call on the
+    stack; where that raises LinAlgError (the norm of a NaN matrix), one
+    call per matrix, and the error in place of each one that raises it."""
     try:
-        basis, gnorm = lc.tangent_basis(f, aa, tol=tol_grad)
-    except DegenerateGradient:
-        return PointVerdict(tuple(aa), 0.0, (), DEGENERATE, math.nan,
-                            tol_eig if tol_eig is not None else math.nan, tol_grad)
-    levi = lc.levi_matrix(f, aa)
-    # the Levi form written in the tangent basis
-    restricted = basis @ levi @ basis.conj().T
-    if tol_eig is None:
-        tol_eig = default_eig_tol(levi)
-    if restricted.shape[0] == 0:
-        return PointVerdict(tuple(aa), gnorm, (),
-                            STRICTLY_PSEUDOCONVEX, math.inf, tol_eig, tol_grad)
-    eigs = np.linalg.eigvalsh(restricted)
-    verdict = verdict_from_spectrum(eigs, tol_eig)
-    return PointVerdict(tuple(aa), gnorm,
-                        tuple(float(v) for v in eigs), verdict,
-                        float(eigs[0]), tol_eig, tol_grad)
+        return list(default_eig_tol(levi))
+    except np.linalg.LinAlgError:
+        out = []
+        for h in levi:
+            try:
+                out.append(default_eig_tol(h))
+            except np.linalg.LinAlgError as err:
+                out.append(err)
+        return out
+
+
+def classify_points(fs, points, tol_grads, tol_eigs) -> list:
+    """The PointVerdict of each boundary point ``points[i]`` of
+    {fs[i] < 0}, with the tolerances ``tol_grads[i]`` and ``tol_eigs[i]``
+    (None: the point's default).
+
+    The points of one expression make one gradient and one Levi row call
+    (``calculus.complex_gradients``, ``levi_matrices``); Gram-Schmidt runs
+    per point, and the restricted Levi forms ``basis @ H @ basis^H``, the
+    norms of the default tolerance and the spectra are each one stacked
+    call.  Per point the checks keep their order: a gradient error raises;
+    a degenerate gradient gives DegenerateGradient, without a Levi matrix;
+    a Levi error or a non-Hermitian matrix raises.  Of the points that
+    raise, the first raises.
+    """
+    if not len(points):
+        return []
+    zz = np.array(points, dtype=complex)
+    n = zz.shape[1]
+    tol_grads = [lc.default_gradient_tol(z) if tol is None else tol
+                 for z, tol in zip(zz, tol_grads)]
+    out = [None] * len(zz)       # per point its verdict, or its error
+    for f in dict.fromkeys(fs):
+        group = [i for i, g in enumerate(fs) if g is f]
+        grads, errors = lc.complex_gradients(f, zz[group])
+        gnorms = dom._row_norms(grads, dom.EUCLIDEAN).tolist()
+        bases = {}
+        for i, grad, gnorm, err in zip(group, grads, gnorms, errors):
+            if err is not None:
+                out[i] = err
+                continue
+            try:
+                bases[i] = (lc.basis_from_gradient(grad, gnorm, tol_grads[i], zz[i]), gnorm)
+            except DegenerateGradient:
+                tol_eig = math.nan if tol_eigs[i] is None else tol_eigs[i]
+                out[i] = PointVerdict(tuple(zz[i]), 0.0, (), DEGENERATE, math.nan,
+                                      tol_eig, tol_grads[i])
+        if not bases:
+            continue
+        levi, errors = lc.levi_matrices(f, zz[list(bases)])
+        for i, err in zip(bases, errors):
+            out[i] = err
+        index = [i for i, err in zip(bases, errors) if err is None]
+        levi = levi[[err is None for err in errors]]
+        basis = np.array([bases[i][0] for i in index]).reshape(len(index), n - 1, n)
+        restricted = basis @ levi @ basis.conj().transpose(0, 2, 1)
+        defaults = (_default_eig_tols(levi)
+                    if any(tol_eigs[i] is None for i in index) else index)
+        spectra = np.linalg.eigvalsh(restricted) if n > 1 else [()] * len(index)
+        for i, default, eigs in zip(index, defaults, spectra):
+            tol_eig = tol_eigs[i]
+            if tol_eig is None:
+                tol_eig = default if isinstance(default, Exception) else float(default)
+            out[i] = tol_eig if isinstance(tol_eig, Exception) else _point_verdict(
+                zz[i], bases[i][1], eigs, tol_eig, tol_grads[i])
+    for v in out:
+        if isinstance(v, Exception):
+            raise v
+    return out
+
+
+def _point_verdict(z, gnorm, eigs, tol_eig, tol_grad) -> PointVerdict:
+    if len(eigs) == 0:
+        return PointVerdict(tuple(z), gnorm, (), STRICTLY_PSEUDOCONVEX, math.inf,
+                            tol_eig, tol_grad)
+    return PointVerdict(tuple(z), gnorm, tuple(float(v) for v in eigs),
+                        verdict_from_spectrum(eigs, tol_eig), float(eigs[0]),
+                        tol_eig, tol_grad)
 
 
 def classify_domain(d, samples: int, seed: int, tol_grad: float | None = None,
                     tol_eig: float | None = None) -> DomainClassification:
     """Classify seeded boundary samples; aggregate is the weakest verdict."""
     bset = dom.boundary_sample(d, samples, seed)
-
-    def work(sample):
-        f = d.defining_expr(sample.face_index)
-        return classify_point(f, sample.point, tol_grad=tol_grad, tol_eig=tol_eig)
-
-    verdicts = deterministic_map(work, bset.samples)
+    m = len(bset.samples)
+    verdicts = classify_points([d.defining_expr(s.face_index) for s in bset.samples],
+                               [s.point for s in bset.samples], [tol_grad] * m,
+                               [tol_eig] * m)
     counts = {name: 0 for name in VERDICT_ORDER}
     for v in verdicts:
         counts[v.verdict] += 1
@@ -156,20 +220,28 @@ def _psh_verdict(mode: str, outcomes) -> PshVerdict:
 
 def psh_test_spectral(f: ex.Expr, region, grid: int, seed: int,
                       tol: float = 1e-9) -> PshVerdict:
-    """Minimum Levi eigenvalue over seeded interior points of the region."""
+    """Minimum Levi eigenvalue over seeded interior points of the region.
+
+    One Levi row call (``calculus.levi_matrices``) covers every point and one
+    stacked ``eigh`` every spectrum; a point whose Levi matrix raises a
+    LevikitError is skipped, and of the points that raise anything else,
+    the first raises."""
     points = dom.interior_sample(region, grid, seed)
-
-    def work(z):
-        try:
-            h = lc.levi_matrix(f, z)
-        except LevikitError:
-            return None
-        eigs, vecs = np.linalg.eigh(h)
-        if eigs[0] < -tol:
-            return PshViolation(tuple(z), tuple(vecs[:, 0]), None, float(-eigs[0]))
-        return True
-
-    return _psh_verdict("LeviSpectral", deterministic_map(work, points))
+    levi, errors = lc.levi_matrices(f, points)
+    for err in errors:
+        if err is not None and not isinstance(err, LevikitError):
+            raise err
+    kept = [err is None for err in errors]
+    spectra = zip(*np.linalg.eigh(levi[kept]))
+    outcomes = []
+    for z, err in zip(points, errors):
+        if err is not None:
+            outcomes.append(None)
+            continue
+        eigs, vecs = next(spectra)
+        outcomes.append(PshViolation(tuple(z), tuple(vecs[:, 0]), None, float(-eigs[0]))
+                        if eigs[0] < -tol else True)
+    return _psh_verdict("LeviSpectral", outcomes)
 
 
 def _rows(func):

@@ -525,27 +525,77 @@ class Sublevel(Domain, variant="sublevel"):
         return self.interior_sample(1, rng)[0]
 
     def boundary_sample(self, count, rng):
-        """Bisection along random rays from an interior point."""
+        """Bisection along random rays from an interior point z0.
+
+        Rays are drawn in rounds, each of as many rays as samples are still
+        missing (within the budget of 100 rays per sample), one unit vector
+        per ray in draw order.  A round runs as row calls of the compiled
+        programs (``expr.program(...).rows``): the march doubles the step
+        from 1e-3 * t_max 10 times, so its last probe is at 0.512 * t_max,
+        and skips a ray that crosses no level there or meets a point where
+        f raises a LevikitError; ``_bisect_rows`` then brackets every
+        crossing ray's level point from outside in lockstep, and one
+        gradient call gives the outward normals.  Samples, skipped rays and
+        errors are those of one ray at a time: of the rays whose bisection
+        or gradient raises, the first in draw order raises.
+        """
         z0 = self._interior_point(rng)
         box = self.bounding_polydisc()
         t_max = 2.0 * float(np.sum(box.radii)) + _norm(z0 - box.center, EUCLIDEAN)
-        start = z0.tolist()
+        samples, drawn, budget = [], 0, 100 * count
+        while len(samples) < count:
+            if drawn == budget:
+                raise SamplingExhausted("sublevel boundary sampling failed",
+                                        len(samples) / budget)
+            rays = min(count - len(samples), budget - drawn)
+            u = np.array([unit_vector(rng, self.dimension) for _ in range(rays)])
+            drawn += rays
+            samples += [s for s in self._ray_samples(z0, u, t_max) if s is not None]
+        return BoundarySamples(tuple(samples), drawn - len(samples))
 
-        def draw():
-            u = unit_vector(rng, self.dimension)
-            # f - level < 0 at z0; 10 doublings end at 0.512 * t_max
-            z_out = self._march(start, u.tolist(), 1e-3 * t_max, -1.0, 10)
-            if z_out is None:
-                return None
-            z = _bisect_level(self._value_program(), self.level, start, z_out, True)
-            g = self._gradient(z)
-            gn = _norm(g, EUCLIDEAN)
-            outward = tuple(g / gn) if gn > 1e-12 else None
-            return BoundarySample(tuple(z), outward, "level-set")
-
-        samples, skipped_rays = rejection_sample(draw, count, 100 * count,
-                                                 "sublevel boundary sampling failed")
-        return BoundarySamples(tuple(samples), skipped_rays)
+    def _ray_samples(self, z0, u, t_max) -> list:
+        """Per ray from z0 along a row of ``u``, its BoundarySample, or None
+        for a skipped ray; raises the first error in ray order."""
+        value = self._value_program()
+        outcome = [None] * len(u)
+        ends = np.empty_like(u)
+        crossed = np.zeros(len(u), dtype=bool)
+        open_ = np.arange(len(u))
+        s = 1e-3 * t_max
+        for _ in range(10):
+            if not open_.size:
+                break
+            probe = _ray_points(z0, s, u[open_])
+            values, failed = value.rows(probe)
+            for i in np.flatnonzero(failed >= 0).tolist():
+                err = ex.row_error(value, probe[i])
+                if not isinstance(err, LevikitError):
+                    outcome[open_[i]] = err
+            # f - level < 0 at z0: a crossing is a value of the other sign
+            hit = (failed < 0) & ((values[:, 0].real - self.level) * -1.0 <= 0)
+            ends[open_[hit]] = probe[hit]
+            crossed[open_[hit]] = True
+            open_ = open_[(failed < 0) & ~hit]
+            s *= 2.0
+        rays = np.flatnonzero(crossed)
+        points, errors = _bisect_rows(value, self.level, z0, ends[rays] - z0)
+        for i, err in zip(rays.tolist(), errors):
+            outcome[i] = err
+        ok = [j for j, err in enumerate(errors) if err is None]
+        gradient = self._gradient_program()
+        values, failed = gradient.rows(points[ok])
+        g = np.conj(values)
+        norms = _row_norms(g, EUCLIDEAN)
+        for j, row in enumerate(ok):
+            if failed[j] >= 0:
+                outcome[rays[row]] = ex.row_error(gradient, points[row])
+                continue
+            outward = tuple(g[j] / norms[j]) if norms[j] > 1e-12 else None
+            outcome[rays[row]] = BoundarySample(tuple(points[row]), outward, "level-set")
+        for o in outcome:
+            if isinstance(o, Exception):
+                raise o
+        return outcome
 
     def _gradient(self, b) -> np.ndarray:
         """Steepest-ascent direction of the defining function as a complex vector."""
@@ -555,7 +605,9 @@ class Sublevel(Domain, variant="sublevel"):
         """The first point ``z + s * direction``, ``s`` doubling ``steps``
         times, where f - level changes sign against ``v`` (f - level at
         ``z``, or a value of its sign); None when no point does, or when f
-        cannot be evaluated at one.  Points and direction are lists."""
+        cannot be evaluated at one.  Points and direction are lists.  The
+        foot-point search calls it one point at a time; boundary sampling
+        marches its rays as row calls (``_ray_samples``)."""
         for _ in range(steps):
             probe = _step(z, s, direction)
             try:
@@ -718,33 +770,72 @@ def _step(z, t, direction):
     return [a + t * d for a, d in zip(z, direction)]
 
 
-def _bisect_level(value, level, z_in, z_out, outside: bool = False):
+def _ray_points(z, t, directions):
+    """The rows ``z + complex(t, 0.0) * d`` for the rows d of ``directions``
+    and ``t`` a number or one per row (a column): ``_step``'s CPython
+    product and sum on the real and imaginary parts."""
+    re, im = directions.real, directions.imag
+    out = np.empty(np.broadcast_shapes(np.shape(t), directions.shape), dtype=complex)
+    out.real = z.real + (t * re - 0.0 * im)
+    out.imag = z.imag + (t * im + 0.0 * re)
+    return out
+
+
+def _bisect_rows(value, level, z_in, seg):
+    """For each row s of ``seg``, the outer bracket point of the level set
+    on [z_in, z_in + s], found by bisection, and None or the exception the
+    program ``value`` of f raised there: (points (k, n), errors).
+
+    The rays run in lockstep, one row call per step over those still open.
+    Each tests its far end first and then up to 200 midpoints, at the points
+    ``_ray_points`` forms; a point with 0 <= f - level <= _LEVEL_TOL ends
+    its ray, so the point never re-enters the open set.  A ray whose 200
+    steps all miss ends at its last outer point z_in + hi * s.
+    """
+    k = len(seg)
+    points, errors = np.empty_like(seg), [None] * k
+    lo, hi = np.zeros(k), np.ones(k)
+    open_ = np.arange(k)
+    for step in range(201):
+        if not open_.size:
+            break
+        t = hi[open_] if step == 0 else 0.5 * (lo[open_] + hi[open_])
+        z = _ray_points(z_in, t[:, None], seg[open_])
+        values, failed = value.rows(z)
+        for i in np.flatnonzero(failed >= 0).tolist():
+            errors[open_[i]] = ex.row_error(value, z[i])
+        v = values[:, 0].real - level
+        on_level = (failed < 0) & (0 <= v) & (v <= _LEVEL_TOL)
+        points[open_[on_level]] = z[on_level]
+        if step:
+            below = v < 0
+            lo[open_] = np.where(below, t, lo[open_])
+            hi[open_] = np.where(below, hi[open_], t)
+        open_ = open_[(failed < 0) & ~on_level]
+    points[open_] = _ray_points(z_in, hi[open_, None], seg[open_])
+    return points, errors
+
+
+def _bisect_level(value, level, z_in, z_out):
     """Point on the segment [z_in, z_out] with |f - level| <= _LEVEL_TOL, for
     ``value`` the program of f and the ends lists; returned as an array.
-
-    With ``outside`` the returned point additionally satisfies f >= level
-    (it is the outer bracket endpoint), so it never re-enters the open set;
-    every outer endpoint but z_out is a midpoint, tested when evaluated.
+    The foot-point search calls it one point at a time; boundary sampling
+    runs its rays through ``_bisect_rows``.
     """
     lo, hi = 0.0, 1.0
     seg = [b - a for a, b in zip(z_in, z_out)]
-    if outside:
-        z_hi = _step(z_in, hi, seg)
-        if 0 <= value(z_hi)[0].real - level <= _LEVEL_TOL:
-            return np.array(z_hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         t = complex(mid, 0.0)   # _step, written out in the hot loop
         z = [a + t * s for a, s in zip(z_in, seg)]
         v = value(z)[0].real - level
-        on_level = 0 <= v <= _LEVEL_TOL if outside else abs(v) <= _LEVEL_TOL
-        if on_level:
+        if abs(v) <= _LEVEL_TOL:
             return np.array(z)
         if v < 0:
             lo = mid
         else:
             hi = mid
-    return np.array(_step(z_in, hi if outside else 0.5 * (lo + hi), seg))
+    return np.array(_step(z_in, 0.5 * (lo + hi), seg))
 
 
 @lru_cache(maxsize=64)

@@ -12,6 +12,7 @@ import math
 import re as _regex
 import weakref
 from functools import lru_cache
+from itertools import count
 
 import numpy as np
 
@@ -342,6 +343,126 @@ def _beyond_dimension(var_nodes, z):
     return _fail(f"variable z{e.index} exceeds point dimension {n}", e, z)
 
 
+# the row form of each node kind: its (real, imaginary) parts from its
+# children's parts {0}, {1} (real) and {2}, {3} (imaginary); the product is
+# CPython's _Py_c_prod, abs2 the scalar form's two products and one sum
+_ROW_OPS = {
+    "add": ("{0} + {1}", "{2} + {3}"), "sub": ("{0} - {1}", "{2} - {3}"),
+    "mul": ("{0} * {1} - {2} * {3}", "{0} * {3} + {2} * {1}"),
+    "neg": ("-{0}", "-{2}"), "conj": ("{0}", "-{2}"),
+    "re": ("{0}", "_ZERO"), "im": ("{2}", "_ZERO"),
+    "abs2": ("{0} * {0} + {2} * {2}", "_ZERO"),
+}
+# the row form's call for a node of these kinds on its child's parts {0},
+# {1}; all but exp also give the rows where the scalar form raises
+_ROW_FUNCS = {"pow": "_pow_rows({0}, {1}, {2!r}, m)", "abs": "_abs_rows({0}, {1})",
+              "ln": "_ln_rows({0}, {1}, m)", "exp": "_exp_rows({0}, {1}, m)"}
+_ZERO = np.float64(0.0)
+_ONE = np.float64(1.0)
+
+
+def _full(x, m):
+    return np.broadcast_to(x, (m,))
+
+
+def _quot_rows(ar, ai, br, bi, m):
+    """CPython's _Py_c_quot: its two scaled branches as arrays, and the
+    complex operator itself where both give two NaN parts (a NaN in the
+    divisor, or the infinities that Python 3.12 recovers).  Rows whose
+    divisor is zero are the caller's errors and keep a placeholder."""
+    first = abs(br) >= abs(bi)
+    ratio = np.where(first, bi / br, br / bi)
+    denom = np.where(first, br + bi * ratio, br * ratio + bi)
+    re = np.where(first, ar + ai * ratio, ar * ratio + ai) / denom
+    im = np.where(first, ai - ar * ratio, ai * ratio - ar) / denom
+    redo = np.flatnonzero(_full(np.isnan(re) & np.isnan(im) & ((br != 0) | (bi != 0)), m))
+    if redo.size:
+        re, im = np.array(_full(re, m)), np.array(_full(im, m))
+        for i in redo.tolist():
+            w = (complex(_full(ar, m)[i], _full(ai, m)[i])
+                 / complex(_full(br, m)[i], _full(bi, m)[i]))
+            re[i], im[i] = w.real, w.imag
+    return re, im
+
+
+def _pow_rows(ar, ai, k, m):
+    """w ** k as CPython computes it, and where it overflows: for k <= 100
+    c_powu's repeated squaring from (1, 0) with _Py_c_prod, where an
+    infinite part is CPython's OverflowError; above that the complex
+    operator itself on each element."""
+    if k > 100:
+        re, im, over = np.empty(m), np.empty(m), np.zeros(m, dtype=bool)
+        for i, (x, y) in enumerate(zip(_full(ar, m).tolist(), _full(ai, m).tolist())):
+            try:
+                w = complex(x, y) ** k
+            except OverflowError:
+                w, over[i] = 0j, True
+            re[i], im[i] = w.real, w.imag
+        return re, im, over
+    re, im, pr, pi, bit = _ONE, _ZERO, ar, ai, 1
+    while True:
+        if k & bit:
+            re, im = re * pr - im * pi, re * pi + im * pr
+        bit <<= 1
+        if bit > k:
+            return re, im, np.isinf(re) | np.isinf(im)
+        pr, pi = pr * pr - pi * pi, pr * pi + pi * pr
+
+
+def _abs_rows(ar, ai):
+    """|w| by the hypot that CPython's abs calls, as a complex value's parts,
+    and where abs raises OverflowError: an infinite modulus of finite parts."""
+    h = np.hypot(ar, ai)
+    return h, _ZERO, np.isinf(h) & np.isfinite(ar) & np.isfinite(ai)
+
+
+def _ln_rows(ar, ai, m):
+    """ln w by math.log on each real part, and where the scalar form
+    raises: the overflow of its abs(w), or its domain test (with Python's
+    max(1.0, |w|), which keeps 1.0 for a NaN modulus)."""
+    h, _, over = _abs_rows(ar, ai)
+    failed = (over | (abs(ai) > _REAL_IMAG_TOL * np.where(h > 1.0, h, 1.0))
+              | (ar <= 0))
+    re = np.array([math.log(x) if not x <= 0 else 0.0 for x in _full(ar, m).tolist()])
+    return re, _ZERO, failed
+
+
+def _exp_rows(ar, ai, m):
+    """np.exp on the complex rows, the scalar form's np.exp of each value."""
+    w = np.empty(m, dtype=complex)
+    w.real, w.imag = ar, ai
+    w = np.exp(w)
+    return w.real, w.imag
+
+
+def _row_values(m, parts):
+    """The (m, roots) complex array of the roots' (real, imaginary) parts."""
+    out = np.empty((m, len(parts)), dtype=complex)
+    for j, (re, im) in enumerate(parts):
+        out.real[:, j], out.imag[:, j] = re, im
+    return out
+
+
+def _first_failures(m, checks):
+    """Per row, the position of its first failing check, or -1; a check is
+    a mask of rows, or one boolean for all of them."""
+    fail = np.full(m, -1)
+    for index, failed in reversed(checks):
+        fail[failed] = index
+    return fail
+
+
+def row_error(prog, row):
+    """The exception that the program ``prog`` raises at ``row``, a row that
+    its row form flagged: the scalar program's own error, from running it on
+    that row."""
+    try:
+        prog(np.asarray(row, dtype=complex).tolist())
+    except Exception as err:    # noqa: BLE001 - any error is the row's outcome
+        return err
+    raise AssertionError(f"row form flagged {tuple(row)}, where the program has a value")
+
+
 @lru_cache(maxsize=None)
 def program(roots):
     """The program of a tuple of trees: a function of ``z``, a list of Python
@@ -349,13 +470,34 @@ def program(roots):
     list of the roots' values there.  Compiled once per tuple and kept for
     the process: each node is one local, computed in depth-first order (a
     quotient's denominator first) with CPython complex arithmetic, so the
-    values are a walk's over the trees bit for bit.  Errors: see ``evaluate``."""
+    values are a walk's over the trees bit for bit.  Errors: see ``evaluate``.
+
+    Its ``rows`` attribute is the row form, compiled from the same walk on
+    its first call: ``program(roots).rows(zz)`` takes an (m, n) complex
+    array and returns the (m, len(roots)) complex array of the values and,
+    per row, the position in program order of its first failing check, or
+    -1 where the scalar program has values.  It carries real and imaginary
+    parts as float arrays through CPython's formulas (``_ROW_OPS``,
+    ``_quot_rows``, ``_pow_rows``, ``_abs_rows``, ``_ln_rows``,
+    ``_exp_rows``), so each row gets the scalar program's bits; a failing
+    row's values are placeholders, and ``row_error`` gives its exception.
+    A call costs a few numpy operations per node, whatever its row count:
+    loops over single points call the scalar program, batches of rows the
+    row form.
+    """
     local = {}
     consts = []         # const values, bound to default arguments
     params = []
+    row_params = []
     failing = []        # the subexpressions that domain errors name
     var_nodes = []
     body = []
+    row_lines = []      # the row form's body: node v's parts are xv, yv
+    check_ids = count()     # the row form's failure tests, in program order
+
+    def check(failed, guard=None):
+        line = f"_c.append(({next(check_ids)}, {failed}))"
+        row_lines.append(line if guard is None else f"if {guard}: {line}")
 
     def visit(e):
         name = local.get(e)
@@ -365,34 +507,53 @@ def program(roots):
         kids = e.children
         if k == "const":
             name = local[e] = f"v{len(local)}"
-            params.append(f"{name}=_k[{len(consts)}]")
+            i = len(consts)
+            params.append(f"{name}=_k[{i}]")
+            row_params.append(f"x{name}=_kr[{i}], y{name}=_ki[{i}]")
             consts.append(e.value)
             return name
+        checked = False     # whether the row line also gives the rows' failures
         if k == "var":
             var_nodes.append(e)
-            code = f"z[{e.index - 1}]" + (".conjugate()" if e.conjugated else "")
+            j = e.index - 1
+            code = f"z[{j}]" + (".conjugate()" if e.conjugated else "")
+            row = (f"(_re[:, {j}], {'-' * e.conjugated}_im[:, {j}]) if n > {j} "
+                   f"else (_ZERO, _ZERO)")
+            check("True", guard=f"n <= {j}")
         elif k == "div":
             den = visit(kids[1])
             body.append(f"if {den} == 0: raise _fail('division by zero', "
                         f"_n[{len(failing)}], z)")
+            check(f"(x{den} == 0) & (y{den} == 0)")
             failing.append(kids[1])
-            code = f"{visit(kids[0])} / {den}"
-        elif k == "pow":
-            code = f"{visit(kids[0])} ** {e.exponent!r}"
-        elif k in _OPS:
-            args = list(map(visit, kids))   # a comprehension would add a frame per level
+            num = visit(kids[0])
+            code = f"{num} / {den}"
+            row = f"_quot_rows(x{num}, y{num}, x{den}, y{den}, m)"
+        elif k in _ROW_FUNCS:
+            w = visit(kids[0])
             if k == "ln":
-                w = args[0]
                 body.append(f"if abs({w}.imag) > {_REAL_IMAG_TOL!r} * max(1.0, abs({w}))"
                             f" or {w}.real <= 0: raise _fail("
                             f"f'ln of non-positive argument {{{w}}}', "
                             f"_n[{len(failing)}], z)")
                 failing.append(kids[0])
+            code = f"{w} ** {e.exponent!r}" if k == "pow" else _OPS[k].format(w)
+            row = _ROW_FUNCS[k].format(f"x{w}", f"y{w}", e.exponent)
+            checked = k != "exp"
+        elif k in _OPS:
+            args = list(map(visit, kids))   # a comprehension would add a frame per level
             code = _OPS[k].format(*args)
+            a, b = (args * 2)[:2]
+            row = ", ".join(f.format(f"x{a}", f"x{b}", f"y{a}", f"y{b}")
+                            for f in _ROW_OPS[k])
         else:
             body.append(f"raise ValueError({f'unknown node kind {k!r}'!r})")
             code = "None"
+            row, checked = "_ZERO, _ZERO, True", True
         name = local[e] = f"v{len(local)}"
+        row_lines.append(f"x{name}, y{name}{', _f' * checked} = {row}")
+        if checked:
+            check("_f")
         if k in ("pow", "abs"):
             # CPython raises OverflowError where a mul would give inf
             body.append(f"try: {name} = {code}")
@@ -412,11 +573,35 @@ def program(roots):
         "        raise _beyond_dimension(_vars, z) from None",
         f"    return [{', '.join(results)}]",
     ])
-    namespace = {"_k": consts, "_n": failing, "_vars": var_nodes, "_fail": _fail,
+    row_source = "\n".join([
+        f"def rows({', '.join(['zz', *row_params])}):",
+        "    m, n = zz.shape",
+        "    _re, _im, _c = zz.real, zz.imag, []",
+        "    with _errstate(all='ignore'):",
+        *(f"        {line}" for line in row_lines or ["pass"]),
+        f"    return (_row_values(m, [{', '.join(f'(x{r}, y{r})' for r in results)}]),",
+        "            _first_failures(m, _c))",
+    ])
+    namespace = {"_k": consts, "_kr": [np.float64(c.real) for c in consts],
+                 "_ki": [np.float64(c.imag) for c in consts],
+                 "_n": failing, "_vars": var_nodes, "_fail": _fail,
                  "_beyond_dimension": _beyond_dimension, "_log": math.log,
-                 "_exp": np.exp}
+                 "_exp": np.exp, "_errstate": np.errstate, "_ZERO": _ZERO,
+                 "_quot_rows": _quot_rows, "_pow_rows": _pow_rows,
+                 "_abs_rows": _abs_rows, "_ln_rows": _ln_rows,
+                 "_exp_rows": _exp_rows, "_row_values": _row_values,
+                 "_first_failures": _first_failures}
     exec(source, namespace)
-    return namespace["program"]
+    prog = namespace["program"]
+
+    def rows(zz):
+        # the row form is compiled on its first call, which it then replaces
+        exec(row_source, namespace)
+        prog.rows = namespace["rows"]
+        return prog.rows(zz)
+
+    prog.rows = rows
+    return prog
 
 
 def as_real_function(f):

@@ -124,6 +124,21 @@ def _keyed(prefix):
 
 def _classify_check(report):
     domain = dom.domain_from_dict(report["config"]["domain"])
+    # the records to re-classify, in one call: those before the first record
+    # that cannot be read, whose check then raises its error
+    stored = []
+    for rec in _keyed("point")(report):
+        try:
+            point = _record_vector(rec, "point")
+            if rec["verdict"] == cl.DEGENERATE or cl.verdict_from_spectrum(
+                    rec["eigenvalues"], rec["tol_eig"]) != rec["verdict"]:
+                continue
+            stored.append((rec["key"], domain.defining_expr(rec.get("face_index")),
+                           point, rec["tol_grad"], rec["tol_eig"]))
+        except Exception:   # noqa: BLE001 - its own check raises it again
+            break
+    keys, fs, points, tol_grads, tol_eigs = zip(*stored) if stored else ((),) * 5
+    fresh_of = dict(zip(keys, cl.classify_points(fs, points, tol_grads, tol_eigs)))
 
     def check(rec):
         point = _record_vector(rec, "point")
@@ -131,9 +146,9 @@ def _classify_check(report):
             return None
         if cl.verdict_from_spectrum(rec["eigenvalues"], rec["tol_eig"]) != rec["verdict"]:
             return "verdict does not match stored spectrum"
-        fresh = cl.classify_point(domain.defining_expr(rec.get("face_index")),
-                                  point, tol_grad=rec["tol_grad"],
-                                  tol_eig=rec["tol_eig"])
+        fresh = fresh_of.get(rec["key"]) or cl.classify_point(
+            domain.defining_expr(rec.get("face_index")), point,
+            tol_grad=rec["tol_grad"], tol_eig=rec["tol_eig"])
         if fresh.verdict != rec["verdict"]:
             return "recomputed verdict differs"
         if fresh.eigenvalues and max(

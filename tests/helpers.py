@@ -9,7 +9,7 @@ from levikit import classify as cl
 from levikit import domains as dom
 from levikit import expr as ex
 from levikit import hulls
-from levikit.errors import EvalDomainError, LevikitError
+from levikit.errors import DegenerateGradient, EvalDomainError, LevikitError
 from levikit.sampling import disc_points, rejection_sample, spawn_rngs, unit_vector
 
 
@@ -145,9 +145,11 @@ def walk_evaluate(f, z):
 
 def affine_membership_oracle(k_set, x, functionals=500, seed=0, tol=1e-9):
     """The per-query affine test that ``hulls.affine_hull_membership``
-    batches: for each query the family is redrawn with ``uniform(-B, B)``
-    offsets and K is projected on it again, and sup_K |A| is the direct
-    maximum over K.  Kept as the oracle the batch must match bit for bit."""
+    batches: for each query the family is redrawn, its offsets as
+    ``uniform(-B, B)`` forms them from ``random()`` draws d, -B + (2B) * d
+    (which stays defined where 2B overflows), K is projected on it again,
+    and sup_K |A| is the direct maximum over K.  Kept as the oracle the
+    batch must match bit for bit."""
     pts = np.asarray(k_set, dtype=float)
     xx = np.asarray(x, dtype=float)
     bound = 2.0 * max(float(np.max(np.abs(pts))), float(np.max(np.abs(xx))), 1e-12)
@@ -157,9 +159,10 @@ def affine_membership_oracle(k_set, x, functionals=500, seed=0, tol=1e-9):
     ss_u, ss_b = np.random.SeedSequence(seed).spawn(2)
     raw = np.random.default_rng(ss_u).standard_normal((functionals, pts.shape[1]))
     dirs = raw / np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-300)
-    offs = np.random.default_rng(ss_b).uniform(-bound, bound, size=functionals)
-    values = np.abs(dirs @ xx + offs)
-    norms = np.max(np.abs(pts @ dirs.T + offs), axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        offs = -bound + (2.0 * bound) * np.random.default_rng(ss_b).random(functionals)
+        values = np.abs(dirs @ xx + offs)
+        norms = np.max(np.abs(pts @ dirs.T + offs), axis=0)
     return hulls._membership([tuple(float(v) for v in xx)], values[None], norms[None],
                              tol, lambda _, i: {"kind": "affine",
                                                 "direction": tuple(dirs[i]),
@@ -379,6 +382,128 @@ def foot_point_oracle(d, z, b0):
         if not improved:
             break
     return b
+
+
+# Sublevel boundary sampling and classification one ray and one point at a
+# time, as they ran before the row programs batched them: the scalar
+# programs on lists of Python complex, with the march of
+# ``Sublevel._march``.  Kept as the oracles that ``Sublevel.boundary_sample``
+# and ``classify.classify_points`` must match bit for bit, errors included.
+
+def bisect_outside_oracle(value, level, z_in, z_out):
+    """The outer bracket point of the level set on [z_in, z_out], lists of
+    Python complex, by bisection with the program ``value`` of f."""
+    lo, hi = 0.0, 1.0
+    seg = [b - a for a, b in zip(z_in, z_out)]
+    z_hi = dom._step(z_in, hi, seg)
+    if 0 <= value(z_hi)[0].real - level <= dom._LEVEL_TOL:
+        return np.array(z_hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        z = dom._step(z_in, mid, seg)
+        v = value(z)[0].real - level
+        if 0 <= v <= dom._LEVEL_TOL:
+            return np.array(z)
+        if v < 0:
+            lo = mid
+        else:
+            hi = mid
+    return np.array(dom._step(z_in, hi, seg))
+
+
+def boundary_sample_oracle(d, count, rng):
+    """``d.boundary_sample(count, rng)`` for a Sublevel ``d``, one ray per
+    draw of the rejection loop."""
+    z0 = d._interior_point(rng)
+    box = d.bounding_polydisc()
+    t_max = 2.0 * float(np.sum(box.radii)) + dom._norm(z0 - box.center, dom.EUCLIDEAN)
+    start = z0.tolist()
+
+    def draw():
+        u = unit_vector(rng, d.dimension)
+        z_out = d._march(start, u.tolist(), 1e-3 * t_max, -1.0, 10)
+        if z_out is None:
+            return None
+        z = bisect_outside_oracle(d._value_program(), d.level, start, z_out)
+        g = d._gradient(z)
+        gn = dom._norm(g, dom.EUCLIDEAN)
+        outward = tuple(g / gn) if gn > 1e-12 else None
+        return dom.BoundarySample(tuple(z), outward, "level-set")
+
+    samples, skipped_rays = rejection_sample(draw, count, 100 * count,
+                                             "sublevel boundary sampling failed")
+    return dom.BoundarySamples(tuple(samples), skipped_rays)
+
+
+def psh_spectral_oracle(f, region, grid, seed, tol=1e-9):
+    """``classify.psh_test_spectral`` one point at a time."""
+    outcomes = []
+    for z in dom.interior_sample(region, grid, seed):
+        try:
+            h = lc.levi_matrix(f, z)
+        except LevikitError:
+            outcomes.append(None)
+            continue
+        eigs, vecs = np.linalg.eigh(h)
+        outcomes.append(cl.PshViolation(tuple(z), tuple(vecs[:, 0]), None, float(-eigs[0]))
+                        if eigs[0] < -tol else True)
+    return cl._psh_verdict("LeviSpectral", outcomes)
+
+
+class GivenDraws:
+    """A generator stand-in for ``unit_vector``: its ``standard_normal``
+    draws are the given rows, so a test picks each ray's direction
+    (re + i im) / |re + i im| from two of them."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def standard_normal(self, n):
+        return np.array(next(self._draws), dtype=float)
+
+
+# {f < 0} in C^2 with a pole on the line z1 = 0, where f has no value, and a
+# ray from the hint (0.5 + 0.5i, 0) along (-1 - i, 1 + i) / 2 that meets the
+# pole exactly: at t = 1, where the march's first probe lies when the box
+# radii are 250 (t_max = 1000), or at the first midpoint of the bisection to
+# the probe at t = 2 when they are 500
+POLE_EXPR = "abs2(z1) + abs2(z2) + 0.01/abs2(z1) - 1"
+POLE_HINT = (0.5 + 0.5j, 0j)
+POLE_RAY = ([-1.0, 1.0], [-1.0, 1.0])
+
+
+def pole_domain(radius):
+    return dom.Sublevel(ex.parse(POLE_EXPR, 2), 0.0, 2, box_center=POLE_HINT,
+                        box_radii=(radius, radius), interior_hint=POLE_HINT)
+
+
+def classify_point_oracle(f, a, tol_grad=None, tol_eig=None):
+    """One boundary point's verdict from the scalar calculus functions."""
+    aa = ex.as_point(a)
+    if tol_grad is None:
+        tol_grad = lc.default_gradient_tol(aa)
+    try:
+        basis, gnorm = lc.tangent_basis(f, aa, tol=tol_grad)
+    except DegenerateGradient:
+        return cl.PointVerdict(tuple(aa), 0.0, (), cl.DEGENERATE, math.nan,
+                               tol_eig if tol_eig is not None else math.nan, tol_grad)
+    levi = lc.levi_matrix(f, aa)
+    restricted = basis @ levi @ basis.conj().T
+    if tol_eig is None:
+        tol_eig = float(cl.default_eig_tol(levi))
+    if restricted.shape[0] == 0:
+        return cl.PointVerdict(tuple(aa), gnorm, (), cl.STRICTLY_PSEUDOCONVEX,
+                               math.inf, tol_eig, tol_grad)
+    eigs = np.linalg.eigvalsh(restricted)
+    return cl.PointVerdict(tuple(aa), gnorm, tuple(float(v) for v in eigs),
+                           cl.verdict_from_spectrum(eigs, tol_eig), float(eigs[0]),
+                           tol_eig, tol_grad)
+
+
+def classify_domain_oracle(d, samples, seed, tol_grad=None, tol_eig=None):
+    """The verdicts of ``classify.classify_domain``, one sample at a time."""
+    return [classify_point_oracle(d.defining_expr(s.face_index), s.point, tol_grad, tol_eig)
+            for s in dom.boundary_sample(d, samples, seed).samples]
 
 
 # Reinhardt sublevel distances in C^2 by a one-dimensional search over

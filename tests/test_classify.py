@@ -13,8 +13,9 @@ from levikit import expr as ex
 from levikit.errors import LevikitError, PointOutsideDomain, SamplingExhausted
 from levikit.sampling import spawn_rngs, unit_vector
 
-from helpers import (PROBE_REGIONS, circle_probe_oracle, compose_with_matrix,
-                     interior_sample_oracle, random_unitary)
+from helpers import (PROBE_REGIONS, circle_probe_oracle, classify_domain_oracle,
+                     classify_point_oracle, compose_with_matrix, interior_sample_oracle,
+                     pole_domain, psh_spectral_oracle, random_unitary)
 
 BALL2 = dom.Ball((0, 0), 1.0)
 POLY2 = dom.Polydisc((0, 0), (1, 1))
@@ -42,17 +43,17 @@ def test_classify_point_saddle_is_not_levi():
 
 
 def test_classify_point_builds_one_levi_matrix(monkeypatch):
-    real = lc.levi_matrix
+    real = lc.levi_matrices
     calls = []
 
-    def counting(f, z):
-        calls.append(z)
-        return real(f, z)
+    def counting(f, zz):
+        calls.append(len(zz))
+        return real(f, zz)
 
-    monkeypatch.setattr(lc, "levi_matrix", counting)
+    monkeypatch.setattr(lc, "levi_matrices", counting)
     pv = cl.classify_point(SADDLE_F, [1, 0])
     assert pv.verdict == cl.NOT_LEVI
-    assert len(calls) == 1
+    assert calls == [1]
 
 
 def test_classify_point_degenerate_gradient():
@@ -65,6 +66,67 @@ def test_classify_point_dimension_one_is_vacuously_strict():
     assert pv.verdict == cl.STRICTLY_PSEUDOCONVEX
     assert pv.eigenvalues == ()
     assert math.isinf(pv.min_eigenvalue)
+
+
+def _verdicts(classify, *args):
+    """Every verdict's fields by repr (exact for floats, NaN included), or
+    the error's class and message."""
+    try:
+        return [repr(v) for v in classify(*args)]
+    except LevikitError as err:
+        return type(err).__name__, str(err)
+
+
+def _batched_domain(d, samples, seed, tol_grad=None, tol_eig=None):
+    return cl.classify_domain(d, samples, seed, tol_grad, tol_eig).verdicts
+
+
+UNIT_DISC = dom.Sublevel(ex.parse("abs2(z1) - 1", 1), 0.0, 1, box_center=(0,),
+                         box_radii=(1,), interior_hint=(0.95,))
+MIXTURE = dom.Sublevel(ex.parse("abs2(z1) - abs2(z2) + abs2(z2)^2 - 0.1", 2), 0.0, 2,
+                       box_center=(0, 0), box_radii=(1.0, 1.2), interior_hint=(0, 0))
+
+
+@pytest.mark.parametrize("d, samples, seed, tol_grad, tol_eig", [
+    (UNIT_DISC, 60, 0, None, None),             # n = 1, skipped rays
+    (pole_domain(1.0), 40, 1, None, None),
+    (POLY2, 40, 2, None, None),                 # one group per face
+    (dom.Polydisc((0.5, -1j), (1.0, 0.7)), 30, 3, 1e-8, 0),
+    (MIXTURE, 40, 3, None, 1e-3),
+    (BALL2, 20, 4, None, None),
+], ids=["unit-disc", "pole", "polydisc", "polydisc-tolerances", "mixture", "ball"])
+def test_classify_domain_equals_the_per_point_oracle(d, samples, seed, tol_grad, tol_eig):
+    got = _verdicts(_batched_domain, d, samples, seed, tol_grad, tol_eig)
+    assert got == _verdicts(classify_domain_oracle, d, samples, seed, tol_grad, tol_eig)
+    assert len(got) == samples
+
+
+def _points_oracle(fs, points, tol_grads, tol_eigs):
+    return [classify_point_oracle(*args) for args in zip(fs, points, tol_grads, tol_eigs)]
+
+
+def test_classify_points_with_a_degenerate_gradient_equals_the_oracle():
+    # the origin has no tangent space; its Levi matrix is never asked for
+    f = ex.parse("abs2(z1)^2 + abs2(z2) - 1", 2)
+    points = [(1, 0), (0, 0), (0.6, 0.8j), (0, 0), (0.3, 0.95)]
+    args = ([f] * 5, points, [None] * 5, [None, 1e-6, None, None, 0.5])
+    got = _verdicts(cl.classify_points, *args)
+    assert got == _verdicts(_points_oracle, *args)
+    assert [v.verdict for v in cl.classify_points(*args)].count(cl.DEGENERATE) == 2
+
+
+def test_classify_points_raises_the_first_error_in_point_order():
+    # the gradient of 0.01/abs2(z1) has no value on z1 = 0; the Levi matrix
+    # of re(z1) * ... is not Hermitian
+    pole = ex.parse("abs2(z1) + abs2(z2) + 0.01/abs2(z1) - 1", 2)
+    skew = ex.parse("abs2(z1) + abs2(z2) + i*re(z1)*im(z2) - 1", 2)
+    for fs, points in [([BALL_F, pole, skew], [(1, 0), (0, 0.5), (0.6, 0.8)]),
+                       ([BALL_F, skew, pole], [(1, 0), (0.6, 0.8), (0, 0.5)]),
+                       ([pole, BALL_F, pole], [(0.5, 0.5), (0, 1), (0, 0.25)])]:
+        args = (fs, points, [None] * 3, [None] * 3)
+        got = _verdicts(cl.classify_points, *args)
+        assert got == _verdicts(_points_oracle, *args)
+        assert isinstance(got, tuple)
 
 
 def test_classify_ball_domain():
@@ -157,6 +219,18 @@ def test_psh_spectral_counts_its_skipped_points():
                                dom.Ball((0, 0), 1.0), 40, 0)
     assert (res.verdict, res.tested, res.skipped, len(res.violations)) == (
         "NotPsh", 16, 24, 16)
+
+
+@pytest.mark.parametrize("text", [
+    "ln(re(z1))*abs2(z2)",                      # skips the points with re(z1) <= 0
+    "abs2(z1) - abs2(z2)",
+    "abs2(z1) + i*re(z1)*im(z2)",               # not Hermitian anywhere: all skipped
+    "abs2(z1)^2 - re(z1^2*z2) + exp(re(z2))",
+])
+def test_psh_spectral_equals_the_per_point_oracle(text):
+    f = ex.parse(text, 2)
+    got = cl.psh_test_spectral(f, BALL2, 40, 3)
+    assert repr(got) == repr(psh_spectral_oracle(f, BALL2, 40, 3))
 
 
 def test_circle_average_norm_squared():

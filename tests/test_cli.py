@@ -441,6 +441,7 @@ def test_shipped_configs_run():
                 "hull_affine": "hull",
                 "hull_polynomial": "hull",
                 "quartic_classify": "classify",
+                "psh_sum_classify": "classify",
                 "hartogs_reinhardt": "reinhardt",
                 "hartogs_log_distance": "log-distance-probe",
                 "ball_log_distance": "log-distance-probe",

@@ -17,9 +17,10 @@ from levikit.sampling import spawn_rngs
 from levikit.errors import (LevikitError, PointOutsideDomain, SamplingExhausted,
                             UnsupportedMetric)
 
-from helpers import (PROBE_REGIONS, ball_oracle, bisect_level_oracle, foot_point_oracle,
+from helpers import (POLE_RAY, PROBE_REGIONS, GivenDraws, ball_oracle,
+                     bisect_level_oracle, boundary_sample_oracle, foot_point_oracle,
                      interior_sample_oracle, march_oracle, modulus_distance_oracle,
-                     reproject_oracle)
+                     pole_domain, reproject_oracle)
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "golden"))
 import generate  # noqa: E402
@@ -78,14 +79,18 @@ def test_outside_bisection_evaluates_each_point_once():
     program = ex.program((f,))
     points = []
 
-    def recording(z):
-        points.append(tuple(z))
-        return program(z)
+    class Recording:
+        def rows(self, zz):
+            points.extend(map(tuple, zz))
+            return program.rows(zz)
 
-    z = dom._bisect_level(recording, 0.0, [0j, 0j], [1.5 + 0j, 0.5j], outside=True)
-    assert len(points) > 2
+    segs = np.array([[1.5 + 0j, 0.5j], [0.3j, -1.2 + 0j], [1.1 + 0j, 0j]])
+    z, errors = dom._bisect_rows(Recording(), 0.0, np.zeros(2, dtype=complex), segs)
+    assert errors == [None] * 3
+    assert len(points) > 6
     assert len(set(points)) == len(points)
-    assert 0 <= ex.evaluate(f, z).real <= 1e-10
+    for row in z:
+        assert 0 <= ex.evaluate(f, row).real <= 1e-10
 
 
 def test_sublevel_no_interior_point():
@@ -559,8 +564,13 @@ def _domain_and_rows(draw, count):
 def test_sublevel_steps_on_lists_equal_the_numpy_oracles(case, outside, s):
     d, (a, b, c) = case
     value = d._value_program()
-    assert _hex(dom._bisect_level(value, d.level, a.tolist(), b.tolist(), outside)) \
-        == _hex(bisect_level_oracle(d.expr, d.level, a, b, outside))
+    if outside:
+        # the lockstep bisection of boundary sampling, on one ray
+        (got,), errors = dom._bisect_rows(value, d.level, a, (b - a)[None])
+        assert errors == [None]
+    else:
+        got = dom._bisect_level(value, d.level, a.tolist(), b.tolist())
+    assert _hex(got) == _hex(bisect_level_oracle(d.expr, d.level, a, b, outside))
     for v in (-1.0, 1.0):
         assert _hex(d._march(a.tolist(), c.tolist(), s, v, 10)) \
             == _hex(march_oracle(d, a, c, s, v, 10))
@@ -573,6 +583,73 @@ def test_sublevel_foot_point_equals_the_numpy_oracle(case, start):
     d, (z,) = case
     b0 = dom._cached_boundary_points(d)[start]
     assert _hex(d._foot_point(z, b0)) == _hex(foot_point_oracle(d, z, b0))
+
+
+def _sampled(sample_with, d, count, rng):
+    """What boundary sampling gives: every sample's bits and the skipped
+    rays, or the error's class and message."""
+    try:
+        got = sample_with(d, count, rng)
+    except LevikitError as err:
+        return type(err).__name__, str(err)
+    return got.skipped_rays, [(_hex(s.point), _hex(s.outward), s.source)
+                              for s in got.samples]
+
+
+def _batched(d, count, rng):
+    return d.boundary_sample(count, rng)
+
+
+# the unit disc from 0.95: rays that leave it toward the far side cross its
+# circle beyond the march's last probe at 0.512 * t_max and are skipped
+UNIT_DISC = dom.Sublevel(ex.parse("abs2(z1) - 1", 1), 0.0, 1, box_center=(0,),
+                         box_radii=(1,), interior_hint=(0.95,))
+
+
+@pytest.mark.parametrize("name, d, count, seed", [
+    ("unit disc", UNIT_DISC, 200, 0),
+    ("pole", pole_domain(1.0), 60, 1),
+    *[(name, d, 40, seed) for name, d in sorted(GOLDEN_SUBLEVELS.items())
+      for seed in (0, 3)],
+])
+def test_boundary_sample_equals_the_per_ray_oracle(name, d, count, seed):
+    got = _sampled(_batched, d, count, np.random.default_rng(seed))
+    assert got == _sampled(boundary_sample_oracle, d, count, np.random.default_rng(seed))
+    if name == "unit disc":
+        assert got[0] > 50
+
+
+def test_a_ray_whose_march_meets_the_pole_is_skipped():
+    rng = np.random.default_rng(4)
+    draws = [rng.standard_normal(2) for _ in range(6)]
+    draws[2:2] = POLE_RAY
+    got = _sampled(_batched, pole_domain(250.0), 3, GivenDraws(draws))
+    assert got == _sampled(boundary_sample_oracle, pole_domain(250.0), 3, GivenDraws(draws))
+    assert got[0] == 1
+
+
+@pytest.mark.parametrize("z2_sign", [1.0, -1.0])
+def test_the_first_ray_whose_bisection_raises_raises(z2_sign):
+    # two rays meet the pole at their first midpoint, one on each side of
+    # z2 = 0; the error names the point of the one drawn first
+    rng = np.random.default_rng(5)
+    other = ([-1.0, -1.0], [-1.0, -1.0])
+    pole_rays = [*POLE_RAY, *other] if z2_sign > 0 else [*other, *POLE_RAY]
+    draws = [rng.standard_normal(2), rng.standard_normal(2), *pole_rays]
+    got = _sampled(_batched, pole_domain(500.0), 3, GivenDraws(draws))
+    assert got == _sampled(boundary_sample_oracle, pole_domain(500.0), 3, GivenDraws(draws))
+    assert got[0] == "EvalDomainError" and "division by zero" in got[1]
+    assert f"{complex(0.5 * z2_sign, 0.5 * z2_sign)!r}" in got[1]
+
+
+def test_sampling_exhaustion_matches_the_per_ray_oracle():
+    # every level crossing lies beyond the last probe of the march
+    d = dom.Sublevel(ex.parse("abs2(z1) + abs2(z2) - 1", 2), 0.0, 2, box_center=(0, 0),
+                     box_radii=(0.25, 0.25), interior_hint=(0, 0))
+    got = _sampled(_batched, d, 3, np.random.default_rng(0))
+    assert got == _sampled(boundary_sample_oracle, d, 3, np.random.default_rng(0))
+    assert got == ("SamplingExhausted",
+                   "sublevel boundary sampling failed (acceptance rate 0)")
 
 
 @given(st.lists(st.tuples(PART, PART, PART, PART), min_size=1, max_size=8),

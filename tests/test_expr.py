@@ -267,7 +267,7 @@ _BINARY = ("add", "sub", "mul", "div")
 
 
 @st.composite
-def _forests(draw):
+def _forests(draw, exponents=st.integers(2, 7)):
     """1-3 roots over a pool of nodes built with ``Expr`` itself (no
     folding), every kind drawn; children come from the pool, so subtrees
     are shared, and constants equal by ``==`` but not in their bits, such
@@ -284,7 +284,7 @@ def _forests(draw):
                            conjugated=draw(st.booleans()))
         elif kind == "pow":
             node = ex.Expr("pow", (draw(st.sampled_from(pool)),),
-                           exponent=draw(st.integers(2, 7)))
+                           exponent=draw(exponents))
         else:
             arity = 2 if kind in _BINARY else 1
             node = ex.Expr(kind, tuple(draw(st.sampled_from(pool))
@@ -308,6 +308,62 @@ def test_compiled_program_matches_the_walk_bit_for_bit(roots, z):
         assert _outcome(ex.evaluate, roots[0], z) == _outcome(walk_evaluate, roots[0], z)
         # the program kept on the root answers a second call alike
         assert _outcome(ex.evaluate, roots[0], z) == _outcome(walk_evaluate, roots[0], z)
+
+
+# the row form against the scalar program: parts of both signed zeros,
+# subnormals, values near 1e154 (whose squares overflow) and 1e308, and the
+# non-finite ones; exponents on both sides of CPython's repeated squaring
+_ROW_PARTS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-160, 1.0, -1.0, 0.5, -2.5,
+    1e154, -1.3e154, 9e307, -1.7e308, math.inf, -math.inf, math.nan]) | st.floats(-4.0, 4.0)
+_ROW_EXPONENTS = st.sampled_from([2, 3, 4, 5, 6, 7, 8, 100, 101])
+
+
+def _hex_parts(values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_forests(_ROW_EXPONENTS), st.integers(1, 3),
+       st.lists(st.lists(st.tuples(_ROW_PARTS, _ROW_PARTS), min_size=3, max_size=3),
+                min_size=1, max_size=6))
+def test_row_form_matches_the_scalar_program_bit_for_bit(roots, n, rows):
+    # a row the row form flags is one where the scalar program raises, and
+    # row_error gives that error; every other row has the scalar bits
+    prog = ex.program(tuple(roots))
+    zz = np.array([[complex(re, im) for re, im in row[:n]] for row in rows])
+    with np.errstate(all="ignore"):
+        values, failed = prog.rows(zz)
+        assert values.shape == (len(rows), len(roots)) and failed.shape == (len(rows),)
+        for z, got, fail in zip(zz, values, failed.tolist()):
+            try:
+                want = prog(z.tolist())
+            except Exception as err:    # noqa: BLE001 - compared below
+                assert fail >= 0
+                raised = ex.row_error(prog, z)
+                assert (type(raised), str(raised)) == (type(err), str(err))
+            else:
+                assert fail == -1
+                assert _hex_parts(got) == _hex_parts(want)
+
+
+def test_row_form_flags_the_first_failing_check_in_program_order():
+    # 1/z2 is checked before ln(z1), as the scalar program raises
+    prog = ex.program((ex.parse("1/z2 + ln(z1)", 2),))
+    values, failed = prog.rows(np.array([[1, 0], [0, 1], [0, 0], [2, 1]], dtype=complex))
+    assert failed[0] == failed[2] < failed[1] and failed[3] == -1
+    assert values[3, 0] == prog([2, 1])[0]
+    assert "division by zero" in str(ex.row_error(prog, [0, 0]))
+
+
+def test_row_form_of_constants_and_of_a_short_row():
+    prog = ex.program((ex.const(2.5), ex.parse("z1 + z3", 3)))
+    values, failed = prog.rows(np.zeros((2, 3), dtype=complex))
+    assert values[:, 0].tolist() == [2.5, 2.5] and failed.tolist() == [-1, -1]
+    _, failed = prog.rows(np.zeros((2, 2), dtype=complex))
+    assert min(failed) >= 0
+    assert "exceeds point dimension 2" in str(ex.row_error(prog, [0, 0]))
 
 
 @pytest.mark.parametrize("text, point, message", [

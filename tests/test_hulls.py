@@ -263,6 +263,16 @@ def test_batched_polynomial_membership_matches_the_per_query_oracle(k, n, seed,
                          for q in queries])
 
 
+def test_affine_membership_and_oracle_raise_alike_where_2b_overflows():
+    # B = 1.2e308 is finite and 2B is not: both sides fail on the NaN margin
+    square = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    with pytest.raises(LevikitError, match="margin is NaN") as batched:
+        hulls.affine_hull_membership(square, [[6e307, 0.0]])
+    with pytest.raises(LevikitError, match="margin is NaN") as oracle:
+        affine_membership_oracle(square, [6e307, 0.0])
+    assert str(batched.value) == str(oracle.value)
+
+
 @pytest.mark.parametrize("count", [63, 64, 65, 129])
 def test_affine_membership_matches_the_oracle_across_query_chunks(count):
     # one short chunk, one full, one spilling by a query, two full and one more
