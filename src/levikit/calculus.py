@@ -15,6 +15,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DegenerateGradient, NonHermitianLeviMatrix
+from .norms import norm
 
 HERMITIAN_TOL = 1e-10
 
@@ -121,7 +122,7 @@ def unmixed_matrix(f: ex.Expr, z) -> np.ndarray:
 
 
 def default_gradient_tol(a) -> float:
-    return 1e-8 * (1.0 + float(np.linalg.norm(ex.as_point(a))))
+    return 1e-8 * (1.0 + norm(ex.as_point(a)))
 
 
 def orthonormal_complement(unit: np.ndarray) -> list:
@@ -139,9 +140,9 @@ def orthonormal_complement(unit: np.ndarray) -> list:
         v[j] = 1.0
         for u in [unit] + basis:
             v = v - np.dot(v, np.conj(u)) * u
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            basis.append(v / norm)
+        size = norm(v)
+        if size > 1e-8:
+            basis.append(v / size)
     return basis
 
 
@@ -157,7 +158,7 @@ def tangent_basis(f: ex.Expr, a, tol: float | None = None) -> tuple:
     if tol is None:
         tol = default_gradient_tol(zz)
     grad = complex_gradient(f, zz)
-    gnorm = float(np.linalg.norm(grad))
+    gnorm = norm(grad)
     return basis_from_gradient(grad, gnorm, tol, zz), gnorm
 
 

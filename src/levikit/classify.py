@@ -22,6 +22,7 @@ from . import calculus as lc
 from . import domains as dom
 from . import expr as ex
 from .errors import DegenerateGradient, LevikitError
+from .norms import row_norms
 from .sampling import block_values, deterministic_map, spawn_rngs, unit_vector
 
 STRICTLY_PSEUDOCONVEX = "StrictlyPseudoconvex"
@@ -145,7 +146,7 @@ def classify_points(fs, points, tol_grads, tol_eigs) -> list:
     for f in dict.fromkeys(fs):
         group = [i for i, g in enumerate(fs) if g is f]
         grads, errors = lc.complex_gradients(f, zz[group])
-        gnorms = dom._row_norms(grads, dom.EUCLIDEAN).tolist()
+        gnorms = row_norms(grads).tolist()
         bases = {}
         for i, grad, gnorm, err in zip(group, grads, gnorms, errors):
             if err is not None:

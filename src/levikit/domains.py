@@ -25,10 +25,9 @@ from . import expr as ex
 from .errors import (ConfigError, LevikitError, PointOutsideDomain, SamplingExhausted,
                      UnsupportedMetric)
 from .modulus import ModulusGeometry
+from .norms import EUCLIDEAN, LINFTY, norm, row_norms
 from .sampling import block_values, disc_points, disc_points_at, rejection_sample, unit_vector
 
-EUCLIDEAN = "euclidean"
-LINFTY = "linfty"
 _LEVEL_TOL = 1e-10
 # rejection-sampling candidates drawn and tested at once; about 4 are
 # needed per point of the Hartogs figure, so 8 mostly take one block
@@ -195,7 +194,7 @@ class Ball(Domain, variant="ball"):
         return len(self.center)
 
     def contains(self, zz):
-        return _row_norms(zz - np.asarray(self.center), EUCLIDEAN) < self.radius
+        return row_norms(zz - np.asarray(self.center), EUCLIDEAN) < self.radius
 
     def bounding_polydisc(self) -> Polydisc:
         return Polydisc(self.center, (self.radius,) * self.dimension)
@@ -227,7 +226,7 @@ class Ball(Domain, variant="ball"):
         paths = []
         for s in self.boundary_sample(count, rng):
             u = np.asarray(s.point) - center
-            u = u / _norm(u, EUCLIDEAN)
+            u = u / norm(u, EUCLIDEAN)
             s1 = float(np.sum(np.abs(u)))
 
             def dist(t):
@@ -243,12 +242,12 @@ class Ball(Domain, variant="ball"):
     def interior_distance(self, zz, metric):
         gaps = zz - np.asarray(self.center)
         if metric == EUCLIDEAN:
-            return self.radius - _row_norms(gaps, EUCLIDEAN)
+            return self.radius - row_norms(gaps, EUCLIDEAN)
         return _ball_interior_linfty(np.abs(gaps), self.radius)
 
     def exterior_distance(self, zz, metric) -> float:
         if metric == EUCLIDEAN:
-            return _norm(zz - np.asarray(self.center), EUCLIDEAN) - self.radius
+            return norm(zz - np.asarray(self.center), EUCLIDEAN) - self.radius
         return _ball_exterior_linfty(np.abs(zz - np.asarray(self.center)),
                                      self.radius)
 
@@ -346,7 +345,7 @@ class Polydisc(Domain, variant="polydisc", natural_metric=LINFTY):
         over = np.maximum(np.abs(zz - np.asarray(self.center))
                           - np.asarray(self.radii), 0.0)
         if metric == EUCLIDEAN:
-            return _norm(over, EUCLIDEAN)
+            return norm(over, EUCLIDEAN)
         return float(np.max(over))
 
     def defining_expr(self, face=None) -> ex.Expr:
@@ -541,7 +540,7 @@ class Sublevel(Domain, variant="sublevel"):
         """
         z0 = self._interior_point(rng)
         box = self.bounding_polydisc()
-        t_max = 2.0 * float(np.sum(box.radii)) + _norm(z0 - box.center, EUCLIDEAN)
+        t_max = 2.0 * float(np.sum(box.radii)) + norm(z0 - box.center, EUCLIDEAN)
         samples, drawn, budget = [], 0, 100 * count
         while len(samples) < count:
             if drawn == budget:
@@ -557,112 +556,20 @@ class Sublevel(Domain, variant="sublevel"):
         """Per ray from z0 along a row of ``u``, its BoundarySample, or None
         for a skipped ray; raises the first error in ray order."""
         value = self._value_program()
-        outcome = [None] * len(u)
-        ends = np.empty_like(u)
-        crossed = np.zeros(len(u), dtype=bool)
-        open_ = np.arange(len(u))
-        s = 1e-3 * t_max
-        for _ in range(10):
-            if not open_.size:
-                break
-            probe = _ray_points(z0, s, u[open_])
-            values, failed = value.rows(probe)
-            for i in np.flatnonzero(failed >= 0).tolist():
-                err = ex.row_error(value, probe[i])
-                if not isinstance(err, LevikitError):
-                    outcome[open_[i]] = err
-            # f - level < 0 at z0: a crossing is a value of the other sign
-            hit = (failed < 0) & ((values[:, 0].real - self.level) * -1.0 <= 0)
-            ends[open_[hit]] = probe[hit]
-            crossed[open_[hit]] = True
-            open_ = open_[(failed < 0) & ~hit]
-            s *= 2.0
+        # f - level < 0 at z0: a crossing is a value of the other sign
+        ends, crossed, errors = _march_rows(value, self.level, z0, u, 1e-3 * t_max, -1.0, 10)
         rays = np.flatnonzero(crossed)
-        points, errors = _bisect_rows(value, self.level, z0, ends[rays] - z0)
-        for i, err in zip(rays.tolist(), errors):
-            outcome[i] = err
-        ok = [j for j, err in enumerate(errors) if err is None]
-        gradient = self._gradient_program()
-        values, failed = gradient.rows(points[ok])
-        g = np.conj(values)
-        norms = _row_norms(g, EUCLIDEAN)
-        for j, row in enumerate(ok):
-            if failed[j] >= 0:
-                outcome[rays[row]] = ex.row_error(gradient, points[row])
-                continue
-            outward = tuple(g[j] / norms[j]) if norms[j] > 1e-12 else None
-            outcome[rays[row]] = BoundarySample(tuple(points[row]), outward, "level-set")
-        for o in outcome:
-            if isinstance(o, Exception):
-                raise o
-        return outcome
-
-    def _gradient(self, b) -> np.ndarray:
-        """Steepest-ascent direction of the defining function as a complex vector."""
-        return np.conj(np.array(self._gradient_program()(b.tolist())))
-
-    def _march(self, z, direction, s, v, steps):
-        """The first point ``z + s * direction``, ``s`` doubling ``steps``
-        times, where f - level changes sign against ``v`` (f - level at
-        ``z``, or a value of its sign); None when no point does, or when f
-        cannot be evaluated at one.  Points and direction are lists.  The
-        foot-point search calls it one point at a time; boundary sampling
-        marches its rays as row calls (``_ray_samples``)."""
-        for _ in range(steps):
-            probe = _step(z, s, direction)
-            try:
-                vp = self._value_program()(probe)[0].real - self.level
-            except LevikitError:
-                return None
-            if vp * v <= 0:
-                return probe
-            s *= 2.0
-        return None
-
-    def _reproject_to_level(self, c):
-        """Pull a near-boundary point back onto the level set along the gradient."""
-        zc = c.tolist()
-        v = self._value_program()(zc)[0].real - self.level
-        if abs(v) <= _LEVEL_TOL:
-            return c
-        g = self._gradient(c)
-        gn = _norm(g, EUCLIDEAN)
-        if gn < 1e-12:
-            return None
-        probe = self._march(zc, (-np.sign(v) * (g / gn)).tolist(), abs(v) / gn, v, 60)
-        if probe is None:
-            return None
-        inside_pt, outside_pt = (zc, probe) if v < 0 else (probe, zc)
-        return _bisect_level(self._value_program(), self.level, inside_pt, outside_pt)
-
-    def _foot_point(self, z, b0):
-        """Slide a boundary point along the level set toward the query point."""
-        b = np.asarray(b0)
-        best = _norm(z - b, EUCLIDEAN)
-        for _ in range(12):
-            g = self._gradient(b)
-            gn = _norm(g, EUCLIDEAN)
-            if gn < 1e-12:
-                break
-            ghat = g / gn
-            diff = z - b
-            tang = diff - np.real(np.dot(diff, ghat.conj())) * ghat
-            if _norm(tang, EUCLIDEAN) <= 1e-12 * max(1.0, best):
-                break
-            scale = 1.0
-            improved = False
-            for _ in range(6):
-                candidate = self._reproject_to_level(b + scale * tang)
-                if candidate is not None:
-                    dist = _norm(z - candidate, EUCLIDEAN)
-                    if dist < best - 1e-15:
-                        b, best = candidate, dist
-                        improved = True
-                        break
-                scale *= 0.5
-            if not improved:
-                break
-        return b
+        points, errs = _bisect_rows(value, self.level, z0, ends[rays] - z0)
+        errors.update((int(rays[i]), err) for i, err in errs.items())
+        ok = np.flatnonzero([j not in errs for j in range(len(rays))])
+        kept, g, gn = self._gradients(points[ok], errors, rays[ok])
+        if errors:
+            raise errors[min(errors)]
+        samples = [None] * len(u)
+        for j, g_j, gn_j in zip(ok[kept].tolist(), g, gn.tolist()):
+            samples[rays[j]] = BoundarySample(tuple(points[j]), tuple(g_j / gn_j)
+                                              if gn_j > 1e-12 else None, "level-set")
+        return samples
 
     def interior_distance(self, zz, metric):
         """Distance from each row to the level set {f = level}.
@@ -677,9 +584,11 @@ class Sublevel(Domain, variant="sublevel"):
         Newton's method on the contact conditions of the metric (``modulus``).
 
         Every other expression keeps the sampled path: the nearest of 512
-        seeded boundary samples, refined one row at a time by the Euclidean
-        foot-point search and measured in ``metric``.  That is an upper
-        bound on d, and badly undersampled level-set branches can be missed.
+        seeded boundary samples, or a closer foot point of the Euclidean
+        search that starts from each of the row's 3 nearest, measured in
+        ``metric``.  The search runs every (row, start) pair of the call as
+        one lockstep batch (``_foot_points``).  That is an upper bound on d,
+        and badly undersampled level-set branches can be missed.
         """
         if self._moduli_only():
             return self._modulus_geometry().distances(zz, metric == EUCLIDEAN)
@@ -687,14 +596,85 @@ class Sublevel(Domain, variant="sublevel"):
 
     def _sampled_distance(self, zz, metric):
         pts = _cached_boundary_points(self)
-        out = np.empty(len(zz))
-        for i, z in enumerate(zz):
-            dists = _row_norms(z - pts, metric)
-            best = float(np.min(dists))
-            for idx in np.argsort(dists)[:3]:
-                best = min(best, _norm(z - self._foot_point(z, pts[idx]), metric))
-            out[i] = best
-        return out
+        nearest = [row_norms(z - pts, metric) for z in zz]
+        best = np.array([np.min(d) for d in nearest])
+        starts = np.array([np.argsort(d)[:3] for d in nearest], dtype=int).reshape(-1, 3)
+        z = np.repeat(zz, 3, axis=0)
+        feet = row_norms(z - self._foot_points(z, pts[starts.ravel()]), metric)
+        for d in feet.reshape(-1, 3).T:
+            best = np.where(d < best, d, best)   # min(best, d), which keeps best for a NaN d
+        return best
+
+    def _foot_points(self, z, b):
+        """Per row pair of ``z`` and ``b``, b slid along the level set toward
+        z: up to 12 steps along the tangential part of z - b, each to the
+        first of the scales 1, 1/2, ..., 1/32 whose reprojection comes closer
+        to z by more than 1e-15.  The pairs run in lockstep as row calls,
+        each with the bits of its search alone; the first that raises raises."""
+        b, errors, live = b.copy(), {}, np.arange(len(z))
+        best = row_norms(z - b)
+        for _ in range(12):
+            if not live.size:
+                break
+            kept, g, gn = self._gradients(b[live], errors, live)
+            steep = ~(gn < 1e-12)
+            live, ghat = live[kept[steep]], g[steep] / gn[steep, None]
+            diff = z[live] - b[live]
+            # one np.dot per pair: np.vecdot differs in signed zeros at n = 1
+            along = np.array(list(map(np.dot, diff, ghat.conj())), dtype=complex)
+            tang = diff - along.real[:, None] * ghat
+            # fmax is Python's max(1.0, best), which keeps 1.0 for a NaN best
+            moving = ~(row_norms(tang) <= 1e-12 * np.fmax(best[live], 1.0))
+            live, tang, moved = live[moving], tang[moving], [live[:0]]
+            for k in range(6):
+                if not live.size:
+                    break
+                i, c = self._reproject_rows(b[live] + 0.5 ** k * tang, errors, live)
+                dist = row_norms(z[live[i]] - c)
+                closer = dist < best[live[i]] - 1e-15
+                won = live[i[closer]]
+                b[won], best[won] = c[closer], dist[closer]
+                moved.append(won)
+                stays = np.array([p not in errors for p in live.tolist()], dtype=bool)
+                stays[i[closer]] = False
+                live, tang = live[stays], tang[stays]
+            live = np.concatenate(moved)
+        if errors:
+            raise errors[min(errors)]
+        return b
+
+    def _reproject_rows(self, c, errors, pairs):
+        """(indexes, points) of the rows of ``c`` that reach the level set: a
+        row with |f - level| <= _LEVEL_TOL stays, any other marches along the
+        gradient from |f - level| / |grad f| across it and bisects back.  A
+        row's error goes to the dict ``errors`` under its entry of ``pairs``."""
+        value = self._value_program()
+        values, failed = _rows(value, c, errors, pairs)
+        v = values[:, 0].real - self.level
+        near = np.abs(v) <= _LEVEL_TOL
+        on, off = np.flatnonzero((failed < 0) & near), np.flatnonzero((failed < 0) & ~near)
+        kept, g, gn = self._gradients(c[off], errors, pairs[off])
+        steep = ~(gn < 1e-12)
+        off, g, gn = off[kept[steep]], g[steep], gn[steep]
+        ends, crossed, errs = _march_rows(value, self.level, c[off],
+                                          -np.sign(v[off])[:, None] * (g / gn[:, None]),
+                                          np.abs(v[off]) / gn, v[off], 60)
+        errors.update((int(pairs[off[i]]), err) for i, err in errs.items())
+        off, ends = off[crossed], ends[crossed]
+        below = (v[off] < 0)[:, None]
+        z_in, z_out = np.where(below, c[off], ends), np.where(below, ends, c[off])
+        points, errs = _bisect_rows(value, self.level, z_in, z_out - z_in, outside=False)
+        errors.update((int(pairs[off[i]]), err) for i, err in errs.items())
+        reached = np.flatnonzero([j not in errs for j in range(len(off))])
+        return np.concatenate([on, off[reached]]), np.concatenate([c[on], points[reached]])
+
+    def _gradients(self, zz, errors, pairs):
+        """(indexes, conj(grad f), |grad f|) of the rows of ``zz`` where the
+        gradient has a value; the others' errors go to ``errors``."""
+        g, failed = _rows(self._gradient_program(), zz, errors, pairs)
+        kept = np.flatnonzero(failed < 0)
+        g = np.conj(g[kept])
+        return kept, g, row_norms(g)
 
     @_once
     def _moduli_only(self):
@@ -743,36 +723,18 @@ class Sublevel(Domain, variant="sublevel"):
         return d
 
 
-def _norm(v, metric):
-    """Norm of a contiguous 1-d array in a checked metric; the Euclidean one
-    is ``np.linalg.norm``'s own formula, bit for bit, without its dispatch."""
-    if metric == EUCLIDEAN:
-        re, im = v.real, v.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return float(np.max(np.abs(v)))
-
-
-def _row_norms(rows, metric):
-    """``_norm`` of each row of an (m, n) array, bit for bit: the real and
-    imaginary views keep the stride that ``np.linalg.norm`` gives its dot
-    products, so ``vecdot`` runs the same kernel on them."""
-    if metric == EUCLIDEAN:
-        re, im = rows.real, rows.imag
-        return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
-    return np.max(np.abs(rows), axis=1)
-
-
-def _step(z, t, direction):
-    """The point list ``z + t * direction`` for a real ``t``, as numpy forms
-    it: ``t`` is made complex first, so signed zeros come out alike (but for
-    a product that underflows to 0, whose sign numpy's FMA kernels keep)."""
-    t = complex(t, 0.0)
-    return [a + t * d for a, d in zip(z, direction)]
+def _rows(prog, rows, errors, keys):
+    """The row form of ``prog`` at ``rows``: (values, failed), with the
+    program's error at each flagged row i entered under ``keys[i]``."""
+    values, failed = prog.rows(rows)
+    for i in np.flatnonzero(failed >= 0).tolist():
+        errors[int(keys[i])] = ex.row_error(prog, rows[i])
+    return values, failed
 
 
 def _ray_points(z, t, directions):
-    """The rows ``z + complex(t, 0.0) * d`` for the rows d of ``directions``
-    and ``t`` a number or one per row (a column): ``_step``'s CPython
+    """The rows ``z + complex(t, 0.0) * d`` for the rows d of ``directions``,
+    ``z`` and ``t`` (a column) shared or one per row: CPython's complex
     product and sum on the real and imaginary parts."""
     re, im = directions.real, directions.imag
     out = np.empty(np.broadcast_shapes(np.shape(t), directions.shape), dtype=complex)
@@ -781,61 +743,68 @@ def _ray_points(z, t, directions):
     return out
 
 
-def _bisect_rows(value, level, z_in, seg):
-    """For each row s of ``seg``, the outer bracket point of the level set
-    on [z_in, z_in + s], found by bisection, and None or the exception the
-    program ``value`` of f raised there: (points (k, n), errors).
-
-    The rays run in lockstep, one row call per step over those still open.
-    Each tests its far end first and then up to 200 midpoints, at the points
-    ``_ray_points`` forms; a point with 0 <= f - level <= _LEVEL_TOL ends
-    its ray, so the point never re-enters the open set.  A ray whose 200
-    steps all miss ends at its last outer point z_in + hi * s.
-    """
-    k = len(seg)
-    points, errors = np.empty_like(seg), [None] * k
-    lo, hi = np.zeros(k), np.ones(k)
+def _march_rows(value, level, z, dirs, s, sign, steps):
+    """Per row d of ``dirs``, the first point z + s d, s doubling ``steps``
+    times, where f - level changes sign against ``sign`` (f - level at z, or
+    its sign), with ``z``, ``s`` and ``sign`` shared or one per row and
+    ``value`` the program of f: (ends (k, n), crossed (k,), errors by row).
+    One row call per step over the rows still open; a LevikitError of f ends
+    a row uncrossed, any other exception ends it as its error."""
+    k = len(dirs)
+    z, sign = np.broadcast_to(z, dirs.shape), np.broadcast_to(sign, (k,))
+    s = np.broadcast_to(s, (k,))
+    ends, crossed, errors = np.empty_like(dirs), np.zeros(k, dtype=bool), {}
     open_ = np.arange(k)
-    for step in range(201):
+    for _ in range(steps):
         if not open_.size:
             break
-        t = hi[open_] if step == 0 else 0.5 * (lo[open_] + hi[open_])
-        z = _ray_points(z_in, t[:, None], seg[open_])
-        values, failed = value.rows(z)
+        probe = _ray_points(z[open_], s[open_, None], dirs[open_])
+        values, failed = value.rows(probe)
         for i in np.flatnonzero(failed >= 0).tolist():
-            errors[open_[i]] = ex.row_error(value, z[i])
+            err = ex.row_error(value, probe[i])
+            if not isinstance(err, LevikitError):
+                errors[int(open_[i])] = err
+        hit = (failed < 0) & ((values[:, 0].real - level) * sign[open_] <= 0)
+        ends[open_[hit]] = probe[hit]
+        crossed[open_[hit]] = True
+        open_ = open_[(failed < 0) & ~hit]
+        s = s * 2.0
+    return ends, crossed, errors
+
+
+def _bisect_rows(value, level, z_in, seg, outside=True):
+    """For each row s of ``seg``, a level-set point on [z_in, z_in + s] by
+    bisection (``z_in`` shared or one per row), and the exceptions of the
+    program ``value`` of f by row: (points (k, n), errors).  One
+    row call per step over the rows still open.  Boundary sampling's rule
+    (``outside``) tests the far end first, then up to 200 midpoints, accepts
+    0 <= f - level <= _LEVEL_TOL, so its point never re-enters the open set,
+    and falls back to z_in + hi s.  The foot-point search's rule tests 200
+    midpoints, accepts |f - level| <= _LEVEL_TOL and falls back to the
+    midpoint."""
+    k, floor = len(seg), 0.0 if outside else -_LEVEL_TOL
+    z_in = np.broadcast_to(z_in, seg.shape)
+    points, errors = np.empty_like(seg), {}
+    lo, hi = np.zeros(k), np.ones(k)
+    open_ = np.arange(k)
+    for step in range(201 if outside else 200):
+        if not open_.size:
+            break
+        far = outside and step == 0
+        t = hi[open_] if far else 0.5 * (lo[open_] + hi[open_])
+        z = _ray_points(z_in[open_], t[:, None], seg[open_])
+        values, failed = _rows(value, z, errors, open_)
         v = values[:, 0].real - level
-        on_level = (failed < 0) & (0 <= v) & (v <= _LEVEL_TOL)
+        on_level = (failed < 0) & (floor <= v) & (v <= _LEVEL_TOL)
         points[open_[on_level]] = z[on_level]
-        if step:
+        if not far:
             below = v < 0
             lo[open_] = np.where(below, t, lo[open_])
             hi[open_] = np.where(below, hi[open_], t)
         open_ = open_[(failed < 0) & ~on_level]
-    points[open_] = _ray_points(z_in, hi[open_, None], seg[open_])
+    t = hi[open_] if outside else 0.5 * (lo[open_] + hi[open_])
+    points[open_] = _ray_points(z_in[open_], t[:, None], seg[open_])
     return points, errors
-
-
-def _bisect_level(value, level, z_in, z_out):
-    """Point on the segment [z_in, z_out] with |f - level| <= _LEVEL_TOL, for
-    ``value`` the program of f and the ends lists; returned as an array.
-    The foot-point search calls it one point at a time; boundary sampling
-    runs its rays through ``_bisect_rows``.
-    """
-    lo, hi = 0.0, 1.0
-    seg = [b - a for a, b in zip(z_in, z_out)]
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        t = complex(mid, 0.0)   # _step, written out in the hot loop
-        z = [a + t * s for a, s in zip(z_in, seg)]
-        v = value(z)[0].real - level
-        if abs(v) <= _LEVEL_TOL:
-            return np.array(z)
-        if v < 0:
-            lo = mid
-        else:
-            hi = mid
-    return np.array(_step(z_in, 0.5 * (lo + hi), seg))
 
 
 @lru_cache(maxsize=64)

@@ -21,7 +21,6 @@ class EvalDomainError(LevikitError):
     """Evaluation hit ln of a non-positive value or a zero divisor."""
 
     def __init__(self, message, subexpression=None, point=None):
-        self.base_message = message
         self.subexpression = subexpression
         self.point = point
         if subexpression is not None:

@@ -75,16 +75,6 @@ class BlowupCheck:
     per_sequence: tuple        # (first, final, eventually_increasing) triples
 
 
-def _resolve_point_function(domain, function, metric):
-    if function == NORM_SQUARED:
-        return _norm_squared
-    if function == CANONICAL:
-        return build_exhaustion(domain, metric)
-    if isinstance(function, ex.Expr) or callable(function):
-        return ex.as_real_function(function)
-    raise LevikitError(f"unknown exhaustion function id {function!r}")
-
-
 def make_probe(domain, function=CANONICAL, metric: str | None = None,
                sequences: int = 8, seed: int = 0,
                steps: int = 56) -> ExhaustionProbe:
@@ -92,23 +82,29 @@ def make_probe(domain, function=CANONICAL, metric: str | None = None,
 
     The built-in functions run along the domain's exact paths
     (``domains.approach_paths``) with the closed-form distance d(t), or
-    along its point paths where it has none.  Other functions are evaluated
-    at the float points of the point paths (``Domain.point_paths``), since
-    the float points of an exact path round onto the boundary it approaches.
+    along its point paths where it has none, where the canonical function
+    takes each path's distances from one ``distances_to_boundary`` call.
+    Other functions are evaluated at the float points of the point paths
+    (``Domain.point_paths``), since the float points of an exact path round
+    onto the boundary it approaches.
     """
     fid = function if isinstance(function, str) else (
         ex.to_text(function) if isinstance(function, ex.Expr) else "user-callable")
-    fn = _resolve_point_function(domain, function, metric)
     if function in (NORM_SQUARED, CANONICAL):
         paths = dom.approach_paths(domain, sequences, seed, steps, metric)
-    else:
+    elif isinstance(function, ex.Expr) or callable(function):
         paths = domain.point_paths(sequences, seed, steps)
-    seqs = []
-    vals = []
+    else:
+        raise LevikitError(f"unknown exhaustion function id {function!r}")
+    fn = _norm_squared if function == NORM_SQUARED else ex.as_real_function(function)
+    seqs, vals = [], []
     for path in paths:
+        if function == CANONICAL and path and path[0][1] is None:
+            zz = np.array([z for z, _ in path])
+            path = list(zip(zz, dom.distances_to_boundary(domain, zz, metric).tolist()))
         seqs.append(tuple(tuple(complex(c) for c in z) for z, _ in path))
-        vals.append(tuple(_canonical(z, d) if function == CANONICAL and d is not None
-                          else float(fn(z)) for z, d in path))
+        vals.append(tuple(_canonical(z, d) if function == CANONICAL else float(fn(z))
+                          for z, d in path))
     return ExhaustionProbe(fid, domain.to_dict(), tuple(seqs), tuple(vals))
 
 

@@ -279,20 +279,27 @@ def _eval_poly(exponents, coefficients, pts: np.ndarray) -> np.ndarray:
 
 def _sup_modulus(exponents, coefficients, pts) -> float:
     """max |p| over the rows of ``pts``, for p = sum of coefficient * monomial.
-    Here and in ``_modulus_at`` a size beyond the float range comes back
+    Here and in ``_moduli`` a size beyond the float range comes back
     infinite (or NaN), without a warning, for ``_membership`` to reject."""
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.max(np.abs(_eval_poly(exponents, coefficients, pts))))
 
 
-def _modulus_at(exponents, coefficients, z) -> float:
-    """|p(z)| for a (1, n) array z."""
+def _moduli(exponents, coefficients, zs) -> np.ndarray:
+    """|p(z)| at each row z of ``zs``, bit for bit Python's ``abs`` of
+    ``_eval_poly`` at z alone (inf where it overflows): numpy forms its
+    in-place product of one complex element by CPython's formula, not by the
+    fused multiply-add of longer arrays, so the products are formed on the parts."""
     with np.errstate(over="ignore", invalid="ignore"):
-        at_z = complex(_eval_poly(exponents, coefficients, z)[0])
-    try:
-        return abs(at_z)
-    except OverflowError:   # finite parts, but a modulus above the float range
-        return math.inf
+        re = im = np.zeros(len(zs))
+        for e, c in zip(exponents, coefficients):
+            tr, ti = complex(c).real, complex(c).imag
+            for j, p in enumerate(e):
+                if p:
+                    w = zs[:, j] ** p
+                    tr, ti = tr * w.real - ti * w.imag, tr * w.imag + ti * w.real
+            re, im = re + tr, im + ti
+        return np.hypot(re, im)     # abs's hypot, which np.abs of a complex need not be
 
 
 def polynomial_hull_membership(k_set, queries, degree: int, count: int = 0,
@@ -316,11 +323,10 @@ def polynomial_hull_membership(k_set, queries, degree: int, count: int = 0,
         (exps, list(np.exp(2j * np.pi * rng.uniform(size=len(exps)))))
         for _ in range(count)]
     norms = np.array([_sup_modulus(e, c, pts) for e, c in candidates])
-    zs = [np.asarray(z, dtype=complex).reshape(1, -1) for z in queries]
-    values = np.array([[_modulus_at(e, c, zz) for e, c in candidates] for zz in zs],
-                      dtype=float).reshape(len(zs), len(candidates))
+    zs = np.asarray(queries, dtype=complex).reshape(len(queries), pts.shape[1])
+    values = np.stack([_moduli(e, c, zs) for e, c in candidates], axis=1)
     return _membership(
-        [tuple((v.real, v.imag) for v in zz[0]) for zz in zs], values,
+        [tuple((v.real, v.imag) for v in z) for z in zs], values,
         np.broadcast_to(norms, values.shape), tol, lambda j, i: {
             "kind": "polynomial", "exponents": [list(e) for e in candidates[i][0]],
             "coefficients": [[c.real, c.imag] for c in map(complex, candidates[i][1])]})
@@ -344,8 +350,8 @@ def certificate_failure(points: np.ndarray, query, certificate, tol: float,
         exponents = certificate["exponents"]
         coefficients = ex.point_from_pairs(certificate["coefficients"],
                                            f"{path}.certificate.coefficients")
-        value = _modulus_at(exponents, coefficients, ex.point_from_pairs(
-            query, f"{path}.query").reshape(1, -1))
+        value = _moduli(exponents, coefficients, ex.point_from_pairs(
+            query, f"{path}.query").reshape(1, -1))[0]
         norm_k = _sup_modulus(exponents, coefficients, points.astype(complex))
     if value > norm_k + tol:
         return None

@@ -8,11 +8,10 @@ seed.  Items run one after another: the ``workers`` config key and
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import LevikitError, SamplingExhausted
+from .norms import norm
 
 
 def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
@@ -25,10 +24,9 @@ def unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniformly random unit vector in C^n (Euclidean norm 1)."""
     while True:
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        re, im = v.real, v.imag    # np.linalg.norm's formula, without its dispatch
-        norm = math.sqrt(re.dot(re) + im.dot(im))
-        if norm > 1e-12:
-            return v / norm
+        size = norm(v)
+        if size > 1e-12:
+            return v / size
 
 
 def disc_points(rng: np.random.Generator, radii) -> np.ndarray:

@@ -296,11 +296,12 @@ def circle_probe_oracle(func, region, trials, seed, quadrature=cl.DEFAULT_QUADRA
     return cl._psh_verdict("CircleAverage", outcomes)
 
 
-# The sublevel foot-point search as it ran before its points became lists of
-# Python complex: numpy points, one ``expr.evaluate`` per value, one
-# ``calculus.complex_gradient`` per gradient and ``np.linalg.norm``.  Kept as
-# the oracles that ``Sublevel._foot_point``, ``_reproject_to_level``,
-# ``_march`` and ``domains._bisect_level`` must match bit for bit.
+# The sublevel foot-point search one point at a time, as it ran before its
+# pairs became one lockstep batch of row calls: numpy points, one
+# ``expr.evaluate`` per value, one ``calculus.complex_gradient`` per gradient
+# and ``np.linalg.norm``.  Kept as the oracles that ``Sublevel._foot_points``,
+# ``_reproject_rows``, ``_sampled_distance``, ``domains._march_rows`` and
+# ``domains._bisect_rows`` must match bit for bit.
 
 def bisect_level_oracle(f, level, z_in, z_out, outside=False):
     lo, hi = 0.0, 1.0
@@ -355,6 +356,12 @@ def reproject_oracle(d, c):
     return bisect_level_oracle(d.expr, d.level, inside_pt, outside_pt)
 
 
+def _metric_norm(v, metric):
+    if metric == dom.EUCLIDEAN:
+        return float(np.linalg.norm(v))
+    return float(np.max(np.abs(v)))
+
+
 def foot_point_oracle(d, z, b0):
     b = np.asarray(b0)
     best = float(np.linalg.norm(z - b))
@@ -384,23 +391,60 @@ def foot_point_oracle(d, z, b0):
     return b
 
 
+def sampled_distance_oracle(d, zz, metric):
+    """``d._sampled_distance(zz, metric)`` one row and one start at a time:
+    the nearest cached boundary point, then ``min`` with the foot point of
+    each of the 3 nearest, in ``np.argsort`` order."""
+    pts = dom._cached_boundary_points(d)
+    out = []
+    for z in zz:
+        dists = np.array([_metric_norm(z - b, metric) for b in pts])
+        best = float(np.min(dists))
+        for idx in np.argsort(dists)[:3]:
+            best = min(best, _metric_norm(z - foot_point_oracle(d, z, pts[idx]), metric))
+        out.append(best)
+    return out
+
+
 # Sublevel boundary sampling and classification one ray and one point at a
 # time, as they ran before the row programs batched them: the scalar
-# programs on lists of Python complex, with the march of
-# ``Sublevel._march``.  Kept as the oracles that ``Sublevel.boundary_sample``
-# and ``classify.classify_points`` must match bit for bit, errors included.
+# programs on lists of Python complex.  Kept as the oracles that
+# ``Sublevel.boundary_sample`` and ``classify.classify_points`` must match
+# bit for bit, errors included.
+
+def cpython_step(z, t, direction):
+    """The point list ``z + t * direction`` for a real ``t`` as CPython forms
+    it on lists of Python complex: ``t`` is made complex first."""
+    t = complex(t, 0.0)
+    return [a + t * s for a, s in zip(z, direction)]
+
+
+def march_on_lists_oracle(value, level, z, direction, s, v, steps):
+    """``march_oracle`` on lists of Python complex with the program ``value``
+    of f; an error other than a LevikitError propagates."""
+    for _ in range(steps):
+        probe = cpython_step(z, s, direction)
+        try:
+            vp = value(probe)[0].real - level
+        except LevikitError:
+            return None
+        if vp * v <= 0:
+            return probe
+        s *= 2.0
+    return None
+
 
 def bisect_outside_oracle(value, level, z_in, z_out):
     """The outer bracket point of the level set on [z_in, z_out], lists of
     Python complex, by bisection with the program ``value`` of f."""
     lo, hi = 0.0, 1.0
     seg = [b - a for a, b in zip(z_in, z_out)]
-    z_hi = dom._step(z_in, hi, seg)
+    z_hi = cpython_step(z_in, hi, seg)
     if 0 <= value(z_hi)[0].real - level <= dom._LEVEL_TOL:
         return np.array(z_hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        z = dom._step(z_in, mid, seg)
+        z = cpython_step(z_in, mid, seg)
         v = value(z)[0].real - level
         if 0 <= v <= dom._LEVEL_TOL:
             return np.array(z)
@@ -408,25 +452,27 @@ def bisect_outside_oracle(value, level, z_in, z_out):
             lo = mid
         else:
             hi = mid
-    return np.array(dom._step(z_in, hi, seg))
+    return np.array(cpython_step(z_in, hi, seg))
 
 
 def boundary_sample_oracle(d, count, rng):
     """``d.boundary_sample(count, rng)`` for a Sublevel ``d``, one ray per
     draw of the rejection loop."""
+    value = ex.program((d.expr,))
     z0 = d._interior_point(rng)
     box = d.bounding_polydisc()
-    t_max = 2.0 * float(np.sum(box.radii)) + dom._norm(z0 - box.center, dom.EUCLIDEAN)
+    t_max = 2.0 * float(np.sum(box.radii)) + float(np.linalg.norm(z0 - box.center))
     start = z0.tolist()
 
     def draw():
         u = unit_vector(rng, d.dimension)
-        z_out = d._march(start, u.tolist(), 1e-3 * t_max, -1.0, 10)
+        z_out = march_on_lists_oracle(value, d.level, start, u.tolist(), 1e-3 * t_max,
+                                      -1.0, 10)
         if z_out is None:
             return None
-        z = bisect_outside_oracle(d._value_program(), d.level, start, z_out)
-        g = d._gradient(z)
-        gn = dom._norm(g, dom.EUCLIDEAN)
+        z = bisect_outside_oracle(value, d.level, start, z_out)
+        g = _gradient_oracle(d, z)
+        gn = np.linalg.norm(g)
         outward = tuple(g / gn) if gn > 1e-12 else None
         return dom.BoundarySample(tuple(z), outward, "level-set")
 

@@ -448,6 +448,7 @@ def test_shipped_configs_run():
                 "quartic_log_distance": "log-distance-probe",
                 "quartic_mixed_log_distance": "log-distance-probe",
                 "intersection_log_distance": "log-distance-probe",
+                "psh_sum_log_distance": "log-distance-probe",
                 "polydisc_exhaustion": "exhaustion",
                 "psh_circle": "psh-test",
                 "complement_disc_probe": "disc-probe"}

@@ -12,15 +12,16 @@ from hypothesis import strategies as st
 
 from levikit import domains as dom
 from levikit import expr as ex
-from levikit import modulus
+from levikit import modulus, norms
 from levikit.sampling import spawn_rngs
 from levikit.errors import (LevikitError, PointOutsideDomain, SamplingExhausted,
                             UnsupportedMetric)
 
-from helpers import (POLE_RAY, PROBE_REGIONS, GivenDraws, ball_oracle,
-                     bisect_level_oracle, boundary_sample_oracle, foot_point_oracle,
-                     interior_sample_oracle, march_oracle, modulus_distance_oracle,
-                     pole_domain, reproject_oracle)
+from helpers import (POLE_HINT, POLE_RAY, PROBE_REGIONS, GivenDraws, ball_oracle,
+                     bisect_level_oracle, boundary_sample_oracle, cpython_step,
+                     foot_point_oracle, interior_sample_oracle, march_oracle,
+                     modulus_distance_oracle, pole_domain, reproject_oracle,
+                     sampled_distance_oracle)
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "golden"))
 import generate  # noqa: E402
@@ -86,7 +87,7 @@ def test_outside_bisection_evaluates_each_point_once():
 
     segs = np.array([[1.5 + 0j, 0.5j], [0.3j, -1.2 + 0j], [1.1 + 0j, 0j]])
     z, errors = dom._bisect_rows(Recording(), 0.0, np.zeros(2, dtype=complex), segs)
-    assert errors == [None] * 3
+    assert errors == {}
     assert len(points) > 6
     assert len(set(points)) == len(points)
     for row in z:
@@ -409,9 +410,9 @@ def test_row_norms_equal_the_per_row_norm_bit_for_bit(n, metric):
     pts = rng.standard_normal((512, n)) + 1j * rng.standard_normal((512, n))
     for _ in range(20):
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        rows = dom._row_norms(z - pts, metric)
+        rows = norms.row_norms(z - pts, metric)
         assert [v.hex() for v in rows.tolist()] == [
-            dom._norm(z - b, metric).hex() for b in pts]
+            norms.norm(z - b, metric).hex() for b in pts]
 
 
 # block-drawn rejection sampling against one candidate per draw
@@ -531,8 +532,8 @@ def test_interior_points_reject_only_the_raising_rows(monkeypatch):
     assert np.all(points.real > -0.8)
 
 
-# the sublevel foot-point search on lists of Python complex against the numpy
-# oracles it replaced, points compared by the hex form of every part
+# the sublevel foot-point search as lockstep row calls against the numpy
+# oracles of one point at a time, points compared by the hex form of every part
 
 GOLDEN_SUBLEVELS = {name: dom.domain_from_dict(getattr(generate, name))
                     for name in ("SPHERE", "QUARTIC3", "MIXTURE", "PSH_SUM")}
@@ -560,29 +561,82 @@ def _domain_and_rows(draw, count):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_domain_and_rows(3), st.booleans(), st.floats(1e-3, 2.0))
-def test_sublevel_steps_on_lists_equal_the_numpy_oracles(case, outside, s):
-    d, (a, b, c) = case
+@given(_domain_and_rows(4), st.booleans(), st.floats(1e-3, 2.0))
+def test_sublevel_row_steps_equal_the_numpy_oracles(case, outside, s):
+    # each step on two rows at once, the second row's ends swapped
+    d, (a, b, c, e) = case
     value = d._value_program()
-    if outside:
-        # the lockstep bisection of boundary sampling, on one ray
-        (got,), errors = dom._bisect_rows(value, d.level, a, (b - a)[None])
-        assert errors == [None]
-    else:
-        got = dom._bisect_level(value, d.level, a.tolist(), b.tolist())
-    assert _hex(got) == _hex(bisect_level_oracle(d.expr, d.level, a, b, outside))
+    z_in, seg = np.array([a, b]), np.array([b - a, a - b])
+    got, errors = dom._bisect_rows(value, d.level, z_in, seg, outside)
+    assert errors == {}
+    assert [_hex(p) for p in got] == [
+        _hex(bisect_level_oracle(d.expr, d.level, a, b, outside)),
+        _hex(bisect_level_oracle(d.expr, d.level, b, a, outside))]
     for v in (-1.0, 1.0):
-        assert _hex(d._march(a.tolist(), c.tolist(), s, v, 10)) \
-            == _hex(march_oracle(d, a, c, s, v, 10))
-    assert _hex(d._reproject_to_level(a)) == _hex(reproject_oracle(d, a))
+        ends, crossed, errors = dom._march_rows(value, d.level, z_in, np.array([c, e]),
+                                                np.array([s, 2 * s]), v, 10)
+        assert errors == {}
+        assert [_hex(p) if hit else None for p, hit in zip(ends, crossed)] == [
+            _hex(march_oracle(d, a, c, s, v, 10)), _hex(march_oracle(d, b, e, 2 * s, v, 10))]
+    errors = {}
+    i, points = d._reproject_rows(z_in, errors, np.arange(2))
+    assert errors == {}
+    got = [None, None]
+    for j, p in zip(i.tolist(), points):
+        got[j] = _hex(p)
+    assert got == [_hex(reproject_oracle(d, a)), _hex(reproject_oracle(d, b))]
 
 
-@settings(max_examples=40, deadline=None)
-@given(_domain_and_rows(1), st.integers(0, 511))
-def test_sublevel_foot_point_equals_the_numpy_oracle(case, start):
-    d, (z,) = case
-    b0 = dom._cached_boundary_points(d)[start]
-    assert _hex(d._foot_point(z, b0)) == _hex(foot_point_oracle(d, z, b0))
+@settings(max_examples=30, deadline=None)
+@given(_domain_and_rows(3), st.lists(st.integers(0, 511), min_size=3, max_size=3))
+def test_sublevel_foot_points_equal_the_numpy_oracle(case, starts):
+    # three pairs in one lockstep batch, each against its own search
+    d, zs = case
+    b0 = dom._cached_boundary_points(d)[starts]
+    got = d._foot_points(np.array(zs), b0)
+    assert [_hex(p) for p in got] == [_hex(foot_point_oracle(d, z, b))
+                                      for z, b in zip(zs, b0)]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SUBLEVELS))
+@pytest.mark.parametrize("metric", [dom.EUCLIDEAN, dom.LINFTY])
+def test_sampled_distance_equals_the_per_pair_oracle(name, metric):
+    d = GOLDEN_SUBLEVELS[name]
+    rows = dom.interior_sample(d, 5, 17)
+    got = d._sampled_distance(rows, metric)
+    want = sampled_distance_oracle(d, rows, metric)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+    if name == "PSH_SUM":
+        assert d.interior_distance(rows, metric).tobytes() == got.tobytes()
+    assert d._sampled_distance(rows[:0], metric).shape == (0,)
+
+
+def test_a_march_that_meets_the_pole_ends_uncrossed_without_an_error():
+    # the first row's first probe is z1 = 0, where f raises a LevikitError;
+    # the march of the second row crosses the level set there
+    d = pole_domain(250.0)
+    z0 = np.array(POLE_HINT)
+    u = np.array([[-0.5 - 0.5j, 0.5 + 0.5j], [0.6, 0.8j]])
+    ends, crossed, errors = dom._march_rows(d._value_program(), d.level, z0, u, 1.0, -1.0, 4)
+    assert errors == {} and crossed.tolist() == [False, True]
+    assert march_oracle(d, z0, u[0], 1.0, -1.0, 4) is None
+    assert _hex(ends[1]) == _hex(march_oracle(d, z0, u[1], 1.0, -1.0, 4))
+
+
+def test_the_first_failing_pair_raises_its_error():
+    # f has no value where z1 = 0: a search that starts there raises from
+    # its first gradient; of the failing pairs, the first in order raises
+    d = pole_domain(1.0)
+    z = np.array([[0.5 + 0.5j, 0.1], [0.4j, 0.3], [0.3, -0.2j]])
+    for b in ([[0.9, 0.1], [0, 0.25], [0, 0.5j]], [[0.9, 0.1], [0, 0.5j], [0, 0.25]]):
+        b = np.array(b, dtype=complex)
+        with pytest.raises(LevikitError) as batched:
+            d._foot_points(z, b)
+        assert foot_point_oracle(d, z[0], b[0]) is not None
+        with pytest.raises(LevikitError) as oracle:
+            foot_point_oracle(d, z[1], b[1])
+        assert str(batched.value) == str(oracle.value)
+        assert repr(tuple(b[1].tolist())) in str(batched.value)
 
 
 def _sampled(sample_with, d, count, rng):
@@ -654,19 +708,30 @@ def test_sampling_exhaustion_matches_the_per_ray_oracle():
 
 @given(st.lists(st.tuples(PART, PART, PART, PART), min_size=1, max_size=8),
        st.just(0.0) | st.floats(1e-100, 2.0))
-def test_step_on_lists_is_numpy_float_times_complex(parts, t):
-    z = [complex(a, b) for a, b, _, _ in parts]
-    direction = [complex(c, e) for _, _, c, e in parts]
-    assert _hex(dom._step(z, t, direction)) == _hex(np.array(z) + t * np.array(direction))
+def test_ray_points_are_cpython_and_numpy_float_times_complex(parts, t):
+    z = np.array([complex(a, b) for a, b, _, _ in parts])
+    direction = np.array([complex(c, e) for _, _, c, e in parts])
+    (got,) = dom._ray_points(z, t, direction[None])
+    assert _hex(got) == _hex(cpython_step(z.tolist(), t, direction.tolist()))
+    assert _hex(got) == _hex(z + t * direction)
+    # one point per row and one t per row, as the foot-point search forms them
+    rows = dom._ray_points(np.array([z, -z]), np.array([[t], [2 * t]]),
+                           np.array([direction, direction]))
+    assert [_hex(p) for p in rows] == [_hex(z + t * direction),
+                                       _hex(-z + (2 * t) * direction)]
 
 
-def test_step_where_a_product_underflows_is_cpython_on_every_cpu():
+def test_ray_points_where_a_product_underflows_are_cpython_on_every_cpu():
     # t * s_re underflows to -0 here.  CPython, numpy scalars and numpy's
     # baseline array kernel then subtract 0 * s_im = -0 and give +0; numpy's
     # fused multiply-add kernels (x86-64-v3 and later) round the exact sum
-    # once and give -0, so the old numpy step kept the -0 on such CPUs only
-    (z,) = dom._step([complex(-0.0, 0.0)], 1e-200, [complex(-1e-200, -0.0)])
+    # once and give -0, so a numpy complex product keeps the -0 on such CPUs
+    # only, and ``_ray_points`` forms the parts as CPython does
+    ((z,),) = dom._ray_points(np.array([complex(-0.0, 0.0)]), 1e-200,
+                              np.array([[complex(-1e-200, -0.0)]]))
     assert (z.real.hex(), z.imag.hex()) == ("0x0.0p+0", "0x0.0p+0")
+    assert _hex([z]) == _hex(cpython_step([complex(-0.0, 0.0)], 1e-200,
+                                          [complex(-1e-200, -0.0)]))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -678,7 +743,7 @@ def test_norm_is_numpy_norm_bit_for_bit(n):
         for _ in range(200):
             w = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
             for v in (w, w.real.copy()):
-                assert dom._norm(v, dom.EUCLIDEAN).hex() == float(np.linalg.norm(v)).hex()
+                assert norms.norm(v, dom.EUCLIDEAN).hex() == float(np.linalg.norm(v)).hex()
 
 
 # Reinhardt sublevel distances in modulus space, against the one-dimensional
@@ -761,7 +826,7 @@ def test_modulus_distance_is_at_most_that_of_boundary_points(name, seed, k, metr
     # a boundary sample has 0 <= f - level <= 1e-10, so it may lie that
     # far outside Γ
     for point in (w, np.abs(w) * phases):
-        assert got <= dom._norm(z - point, metric) + 1e-8
+        assert got <= norms.norm(z - point, metric) + 1e-8
 
 
 def test_linfty_quartic_distances_are_at_most_those_of_aligned_boundary_points():

@@ -159,3 +159,31 @@ def test_user_expression_on_a_reinhardt_union_samples_the_faces_once(monkeypatch
     calls.clear()
     exh.make_probe(hf, sequences=4, seed=0)
     assert calls == [4]
+
+
+def test_canonical_exhaustion_on_point_paths_takes_one_distance_call_per_path(monkeypatch):
+    # a sublevel domain that is not Reinhardt has sampled distances, whose
+    # foot-point search runs a batch per call: each path's points go in one
+    d = dom.domain_from_dict({
+        "variant": "sublevel", "dimension": 2,
+        "expression": "abs2(z1) + abs2(z2) + abs2(z1*z2 + 0.5*z1^2) - 1",
+        "level": 0.0, "box_center": [[0.0, 0.0], [0.0, 0.0]], "box_radii": [1.0, 1.0],
+        "interior_hint": [[0.0, 0.0], [0.0, 0.0]]})
+    want = exh.build_exhaustion(d)
+    paths = [[z for z, _ in path] for path in d.point_paths(4, 2, 12)]
+    calls = []
+    batch = dom.distances_to_boundary
+
+    def counted(domain, rows, metric=None):
+        calls.append(len(rows))
+        return batch(domain, rows, metric)
+
+    monkeypatch.setattr(dom, "distances_to_boundary", counted)
+    monkeypatch.setattr(dom, "distance_to_boundary", None)   # no one-point call
+    probe = exh.make_probe(d, sequences=4, seed=2, steps=12)
+    assert calls == [len(p) for p in paths if p]
+    monkeypatch.undo()
+    assert probe.sequences == tuple(tuple(tuple(complex(c) for c in z) for z in p)
+                                    for p in paths)
+    assert [[v.hex() for v in values] for values in probe.values] == [
+        [want(z).hex() for z in path] for path in paths]

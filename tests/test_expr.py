@@ -253,8 +253,7 @@ def _outcome(evaluate, f, z):
     try:
         got = evaluate(f, z)
     except EvalDomainError as err:
-        return ("EvalDomainError", str(err), err.base_message, err.subexpression,
-                repr(err.point))
+        return ("EvalDomainError", str(err), err.subexpression, repr(err.point))
     except (ArithmeticError, RuntimeWarning) as err:
         return (type(err).__name__, str(err))
     values = got if isinstance(got, list) else [got]

@@ -263,6 +263,36 @@ def test_batched_polynomial_membership_matches_the_per_query_oracle(k, n, seed,
                          for q in queries])
 
 
+def _results_or_error(members):
+    """The results of ``members()``, or the message of the LevikitError it raises."""
+    try:
+        return members()
+    except LevikitError as err:
+        return str(err)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 3),
+       st.sampled_from([1.0, 1e30, 1e38, 1e39, 1e40, 1e77, 1e154, 1e300]))
+def test_polynomial_membership_matches_the_per_query_oracle_where_powers_overflow(
+        seed, degree, count, scale):
+    # queries of modulus up to ``scale``: |z|^8 overflows from about 1e39 on,
+    # and a product of an overflowing power with a small part can give NaN;
+    # the first query in order with a NaN or infinite margin raises
+    rng = np.random.default_rng(seed)
+    pset = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    queries = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    queries[rng.integers(0, 4)] *= scale
+    batched = _results_or_error(lambda: hulls.polynomial_hull_membership(
+        pset, queries, degree, count, seed))
+    oracle = _results_or_error(lambda: [
+        polynomial_membership_oracle(pset, q, degree, count, seed) for q in queries])
+    if isinstance(oracle, str):
+        assert batched == oracle
+    else:
+        _same_bits(batched, oracle)
+
+
 def test_affine_membership_and_oracle_raise_alike_where_2b_overflows():
     # B = 1.2e308 is finite and 2B is not: both sides fail on the NaN margin
     square = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]

@@ -34,6 +34,15 @@ REMOVED = [
     (expr, "is_real_valued"),
     (expr, "RealValueCheck"),
     (discs, "disc_eval"),
+    # the one-point copies of the sublevel geometry, and of the hull modulus,
+    # that the row batches replaced
+    (domains, "_step"),
+    (domains, "_bisect_level"),
+    (domains.Sublevel, "_march"),
+    (domains.Sublevel, "_reproject_to_level"),
+    (domains.Sublevel, "_foot_point"),
+    (domains.Sublevel, "_gradient"),
+    (hulls, "_modulus_at"),
 ]
 
 
