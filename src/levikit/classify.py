@@ -23,7 +23,7 @@ from . import domains as dom
 from . import expr as ex
 from .errors import DegenerateGradient, LevikitError
 from .norms import row_norms
-from .sampling import block_values, deterministic_map, spawn_rngs, unit_vector
+from .sampling import block_values, deterministic_map, spawn_rngs, unit_vectors
 
 STRICTLY_PSEUDOCONVEX = "StrictlyPseudoconvex"
 LEVI_ONLY = "LeviPseudoconvexOnly"
@@ -285,6 +285,28 @@ def circle_average_deficit(func, a, direction, radius: float,
     return center - mean
 
 
+def _passes_in_floats(center_dists, blocks, tol) -> list:
+    """Per block of circle distances (None where its call raised), whether
+    its -ln d trial passes on float arithmetic alone: its float deficit
+    c + sum(ln d_k)/m (c = -ln of the centre's distance by ``math.log``,
+    ``np.log`` and a numpy sum for the circle) is finite and at most
+    ``tol - delta``.  See ``psh_test_circle_average`` for delta."""
+    live = [j for j, block in enumerate(blocks) if block is not None]
+    passes = [False] * len(blocks)
+    if not live:
+        return passes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(np.array([blocks[j] for j in live]))
+        m = logs.shape[1]
+        center = np.array([-math.log(center_dists[j]) for j in live])
+        deficit = center + logs.sum(axis=1) / m
+        delta = (m + 8) * 2.0 ** -50 * (np.abs(center) + np.abs(logs).sum(axis=1) / m)
+        ok = np.isfinite(deficit) & (deficit <= tol - delta)
+    for j, settled in zip(live, ok.tolist()):
+        passes[j] = settled
+    return passes
+
+
 # trials per chunk: enough to make the row calls few, few enough that a
 # chunk's arrays stay small (3000-trial Hartogs probe, fresh interpreter: peak
 # RSS 40.8 MB with 32-trial chunks, 41.9 MB with 128, 70 MB with one chunk)
@@ -310,9 +332,31 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
     ``distances_to_boundary`` gives their distances, and one call of the
     point function's row form covers one array of every kept trial's centre
     and circle.  A LevikitError in either call skips only the trials that
-    raise it (``block_values``); other exceptions propagate.  For
-    ``neg_log_distance`` of this region and metric, a centre's value is -ln
-    of its distance, and the row call covers the circles only.
+    raise it (``block_values``); other exceptions propagate.
+
+    For ``neg_log_distance`` of this region and metric, a centre's value is
+    -ln of its distance, and one ``distances_to_boundary`` call covers the
+    circles only.  A float filter then settles the ordinary trials in one
+    array pass: a trial passes at once when its float deficit F (``np.log``
+    and a numpy sum, beside the exact centre value c = -``math.log`` of its
+    distance) is finite and ``F <= tol - delta``, with
+
+        delta = (m + 8) * 2^-50 * (|c| + sum_k |ln d_k| / m)
+
+    for the m circle distances d_k.  Every other trial runs the exact path on
+    the same distances: ``math.log`` per value, the left-to-right mean, the
+    -inf cutoff and the violation record, so every witness and every skip
+    comes from the exact arithmetic.  With u = 2^-53 and A = sum |ln d_k| / m,
+    the exact deficit E differs from F by at most
+
+        (2m + 6) u A + 2 u |c|  <=  (m + 3) * 2^-52 * (|c| + A):
+
+    the two logs of each d_k differ by at most 2 ulp (4 u |ln d_k|, pinned by
+    a test on numpy 2.4.6), either summation order errs by at most
+    (m - 1) u sum |ln d_k|, and the divisions by m and the subtractions from
+    c round once each.  delta is more than 4 times that bound, and a float
+    F <= fl(tol - delta) then gives E <= tol: a filtered trial is never a
+    violation the exact path would have stored.
     """
     rows = _rows(ex.as_real_function(func))
     roots = _unit_roots(quadrature)
@@ -320,11 +364,11 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
     log_lo, log_hi = (math.log(r) for r in RADII_RANGE)
 
     def distances(zz):
-        return dom.distances_to_boundary(region, zz, metric).tolist()
+        return dom.distances_to_boundary(region, zz, metric)
 
     def chunk_outcomes(rngs):
         centers = dom.interior_points(region, rngs)
-        deltas = np.array([unit_vector(rng, region.dimension) for rng in rngs])
+        deltas = unit_vectors(rngs, region.dimension)
         log_ts = [rng.uniform(log_lo, log_hi) for rng in rngs]
         outcomes = [None] * len(rngs)
         kept = []
@@ -341,11 +385,19 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
         circles = _circle_rows(centers[index], deltas[index], np.array(radii), roots)
         if of_center:
             circles = np.ascontiguousarray(circles[:, 1:])  # frees the full array
-        for i, r, dist, values in zip(index, radii, dists, block_values(rows, circles)):
+            blocks = block_values(distances, circles)
+            passes = _passes_in_floats(dists, blocks, tol)
+        else:
+            blocks = block_values(rows, circles)
+            passes = [False] * len(blocks)
+        for i, r, dist, values, passed in zip(index, radii, dists, blocks, passes):
             if values is None:
                 continue
+            if passed:
+                outcomes[i] = True
+                continue
             if of_center:
-                values = [-math.log(dist), *values]
+                values = [-math.log(dist), *(-math.log(d) for d in values.tolist())]
             center_val, mean = _center_and_mean(values)
             if center_val <= NEG_INF_CUTOFF:
                 continue

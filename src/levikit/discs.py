@@ -209,6 +209,31 @@ def exp_twisted_family(center, dir_primary, dir_secondary, r: float,
     return family, limit
 
 
+def _membership(domain, disc, *param_sets) -> list:
+    """Per parameter set, whether each point ``disc.at(w)`` is in the domain,
+    from one ``contains`` call on the (m, n) array of the points of all sets;
+    a None per set where building or testing them raises."""
+    params = np.concatenate(param_sets)
+    try:
+        zz = np.array([disc.at(w) for w in params], dtype=complex)
+        inside = domain.contains(zz.reshape(len(params), domain.dimension))
+    except Exception:
+        return [None] * len(param_sets)
+    return np.split(np.asarray(inside, dtype=bool),
+                    np.cumsum([len(p) for p in param_sets])[:-1])
+
+
+def _first_outside(domain, disc, params, inside):
+    """The index of the first w in ``params`` whose point ``disc.at(w)`` is
+    not in the domain, or None: from ``inside`` (``_membership``), or where
+    that is None from ``dom.contains`` one point at a time, so that the
+    first False or error in parameter order decides."""
+    if inside is None:
+        return next((i for i, w in enumerate(params)
+                     if not dom.contains(domain, disc.at(w))), None)
+    return None if inside.all() else int(np.argmin(inside))
+
+
 def continuity_probe(domain, family, limit_disc, interior: int = 256,
                      boundary: int = 128, seed: int = 0) -> DiscReport:
     """Check a disc family against the continuity principle on a domain.
@@ -220,15 +245,19 @@ def continuity_probe(domain, family, limit_disc, interior: int = 256,
     leaves the domain: the probe is then inapplicable.  A violation is
     reported only when every indexed disc and the limit boundary stay
     inside but some sampled limit point escapes; that point re-checks as a
-    strict membership failure.
+    strict membership failure.  Each disc's points (image and boundary, or
+    the limit's boundary and image) are one ``contains`` call
+    (``_membership``); each check reads the first point outside in
+    parameter order, as a loop over ``dom.contains`` would.
     """
     inner_params = interior_parameters(interior, seed, radius_cap=0.999)
     outer_params = boundary_parameters(boundary)
 
     per_index = []
     for j, disc in family:
-        image_ok = all(dom.contains(domain, disc.at(w)) for w in inner_params)
-        boundary_ok = all(dom.contains(domain, disc.at(w)) for w in outer_params)
+        image, rim = _membership(domain, disc, inner_params, outer_params)
+        image_ok = _first_outside(domain, disc, inner_params, image) is None
+        boundary_ok = _first_outside(domain, disc, outer_params, rim) is None
         per_index.append(IndexCheck(int(j), image_ok, boundary_ok))
         if not (image_ok and boundary_ok):
             raise FamilyLeavesDomain(
@@ -236,19 +265,15 @@ def continuity_probe(domain, family, limit_disc, interior: int = 256,
                 "the continuity probe does not apply")
 
     family_id = family[0][1].describe() if family else "empty"
-    limit_boundary_inside = all(dom.contains(domain, limit_disc.at(w))
-                                for w in outer_params)
+    rim, image = _membership(domain, limit_disc, outer_params, inner_params)
+    limit_boundary_inside = _first_outside(domain, limit_disc, outer_params, rim) is None
     limit_points = tuple(tuple(complex(c) for c in limit_disc.at(w))
                          for w in inner_params[:8])
     if not limit_boundary_inside:
         return DiscReport(family_id, tuple(per_index), False, limit_points,
                           False, None)
 
-    witness = None
-    for w in inner_params:
-        pt = limit_disc.at(w)
-        if not dom.contains(domain, pt):
-            witness = tuple(complex(c) for c in pt)
-            break
+    i = _first_outside(domain, limit_disc, inner_params, image)
+    witness = None if i is None else tuple(complex(c) for c in limit_disc.at(inner_params[i]))
     return DiscReport(family_id, tuple(per_index), True, limit_points,
                       witness is not None, witness)

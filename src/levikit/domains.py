@@ -387,7 +387,10 @@ class ReinhardtUnion(Domain, variant="reinhardt_union", natural_metric=LINFTY):
         return self.members[0].dimension
 
     def contains(self, zz):
-        return reduce(np.logical_or, (m.contains(zz) for m in self.members))
+        # members are centred at 0, so |z| is each member's |z - c|, bit for bit
+        moduli = np.abs(zz)
+        return reduce(np.logical_or, ((moduli < np.asarray(m.radii)).all(axis=-1)
+                                      for m in self.members))
 
     @_once
     def bounding_polydisc(self) -> Polydisc:
@@ -421,7 +424,10 @@ class ReinhardtUnion(Domain, variant="reinhardt_union", natural_metric=LINFTY):
     def interior_distance(self, zz, metric):
         # callers have checked that zz is in the union; a member that misses
         # zz has a gap <= 0, so the largest gap is a containing member's
-        return reduce(np.maximum, (m.interior_distance(zz, metric) for m in self.members))
+        # (Polydisc.interior_distance on the moduli that ``contains`` uses)
+        moduli = np.abs(zz)
+        return reduce(np.maximum, ((np.asarray(m.radii) - moduli).min(axis=-1)
+                                   for m in self.members))
 
     def exterior_distance(self, zz, metric) -> float:
         return min(m.exterior_distance(zz, metric) for m in self.members)

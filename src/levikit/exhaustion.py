@@ -83,7 +83,8 @@ def make_probe(domain, function=CANONICAL, metric: str | None = None,
     The built-in functions run along the domain's exact paths
     (``domains.approach_paths``) with the closed-form distance d(t), or
     along its point paths where it has none, where the canonical function
-    takes each path's distances from one ``distances_to_boundary`` call.
+    takes the distances of all their points from one
+    ``distances_to_boundary`` call (``_point_path_distances``).
     Other functions are evaluated at the float points of the point paths
     (``Domain.point_paths``), since the float points of an exact path round
     onto the boundary it approaches.
@@ -97,15 +98,35 @@ def make_probe(domain, function=CANONICAL, metric: str | None = None,
     else:
         raise LevikitError(f"unknown exhaustion function id {function!r}")
     fn = _norm_squared if function == NORM_SQUARED else ex.as_real_function(function)
+    if function == CANONICAL:
+        paths = _point_path_distances(domain, paths, metric)
     seqs, vals = [], []
     for path in paths:
-        if function == CANONICAL and path and path[0][1] is None:
-            zz = np.array([z for z, _ in path])
-            path = list(zip(zz, dom.distances_to_boundary(domain, zz, metric).tolist()))
         seqs.append(tuple(tuple(complex(c) for c in z) for z, _ in path))
         vals.append(tuple(_canonical(z, d) if function == CANONICAL else float(fn(z))
                           for z, d in path))
     return ExhaustionProbe(fid, domain.to_dict(), tuple(seqs), tuple(vals))
+
+
+def _point_path_distances(domain, paths, metric) -> list:
+    """The paths with each point path's (first distance None) distances
+    filled in from one ``distances_to_boundary`` call over the points of
+    all of them.  Where that call raises, one call per path, in path order,
+    raises the error that the first failing path raises on its own."""
+    index = [i for i, path in enumerate(paths) if path and path[0][1] is None]
+    if not index:
+        return paths
+    points = [np.array([z for z, _ in paths[i]]) for i in index]
+    try:
+        flat = dom.distances_to_boundary(domain, np.concatenate(points), metric)
+    except Exception:
+        flat = np.concatenate([dom.distances_to_boundary(domain, zz, metric)
+                               for zz in points])
+    paths = list(paths)
+    ends = np.cumsum([len(zz) for zz in points])[:-1]
+    for i, zz, dists in zip(index, points, np.split(flat, ends)):
+        paths[i] = list(zip(zz, dists.tolist()))
+    return paths
 
 
 def exhaustion_blowup_check(probe: ExhaustionProbe) -> BlowupCheck:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LevikitError, SamplingExhausted
-from .norms import norm
+from .norms import norm, row_norms
 
 
 def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
@@ -27,6 +27,22 @@ def unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
         size = norm(v)
         if size > 1e-12:
             return v / size
+
+
+def unit_vectors(rngs, n: int) -> np.ndarray:
+    """``unit_vector(rng, n)`` on each generator, bit for bit and leaving it
+    in the same state, as the rows of one array: one ``standard_normal(2n)``
+    per generator (the stream of its two n-draws), one ``row_norms`` call and
+    one division.  A generator whose draw is too short redraws alone."""
+    draws = np.array([rng.standard_normal(2 * n) for rng in rngs]).reshape(len(rngs), 2 * n)
+    v = draws[:, :n] + 1j * draws[:, n:]
+    sizes = row_norms(v)
+    short = np.flatnonzero(~(sizes > 1e-12))
+    sizes[short] = 1.0
+    v /= sizes[:, None]
+    for i in short:
+        v[i] = unit_vector(rngs[i], n)
+    return v
 
 
 def disc_points(rng: np.random.Generator, radii) -> np.ndarray:
@@ -63,13 +79,13 @@ def rejection_sample(draw, count: int, budget: int, what: str) -> tuple[list, in
 
 def block_values(rows, blocks) -> list:
     """The values of the row function ``rows`` on an (m, k, n) array of
-    blocks, as m lists of k values, from one call on all m*k rows.  When that
-    call raises a LevikitError, each block is called alone, and a block whose
-    call raises one gets None: an error masks its own block, not its
-    neighbours."""
+    blocks, as m slices of k values of what ``rows`` returns (a list or an
+    array), from one call on all m*k rows.  When that call raises a
+    LevikitError, each block is called alone, and a block whose call raises
+    one gets None: an error masks its own block, not its neighbours."""
     m, k, n = blocks.shape
     try:
-        values = list(rows(blocks.reshape(m * k, n)))
+        values = rows(blocks.reshape(m * k, n))
     except LevikitError:
         pass
     else:
@@ -77,7 +93,7 @@ def block_values(rows, blocks) -> list:
     out = []
     for block in blocks:
         try:
-            out.append(list(rows(block)))
+            out.append(rows(block))
         except LevikitError:
             out.append(None)
     return out

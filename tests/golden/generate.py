@@ -123,6 +123,7 @@ CLI_CASES = {
     "shipped-psh-sum-classify": _shipped("classify", "psh_sum_classify.yaml"),
     "shipped-psh-sum-log-distance": _shipped("log-distance-probe",
                                              "psh_sum_log_distance.yaml"),
+    "shipped-psh-sum-exhaustion": _shipped("exhaustion", "psh_sum_exhaustion.yaml"),
     # classify: every variant with a boundary sampler, a C^3 ball, a
     # non-convex sublevel domain, explicit tolerances and two errors
     "classify-ball-c3": _cli("classify", {"domain": BALL3, "samples": 12, "seed": 1}),

@@ -379,24 +379,24 @@ def test_circle_that_crosses_the_boundary_skips_its_trial():
                                   [0.7, 0], [1, 0], 0.2)
 
 
-def test_hartogs_chunk_asks_each_member_for_two_distance_arrays(monkeypatch):
-    # per chunk and member: one array call for the centres' distances, one
-    # for every circle point of the chunk (a centre's -ln d is -ln of its
-    # distance from the first call)
-    real = dom.Polydisc.interior_distance
+def test_hartogs_chunk_asks_for_two_distance_arrays(monkeypatch):
+    # per chunk: one array call for the centres' distances, one for every
+    # circle point of the chunk (a centre's -ln d is -ln of its distance
+    # from the first call); the float filter and the exact path both read
+    # the second call's array, so there is no third
+    real = dom.ReinhardtUnion.interior_distance
     calls = []
 
     def counting(self, zz, metric):
         calls.append(zz.shape)
         return real(self, zz, metric)
 
-    monkeypatch.setattr(dom.Polydisc, "interior_distance", counting)
+    monkeypatch.setattr(dom.ReinhardtUnion, "interior_distance", counting)
     trials = cl._TRIAL_CHUNK + 5
     rep = cl.log_distance_probe(dom.hartogs_figure(), trials=trials, seed=0)
     assert rep.inner.tested == trials
     rows = cl.DEFAULT_QUADRATURE
-    assert calls == [(cl._TRIAL_CHUNK, 2)] * 2 + [(cl._TRIAL_CHUNK * rows, 2)] * 2 \
-        + [(5, 2)] * 2 + [(5 * rows, 2)] * 2
+    assert calls == [(cl._TRIAL_CHUNK, 2), (cl._TRIAL_CHUNK * rows, 2), (5, 2), (5 * rows, 2)]
 
 
 def test_classify_on_reinhardt_union_needs_a_defining_function():
@@ -410,18 +410,78 @@ def test_classify_on_reinhardt_union_needs_a_defining_function():
 SPHERE2 = dom.Sublevel(ex.parse("abs2(z1) + abs2(z2) - 1", 2), 0.0, 2,
                        (0, 0), (1.5, 1.5), (0, 0))
 CHUNK_SIZES = (1, cl._TRIAL_CHUNK - 1, cl._TRIAL_CHUNK, cl._TRIAL_CHUNK + 1)
+# SPHERE2 takes the modulus path; its circles have 8 points to keep it quick
+BAND_REGIONS = {**{name: (region, cl.DEFAULT_QUADRATURE)
+                   for name, region in PROBE_REGIONS.items()},
+                "sphere-sublevel": (SPHERE2, 8)}
+
+
+def _filter_delta(region, metric, v, quadrature):
+    """The float filter's delta for the trial of the violation v."""
+    rows = cl._circle_rows(np.array([v.point]), np.array([v.direction]),
+                           np.array([v.radius]), cl._unit_roots(quadrature))[0]
+    center, *dists = dom.distances_to_boundary(region, rows, metric).tolist()
+    spread = sum(abs(math.log(d)) for d in dists) / quadrature
+    return (quadrature + 8) * 2.0 ** -50 * (abs(math.log(center)) + spread)
+
+
+def _band_tols(f, region, trials, seed, metric, quadrature):
+    """tol values at the filter's edges, from the oracle's own deficits: the
+    middle tested trial's exact deficit x, its float neighbours, x - delta,
+    and a negative tol below every deficit, which makes each a violation."""
+    every = circle_probe_oracle(f, region, trials, seed, quadrature, tol=-math.inf,
+                                metric=metric).violations
+    if not every:
+        return [-1.0]
+    v = every[len(every) // 2]
+    x = v.deficit
+    return [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf),
+            x - _filter_delta(region, metric, v, quadrature),
+            min(0.0, *(w.deficit for w in every)) - 1.0]
 
 
 @pytest.mark.parametrize("trials", CHUNK_SIZES)
 @pytest.mark.parametrize("metric", [dom.EUCLIDEAN, dom.LINFTY])
-@pytest.mark.parametrize("name", sorted(PROBE_REGIONS))
+@pytest.mark.parametrize("name", sorted(BAND_REGIONS))
 def test_chunked_log_distance_probe_equals_the_per_trial_oracle(name, metric, trials):
-    region = PROBE_REGIONS[name]
+    # at the default tol, and at tols where the float filter must hand the
+    # middle trial (or every trial) to the exact path
+    region, quadrature = BAND_REGIONS[name]
     f = cl.neg_log_distance(region, metric)
     for seed in (0, 7):
-        got = cl.psh_test_circle_average(f, region, trials, seed, metric=metric)
-        assert repr(got) == repr(circle_probe_oracle(f, region, trials, seed,
-                                                     metric=metric))
+        tols = [1e-9] + (_band_tols(f, region, trials, seed, metric, quadrature)
+                         if seed == 0 else [])
+        for tol in tols:
+            got = cl.psh_test_circle_average(f, region, trials, seed, quadrature, tol,
+                                             metric)
+            expected = circle_probe_oracle(f, region, trials, seed, quadrature, tol,
+                                           metric)
+            assert repr(got) == repr(expected)
+        if len(tols) > 2:
+            assert got.tested and len(got.violations) == got.tested
+
+
+def test_a_zero_circle_distance_is_left_to_the_exact_path(monkeypatch):
+    # np.log(0) = -inf makes the float deficit -inf, which the filter must
+    # not pass: math.log(0) on the exact path raises, as it did before
+    real = dom.Polydisc.interior_distance
+
+    def one_zero(self, zz, metric):
+        d = real(self, zz, metric)
+        if len(zz) > 3:          # the circles' call, not the centres'
+            d[5] = 0.0
+        return d
+
+    monkeypatch.setattr(dom.Polydisc, "interior_distance", one_zero)
+    with pytest.raises(ValueError, match="math domain error"):
+        cl.log_distance_probe(POLY2, trials=3, seed=0)
+
+
+def test_np_log_is_within_two_ulp_of_math_log():
+    # the float filter's delta assumes it (4 u |ln d| per log)
+    d = np.exp(np.random.default_rng(0).uniform(math.log(1e-8), math.log(1e3), 10 ** 6))
+    exact = np.array([math.log(x) for x in d.tolist()])
+    assert np.all(np.abs(np.log(d) - exact) <= 2 * np.spacing(np.abs(exact)))
 
 
 @pytest.mark.parametrize("trials", CHUNK_SIZES + (300,))

@@ -450,6 +450,7 @@ def test_shipped_configs_run():
                 "intersection_log_distance": "log-distance-probe",
                 "psh_sum_log_distance": "log-distance-probe",
                 "polydisc_exhaustion": "exhaustion",
+                "psh_sum_exhaustion": "exhaustion",
                 "psh_circle": "psh-test",
                 "complement_disc_probe": "disc-probe"}
     config_dir = Path(__file__).resolve().parent.parent / "configs"

@@ -9,7 +9,7 @@ from levikit import discs
 from levikit import domains as dom
 from levikit import expr as ex
 from levikit.corpus import holomorphic_polynomials
-from levikit.errors import FamilyLeavesDomain
+from levikit.errors import FamilyLeavesDomain, LevikitError
 
 E = math.e
 
@@ -181,3 +181,93 @@ def test_continuity_probe_scaled_hartogs_family_inapplicable_when_boundary_exits
     rep = discs.continuity_probe(comp, family, limit_disc=bad_limit)
     assert not rep.violation
     assert not rep.limit_boundary_inside
+
+
+# the continuity probe tests each disc with one contains call
+
+def continuity_probe_oracle(domain, family, limit_disc, interior=256, boundary=128,
+                            seed=0):
+    """``discs.continuity_probe`` one point at a time, as it ran before each
+    disc became one contains call: every membership loop stops at its first
+    False or error."""
+    inner = discs.interior_parameters(interior, seed, radius_cap=0.999)
+    outer = discs.boundary_parameters(boundary)
+    per_index = []
+    for j, disc in family:
+        image_ok = all(dom.contains(domain, disc.at(w)) for w in inner)
+        boundary_ok = all(dom.contains(domain, disc.at(w)) for w in outer)
+        per_index.append(discs.IndexCheck(int(j), image_ok, boundary_ok))
+        if not (image_ok and boundary_ok):
+            raise FamilyLeavesDomain(f"disc {disc.describe()} (j={j}) leaves the domain; "
+                                     "the continuity probe does not apply")
+    family_id = family[0][1].describe() if family else "empty"
+    limit_points = tuple(tuple(complex(c) for c in limit_disc.at(w)) for w in inner[:8])
+    if not all(dom.contains(domain, limit_disc.at(w)) for w in outer):
+        return discs.DiscReport(family_id, tuple(per_index), False, limit_points, False,
+                                None)
+    witness = next((tuple(complex(c) for c in limit_disc.at(w)) for w in inner
+                    if not dom.contains(domain, limit_disc.at(w))), None)
+    return discs.DiscReport(family_id, tuple(per_index), True, limit_points,
+                            witness is not None, witness)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return repr(fn(*args, **kwargs))
+    except LevikitError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+COMPLEMENT = dom.Sublevel(ex.parse("1 - abs2(z1) - abs2(z2)", 2), 0.0, 2)
+
+
+@pytest.mark.parametrize("domain, family", [
+    (COMPLEMENT, discs.hartogs_family(1.0, 2)),
+    (COMPLEMENT, (discs.hartogs_family(1.0, 2)[0], discs.AffineDisc((0.5, 0), (0, 1), 0.5))),
+    (dom.Ball((0, 0), 2.0), discs.hartogs_family(1.0, 2)),
+    (dom.Ball((0, 0), 2.0), discs.hartogs_family(1.0, 2, j_values=[1, 2, 3])),
+    (dom.hartogs_figure(), _hartogs_exp_twisted_family()),
+    (dom.hartogs_figure(), discs.affine_sweep_family((1.0, 1.0), (2.0, 2.0), (0.4, -0.4),
+                                                     1.0, j_values=range(2, 12))),
+    (dom.WholeSpace(2), discs.hartogs_family(0.5, 2, j_values=[])),
+])
+def test_continuity_probe_equals_the_per_point_oracle(domain, family, monkeypatch):
+    cls = type(domain)
+    real = cls.contains
+    calls = []
+
+    def counted(self, zz):
+        calls.append(len(zz))
+        return real(self, zz)
+
+    got = _outcome(discs.continuity_probe, domain, *family, interior=40, boundary=24, seed=3)
+    assert got == _outcome(continuity_probe_oracle, domain, *family, interior=40,
+                           boundary=24, seed=3)
+    # one call per indexed disc that is reached, and one for the limit disc
+    monkeypatch.setattr(cls, "contains", counted)
+    _outcome(discs.continuity_probe, domain, *family, interior=40, boundary=24, seed=3)
+    assert set(calls) == {40 + 24}
+    assert len(calls) <= len(family[0]) + 1
+    if not got.startswith("FamilyLeavesDomain"):
+        assert len(calls) == len(family[0]) + 1
+
+
+def test_continuity_probe_keeps_the_order_of_falses_and_errors(monkeypatch):
+    # points with Im z2 > 0.5 are outside and points with Im z2 < -0.5 raise:
+    # each membership loop ends at whichever comes first in parameter order,
+    # so the boundary circle (angles from 0 up) is outside before it raises
+    real = dom.Ball.contains
+
+    def partial(self, zz):
+        if np.any(zz[:, 1].imag < -0.5):
+            raise LevikitError("no membership below Im z2 = -0.5")
+        return real(self, zz) & (zz[:, 1].imag <= 0.5)
+
+    monkeypatch.setattr(dom.Ball, "contains", partial)
+    for seed in range(6):
+        for family in (discs.hartogs_family(0.5, 2, j_values=[2, 3]),
+                       discs.hartogs_family(0.5, 2, j_values=[])):
+            got = _outcome(discs.continuity_probe, dom.Ball((0, 0), 3.0), *family,
+                           interior=12, boundary=16, seed=seed)
+            assert got == _outcome(continuity_probe_oracle, dom.Ball((0, 0), 3.0), *family,
+                                   interior=12, boundary=16, seed=seed)

@@ -9,7 +9,7 @@ from levikit import classify as cl
 from levikit import domains as dom
 from levikit import exhaustion as exh
 from levikit import expr as ex
-from levikit.errors import PointOutsideDomain
+from levikit.errors import LevikitError, PointOutsideDomain
 
 BALL = dom.Ball((0, 0), 1.0)
 
@@ -161,14 +161,17 @@ def test_user_expression_on_a_reinhardt_union_samples_the_faces_once(monkeypatch
     assert calls == [4]
 
 
-def test_canonical_exhaustion_on_point_paths_takes_one_distance_call_per_path(monkeypatch):
+PSH_SUM = {"variant": "sublevel", "dimension": 2,
+           "expression": "abs2(z1) + abs2(z2) + abs2(z1*z2 + 0.5*z1^2) - 1",
+           "level": 0.0, "box_center": [[0.0, 0.0], [0.0, 0.0]], "box_radii": [1.0, 1.0],
+           "interior_hint": [[0.0, 0.0], [0.0, 0.0]]}
+
+
+def test_canonical_exhaustion_on_point_paths_takes_one_distance_call(monkeypatch):
     # a sublevel domain that is not Reinhardt has sampled distances, whose
-    # foot-point search runs a batch per call: each path's points go in one
-    d = dom.domain_from_dict({
-        "variant": "sublevel", "dimension": 2,
-        "expression": "abs2(z1) + abs2(z2) + abs2(z1*z2 + 0.5*z1^2) - 1",
-        "level": 0.0, "box_center": [[0.0, 0.0], [0.0, 0.0]], "box_radii": [1.0, 1.0],
-        "interior_hint": [[0.0, 0.0], [0.0, 0.0]]})
+    # foot-point search runs a batch per call: the points of all paths go
+    # in one
+    d = dom.domain_from_dict(PSH_SUM)
     want = exh.build_exhaustion(d)
     paths = [[z for z, _ in path] for path in d.point_paths(4, 2, 12)]
     calls = []
@@ -181,9 +184,32 @@ def test_canonical_exhaustion_on_point_paths_takes_one_distance_call_per_path(mo
     monkeypatch.setattr(dom, "distances_to_boundary", counted)
     monkeypatch.setattr(dom, "distance_to_boundary", None)   # no one-point call
     probe = exh.make_probe(d, sequences=4, seed=2, steps=12)
-    assert calls == [len(p) for p in paths if p]
+    assert calls == [sum(len(p) for p in paths)]
     monkeypatch.undo()
     assert probe.sequences == tuple(tuple(tuple(complex(c) for c in z) for z in p)
                                     for p in paths)
     assert [[v.hex() for v in values] for values in probe.values] == [
         [want(z).hex() for z in path] for path in paths]
+
+
+def test_canonical_exhaustion_raises_the_first_failing_paths_error(monkeypatch):
+    # the one call over all paths raises for the last path first (as the
+    # membership test of distances_to_boundary precedes every distance);
+    # one call per path raises the first path's own error, as it did
+    # before the paths were joined
+    d = dom.domain_from_dict(PSH_SUM)
+    paths = [[z for z, _ in path] for path in d.point_paths(4, 2, 12)]
+    first, last = paths[0][0].tobytes(), paths[-1][-1].tobytes()
+    batch = dom.distances_to_boundary
+
+    def failing(domain, rows, metric=None):
+        if any(z.tobytes() == last for z in rows):
+            raise PointOutsideDomain("the last path")
+        if any(z.tobytes() == first for z in rows):
+            raise LevikitError("the first path")
+        return batch(domain, rows, metric)
+
+    monkeypatch.setattr(dom, "distances_to_boundary", failing)
+    with pytest.raises(LevikitError) as got:
+        exh.make_probe(d, sequences=4, seed=2, steps=12)
+    assert type(got.value) is LevikitError and str(got.value) == "the first path"
