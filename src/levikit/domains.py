@@ -310,7 +310,11 @@ class Polydisc(Domain, variant="polydisc", natural_metric=LINFTY):
         return len(self.center)
 
     def contains(self, zz):
-        return (np.abs(zz - np.asarray(self.center)) < np.asarray(self.radii)).all(axis=-1)
+        return self.contains_moduli(np.abs(zz - np.asarray(self.center)))
+
+    def contains_moduli(self, moduli):
+        """``contains`` from the moduli |z - center| of the points."""
+        return (moduli < np.asarray(self.radii)).all(axis=-1)
 
     def bounding_polydisc(self) -> Polydisc:
         return self
@@ -339,7 +343,11 @@ class Polydisc(Domain, variant="polydisc", natural_metric=LINFTY):
     def interior_distance(self, zz, metric):
         # for interior points the Euclidean and L-infinity gaps coincide:
         # only the binding face coordinate needs to move
-        return (np.asarray(self.radii) - np.abs(zz - np.asarray(self.center))).min(axis=-1)
+        return self.gap_moduli(np.abs(zz - np.asarray(self.center)))
+
+    def gap_moduli(self, moduli):
+        """``interior_distance`` from the moduli |z - center| of the points."""
+        return (np.asarray(self.radii) - moduli).min(axis=-1)
 
     def exterior_distance(self, zz, metric) -> float:
         over = np.maximum(np.abs(zz - np.asarray(self.center))
@@ -389,8 +397,7 @@ class ReinhardtUnion(Domain, variant="reinhardt_union", natural_metric=LINFTY):
     def contains(self, zz):
         # members are centred at 0, so |z| is each member's |z - c|, bit for bit
         moduli = np.abs(zz)
-        return reduce(np.logical_or, ((moduli < np.asarray(m.radii)).all(axis=-1)
-                                      for m in self.members))
+        return reduce(np.logical_or, (m.contains_moduli(moduli) for m in self.members))
 
     @_once
     def bounding_polydisc(self) -> Polydisc:
@@ -423,11 +430,10 @@ class ReinhardtUnion(Domain, variant="reinhardt_union", natural_metric=LINFTY):
 
     def interior_distance(self, zz, metric):
         # callers have checked that zz is in the union; a member that misses
-        # zz has a gap <= 0, so the largest gap is a containing member's
-        # (Polydisc.interior_distance on the moduli that ``contains`` uses)
+        # zz has a gap <= 0, so the largest gap is a containing member's;
+        # members are centred at 0, so |z| is each member's |z - c|
         moduli = np.abs(zz)
-        return reduce(np.maximum, ((np.asarray(m.radii) - moduli).min(axis=-1)
-                                   for m in self.members))
+        return reduce(np.maximum, (m.gap_moduli(moduli) for m in self.members))
 
     def exterior_distance(self, zz, metric) -> float:
         return min(m.exterior_distance(zz, metric) for m in self.members)

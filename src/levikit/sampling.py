@@ -20,24 +20,28 @@ def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
             np.random.SeedSequence(seed).spawn(count)]
 
 
+_SHORTEST = 1e-12  # a draw of this size or less is drawn again
+
+
 def unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniformly random unit vector in C^n (Euclidean norm 1)."""
     while True:
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         size = norm(v)
-        if size > 1e-12:
+        if size > _SHORTEST:
             return v / size
 
 
 def unit_vectors(rngs, n: int) -> np.ndarray:
     """``unit_vector(rng, n)`` on each generator, bit for bit and leaving it
     in the same state, as the rows of one array: one ``standard_normal(2n)``
-    per generator (the stream of its two n-draws), one ``row_norms`` call and
-    one division.  A generator whose draw is too short redraws alone."""
+    per generator (the stream of its two n-draws), one ``row_norms`` call
+    (``norm`` of each row, bit for bit) and one division.  A generator whose
+    draw is too short redraws alone, through ``unit_vector``."""
     draws = np.array([rng.standard_normal(2 * n) for rng in rngs]).reshape(len(rngs), 2 * n)
     v = draws[:, :n] + 1j * draws[:, n:]
     sizes = row_norms(v)
-    short = np.flatnonzero(~(sizes > 1e-12))
+    short = np.flatnonzero(~(sizes > _SHORTEST))
     sizes[short] = 1.0
     v /= sizes[:, None]
     for i in short:
