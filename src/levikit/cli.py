@@ -354,11 +354,12 @@ def _run_exhaustion(cfg):
                            sequences=sequences, seed=seed, steps=steps)
     check = exh.exhaustion_blowup_check(probe)
     records = []
-    for i, ((first, final, inc), values) in enumerate(
+    for i, ((first, final, inc, rise, approach), values) in enumerate(
             zip(check.per_sequence, probe.values)):
         records.append({"key": f"sequence-{i:04d}", "first": first,
                         "final": final, "eventually_increasing": inc,
-                        "passed": exh.sequence_passed(first, final, inc),
+                        "tail_rise": rise, "tail_approach": approach,
+                        "passed": exh.sequence_passed(rise, approach, inc),
                         "length": len(values)})
     records.append({"key": "aggregate", "passed": check.passed,
                     "function": probe.function_id})

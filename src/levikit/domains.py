@@ -126,20 +126,18 @@ class Domain:
     def boundary_sample(self, count: int, rng: np.random.Generator) -> BoundarySamples:
         raise LevikitError(f"boundary sampling not supported for {type(self).__name__}")
 
-    def approach_paths(self, count, rng, steps, metric) -> list | None:
-        """Exact paths for the exhaustion probe; None where there are none."""
-        return None
-
     def point_paths(self, count: int, seed: int, steps: int) -> list:
-        """Paths for a function evaluated at float points, with no closed-form
-        distance (None): the segments from seeded boundary samples to one
-        interior anchor at t = 10^-k, kept where inside."""
+        """The exhaustion probe's paths, one (k, n) array each: the segments
+        from seeded boundary samples to one interior anchor at the
+        ``approach_parameters`` t, kept where one ``contains`` call on the
+        path's rows finds them inside."""
         anchor = interior_sample(self, 1, seed)[0]
+        t = np.array(approach_parameters(steps))[:, None]
         paths = []
         for s in boundary_sample(self, count, seed + 1):
             b = np.asarray(s.point)
-            points = (b + t * (anchor - b) for t in approach_parameters(steps))
-            paths.append([(z, None) for z in points if contains(self, z)])
+            zz = b + t * (anchor - b)
+            paths.append(zz[self.contains(zz)])
         return paths
 
     def exterior_distance(self, zz, metric) -> float:
@@ -216,28 +214,6 @@ class Ball(Domain, variant="ball"):
             z = _nudge_outside(self, center + self.radius * u, center, ...)
             samples.append(BoundarySample(tuple(z), tuple(u), "sphere"))
         return BoundarySamples(tuple(samples))
-
-    def approach_paths(self, count, rng, steps, metric):
-        """Radial paths c + (1 - t) R u to boundary samples.  d(t) is R t, or
-        in L-infinity the root of ``_ball_interior_linfty`` at a = (1 - t) R |u|,
-        rewritten so that no digits cancel as t -> 0."""
-        center = np.asarray(self.center)
-        r, n = self.radius, self.dimension
-        paths = []
-        for s in self.boundary_sample(count, rng):
-            u = np.asarray(s.point) - center
-            u = u / norm(u, EUCLIDEAN)
-            s1 = float(np.sum(np.abs(u)))
-
-            def dist(t):
-                if metric == EUCLIDEAN:
-                    return r * t
-                return r * t * (2.0 - t) / ((1.0 - t) * s1 + math.sqrt(
-                    ((1.0 - t) * s1) ** 2 + n * t * (2.0 - t)))
-
-            paths.append([(center + (1.0 - t) * r * u, dist(t))
-                          for t in approach_parameters(steps)])
-        return paths
 
     def interior_distance(self, zz, metric):
         gaps = zz - np.asarray(self.center)
@@ -335,11 +311,6 @@ class Polydisc(Domain, variant="polydisc", natural_metric=LINFTY):
                                           f"face-{face + 1}", face_index=face))
         return BoundarySamples(tuple(samples))
 
-    def approach_paths(self, count, rng, steps, metric):
-        faces = [(np.asarray(s.point), s.face_index, self.radii[s.face_index])
-                 for s in self.boundary_sample(count, rng)]
-        return _face_paths((self,), faces, steps, np.asarray(self.center))
-
     def interior_distance(self, zz, metric):
         # for interior points the Euclidean and L-infinity gaps coincide:
         # only the binding face coordinate needs to move
@@ -404,29 +375,22 @@ class ReinhardtUnion(Domain, variant="reinhardt_union", natural_metric=LINFTY):
         return Polydisc((0,) * self.dimension,
                         np.max([m.radii for m in self.members], axis=0))
 
-    def _exposed_faces(self, count, rng):
-        """Seeded face points of the members that no member contains, as
-        (point, face, face radius of the member drawn) triples."""
+    def boundary_sample(self, count, rng):
+        """Seeded face points of the members that no member contains."""
         def draw():
             owner = self.members[int(rng.integers(len(self.members)))]
             j = int(rng.integers(self.dimension))
             b = disc_points(rng, owner.radii)
             b[j] = owner.radii[j] * np.exp(2j * np.pi * rng.uniform())
-            return None if contains(self, b) else (b, j, owner.radii[j])
-
-        return rejection_sample(draw, count, 500 * count,
-                                "no exposed Reinhardt face points found")[0]
-
-    def boundary_sample(self, count, rng):
-        samples = []
-        for b, j, _ in self._exposed_faces(count, rng):
+            if contains(self, b):
+                return None
             outward = np.zeros(self.dimension, dtype=complex)
             outward[j] = b[j] / abs(b[j])
-            samples.append(BoundarySample(tuple(b), tuple(outward), f"face-{j + 1}", j))
-        return BoundarySamples(tuple(samples))
+            return BoundarySample(tuple(b), tuple(outward), f"face-{j + 1}", j)
 
-    def approach_paths(self, count, rng, steps, metric):
-        return _face_paths(self.members, self._exposed_faces(count, rng), steps)
+        samples = rejection_sample(draw, count, 500 * count,
+                                   "no exposed Reinhardt face points found")[0]
+        return BoundarySamples(tuple(samples))
 
     def interior_distance(self, zz, metric):
         # callers have checked that zz is in the union; a member that misses
@@ -446,42 +410,6 @@ class ReinhardtUnion(Domain, variant="reinhardt_union", natural_metric=LINFTY):
     def from_dict(cls, spec, path):
         return cls(tuple(Polydisc((0,) * len(m["radii"]), tuple(m["radii"]))
                          for m in spec["members"]))
-
-
-def _face_paths(members, faces, steps, center=None):
-    """Paths that move z_j of each face point (b, j, r) of polydiscs centred at
-    ``center`` (the origin, never added, when None) to c_j + (1 - t) r phase.
-    d(t) is the largest gap over the members holding the point, the face gap
-    formed as (r_m - r) + t r to stay exact as t -> 0.  ``np.abs`` of an array
-    and ``abs`` of one entry can differ in the last bit; each variant keeps
-    the one its reports were made with."""
-    paths = []
-    for b, j, r in faces:
-        if center is None:
-            offsets, moduli = b, np.abs(b)
-        else:
-            offsets = b - center
-            moduli = [abs(x) for x in offsets]
-        phase = offsets[j] / abs(offsets[j])
-
-        def point(t):
-            z = b.copy()
-            z[j] = (1.0 - t) * r * phase
-            if center is not None:
-                z[j] += center[j]
-            return z
-
-        def dist(t):
-            best = 0.0
-            for m in members:
-                gap = min((m.radii[k] - r) + t * r if k == j else m.radii[k] - moduli[k]
-                          for k in range(len(b)))
-                if gap > 0:
-                    best = max(best, gap)
-            return best
-
-        paths.append([(point(t), dist(t)) for t in approach_parameters(steps)])
-    return paths
 
 
 @dataclass(frozen=True)
@@ -888,14 +816,12 @@ class WholeSpace(Domain, variant="whole_space"):
     def interior_distance(self, zz, metric):
         return np.full(zz.shape[:-1], math.inf)
 
-    def approach_paths(self, count, rng, steps, metric):
-        """Outward rays (1 + k) u, k < steps, at infinite distance."""
-        return [[((1.0 + k) * u, math.inf) for k in range(steps)]
-                for u in (unit_vector(rng, self.dimension) for _ in range(count))]
-
     def point_paths(self, count, seed, steps):
-        """No boundary for float points to round onto: the outward rays."""
-        return self.approach_paths(count, np.random.default_rng(seed), steps, None)
+        """Outward rays u / sqrt(t) for seeded unit vectors u, so that
+        |z|^2 = 1/t runs over the decades of the bounded variants' paths."""
+        rng = np.random.default_rng(seed)
+        root_t = np.sqrt(approach_parameters(steps))[:, None]
+        return [unit_vector(rng, self.dimension) / root_t for _ in range(count)]
 
     def to_dict(self) -> dict:
         return {"variant": self.variant, "dimension": self.dimension}
@@ -948,15 +874,6 @@ def boundary_sample(d, count: int, seed: int) -> BoundarySamples:
 def approach_parameters(steps: int) -> list:
     """The path parameters t = 10^-k, k < steps, of the exhaustion probe."""
     return [10.0 ** (-k) for k in range(steps)]
-
-
-def approach_paths(d, count: int, seed: int, steps: int, metric: str | None = None):
-    """Seeded exact paths for the exhaustion probe, ``steps`` (point, distance)
-    pairs each with d in closed form: to the boundary at ``approach_parameters``,
-    or outward rays at infinite distance.  A variant without them gives its
-    ``point_paths``."""
-    paths = d.approach_paths(count, np.random.default_rng(seed), steps, _metric(d, metric))
-    return d.point_paths(count, seed, steps) if paths is None else paths
 
 
 def distance_to_boundary(d, z, metric: str | None = None) -> float:

@@ -5,10 +5,16 @@ The canonical exhaustion of a domain with non-empty boundary is
 has compact sublevel sets.  Blow-up along finitely many witnessed approach
 sequences stands in for the untestable limit statement.
 
-Approach sequences are the domain's exact paths: the boundary distance along
-a path is evaluated from the path parameter in closed form, because the
-naive r - |z| subtraction stalls at machine epsilon long before the recorded
-values cross the blow-up thresholds.
+Every function runs along the domain's point paths (``Domain.point_paths``):
+float points on segments from seeded boundary samples to one interior anchor,
+at t = 10^-k and kept where inside, or outward rays on the whole space.  One
+``distances_to_boundary`` call gives the distances of the points of all
+paths, and with them the approach measure A = -ln d (ln |z|^2 where d is
+infinite).  A sequence passes when, over its last ``TAIL`` points, the
+function is strictly increasing and rises by at least half of A's rise,
+which must span at least two decades of d.  Only the tail counts: float
+points stop near the boundary at a distance the domain's geometry sets, and
+a bounded function may still rise over the first decades of a path.
 """
 
 from __future__ import annotations
@@ -22,27 +28,33 @@ from . import domains as dom
 from . import expr as ex
 from .errors import LevikitError
 
-BLOWUP_RISE = 10.0
-BLOWUP_FLOOR = 50.0
+TAIL = 5
+MIN_APPROACH = 2.0 * math.log(10.0)
 NORM_SQUARED = "norm-squared"
 CANONICAL = "norm-squared-minus-log-distance"
 
 
-def sequence_passed(first: float, final: float, increasing: bool) -> bool:
-    """Blow-up rule for one sequence: it ends above
-    max(first + BLOWUP_RISE, BLOWUP_FLOOR) and is increasing over its tail."""
-    return final > first + BLOWUP_RISE and final > BLOWUP_FLOOR and increasing
+def sequence_passed(rise: float, approach: float, increasing: bool) -> bool:
+    """Blow-up rule for one sequence, from its tail: the function is strictly
+    increasing there, A = -ln d rises by ``approach`` >= MIN_APPROACH, and
+    the function by ``rise`` >= approach / 2.  NaN fields fail."""
+    return increasing and approach >= MIN_APPROACH and rise >= approach / 2
 
 
-def _norm_squared(z) -> float:
-    return float(np.linalg.norm(np.asarray(z, dtype=complex)) ** 2)
+def _norm_squared(zz) -> np.ndarray:
+    """|z|^2 of each row."""
+    return (zz.real ** 2 + zz.imag ** 2).sum(axis=1)
 
 
-def _canonical(z, distance) -> float:
-    """|z|^2 - ln d, or |z|^2 at infinite distance."""
-    if math.isinf(distance):
-        return _norm_squared(z)
-    return _norm_squared(z) - math.log(distance)
+def _canonical(zz, dists) -> np.ndarray:
+    """|z|^2 - ln d of each row, or |z|^2 where the distance is infinite."""
+    norm2 = _norm_squared(zz)
+    return np.where(np.isinf(dists), norm2, norm2 - np.log(dists))
+
+
+def _approach(zz, dists) -> np.ndarray:
+    """A = -ln d of each row, or ln |z|^2 where the distance is infinite."""
+    return np.where(np.isinf(dists), np.log(_norm_squared(zz)), -np.log(dists))
 
 
 def build_exhaustion(domain, metric: str | None = None):
@@ -52,12 +64,18 @@ def build_exhaustion(domain, metric: str | None = None):
     misused on exterior points.  The distance is taken in the domain's
     natural metric unless another is requested; for interior points of
     polydiscs and Reinhardt unions the Euclidean and L-infinity distances
-    coincide, so the default is Euclidean wherever they differ.
+    coincide, so the default is Euclidean wherever they differ.  Its ``rows``
+    attribute takes an (m, n) array and asks for all the rows' distances in
+    one call; the point form is the row form on one row.
     """
-    def f(z):
-        zz = np.asarray(z, dtype=complex)
-        return _canonical(zz, dom.distance_to_boundary(domain, zz, metric))
+    def rows(zz):
+        zz = np.asarray(zz, dtype=complex)
+        return _canonical(zz, dom.distances_to_boundary(domain, zz, metric))
 
+    def f(z):
+        return float(rows(ex.as_point(z, domain.dimension)[None])[0])
+
+    f.rows = rows
     return f
 
 
@@ -67,80 +85,75 @@ class ExhaustionProbe:
     domain_dict: dict
     sequences: tuple           # tuple of point tuples, one per approach path
     values: tuple              # recorded function values along each path
+    approach: tuple            # A = -ln d (ln |z|^2 at infinite d) along each path
 
 
 @dataclass(frozen=True)
 class BlowupCheck:
     passed: bool
-    per_sequence: tuple        # (first, final, eventually_increasing) triples
+    # (first, final, eventually_increasing, tail rise, tail approach) per sequence
+    per_sequence: tuple
 
 
 def make_probe(domain, function=CANONICAL, metric: str | None = None,
                sequences: int = 8, seed: int = 0,
                steps: int = 56) -> ExhaustionProbe:
-    """Record function values along seeded approach sequences.
+    """Record function values and A along seeded approach sequences.
 
-    The built-in functions run along the domain's exact paths
-    (``domains.approach_paths``) with the closed-form distance d(t), or
-    along its point paths where it has none, where the canonical function
-    takes the distances of all their points from one
-    ``distances_to_boundary`` call (``_point_path_distances``).
-    Other functions are evaluated at the float points of the point paths
-    (``Domain.point_paths``), since the float points of an exact path round
-    onto the boundary it approaches.
+    Every function runs along the domain's point paths; the distances of
+    all their points, in ``metric``, come from one ``distances_to_boundary``
+    call (``_point_path_distances``), and a path keeps its points of positive
+    distance.  The canonical function takes its -ln d from them, and the
+    others are evaluated at the same points.
     """
     fid = function if isinstance(function, str) else (
         ex.to_text(function) if isinstance(function, ex.Expr) else "user-callable")
-    if function in (NORM_SQUARED, CANONICAL):
-        paths = dom.approach_paths(domain, sequences, seed, steps, metric)
-    elif isinstance(function, ex.Expr) or callable(function):
-        paths = domain.point_paths(sequences, seed, steps)
-    else:
+    if function not in (NORM_SQUARED, CANONICAL) and not (
+            isinstance(function, ex.Expr) or callable(function)):
         raise LevikitError(f"unknown exhaustion function id {function!r}")
-    fn = _norm_squared if function == NORM_SQUARED else ex.as_real_function(function)
-    if function == CANONICAL:
-        paths = _point_path_distances(domain, paths, metric)
-    seqs, vals = [], []
-    for path in paths:
-        seqs.append(tuple(tuple(complex(c) for c in z) for z, _ in path))
-        vals.append(tuple(_canonical(z, d) if function == CANONICAL else float(fn(z))
-                          for z, d in path))
-    return ExhaustionProbe(fid, domain.to_dict(), tuple(seqs), tuple(vals))
+    paths = domain.point_paths(sequences, seed, steps)
+    fn = ex.as_real_function(function)
+    seqs, vals, approach = [], [], []
+    for zz, dists in zip(paths, _point_path_distances(domain, paths, metric)):
+        # a point whose distance rounds to 0 (the L-infinity gap of a ball
+        # within about 1e-15 of its sphere) has no -ln d and is dropped
+        zz, dists = zz[dists > 0], dists[dists > 0]
+        seqs.append(tuple(tuple(complex(c) for c in z) for z in zz))
+        if function == CANONICAL:
+            values = _canonical(zz, dists).tolist()
+        elif function == NORM_SQUARED:
+            values = _norm_squared(zz).tolist()
+        else:
+            values = [float(fn(z)) for z in zz]
+        vals.append(tuple(values))
+        approach.append(tuple(_approach(zz, dists).tolist()))
+    return ExhaustionProbe(fid, domain.to_dict(), tuple(seqs), tuple(vals), tuple(approach))
 
 
 def _point_path_distances(domain, paths, metric) -> list:
-    """The paths with each point path's (first distance None) distances
-    filled in from one ``distances_to_boundary`` call over the points of
-    all of them.  Where that call raises, one call per path, in path order,
-    raises the error that the first failing path raises on its own."""
-    index = [i for i, path in enumerate(paths) if path and path[0][1] is None]
-    if not index:
-        return paths
-    points = [np.array([z for z, _ in paths[i]]) for i in index]
+    """The distances of each path's points, from one ``distances_to_boundary``
+    call over the points of all of them.  Where that call raises, one call
+    per path, in path order, raises the error that the first failing path
+    raises on its own."""
     try:
-        flat = dom.distances_to_boundary(domain, np.concatenate(points), metric)
+        flat = dom.distances_to_boundary(domain, np.concatenate(paths), metric)
     except Exception:
         flat = np.concatenate([dom.distances_to_boundary(domain, zz, metric)
-                               for zz in points])
-    paths = list(paths)
-    ends = np.cumsum([len(zz) for zz in points])[:-1]
-    for i, zz, dists in zip(index, points, np.split(flat, ends)):
-        paths[i] = list(zip(zz, dists.tolist()))
-    return paths
+                               for zz in paths])
+    return np.split(flat, np.cumsum([len(zz) for zz in paths])[:-1])
 
 
 def exhaustion_blowup_check(probe: ExhaustionProbe) -> BlowupCheck:
-    """Pass iff every sequence has 3 or more values and passes sequence_passed."""
+    """Pass iff every sequence has ``TAIL`` or more values and passes
+    ``sequence_passed`` on its last ``TAIL``."""
     per = []
-    ok = True
-    for values in probe.values:
-        if len(values) < 3:
-            per.append((math.nan, math.nan, False))
-            ok = False
+    for values, approach in zip(probe.values, probe.approach):
+        if len(values) < TAIL:
+            per.append((math.nan, math.nan, False, math.nan, math.nan))
             continue
-        first, final = values[0], values[-1]
-        tail = values[-5:]
+        tail = values[-TAIL:]
         increasing = all(b > a for a, b in zip(tail, tail[1:]))
-        per.append((first, final, increasing))
-        ok = ok and sequence_passed(first, final, increasing)
-    return BlowupCheck(ok, tuple(per))
+        per.append((values[0], values[-1], increasing, tail[-1] - tail[0],
+                    approach[-1] - approach[-TAIL]))
+    return BlowupCheck(all(sequence_passed(rise, approach, increasing)
+                           for _, _, increasing, rise, approach in per), tuple(per))

@@ -212,8 +212,8 @@ def _hull_check(report):
 def _exhaustion_check(report):
     def check(rec):
         # float() also decodes the "nan" that marks a too-short sequence
-        if rec["passed"] != exh.sequence_passed(float(rec["first"]),
-                                                float(rec["final"]),
+        if rec["passed"] != exh.sequence_passed(float(rec["tail_rise"]),
+                                                float(rec["tail_approach"]),
                                                 rec["eventually_increasing"]):
             return "pass flag does not match stored values"
         return None

@@ -245,8 +245,8 @@ CLI_CASES = {
                                         "queries": [[[0.2, 0], [0.1, 0]],
                                                     [[1.5, 0], [1.5, 0]]],
                                         "degree": 3}),
-    # exhaustion: every path family under both metrics, both built-in
-    # functions, and user expressions on the segment path
+    # exhaustion: the point paths of every variant under both metrics, both
+    # built-in functions and user expressions
     "exhaustion-ball-canonical": _cli("exhaustion", {"domain": BALL3, "sequences": 3,
                                                      "steps": 20}),
     "exhaustion-polydisc-norm-squared": _cli("exhaustion", {

@@ -172,6 +172,18 @@ def test_verify_catches_flipped_exhaustion_pass_flag():
     assert not result.passed and result.failures[0][0] == target["key"]
 
 
+@pytest.mark.parametrize("field, value", [("tail_rise", 0.0), ("tail_approach", 1.0)])
+def test_verify_catches_tampered_exhaustion_tail_fields(field, value):
+    report, _ = run_command("exhaustion", {"domain": BALL_CFG["domain"],
+                                           "sequences": 4})
+    bad = json.loads(rep.report_bytes(report))
+    target = next(r for r in bad["records"] if r["key"].startswith("sequence"))
+    assert target["passed"]
+    target[field] = value
+    result = rep.verify_report(bad)
+    assert not result.passed and result.failures[0][0] == target["key"]
+
+
 def test_verify_reads_short_exhaustion_sequence():
     # on this non-convex domain only the first point (the interior anchor)
     # of one approach segment is inside, so its record stores "nan" values

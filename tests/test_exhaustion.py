@@ -9,7 +9,7 @@ from levikit import classify as cl
 from levikit import domains as dom
 from levikit import exhaustion as exh
 from levikit import expr as ex
-from levikit.errors import LevikitError, PointOutsideDomain
+from levikit.errors import EvalDomainError, LevikitError, PointOutsideDomain
 
 BALL = dom.Ball((0, 0), 1.0)
 
@@ -32,24 +32,8 @@ def test_blowup_passes_on_ball():
     probe = exh.make_probe(BALL, sequences=6, seed=0)
     check = exh.exhaustion_blowup_check(probe)
     assert check.passed
-    for first, final, increasing in check.per_sequence:
-        assert final > first + 10 and final > 50 and increasing
-
-
-def test_blowup_fails_for_bounded_function_on_ball():
-    probe = exh.make_probe(BALL, function=exh.NORM_SQUARED, sequences=6, seed=0)
-    assert not exh.exhaustion_blowup_check(probe).passed
-
-
-def test_blowup_passes_on_hartogs_figure():
-    probe = exh.make_probe(dom.hartogs_figure(), sequences=8, seed=0)
-    check = exh.exhaustion_blowup_check(probe)
-    assert check.passed
-
-
-def test_blowup_passes_on_whole_space():
-    probe = exh.make_probe(dom.WholeSpace(2), sequences=4, seed=0)
-    assert exh.exhaustion_blowup_check(probe).passed
+    for _, _, increasing, rise, approach in check.per_sequence:
+        assert increasing and approach >= 2 * math.log(10) and rise >= approach / 2
 
 
 def test_probe_sequences_are_monotone_in_parameter():
@@ -97,32 +81,11 @@ BALL3 = dom.Ball((0.2, -0.1j, 0.3 + 0.1j), 1.5)
 
 
 def test_ball_linfty_probe_matches_build_exhaustion():
-    # the float distance at a recorded point loses digits like eps / t,
-    # which the tolerance allows for; the probe's d(t) is in closed form
     for d in (BALL, BALL3):
         probe = exh.make_probe(d, metric=dom.LINFTY, sequences=4, seed=0, steps=7)
         f = exh.build_exhaustion(d, dom.LINFTY)
         for seq, values in zip(probe.sequences, probe.values):
-            for k, (z, v) in enumerate(zip(seq, values)):
-                assert v == pytest.approx(f(z), rel=1e-12 + 1e-16 * 10.0 ** k)
-
-
-def test_ball_linfty_path_distance_is_exact_near_the_boundary():
-    mp = pytest.importorskip("mpmath")
-    center = np.asarray(BALL3.center)
-    paths = dom.approach_paths(BALL3, 3, 0, 13, dom.LINFTY)
-    for s, path in zip(dom.boundary_sample(BALL3, 3, 0), paths):
-        u = np.asarray(s.point) - center
-        u = u / np.linalg.norm(u)
-        for k in (4, 8, 12):
-            with mp.workdps(50):
-                moduli = [abs(mp.mpc(x.real, x.imag)) for x in u]
-                unit = mp.sqrt(sum(m * m for m in moduli))
-                a = [(1 - mp.mpf(10.0 ** -k)) * BALL3.radius * m / unit for m in moduli]
-                s1 = sum(a)
-                s2 = sum(x * x for x in a)
-                exact = (-s1 + mp.sqrt(s1 * s1 - 3 * (s2 - BALL3.radius ** 2))) / 3
-            assert path[k][1] == pytest.approx(float(exact), rel=1e-13)
+            assert [v.hex() for v in values] == [f(z).hex() for z in seq]
 
 
 def test_user_expression_runs_on_the_segment_path_of_a_reinhardt_union():
@@ -140,25 +103,25 @@ def test_user_expression_on_whole_space_runs_along_the_rays():
     probe = exh.make_probe(ws, function=ex.parse("abs2(z1) + abs2(z2)", 2),
                            sequences=2, seed=0, steps=5)
     assert probe.sequences == exh.make_probe(ws, sequences=2, seed=0, steps=5).sequences
-    for values in probe.values:
-        assert values == pytest.approx([(1.0 + k) ** 2 for k in range(5)])
+    for values, approach in zip(probe.values, probe.approach):
+        assert values == pytest.approx([10.0 ** k for k in range(5)], rel=1e-14)
+        assert approach == pytest.approx([k * math.log(10) for k in range(5)], abs=1e-14)
 
 
-def test_user_expression_on_a_reinhardt_union_samples_the_faces_once(monkeypatch):
+def test_every_function_samples_the_boundary_once(monkeypatch):
     hf = dom.hartogs_figure()
     calls = []
-    sample = dom.ReinhardtUnion._exposed_faces
+    sample = dom.ReinhardtUnion.boundary_sample
 
     def counted(self, count, rng):
         calls.append(count)
         return sample(self, count, rng)
 
-    monkeypatch.setattr(dom.ReinhardtUnion, "_exposed_faces", counted)
-    exh.make_probe(hf, function=ex.parse("abs2(z1)", 2), sequences=4, seed=0)
-    assert calls == [4]
-    calls.clear()
-    exh.make_probe(hf, sequences=4, seed=0)
-    assert calls == [4]
+    monkeypatch.setattr(dom.ReinhardtUnion, "boundary_sample", counted)
+    for function in (ex.parse("abs2(z1)", 2), exh.NORM_SQUARED, exh.CANONICAL):
+        exh.make_probe(hf, function=function, sequences=4, seed=0)
+        assert calls == [4]
+        calls.clear()
 
 
 PSH_SUM = {"variant": "sublevel", "dimension": 2,
@@ -173,7 +136,7 @@ def test_canonical_exhaustion_on_point_paths_takes_one_distance_call(monkeypatch
     # in one
     d = dom.domain_from_dict(PSH_SUM)
     want = exh.build_exhaustion(d)
-    paths = [[z for z, _ in path] for path in d.point_paths(4, 2, 12)]
+    paths = d.point_paths(4, 2, 12)
     calls = []
     batch = dom.distances_to_boundary
 
@@ -198,7 +161,7 @@ def test_canonical_exhaustion_raises_the_first_failing_paths_error(monkeypatch):
     # one call per path raises the first path's own error, as it did
     # before the paths were joined
     d = dom.domain_from_dict(PSH_SUM)
-    paths = [[z for z, _ in path] for path in d.point_paths(4, 2, 12)]
+    paths = d.point_paths(4, 2, 12)
     first, last = paths[0][0].tobytes(), paths[-1][-1].tobytes()
     batch = dom.distances_to_boundary
 
@@ -213,3 +176,109 @@ def test_canonical_exhaustion_raises_the_first_failing_paths_error(monkeypatch):
     with pytest.raises(LevikitError) as got:
         exh.make_probe(d, sequences=4, seed=2, steps=12)
     assert type(got.value) is LevikitError and str(got.value) == "the first path"
+
+
+QUARTIC3 = {"variant": "sublevel", "dimension": 3,
+            "expression": "abs2(z1)^2 + abs2(z2)^2 + abs2(z3) - 1", "level": 0.0,
+            "box_center": [[0.0, 0.0]] * 3, "box_radii": [1.5, 1.5, 1.5],
+            "interior_hint": [[0.0, 0.0]] * 3}
+POLYDISC = dom.Polydisc((0, 0), (1.0, 2.0))
+DOMAINS = {"ball3": BALL3, "polydisc": POLYDISC, "hartogs": dom.hartogs_figure(),
+           "psh-sum": dom.domain_from_dict(PSH_SUM),
+           "quartic3": dom.domain_from_dict(QUARTIC3), "whole-space": dom.WholeSpace(2)}
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_canonical_exhaustion_blows_up_on_every_variant(name):
+    probe = exh.make_probe(DOMAINS[name], sequences=4, seed=1)
+    assert exh.exhaustion_blowup_check(probe).passed
+
+
+def test_log_exhaustion_of_the_ball_blows_up():
+    # -ln(1 - |z|^2) grows like -ln d over the tail of every path
+    f = ex.parse("-ln(1 - abs2(z1) - abs2(z2))", 2)
+    probe = exh.make_probe(BALL, function=f, sequences=4, seed=0)
+    assert exh.exhaustion_blowup_check(probe).passed
+
+
+@pytest.mark.parametrize("domain, function", [
+    (BALL, exh.NORM_SQUARED), (POLYDISC, exh.NORM_SQUARED),
+    (dom.hartogs_figure(), ex.parse("abs2(z1)", 2))])
+def test_bounded_functions_fail_on_every_sequence(domain, function):
+    # abs2(z1) rises over the first decade of Hartogs paths that approach a
+    # z2 face; the tail rule reads only the last points
+    check = exh.exhaustion_blowup_check(
+        exh.make_probe(domain, function=function, sequences=4, seed=0))
+    assert not any(exh.sequence_passed(rise, approach, increasing)
+                   for _, _, increasing, rise, approach in check.per_sequence)
+
+
+@pytest.mark.parametrize("name", ["ball3", "hartogs", "psh-sum", "whole-space"])
+def test_exhaustion_rows_equal_the_point_form_bit_for_bit(name):
+    d = DOMAINS[name]
+    f = exh.build_exhaustion(d)
+    zz = dom.interior_sample(d, 8, seed=3)
+    assert [v.hex() for v in f.rows(zz).tolist()] == [f(z).hex() for z in zz]
+    for z, v in zip(zz, f.rows(zz)):
+        dist = dom.distance_to_boundary(d, z)
+        log = 0.0 if math.isinf(dist) else math.log(dist)
+        assert v == pytest.approx(np.linalg.norm(z) ** 2 - log, rel=1e-14, abs=1e-14)
+
+
+def test_circle_probe_takes_two_distance_calls_per_chunk(monkeypatch):
+    # one for the centres, one for every circle point of the chunk
+    calls = []
+    batch = dom.distances_to_boundary
+
+    def counted(domain, rows, metric=None):
+        calls.append(len(rows))
+        return batch(domain, rows, metric)
+
+    monkeypatch.setattr(dom, "distances_to_boundary", counted)
+    res = cl.psh_test_circle_average(exh.build_exhaustion(BALL), BALL, trials=64, seed=0)
+    assert res.verdict == "ConsistentWithPsh"
+    assert len(calls) == 4 and calls[0] == calls[2] == 32
+
+
+def _point_paths_oracle(d, count, seed, steps):
+    """``Domain.point_paths`` with one ``contains`` call per point."""
+    anchor = dom.interior_sample(d, 1, seed)[0]
+    paths = []
+    for s in dom.boundary_sample(d, count, seed + 1):
+        b = np.asarray(s.point)
+        points = [b + t * (anchor - b) for t in dom.approach_parameters(steps)]
+        paths.append([z for z in points if dom.contains(d, z)])
+    return paths
+
+
+def test_point_paths_take_one_contains_call_per_path(monkeypatch):
+    d = dom.domain_from_dict(PSH_SUM)
+    want = _point_paths_oracle(d, 4, 2, 12)
+    calls = []
+    contains = dom.Sublevel.contains
+    monkeypatch.setattr(dom.Sublevel, "contains",
+                        lambda self, zz: calls.append(len(zz)) or contains(self, zz))
+    got = d.point_paths(4, 2, 12)
+    assert calls[-4:] == [12] * 4
+    assert [[z.tobytes() for z in path] for path in got] == [
+        [z.tobytes() for z in path] for path in want]
+
+
+def test_point_paths_raise_the_first_failing_points_error():
+    # points of the second and third path where the value program raises:
+    # row calls raise the second path's, as one call per point does
+    d = dom.domain_from_dict(PSH_SUM)
+    paths = _point_paths_oracle(d, 4, 2, 12)
+    bad = {tuple(paths[1][3].tolist()): "second", tuple(paths[2][1].tolist()): "third"}
+    value = d._value_program()
+
+    def failing(z):
+        if tuple(z) in bad:
+            raise EvalDomainError(bad[tuple(z)])
+        return value(z)
+
+    failing.rows = value.rows               # boundary sampling's row form
+    d.__dict__["__value_program_value"] = failing   # where _once keeps it
+    for make in (_point_paths_oracle, type(d).point_paths):
+        with pytest.raises(EvalDomainError, match="^second$"):
+            make(d, 4, 2, 12)

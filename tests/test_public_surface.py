@@ -43,6 +43,14 @@ REMOVED = [
     (domains.Sublevel, "_foot_point"),
     (domains.Sublevel, "_gradient"),
     (hulls, "_modulus_at"),
+    # the closed-form exhaustion paths: every function runs on point paths
+    (domains, "approach_paths"),
+    (domains, "_face_paths"),
+    (domains.Domain, "approach_paths"),
+    (domains.Ball, "approach_paths"),
+    (domains.Polydisc, "approach_paths"),
+    (domains.ReinhardtUnion, "approach_paths"),
+    (domains.WholeSpace, "approach_paths"),
 ]
 
 
