@@ -26,7 +26,7 @@ import numpy as np
 
 from . import domains as dom
 from . import expr as ex
-from .errors import LevikitError
+from .errors import EvalDomainError, LevikitError
 
 TAIL = 5
 MIN_APPROACH = 2.0 * math.log(10.0)
@@ -37,7 +37,11 @@ CANONICAL = "norm-squared-minus-log-distance"
 def sequence_passed(rise: float, approach: float, increasing: bool) -> bool:
     """Blow-up rule for one sequence, from its tail: the function is strictly
     increasing there, A = -ln d rises by ``approach`` >= MIN_APPROACH, and
-    the function by ``rise`` >= approach / 2.  NaN fields fail."""
+    the function by ``rise`` >= approach / 2.  NaN fields fail.
+
+    The rule asks for growth of at least half of -ln d over the tail, which
+    suffices for blow-up but is not necessary: c * phi exhausts a domain
+    whenever phi does, yet 0.4 * -ln(1 - |z|^2) fails on the ball."""
     return increasing and approach >= MIN_APPROACH and rise >= approach / 2
 
 
@@ -66,11 +70,16 @@ def build_exhaustion(domain, metric: str | None = None):
     polydiscs and Reinhardt unions the Euclidean and L-infinity distances
     coincide, so the default is Euclidean wherever they differ.  Its ``rows``
     attribute takes an (m, n) array and asks for all the rows' distances in
-    one call; the point form is the row form on one row.
+    one call; the point form is the row form on one row.  A distance that
+    rounds to 0 at an inside point has no -ln d and raises EvalDomainError
+    in both forms, which the circle probe counts as a skipped trial.
     """
     def rows(zz):
         zz = np.asarray(zz, dtype=complex)
-        return _canonical(zz, dom.distances_to_boundary(domain, zz, metric))
+        dists = dom.distances_to_boundary(domain, zz, metric)
+        if not dists.all():
+            raise EvalDomainError("-ln of a distance of 0 to the boundary")
+        return _canonical(zz, dists)
 
     def f(z):
         return float(rows(ex.as_point(z, domain.dimension)[None])[0])

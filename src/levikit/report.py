@@ -211,6 +211,10 @@ def _hull_check(report):
 
 def _exhaustion_check(report):
     def check(rec):
+        # a record written under the old first/final floor rule has no tail
+        # fields, and its flag cannot be re-derived from the tail rule
+        if "tail_rise" not in rec or "tail_approach" not in rec:
+            return "record predates the tail rule"
         # float() also decodes the "nan" that marks a too-short sequence
         if rec["passed"] != exh.sequence_passed(float(rec["tail_rise"]),
                                                 float(rec["tail_approach"]),

@@ -184,6 +184,20 @@ def test_verify_catches_tampered_exhaustion_tail_fields(field, value):
     assert not result.passed and result.failures[0][0] == target["key"]
 
 
+@pytest.mark.parametrize("field", ["tail_rise", "tail_approach"])
+def test_verify_fails_cleanly_on_a_record_without_tail_fields(field):
+    # sequence records written before the tail rule lack its fields
+    report, _ = run_command("exhaustion", {"domain": BALL_CFG["domain"],
+                                           "sequences": 4})
+    old = json.loads(rep.report_bytes(report))
+    for rec in old["records"]:
+        if rec["key"].startswith("sequence"):
+            del rec[field]
+    result = rep.verify_report(old)
+    assert not result.passed and result.checked == 4
+    assert {reason for _, reason in result.failures} == {"record predates the tail rule"}
+
+
 def test_verify_reads_short_exhaustion_sequence():
     # on this non-convex domain only the first point (the interior anchor)
     # of one approach segment is inside, so its record stores "nan" values

@@ -10,6 +10,7 @@ from levikit import domains as dom
 from levikit import exhaustion as exh
 from levikit import expr as ex
 from levikit.errors import EvalDomainError, LevikitError, PointOutsideDomain
+from levikit.sampling import block_values
 
 BALL = dom.Ball((0, 0), 1.0)
 
@@ -188,9 +189,11 @@ DOMAINS = {"ball3": BALL3, "polydisc": POLYDISC, "hartogs": dom.hartogs_figure()
            "quartic3": dom.domain_from_dict(QUARTIC3), "whole-space": dom.WholeSpace(2)}
 
 
-@pytest.mark.parametrize("name", sorted(DOMAINS))
-def test_canonical_exhaustion_blows_up_on_every_variant(name):
-    probe = exh.make_probe(DOMAINS[name], sequences=4, seed=1)
+@pytest.mark.parametrize("name, sequences, seed", [
+    *((name, 4, 1) for name in sorted(DOMAINS)),
+    ("hartogs", 8, 0), ("whole-space", 4, 0)])
+def test_canonical_exhaustion_blows_up_on_every_variant(name, sequences, seed):
+    probe = exh.make_probe(DOMAINS[name], sequences=sequences, seed=seed)
     assert exh.exhaustion_blowup_check(probe).passed
 
 
@@ -201,14 +204,27 @@ def test_log_exhaustion_of_the_ball_blows_up():
     assert exh.exhaustion_blowup_check(probe).passed
 
 
-@pytest.mark.parametrize("domain, function", [
-    (BALL, exh.NORM_SQUARED), (POLYDISC, exh.NORM_SQUARED),
-    (dom.hartogs_figure(), ex.parse("abs2(z1)", 2))])
-def test_bounded_functions_fail_on_every_sequence(domain, function):
+def test_the_tail_rule_asks_for_half_the_growth_of_log_distance():
+    # 0.4 * -ln(1 - |z|^2) exhausts the ball as well, but rises by only 0.4
+    # of A over a tail: the rule is sufficient for blow-up, not necessary
+    f = ex.parse("0.4 * -ln(1 - abs2(z1) - abs2(z2))", 2)
+    check = exh.exhaustion_blowup_check(exh.make_probe(BALL, function=f, sequences=4, seed=0))
+    assert not check.passed
+    for _, _, increasing, rise, approach in check.per_sequence:
+        assert increasing and approach >= exh.MIN_APPROACH
+        # the last points lie within about 1e-15 of the sphere, where d and
+        # 1 - |z|^2 keep few digits
+        assert 0.35 * approach < rise < approach / 2
+
+
+@pytest.mark.parametrize("domain, function, sequences", [
+    (BALL, exh.NORM_SQUARED, 4), (BALL, exh.NORM_SQUARED, 6),
+    (POLYDISC, exh.NORM_SQUARED, 4), (dom.hartogs_figure(), ex.parse("abs2(z1)", 2), 4)])
+def test_bounded_functions_fail_on_every_sequence(domain, function, sequences):
     # abs2(z1) rises over the first decade of Hartogs paths that approach a
     # z2 face; the tail rule reads only the last points
     check = exh.exhaustion_blowup_check(
-        exh.make_probe(domain, function=function, sequences=4, seed=0))
+        exh.make_probe(domain, function=function, sequences=sequences, seed=0))
     assert not any(exh.sequence_passed(rise, approach, increasing)
                    for _, _, increasing, rise, approach in check.per_sequence)
 
@@ -223,6 +239,24 @@ def test_exhaustion_rows_equal_the_point_form_bit_for_bit(name):
         dist = dom.distance_to_boundary(d, z)
         log = 0.0 if math.isinf(dist) else math.log(dist)
         assert v == pytest.approx(np.linalg.norm(z) ** 2 - log, rel=1e-14, abs=1e-14)
+
+
+def test_a_zero_distance_raises_in_both_forms():
+    # inside BALL3, within about 1e-15 of its sphere, where the L-infinity
+    # interior distance of a ball rounds to 0
+    z = np.array([0.28554751850311755 - 1.104775138691992j,
+                  -0.23654605670523673 + 0.7143758083717062j,
+                  0.11308686051502359 + 0.6177402815022714j])
+    assert dom.contains(BALL3, z) and dom.distance_to_boundary(BALL3, z, dom.LINFTY) == 0.0
+    f = exh.build_exhaustion(BALL3, dom.LINFTY)
+    with pytest.raises(EvalDomainError):
+        f(z)
+    anchor = np.asarray(BALL3.center, dtype=complex)
+    with pytest.raises(EvalDomainError):
+        f.rows(np.array([anchor, z]))
+    # the circle probe's block_values masks the block alone
+    got = block_values(f.rows, np.array([[anchor], [z]]))
+    assert got[1] is None and got[0].tolist() == [f(anchor)]
 
 
 def test_circle_probe_takes_two_distance_calls_per_chunk(monkeypatch):
