@@ -1,9 +1,9 @@
 """Complex gradients, Levi matrices, tangent bases and second-order data.
 
-All derivatives are exact symbolic Wirtinger derivatives evaluated at the
-requested point; derivative trees, and the programs ``expr.evaluate``
-compiles from them, are cached per expression, so repeated point queries
-against one function stay cheap.
+All derivatives are exact symbolic Wirtinger derivatives.  Derivative trees
+and their programs (``expr.program``) are cached per expression, and every
+query is one call of the program's row form: on a batch's rows, or on one
+row for a single point (``complex_gradient``, ``levi_matrix``).
 """
 
 from __future__ import annotations
@@ -45,23 +45,10 @@ def _second_trees(f: ex.Expr, n: int, mixed: bool) -> tuple:
                  for j in range(n) for k in range(n))
 
 
-def _second_derivatives(f: ex.Expr, z, mixed: bool):
-    """(z as a point, the n x n matrix of second derivatives of f there)."""
-    zz = ex.as_point(z)
-    n = zz.shape[0]
-    values = ex.evaluate(_second_trees(f, n, mixed), zz)
-    return zz, np.array(values).reshape(n, n)
-
-
 def complex_gradient(f: ex.Expr, z) -> np.ndarray:
     """(df/dz_1, ..., df/dz_n) evaluated at z, an (n,) array."""
     zz = ex.as_point(z)
-    return np.array(ex.evaluate(_grad_trees(f, zz.shape[0]), zz))
-
-
-def _row_errors(prog, zz, failed) -> list:
-    """Per row of zz, None or the error the scalar program raises there."""
-    return [None if i < 0 else ex.row_error(prog, z) for z, i in zip(zz, failed.tolist())]
+    return ex.row_values(ex.program(_grad_trees(f, zz.shape[0])), zz[None])[0]
 
 
 def complex_gradients(f: ex.Expr, zz: np.ndarray) -> tuple:
@@ -70,7 +57,8 @@ def complex_gradients(f: ex.Expr, zz: np.ndarray) -> tuple:
     error that ``complex_gradient`` raises there."""
     prog = ex.program(_grad_trees(f, zz.shape[1]))
     values, failed = prog.rows(zz)
-    return values, _row_errors(prog, zz, failed)
+    errors = ex.row_errors(prog, zz, failed)
+    return values, [errors.get(i) for i in range(len(zz))]
 
 
 def _non_hermitian(h: np.ndarray):
@@ -94,9 +82,9 @@ def levi_matrix(f: ex.Expr, z) -> np.ndarray:
     Raises NonHermitianLeviMatrix when the result is not Hermitian within
     HERMITIAN_TOL, which signals a non-real-valued input.
     """
-    zz, h = _second_derivatives(f, z, True)
-    if _non_hermitian(h):
-        raise _hermitian_error(zz)
+    (h,), (err,) = levi_matrices(f, ex.as_point(z)[None])
+    if err is not None:
+        raise err
     return h
 
 
@@ -109,15 +97,17 @@ def levi_matrices(f: ex.Expr, zz: np.ndarray) -> tuple:
     prog = ex.program(_second_trees(f, n, True))
     values, failed = prog.rows(zz)
     h = values.reshape(m, n, n)
-    errors = _row_errors(prog, zz, failed)
+    errors = ex.row_errors(prog, zz, failed)
     for i in np.flatnonzero(_non_hermitian(h)).tolist():
-        errors[i] = errors[i] or _hermitian_error(zz[i])
-    return h, errors
+        errors.setdefault(i, _hermitian_error(zz[i]))
+    return h, [errors.get(i) for i in range(m)]
 
 
 def unmixed_matrix(f: ex.Expr, z) -> np.ndarray:
     """Symmetrized matrix of unmixed second derivatives d2 f / dz_j dz_k."""
-    a = _second_derivatives(f, z, False)[1]
+    zz = ex.as_point(z)
+    n = zz.shape[0]
+    a = ex.row_values(ex.program(_second_trees(f, n, False)), zz[None]).reshape(n, n)
     return 0.5 * (a + a.T)
 
 

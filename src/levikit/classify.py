@@ -54,8 +54,6 @@ class DomainClassification:
     verdicts: tuple
     counts: dict
     domain_verdict: str
-    samples: int
-    seed: int
     boundary: tuple             # the classified BoundarySample objects, in order
 
 
@@ -203,8 +201,7 @@ def classify_domain(d, samples: int, seed: int, tol_grad: float | None = None,
     for v in verdicts:
         counts[v.verdict] += 1
     overall = next(name for name in VERDICT_ORDER if counts[name] > 0)
-    return DomainClassification(tuple(verdicts), counts, overall, samples, seed,
-                                bset.samples)
+    return DomainClassification(tuple(verdicts), counts, overall, bset.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +242,6 @@ def psh_test_spectral(f: ex.Expr, region, grid: int, seed: int,
     return _psh_verdict("LeviSpectral", outcomes)
 
 
-def _rows(func):
-    """The row form of a point function, an (m, n) array to its m values:
-    its own ``rows`` attribute if it has one, else one call per row."""
-    return getattr(func, "rows", None) or (lambda zz: [func(z) for z in zz])
-
-
 def _unit_roots(quadrature: int) -> np.ndarray:
     """The quadrature's points e^(2 pi i k/m) of the unit circle, as a column."""
     angles = 2.0 * np.pi * np.arange(quadrature) / quadrature
@@ -281,7 +272,7 @@ def circle_average_deficit(func, a, direction, radius: float,
     a = ex.as_point(a)
     direction = ex.as_point(direction, a.shape[0])
     rows = _circle_rows(a[None], direction[None], np.array([radius]), _unit_roots(quadrature))[0]
-    center, mean = _center_and_mean(_rows(ex.as_real_function(func))(rows))
+    center, mean = _center_and_mean(ex.real_rows(func)(rows))
     return center - mean
 
 
@@ -330,8 +321,8 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
     chunk, one rejection loop draws every centre (``dom.interior_points``,
     bit for bit what each generator alone would draw), one call of
     ``distances_to_boundary`` gives their distances, and one call of the
-    point function's row form covers one array of every kept trial's centre
-    and circle.  A LevikitError in either call skips only the trials that
+    function's row form (``expr.real_rows``) covers one array of every kept
+    trial's centre and circle.  A LevikitError in either call skips only the trials that
     raise it (``block_values``); other exceptions propagate.
 
     For ``neg_log_distance`` of this region and metric, a centre's value is
@@ -358,7 +349,7 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
     F <= fl(tol - delta) then gives E <= tol: a filtered trial is never a
     violation the exact path would have stored.
     """
-    rows = _rows(ex.as_real_function(func))
+    rows = ex.real_rows(func)
     roots = _unit_roots(quadrature)
     of_center = getattr(func, "neg_log_of", None) == (region, metric)
     log_lo, log_hi = (math.log(r) for r in RADII_RANGE)

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import domains as dom
 from . import expr as ex
-from .errors import FamilyLeavesDomain, LevikitError
-from .sampling import disc_points
+from .errors import FamilyLeavesDomain
+from .sampling import block_values, disc_points
 
 J_LIMIT = 10 ** 6
 # default family indices j
@@ -130,18 +130,19 @@ def disc_max_principle_check(func, disc, interior: int = 256,
                              boundary: int = 128, seed: int = 0,
                              tol: float = 1e-9) -> MaxPrincipleResult:
     """Pass iff the sampled interior max stays below the boundary max + tol.
-    A sample where ``func`` raises a LevikitError or is NaN is skipped."""
-    func = ex.as_real_function(func)
+    A sample where ``func`` raises a LevikitError or is NaN is skipped.
+    Each parameter set's points are one call of the function's row form
+    (``expr.real_rows``); where it raises one, each point runs alone
+    (``block_values``)."""
+    rows = ex.real_rows(func)
     skipped = 0
 
     def sample_max(params):
         nonlocal skipped
         best = -math.inf
-        for w in params:
-            try:
-                v = func(disc.at(w))
-            except LevikitError:
-                v = math.nan
+        zz = np.array([disc.at(w) for w in params], dtype=complex)
+        for values in block_values(rows, zz.reshape(len(params), 1, disc.dimension)):
+            v = math.nan if values is None else values[0]
             if math.isnan(v):
                 skipped += 1
             elif v > best:

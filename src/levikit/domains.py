@@ -439,8 +439,7 @@ class Sublevel(Domain, variant="sublevel"):
                              "one entry per dimension")
 
     def contains(self, zz):
-        value = self._value_program()
-        return np.array([value(z)[0].real < self.level for z in zz.tolist()])
+        return ex.row_values(self._value_program(), zz)[:, 0].real < self.level
 
     @_once
     def _value_program(self):
@@ -667,8 +666,7 @@ def _rows(prog, rows, errors, keys):
     """The row form of ``prog`` at ``rows``: (values, failed), with the
     program's error at each flagged row i entered under ``keys[i]``."""
     values, failed = prog.rows(rows)
-    for i in np.flatnonzero(failed >= 0).tolist():
-        errors[int(keys[i])] = ex.row_error(prog, rows[i])
+    errors.update((int(keys[i]), err) for i, err in ex.row_errors(prog, rows, failed).items())
     return values, failed
 
 
@@ -700,8 +698,7 @@ def _march_rows(value, level, z, dirs, s, sign, steps):
             break
         probe = _ray_points(z[open_], s[open_, None], dirs[open_])
         values, failed = value.rows(probe)
-        for i in np.flatnonzero(failed >= 0).tolist():
-            err = ex.row_error(value, probe[i])
+        for i, err in ex.row_errors(value, probe, failed).items():
             if not isinstance(err, LevikitError):
                 errors[int(open_[i])] = err
         hit = (failed < 0) & ((values[:, 0].real - level) * sign[open_] <= 0)

@@ -91,7 +91,6 @@ def build_exhaustion(domain, metric: str | None = None):
 @dataclass(frozen=True)
 class ExhaustionProbe:
     function_id: str
-    domain_dict: dict
     sequences: tuple           # tuple of point tuples, one per approach path
     values: tuple              # recorded function values along each path
     approach: tuple            # A = -ln d (ln |z|^2 at infinite d) along each path
@@ -113,7 +112,8 @@ def make_probe(domain, function=CANONICAL, metric: str | None = None,
     all their points, in ``metric``, come from one ``distances_to_boundary``
     call (``_point_path_distances``), and a path keeps its points of positive
     distance.  The canonical function takes its -ln d from them, and the
-    others are evaluated at the same points.
+    others are evaluated at the same points, one row call per path
+    (``expr.real_rows``), which raises the first failing point's error.
     """
     fid = function if isinstance(function, str) else (
         ex.to_text(function) if isinstance(function, ex.Expr) else "user-callable")
@@ -121,7 +121,6 @@ def make_probe(domain, function=CANONICAL, metric: str | None = None,
             isinstance(function, ex.Expr) or callable(function)):
         raise LevikitError(f"unknown exhaustion function id {function!r}")
     paths = domain.point_paths(sequences, seed, steps)
-    fn = ex.as_real_function(function)
     seqs, vals, approach = [], [], []
     for zz, dists in zip(paths, _point_path_distances(domain, paths, metric)):
         # a point whose distance rounds to 0 (the L-infinity gap of a ball
@@ -133,10 +132,10 @@ def make_probe(domain, function=CANONICAL, metric: str | None = None,
         elif function == NORM_SQUARED:
             values = _norm_squared(zz).tolist()
         else:
-            values = [float(fn(z)) for z in zz]
+            values = [float(v) for v in ex.real_rows(function)(zz)]
         vals.append(tuple(values))
         approach.append(tuple(_approach(zz, dists).tolist()))
-    return ExhaustionProbe(fid, domain.to_dict(), tuple(seqs), tuple(vals), tuple(approach))
+    return ExhaustionProbe(fid, tuple(seqs), tuple(vals), tuple(approach))
 
 
 def _point_path_distances(domain, paths, metric) -> list:

@@ -302,23 +302,20 @@ def point_from_pairs(pairs, path: str, n: int | None = None) -> np.ndarray:
 _REAL_IMAG_TOL = 1e-12
 
 
-def evaluate(f, z):
-    """Evaluate ``f`` at the point ``z`` (any complex sequence).
+def evaluate(f: Expr, z):
+    """Evaluate the tree ``f`` at the point ``z`` (any complex sequence).
 
-    ``f`` is one tree, or a sequence of trees evaluated in one pass whose
-    values come back as a list.  This is ``program`` run on the point's
-    coordinates as a list of Python complex; loops that already hold such
-    a list call the program directly.
+    This is ``program((f,))`` run on the point's coordinates as a list of
+    Python complex: for loops that really run one point at a time.  Batches
+    of points, and every one-point query of several trees, run the row form
+    (``row_values``, ``real_rows``).
     Raises EvalDomainError for ln of a non-positive (or non-real) argument,
     for division by exactly zero, for a power or modulus that overflows and
     for a variable beyond the point's dimension, carrying the offending
     subexpression and the point; when several are reachable, the first in
     that order is raised.
     """
-    z = as_point(z).tolist()
-    if isinstance(f, Expr):
-        return program((f,))(z)[0]
-    return program(tuple(f))(z)
+    return program((f,))(as_point(z).tolist())[0]
 
 
 # the value of each node kind from its children's locals {0}, {1}
@@ -463,6 +460,32 @@ def row_error(prog, row):
     raise AssertionError(f"row form flagged {tuple(row)}, where the program has a value")
 
 
+def row_errors(prog, zz, failed) -> dict:
+    """{i: ``row_error`` at row i} for each row i of the (m, n) array zz that
+    the row form flagged, from the ``failed`` positions it returned."""
+    return {i: row_error(prog, zz[i]) for i in np.flatnonzero(failed >= 0).tolist()}
+
+
+def row_values(prog, zz) -> np.ndarray:
+    """The (m, roots) values of ``prog``'s row form at the rows of zz; at the
+    first row that it flags, raises the scalar program's own error there."""
+    values, failed = prog.rows(zz)
+    flagged = np.flatnonzero(failed >= 0)
+    if flagged.size:
+        raise row_error(prog, zz[flagged[0]])
+    return values
+
+
+def real_rows(f):
+    """The row form of a real function, an (m, n) array to its m values: for
+    an expression the real parts of ``row_values``, as Python floats; for a
+    callable its own ``rows`` attribute if it has one, else one call per row."""
+    if isinstance(f, Expr):
+        prog = program((f,))
+        return lambda zz: row_values(prog, zz)[:, 0].real.tolist()
+    return getattr(f, "rows", None) or (lambda zz: [f(z) for z in zz])
+
+
 @lru_cache(maxsize=None)
 def program(roots):
     """The program of a tuple of trees: a function of ``z``, a list of Python
@@ -481,9 +504,12 @@ def program(roots):
     ``_quot_rows``, ``_pow_rows``, ``_abs_rows``, ``_ln_rows``,
     ``_exp_rows``), so each row gets the scalar program's bits; a failing
     row's values are placeholders, and ``row_error`` gives its exception.
-    A call costs a few numpy operations per node, whatever its row count:
-    loops over single points call the scalar program, batches of rows the
-    row form.
+    The row form is how functions are evaluated: ``row_values`` raises the
+    first flagged row's error, and ``real_rows`` wraps it for real
+    functions.  A call costs a few numpy operations per node, whatever its
+    row count, so the scalar program stays only where a loop really runs
+    one point at a time (``evaluate``, the modulus Newton solver) and in
+    ``row_error``.
     """
     local = {}
     consts = []         # const values, bound to default arguments
@@ -602,13 +628,6 @@ def program(roots):
 
     prog.rows = rows
     return prog
-
-
-def as_real_function(f):
-    """A point function z -> Re f(z) for an expression; callables pass through."""
-    if isinstance(f, Expr):
-        return lambda z: evaluate(f, z).real
-    return f
 
 
 # ---------------------------------------------------------------------------

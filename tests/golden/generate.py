@@ -113,6 +113,7 @@ CLI_CASES = {
     "shipped-hartogs-reinhardt": _shipped("reinhardt", "hartogs_reinhardt.yaml"),
     "shipped-polydisc-exhaustion": _shipped("exhaustion", "polydisc_exhaustion.yaml"),
     "shipped-psh-circle": _shipped("psh-test", "psh_circle.yaml"),
+    "shipped-psh-spectral": _shipped("psh-test", "psh_spectral.yaml"),
     "shipped-quartic-log-distance": _shipped("log-distance-probe",
                                              "quartic_log_distance.yaml"),
     "shipped-quartic-mixed-log-distance": _shipped("log-distance-probe",

@@ -257,8 +257,14 @@ def circle_probe_oracle(func, region, trials, seed, quadrature=cl.DEFAULT_QUADRA
     chunked probe replaces: per trial a one-candidate interior sample, one
     distance call for the centre and one row call for the centre and its
     circle, each trial skipped on its own LevikitError.  Kept as the oracle
-    the chunks must match field for field."""
-    rows = cl._rows(ex.as_real_function(func))
+    the chunks must match field for field.  An expression runs one
+    ``expr.evaluate`` per point, so the oracle also holds the row form that
+    the probe runs to the scalar program's values and errors."""
+    if isinstance(func, ex.Expr):
+        def rows(zz):
+            return [ex.evaluate(func, z).real for z in zz]
+    else:
+        rows = ex.real_rows(func)
     lo, hi = cl.RADII_RANGE
     outcomes = []
     for rng in spawn_rngs(seed, trials):

@@ -250,16 +250,36 @@ def test_defining_function_independence_on_ball_examples():
 
 
 def test_derivative_matrices_evaluate_their_trees_in_one_call(monkeypatch):
+    # one row call of the program of all the trees, (rows, trees) per call,
+    # and no call of the scalar program
     calls = []
-    evaluate = ex.evaluate
-    monkeypatch.setattr(ex, "evaluate", lambda f, z: calls.append(f) or evaluate(f, z))
+    program = ex.program
+
+    def counting(roots):
+        prog = program(roots)
+
+        def scalar(z):
+            calls.append("scalar")
+            return prog(z)
+
+        def rows(zz):
+            values, failed = prog.rows(zz)
+            calls.append(values.shape)
+            return values, failed
+
+        scalar.rows = rows
+        return scalar
+
+    monkeypatch.setattr(ex, "program", counting)
     f = ex.parse("abs2(z1)^2 + abs2(z2)^2 + abs2(z3) - 1", 3)
     z = [0.1, 0.2j, 0.3 - 0.1j]
-    lc.levi_matrix(f, z)
-    assert [len(trees) for trees in calls] == [9]
+    for matrix in (lc.levi_matrix, lc.unmixed_matrix):
+        calls.clear()
+        matrix(f, z)
+        assert calls == [(1, 9)]
     calls.clear()
     lc.complex_gradient(f, z)
-    assert [len(trees) for trees in calls] == [3]
+    assert calls == [(1, 3)]
 
 
 def test_gradient_bits_do_not_depend_on_what_was_differentiated_before():

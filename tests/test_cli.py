@@ -478,6 +478,7 @@ def test_shipped_configs_run():
                 "polydisc_exhaustion": "exhaustion",
                 "psh_sum_exhaustion": "exhaustion",
                 "psh_circle": "psh-test",
+                "psh_spectral": "psh-test",
                 "complement_disc_probe": "disc-probe"}
     config_dir = Path(__file__).resolve().parent.parent / "configs"
     paths = sorted(config_dir.glob("*.yaml"))

@@ -68,6 +68,30 @@ def test_max_principle_counts_nan_values_as_skipped():
     res = discs.disc_max_principle_check(lambda z: math.nan, disc,
                                          interior=16, boundary=8)
     assert res.skipped == 16 + 8
+    # ln(re(z1)) raises where Re z1 <= 0, on part of the disc: the row call
+    # of each parameter set raises, and its points then run alone
+    f = ex.parse("ln(re(z1)) + abs2(z2)", 2)
+    disc = discs.AffineDisc((0.1, 0), (0.6, 0.8), 0.5)
+
+    def sample_max(params):
+        best, skipped = -math.inf, 0
+        for w in params:
+            try:
+                v = ex.evaluate(f, disc.at(w)).real
+            except LevikitError:
+                v = math.nan
+            if math.isnan(v):
+                skipped += 1
+            elif v > best:
+                best = v
+        return best, skipped
+
+    inner, inner_skipped = sample_max(discs.interior_parameters(40, 3))
+    outer, outer_skipped = sample_max(discs.boundary_parameters(24))
+    res = discs.disc_max_principle_check(f, disc, interior=40, boundary=24, seed=3)
+    assert 0 < inner_skipped < 40 and 0 < outer_skipped < 24
+    assert (res.skipped, res.interior_max, res.boundary_max, res.passed) == (
+        inner_skipped + outer_skipped, inner, outer, inner <= outer + 1e-9)
 
 
 def test_max_principle_margin_scales_linearly():

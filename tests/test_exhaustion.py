@@ -311,7 +311,12 @@ def test_point_paths_raise_the_first_failing_points_error():
             raise EvalDomainError(bad[tuple(z)])
         return value(z)
 
-    failing.rows = value.rows               # boundary sampling's row form
+    def rows(zz):
+        # the row form flags the bad points, and row_error runs failing there
+        values, failed = value.rows(zz)
+        return values, np.where([tuple(z) in bad for z in zz.tolist()], 0, failed)
+
+    failing.rows = rows
     d.__dict__["__value_program_value"] = failing   # where _once keeps it
     for make in (_point_paths_oracle, type(d).point_paths):
         with pytest.raises(EvalDomainError, match="^second$"):

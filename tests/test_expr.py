@@ -228,6 +228,11 @@ def test_printer_round_trip_preserves_conj_folding():
     assert ex.parse(text, 2) == tree
 
 
+def _one_pass(trees, z):
+    """The values of several trees at z from one run of their program."""
+    return ex.program(tuple(trees))(ex.as_point(z).tolist())
+
+
 def test_one_pass_over_trees_matches_one_tree_at_a_time():
     for idx, (text, n, guard) in enumerate(CORPUS):
         f = ex.parse(text, n)
@@ -235,14 +240,14 @@ def test_one_pass_over_trees_matches_one_tree_at_a_time():
         trees = [f, *grads, *(ex.wirtinger(g, k, c) for g in grads
                               for k in range(1, n + 1) for c in (False, True))]
         for z in corpus_points(guard, n, 3, idx):
-            one_pass = ex.evaluate(trees, z)
+            one_pass = _one_pass(trees, z)
             assert list(map(repr, one_pass)) == [repr(ex.evaluate(t, z)) for t in trees]
 
 
 def test_one_pass_raises_at_the_first_failing_tree():
     trees = [ex.parse("abs2(z1)", 1), ex.parse("ln(re(z1))", 1)]
     with pytest.raises(EvalDomainError, match="ln of non-positive"):
-        ex.evaluate(trees, [-1.0])
+        _one_pass(trees, [-1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +308,7 @@ def test_compiled_program_matches_the_walk_bit_for_bit(roots, z):
     # values by float.hex; errors by class, message, subexpression and
     # point, the first in walk order where several are reachable
     with np.errstate(all="ignore"):
-        assert _outcome(ex.evaluate, roots, z) == _outcome(walk_evaluate, roots, z)
+        assert _outcome(_one_pass, roots, z) == _outcome(walk_evaluate, roots, z)
         assert _outcome(ex.evaluate, roots[0], z) == _outcome(walk_evaluate, roots[0], z)
         # the program kept on the root answers a second call alike
         assert _outcome(ex.evaluate, roots[0], z) == _outcome(walk_evaluate, roots[0], z)
@@ -322,6 +327,27 @@ def _hex_parts(values):
     return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
 
 
+def _row_call_outcome(call):
+    """A row call's values by bits, or its error's type and message."""
+    try:
+        values = call()
+    except Exception as err:    # noqa: BLE001 - compared by the caller
+        return type(err), str(err)
+    return _hex_parts(np.ravel(values))
+
+
+def _scalar_rows_outcome(prog, zz, part):
+    """``_row_call_outcome`` of the scalar program run row by row, with
+    ``part`` of each value; the first row that raises gives its error."""
+    values = []
+    for z in zz:
+        try:
+            values += map(part, prog(z.tolist()))
+        except Exception as err:    # noqa: BLE001 - compared by the caller
+            return type(err), str(err)
+    return _hex_parts(values)
+
+
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_forests(_ROW_EXPONENTS), st.integers(1, 3),
@@ -329,10 +355,16 @@ def _hex_parts(values):
                 min_size=1, max_size=6))
 def test_row_form_matches_the_scalar_program_bit_for_bit(roots, n, rows):
     # a row the row form flags is one where the scalar program raises, and
-    # row_error gives that error; every other row has the scalar bits
+    # row_error gives that error; every other row has the scalar bits.
+    # row_values and real_rows give the scalar values (real parts) of every
+    # row, or raise the scalar program's error at the first row that raises
     prog = ex.program(tuple(roots))
     zz = np.array([[complex(re, im) for re, im in row[:n]] for row in rows])
     with np.errstate(all="ignore"):
+        assert _row_call_outcome(lambda: ex.row_values(prog, zz)) == _scalar_rows_outcome(
+            prog, zz, lambda v: v)
+        assert _row_call_outcome(lambda: ex.real_rows(roots[0])(zz)) == _scalar_rows_outcome(
+            ex.program((roots[0],)), zz, lambda v: v.real)
         values, failed = prog.rows(zz)
         assert values.shape == (len(rows), len(roots)) and failed.shape == (len(rows),)
         for z, got, fail in zip(zz, values, failed.tolist()):
@@ -394,7 +426,7 @@ def test_signed_zero_constants_are_not_merged():
     a, b = ex.const(complex(-2.5, 0.0)), ex.const(complex(-2.5, -0.0))
     assert a is not b
     f = ex.Expr("add", (ex.Expr("mul", (a, ex.var(1))), ex.Expr("mul", (b, ex.var(1)))))
-    assert _outcome(ex.evaluate, [f, a, b], [complex(0.0, 1.0)]) == _outcome(
+    assert _outcome(_one_pass, [f, a, b], [complex(0.0, 1.0)]) == _outcome(
         walk_evaluate, [f, a, b], [complex(0.0, 1.0)])
     assert ex.evaluate(b, [0]).imag.hex() == "-0x0.0p+0"
 

@@ -51,6 +51,11 @@ REMOVED = [
     (domains.Polydisc, "approach_paths"),
     (domains.ReinhardtUnion, "approach_paths"),
     (domains.WholeSpace, "approach_paths"),
+    # the per-point twins of the row programs: every function runs its rows
+    (expr, "as_real_function"),
+    (classify, "_rows"),
+    (calculus, "_second_derivatives"),
+    (calculus, "_row_errors"),
 ]
 
 
