@@ -2,8 +2,8 @@
 
 All derivatives are exact symbolic Wirtinger derivatives.  Derivative trees
 and their programs (``expr.program``) are cached per expression, and every
-query is one call of the program's row form: on a batch's rows, or on one
-row for a single point (``complex_gradient``, ``levi_matrix``).
+query is one program call: on a batch's rows, or on one row for a single
+point (``complex_gradient``, ``levi_matrix``).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def complex_gradients(f: ex.Expr, zz: np.ndarray) -> tuple:
     of the gradient's program: the (m, n) values and, per row, None or the
     error that ``complex_gradient`` raises there."""
     prog = ex.program(_grad_trees(f, zz.shape[1]))
-    values, failed = prog.rows(zz)
+    values, failed = prog(zz)
     errors = ex.row_errors(prog, zz, failed)
     return values, [errors.get(i) for i in range(len(zz))]
 
@@ -95,7 +95,7 @@ def levi_matrices(f: ex.Expr, zz: np.ndarray) -> tuple:
     else NonHermitianLeviMatrix)."""
     m, n = zz.shape
     prog = ex.program(_second_trees(f, n, True))
-    values, failed = prog.rows(zz)
+    values, failed = prog(zz)
     h = values.reshape(m, n, n)
     errors = ex.row_errors(prog, zz, failed)
     for i in np.flatnonzero(_non_hermitian(h)).tolist():
@@ -175,8 +175,7 @@ def taylor_decompose(f: ex.Expr, a, z) -> TaylorParts:
     aa = ex.as_point(a)
     zz = ex.as_point(z, aa.shape[0])
     d = zz - aa
-    f_a = ex.evaluate(f, aa).real
-    f_z = ex.evaluate(f, zz).real
+    f_a, f_z = ex.real_rows(f)(np.array([aa, zz]))
     grad = complex_gradient(f, aa)
     linear = 2.0 * float(np.real(np.dot(d, grad)))
     lam = unmixed_matrix(f, aa)

@@ -468,7 +468,7 @@ class Sublevel(Domain, variant="sublevel"):
         Rays are drawn in rounds, each of as many rays as samples are still
         missing (within the budget of 100 rays per sample), one unit vector
         per ray in draw order.  A round runs as row calls of the compiled
-        programs (``expr.program(...).rows``): the march doubles the step
+        programs (``expr.program``): the march doubles the step
         from 1e-3 * t_max 10 times, so its last probe is at 0.512 * t_max,
         and skips a ray that crosses no level there or meets a point where
         f raises a LevikitError; ``_bisect_rows`` then brackets every
@@ -663,9 +663,9 @@ class Sublevel(Domain, variant="sublevel"):
 
 
 def _rows(prog, rows, errors, keys):
-    """The row form of ``prog`` at ``rows``: (values, failed), with the
-    program's error at each flagged row i entered under ``keys[i]``."""
-    values, failed = prog.rows(rows)
+    """The program ``prog`` at ``rows``: (values, failed), with its error
+    at each flagged row i entered under ``keys[i]``."""
+    values, failed = prog(rows)
     errors.update((int(keys[i]), err) for i, err in ex.row_errors(prog, rows, failed).items())
     return values, failed
 
@@ -697,7 +697,7 @@ def _march_rows(value, level, z, dirs, s, sign, steps):
         if not open_.size:
             break
         probe = _ray_points(z[open_], s[open_, None], dirs[open_])
-        values, failed = value.rows(probe)
+        values, failed = value(probe)
         for i, err in ex.row_errors(value, probe, failed).items():
             if not isinstance(err, LevikitError):
                 errors[int(open_[i])] = err

@@ -12,7 +12,6 @@ import math
 import re as _regex
 import weakref
 from functools import lru_cache
-from itertools import count
 
 import numpy as np
 
@@ -303,46 +302,20 @@ _REAL_IMAG_TOL = 1e-12
 
 
 def evaluate(f: Expr, z):
-    """Evaluate the tree ``f`` at the point ``z`` (any complex sequence).
-
-    This is ``program((f,))`` run on the point's coordinates as a list of
-    Python complex: for loops that really run one point at a time.  Batches
-    of points, and every one-point query of several trees, run the row form
-    (``row_values``, ``real_rows``).
-    Raises EvalDomainError for ln of a non-positive (or non-real) argument,
-    for division by exactly zero, for a power or modulus that overflows and
-    for a variable beyond the point's dimension, carrying the offending
-    subexpression and the point; when several are reachable, the first in
-    that order is raised.
+    """Evaluate the tree ``f`` at the point ``z`` (any complex sequence), as
+    a Python complex: ``program((f,))`` on one row, as ``row_values`` runs
+    it on a batch's rows.  Raises EvalDomainError for ln of a non-positive
+    (or non-real) argument, for division by exactly zero, for a power or
+    modulus that overflows and for a variable beyond the point's dimension,
+    carrying the offending subexpression and the point; when several are
+    reachable, the first in that order is raised.
     """
-    return program((f,))(as_point(z).tolist())[0]
+    return row_values(program((f,)), as_point(z)[None])[0, 0].item()
 
 
-# the value of each node kind from its children's locals {0}, {1}
-_OPS = {
-    "add": "{0} + {1}", "sub": "{0} - {1}", "mul": "{0} * {1}",
-    "neg": "-{0}", "conj": "{0}.conjugate()",
-    "re": "complex({0}.real)", "im": "complex({0}.imag)",
-    "abs": "complex(abs({0}))",
-    "abs2": "complex({0}.real * {0}.real + {0}.imag * {0}.imag)",
-    "ln": "complex(_log({0}.real))", "exp": "complex(_exp(complex({0})))",
-}
-
-
-def _fail(message, node, z):
-    return EvalDomainError(message, to_text(node), tuple(z))
-
-
-def _beyond_dimension(var_nodes, z):
-    """The error for the first variable, in program order, beyond ``z``."""
-    n = len(z)
-    e = next(e for e in var_nodes if e.index > n)
-    return _fail(f"variable z{e.index} exceeds point dimension {n}", e, z)
-
-
-# the row form of each node kind: its (real, imaginary) parts from its
+# the value of each node kind: its (real, imaginary) parts from its
 # children's parts {0}, {1} (real) and {2}, {3} (imaginary); the product is
-# CPython's _Py_c_prod, abs2 the scalar form's two products and one sum
+# CPython's _Py_c_prod, abs2 Python's two products and one sum
 _ROW_OPS = {
     "add": ("{0} + {1}", "{2} + {3}"), "sub": ("{0} - {1}", "{2} - {3}"),
     "mul": ("{0} * {1} - {2} * {3}", "{0} * {3} + {2} * {1}"),
@@ -350,12 +323,11 @@ _ROW_OPS = {
     "re": ("{0}", "_ZERO"), "im": ("{2}", "_ZERO"),
     "abs2": ("{0} * {0} + {2} * {2}", "_ZERO"),
 }
-# the row form's call for a node of these kinds on its child's parts {0},
-# {1}; all but exp also give the rows where the scalar form raises
+# the call for a node of these kinds on its child's parts {0}, {1}; all but
+# exp also give the rows where Python's complex arithmetic raises
 _ROW_FUNCS = {"pow": "_pow_rows({0}, {1}, {2!r}, m)", "abs": "_abs_rows({0}, {1})",
               "ln": "_ln_rows({0}, {1}, m)", "exp": "_exp_rows({0}, {1}, m)"}
 _ZERO = np.float64(0.0)
-_ONE = np.float64(1.0)
 
 
 def _full(x, m):
@@ -396,7 +368,7 @@ def _pow_rows(ar, ai, k, m):
                 w, over[i] = 0j, True
             re[i], im[i] = w.real, w.imag
         return re, im, over
-    re, im, pr, pi, bit = _ONE, _ZERO, ar, ai, 1
+    re, im, pr, pi, bit = np.float64(1.0), _ZERO, ar, ai, 1
     while True:
         if k & bit:
             re, im = re * pr - im * pi, re * pi + im * pr
@@ -414,9 +386,9 @@ def _abs_rows(ar, ai):
 
 
 def _ln_rows(ar, ai, m):
-    """ln w by math.log on each real part, and where the scalar form
-    raises: the overflow of its abs(w), or its domain test (with Python's
-    max(1.0, |w|), which keeps 1.0 for a NaN modulus)."""
+    """ln w by math.log on each real part, and where the walk raises: the
+    overflow of its abs(w), or its domain test (with Python's max(1.0, |w|),
+    which keeps 1.0 for a NaN modulus)."""
     h, _, over = _abs_rows(ar, ai)
     failed = (over | (abs(ai) > _REAL_IMAG_TOL * np.where(h > 1.0, h, 1.0))
               | (ar <= 0))
@@ -425,7 +397,7 @@ def _ln_rows(ar, ai, m):
 
 
 def _exp_rows(ar, ai, m):
-    """np.exp on the complex rows, the scalar form's np.exp of each value."""
+    """np.exp on the complex rows, as on each complex value."""
     w = np.empty(m, dtype=complex)
     w.real, w.imag = ar, ai
     w = np.exp(w)
@@ -449,30 +421,41 @@ def _first_failures(m, checks):
     return fail
 
 
-def row_error(prog, row):
-    """The exception that the program ``prog`` raises at ``row``, a row that
-    its row form flagged: the scalar program's own error, from running it on
-    that row."""
-    try:
-        prog(np.asarray(row, dtype=complex).tolist())
-    except Exception as err:    # noqa: BLE001 - any error is the row's outcome
-        return err
-    raise AssertionError(f"row form flagged {tuple(row)}, where the program has a value")
+def row_error(prog, row, check):
+    """The exception of a walk over ``prog``'s trees at ``row``, whose first
+    failing check is ``prog.checks[check]``: its message and subexpression,
+    with the row as the point.  ln's test takes |w| first, so where that
+    overflows the error is the bare OverflowError of Python's abs."""
+    kind, node = prog.checks[check]
+    z = tuple(np.asarray(row, dtype=complex).tolist())
+    if kind == "unknown":
+        return ValueError(f"unknown node kind {node.kind!r}")
+    if kind == "var":
+        kind = f"variable z{node.index} exceeds point dimension {len(z)}"
+    elif kind == "ln":
+        # the argument's checks all come before this one, and passed
+        w = program((node,))(np.array([z]))[0].item()
+        try:
+            abs(w)
+        except OverflowError as err:
+            return err
+        kind = f"ln of non-positive argument {w}"
+    return EvalDomainError(kind, to_text(node), z)
 
 
 def row_errors(prog, zz, failed) -> dict:
     """{i: ``row_error`` at row i} for each row i of the (m, n) array zz that
-    the row form flagged, from the ``failed`` positions it returned."""
-    return {i: row_error(prog, zz[i]) for i in np.flatnonzero(failed >= 0).tolist()}
+    ``prog`` flagged, from the ``failed`` positions it returned."""
+    return {i: row_error(prog, zz[i], failed[i]) for i in np.flatnonzero(failed >= 0).tolist()}
 
 
 def row_values(prog, zz) -> np.ndarray:
-    """The (m, roots) values of ``prog``'s row form at the rows of zz; at the
-    first row that it flags, raises the scalar program's own error there."""
-    values, failed = prog.rows(zz)
+    """The (m, roots) values of ``prog`` at the rows of zz; at the first row
+    that it flags, raises that row's ``row_error``."""
+    values, failed = prog(zz)
     flagged = np.flatnonzero(failed >= 0)
     if flagged.size:
-        raise row_error(prog, zz[flagged[0]])
+        raise row_error(prog, zz[flagged[0]], failed[flagged[0]])
     return values
 
 
@@ -488,145 +471,83 @@ def real_rows(f):
 
 @lru_cache(maxsize=None)
 def program(roots):
-    """The program of a tuple of trees: a function of ``z``, a list of Python
-    complex (numpy scalars would change the arithmetic), that returns the
-    list of the roots' values there.  Compiled once per tuple and kept for
-    the process: each node is one local, computed in depth-first order (a
-    quotient's denominator first) with CPython complex arithmetic, so the
-    values are a walk's over the trees bit for bit.  Errors: see ``evaluate``.
-
-    Its ``rows`` attribute is the row form, compiled from the same walk on
-    its first call: ``program(roots).rows(zz)`` takes an (m, n) complex
-    array and returns the (m, len(roots)) complex array of the values and,
-    per row, the position in program order of its first failing check, or
-    -1 where the scalar program has values.  It carries real and imaginary
-    parts as float arrays through CPython's formulas (``_ROW_OPS``,
-    ``_quot_rows``, ``_pow_rows``, ``_abs_rows``, ``_ln_rows``,
-    ``_exp_rows``), so each row gets the scalar program's bits; a failing
-    row's values are placeholders, and ``row_error`` gives its exception.
-    The row form is how functions are evaluated: ``row_values`` raises the
-    first flagged row's error, and ``real_rows`` wraps it for real
-    functions.  A call costs a few numpy operations per node, whatever its
-    row count, so the scalar program stays only where a loop really runs
-    one point at a time (``evaluate``, the modulus Newton solver) and in
-    ``row_error``.
+    """The program of a tuple of trees, compiled once per tuple and kept for
+    the process: ``program(roots)(zz)`` takes an (m, n) complex array and
+    returns the (m, len(roots)) complex array of the roots' values and, per
+    row, the position of its first failing check, or -1.  Each node is its
+    real and imaginary parts as float arrays, computed once in depth-first
+    order (a quotient's denominator first) by CPython's complex formulas
+    (``_ROW_OPS``, ``_ROW_FUNCS``), so each row gets the bits of a walk over
+    the trees in Python complex arithmetic.  The checks are the walk's
+    errors in its order (see ``evaluate``); ``program(roots).checks`` gives
+    each one's kind and node, from which ``row_error`` builds the walk's
+    exception.  A call costs a few numpy operations per node.
     """
-    local = {}
-    consts = []         # const values, bound to default arguments
-    params = []
-    row_params = []
-    failing = []        # the subexpressions that domain errors name
-    var_nodes = []
-    body = []
-    row_lines = []      # the row form's body: node v's parts are xv, yv
-    check_ids = count()     # the row form's failure tests, in program order
+    local, consts, params = {}, [], []      # consts are bound to default arguments
+    checks, lines = [], []      # per check its kind and node; node v's parts are xv, yv
 
-    def check(failed, guard=None):
-        line = f"_c.append(({next(check_ids)}, {failed}))"
-        row_lines.append(line if guard is None else f"if {guard}: {line}")
+    def check(failed, kind, node, guard=None):
+        line = f"_c.append(({len(checks)}, {failed}))"
+        checks.append((kind, node))
+        lines.append(line if guard is None else f"if {guard}: {line}")
 
     def visit(e):
         name = local.get(e)
         if name is not None:
             return name
-        k = e.kind
-        kids = e.children
+        k, kids = e.kind, e.children
         if k == "const":
             name = local[e] = f"v{len(local)}"
-            i = len(consts)
-            params.append(f"{name}=_k[{i}]")
-            row_params.append(f"x{name}=_kr[{i}], y{name}=_ki[{i}]")
+            params.append(f"x{name}=_kr[{len(consts)}], y{name}=_ki[{len(consts)}]")
             consts.append(e.value)
             return name
-        checked = False     # whether the row line also gives the rows' failures
+        checked = None      # the check of the rows that the line flags
         if k == "var":
-            var_nodes.append(e)
             j = e.index - 1
-            code = f"z[{j}]" + (".conjugate()" if e.conjugated else "")
             row = (f"(_re[:, {j}], {'-' * e.conjugated}_im[:, {j}]) if n > {j} "
                    f"else (_ZERO, _ZERO)")
-            check("True", guard=f"n <= {j}")
+            check("True", "var", e, guard=f"n <= {j}")
         elif k == "div":
             den = visit(kids[1])
-            body.append(f"if {den} == 0: raise _fail('division by zero', "
-                        f"_n[{len(failing)}], z)")
-            check(f"(x{den} == 0) & (y{den} == 0)")
-            failing.append(kids[1])
+            check(f"(x{den} == 0) & (y{den} == 0)", "division by zero", kids[1])
             num = visit(kids[0])
-            code = f"{num} / {den}"
             row = f"_quot_rows(x{num}, y{num}, x{den}, y{den}, m)"
         elif k in _ROW_FUNCS:
             w = visit(kids[0])
-            if k == "ln":
-                body.append(f"if abs({w}.imag) > {_REAL_IMAG_TOL!r} * max(1.0, abs({w}))"
-                            f" or {w}.real <= 0: raise _fail("
-                            f"f'ln of non-positive argument {{{w}}}', "
-                            f"_n[{len(failing)}], z)")
-                failing.append(kids[0])
-            code = f"{w} ** {e.exponent!r}" if k == "pow" else _OPS[k].format(w)
             row = _ROW_FUNCS[k].format(f"x{w}", f"y{w}", e.exponent)
-            checked = k != "exp"
-        elif k in _OPS:
+            if k != "exp":
+                checked = ("ln", kids[0]) if k == "ln" else ("overflow", e)
+        elif k in _ROW_OPS:
             args = list(map(visit, kids))   # a comprehension would add a frame per level
-            code = _OPS[k].format(*args)
             a, b = (args * 2)[:2]
             row = ", ".join(f.format(f"x{a}", f"x{b}", f"y{a}", f"y{b}")
                             for f in _ROW_OPS[k])
         else:
-            body.append(f"raise ValueError({f'unknown node kind {k!r}'!r})")
-            code = "None"
-            row, checked = "_ZERO, _ZERO, True", True
+            row, checked = "_ZERO, _ZERO, True", ("unknown", e)
         name = local[e] = f"v{len(local)}"
-        row_lines.append(f"x{name}, y{name}{', _f' * checked} = {row}")
+        lines.append(f"x{name}, y{name}{', _f' * bool(checked)} = {row}")
         if checked:
-            check("_f")
-        if k in ("pow", "abs"):
-            # CPython raises OverflowError where a mul would give inf
-            body.append(f"try: {name} = {code}")
-            body.append(f"except OverflowError: raise _fail('overflow', "
-                        f"_n[{len(failing)}], z) from None")
-            failing.append(e)
-        else:
-            body.append(f"{name} = {code}")
+            check("_f", *checked)
         return name
 
     results = [visit(r) for r in roots]
     source = "\n".join([
-        f"def program({', '.join(['z', *params])}):",
-        "    try:",
-        *(f"        {line}" for line in body or ["pass"]),
-        "    except IndexError:",
-        "        raise _beyond_dimension(_vars, z) from None",
-        f"    return [{', '.join(results)}]",
-    ])
-    row_source = "\n".join([
-        f"def rows({', '.join(['zz', *row_params])}):",
+        f"def program({', '.join(['zz', *params])}):",
         "    m, n = zz.shape",
         "    _re, _im, _c = zz.real, zz.imag, []",
         "    with _errstate(all='ignore'):",
-        *(f"        {line}" for line in row_lines or ["pass"]),
+        *(f"        {line}" for line in lines or ["pass"]),
         f"    return (_row_values(m, [{', '.join(f'(x{r}, y{r})' for r in results)}]),",
         "            _first_failures(m, _c))",
     ])
-    namespace = {"_k": consts, "_kr": [np.float64(c.real) for c in consts],
-                 "_ki": [np.float64(c.imag) for c in consts],
-                 "_n": failing, "_vars": var_nodes, "_fail": _fail,
-                 "_beyond_dimension": _beyond_dimension, "_log": math.log,
-                 "_exp": np.exp, "_errstate": np.errstate, "_ZERO": _ZERO,
-                 "_quot_rows": _quot_rows, "_pow_rows": _pow_rows,
-                 "_abs_rows": _abs_rows, "_ln_rows": _ln_rows,
-                 "_exp_rows": _exp_rows, "_row_values": _row_values,
-                 "_first_failures": _first_failures}
+    namespace = {"_kr": [np.float64(c.real) for c in consts],
+                 "_ki": [np.float64(c.imag) for c in consts], "_errstate": np.errstate,
+                 "_ZERO": _ZERO, **{f.__name__: f for f in (
+                     _quot_rows, _pow_rows, _abs_rows, _ln_rows, _exp_rows, _row_values,
+                     _first_failures)}}
     exec(source, namespace)
     prog = namespace["program"]
-
-    def rows(zz):
-        # the row form is compiled on its first call, which it then replaces
-        exec(row_source, namespace)
-        prog.rows = namespace["rows"]
-        return prog.rows(zz)
-
-    prog.rows = rows
+    prog.checks = checks
     return prog
 
 

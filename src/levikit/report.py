@@ -168,9 +168,24 @@ def _psh_check(report):
     else:
         f = ex.parse(cfg["expression"], int(cfg["domain"]["dimension"]))
     if cfg.get("mode") == "spectral":
+        # the records' Levi matrices from one call, by record (two may share
+        # a key): those before the first record whose point cannot be read
+        # or has another dimension, whose check then computes its own
+        points, n = {}, int(cfg["domain"]["dimension"])
+        for rec in _keyed("violation")(report):
+            try:
+                points[id(rec)] = ex.point_from_pairs(rec["point"], "point", n)
+            except Exception:   # noqa: BLE001 - its own check raises it again
+                break
+        stack = lc.levi_matrices(f, np.array(list(points.values()))) if points else ((), ())
+        levi = dict(zip(points, zip(*stack)))
+
         def check(rec):
-            eigs = np.linalg.eigvalsh(lc.levi_matrix(f, _record_vector(rec, "point")))
-            return None if eigs[0] < -tol else "minimum eigenvalue no longer negative"
+            h, err = levi.get(id(rec)) or (lc.levi_matrix(f, _record_vector(rec, "point")), None)
+            if err is not None:
+                raise err
+            return (None if np.linalg.eigvalsh(h)[0] < -tol
+                    else "minimum eigenvalue no longer negative")
         return check
     # reports written before quadrature was echoed used the default
     quadrature = cfg.get("quadrature", cl.DEFAULT_QUADRATURE)

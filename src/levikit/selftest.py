@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import expr as ex
 from . import fd
 from .corpus import CORPUS, corpus_points
@@ -56,11 +58,27 @@ def run_selftest(points_per_expr: int = 50, seed: int = 0,
                          ex.wirtinger(firsts[j, False], k, c), k, c)
                         for j in range(1, n + 1) for k in range(1, n + 1)
                         for c in (True, False)]
-        worst = 0.0
-        worst_case = ""
-        for z in pts:
+        # each tree runs once over the points and every stencil; values are
+        # read, or their rows' errors raised, in the checks' order
+        zz = np.array(pts)
+        stencils = [fd.stencil(zz, k) for k in range(1, n + 1)]
+        rows = np.concatenate([zz, *(s.reshape(-1, n) for s, _ in stencils)])
+        runs = {t: [x.tolist() for x in ex.program((t,))(rows)] for t in dict.fromkeys(
+            t for _, fn, tree, _, _ in derivatives for t in (tree, fn))}
+
+        def at(t, i):
+            values, failed = runs[t]
+            if failed[i] >= 0:
+                raise ex.row_error(ex.program((t,)), rows[i], failed[i])
+            return values[i][0]
+
+        worst, worst_case = 0.0, ""
+        for p, z in enumerate(pts):
             for label, fn, tree, k, conj in derivatives:
-                err = _rel_err(ex.evaluate(tree, z), fd.wirtinger_fd(fn, z, k, conj))
+                sym = at(tree, p)
+                start = len(pts) * (4 * k - 3) + 4 * p
+                err = _rel_err(sym, fd.from_stencil([at(fn, i) for i in range(start, start + 4)],
+                                                    stencils[k - 1][1][p], conj))
                 if err > worst:
                     worst = err
                     worst_case = f"{label} at {tuple(z)}"

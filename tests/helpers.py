@@ -257,12 +257,12 @@ def circle_probe_oracle(func, region, trials, seed, quadrature=cl.DEFAULT_QUADRA
     chunked probe replaces: per trial a one-candidate interior sample, one
     distance call for the centre and one row call for the centre and its
     circle, each trial skipped on its own LevikitError.  Kept as the oracle
-    the chunks must match field for field.  An expression runs one
-    ``expr.evaluate`` per point, so the oracle also holds the row form that
-    the probe runs to the scalar program's values and errors."""
+    the chunks must match field for field.  An expression runs one walk
+    (``walk_evaluate``) per point, so the oracle also holds the program that
+    the probe runs to the walk's values and errors."""
     if isinstance(func, ex.Expr):
         def rows(zz):
-            return [ex.evaluate(func, z).real for z in zz]
+            return [walk_evaluate(func, z).real for z in zz]
     else:
         rows = ex.real_rows(func)
     lo, hi = cl.RADII_RANGE
@@ -303,8 +303,8 @@ def circle_probe_oracle(func, region, trials, seed, quadrature=cl.DEFAULT_QUADRA
 
 
 # The sublevel foot-point search one point at a time, as it ran before its
-# pairs became one lockstep batch of row calls: numpy points, one
-# ``expr.evaluate`` per value, one ``calculus.complex_gradient`` per gradient
+# pairs became one lockstep batch of row calls: numpy points, one walk
+# (``walk_evaluate``) per value, one ``calculus.complex_gradient`` per gradient
 # and ``np.linalg.norm``.  Kept as the oracles that ``Sublevel._foot_points``,
 # ``_reproject_rows``, ``_sampled_distance``, ``domains._march_rows`` and
 # ``domains._bisect_rows`` must match bit for bit.
@@ -314,12 +314,12 @@ def bisect_level_oracle(f, level, z_in, z_out, outside=False):
     seg = z_out - z_in
     if outside:
         z_hi = z_in + hi * seg
-        if 0 <= ex.evaluate(f, z_hi).real - level <= dom._LEVEL_TOL:
+        if 0 <= walk_evaluate(f, z_hi).real - level <= dom._LEVEL_TOL:
             return z_hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         z = z_in + mid * seg
-        v = ex.evaluate(f, z).real - level
+        v = walk_evaluate(f, z).real - level
         on_level = 0 <= v <= dom._LEVEL_TOL if outside else abs(v) <= dom._LEVEL_TOL
         if on_level:
             return z
@@ -338,7 +338,7 @@ def march_oracle(d, z, direction, s, v, steps):
     for _ in range(steps):
         probe = z + s * direction
         try:
-            vp = ex.evaluate(d.expr, probe).real - d.level
+            vp = walk_evaluate(d.expr, probe).real - d.level
         except LevikitError:
             return None
         if vp * v <= 0:
@@ -348,7 +348,7 @@ def march_oracle(d, z, direction, s, v, steps):
 
 
 def reproject_oracle(d, c):
-    v = ex.evaluate(d.expr, c).real - d.level
+    v = walk_evaluate(d.expr, c).real - d.level
     if abs(v) <= dom._LEVEL_TOL:
         return c
     g = _gradient_oracle(d, c)
@@ -426,8 +426,9 @@ def cpython_step(z, t, direction):
 
 
 def march_on_lists_oracle(value, level, z, direction, s, v, steps):
-    """``march_oracle`` on lists of Python complex with the program ``value``
-    of f; an error other than a LevikitError propagates."""
+    """``march_oracle`` on lists of Python complex, with ``value`` giving the
+    list of f's values at a point; an error other than a LevikitError
+    propagates."""
     for _ in range(steps):
         probe = cpython_step(z, s, direction)
         try:
@@ -442,7 +443,7 @@ def march_on_lists_oracle(value, level, z, direction, s, v, steps):
 
 def bisect_outside_oracle(value, level, z_in, z_out):
     """The outer bracket point of the level set on [z_in, z_out], lists of
-    Python complex, by bisection with the program ``value`` of f."""
+    Python complex, by bisection with ``value`` as in ``march_on_lists_oracle``."""
     lo, hi = 0.0, 1.0
     seg = [b - a for a, b in zip(z_in, z_out)]
     z_hi = cpython_step(z_in, hi, seg)
@@ -463,8 +464,11 @@ def bisect_outside_oracle(value, level, z_in, z_out):
 
 def boundary_sample_oracle(d, count, rng):
     """``d.boundary_sample(count, rng)`` for a Sublevel ``d``, one ray per
-    draw of the rejection loop."""
-    value = ex.program((d.expr,))
+    draw of the rejection loop, f evaluated by the walk one point at a time."""
+
+    def value(z):
+        return [walk_evaluate(d.expr, z)]
+
     z0 = d._interior_point(rng)
     box = d.bounding_polydisc()
     t_max = 2.0 * float(np.sum(box.radii)) + float(np.linalg.norm(z0 - box.center))

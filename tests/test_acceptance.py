@@ -172,9 +172,9 @@ def test_criterion_09_disc_maximum_principle():
     polys = holomorphic_polynomials(25, 2, degree=4, seed=3)
     bounded_below = holomorphic_polynomials(25, 2, degree=4, seed=4,
                                             lower_bound=0.5)
-    functions = ([(lambda z, h=h: abs(ex.evaluate(h, z))) for h in polys]
-                 + [(lambda z, h=h: -math.log(abs(ex.evaluate(h, z))))
-                    for h in bounded_below])
+    # as trees, so each parameter set is one program call
+    functions = ([ex.abs_(h) for h in polys]
+                 + [ex.neg(ex.ln(ex.abs_(h))) for h in bounded_below])
     # disc images stay inside the polydisc of radius 1.8, where the seeded
     # ln-case polynomials are bounded away from zero by construction
     disc_list = []

@@ -250,25 +250,20 @@ def test_defining_function_independence_on_ball_examples():
 
 
 def test_derivative_matrices_evaluate_their_trees_in_one_call(monkeypatch):
-    # one row call of the program of all the trees, (rows, trees) per call,
-    # and no call of the scalar program
+    # one call of the program of all the trees, (rows, trees) per call
     calls = []
     program = ex.program
 
     def counting(roots):
         prog = program(roots)
 
-        def scalar(z):
-            calls.append("scalar")
-            return prog(z)
-
         def rows(zz):
-            values, failed = prog.rows(zz)
+            values, failed = prog(zz)
             calls.append(values.shape)
             return values, failed
 
-        scalar.rows = rows
-        return scalar
+        rows.checks = prog.checks
+        return rows
 
     monkeypatch.setattr(ex, "program", counting)
     f = ex.parse("abs2(z1)^2 + abs2(z2)^2 + abs2(z3) - 1", 3)

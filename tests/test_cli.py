@@ -577,6 +577,55 @@ def test_verify_reads_psh_circle_report_without_quadrature():
     assert result.passed and result.checked > 0
 
 
+def _outcome(check, rec):
+    try:
+        return check(rec)
+    except LevikitError as err:
+        return type(err), str(err)
+
+
+def test_verify_takes_the_spectral_levi_matrices_in_one_call(monkeypatch):
+    # one program call over every record's point; each record's reason, or
+    # the error of its row (a point moved onto the pole), is the one that a
+    # levi_matrix call per record gives
+    import numpy as np
+
+    from levikit import calculus as lc
+    from levikit import expr as ex
+    cfg = {"domain": BALL_CFG["domain"], "expression": "abs2(z1) - abs2(z2) + 0.01*ln(abs2(z1))",
+           "mode": "spectral", "samples": 20}
+    report, code = run_command("psh-test", cfg)
+    report = json.loads(rep.report_bytes(report))
+    records = [r for r in report["records"] if r["key"].startswith("violation")]
+    assert code == 2 and len(records) == 20
+    records[3]["point"] = [[0.0, 0.0], [0.5, 0.0]]
+    f = ex.parse(cfg["expression"], 2)
+
+    def one_call(rec):
+        h = lc.levi_matrix(f, rep._record_vector(rec, "point"))
+        return None if np.linalg.eigvalsh(h)[0] < -1e-9 else "minimum eigenvalue no longer negative"
+
+    want = [_outcome(one_call, rec) for rec in records]
+    assert want[3][0].__name__ == "EvalDomainError" and want.count(None) == 19
+    calls = []
+    program = ex.program
+
+    def counting(roots):
+        prog = program(roots)
+
+        def rows(zz):
+            calls.append(zz.shape)
+            return prog(zz)
+
+        rows.checks = prog.checks
+        return rows
+
+    monkeypatch.setattr(ex, "program", counting)
+    check = rep._psh_check(report)
+    assert [_outcome(check, rec) for rec in records] == want
+    assert calls == [(20, 2)]
+
+
 SUBLEVEL3 = {"variant": "sublevel", "dimension": 3,
              "expression": "abs2(z1) + abs2(z2) + abs2(z3) - 1", "level": 0.0}
 

@@ -80,13 +80,13 @@ def test_outside_bisection_evaluates_each_point_once():
     program = ex.program((f,))
     points = []
 
-    class Recording:
-        def rows(self, zz):
-            points.extend(map(tuple, zz))
-            return program.rows(zz)
+    def recording(zz):
+        points.extend(map(tuple, zz))
+        return program(zz)
 
+    recording.checks = program.checks
     segs = np.array([[1.5 + 0j, 0.5j], [0.3j, -1.2 + 0j], [1.1 + 0j, 0j]])
-    z, errors = dom._bisect_rows(Recording(), 0.0, np.zeros(2, dtype=complex), segs)
+    z, errors = dom._bisect_rows(recording, 0.0, np.zeros(2, dtype=complex), segs)
     assert errors == {}
     assert len(points) > 6
     assert len(set(points)) == len(points)
@@ -883,6 +883,48 @@ def test_a_refinement_that_does_not_converge_raises(monkeypatch):
             "sublevel domain (abs2(z1))^2 + (abs2(z2))^2 - 1 < 0.0: "
             "the modulus-space refinement of row 1 did not converge")):
         d.interior_distance(np.array([[0.0, 0.0], [0.3, 0.1j]]), dom.EUCLIDEAN)
+
+
+def test_distance_calls_take_their_program_calls_per_step_not_per_row(monkeypatch):
+    # 3 rows and 40 (the 3 among them) take the same number of program
+    # calls; every solve is one stacked call of a Newton step, none singular
+    d = REINHARDT_SUBLEVELS["QUARTIC"]
+    d._modulus_geometry()
+    rows = dom.interior_sample(d, 40, 0)
+    calls, shapes = [], []
+    run, solve = modulus._run, np.linalg.solve
+    monkeypatch.setattr(modulus, "_run", lambda prog, pp, every=False: calls.append(len(pp))
+                        or run(prog, pp, every))
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: shapes.append(np.shape(a)) or solve(a, b))
+    counts = []
+    for zz, metric in ((rows[:3], dom.EUCLIDEAN), (rows, dom.EUCLIDEAN), (rows, dom.LINFTY)):
+        calls.clear()
+        shapes.clear()
+        d.interior_distance(zz, metric)
+        assert len(shapes) <= modulus._NEWTON_STEPS and all(len(s) == 3 for s in shapes)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_a_singular_newton_system_is_solved_alone(monkeypatch):
+    # at the centre of the ball's Γ each Euclidean system is singular where
+    # Newton starts: that step's stacked solve raises, every system of the
+    # step is solved alone, the singular ones keep their start (on Γ, so
+    # the distance is 1), and the other rows keep the bits they have alone
+    d = dom.Sublevel(ex.parse("abs2(z1) + abs2(z2) - 1", 2), 0.0, 2,
+                     box_center=(0, 0), box_radii=(1.5, 1.5))
+    rows = np.array([[0.3, 0.2j], [0, 0], [0.1 - 0.5j, 0.4]])
+    alone = [d.interior_distance(rows[i:i + 1], dom.EUCLIDEAN).tobytes() for i in (0, 2)]
+    shapes = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: shapes.append(np.shape(a)) or solve(a, b))
+    got = d.interior_distance(rows, dom.EUCLIDEAN)
+    stacked = [s for s in shapes if len(s) == 3]
+    assert len(shapes) - len(stacked) == stacked[0][0] > 3
+    assert got[1] == pytest.approx(1.0, rel=1e-12)
+    assert [got[i:i + 1].tobytes() for i in (0, 2)] == alone
 
 
 def test_a_sign_change_at_a_pole_is_no_level_crossing():

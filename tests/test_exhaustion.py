@@ -299,25 +299,22 @@ def test_point_paths_take_one_contains_call_per_path(monkeypatch):
 
 
 def test_point_paths_raise_the_first_failing_points_error():
-    # points of the second and third path where the value program raises:
+    # points of the second and third path where the value program fails:
     # row calls raise the second path's, as one call per point does
     d = dom.domain_from_dict(PSH_SUM)
     paths = _point_paths_oracle(d, 4, 2, 12)
-    bad = {tuple(paths[1][3].tolist()): "second", tuple(paths[2][1].tolist()): "third"}
+    second, third = tuple(paths[1][3].tolist()), tuple(paths[2][1].tolist())
     value = d._value_program()
 
-    def failing(z):
-        if tuple(z) in bad:
-            raise EvalDomainError(bad[tuple(z)])
-        return value(z)
+    def failing(zz):
+        # the bad points fail a check of their own, whose error names the point
+        values, failed = value(zz)
+        return values, np.where([tuple(z) in (second, third) for z in zz.tolist()],
+                                len(value.checks), failed)
 
-    def rows(zz):
-        # the row form flags the bad points, and row_error runs failing there
-        values, failed = value.rows(zz)
-        return values, np.where([tuple(z) in bad for z in zz.tolist()], 0, failed)
-
-    failing.rows = rows
+    failing.checks = [*value.checks, ("division by zero", ex.var(1))]
     d.__dict__["__value_program_value"] = failing   # where _once keeps it
     for make in (_point_paths_oracle, type(d).point_paths):
-        with pytest.raises(EvalDomainError, match="^second$"):
+        with pytest.raises(EvalDomainError, match="^division by zero") as err:
             make(d, 4, 2, 12)
+        assert err.value.point == second

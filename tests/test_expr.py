@@ -229,8 +229,8 @@ def test_printer_round_trip_preserves_conj_folding():
 
 
 def _one_pass(trees, z):
-    """The values of several trees at z from one run of their program."""
-    return ex.program(tuple(trees))(ex.as_point(z).tolist())
+    """The values of several trees at z from one call of their program."""
+    return ex.row_values(ex.program(tuple(trees)), ex.as_point(z)[None])[0].tolist()
 
 
 def test_one_pass_over_trees_matches_one_tree_at_a_time():
@@ -253,16 +253,25 @@ def test_one_pass_raises_at_the_first_failing_tree():
 # ---------------------------------------------------------------------------
 # compiled programs against the recursive walk, bit for bit
 
+def _hex_parts(values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+def _error_outcome(err):
+    """An exception's class and message, and an EvalDomainError's
+    subexpression and point."""
+    if isinstance(err, EvalDomainError):
+        return ("EvalDomainError", str(err), err.subexpression, repr(err.point))
+    return (type(err).__name__, str(err))
+
+
 def _outcome(evaluate, f, z):
     """Each value's real and imaginary bits, or what the evaluation raised."""
     try:
         got = evaluate(f, z)
-    except EvalDomainError as err:
-        return ("EvalDomainError", str(err), err.subexpression, repr(err.point))
-    except (ArithmeticError, RuntimeWarning) as err:
-        return (type(err).__name__, str(err))
-    values = got if isinstance(got, list) else [got]
-    return [(v.real.hex(), v.imag.hex()) for v in values]
+    except Exception as err:    # noqa: BLE001 - compared by the caller
+        return _error_outcome(err)
+    return _hex_parts(got if isinstance(got, list) else [got])
 
 
 _PARTS = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-300, 1e200, math.inf]
@@ -299,105 +308,91 @@ def _forests(draw, exponents=st.integers(2, 7)):
 
 _COORDS = st.complex_numbers(max_magnitude=4.0) | st.sampled_from(
     [0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1 + 0j, -1 + 0j, 2j])
-
-
-@settings(max_examples=400, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(_forests(), st.lists(_COORDS, min_size=1, max_size=3))
-def test_compiled_program_matches_the_walk_bit_for_bit(roots, z):
-    # values by float.hex; errors by class, message, subexpression and
-    # point, the first in walk order where several are reachable
-    with np.errstate(all="ignore"):
-        assert _outcome(_one_pass, roots, z) == _outcome(walk_evaluate, roots, z)
-        assert _outcome(ex.evaluate, roots[0], z) == _outcome(walk_evaluate, roots[0], z)
-        # the program kept on the root answers a second call alike
-        assert _outcome(ex.evaluate, roots[0], z) == _outcome(walk_evaluate, roots[0], z)
-
-
-# the row form against the scalar program: parts of both signed zeros,
-# subnormals, values near 1e154 (whose squares overflow) and 1e308, and the
-# non-finite ones; exponents on both sides of CPython's repeated squaring
+# parts of both signed zeros, subnormals, values near 1e154 (whose squares
+# overflow) and 1e308, and the non-finite ones; exponents on both sides of
+# CPython's repeated squaring
 _ROW_PARTS = st.sampled_from([
     0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-160, 1.0, -1.0, 0.5, -2.5,
     1e154, -1.3e154, 9e307, -1.7e308, math.inf, -math.inf, math.nan]) | st.floats(-4.0, 4.0)
 _ROW_EXPONENTS = st.sampled_from([2, 3, 4, 5, 6, 7, 8, 100, 101])
 
 
-def _hex_parts(values):
-    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+def _row_error_outcome(prog, z, check):
+    """``_error_outcome`` of ``row_error``'s exception, or of what building
+    it raised, as printing an infinite constant does in the walk too."""
+    try:
+        err = ex.row_error(prog, z, check)
+    except Exception as raised:     # noqa: BLE001 - compared by the caller
+        err = raised
+    return _error_outcome(err)
 
 
 def _row_call_outcome(call):
-    """A row call's values by bits, or its error's type and message."""
+    """A row call's values by bits, or its error's ``_error_outcome``."""
     try:
         values = call()
     except Exception as err:    # noqa: BLE001 - compared by the caller
-        return type(err), str(err)
+        return _error_outcome(err)
     return _hex_parts(np.ravel(values))
 
 
-def _scalar_rows_outcome(prog, zz, part):
-    """``_row_call_outcome`` of the scalar program run row by row, with
-    ``part`` of each value; the first row that raises gives its error."""
+def _first_error_or_values(outcomes, real=False):
+    """The first error of per-row outcomes, else every row's values, or
+    their real parts (as complex values with a zero imaginary part)."""
     values = []
-    for z in zz:
-        try:
-            values += map(part, prog(z.tolist()))
-        except Exception as err:    # noqa: BLE001 - compared by the caller
-            return type(err), str(err)
-    return _hex_parts(values)
+    for outcome in outcomes:
+        if not isinstance(outcome, list):
+            return outcome
+        values += [(re, (0.0).hex()) for re, _ in outcome] if real else outcome
+    return values
 
 
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(_forests(_ROW_EXPONENTS), st.integers(1, 3),
-       st.lists(st.lists(st.tuples(_ROW_PARTS, _ROW_PARTS), min_size=3, max_size=3),
-                min_size=1, max_size=6))
-def test_row_form_matches_the_scalar_program_bit_for_bit(roots, n, rows):
-    # a row the row form flags is one where the scalar program raises, and
-    # row_error gives that error; every other row has the scalar bits.
-    # row_values and real_rows give the scalar values (real parts) of every
-    # row, or raise the scalar program's error at the first row that raises
+@given(_forests(st.integers(2, 7) | _ROW_EXPONENTS), st.integers(1, 3),
+       st.lists(st.lists(_COORDS | st.builds(complex, _ROW_PARTS, _ROW_PARTS),
+                         min_size=3, max_size=3), min_size=1, max_size=6))
+def test_programs_match_the_walk_bit_for_bit(roots, n, rows):
+    # row by row against the walk: values by float.hex; where the program
+    # flags a row, row_error gives the walk's error (class, message,
+    # subexpression and point), the first in walk order where several are
+    # reachable, such as a variable beyond a row shorter than the trees'.
+    # row_values and real_rows give every row's values (real parts), or
+    # raise the first flagged row's error; evaluate gives each row's
     prog = ex.program(tuple(roots))
-    zz = np.array([[complex(re, im) for re, im in row[:n]] for row in rows])
+    zz = np.array([row[:n] for row in rows], dtype=complex)
     with np.errstate(all="ignore"):
-        assert _row_call_outcome(lambda: ex.row_values(prog, zz)) == _scalar_rows_outcome(
-            prog, zz, lambda v: v)
-        assert _row_call_outcome(lambda: ex.real_rows(roots[0])(zz)) == _scalar_rows_outcome(
-            ex.program((roots[0],)), zz, lambda v: v.real)
-        values, failed = prog.rows(zz)
+        want = [_outcome(walk_evaluate, roots, z) for z in zz]
+        values, failed = prog(zz)
         assert values.shape == (len(rows), len(roots)) and failed.shape == (len(rows),)
-        for z, got, fail in zip(zz, values, failed.tolist()):
-            try:
-                want = prog(z.tolist())
-            except Exception as err:    # noqa: BLE001 - compared below
-                assert fail >= 0
-                raised = ex.row_error(prog, z)
-                assert (type(raised), str(raised)) == (type(err), str(err))
-            else:
-                assert fail == -1
-                assert _hex_parts(got) == _hex_parts(want)
+        assert [_row_error_outcome(prog, z, fail) if fail >= 0 else _hex_parts(got)
+                for z, got, fail in zip(zz, values, failed.tolist())] == want
+        assert _row_call_outcome(lambda: ex.row_values(prog, zz)) == _first_error_or_values(want)
+        first = [_outcome(walk_evaluate, roots[0], z) for z in zz]
+        assert _row_call_outcome(lambda: ex.real_rows(roots[0])(zz)) == _first_error_or_values(
+            first, real=True)
+        assert [_outcome(ex.evaluate, roots[0], z) for z in zz] == first
 
 
 def test_row_form_flags_the_first_failing_check_in_program_order():
-    # 1/z2 is checked before ln(z1), as the scalar program raises
+    # 1/z2 is checked before ln(z1), as the walk raises
     prog = ex.program((ex.parse("1/z2 + ln(z1)", 2),))
-    values, failed = prog.rows(np.array([[1, 0], [0, 1], [0, 0], [2, 1]], dtype=complex))
+    values, failed = prog(np.array([[1, 0], [0, 1], [0, 0], [2, 1]], dtype=complex))
     assert failed[0] == failed[2] < failed[1] and failed[3] == -1
-    assert values[3, 0] == prog([2, 1])[0]
-    assert "division by zero" in str(ex.row_error(prog, [0, 0]))
+    assert values[3, 0] == ex.evaluate(ex.parse("1/z2 + ln(z1)", 2), [2, 1])
+    assert "division by zero" in str(ex.row_error(prog, [0, 0], failed[2]))
 
 
 def test_row_form_of_constants_and_of_a_short_row():
     prog = ex.program((ex.const(2.5), ex.parse("z1 + z3", 3)))
-    values, failed = prog.rows(np.zeros((2, 3), dtype=complex))
+    values, failed = prog(np.zeros((2, 3), dtype=complex))
     assert values[:, 0].tolist() == [2.5, 2.5] and failed.tolist() == [-1, -1]
-    _, failed = prog.rows(np.zeros((2, 2), dtype=complex))
+    _, failed = prog(np.zeros((2, 2), dtype=complex))
     assert min(failed) >= 0
-    assert "exceeds point dimension 2" in str(ex.row_error(prog, [0, 0]))
+    assert "exceeds point dimension 2" in str(ex.row_error(prog, [0, 0], failed[0]))
 
 
-@pytest.mark.parametrize("text, point, message", [
+_WALK_ORDER = [
     ("ln(z1) + 1/z2", [0, 0], "ln of non-positive argument 0j in subexpression z1"),
     ("1/z2 + ln(z1)", [0, 0], "division by zero in subexpression z2"),
     # a quotient's denominator runs before its numerator
@@ -412,13 +407,26 @@ def test_row_form_of_constants_and_of_a_short_row():
     ("abs(z1)", [1.5e308 + 1.5e308j], "overflow in subexpression abs(z1)"),
     ("z2^3 + abs(z1)", [1.5e308 + 1.5e308j, 1e200], "overflow in subexpression z2^3"),
     ("abs(z1) / z2^2", [1.5e308 + 1.5e308j, 1e200], "overflow in subexpression z2^2"),
-])
-def test_first_reachable_error_in_walk_order_is_raised(text, point, message):
-    f = ex.parse(text, 3)
-    with pytest.raises(EvalDomainError) as err:
+]
+
+
+@pytest.mark.parametrize("f, point, error, message", [
+    *((ex.parse(text, 3), point, EvalDomainError, message)
+      for text, point, message in _WALK_ORDER),
+    # ln's test takes |w| first, and Python's abs overflows there, bare
+    (ex.parse("ln(z1)", 1), [1.5e308 + 1.5e308j], OverflowError, "absolute value too large"),
+    (ex.Expr("foo", (ex.var(1),)), [1.0], ValueError, "unknown node kind 'foo'"),
+], ids=[*(text for text, _, _ in _WALK_ORDER), "ln-abs-overflow", "unknown-kind"])
+def test_first_reachable_error_in_walk_order_is_raised(f, point, error, message):
+    # through evaluate, and through row_error at the row the program flags
+    with pytest.raises(error) as err:
         ex.evaluate(f, point)
-    assert str(err.value).startswith(message)
-    assert _outcome(ex.evaluate, f, point) == _outcome(walk_evaluate, f, point)
+    assert type(err.value) is error and str(err.value).startswith(message)
+    walk = _outcome(walk_evaluate, f, point)
+    assert _outcome(ex.evaluate, f, point) == walk
+    prog, zz = ex.program((f,)), ex.as_point(point)[None]
+    (fail,) = prog(zz)[1].tolist()
+    assert _error_outcome(ex.row_error(prog, zz[0], fail)) == walk
 
 
 def test_signed_zero_constants_are_not_merged():

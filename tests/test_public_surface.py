@@ -7,7 +7,7 @@ import inspect
 import pytest
 
 import levikit
-from levikit import calculus, classify, discs, domains, expr, hulls
+from levikit import calculus, classify, discs, domains, expr, hulls, modulus
 
 # library code that no command reached, deleted with its tests
 REMOVED = [
@@ -56,6 +56,13 @@ REMOVED = [
     (classify, "_rows"),
     (calculus, "_second_derivatives"),
     (calculus, "_row_errors"),
+    # the scalar program beside the row form, and the one-point modulus
+    # searches that the lockstep batches replaced
+    (expr, "_OPS"),
+    (expr, "_fail"),
+    (expr, "_beyond_dimension"),
+    (modulus, "_bracketed_root"),
+    (modulus.ModulusGeometry, "_contact_point"),
 ]
 
 
