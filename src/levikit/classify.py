@@ -23,7 +23,7 @@ from . import domains as dom
 from . import expr as ex
 from .errors import DegenerateGradient, LevikitError
 from .norms import row_norms
-from .sampling import block_values, deterministic_map, spawn_rngs, unit_vectors
+from .sampling import block_values, deterministic_map, unit_vectors
 
 STRICTLY_PSEUDOCONVEX = "StrictlyPseudoconvex"
 LEVI_ONLY = "LeviPseudoconvexOnly"
@@ -298,9 +298,9 @@ def _passes_in_floats(center_dists, blocks, tol) -> list:
     return passes
 
 
-# trials per chunk: enough to make the row calls few, few enough that a
-# chunk's arrays stay small (3000-trial Hartogs probe, fresh interpreter: peak
-# RSS 40.8 MB with 32-trial chunks, 41.9 MB with 128, 70 MB with one chunk)
+# trials per chunk, on which the draws depend: enough to make the row calls
+# few, few enough that a chunk's arrays stay small (3000-trial Hartogs probe,
+# peak RSS 40.8 MB with 32-trial chunks, 41.9 MB with 128, 70 MB with one)
 _TRIAL_CHUNK = 32
 
 
@@ -316,14 +316,15 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
     and counted.  Each centre and circle is evaluated once: point functions
     are deterministic, and ``verify`` re-checks every stored violation.
 
-    Trials run in chunks of ``_TRIAL_CHUNK``; each draws its centre,
-    direction and log-radius from its own generator, in that order.  Per
-    chunk, one rejection loop draws every centre (``dom.interior_points``,
-    bit for bit what each generator alone would draw), one call of
-    ``distances_to_boundary`` gives their distances, and one call of the
-    function's row form (``expr.real_rows``) covers one array of every kept
-    trial's centre and circle.  A LevikitError in either call skips only the trials that
-    raise it (``block_values``); other exceptions propagate.
+    Trials run in chunks of ``_TRIAL_CHUNK``, the report's ``trial_chunk``.
+    Chunk c draws from one generator, ``default_rng((seed, c))``: every
+    centre (one ``region.interior_sample`` call), then every direction (one
+    ``unit_vectors`` call), then every log-radius (one ``uniform`` call).
+    Per chunk, one call of ``distances_to_boundary`` gives the centres'
+    distances, and one call of the function's row form (``expr.real_rows``)
+    covers one array of every kept trial's centre and circle.  A
+    LevikitError in either call skips only the trials that raise it
+    (``block_values``); other exceptions propagate.
 
     For ``neg_log_distance`` of this region and metric, a centre's value is
     -ln of its distance, and one ``distances_to_boundary`` call covers the
@@ -357,11 +358,13 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
     def distances(zz):
         return dom.distances_to_boundary(region, zz, metric)
 
-    def chunk_outcomes(rngs):
-        centers = dom.interior_points(region, rngs)
-        deltas = unit_vectors(rngs, region.dimension)
-        log_ts = [rng.uniform(log_lo, log_hi) for rng in rngs]
-        outcomes = [None] * len(rngs)
+    def chunk_outcomes(c):
+        k = min(_TRIAL_CHUNK, trials - c * _TRIAL_CHUNK)
+        rng = np.random.default_rng((seed, c))
+        centers = region.interior_sample(k, rng)
+        deltas = unit_vectors(rng, k, region.dimension)
+        log_ts = rng.uniform(log_lo, log_hi, size=k).tolist()
+        outcomes = [None] * k
         kept = []
         for i, dist in enumerate(block_values(distances, centers[:, None])):
             if dist is None:
@@ -397,11 +400,8 @@ def psh_test_circle_average(func, region, trials: int, seed: int,
                                         float(deficit)) if deficit > tol else True)
         return outcomes
 
-    rngs = spawn_rngs(seed, trials)
-    chunks = [rngs[i:i + _TRIAL_CHUNK] for i in range(0, trials, _TRIAL_CHUNK)]
-    return _psh_verdict("CircleAverage",
-                        [o for part in deterministic_map(chunk_outcomes, chunks)
-                         for o in part])
+    chunks = deterministic_map(chunk_outcomes, range(math.ceil(trials / _TRIAL_CHUNK)))
+    return _psh_verdict("CircleAverage", [o for part in chunks for o in part])
 
 
 def neg_log_distance(region, metric: str):

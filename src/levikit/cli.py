@@ -30,8 +30,8 @@ _COMMON_KEYS = {"seed", "out", "workers", "tol"}
 _ALLOWED_KEYS = {
     "classify": _COMMON_KEYS | {"domain", "samples", "tol_grad", "tol_eig"},
     "psh-test": _COMMON_KEYS | {"domain", "expression", "mode", "samples",
-                                "quadrature", "metric"},
-    "log-distance-probe": _COMMON_KEYS | {"domain", "metric", "trials"},
+                                "quadrature", "metric", "trial_chunk"},
+    "log-distance-probe": _COMMON_KEYS | {"domain", "metric", "trials", "trial_chunk"},
     "reinhardt": _COMMON_KEYS | {"domain"},
     "disc-probe": _COMMON_KEYS | {"domain", "disc_family", "interior", "boundary"},
     "hull": _COMMON_KEYS | {"kind", "points", "points_file", "is_complex",
@@ -66,6 +66,10 @@ def _check_keys(command: str, cfg: dict) -> None:
             continue
         if key not in allowed:
             raise ConfigError(f"{key}: unknown key for command {command!r}")
+    # circle-probe reports echo the chunk size their draws depend on
+    if cfg.get("trial_chunk", cl._TRIAL_CHUNK) != cl._TRIAL_CHUNK:
+        raise ConfigError(f"trial_chunk: the circle probe runs {cl._TRIAL_CHUNK}-trial "
+                          f"chunks, got {cfg['trial_chunk']!r}")
 
 
 def _require(cfg, key, path=None):
@@ -188,7 +192,7 @@ def _run_psh_test(cfg):
     if mode == "spectral":
         verdict = cl.psh_test_spectral(f, d, samples, seed, tol=tol)
     elif mode == "circle":
-        echo["quadrature"] = quad
+        echo.update(quadrature=quad, trial_chunk=cl._TRIAL_CHUNK)
         verdict = cl.psh_test_circle_average(f, d, samples, seed, tol=tol,
                                              quadrature=quad, metric=metric)
     else:
@@ -214,7 +218,8 @@ def _run_log_distance(cfg):
                f"({result.inner.tested} triples, "
                f"{len(result.inner.violations)} violations)")
     echo = {"domain": domain_echo, "metric": metric, "trials": trials,
-            "seed": seed, "tol": tol, "workers": workers}
+            "seed": seed, "tol": tol, "workers": workers,
+            "trial_chunk": cl._TRIAL_CHUNK}
     return records, summary, result.conclusion == "NotPseudoconvex", echo
 
 

@@ -29,8 +29,8 @@ from .norms import EUCLIDEAN, LINFTY, norm, row_norms
 from .sampling import block_values, disc_points, disc_points_at, rejection_sample, unit_vector
 
 _LEVEL_TOL = 1e-10
-# rejection-sampling candidates drawn and tested at once; about 4 are
-# needed per point of the Hartogs figure, so 8 mostly take one block
+# rejection-sampling candidates drawn and tested at once per missing point;
+# about 4 are needed per point of the Hartogs figure, so 8 mostly take one round
 _CANDIDATE_BLOCK = 8
 
 
@@ -90,38 +90,33 @@ class Domain:
         raise LevikitError(f"no bounding region for {type(self).__name__}")
 
     def interior_sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Rejection sampling from the bounding polydisc, shape (count, n)."""
-        return self._interior_rows([rng], count)[0]
-
-    def _interior_rows(self, rngs, count: int) -> np.ndarray:
-        """``count`` points per generator, shape (len(rngs), count, n): each
-        round, every generator still short draws ``_CANDIDATE_BLOCK``
-        candidates, one ``contains`` call tests them all, and a candidate where
-        it raises a LevikitError is rejected.  Points, budgets and final states
-        are those of one draw and test per candidate: a generator whose last
-        block ran past its count-th sample is set back to its state on entry
-        and redraws the used candidates, which keeps a buffered 32-bit half.
-        Of the generators that run out, the first raises."""
+        """Rejection sampling from the bounding polydisc, shape (count, n),
+        within 1000 candidates per point.  Each round draws
+        ``_CANDIDATE_BLOCK`` candidates per missing point, one ``contains``
+        call tests them all, and a candidate where it raises a LevikitError
+        is rejected.  Points, budget and final state are those of one draw
+        and test per candidate: when the last round ran past the count-th
+        sample, the generator is set back to its state on entry and redraws
+        the used candidates, which keeps a buffered 32-bit half."""
         box = self.bounding_polydisc()
-        n, budget = self.dimension, max(1000, 200 * count)
-        starts = [rng.bit_generator.state for rng in rngs]
-        samples, drawn = [[] for _ in rngs], [0] * len(rngs)
-        while short := [g for g, got in enumerate(samples) if len(got) < count]:
-            u = np.stack([rngs[g].uniform(size=(_CANDIDATE_BLOCK, n, 2)) for g in short])
-            z = np.asarray(box.center) + disc_points_at(u, box.radii)
-            inside = [bool(v and v[0]) for v in block_values(self.contains, z.reshape(-1, 1, n))]
-            for g, zs, ok in zip(short, z, np.reshape(inside, z.shape[:2]).tolist()):
-                got, room = samples[g], min(_CANDIDATE_BLOCK, budget - drawn[g])
-                hits = [j for j in range(room) if ok[j]][:count - len(got)]
-                got += [zs[j] for j in hits]
-                drawn[g] += hits[-1] + 1 if len(got) == count else room
-                if len(got) < count and drawn[g] == budget:
-                    raise SamplingExhausted(f"interior sampling of {type(self).__name__} "
-                                            f"failed", len(got) / budget)
-                if len(got) == count and drawn[g] % _CANDIDATE_BLOCK:
-                    rngs[g].bit_generator.state = starts[g]
-                    rngs[g].uniform(size=(drawn[g], n, 2))
-        return np.array(samples).reshape(len(rngs), count, n)
+        n, budget = self.dimension, 1000 * max(count, 1)
+        start = rng.bit_generator.state
+        got, drawn = [], 0
+        while len(got) < count:
+            if drawn == budget:
+                raise SamplingExhausted(f"interior sampling of {type(self).__name__} failed",
+                                        len(got) / budget)
+            size = min(_CANDIDATE_BLOCK * (count - len(got)), budget - drawn)
+            z = np.asarray(box.center) + disc_points_at(rng.uniform(size=(size, n, 2)),
+                                                        box.radii)
+            inside = [bool(v and v[0]) for v in block_values(self.contains, z[:, None])]
+            hits = np.flatnonzero(inside)[:count - len(got)]
+            got.extend(z[hits])
+            drawn += size
+        if count and hits[-1] + 1 < size:
+            rng.bit_generator.state = start
+            rng.uniform(size=(drawn - size + hits[-1] + 1, n, 2))
+        return np.array(got).reshape(count, n)
 
     def boundary_sample(self, count: int, rng: np.random.Generator) -> BoundarySamples:
         raise LevikitError(f"boundary sampling not supported for {type(self).__name__}")
@@ -848,14 +843,6 @@ def contains(d, z) -> bool:
 def interior_sample(d, count: int, seed: int) -> np.ndarray:
     """Seeded interior points, shape (count, n)."""
     return d.interior_sample(count, np.random.default_rng(seed))
-
-
-def interior_points(d, rngs) -> np.ndarray:
-    """``d.interior_sample(1, rng)[0]`` on each generator, bit for bit and
-    leaving it in the same state, as the rows of one array."""
-    if type(d).interior_sample is Domain.interior_sample:
-        return d._interior_rows(rngs, 1)[:, 0]
-    return np.array([d.interior_sample(1, rng)[0] for rng in rngs]).reshape(-1, d.dimension)
 
 
 def boundary_sample(d, count: int, seed: int) -> BoundarySamples:

@@ -749,7 +749,7 @@ def parse(text: str, n: int) -> Expr:
 # printing (round-trips through parse)
 
 def _fmt_real(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
+    if math.isfinite(x) and x == int(x) and abs(x) < 1e15:
         return str(int(x))
     return repr(x)
 
@@ -771,7 +771,8 @@ _PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
 
 
 def to_text(e: Expr) -> str:
-    """Render to grammar-conforming text; parse(to_text(e)) rebuilds e."""
+    """Render to grammar-conforming text; parse(to_text(e)) rebuilds e.  A
+    non-finite constant prints as its ``repr`` ("inf", "nan") and does not."""
 
     def go(node, parent_prec):
         k = node.kind

@@ -1,10 +1,10 @@
 """Seeded sampling and the order-preserving map over work items.
 
-Every operation that consumes randomness derives one child seed per work
-item from the master seed, so each item's result depends only on its own
-seed.  Items run one after another: the ``workers`` config key and
-``--workers`` flag are still accepted for old configs and have no effect.
-"""
+Every operation that consumes randomness seeds its generators from the
+master seed alone; the circle probe draws each chunk of trials from one
+generator seeded with (seed, chunk index).  Items run one after another:
+the ``workers`` config key and ``--workers`` flag are still accepted for
+old configs and have no effect."""
 
 from __future__ import annotations
 
@@ -32,20 +32,21 @@ def unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
             return v / size
 
 
-def unit_vectors(rngs, n: int) -> np.ndarray:
-    """``unit_vector(rng, n)`` on each generator, bit for bit and leaving it
-    in the same state, as the rows of one array: one ``standard_normal(2n)``
-    per generator (the stream of its two n-draws), one ``row_norms`` call
-    (``norm`` of each row, bit for bit) and one division.  A generator whose
-    draw is too short redraws alone, through ``unit_vector``."""
-    draws = np.array([rng.standard_normal(2 * n) for rng in rngs]).reshape(len(rngs), 2 * n)
+def unit_vectors(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """``count`` uniformly random unit vectors in C^n as the rows of one
+    array: one ``standard_normal((count, 2n))`` (row i is the stream of the
+    i-th of ``count`` calls of ``unit_vector``), one ``row_norms`` call
+    (``norm`` of each row, bit for bit) and one division.  A row whose draw
+    is too short is drawn again through ``unit_vector``, on the same
+    generator, after the other rows' draws."""
+    draws = rng.standard_normal((count, 2 * n))
     v = draws[:, :n] + 1j * draws[:, n:]
     sizes = row_norms(v)
     short = np.flatnonzero(~(sizes > _SHORTEST))
     sizes[short] = 1.0
     v /= sizes[:, None]
     for i in short:
-        v[i] = unit_vector(rngs[i], n)
+        v[i] = unit_vector(rng, n)
     return v
 
 

@@ -173,8 +173,9 @@ CLI_CASES = {
     "logdist-hartogs-euclidean": _cli("log-distance-probe",
                                       {"domain": HARTOGS, "metric": "euclidean",
                                        "trials": 150, "seed": 1}),
+    # 2000 trials find a violation on 19 of seeds 0-19
     "logdist-hartogs-linfty-seed3": _cli("log-distance-probe",
-                                         {"domain": HARTOGS, "trials": 150, "seed": 3}),
+                                         {"domain": HARTOGS, "trials": 2000, "seed": 3}),
     "logdist-ball-euclidean": _cli("log-distance-probe", {"domain": BALL2, "trials": 30}),
     "logdist-ball-c3-linfty": _cli("log-distance-probe", {"domain": BALL3, "trials": 20,
                                                           "metric": "linfty"}),

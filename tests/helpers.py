@@ -8,9 +8,9 @@ from levikit import calculus as lc
 from levikit import classify as cl
 from levikit import domains as dom
 from levikit import expr as ex
-from levikit import hulls
+from levikit import hulls, norms
 from levikit.errors import DegenerateGradient, EvalDomainError, LevikitError
-from levikit.sampling import disc_points, rejection_sample, spawn_rngs, unit_vector
+from levikit.sampling import _SHORTEST, disc_points, rejection_sample, unit_vector
 
 
 def brute_force_extreme_points(points: np.ndarray) -> set:
@@ -215,7 +215,7 @@ def interior_sample_oracle(region, count, rng):
             return None
 
     samples, _ = rejection_sample(
-        draw, count, max(1000, 200 * count),
+        draw, count, 1000 * max(count, 1),
         f"interior sampling of {type(region).__name__} failed")
     return np.array(samples)
 
@@ -251,25 +251,46 @@ PROBE_REGIONS = {
 }
 
 
+def probe_draws_oracle(region, trials, seed):
+    """Per trial of the circle probe its (centre, direction, log-radius),
+    one draw at a time: chunk c of ``classify._TRIAL_CHUNK`` trials draws
+    from ``default_rng((seed, c))`` the one-candidate interior sample of
+    every centre, then two n-draws per direction (the stream of
+    ``unit_vector``), each too-short draw drawn again by ``unit_vector``
+    after the others, then one log-uniform per trial."""
+    n = region.dimension
+    lo, hi = (math.log(r) for r in cl.RADII_RANGE)
+    out = []
+    for chunk, start in enumerate(range(0, trials, cl._TRIAL_CHUNK)):
+        count = min(cl._TRIAL_CHUNK, trials - start)
+        rng = np.random.default_rng((seed, chunk))
+        centers = interior_sample_oracle(region, count, rng).reshape(count, n)
+        draws = [rng.standard_normal(2 * n) for _ in range(count)]
+        directions = [d[:n] + 1j * d[n:] for d in draws]
+        directions = [v / norms.norm(v) if norms.norm(v) > _SHORTEST else None
+                      for v in directions]
+        directions = [unit_vector(rng, n) if v is None else v for v in directions]
+        out += zip(centers, directions, [rng.uniform(lo, hi) for _ in range(count)])
+    return out
+
+
 def circle_probe_oracle(func, region, trials, seed, quadrature=cl.DEFAULT_QUADRATURE,
                         tol=1e-9, metric=None):
     """``classify.psh_test_circle_average`` one trial at a time, which the
-    chunked probe replaces: per trial a one-candidate interior sample, one
-    distance call for the centre and one row call for the centre and its
-    circle, each trial skipped on its own LevikitError.  Kept as the oracle
-    the chunks must match field for field.  An expression runs one walk
-    (``walk_evaluate``) per point, so the oracle also holds the program that
-    the probe runs to the walk's values and errors."""
+    chunked probe replaces: the draws of ``probe_draws_oracle``, then per
+    trial one distance call for the centre and one row call for the
+    centre and its circle, each trial skipped on its own LevikitError.
+    Kept as the oracle the chunks must match field for field.  An
+    expression runs one walk (``walk_evaluate``) per point, so the oracle
+    also holds the program that the probe runs to the walk's values and
+    errors."""
     if isinstance(func, ex.Expr):
         def rows(zz):
             return [walk_evaluate(func, z).real for z in zz]
     else:
         rows = ex.real_rows(func)
-    lo, hi = cl.RADII_RANGE
     outcomes = []
-    for rng in spawn_rngs(seed, trials):
-        a = interior_sample_oracle(region, 1, rng)[0]
-        delta = unit_vector(rng, region.dimension)
+    for a, delta, log_t in probe_draws_oracle(region, trials, seed):
         try:
             local = dom.distance_to_boundary(region, a, metric)
         except LevikitError:
@@ -277,7 +298,7 @@ def circle_probe_oracle(func, region, trials, seed, quadrature=cl.DEFAULT_QUADRA
             continue
         if not math.isfinite(local):
             local = 1.0
-        r = local * math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        r = local * math.exp(log_t)
         if r >= local:
             outcomes.append(None)
             continue

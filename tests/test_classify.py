@@ -11,11 +11,11 @@ from levikit import discs
 from levikit import domains as dom
 from levikit import expr as ex
 from levikit.errors import LevikitError, PointOutsideDomain, SamplingExhausted
-from levikit.sampling import spawn_rngs, unit_vector
+from levikit.sampling import unit_vector
 
 from helpers import (PROBE_REGIONS, circle_probe_oracle, classify_domain_oracle,
-                     classify_point_oracle, compose_with_matrix, interior_sample_oracle,
-                     pole_domain, psh_spectral_oracle, random_unitary)
+                     classify_point_oracle, compose_with_matrix, pole_domain,
+                     probe_draws_oracle, psh_spectral_oracle, random_unitary)
 
 BALL2 = dom.Ball((0, 0), 1.0)
 POLY2 = dom.Polydisc((0, 0), (1, 1))
@@ -360,11 +360,9 @@ def test_circle_that_crosses_the_boundary_skips_its_trial():
                                      trials=200, seed=3, metric=dom.LINFTY)
     # the same trials, one point at a time
     centre_out = crossing = 0
-    for rng in spawn_rngs(3, 200):
-        a = region.interior_sample(1, rng)[0]
-        direction = unit_vector(rng, 2)
+    for a, direction, log_t in probe_draws_oracle(region, 200, 3):
         local = dom.distance_to_boundary(region, a, dom.LINFTY)
-        r = local * math.exp(rng.uniform(*map(math.log, cl.RADII_RANGE)))
+        r = local * math.exp(log_t)
         circle = [a + direction * r * np.exp(1j * t) for t in
                   2.0 * np.pi * np.arange(cl.DEFAULT_QUADRATURE) / cl.DEFAULT_QUADRATURE]
         if not dom.contains(small, a):
@@ -521,33 +519,27 @@ def test_chunked_probe_lets_other_errors_escape():
 
 
 def test_probe_raises_the_oracles_exhaustion_inside_a_chunk():
-    # about 1 in 550 candidates falls in this thin union, so in a chunk of
-    # 32 trials some generators use up their 1,000 draws and others do not
-    thin = dom.ReinhardtUnion((dom.Polydisc((0, 0), (1.0, 0.03)),
-                               dom.Polydisc((0, 0), (0.03, 1.0))))
-    for f in (cl.neg_log_distance(thin, dom.LINFTY), lambda z: 0.0):
-        for seed in range(3):
-            with pytest.raises(SamplingExhausted) as got:
-                cl.psh_test_circle_average(f, thin, cl._TRIAL_CHUNK, seed,
-                                           metric=dom.LINFTY)
-            with pytest.raises(SamplingExhausted) as expected:
-                circle_probe_oracle(f, thin, cl._TRIAL_CHUNK, seed, metric=dom.LINFTY)
-            assert type(got.value) is type(expected.value)
-            assert str(got.value) == str(expected.value)
-    # the sampler alone: the chunk raises, and the generators before the
-    # first that runs out give the oracle's rows
-    rows, exhausted = [], []
-    for i, rng in enumerate(spawn_rngs(0, cl._TRIAL_CHUNK)):
+    # about 1 in 1,000 candidates falls in this thin union, so a chunk's
+    # budget of 1,000 candidates per centre runs out on some seeds: of the
+    # two chunks (32 trials and 1), none on seeds 0-2, the first on seed 4
+    # and the second on seed 3
+    thin = dom.ReinhardtUnion((dom.Polydisc((0, 0), (1.0, 0.0224)),
+                               dom.Polydisc((0, 0), (0.0224, 1.0))))
+    f = cl.neg_log_distance(thin, dom.LINFTY)
+    trials = cl._TRIAL_CHUNK + 1
+    raised = set()
+    for seed in range(5):
         try:
-            rows.append(interior_sample_oracle(thin, 1, rng)[0])
-        except SamplingExhausted:
-            exhausted.append(i)
-    assert 0 < len(exhausted) < cl._TRIAL_CHUNK // 2
-    with pytest.raises(SamplingExhausted, match="ReinhardtUnion failed"):
-        dom.interior_points(thin, spawn_rngs(0, cl._TRIAL_CHUNK))
-    first = exhausted[0]
-    got = dom.interior_points(thin, spawn_rngs(0, cl._TRIAL_CHUNK)[:first])
-    assert got.tobytes() == np.array(rows[:first]).tobytes()
+            expected = circle_probe_oracle(f, thin, trials, seed, metric=dom.LINFTY)
+        except SamplingExhausted as err:
+            with pytest.raises(SamplingExhausted) as got:
+                cl.psh_test_circle_average(f, thin, trials, seed, metric=dom.LINFTY)
+            assert str(got.value) == str(err)
+            raised.add(seed)
+        else:
+            got = cl.psh_test_circle_average(f, thin, trials, seed, metric=dom.LINFTY)
+            assert repr(got) == repr(expected)
+    assert raised == {3, 4}
 
 
 # parts of both signed zeros and of either sign; nonzero parts stay above
@@ -577,11 +569,24 @@ def test_stacked_circle_rows_equal_one_trial_at_a_time():
             assert _hex_rows(got[i]) == _hex_rows(one) == _hex_rows(before)
 
 
+def test_log_distance_probe_gives_the_known_answers_over_seeds():
+    # the benchmark's Hartogs config (3000 trials) finds a violation on each
+    # of seeds 0-9 (2 to 8 of them); the ball and the polydisc are
+    # pseudoconvex, so a violation there would be a false certificate
+    hartogs = dom.hartogs_figure()
+    for seed in range(10):
+        assert cl.log_distance_probe(hartogs, trials=3000, seed=seed).inner.violations
+    for region in (BALL2, POLY2):
+        for seed in range(5):
+            assert not cl.log_distance_probe(region, trials=3000, seed=seed).inner.violations
+
+
 def test_stored_hartogs_violations_pass_verify():
     from levikit import report as rep
     from levikit.cli import run_command
+    # 2000 trials find a violation on 19 of seeds 0-19 (300 found one on 10)
     report, code = run_command("log-distance-probe", {
-        "domain": dom.hartogs_figure().to_dict(), "trials": 300, "seed": 3})
+        "domain": dom.hartogs_figure().to_dict(), "trials": 2000, "seed": 3})
     violations = [r for r in report["records"] if r["key"].startswith("violation")]
     assert code == 2 and violations
     assert rep.verify_report(report).passed

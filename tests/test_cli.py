@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -390,7 +391,6 @@ def _both_loaders(text):
 
 
 def test_config_loader_reads_what_the_python_safe_loader_reads(tmp_path):
-    from pathlib import Path
     config_dir = Path(__file__).resolve().parent.parent / "configs"
     for path in sorted(config_dir.glob("*.yaml")):
         text = path.read_text(encoding="utf-8")
@@ -462,7 +462,6 @@ def test_cli_error_paths(tmp_path, capsys):
 
 
 def test_shipped_configs_run():
-    from pathlib import Path
     commands = {"ball_classify": "classify",
                 "hull_affine": "hull",
                 "hull_polynomial": "hull",
@@ -489,18 +488,43 @@ def test_shipped_configs_run():
         assert rep.verify_report(report).passed
 
 
-def test_mixed_quartic_config_keeps_only_its_true_witness():
-    # with sampled distances this config reported a second violation, at
-    # radius 0.0580, whose exact deficit is -4.958e-3; the one at radius
-    # 0.0110 is real, since the domain is not pseudoconvex
-    from pathlib import Path
-    path = Path(__file__).resolve().parent.parent / "configs" / "quartic_mixed_log_distance.yaml"
-    report, code = run_command("log-distance-probe", load_config_file(path))
-    radii = [r["radius"] for r in report["records"] if r["key"].startswith("violation")]
+MIXED_QUARTIC = Path(__file__).resolve().parent.parent / "configs" / "quartic_mixed_log_distance.yaml"
+
+
+def test_mixed_quartic_config_finds_a_witness_that_verifies():
+    # the domain is not pseudoconvex; its 400 trials find a violation on
+    # 19 of seeds 0-19 (40 trials found one on 12 of seeds 0-29), and its
+    # distances are exact in modulus space, so verify re-checks the witness
+    report, code = run_command("log-distance-probe", load_config_file(MIXED_QUARTIC))
     assert code == 2 and report["summary"].startswith("NotPseudoconvex")
-    assert not any(abs(r - 0.058) < 5e-4 for r in radii)
-    assert any(abs(r - 0.011) < 5e-4 for r in radii)
+    assert any(r["key"].startswith("violation") for r in report["records"])
     assert rep.verify_report(report).passed
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("log-distance-probe", {"domain": dom.hartogs_figure().to_dict(), "trials": 40}),
+    ("psh-test", {"domain": dom.Ball((0, 0), 1.0).to_dict(), "mode": "circle",
+                  "samples": 40, "expression": "re(z1)^2 - abs2(z2)"})])
+def test_circle_probe_reports_echo_their_trial_chunk_and_run_again(command, cfg):
+    # the draws depend on the chunk size, so the report names it, and its
+    # echoed config runs again to the same bytes
+    report, _ = run_command(command, {**cfg, "seed": 1})
+    assert report["config"]["trial_chunk"] == 32
+    again, _ = run_command(command, json.loads(json.dumps(report["config"])))
+    assert rep.canonical_bytes(again) == rep.canonical_bytes(report)
+    with pytest.raises(ConfigError, match="trial_chunk: the circle probe runs "
+                                          "32-trial chunks, got 64"):
+        run_command(command, {**cfg, "trial_chunk": 64})
+
+
+@pytest.mark.parametrize("seed", [11, 13, 16])
+def test_mixed_quartic_config_samples_its_centres_on_every_seed(seed):
+    # about 1 in 220 candidates of the box falls in the domain: one trial's
+    # 1,000 candidates all missed on these seeds when the budget was counted
+    # per trial, and a 32-trial chunk needs a budget per centre
+    cfg = {**load_config_file(MIXED_QUARTIC), "trials": 40, "seed": seed}
+    report, code = run_command("log-distance-probe", cfg)
+    assert code in (0, 2) and rep.verify_report(report).passed
 
 
 def test_classify_polydisc_report_verifies_through_face_functions():

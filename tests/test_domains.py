@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from levikit import domains as dom
 from levikit import expr as ex
 from levikit import modulus, norms
-from levikit.sampling import spawn_rngs
 from levikit.errors import (LevikitError, PointOutsideDomain, SamplingExhausted,
                             UnsupportedMetric)
 
@@ -431,7 +430,8 @@ SAMPLED = {
 }
 
 
-@pytest.mark.parametrize("count", [1, 3, 8, 9, 40])
+# a probe chunk draws 32 centres, and a short last chunk fewer
+@pytest.mark.parametrize("count", [1, 3, 8, 9, 31, 32, 33, 40])
 @pytest.mark.parametrize("name", sorted(SAMPLED))
 def test_block_draws_equal_one_candidate_per_draw(name, count):
     d = SAMPLED[name]
@@ -446,7 +446,7 @@ def test_block_draws_equal_one_candidate_per_draw(name, count):
         assert rng.random() == ref.random()
 
 
-def test_block_draws_reject_only_the_raising_rows():
+def test_block_draws_reject_only_the_raising_rows(monkeypatch):
     d = SAMPLED["sublevel-raising"]
     raising = 0
     for z in dom.Polydisc((0,), (1.0,)).interior_sample(400, np.random.default_rng(0)):
@@ -455,62 +455,6 @@ def test_block_draws_reject_only_the_raising_rows():
         except LevikitError:
             raising += 1
     assert raising > 20
-    points = dom.interior_sample(d, 400, 0)
-    assert points.tobytes() == interior_sample_oracle(
-        d, 400, np.random.default_rng(0)).tobytes()
-    assert np.all(points.real > -0.8)
-
-
-def test_block_draws_report_the_acceptance_rate_of_one_candidate_per_draw():
-    # about 1 in 550 candidates falls in this thin union
-    thin = dom.ReinhardtUnion((dom.Polydisc((0, 0), (1.0, 0.03)),
-                               dom.Polydisc((0, 0), (0.03, 1.0))))
-    rates = []
-    for seed in range(6):
-        with pytest.raises(SamplingExhausted) as got:
-            dom.interior_sample(thin, 5, seed)
-        with pytest.raises(SamplingExhausted) as expected:
-            interior_sample_oracle(thin, 5, np.random.default_rng(seed))
-        assert str(got.value) == str(expected.value)
-        rates.append(got.value.acceptance_rate)
-    assert len(set(rates)) > 1
-
-
-# one rejection loop for many generators against one candidate per draw on each
-
-MANY = {**{f"sampled-{k}": d for k, d in SAMPLED.items()},
-        **{f"probe-{k}": d for k, d in PROBE_REGIONS.items()}}
-
-
-@pytest.mark.parametrize("generators", [1, 31, 32, 33])
-@pytest.mark.parametrize("name", sorted(MANY))
-def test_interior_points_equal_one_oracle_sample_per_generator(name, generators):
-    d = MANY[name]
-    for seed in range(2):
-        rngs = spawn_rngs(seed, generators)
-        refs = spawn_rngs(seed, generators)
-        for i in range(seed, generators, 3):
-            # a buffered 32-bit half stays buffered
-            assert rngs[i].integers(7) == refs[i].integers(7)
-        got = dom.interior_points(d, rngs)
-        assert got.shape == (generators, d.dimension)
-        for row, rng, ref in zip(got, rngs, refs):
-            assert row.tobytes() == interior_sample_oracle(d, 1, ref)[0].tobytes()
-            assert rng.integers(1 << 20) == ref.integers(1 << 20)
-            assert rng.random() == ref.random()
-
-
-@pytest.mark.parametrize("name", sorted(MANY))
-def test_no_generators_and_no_points_give_empty_rows(name):
-    d = MANY[name]
-    assert dom.interior_points(d, []).shape == (0, d.dimension)
-    rng, ref = np.random.default_rng(1), np.random.default_rng(1)
-    assert d.interior_sample(0, rng).shape == (0, d.dimension)
-    assert rng.random() == ref.random()
-
-
-def test_interior_points_reject_only_the_raising_rows(monkeypatch):
-    d = SAMPLED["sublevel-raising"]
     real = dom.Sublevel.contains
     raised = []
 
@@ -522,14 +466,43 @@ def test_interior_points_reject_only_the_raising_rows(monkeypatch):
             raise
 
     monkeypatch.setattr(dom.Sublevel, "contains", recording)
-    rngs, refs = spawn_rngs(3, 33), spawn_rngs(3, 33)
-    points = dom.interior_points(d, rngs)
-    # the round's one call raised, and so did its raising candidates alone
-    assert raised.count(1) > 1 and max(raised) == 33 * dom._CANDIDATE_BLOCK
+    points = dom.interior_sample(d, 400, 0)
+    # the first round's one call raised, and so did its raising candidates alone
+    assert raised.count(1) > 1 and max(raised) == 400 * dom._CANDIDATE_BLOCK
     monkeypatch.setattr(dom.Sublevel, "contains", real)
-    assert points.tobytes() == np.array(
-        [interior_sample_oracle(d, 1, ref)[0] for ref in refs]).tobytes()
+    assert points.tobytes() == interior_sample_oracle(
+        d, 400, np.random.default_rng(0)).tobytes()
     assert np.all(points.real > -0.8)
+
+
+def test_block_draws_report_the_acceptance_rate_of_one_candidate_per_draw():
+    # about 1 in 5,000 candidates falls in this thin union, so the budget of
+    # 5 points, 5,000 candidates, runs out on each of these seeds
+    thin = dom.ReinhardtUnion((dom.Polydisc((0, 0), (1.0, 0.01)),
+                               dom.Polydisc((0, 0), (0.01, 1.0))))
+    rates = []
+    for seed in range(6):
+        with pytest.raises(SamplingExhausted) as got:
+            dom.interior_sample(thin, 5, seed)
+        with pytest.raises(SamplingExhausted) as expected:
+            interior_sample_oracle(thin, 5, np.random.default_rng(seed))
+        assert str(got.value) == str(expected.value)
+        rates.append(got.value.acceptance_rate)
+    assert len(set(rates)) > 1
+
+
+# the variants with their own sampler too
+
+MANY = {**{f"sampled-{k}": d for k, d in SAMPLED.items()},
+        **{f"probe-{k}": d for k, d in PROBE_REGIONS.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(MANY))
+def test_no_points_give_empty_rows(name):
+    d = MANY[name]
+    rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+    assert d.interior_sample(0, rng).shape == (0, d.dimension)
+    assert rng.random() == ref.random()
 
 
 # the sublevel foot-point search as lockstep row calls against the numpy

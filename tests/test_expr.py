@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 import subprocess
 import sys
 
@@ -187,6 +188,23 @@ def test_printer_handles_negative_and_complex_constants():
         assert same_structure(ex.parse(ex.to_text(tree), 1), tree)
 
 
+@pytest.mark.parametrize("value, text", [(math.inf, "inf"), (-math.inf, "-inf"),
+                                         (math.nan, "nan"), (complex(1, math.inf), "(1+inf*i)")])
+def test_printer_names_a_non_finite_constant(value, text):
+    assert ex.to_text(ex.const(value)) == text
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_a_domain_error_keeps_its_class_with_a_non_finite_constant(value):
+    # ln(z1 - value^0) at z1 = 1: the message prints the failing
+    # subexpression, constant included
+    power = ex.Expr("pow", (ex.const(value),), exponent=0)
+    f = ex.Expr("ln", (ex.Expr("sub", (ex.var(1), power)),))
+    for call in (lambda: ex.evaluate(f, [1.0]), lambda: ex.real_rows(f)(np.ones((2, 1)))):
+        with pytest.raises(EvalDomainError, match=re.escape(f"subexpression z1 - ({value!r})^0")):
+            call()
+
+
 def _random_tree(rng, depth, n):
     # built through the same smart constructors the parser uses, so folding
     # happens identically on both sides of the round trip
@@ -317,16 +335,6 @@ _ROW_PARTS = st.sampled_from([
 _ROW_EXPONENTS = st.sampled_from([2, 3, 4, 5, 6, 7, 8, 100, 101])
 
 
-def _row_error_outcome(prog, z, check):
-    """``_error_outcome`` of ``row_error``'s exception, or of what building
-    it raised, as printing an infinite constant does in the walk too."""
-    try:
-        err = ex.row_error(prog, z, check)
-    except Exception as raised:     # noqa: BLE001 - compared by the caller
-        err = raised
-    return _error_outcome(err)
-
-
 def _row_call_outcome(call):
     """A row call's values by bits, or its error's ``_error_outcome``."""
     try:
@@ -365,7 +373,7 @@ def test_programs_match_the_walk_bit_for_bit(roots, n, rows):
         want = [_outcome(walk_evaluate, roots, z) for z in zz]
         values, failed = prog(zz)
         assert values.shape == (len(rows), len(roots)) and failed.shape == (len(rows),)
-        assert [_row_error_outcome(prog, z, fail) if fail >= 0 else _hex_parts(got)
+        assert [_error_outcome(ex.row_error(prog, z, fail)) if fail >= 0 else _hex_parts(got)
                 for z, got, fail in zip(zz, values, failed.tolist())] == want
         assert _row_call_outcome(lambda: ex.row_values(prog, zz)) == _first_error_or_values(want)
         first = [_outcome(walk_evaluate, roots[0], z) for z in zz]

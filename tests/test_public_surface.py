@@ -63,6 +63,10 @@ REMOVED = [
     (expr, "_beyond_dimension"),
     (modulus, "_bracketed_root"),
     (modulus.ModulusGeometry, "_contact_point"),
+    # the circle probe draws each chunk from one generator: no rejection
+    # loop over a list of generators
+    (domains, "interior_points"),
+    (domains.Domain, "_interior_rows"),
 ]
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from levikit.errors import SamplingExhausted
-from levikit.sampling import (disc_points, disc_points_at, rejection_sample, spawn_rngs,
-                              unit_vector, unit_vectors)
+from levikit.norms import norm
+from levikit.sampling import (disc_points, disc_points_at, rejection_sample, unit_vector,
+                              unit_vectors)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -26,45 +27,51 @@ def test_disc_points_match_one_draw_per_disc(n):
         assert rng.uniform() == ref.uniform()
 
 
+@pytest.mark.parametrize("count", [0, 1, 31, 32, 33])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_unit_vectors_are_one_unit_vector_per_generator(n):
+def test_unit_vectors_are_count_unit_vectors_on_one_generator(n, count):
     for seed in range(50):
-        rngs, refs = spawn_rngs(seed, 40), spawn_rngs(seed, 40)
-        got = unit_vectors(rngs, n)
-        expected = np.array([unit_vector(ref, n) for ref in refs])
-        assert got.shape == (40, n)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        if seed % 2:
+            # a buffered 32-bit half stays buffered
+            assert rng.integers(7) == ref.integers(7)
+        got = unit_vectors(rng, count, n)
+        expected = np.array([unit_vector(ref, n) for _ in range(count)]).reshape(count, n)
+        assert got.shape == (count, n)
         assert got.tobytes() == expected.tobytes()
-        assert all(rng.bit_generator.state == ref.bit_generator.state
-                   for rng, ref in zip(rngs, refs))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
-class ZerosFirst:
-    """A generator stand-in whose first ``count`` normal draws are 0.0 and
-    whose later ones are a seeded generator's."""
+class ZerosAt:
+    """A generator stand-in whose normal draws are a seeded generator's,
+    except that the draws at the given stream positions are 0.0."""
 
-    def __init__(self, count, seed):
-        self.zeros, self.rng = count, np.random.default_rng(seed)
+    def __init__(self, zeros, seed):
+        self.zeros, self.drawn, self.rng = set(zeros), 0, np.random.default_rng(seed)
 
     def standard_normal(self, size):
-        head = min(size, self.zeros)
-        self.zeros -= head
-        return np.concatenate((np.zeros(head), self.rng.standard_normal(size - head)))
+        out = self.rng.standard_normal(size)
+        flat = out.reshape(-1)
+        for j in range(flat.size):
+            if self.drawn + j in self.zeros:
+                flat[j] = 0.0
+        self.drawn += flat.size
+        return out
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_unit_vectors_redraw_a_zero_draw_on_its_own_generator(n):
-    # the second generator's first draw has size 0 <= 1e-12: it alone draws
-    # again, as unit_vector does, and its neighbours keep their one draw
-    rngs = [np.random.default_rng(1), ZerosFirst(2 * n, 2), np.random.default_rng(3)]
-    refs = [np.random.default_rng(1), ZerosFirst(2 * n, 2), np.random.default_rng(3)]
-    got = unit_vectors(rngs, n)
-    expected = np.array([unit_vector(ref, n) for ref in refs])
-    assert got.tobytes() == expected.tobytes()
+def test_unit_vectors_redraw_a_zero_draw_after_the_other_rows(n):
+    # the second row's draw has size 0 <= 1e-12: it is drawn again through
+    # unit_vector after the other rows' draws, which keep their place
+    rng = ZerosAt(range(2 * n, 4 * n), 2)
+    got = unit_vectors(rng, 3, n)
+    ref = np.random.default_rng(2)
+    first, _, third = (ref.standard_normal(2 * n) for _ in range(3))
+    expected = [v / norm(v) for v in (first[:n] + 1j * first[n:], third[:n] + 1j * third[n:])]
+    assert got[[0, 2]].tobytes() == np.array(expected).tobytes()
+    assert got[1].tobytes() == unit_vector(ref, n).tobytes()
     assert np.isclose(np.linalg.norm(got[1]), 1.0)
-    for rng, ref in zip(rngs, refs):
-        rng, ref = getattr(rng, "rng", rng), getattr(ref, "rng", ref)
-        assert rng.bit_generator.state == ref.bit_generator.state
-    assert rngs[1].rng.bit_generator.state != np.random.default_rng(2).bit_generator.state
+    assert rng.rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_rejection_sample_keeps_draw_order_and_counts_rejections():
