@@ -92,12 +92,13 @@ class Domain:
     def interior_sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Rejection sampling from the bounding polydisc, shape (count, n),
         within 1000 candidates per point.  Each round draws
-        ``_CANDIDATE_BLOCK`` candidates per missing point, one ``contains``
-        call tests them all, and a candidate where it raises a LevikitError
-        is rejected.  Points, budget and final state are those of one draw
-        and test per candidate: when the last round ran past the count-th
-        sample, the generator is set back to its state on entry and redraws
-        the used candidates, which keeps a buffered 32-bit half."""
+        ``_CANDIDATE_BLOCK`` candidates per missing point and one ``contains``
+        call tests them all; when it raises a LevikitError, each candidate
+        is tested alone and one that raises is rejected.  Points, budget
+        and final state are those of one draw and test per candidate: when
+        the last round ran past the count-th sample, the generator is set
+        back to its state on entry and redraws the used candidates, which
+        keeps a buffered 32-bit half."""
         box = self.bounding_polydisc()
         n, budget = self.dimension, 1000 * max(count, 1)
         start = rng.bit_generator.state
@@ -109,7 +110,10 @@ class Domain:
             size = min(_CANDIDATE_BLOCK * (count - len(got)), budget - drawn)
             z = np.asarray(box.center) + disc_points_at(rng.uniform(size=(size, n, 2)),
                                                         box.radii)
-            inside = [bool(v and v[0]) for v in block_values(self.contains, z[:, None])]
+            try:
+                inside = self.contains(z)
+            except LevikitError:
+                inside = [bool(v and v[0]) for v in block_values(self.contains, z[:, None])]
             hits = np.flatnonzero(inside)[:count - len(got)]
             got.extend(z[hits])
             drawn += size

@@ -250,7 +250,7 @@ def affine_hull_membership(k_set, queries, functionals: int = 500,
             norms = np.maximum(np.abs(hi + offs), np.abs(lo + offs))
         results += _membership(
             map(tuple, chunk[:bad].tolist()), values, norms, tol,
-            lambda j, i: {"kind": "affine", "direction": tuple(dirs[i]),
+            lambda j, i: {"kind": "affine", "direction": tuple(dirs[i].tolist()),
                           "offset": float(offs[j, i])})
         if bad < len(bounds):
             raise LevikitError(f"affine offset bound 2*max|coordinate| is "

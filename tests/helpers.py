@@ -165,7 +165,7 @@ def affine_membership_oracle(k_set, x, functionals=500, seed=0, tol=1e-9):
         norms = np.max(np.abs(pts @ dirs.T + offs), axis=0)
     return hulls._membership([tuple(float(v) for v in xx)], values[None], norms[None],
                              tol, lambda _, i: {"kind": "affine",
-                                                "direction": tuple(dirs[i]),
+                                                "direction": tuple(dirs[i].tolist()),
                                                 "offset": float(offs[i])})[0]
 
 

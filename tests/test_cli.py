@@ -461,34 +461,65 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "position" in err
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED_COMMANDS = {"ball_classify": "classify",
+                    "hull_affine": "hull",
+                    "hull_polynomial": "hull",
+                    "quartic_classify": "classify",
+                    "psh_sum_classify": "classify",
+                    "hartogs_reinhardt": "reinhardt",
+                    "hartogs_log_distance": "log-distance-probe",
+                    "ball_log_distance": "log-distance-probe",
+                    "quartic_log_distance": "log-distance-probe",
+                    "quartic_mixed_log_distance": "log-distance-probe",
+                    "intersection_log_distance": "log-distance-probe",
+                    "psh_sum_log_distance": "log-distance-probe",
+                    "polydisc_exhaustion": "exhaustion",
+                    "psh_sum_exhaustion": "exhaustion",
+                    "psh_circle": "psh-test",
+                    "psh_spectral": "psh-test",
+                    "complement_disc_probe": "disc-probe"}
+
+
 def test_shipped_configs_run():
-    commands = {"ball_classify": "classify",
-                "hull_affine": "hull",
-                "hull_polynomial": "hull",
-                "quartic_classify": "classify",
-                "psh_sum_classify": "classify",
-                "hartogs_reinhardt": "reinhardt",
-                "hartogs_log_distance": "log-distance-probe",
-                "ball_log_distance": "log-distance-probe",
-                "quartic_log_distance": "log-distance-probe",
-                "quartic_mixed_log_distance": "log-distance-probe",
-                "intersection_log_distance": "log-distance-probe",
-                "psh_sum_log_distance": "log-distance-probe",
-                "polydisc_exhaustion": "exhaustion",
-                "psh_sum_exhaustion": "exhaustion",
-                "psh_circle": "psh-test",
-                "psh_spectral": "psh-test",
-                "complement_disc_probe": "disc-probe"}
-    config_dir = Path(__file__).resolve().parent.parent / "configs"
-    paths = sorted(config_dir.glob("*.yaml"))
-    assert len(paths) == len(commands)
+    paths = sorted(CONFIGS.glob("*.yaml"))
+    assert len(paths) == len(SHIPPED_COMMANDS)
     for path in paths:
-        report, code = run_command(commands[path.stem], load_config_file(path))
+        report, code = run_command(SHIPPED_COMMANDS[path.stem], load_config_file(path))
         assert code in (0, 2)
         assert rep.verify_report(report).passed
 
 
-MIXED_QUARTIC = Path(__file__).resolve().parent.parent / "configs" / "quartic_mixed_log_distance.yaml"
+# every command and verify in a fresh interpreter, on the shipped configs
+# with at most 8 trials or samples: the modules they load on first use
+_COLD_RUN = """
+import sys
+import levikit.cli, numpy.random
+from levikit import cli, report
+runs = [(command, cli.load_config_file(path) if path else {"samples": 8})
+        for command, path in zip(sys.argv[1::2], sys.argv[2::2])]
+for _, cfg in runs:
+    cfg.update((key, min(cfg[key], 8)) for key in ("trials", "samples") if key in cfg)
+before = set(sys.modules)
+for command, cfg in runs:
+    result, code = cli.run_command(command, cfg)
+    assert code in (0, 2) and report.verify_report(result).passed, command
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def test_cold_commands_import_nothing_new():
+    # a module first imported inside run_command is paid for by the timed
+    # run of every fresh process (np.unique's first call loads numpy.ma)
+    runs = [arg for stem, command in SHIPPED_COMMANDS.items()
+            for arg in (command, str(CONFIGS / f"{stem}.yaml"))]
+    proc = subprocess.run([sys.executable, "-c", _COLD_RUN, *runs,
+                           "derivative-selftest", ""],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []
+
+
+MIXED_QUARTIC = CONFIGS / "quartic_mixed_log_distance.yaml"
 
 
 def test_mixed_quartic_config_finds_a_witness_that_verifies():

@@ -446,6 +446,38 @@ def test_block_draws_equal_one_candidate_per_draw(name, count):
         assert rng.random() == ref.random()
 
 
+class _OneRowAtATime:
+    """``region`` whose ``contains`` raises a LevikitError on more than one
+    row, so ``Domain.interior_sample`` tests each candidate alone."""
+
+    def __init__(self, region):
+        self.region, self.dimension = region, region.dimension
+        self.bounding_polydisc = region.bounding_polydisc
+
+    def contains(self, zz):
+        if len(zz) > 1:
+            raise LevikitError("one row at a time")
+        return self.region.contains(zz)
+
+
+@pytest.mark.parametrize("count", [1, 5, 33])
+@pytest.mark.parametrize("name", sorted(SAMPLED))
+def test_one_contains_call_per_round_equals_one_call_per_candidate(name, count):
+    d = SAMPLED[name]
+    for seed in range(3):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = d.interior_sample(count, rng)
+        want = dom.Domain.interior_sample(_OneRowAtATime(d), count, ref)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+    if name == "polydisc":
+        # its box is itself, so the round's first count of 8 * count
+        # candidates are the points: the generator is set back past the rest
+        skipped = np.random.default_rng(2)
+        skipped.uniform(size=(count, 2, 2))
+        assert rng.bit_generator.state == skipped.bit_generator.state
+
+
 def test_block_draws_reject_only_the_raising_rows(monkeypatch):
     d = SAMPLED["sublevel-raising"]
     raising = 0
