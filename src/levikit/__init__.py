@@ -10,8 +10,8 @@ from .calculus import (TaylorParts, complex_gradient, levi_matrix, levi_polynomi
                        tangent_basis, taylor_decompose)
 from .classify import (classify_domain, classify_point, log_distance_probe,
                        psh_test_circle_average, psh_test_spectral)
-from .discs import (AffineDisc, ExpTwistedDisc, HartogsDisc, continuity_probe,
-                    disc_max_principle_check, hartogs_family)
+from .discs import (AffineDisc, continuity_probe, disc_max_principle_check,
+                    hartogs_family)
 from .domains import (Ball, Intersection, Polydisc, ReinhardtUnion, Sublevel,
                       WholeSpace, boundary_sample, contains,
                       distance_to_boundary, distances_to_boundary,

@@ -252,6 +252,9 @@ def _disc_family(cfg, n):
     j_max = _count(spec, "j_max", 20, minimum=j_min, path="disc_family.j_max")
     j_values = range(j_min, j_max + 1)
     if variant == "hartogs":
+        if n < 2:
+            raise ConfigError("disc_family.variant: a hartogs family needs at least "
+                              f"two complex variables, and the domain has dimension {n}")
         if _count(spec, "dimension", n, path="disc_family.dimension") != n:
             raise ConfigError(f"disc_family.dimension: must equal the domain dimension {n}")
         family, limit = discs.hartogs_family(

@@ -29,65 +29,24 @@ INTERIOR_RADIUS_CAP = 0.98
 
 @dataclass(frozen=True)
 class AffineDisc:
+    """w -> center + direction * radius * w, plus twist * t * exp(g(radius w))
+    when a twist is given, with g(u) = sum_k g_coefficients[k] u^k.  Its
+    ``label`` is what ``describe`` returns (``affine(radius=...)`` if None)."""
+
     center: tuple
     direction: tuple
     radius: float
+    twist: tuple | None = None
+    t: float = 1.0
+    g_coefficients: tuple = ()
+    label: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "center", dom._as_ctuple(self.center))
         object.__setattr__(self, "direction", dom._as_ctuple(self.direction))
         object.__setattr__(self, "radius", float(self.radius))
-
-    @property
-    def dimension(self):
-        return len(self.center)
-
-    def at(self, w: complex) -> np.ndarray:
-        return np.asarray(self.center) + np.asarray(self.direction) * (self.radius * w)
-
-    def describe(self) -> str:
-        return f"affine(radius={self.radius})"
-
-
-@dataclass(frozen=True)
-class HartogsDisc:
-    """w -> (r + 1/j, w, 0, ..., 0); the j-th disc of the compact-complement family."""
-
-    r: float
-    j: int
-    dimension: int = 2
-
-    def __post_init__(self):
-        if self.j < 1:
-            raise ValueError("family index j must be >= 1")
-        if self.dimension < 2:
-            raise ValueError("needs at least two complex variables")
-
-    def at(self, w: complex) -> np.ndarray:
-        z = np.zeros(self.dimension, dtype=complex)
-        z[0] = self.r + 1.0 / self.j
-        z[1] = w
-        return z
-
-    def describe(self) -> str:
-        return f"hartogs(r={self.r}, j={self.j})"
-
-
-@dataclass(frozen=True)
-class ExpTwistedDisc:
-    """w -> a + dir1 * r * w + dir2 * t * exp(g(r w)) with polynomial g."""
-
-    center: tuple
-    dir_primary: tuple
-    dir_secondary: tuple
-    r: float
-    t: float
-    g_coefficients: tuple      # g(u) = sum_k c_k u^k
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", dom._as_ctuple(self.center))
-        object.__setattr__(self, "dir_primary", dom._as_ctuple(self.dir_primary))
-        object.__setattr__(self, "dir_secondary", dom._as_ctuple(self.dir_secondary))
+        if self.twist is not None:
+            object.__setattr__(self, "twist", dom._as_ctuple(self.twist))
         object.__setattr__(self, "g_coefficients",
                            tuple(complex(c) for c in self.g_coefficients))
 
@@ -95,15 +54,22 @@ class ExpTwistedDisc:
     def dimension(self):
         return len(self.center)
 
-    def at(self, w: complex) -> np.ndarray:
-        u = self.r * w
-        g = sum(c * u ** k for k, c in enumerate(self.g_coefficients))
-        return (np.asarray(self.center)
-                + np.asarray(self.dir_primary) * (self.r * w)
-                + np.asarray(self.dir_secondary) * (self.t * np.exp(g)))
+    def at(self, w) -> np.ndarray:
+        """The disc's point at a parameter w, or for an array of parameters
+        one row per parameter.  Each vector multiplies its parameter factor
+        from the left, as in the one-point formula: numpy's complex product
+        uses fused multiply-add, which is not symmetric in its operands."""
+        u = self.radius * np.asarray(w)
+        z = np.asarray(self.center) + np.asarray(self.direction) * u[..., None]
+        if self.twist is None:
+            return z
+        # g per parameter, summed on numpy scalars as the one-point formula was
+        g = np.array([sum(c * v ** k for k, c in enumerate(self.g_coefficients))
+                      for v in np.ravel(u)], dtype=complex).reshape(np.shape(u))
+        return z + np.asarray(self.twist) * (self.t * np.exp(g))[..., None]
 
     def describe(self) -> str:
-        return f"exp_twisted(r={self.r}, t={self.t})"
+        return self.label or f"affine(radius={self.radius})"
 
 
 def boundary_parameters(count: int) -> np.ndarray:
@@ -140,8 +106,7 @@ def disc_max_principle_check(func, disc, interior: int = 256,
     def sample_max(params):
         nonlocal skipped
         best = -math.inf
-        zz = np.array([disc.at(w) for w in params], dtype=complex)
-        for values in block_values(rows, zz.reshape(len(params), 1, disc.dimension)):
+        for values in block_values(rows, disc.at(params)[:, None]):
             v = math.nan if values is None else values[0]
             if math.isnan(v):
                 skipped += 1
@@ -176,15 +141,16 @@ class DiscReport:
 
 
 def hartogs_family(r: float, dimension: int = 2, j_values=J_VALUES):
-    """(j, disc) pairs of the discs (r + 1/j, w, 0, ...) plus their
-    closed-form limit disc."""
-    family = [(j, HartogsDisc(r, j, dimension)) for j in j_values]
-    center = [0j] * dimension
-    center[0] = complex(r)
-    direction = [0j] * dimension
-    direction[1] = 1.0 + 0j
-    limit = AffineDisc(tuple(center), tuple(direction), 1.0)
-    return family, limit
+    """(j, disc) pairs of the discs w -> (r + 1/j, w, 0, ...) plus their
+    closed-form limit disc (r, w, 0, ...)."""
+    if dimension < 2:
+        raise ValueError("needs at least two complex variables")
+    direction = (0, 1) + (0,) * (dimension - 2)
+
+    def disc(first, label=None):
+        return AffineDisc((first,) + (0,) * (dimension - 1), direction, 1.0, label=label)
+
+    return [(j, disc(r + 1.0 / j, f"hartogs(r={r}, j={j})")) for j in j_values], disc(r)
 
 
 def affine_sweep_family(from_center, to_center, direction, radius: float,
@@ -201,13 +167,14 @@ def affine_sweep_family(from_center, to_center, direction, radius: float,
 
 def exp_twisted_family(center, dir_primary, dir_secondary, r: float,
                        g_coefficients, j_values=J_VALUES):
-    """(j, disc) pairs of exp-twisted discs with twist amplitude
-    t_j = 1 - 1/j; the limit has t = 1."""
-    coeffs = tuple(complex(c) for c in g_coefficients)
-    family = [(j, ExpTwistedDisc(center, dir_primary, dir_secondary, r,
-                                 1.0 - 1.0 / j, coeffs)) for j in j_values]
-    limit = ExpTwistedDisc(center, dir_primary, dir_secondary, r, 1.0, coeffs)
-    return family, limit
+    """(j, disc) pairs of the discs w -> center + dir_primary r w +
+    dir_secondary t_j exp(g(r w)), with twist amplitude t_j = 1 - 1/j; the
+    limit has t = 1."""
+    def disc(t):
+        return AffineDisc(center, dir_primary, r, dir_secondary, t, g_coefficients,
+                          f"exp_twisted(r={r}, t={t})")
+
+    return [(j, disc(1.0 - 1.0 / j)) for j in j_values], disc(1.0)
 
 
 def _membership(domain, disc, *param_sets) -> list:
@@ -216,8 +183,7 @@ def _membership(domain, disc, *param_sets) -> list:
     a None per set where building or testing them raises."""
     params = np.concatenate(param_sets)
     try:
-        zz = np.array([disc.at(w) for w in params], dtype=complex)
-        inside = domain.contains(zz.reshape(len(params), domain.dimension))
+        inside = domain.contains(disc.at(params).reshape(len(params), domain.dimension))
     except Exception:
         return [None] * len(param_sets)
     return np.split(np.asarray(inside, dtype=bool),
@@ -230,8 +196,8 @@ def _first_outside(domain, disc, params, inside):
     that is None from ``dom.contains`` one point at a time, so that the
     first False or error in parameter order decides."""
     if inside is None:
-        return next((i for i, w in enumerate(params)
-                     if not dom.contains(domain, disc.at(w))), None)
+        return next((i for i, z in enumerate(disc.at(params))
+                     if not dom.contains(domain, z)), None)
     return None if inside.all() else int(np.argmin(inside))
 
 
@@ -268,8 +234,7 @@ def continuity_probe(domain, family, limit_disc, interior: int = 256,
     family_id = family[0][1].describe() if family else "empty"
     rim, image = _membership(domain, limit_disc, outer_params, inner_params)
     limit_boundary_inside = _first_outside(domain, limit_disc, outer_params, rim) is None
-    limit_points = tuple(tuple(complex(c) for c in limit_disc.at(w))
-                         for w in inner_params[:8])
+    limit_points = tuple(tuple(complex(c) for c in z) for z in limit_disc.at(inner_params[:8]))
     if not limit_boundary_inside:
         return DiscReport(family_id, tuple(per_index), False, limit_points,
                           False, None)

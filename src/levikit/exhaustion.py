@@ -110,9 +110,11 @@ def make_probe(domain, function=CANONICAL, metric: str | None = None,
 
     Every function runs along the domain's point paths; the distances of
     all their points, in ``metric``, come from one ``distances_to_boundary``
-    call (``_point_path_distances``), and a path keeps its points of positive
-    distance.  The canonical function takes its -ln d from them, and the
-    others are evaluated at the same points, one row call per path
+    call, and a path keeps its points of positive distance.  The paths hold
+    only points that ``contains`` accepted, and the distances take each row
+    alone, so that call raises what the first failing path raises alone.
+    The canonical function takes its -ln d from them, and the others are
+    evaluated at the same points, one row call per path
     (``expr.real_rows``), which raises the first failing point's error.
     """
     fid = function if isinstance(function, str) else (
@@ -121,8 +123,9 @@ def make_probe(domain, function=CANONICAL, metric: str | None = None,
             isinstance(function, ex.Expr) or callable(function)):
         raise LevikitError(f"unknown exhaustion function id {function!r}")
     paths = domain.point_paths(sequences, seed, steps)
+    flat = dom.distances_to_boundary(domain, np.concatenate(paths), metric)
     seqs, vals, approach = [], [], []
-    for zz, dists in zip(paths, _point_path_distances(domain, paths, metric)):
+    for zz, dists in zip(paths, np.split(flat, np.cumsum([len(zz) for zz in paths])[:-1])):
         # a point whose distance rounds to 0 (the L-infinity gap of a ball
         # within about 1e-15 of its sphere) has no -ln d and is dropped
         zz, dists = zz[dists > 0], dists[dists > 0]
@@ -136,19 +139,6 @@ def make_probe(domain, function=CANONICAL, metric: str | None = None,
         vals.append(tuple(values))
         approach.append(tuple(_approach(zz, dists).tolist()))
     return ExhaustionProbe(fid, tuple(seqs), tuple(vals), tuple(approach))
-
-
-def _point_path_distances(domain, paths, metric) -> list:
-    """The distances of each path's points, from one ``distances_to_boundary``
-    call over the points of all of them.  Where that call raises, one call
-    per path, in path order, raises the error that the first failing path
-    raises on its own."""
-    try:
-        flat = dom.distances_to_boundary(domain, np.concatenate(paths), metric)
-    except Exception:
-        flat = np.concatenate([dom.distances_to_boundary(domain, zz, metric)
-                               for zz in paths])
-    return np.split(flat, np.cumsum([len(zz) for zz in paths])[:-1])
 
 
 def exhaustion_blowup_check(probe: ExhaustionProbe) -> BlowupCheck:

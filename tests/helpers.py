@@ -683,3 +683,29 @@ def modulus_distance_oracle(d, z, metric, rays=1001, steps=200, angles=65):
         r0 = radius[i]
         lo, hi = t[max(i - 1, 0)], t[min(i + 1, angles - 1)]
     return float(g[i])
+
+
+# the one-point formulas of the disc classes that one AffineDisc replaced,
+# at a parameter w taken from a numpy parameter array
+
+def affine_point(center, direction, radius, w):
+    """w -> center + direction * radius * w."""
+    return (np.asarray(center, dtype=complex)
+            + np.asarray(direction, dtype=complex) * (radius * w))
+
+
+def hartogs_point(r, j, dimension, w):
+    """w -> (r + 1/j, w, 0, ..., 0)."""
+    z = np.zeros(dimension, dtype=complex)
+    z[0] = r + 1.0 / j
+    z[1] = w
+    return z
+
+
+def exp_twisted_point(center, dir_primary, dir_secondary, r, t, g_coefficients, w):
+    """w -> a + dir1 * r * w + dir2 * t * exp(g(r w)) with polynomial g."""
+    u = r * w
+    g = sum(complex(c) * u ** k for k, c in enumerate(g_coefficients))
+    return (np.asarray(center, dtype=complex)
+            + np.asarray(dir_primary, dtype=complex) * (r * w)
+            + np.asarray(dir_secondary, dtype=complex) * (t * np.exp(g)))

@@ -129,6 +129,14 @@ def test_classify_points_raises_the_first_error_in_point_order():
         assert isinstance(got, tuple)
 
 
+def test_default_eig_tols_keep_each_matrixs_error_in_place():
+    # the norm of a NaN matrix raises LinAlgError for the whole stack; each
+    # matrix then runs alone, and the error stands in for its tolerance
+    first, second = cl._default_eig_tols(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
+    assert first == 2e-06
+    assert type(second) is np.linalg.LinAlgError
+
+
 def test_classify_ball_domain():
     result = cl.classify_domain(BALL2, 200, seed=0)
     assert result.domain_verdict == cl.STRICTLY_PSEUDOCONVEX

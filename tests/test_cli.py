@@ -490,6 +490,21 @@ def test_shipped_configs_run():
         assert rep.verify_report(report).passed
 
 
+WORKFLOW = CONFIGS.parent / ".github" / "workflows" / "tests.yml"
+
+
+def test_the_workflow_runs_every_shipped_config():
+    # CI's end-to-end loop takes command:config pairs, and derivative-selftest
+    # with no config; a new config must join it
+    steps = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))["jobs"]["tier1"]["steps"]
+    (script,) = [step["run"] for step in steps
+                 if step.get("name") == "Shipped configs end to end"]
+    loop = script[script.index("for run in ") + len("for run in "):script.index("; do")]
+    runs = loop.replace("\\", " ").split()
+    assert sorted(runs) == sorted([*(f"{command}:{stem}" for stem, command
+                                     in SHIPPED_COMMANDS.items()), "derivative-selftest:"])
+
+
 # every command and verify in a fresh interpreter, on the shipped configs
 # with at most 8 trials or samples: the modules they load on first use
 _COLD_RUN = """
@@ -821,6 +836,11 @@ HULL_SQUARE = {"kind": "affine", "points": [[0, 0], [1, 0], [1, 1]],
                     "disc_family": {"variant": "hartogs", "r": 0.5, "j_min": 5,
                                     "j_max": 3}},
      "disc_family.j_max: must be at least 5"),
+    ("disc-probe", {"domain": {"variant": "ball", "dimension": 1, "center": [[0.0, 0.0]],
+                               "radius": 1.0},
+                    "disc_family": {"variant": "hartogs"}},
+     "disc_family.variant: a hartogs family needs at least two complex variables, "
+     "and the domain has dimension 1"),
     ("exhaustion", {"domain": BALL_CFG["domain"], "sequences": 0},
      "sequences: must be at least 1"),
     ("derivative-selftest", {"samples": 0}, "samples: must be at least 1"),

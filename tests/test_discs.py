@@ -1,6 +1,7 @@
 """Holomorphic disc evaluation, maximum principle, continuity probes."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from levikit import expr as ex
 from levikit.corpus import holomorphic_polynomials
 from levikit.errors import FamilyLeavesDomain, LevikitError
 
+from helpers import affine_point, exp_twisted_point, hartogs_point
+
 E = math.e
 
 
@@ -20,18 +23,52 @@ def test_affine_disc_eval():
 
 
 def test_hartogs_disc_eval():
-    d = discs.HartogsDisc(1.0, 2)
+    (_, d), = discs.hartogs_family(1.0, 2, j_values=[2])[0]
     assert np.allclose(d.at(0.5), [1.5, 0.5])
+    assert d.describe() == "hartogs(r=1.0, j=2)"
 
 
 def test_exp_twisted_with_zero_amplitude_reduces_to_affine():
-    twisted = discs.ExpTwistedDisc((0.5, 0.25j), (1, 0), (0, 1), 0.75, 0.0,
-                                   (0.3, 0.2j, 0.1))
+    (_, twisted), = discs.exp_twisted_family((0.5, 0.25j), (1, 0), (0, 1), 0.75,
+                                             (0.3, 0.2j, 0.1), j_values=[1])[0]
+    assert twisted.t == 0.0 and twisted.describe() == "exp_twisted(r=0.75, t=0.0)"
     affine = discs.AffineDisc((0.5, 0.25j), (1, 0), 0.75)
     rng = np.random.default_rng(0)
     for _ in range(20):
         w = math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         assert np.allclose(twisted.at(w), affine.at(w))
+
+
+# each disc maps a parameter array in one call, with the one-point bits
+
+def _disc_cases():
+    """(disc, the one-point formula of the class it replaces) for a Hartogs
+    family, an affine sweep and an exp-twisted family whose g has degree 3,
+    each with its limit disc."""
+    family, limit = discs.hartogs_family(0.7, 3, j_values=[1, 2, 7])
+    cases = [(f"hartogs-{j}", d, partial(hartogs_point, 0.7, j, 3)) for j, d in family]
+    cases.append(("hartogs-limit", limit, partial(affine_point, (0.7, 0, 0), (0, 1, 0), 1.0)))
+    v = (0.6 - 0.2j, 0.3 + 0.7j)
+    family, limit = discs.affine_sweep_family((0.1, -0.2j), (0.9 + 0.3j, 0.4), v, 0.8,
+                                              j_values=[2, 5])
+    cases += [(f"sweep-{j}", d, partial(affine_point, d.center, v, 0.8))
+              for j, d in [*family, ("limit", limit)]]
+    a, b, c, g = (0.2, 0.1j), (0.6 + 0.1j, 0.3), (0.1j, 0.9 - 0.2j), (0.3, 0.2j, 0.1, -0.05j)
+    family, limit = discs.exp_twisted_family(a, b, c, 0.8, g, j_values=[2, 5])
+    twisted = partial(exp_twisted_point, a, b, c, 0.8)
+    cases += [(f"exp-twisted-{j}", d, partial(twisted, 1.0 - 1.0 / j, g)) for j, d in family]
+    cases.append(("exp-twisted-limit", limit, partial(twisted, 1.0, g)))
+    return [pytest.param(d, f, id=name) for name, d, f in cases]
+
+
+@pytest.mark.parametrize("disc, formula", _disc_cases())
+def test_at_on_a_parameter_array_equals_the_one_point_formula(disc, formula):
+    params = np.concatenate([discs.interior_parameters(40, 3),
+                             discs.boundary_parameters(24)])
+    got = disc.at(params)
+    assert got.shape == (len(params), disc.dimension)
+    assert got.tobytes() == np.array([formula(w) for w in params]).tobytes()
+    assert disc.at(params[5]).tobytes() == got[5].tobytes()
 
 
 def test_max_principle_for_norm_squared():
@@ -106,7 +143,7 @@ def test_hartogs_family_monotone_and_limit_matches_closed_form():
     family, limit = discs.hartogs_family(1.0, 2, j_values=range(2, 12))
     firsts = [d.at(0)[0].real for _, d in family]
     assert all(a > b for a, b in zip(firsts, firsts[1:]))
-    numeric_limit = discs.HartogsDisc(1.0, discs.J_LIMIT)
+    (_, numeric_limit), = discs.hartogs_family(1.0, 2, j_values=[discs.J_LIMIT])[0]
     for w in (0, 0.5, 1j):
         assert np.max(np.abs(numeric_limit.at(w) - limit.at(w))) <= 1e-6
 

@@ -9,7 +9,7 @@ from levikit import classify as cl
 from levikit import domains as dom
 from levikit import exhaustion as exh
 from levikit import expr as ex
-from levikit.errors import EvalDomainError, LevikitError, PointOutsideDomain
+from levikit.errors import EvalDomainError, PointOutsideDomain
 from levikit.sampling import block_values
 
 BALL = dom.Ball((0, 0), 1.0)
@@ -156,29 +156,6 @@ def test_canonical_exhaustion_on_point_paths_takes_one_distance_call(monkeypatch
         [want(z).hex() for z in path] for path in paths]
 
 
-def test_canonical_exhaustion_raises_the_first_failing_paths_error(monkeypatch):
-    # the one call over all paths raises for the last path first (as the
-    # membership test of distances_to_boundary precedes every distance);
-    # one call per path raises the first path's own error, as it did
-    # before the paths were joined
-    d = dom.domain_from_dict(PSH_SUM)
-    paths = d.point_paths(4, 2, 12)
-    first, last = paths[0][0].tobytes(), paths[-1][-1].tobytes()
-    batch = dom.distances_to_boundary
-
-    def failing(domain, rows, metric=None):
-        if any(z.tobytes() == last for z in rows):
-            raise PointOutsideDomain("the last path")
-        if any(z.tobytes() == first for z in rows):
-            raise LevikitError("the first path")
-        return batch(domain, rows, metric)
-
-    monkeypatch.setattr(dom, "distances_to_boundary", failing)
-    with pytest.raises(LevikitError) as got:
-        exh.make_probe(d, sequences=4, seed=2, steps=12)
-    assert type(got.value) is LevikitError and str(got.value) == "the first path"
-
-
 QUARTIC3 = {"variant": "sublevel", "dimension": 3,
             "expression": "abs2(z1)^2 + abs2(z2)^2 + abs2(z3) - 1", "level": 0.0,
             "box_center": [[0.0, 0.0]] * 3, "box_radii": [1.5, 1.5, 1.5],
@@ -195,6 +172,18 @@ DOMAINS = {"ball3": BALL3, "polydisc": POLYDISC, "hartogs": dom.hartogs_figure()
 def test_canonical_exhaustion_blows_up_on_every_variant(name, sequences, seed):
     probe = exh.make_probe(DOMAINS[name], sequences=sequences, seed=seed)
     assert exh.exhaustion_blowup_check(probe).passed
+
+
+@pytest.mark.parametrize("metric", [dom.EUCLIDEAN, dom.LINFTY])
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_one_distance_call_gives_each_paths_own_distances(name, metric):
+    # make_probe takes the distances of all paths' points in one call; the
+    # rows are independent, so each path gets the bits of its own call
+    d = DOMAINS[name]
+    paths = d.point_paths(4, 1, 56)
+    own = [dom.distances_to_boundary(d, zz, metric) for zz in paths]
+    joined = dom.distances_to_boundary(d, np.concatenate(paths), metric)
+    assert joined.tobytes() == np.concatenate(own).tobytes()
 
 
 def test_log_exhaustion_of_the_ball_blows_up():

@@ -437,6 +437,23 @@ def test_first_reachable_error_in_walk_order_is_raised(f, point, error, message)
     assert _error_outcome(ex.row_error(prog, zz[0], fail)) == walk
 
 
+@pytest.mark.parametrize("k", [101, 150])
+def test_a_power_above_100_is_the_complex_operator_per_row(k):
+    # above exponent 100 the row form leaves c_powu's repeated squaring and
+    # takes w ** k per element; at (1e5, 0) the power overflows
+    rng = np.random.default_rng(k)
+    points = 1.2 * (rng.standard_normal(12) + 1j * rng.standard_normal(12))
+    zz = np.append(points, 1e5)[:, None]
+    prog = ex.program((ex.parse(f"z1^{k}", 1),))
+    values, failed = prog(zz)
+    assert [(v.real.hex(), v.imag.hex()) for v in values[:-1, 0].tolist()] == [
+        ((w ** k).real.hex(), (w ** k).imag.hex()) for w in points.tolist()]
+    assert failed[:-1].tolist() == [-1] * 12 and failed[-1] >= 0
+    err = ex.row_error(prog, zz[-1], failed[-1])
+    assert type(err) is EvalDomainError
+    assert str(err).startswith(f"overflow in subexpression z1^{k}")
+
+
 def test_signed_zero_constants_are_not_merged():
     # (-2.5+0j) == (-2.5-0j), but their products with i differ in sign bits
     a, b = ex.const(complex(-2.5, 0.0)), ex.const(complex(-2.5, -0.0))

@@ -67,6 +67,9 @@ REMOVED = [
     # loop over a list of generators
     (domains, "interior_points"),
     (domains.Domain, "_interior_rows"),
+    # one disc class: Hartogs and exp-twisted discs are labelled affine discs
+    (discs, "HartogsDisc"),
+    (discs, "ExpTwistedDisc"),
 ]
 
 
