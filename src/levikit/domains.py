@@ -285,11 +285,9 @@ class Polydisc(Domain, variant="polydisc", natural_metric=LINFTY):
         return len(self.center)
 
     def contains(self, zz):
-        return self.contains_moduli(np.abs(zz - np.asarray(self.center)))
-
-    def contains_moduli(self, moduli):
-        """``contains`` from the moduli |z - center| of the points."""
-        return (moduli < np.asarray(self.radii)).all(axis=-1)
+        # for finite moduli fl(r - m) > 0 exactly when m < r; a NaN or
+        # infinite modulus is outside both ways
+        return self.gap_moduli(np.abs(zz - np.asarray(self.center))) > 0
 
     def bounding_polydisc(self) -> Polydisc:
         return self
@@ -316,8 +314,10 @@ class Polydisc(Domain, variant="polydisc", natural_metric=LINFTY):
         return self.gap_moduli(np.abs(zz - np.asarray(self.center)))
 
     def gap_moduli(self, moduli):
-        """``interior_distance`` from the moduli |z - center| of the points."""
-        return (np.asarray(self.radii) - moduli).min(axis=-1)
+        """``interior_distance`` from the moduli |z - center| of the points:
+        a fold of np.minimum over the columns, the bits of a min along the
+        rows at a fraction of its cost for short rows."""
+        return reduce(np.minimum, [r - moduli[:, j] for j, r in enumerate(self.radii)])
 
     def exterior_distance(self, zz, metric) -> float:
         over = np.maximum(np.abs(zz - np.asarray(self.center))
@@ -365,9 +365,12 @@ class ReinhardtUnion(Domain, variant="reinhardt_union", natural_metric=LINFTY):
         return self.members[0].dimension
 
     def contains(self, zz):
+        return self._gap(np.abs(zz)) > 0
+
+    def _gap(self, moduli):
+        # the largest member gap: a member that misses a row has a gap <= 0;
         # members are centred at 0, so |z| is each member's |z - c|, bit for bit
-        moduli = np.abs(zz)
-        return reduce(np.logical_or, (m.contains_moduli(moduli) for m in self.members))
+        return reduce(np.maximum, (m.gap_moduli(moduli) for m in self.members))
 
     @_once
     def bounding_polydisc(self) -> Polydisc:
@@ -392,11 +395,7 @@ class ReinhardtUnion(Domain, variant="reinhardt_union", natural_metric=LINFTY):
         return BoundarySamples(tuple(samples))
 
     def interior_distance(self, zz, metric):
-        # callers have checked that zz is in the union; a member that misses
-        # zz has a gap <= 0, so the largest gap is a containing member's;
-        # members are centred at 0, so |z| is each member's |z - c|
-        moduli = np.abs(zz)
-        return reduce(np.maximum, (m.gap_moduli(moduli) for m in self.members))
+        return self._gap(np.abs(zz))
 
     def exterior_distance(self, zz, metric) -> float:
         return min(m.exterior_distance(zz, metric) for m in self.members)

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import ConfigError, LevikitError
+from .norms import LINFTY, row_norms
 
 
 def _point_set(points, dtype) -> np.ndarray:
@@ -240,7 +241,7 @@ def affine_hull_membership(k_set, queries, functionals: int = 500,
     for start in range(0, len(xs), _QUERY_CHUNK):
         chunk = xs[start:start + _QUERY_CHUNK]
         bounds = [2.0 * max(k_max, v, 1e-12)
-                  for v in np.max(np.abs(chunk), axis=1).tolist()]
+                  for v in row_norms(chunk, LINFTY).tolist()]
         bad = next((j for j, v in enumerate(bounds) if not math.isfinite(v)),
                    len(bounds))
         bound = np.array(bounds[:bad])[:, None]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -26,4 +27,7 @@ def row_norms(rows, metric=EUCLIDEAN):
     if metric == EUCLIDEAN:
         re, im = rows.real, rows.imag
         return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
-    return np.max(np.abs(rows), axis=1)
+    moduli = np.abs(rows)
+    # a fold of np.maximum over the columns: the bits of a max along the
+    # rows, NaN included, at a fraction of its cost for short rows
+    return reduce(np.maximum, [moduli[:, j] for j in range(moduli.shape[1])])

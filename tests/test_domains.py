@@ -967,3 +967,124 @@ def test_kinks_of_abs_on_the_axes_are_reached():
     z = np.array([[0.0, 0.3]])
     assert valley.interior_distance(z, dom.EUCLIDEAN)[0] == pytest.approx(0.2, rel=1e-12)
     assert valley.interior_distance(z, dom.LINFTY)[0] == pytest.approx(0.2, rel=1e-12)
+
+
+# polydisc and Reinhardt-union geometry as column folds, against the row
+# reductions they replaced; floats compared by repr, so NaN rows count
+
+SPECIALS = (math.nan, complex(math.nan, 0.0), complex(0.0, math.nan), math.inf, -math.inf,
+            complex(0.0, -math.inf), complex(math.inf, math.nan))
+
+
+def _reduced_polydisc(p, zz):
+    """``Polydisc``'s (contains, interior_distance) as reductions along the rows."""
+    moduli = np.abs(zz - np.asarray(p.center))
+    radii = np.asarray(p.radii)
+    return (moduli < radii).all(axis=-1), (radii - moduli).min(axis=-1)
+
+
+def _reduced_union(u, zz):
+    inside, gaps = zip(*(_reduced_polydisc(m, zz) for m in u.members))
+    return np.logical_or.reduce(inside), np.maximum.reduce(gaps)
+
+
+def _fold_rows(center, radii, rng):
+    """Rows about ``center``: random ones out to 1.2 times the largest
+    radius, rows exactly on each face |z_j - c_j| = r_j, rows at 0.999 of
+    each radii tuple (inside its member, often outside the others), and
+    rows with a NaN or infinite coordinate."""
+    c = np.asarray(center, dtype=complex)
+    n = len(c)
+    big = 1.2 * np.max(radii, axis=0)
+    rows = [c + big * np.sqrt(rng.uniform(size=(40, n))) * np.exp(2j * np.pi * rng.uniform(size=(40, n)))]
+    for r in radii:
+        for j in range(n):
+            for phase in (1, -1, 1j, -1j):
+                z = c + 0.5 * np.asarray(r) * rng.uniform(size=n)
+                z[j] = c[j] + phase * r[j]
+                rows.append(z[None])
+        rows.append((c + 0.999 * np.asarray(r))[None])
+    for v in SPECIALS:
+        for j in range(n):
+            z = c.copy()
+            z[j] = v
+            rows.append(z[None])
+    return np.vstack(rows)
+
+
+def _repr(values):
+    return [repr(v) for v in values.tolist()]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_polydisc_folds_equal_the_row_reductions(n):
+    rng = np.random.default_rng(n)
+    # a dyadic centre and radii keep |z - c| = r exact on the face rows
+    for center in ((0,) * n, (0.5, -0.25j, 0.125 + 0.5j, -1.0)[:n]):
+        p = dom.Polydisc(center, (1.0, 0.75, 2.0, 0.5)[:n])
+        zz = _fold_rows(center, [p.radii], rng)
+        inside, gaps = _reduced_polydisc(p, zz)
+        assert p.contains(zz).tolist() == inside.tolist()
+        for metric in METRICS:
+            assert _repr(p.interior_distance(zz, metric)) == _repr(gaps)
+        assert not inside.all() and inside.any()
+        assert np.any(gaps == 0) and np.isnan(gaps).any() and np.isinf(gaps).any()
+
+
+@pytest.mark.parametrize("members", range(1, 4))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_union_folds_equal_the_row_reductions(n, members):
+    rng = np.random.default_rng(10 * n + members)
+    radii = [tuple(float(v) for v in rng.choice([0.25, 0.5, 1.0, 1.5, 2.0], n))
+             for _ in range(members)]
+    u = dom.ReinhardtUnion(tuple(dom.Polydisc((0,) * n, r) for r in radii))
+    zz = _fold_rows((0,) * n, radii, rng)
+    inside, gaps = _reduced_union(u, zz)
+    assert u.contains(zz).tolist() == inside.tolist()
+    assert _repr(u.interior_distance(zz, dom.LINFTY)) == _repr(gaps)
+    if members == 1:
+        assert _repr(u.interior_distance(zz[inside], dom.EUCLIDEAN)) == _repr(gaps[inside])
+
+
+def test_union_fold_rows_include_rows_in_one_member_only():
+    u = dom.hartogs_figure()
+    zz = _fold_rows((0, 0), [m.radii for m in u.members], np.random.default_rng(0))
+    owners = sum(m.contains(zz).astype(int) for m in u.members)
+    assert (owners == 1).any() and (owners == 2).any() and (owners == 0).any()
+
+
+@st.composite
+def _union_and_rows(draw):
+    n = draw(st.integers(1, 4))
+    radius = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, math.e, math.e ** 2])
+    radii = draw(st.lists(st.tuples(*[radius] * n), min_size=1, max_size=3))
+    u = dom.ReinhardtUnion(tuple(dom.Polydisc((0,) * n, r) for r in radii))
+    box = u.bounding_polydisc().radii
+    # moduli up to each bounding radius, faces included, on exact phases
+    # or random ones
+    share = st.sampled_from([0.0, 0.5, 0.999, 1.0]) | st.floats(0.0, 1.0)
+    phase = st.sampled_from([1, -1, 1j, -1j]) | st.floats(0.0, 2 * math.pi).map(
+        lambda t: complex(math.cos(t), math.sin(t)))
+    rows = draw(st.lists(st.tuples(*[st.tuples(share, phase)] * n), min_size=1, max_size=6))
+    zz = np.array([[s * b * w for (s, w), b in zip(row, box)] for row in rows], dtype=complex)
+    return u, zz
+
+
+@settings(max_examples=80, deadline=None)
+@given(_union_and_rows())
+def test_contains_is_a_positive_linfty_distance(case):
+    u, zz = case
+    for d in (u, *u.members):
+        assert d.contains(zz).tolist() == (d.interior_distance(zz, dom.LINFTY) > 0).tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_linfty_row_norms_equal_the_per_row_norm_with_nan_and_inf(n):
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((30, n)) + 1j * rng.standard_normal((30, n))
+    for i, v in enumerate(SPECIALS):
+        rows[i, i % n] = v
+    rows[len(SPECIALS), :] = math.nan
+    for zz in (rows, rows.real.copy()):
+        assert _repr(norms.row_norms(zz, dom.LINFTY)) == [
+            repr(norms.norm(z, dom.LINFTY)) for z in zz]
