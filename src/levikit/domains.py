@@ -15,6 +15,7 @@ correctness bug in this problem family, hence the explicit parameter.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce, wraps
 
@@ -395,7 +396,40 @@ class ReinhardtUnion(Domain, variant="reinhardt_union", natural_metric=LINFTY):
         return BoundarySamples(tuple(samples))
 
     def interior_distance(self, zz, metric):
-        return self._gap(np.abs(zz))
+        """Distance from each row to the boundary.  D is Reinhardt, so it is
+        the distance from the moduli s = |z| to the complement's modulus
+        image (Jarnicki & Pflug 2008, ch. 1), the union of the orthants
+        t >= c over its minimal corners c (``_corners``): the least norm of
+        (c - s)+.  Under linfty that is the largest member gap, ``_gap``.
+        Under euclidean each corner's norm is a fold of np.hypot, exact
+        where one coordinate binds, so a one-member union keeps the
+        polydisc's bits; at a re-entrant corner the largest member gap is
+        only a lower bound."""
+        moduli = np.abs(zz)
+        if metric == LINFTY:
+            return self._gap(moduli)
+        return reduce(np.minimum, (
+            reduce(np.hypot, (np.maximum(c - moduli[:, j], 0.0) for j, c in enumerate(corner) if c))
+            for corner in self._corners()))
+
+    @_once
+    def _corners(self):
+        """The minimal corners c of the complement's modulus image: t >= 0
+        is outside every member exactly when t >= c for one of them.  Built
+        member by member from the corner 0: a corner outside the member
+        stays, any other branches into one corner per coordinate, raised to
+        the member's radius there; corners dominated by another are dropped."""
+        corners = {(0.0,) * self.dimension}
+        for m in self.members:
+            grown = set()
+            for c in corners:
+                if any(a >= r for a, r in zip(c, m.radii)):
+                    grown.add(c)
+                else:
+                    grown.update(c[:j] + (r,) + c[j + 1:] for j, r in enumerate(m.radii))
+            corners = {c for c in grown
+                       if not any(o != c and all(map(operator.le, o, c)) for o in grown)}
+        return sorted(corners)
 
     def exterior_distance(self, zz, metric) -> float:
         return min(m.exterior_distance(zz, metric) for m in self.members)

@@ -45,6 +45,14 @@ def test_reinhardt_hartogs_exits_with_witness():
     assert rep.verify_report(report).passed
 
 
+def test_verify_passes_on_a_euclidean_hartogs_probe():
+    # the union's Euclidean distance to the re-entrant corners, end to end
+    report, code = run_command("log-distance-probe",
+                               {**HARTOGS_CFG, "metric": "euclidean", "trials": 200})
+    assert code == 2 and report["has_witnesses"]
+    assert rep.verify_report(json.loads(json.dumps(report))).passed
+
+
 def test_malformed_expression_is_a_config_error():
     cfg = {"domain": {"variant": "sublevel", "dimension": 1,
                       "expression": "ln(abs(z1)", "level": 0.0},

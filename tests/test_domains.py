@@ -1088,3 +1088,68 @@ def test_linfty_row_norms_equal_the_per_row_norm_with_nan_and_inf(n):
     for zz in (rows, rows.real.copy()):
         assert _repr(norms.row_norms(zz, dom.LINFTY)) == [
             repr(norms.norm(z, dom.LINFTY)) for z in zz]
+
+
+# the Euclidean distance of a Reinhardt union, against its boundary in
+# modulus space
+
+def test_hartogs_euclidean_distance_at_the_re_entrant_corner():
+    hf = dom.hartogs_figure()
+    z = [E - 0.1, (E - 0.1) * 1j]
+    assert dom.distance_to_boundary(hf, z, dom.EUCLIDEAN) == pytest.approx(
+        0.1 * math.sqrt(2), rel=1e-12)
+    assert dom.distance_to_boundary(hf, z, dom.LINFTY) == pytest.approx(0.1, rel=1e-12)
+
+
+def _staircase(u, h):
+    """Points at spacing about h on the boundary of the modulus image of
+    the 2-d union ``u``: each member's faces t_j = r_j, minus the points
+    that another member contains."""
+    pts = []
+    for m in u.members:
+        for j in (0, 1):
+            t = np.empty((int(m.radii[1 - j] / h) + 2, 2))
+            t[:, j] = m.radii[j]
+            t[:, 1 - j] = np.linspace(0.0, m.radii[1 - j], len(t))
+            pts.append(t)
+    pts = np.vstack(pts)
+    return pts[~u.contains(pts.astype(complex))], h
+
+
+UNIONS2 = {
+    "hartogs": dom.hartogs_figure(),
+    "three-steps": dom.ReinhardtUnion(tuple(dom.Polydisc((0, 0), r) for r in
+                                            ((2.0, 0.5), (1.0, 1.0), (0.4, 2.5)))),
+    "nested": dom.ReinhardtUnion((dom.Polydisc((0, 0), (1.0, 1.0)),
+                                  dom.Polydisc((0, 0), (0.5, 0.75)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIONS2))
+def test_union_euclidean_distance_is_the_distance_to_the_staircase(name):
+    u = UNIONS2[name]
+    boundary, h = _staircase(u, 1e-3)
+    rows = dom.interior_sample(u, 300, 3)
+    got = u.interior_distance(rows, dom.EUCLIDEAN)
+    moduli = np.abs(rows)
+    brute = np.array([np.min(np.hypot(*(boundary - s).T)) for s in moduli])
+    assert np.all(got <= brute * (1 + 1e-12)) and np.all(brute <= got + h)
+    lower = u.interior_distance(rows, dom.LINFTY)
+    assert np.all(got >= lower)
+    if name != "nested":
+        assert np.any(got > lower * (1 + 1e-6))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_union_corners_are_the_minimal_points_outside_every_member(n):
+    # every corner is outside every member, and lowering any coordinate of
+    # it (to 0, or just below its value) lands in some member
+    rng = np.random.default_rng(n)
+    u = dom.ReinhardtUnion(tuple(dom.Polydisc((0,) * n, rng.choice([0.5, 1.0, 2.0], n))
+                                 for _ in range(3)))
+    corners = np.array(u._corners(), dtype=complex)
+    assert not u.contains(corners).any()
+    for j in range(n):
+        lowered = corners.copy()
+        lowered[:, j] = np.where(lowered[:, j] == 0, 0, lowered[:, j] * (1 - 1e-12))
+        assert u.contains(lowered[corners[:, j] != 0]).all()
