@@ -315,10 +315,9 @@ class Polydisc(Domain, variant="polydisc", natural_metric=LINFTY):
         return self.gap_moduli(np.abs(zz - np.asarray(self.center)))
 
     def gap_moduli(self, moduli):
-        """``interior_distance`` from the moduli |z - center| of the points:
-        a fold of np.minimum over the columns, the bits of a min along the
-        rows at a fraction of its cost for short rows."""
-        return reduce(np.minimum, [r - moduli[:, j] for j, r in enumerate(self.radii)])
+        """``interior_distance`` from the moduli |z - center| of the points,
+        folded over the columns: a min along short rows is slow."""
+        return reduce(np.minimum, [r - m for r, m in zip(self.radii, moduli.T)])
 
     def exterior_distance(self, zz, metric) -> float:
         over = np.maximum(np.abs(zz - np.asarray(self.center))
@@ -409,7 +408,7 @@ class ReinhardtUnion(Domain, variant="reinhardt_union", natural_metric=LINFTY):
         if metric == LINFTY:
             return self._gap(moduli)
         return reduce(np.minimum, (
-            reduce(np.hypot, (np.maximum(c - moduli[:, j], 0.0) for j, c in enumerate(corner) if c))
+            reduce(np.hypot, (np.maximum(c - m, 0.0) for c, m in zip(corner, moduli.T) if c))
             for corner in self._corners()))
 
     @_once

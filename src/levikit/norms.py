@@ -27,7 +27,5 @@ def row_norms(rows, metric=EUCLIDEAN):
     if metric == EUCLIDEAN:
         re, im = rows.real, rows.imag
         return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
-    moduli = np.abs(rows)
-    # a fold of np.maximum over the columns: the bits of a max along the
-    # rows, NaN included, at a fraction of its cost for short rows
-    return reduce(np.maximum, [moduli[:, j] for j in range(moduli.shape[1])])
+    # folded over the columns: a max along short rows is slow
+    return reduce(np.maximum, np.abs(rows).T)
