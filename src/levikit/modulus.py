@@ -8,15 +8,15 @@ set (M. Jarnicki & P. Pflug, First Steps in Several Complex Variables:
 Reinhardt Domains, EMS 2008, ch. 1; R. M. Range 1986, ch. II §1).
 
 ``ModulusGeometry`` meshes Γ once and answers each row by Newton's method on
-the contact conditions of the metric, started from the row's nearest mesh
-points.  f and its derivatives at moduli s are the compiled programs at the
+the contact conditions of the metric (a code per coordinate), started from the
+row's nearest mesh points; the points and codes are picked in array passes over
+the call.  f and its derivatives at moduli s are the compiled programs at the
 real rows s, exact for ``abs2`` and ``abs``.  Each search runs in lockstep, one
 program call per step; the error raised is the first of a row-by-row search.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache, reduce
 
@@ -34,7 +34,9 @@ _RAY_STEPS = 32
 _NEIGHBOURS = 4
 _ROW_CHUNK = 16
 _NEWTON_STEPS = 12
-_PIN = "pin"
+# a contact mode's code per coordinate: the Euclidean foot point (NaN), free
+# (0), on a face σ_j = ±1 of the L-infinity cube, or pinned to 0 (inf)
+_CODES = np.array([math.nan, 0.0, 1.0, -1.0, math.inf])
 
 
 class ModulusGeometry:
@@ -118,65 +120,75 @@ class ModulusGeometry:
                                          f"did not converge") for j, err in failed.items()}
 
     def distances(self, zz, euclidean: bool) -> np.ndarray:
-        """dist(|z|, Γ) for each row of zz, Euclidean or L-infinity.  Each
-        mesh point that is no farther than its neighbours and within the
-        spacing of the nearest is refined by ``_contact_points`` under each
-        of its ``_contact_modes``, all in one batch: a row's value is the
-        least reached, LevikitError if none reaches the nearest point's."""
+        """dist(|z|, Γ) for each row of zz, Euclidean or L-infinity.  Each of
+        a row's ``_candidates`` c is refined by ``_contact_points`` under each
+        of its modes, all in one batch: a row's value is the least reached,
+        LevikitError if none reaches the nearest point's.  A mode (a row of
+        ``_modes``) takes per coordinate a code ``allowed`` there.  Euclidean:
+        the foot point, or a pin where c_j is 0 (a face of the orthant, where
+        ``abs`` has a kink).  L-infinity: free; a face σ_j, where at a contact
+        the active σ_j g_j share one sign, + from inside D and - from outside,
+        so σ_j is that sign times sign(g_j) at c (g, hess: ∇φ and its Hessian
+        at c), both signs where g_j may change sign within about a mesh
+        spacing of c or f has no value at s, and -1 where c_j is 0 (the face
+        that reaches 0 from s_j >= 0); a pin where c_j is 0 or s_j is no more
+        than the distance from s to c, so that the cube can reach the face,
+        since where φ is flat to higher order in p_j at 0 (|z_j|^4) Newton on
+        ∂φ/∂p_j = 0 creeps to the face without converging."""
         moduli = np.hypot(zz.real, zz.imag)
-        m, n = moduli.shape
-        bounds, pairs = [], []      # per pair: its row, and its mesh point's rank and index
-        for start in range(0, m, _ROW_CHUNK):
-            for i, (bound, picks) in enumerate(
-                    self._candidates(moduli[start:start + _ROW_CHUNK], euclidean), start):
-                bounds.append(bound)
-                pairs += [(i, rank, pick) for rank, pick in enumerate(picks.tolist())]
-        rows, ranks, picks = np.array(pairs, dtype=int).reshape(-1, 3).T
+        rows, picks, bounds = self._candidates(moduli, euclidean)
         s, c = moduli[rows], self.points[picks]
-        # errors keyed by their place in a row-by-row search: per row, per mesh
-        # point its derivatives (0), f at s (1), its systems (2); the row (inf)
-        errors, ok = {}, np.ones(len(c), dtype=bool)
-        g = hess = sides = [None] * len(c)
-        if not euclidean:
-            _, g, hess, ok, failures = self._derivatives(c, c != 0, every=True)
-            errors.update(((rows[q], ranks[q], 0), err) for q, err in failures.items())
-            g, hess = g.tolist(), hess.tolist()
+        # errors keyed by their place in a row-by-row search: per row, per pair
+        # q its derivatives (0), f at s (1), its systems (2); the row (inf)
+        errors, zero = {}, c == 0
+        allowed = np.zeros((*c.shape, len(_CODES)), dtype=bool)
+        if euclidean:
+            allowed[:, :, 0], allowed[:, :, 4] = True, zero
+        else:
+            _, g, hess, ok, failures = self._derivatives(c, ~zero, every=True)
+            errors.update(((rows[q], q, 0), err) for q, err in failures.items())
             value, known, failures = _run(self._value, s)
-            errors.update(((rows[q], ranks[q], 1), err) for q, err in failures.items())
-            # where f has no value at s (a pole on an axis): either side
-            sides = [(1.0 if v < self.level else -1.0) if k else None
-                     for v, k in zip(value[:, 0].tolist(), known.tolist())]
-        triples = [(q, modes) for q, args in enumerate(zip(c.tolist(), s.tolist(), sides, g, hess))
-                   if ok[q] for modes in self._contact_modes(*args, euclidean)]
-        qs = np.array([q for q, _ in triples], dtype=int)
-        p, found, failures = self._contact_points(s[qs], c[qs], [modes for _, modes in triples],
+            errors.update(((rows[q], q, 1), err) for q, err in failures.items())
+            sigma = np.where(value < self.level, 1.0, -1.0) * np.copysign(1.0, g)
+            both = ~known[:, None] | (np.abs(g) <= 2 * self.spacing
+                                      * _py_sum(np.abs(hess).transpose(2, 0, 1)))
+            allowed[:, :, 1] = True
+            allowed[:, :, 2] = ~zero & (both | (sigma > 0))
+            allowed[:, :, 3] = zero | both | (sigma < 0)
+            allowed[:, :, 4] = zero | (s <= _py_max(np.abs(c - s).T)[:, None])
+            allowed[~ok] = False
+        table = _modes(c.shape[1], euclidean)
+        qs, modes = np.nonzero(reduce(np.logical_and, (allowed[:, j, column]
+                                                       for j, column in enumerate(table.T))))
+        p, found, failures = self._contact_points(s[qs], c[qs], _CODES[table[modes]],
                                                   4.0 * self.spacing)
-        errors.update(((rows[qs[t]], ranks[qs[t]], 2, t), err) for t, err in failures.items())
+        errors.update(((rows[qs[k]], qs[k], 2, k), err) for k, err in failures.items())
         gaps = (s[qs] - np.abs(p)).T
         dist = np.sqrt(_py_sum(gaps * gaps)) if euclidean else _py_max(np.abs(gaps))
-        best = [math.inf] * m
-        for i, d in zip(rows[qs[found]].tolist(), dist[found].tolist()):
-            best[i] = min(best[i], d)
-        for i, (b, bound, row) in enumerate(zip(best, bounds, moduli.tolist())):
-            if not b <= bound + 1e-12 * (bound + max(row)):
-                errors[i, math.inf] = self._error(f"the modulus-space refinement of row {i} "
-                                                  f"did not converge")
+        best = np.full(len(moduli), math.inf)
+        np.fmin.at(best, rows[qs[found]], dist[found])
+        for i in np.flatnonzero(~(best <= bounds + 1e-12 * (bounds + _py_max(moduli.T)))):
+            errors[i, math.inf] = self._error(f"the modulus-space refinement of row {i} "
+                                              f"did not converge")
         if errors:
             raise errors[min(errors)]
-        return np.array(best)
+        return best
 
     def _candidates(self, moduli, euclidean):
-        """Per row of moduli: its distance to the nearest mesh point, and the
-        mesh points no farther than any of their neighbours and than that
-        distance plus the spacing, nearest first.  Elementwise operations
-        only, so a row's answer does not depend on the others."""
-        dist = self._gaps(moduli, euclidean)
-        best = dist.min(axis=1)
-        keep = (dist <= dist[:, self.neighbours].min(axis=2)) & (
-            dist <= best[:, None] + self.spacing)
-        for row, b, mask in zip(dist, best, keep):
-            picks = np.flatnonzero(mask)
-            yield float(b), picks[np.argsort(row[picks], kind="stable")]
+        """(rows, picks, bounds): per row of moduli its distance to the nearest
+        mesh point, and a (row, pick) pair per mesh point no farther than any
+        of its neighbours and than that distance plus the spacing, by row, then
+        nearest first.  Elementwise operations and row reductions, _ROW_CHUNK
+        rows at a time, so a row's answer does not depend on the others."""
+        out = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]
+        for start in range(0, len(moduli), _ROW_CHUNK):
+            dist = self._gaps(moduli[start:start + _ROW_CHUNK], euclidean)
+            best = dist.min(axis=1)
+            row, pick = np.nonzero((dist <= dist[:, self.neighbours].min(axis=2))
+                                   & (dist <= best[:, None] + self.spacing))
+            order = np.lexsort((pick, dist[row, pick], row))
+            out.append((row[order] + start, pick[order], best))
+        return [np.concatenate(x) for x in zip(*out)]
 
     def _gaps(self, moduli, euclidean):
         """The distances from each row of moduli to each mesh point."""
@@ -186,47 +198,17 @@ class ModulusGeometry:
             return np.sqrt(reduce(np.add, (g * g for g in gaps)))
         return reduce(np.maximum, gaps)
 
-    def _contact_modes(self, c, s, side, g, hess, euclidean):
-        """The contact conditions to refine the mesh point c under, one
-        entry per coordinate, in every combination.  _PIN keeps it at 0 (a
-        face of the orthant, where ``abs`` has a kink), offered where c_j is
-        0, and not on every coordinate; in L-infinity also where s_j is no
-        more than the distance from s to c, so that the cube can reach the
-        face, since where φ is flat to higher order in p_j at 0 (|z_j|^4)
-        Newton on ∂φ/∂p_j = 0 creeps to the face without converging.
-        Otherwise: None, the Euclidean foot point; in L-infinity 0, free, or
-        σ_j = ±1, on the face s_j + σ_j t of the cube, and at least one
-        coordinate on a face.  At a contact the active σ_j g_j share one
-        sign, + from inside D and - from outside (``side``), so σ_j is that
-        sign times sign(g_j) at c (g, hess: ∇φ and its Hessian at c); both
-        signs where g_j may change sign within about a mesh spacing of c or
-        f has no value at s, and -1 where c_j is 0 (the face that reaches 0
-        from s_j >= 0)."""
-        if euclidean:
-            options = [(None, _PIN) if not x else (None,) for x in c]
-        else:
-            gap = max(abs(x - y) for x, y in zip(c, s))
-            options = [(0.0, -1.0, _PIN) if not x else
-                       ((0.0, 1.0, -1.0) if side is None
-                        or abs(w) <= 2 * self.spacing * _py_sum(map(abs, h))
-                        else (0.0, side * math.copysign(1.0, w)))
-                       + ((_PIN,) if y <= gap else ())
-                       for x, y, w, h in zip(c, s, g, hess)]
-        return [m for m in itertools.product(*options)
-                if any(x is not _PIN and (euclidean or x) for x in m)]
-
-    def _contact_points(self, s, c, modes, reach):
+    def _contact_points(self, s, c, code, reach):
         """Per row: a point of {φ = level}, φ = f at moduli, that meets the
-        contact conditions ``modes`` with the moduli s, by Newton's method
-        from the mesh point c; not found where φ has no value, it does not
-        converge or a step is longer than ``reach``.  Per coordinate: None,
-        the Euclidean Lagrange condition p_j - s_j + μ ∂φ/∂p_j = 0; σ = ±1,
-        p_j = s_j + σ t, and 0, ∂φ/∂p_j = 0, the contact with the L-infinity
-        cube of half-width t; _PIN, p_j = 0.  One ``_derivatives`` call and
-        one stacked solve per step.  (points, found, errors)"""
+        contact conditions ``code`` (rows of ``_CODES``) with the moduli s, by
+        Newton's method from the mesh point c; not found where φ has no
+        value, it does not converge or a step is longer than ``reach``.  Per
+        coordinate: NaN, the Euclidean Lagrange condition p_j - s_j + μ
+        ∂φ/∂p_j = 0; σ = ±1, p_j = s_j + σ t, and 0, ∂φ/∂p_j = 0, the contact
+        with the L-infinity cube of half-width t; inf, p_j = 0.  One
+        ``_derivatives`` call and one stacked solve per step.  (points,
+        found, errors)"""
         k, n = s.shape
-        code = np.array([[math.nan if x is None else math.inf if x is _PIN else x for x in row]
-                         for row in modes], dtype=float).reshape(k, n)
         pin, lagrange, flat = np.isinf(code), np.isnan(code), code == 0
         sigma = np.nan_to_num(code, posinf=0.0)     # σ on a face, else 0
         # a free coordinate starts off the face, where abs has a derivative
@@ -316,6 +298,17 @@ def _py_sum(columns):
 def _py_max(columns):
     """Python's max of the columns: the first, replaced by each larger one."""
     return reduce(lambda top, x: np.where(x > top, x, top), columns)
+
+
+@lru_cache(maxsize=None)
+def _modes(n, euclidean):
+    """Each contact mode of the metric in C^n as indices into ``_CODES``, the
+    last coordinate varying fastest: per coordinate the foot point or a pin
+    (Euclidean), or free, a face or a pin (L-infinity), and at least one
+    coordinate on the foot point or a face.  Built once per n and metric."""
+    codes = np.array((0, 4) if euclidean else (1, 2, 3, 4))
+    table = codes[np.indices((len(codes),) * n).reshape(n, -1).T]
+    return table[((table != 1) & (table != 4)).any(axis=1)]
 
 
 @lru_cache(maxsize=None)

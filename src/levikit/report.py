@@ -21,7 +21,7 @@ from . import exhaustion as exh
 from . import expr as ex
 from . import hulls
 from . import reinhardt as rh
-from .errors import LevikitError
+from .errors import ConfigError, LevikitError
 
 SCHEMA_VERSION = 1
 
@@ -91,8 +91,15 @@ def write_report(report: dict, path) -> None:
 
 
 def load_report(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        report = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            report = json.load(fh)
+    except OSError as err:
+        raise ConfigError(f"cannot read report file {path}: {err.strerror}") from None
+    except ValueError as err:
+        raise ConfigError(f"report file {path} is not valid JSON: {err}") from None
+    if not isinstance(report, dict):
+        raise ConfigError(f"report file {path}: the root must be a mapping")
     version = report.get("schema_version")
     if version != SCHEMA_VERSION:
         raise LevikitError(f"unsupported schema version {version!r}")

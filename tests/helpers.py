@@ -1,5 +1,6 @@
 """Shared oracles and utilities for the test suite."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from levikit import calculus as lc
 from levikit import classify as cl
 from levikit import domains as dom
 from levikit import expr as ex
-from levikit import hulls, norms
+from levikit import hulls, modulus, norms
 from levikit.errors import DegenerateGradient, EvalDomainError, LevikitError
 from levikit.sampling import _SHORTEST, disc_points, rejection_sample, unit_vector
 
@@ -684,6 +685,70 @@ def modulus_distance_oracle(d, z, metric, rays=1001, steps=200, angles=65):
         lo, hi = t[max(i - 1, 0)], t[min(i + 1, angles - 1)]
     return float(g[i])
 
+
+
+# the per-row candidate search and the per-pair contact modes that
+# ``ModulusGeometry.distances`` replaced by array passes: a mode was a tuple
+# per coordinate of None (the Euclidean foot point), 0.0, ±1.0 or "pin"
+
+_PIN = "pin"
+
+
+def candidates_oracle(geometry, moduli, euclidean):
+    """(bound, picks) per row of moduli: its distance to the nearest mesh
+    point, and the mesh points no farther than any of their neighbours and
+    than that distance plus the spacing, nearest first by a stable argsort."""
+    out = []
+    for start in range(0, len(moduli), modulus._ROW_CHUNK):
+        dist = geometry._gaps(moduli[start:start + modulus._ROW_CHUNK], euclidean)
+        best = dist.min(axis=1)
+        keep = (dist <= dist[:, geometry.neighbours].min(axis=2)) & (
+            dist <= best[:, None] + geometry.spacing)
+        for row, b, mask in zip(dist, best, keep):
+            picks = np.flatnonzero(mask)
+            out.append((float(b), picks[np.argsort(row[picks], kind="stable")]))
+    return out
+
+
+def contact_modes_oracle(geometry, c, s, side, g, hess, euclidean):
+    """The contact modes of the mesh point c for the moduli s, one entry per
+    coordinate, in every combination of the coordinates' options."""
+    if euclidean:
+        options = [(None, _PIN) if not x else (None,) for x in c]
+    else:
+        gap = max(abs(x - y) for x, y in zip(c, s))
+        options = [(0.0, -1.0, _PIN) if not x else
+                   ((0.0, 1.0, -1.0) if side is None
+                    or abs(w) <= 2 * geometry.spacing * modulus._py_sum(map(abs, h))
+                    else (0.0, side * math.copysign(1.0, w)))
+                   + ((_PIN,) if y <= gap else ())
+                   for x, y, w, h in zip(c, s, g, hess)]
+    return [m for m in itertools.product(*options)
+            if any(x is not _PIN and (euclidean or x) for x in m)]
+
+
+def contact_codes_oracle(geometry, moduli, euclidean):
+    """(s, c, code): the moduli, mesh point and float code (NaN for None,
+    inf for a pin) of each contact mode of each (row, pick) pair of
+    ``candidates_oracle``, pair after pair, that ``distances`` refines."""
+    n = moduli.shape[1]
+    candidates = candidates_oracle(geometry, moduli, euclidean)
+    pairs = [(i, pick) for i, (_, picks) in enumerate(candidates) for pick in picks.tolist()]
+    rows, picks = np.array(pairs, dtype=int).reshape(-1, 2).T
+    s, c = moduli[rows], geometry.points[picks]
+    ok, g, hess, sides = np.ones(len(c), dtype=bool), *[[None] * len(c)] * 3
+    if not euclidean:
+        _, g, hess, ok, _ = geometry._derivatives(c, c != 0, every=True)
+        g, hess = g.tolist(), hess.tolist()
+        value, known, _ = modulus._run(geometry._value, s)
+        sides = [(1.0 if v < geometry.level else -1.0) if k else None
+                 for v, k in zip(value[:, 0].tolist(), known.tolist())]
+    modes = [(q, mode) for q, args in enumerate(zip(c.tolist(), s.tolist(), sides, g, hess))
+             if ok[q] for mode in contact_modes_oracle(geometry, *args, euclidean)]
+    qs = np.array([q for q, _ in modes], dtype=int)
+    code = np.array([[math.nan if x is None else math.inf if x is _PIN else x for x in mode]
+                     for _, mode in modes], dtype=float).reshape(-1, n)
+    return s[qs], c[qs], code
 
 # the one-point formulas of the disc classes that one AffineDisc replaced,
 # at a parameter w taken from a numpy parameter array

@@ -88,6 +88,22 @@ def test_verify_rejects_unsupported_schema_version(tmp_path):
         rep.load_report(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read report file .*missing.json: No such file"),
+    ("records: []\n", "report file .*report.json is not valid JSON"),
+    ("[1, 2]", "report file .*report.json: the root must be a mapping"),
+], ids=["missing", "not-json", "not-a-mapping"])
+def test_verify_of_an_unreadable_report_is_an_error_exit(tmp_path, capsys, text, message):
+    path = tmp_path / ("missing.json" if text is None else "report.json")
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=message):
+        rep.load_report(path)
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+
+
 def test_verify_catches_tampering_in_every_witness_kind():
     # classify: eigenvalue flipped negative
     report, _ = run_command("classify", dict(BALL_CFG))

@@ -17,7 +17,8 @@ from levikit.errors import (LevikitError, PointOutsideDomain, SamplingExhausted,
                             UnsupportedMetric)
 
 from helpers import (POLE_HINT, POLE_RAY, PROBE_REGIONS, GivenDraws, ball_oracle,
-                     bisect_level_oracle, boundary_sample_oracle, cpython_step,
+                     bisect_level_oracle, boundary_sample_oracle, candidates_oracle,
+                     contact_codes_oracle, cpython_step,
                      foot_point_oracle, interior_sample_oracle, march_oracle,
                      modulus_distance_oracle, pole_domain, reproject_oracle,
                      sampled_distance_oracle)
@@ -863,6 +864,69 @@ def test_a_row_alone_equals_the_row_in_a_batch(name, metric):
     assert d.interior_distance(rows[order], metric).tobytes() == batch[order].tobytes()
     for i in (0, modulus._ROW_CHUNK, len(rows) - 1):
         assert d.interior_distance(rows[i:i + 1], metric).tobytes() == batch[i:i + 1].tobytes()
+
+
+# the candidates and contact modes of the array passes, bit for bit against
+# the per-row and per-pair search they replaced
+
+ORACLE_SUBLEVELS = {**{name: REINHARDT_SUBLEVELS[name] for name in ("QUARTIC", "QUARTIC3", "C05")},
+                    "POLE": pole_domain(1.0)}
+
+
+def _oracle_rows(d, seed):
+    """Seeded box rows, then copies on the axes, on the diagonal |z_1| = |z_2|
+    (whose mesh distances tie where f is symmetric), halves of mesh points c
+    (where the largest |c_j - s_j| is s_j), the origin and a NaN row."""
+    rows = _box_rows(d, 2 * modulus._ROW_CHUNK + 3, seed)
+    axes, diagonal = rows[:8].copy(), rows[8:16].copy()
+    axes[:4, 0], axes[4:, 1] = 0, 0
+    diagonal[:, 1] = np.abs(diagonal[:, 0])
+    return np.vstack([rows, axes, diagonal, d._modulus_geometry().points[::16] / 2,
+                      np.zeros((1, d.dimension)), np.full((1, d.dimension), np.nan)])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SUBLEVELS))
+@pytest.mark.parametrize("metric", METRICS)
+def test_candidates_match_the_per_row_search(name, metric):
+    geometry = ORACLE_SUBLEVELS[name]._modulus_geometry()
+    zz = _oracle_rows(ORACLE_SUBLEVELS[name], 31)
+    moduli = np.hypot(zz.real, zz.imag)
+    rows, picks, bounds = geometry._candidates(moduli, metric == dom.EUCLIDEAN)
+    want = candidates_oracle(geometry, moduli, metric == dom.EUCLIDEAN)
+    assert bounds.tobytes() == np.array([b for b, _ in want]).tobytes()
+    assert rows.tolist() == [i for i, (_, p) in enumerate(want) for _ in p.tolist()]
+    assert picks.tolist() == [k for _, p in want for k in p.tolist()]
+    assert np.isnan(bounds[-1]) and not np.any(rows == len(zz) - 1)
+    # rows whose nearest candidates tie, kept in index order
+    dist = geometry._gaps(moduli, metric == dom.EUCLIDEAN)[rows, picks]
+    tied = (rows[1:] == rows[:-1]) & (dist[1:] == dist[:-1])
+    assert tied.any() or name == "POLE"
+    assert np.all(picks[1:][tied] > picks[:-1][tied])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SUBLEVELS))
+@pytest.mark.parametrize("metric", METRICS)
+def test_contact_modes_match_the_per_pair_product(name, metric, monkeypatch):
+    geometry = ORACLE_SUBLEVELS[name]._modulus_geometry()
+    zz = _oracle_rows(ORACLE_SUBLEVELS[name], 32)
+    refined, solve = [], geometry._contact_points
+    monkeypatch.setattr(geometry, "_contact_points", lambda s, c, code, reach:
+                        refined.append((s, c, code)) or solve(s, c, code, reach))
+    # the NaN row has no candidate, so its refinement does not converge
+    with pytest.raises(LevikitError, match=f"row {len(zz) - 1} did not converge"):
+        geometry.distances(zz, metric == dom.EUCLIDEAN)
+    want = contact_codes_oracle(geometry, np.hypot(zz.real, zz.imag), metric == dom.EUCLIDEAN)
+    assert [x.tobytes() for x in refined[0]] == [x.tobytes() for x in want]
+    codes = set(want[2][~np.isnan(want[2])].tolist())
+    assert codes >= ({math.inf} if metric == dom.EUCLIDEAN else {0.0, 1.0, -1.0, math.inf})
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_no_rows_have_no_distances(metric):
+    d = dom.domain_from_dict(generate.QUARTIC)
+    for got in (dom.distances_to_boundary(d, np.zeros((0, 2)), metric),
+                d.interior_distance(np.zeros((0, 2), dtype=complex), metric)):
+        assert got.dtype == np.float64 and got.shape == (0,)
 
 
 def test_gamma_is_built_on_the_first_distance_call_only():

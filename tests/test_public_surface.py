@@ -63,6 +63,9 @@ REMOVED = [
     (expr, "_beyond_dimension"),
     (modulus, "_bracketed_root"),
     (modulus.ModulusGeometry, "_contact_point"),
+    # a contact mode is a row of codes, picked by array passes
+    (modulus.ModulusGeometry, "_contact_modes"),
+    (modulus, "_PIN"),
     # the circle probe draws each chunk from one generator: no rejection
     # loop over a list of generators
     (domains, "interior_points"),
