@@ -335,7 +335,11 @@ def _run_hull(cfg):
     results = (hulls.affine_hull_membership(points, query_points, functionals, seed, tol)
                if kind == "affine" else hulls.polynomial_hull_membership(
                    points, query_points, degree, random_count, seed, tol))
-    records = [{"key": f"query-{i:04d}", **vars(r)} for i, r in enumerate(results)]
+    # the query as the list the report holds: an affine record is then plain,
+    # and build_report walks it without a copy
+    records = [{"key": f"query-{i:04d}", "query": list(r.query), "verdict": r.verdict,
+                "certificate": r.certificate, "tested": r.tested,
+                "best_margin": r.best_margin} for i, r in enumerate(results)]
     outside = sum(r["verdict"] == "Outside" for r in records)
     bound = hulls.hull_boundedness_check(points)
     records.append({"key": "bounds", "per_coordinate": bound.per_coordinate,

@@ -98,37 +98,43 @@ class HullMembershipResult:
     best_margin: float         # max over tested of |A(x)| - ||A||_K
 
 
-def _membership(queries, values, norms, tol, certificate) -> list:
-    """The verdicts shared by both families, one per query, from the (m, F)
-    arrays of |f(x)| and sup_K |f| of each tested f at each of the m
-    queries: the first largest margin |f(x)| - sup_K |f| decides, and
+_VERDICTS = ("Inside", "BoundaryAmbiguous", "Outside")
+
+
+def _best(margins, *arrays) -> tuple:
+    """Per row of the (q, F) ``margins`` |f(x)| - sup_K |f|: the index of
+    the first largest entry (the row's first NaN, if it has one), then the
+    entries of ``margins`` and of each (q, F) array at it."""
+    best = margins.argmax(axis=1)
+    at = (np.arange(len(best)), best)
+    return best, margins[at], *(a[at] for a in arrays)
+
+
+def _membership(queries, best, margin, value, norm, tested, tol,
+                certificate) -> list:
+    """The verdicts shared by both families, one per query, from the
+    columns ``_best`` picks over the queries: the index of the tested f that
+    decides, its margin |f(x)| - sup_K |f|, |f(x)| and sup_K |f|.  One
+    ``np.isfinite`` scan finds the first query in order with a NaN or
+    infinite margin, which raises, and two comparisons give the verdicts;
     ``certificate(j, i)`` describes f_i at query j for an Outside
-    certificate.  The first query in order with a NaN or infinite margin
-    raises."""
-    with np.errstate(invalid="ignore"):     # inf - inf is the NaN rejected below
-        margins = values - norms
-    best = margins.argmax(axis=1)           # a row's first NaN, if it has one
-    best_margins = margins[np.arange(len(best)), best].tolist()
-    tested = margins.shape[1]
-    results = []
-    for j, (query, idx, best_margin) in enumerate(zip(queries, best.tolist(),
-                                                      best_margins)):
-        if math.isnan(best_margin):
+    certificate."""
+    finite = np.isfinite(margin)
+    if not finite.all():
+        j = int(finite.argmin())
+        if math.isnan(margin[j]):
             raise LevikitError("hull membership margin is NaN: a tested function "
                                "is not finite at the query or on K")
-        if math.isinf(best_margin):
-            raise LevikitError(f"hull membership margin is {best_margin}: |f(x)| is "
-                               f"{values[j, idx]} and sup_K |f| is {norms[j, idx]} "
-                               f"for tested function {idx}")
-        if best_margin > tol:
-            results.append(HullMembershipResult(query, "Outside", {
-                **certificate(j, idx), "value": float(values[j, idx]),
-                "norm_on_set": float(norms[j, idx])}, tested, best_margin))
-        else:
-            verdict = "BoundaryAmbiguous" if best_margin >= -tol else "Inside"
-            results.append(HullMembershipResult(query, verdict, None, tested,
-                                                 best_margin))
-    return results
+        raise LevikitError(f"hull membership margin is {float(margin[j])}: |f(x)| "
+                           f"is {value[j]} and sup_K |f| is {norm[j]} for "
+                           f"tested function {int(best[j])}")
+    codes = np.where(margin > tol, 2, margin >= -tol)
+    return [HullMembershipResult(
+                query, _VERDICTS[code], None if code < 2 else {
+                    **certificate(j, i), "value": v, "norm_on_set": s}, tested, m)
+            for j, (query, code, i, m, v, s) in enumerate(zip(
+                queries, codes.tolist(), best.tolist(), margin.tolist(),
+                value.tolist(), norm.tolist()))]
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +225,20 @@ def affine_hull_membership(k_set, queries, functionals: int = 500,
     projections, bit for bit.  Growing ``functionals`` extends the family,
     so it never flips an Outside verdict back to Inside.
 
-    Queries go through in chunks of 64, each as (64, functionals) arrays of
-    offsets, |A(x)| and sup_K |A|: one array pass per chunk in place of a
-    Python turn per query, while the arrays stay a few hundred kB (chunks of
-    256 raised the peak RSS of a 5,000-query run by about 4 MB).
-    ``np.matmul`` on one (n, 1) column per query is the gemv of ``dirs @ x``
-    bit for bit; one product with all queries rounds differently.  B is a
-    Python ``max`` per query, which skips a NaN coordinate, so a NaN query
-    fails on its margin.  The first query in order whose bound is not finite
-    or whose margin is NaN or infinite raises.
+    Queries go through in passes of 64.  Each pass fills four
+    (64, functionals) buffers, allocated once, in place: offsets, |A(x)|,
+    sup_K |A| and the margins; b is formed as 2B d - B, which is -B + 2B d
+    bit for bit.  Of these a pass keeps five columns over its queries: the
+    index of the first best functional, and its margin, |A(x)|, sup_K |A|
+    and offset.  One verdict pass over all the columns follows, so no
+    Python turn is taken per query until the results are built.  Passes
+    of 64 keep the buffers at a few hundred kB (passes of 256 raised the
+    peak RSS of a 5,000-query run by about 4 MB).  ``np.matmul`` on one
+    (n, 1) column per query is the gemv of ``dirs @ x`` bit for bit; one
+    product with all queries rounds differently.  B skips a NaN coordinate
+    of the query, so a NaN query fails on its margin.  The first query in
+    order whose bound is not finite or whose margin is NaN or infinite
+    raises.
     """
     if functionals < 1:
         raise ValueError("functional count must be >= 1")
@@ -237,25 +248,42 @@ def affine_hull_membership(k_set, queries, functionals: int = 500,
     proj = pts @ dirs.T
     hi, lo = proj.max(axis=0), proj.min(axis=0)
     xs = np.asarray(queries, dtype=float).reshape(len(queries), pts.shape[1])
-    results = []
-    for start in range(0, len(xs), _QUERY_CHUNK):
+    # Python's max(k_max, v, 1e-12): a NaN v is skipped, a NaN k_max is kept
+    with np.errstate(over="ignore"):
+        bounds = 2.0 * np.maximum(k_max, np.fmax(row_norms(xs, LINFTY), 1e-12))
+    finite = np.isfinite(bounds)
+    end = len(xs) if finite.all() else int(finite.argmin())
+    xs = xs[:end]
+    size = min(_QUERY_CHUNK, end)
+    offs, norms, margins = np.empty((3, size, functionals))
+    products = np.empty((size, functionals, 1))     # matmul's (q, F, 1) out
+    best = np.empty(end, dtype=np.intp)
+    columns = np.empty((4, end))    # margin, |A(x)|, sup_K |A|, offset
+    for start in range(0, end, _QUERY_CHUNK):
         chunk = xs[start:start + _QUERY_CHUNK]
-        bounds = [2.0 * max(k_max, v, 1e-12)
-                  for v in row_norms(chunk, LINFTY).tolist()]
-        bad = next((j for j, v in enumerate(bounds) if not math.isfinite(v)),
-                   len(bounds))
-        bound = np.array(bounds[:bad])[:, None]
+        q = len(chunk)
+        bound = bounds[start:start + q, None]
+        off, value, norm, margin = offs[:q], products[:q, :, 0], norms[:q], margins[:q]
         with np.errstate(over="ignore", invalid="ignore"):
-            offs = -bound + (2.0 * bound) * draws
-            values = np.abs(np.matmul(dirs, chunk[:bad, :, None])[..., 0] + offs)
-            norms = np.maximum(np.abs(hi + offs), np.abs(lo + offs))
-        results += _membership(
-            map(tuple, chunk[:bad].tolist()), values, norms, tol,
-            lambda j, i: {"kind": "affine", "direction": tuple(dirs[i].tolist()),
-                          "offset": float(offs[j, i])})
-        if bad < len(bounds):
-            raise LevikitError(f"affine offset bound 2*max|coordinate| is "
-                               f"{bounds[bad]}, not finite")
+            np.multiply(2.0 * bound, draws, out=off)
+            off -= bound
+            np.matmul(dirs, chunk[:, :, None], out=products[:q])
+            value += off
+            np.abs(value, out=value)
+            np.abs(np.add(hi, off, out=norm), out=norm)
+            np.abs(np.add(lo, off, out=margin), out=margin)
+            np.maximum(norm, margin, out=norm)
+            np.subtract(value, norm, out=margin)
+        best[start:start + q], *picked = _best(margin, value, norm, off)
+        columns[:, start:start + q] = picked
+    offset = columns[3].tolist()
+    results = _membership(
+        zip(*xs.T.tolist()), best, *columns[:3], functionals, tol,
+        lambda j, i: {"kind": "affine", "direction": dirs[i].tolist(),
+                      "offset": offset[j]})
+    if end < len(bounds):
+        raise LevikitError(f"affine offset bound 2*max|coordinate| is "
+                           f"{float(bounds[end])}, not finite")
     return results
 
 
@@ -326,9 +354,12 @@ def polynomial_hull_membership(k_set, queries, degree: int, count: int = 0,
     norms = np.array([_sup_modulus(e, c, pts) for e, c in candidates])
     zs = np.asarray(queries, dtype=complex).reshape(len(queries), pts.shape[1])
     values = np.stack([_moduli(e, c, zs) for e, c in candidates], axis=1)
+    with np.errstate(invalid="ignore"):     # inf - inf is the NaN rejected
+        margins = values - norms
+    best, margin, value = _best(margins, values)
     return _membership(
-        [tuple((v.real, v.imag) for v in z) for z in zs], values,
-        np.broadcast_to(norms, values.shape), tol, lambda j, i: {
+        [tuple((v.real, v.imag) for v in z) for z in zs], best, margin, value,
+        norms[best], len(candidates), tol, lambda j, i: {
             "kind": "polynomial", "exponents": [list(e) for e in candidates[i][0]],
             "coefficients": [[c.real, c.imag] for c in map(complex, candidates[i][1])]})
 

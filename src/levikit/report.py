@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -27,30 +28,55 @@ SCHEMA_VERSION = 1
 
 
 _PLAIN = frozenset((str, int, bool, type(None)))
+_INF = math.inf
 
 
 def to_jsonable(obj):
     """Recursively convert numpy/complex values into plain JSON types.
 
     Plain values, the ``_PLAIN`` types and finite floats, come back as they
-    are; the comprehensions keep them inline and recurse for the rest only
-    (``-inf < v < inf`` is ``math.isfinite`` for a float, without a call)."""
-    # exact types first: np.float64 is a float subclass and takes the ladder
+    are, and so does a dict with str keys or a list when nothing inside
+    needs converting: a container is copied from its first entry that
+    changes on, so a plain record is walked but not rebuilt.  A tuple (or a
+    subclass of list or dict) becomes a list (dict) first, and a numpy
+    scalar its Python value (``np.bool_`` a bool).  The loops test plain
+    entries inline and recurse for the rest only (``-_INF < v < _INF`` is
+    ``math.isfinite`` for a float, without a call)."""
+    # exact types first, containers (the common calls) before scalars;
+    # np.float64 is a float subclass and takes the ladder
     kind = type(obj)
-    if kind in _PLAIN or (kind is float and -math.inf < obj < math.inf):
+    if kind is list or kind is tuple:
+        if kind is tuple:
+            obj = list(obj)
+        out = None
+        for i, v in enumerate(obj):
+            new = (v if (type(v) is float and -_INF < v < _INF) or type(v) in _PLAIN
+                   else to_jsonable(v))
+            if out is None:
+                if new is v:
+                    continue
+                out = obj[:i]
+            out.append(new)
+        return obj if out is None else out
+    if kind is dict:
+        out = None
+        for i, (k, v) in enumerate(obj.items()):
+            new = (v if (type(v) is float and -_INF < v < _INF) or type(v) in _PLAIN
+                   else to_jsonable(v))
+            if out is None:
+                if new is v and type(k) is str:
+                    continue
+                out = dict(islice(obj.items(), i))
+            out[str(k)] = new
+        return obj if out is None else out
+    if kind in _PLAIN or (kind is float and -_INF < obj < _INF):
         return obj
     if isinstance(obj, dict):
-        return {str(k): v if type(v) in _PLAIN or (
-                    type(v) is float and -math.inf < v < math.inf) else to_jsonable(v)
-                for k, v in obj.items()}
+        return to_jsonable(dict(obj))
     if isinstance(obj, (list, tuple)):
-        return [v if type(v) in _PLAIN or (
-                    type(v) is float and -math.inf < v < math.inf) else to_jsonable(v)
-                for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+        return to_jsonable(list(obj))
+    if isinstance(obj, np.generic):
         obj = obj.item()
-    if isinstance(obj, (np.complexfloating,)):
-        obj = complex(obj)
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, np.ndarray):

@@ -144,6 +144,70 @@ def walk_evaluate(f, z):
     return go(f) if isinstance(f, ex.Expr) else [go(e) for e in f]
 
 
+_PLAIN = frozenset((str, int, bool, type(None)))
+
+
+def to_jsonable_oracle(obj):
+    """The walk that ``report.to_jsonable`` replaced, kept verbatim as the
+    reference: it rebuilds every dict, list and tuple leaf by leaf, and
+    returns a ``np.bool_`` unchanged, which ``json.dumps`` rejects."""
+    # exact types first: np.float64 is a float subclass and takes the ladder
+    kind = type(obj)
+    if kind in _PLAIN or (kind is float and -math.inf < obj < math.inf):
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): v if type(v) in _PLAIN or (
+                    type(v) is float and -math.inf < v < math.inf) else to_jsonable_oracle(v)
+                for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [v if type(v) in _PLAIN or (
+                    type(v) is float and -math.inf < v < math.inf) else to_jsonable_oracle(v)
+                for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, (np.complexfloating,)):
+        obj = complex(obj)
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, np.ndarray):
+        return to_jsonable_oracle(obj.tolist())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
+def membership_oracle(queries, values, norms, tol, certificate) -> list:
+    """The per-query verdict loop over the (m, F) arrays of |f(x)| and
+    sup_K |f| that ``hulls._membership`` replaced with one pass over
+    columns, kept verbatim as the reference both hull oracles decide by:
+    the first largest margin decides, and the first query in order with a
+    NaN or infinite margin raises."""
+    with np.errstate(invalid="ignore"):     # inf - inf is the NaN rejected below
+        margins = values - norms
+    best = margins.argmax(axis=1)           # a row's first NaN, if it has one
+    best_margins = margins[np.arange(len(best)), best].tolist()
+    tested = margins.shape[1]
+    results = []
+    for j, (query, idx, best_margin) in enumerate(zip(queries, best.tolist(),
+                                                      best_margins)):
+        if math.isnan(best_margin):
+            raise LevikitError("hull membership margin is NaN: a tested function "
+                               "is not finite at the query or on K")
+        if math.isinf(best_margin):
+            raise LevikitError(f"hull membership margin is {best_margin}: |f(x)| is "
+                               f"{values[j, idx]} and sup_K |f| is {norms[j, idx]} "
+                               f"for tested function {idx}")
+        if best_margin > tol:
+            results.append(hulls.HullMembershipResult(query, "Outside", {
+                **certificate(j, idx), "value": float(values[j, idx]),
+                "norm_on_set": float(norms[j, idx])}, tested, best_margin))
+        else:
+            verdict = "BoundaryAmbiguous" if best_margin >= -tol else "Inside"
+            results.append(hulls.HullMembershipResult(query, verdict, None, tested,
+                                                       best_margin))
+    return results
+
+
 def affine_membership_oracle(k_set, x, functionals=500, seed=0, tol=1e-9):
     """The per-query affine test that ``hulls.affine_hull_membership``
     batches: for each query the family is redrawn, its offsets as
@@ -164,9 +228,9 @@ def affine_membership_oracle(k_set, x, functionals=500, seed=0, tol=1e-9):
         offs = -bound + (2.0 * bound) * np.random.default_rng(ss_b).random(functionals)
         values = np.abs(dirs @ xx + offs)
         norms = np.max(np.abs(pts @ dirs.T + offs), axis=0)
-    return hulls._membership([tuple(float(v) for v in xx)], values[None], norms[None],
+    return membership_oracle([tuple(float(v) for v in xx)], values[None], norms[None],
                              tol, lambda _, i: {"kind": "affine",
-                                                "direction": tuple(dirs[i].tolist()),
+                                                "direction": dirs[i].tolist(),
                                                 "offset": float(offs[i])})[0]
 
 
@@ -193,7 +257,7 @@ def polynomial_membership_oracle(k_set, z, degree, count=0, seed=0, tol=1e-9):
         sizes.append((value, norm))
     values, norms = np.array(sizes).T
     query = tuple((v.real, v.imag) for v in np.asarray(z, dtype=complex))
-    return hulls._membership([query], values[None], norms[None], tol, lambda _, i: {
+    return membership_oracle([query], values[None], norms[None], tol, lambda _, i: {
         "kind": "polynomial", "exponents": [list(e) for e in candidates[i][0]],
         "coefficients": [[c.real, c.imag] for c in map(complex, candidates[i][1])]})[0]
 

@@ -5,15 +5,22 @@ import math
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from levikit import domains as dom
 from levikit import report as rep
 from levikit.cli import load_config_file, main, run_command
 from levikit.errors import ConfigError, LevikitError
+
+from helpers import to_jsonable_oracle
 
 BALL_CFG = {
     "domain": {"variant": "ball", "dimension": 2,
@@ -253,6 +260,75 @@ def test_reports_are_byte_identical_across_runs():
     a, _ = run_command("classify", dict(BALL_CFG))
     b, _ = run_command("classify", dict(BALL_CFG))
     assert rep.canonical_bytes(a) == rep.canonical_bytes(b)
+
+
+def _same(got, want):
+    """Equal, and of the same types all the way down, floats by their repr
+    (NaN and signed zeros included); dicts in the same order."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(got, dict):
+        return (list(got) == list(want)
+                and all(_same(got[k], want[k]) for k in got))
+    if isinstance(got, list):
+        return len(got) == len(want) and all(map(_same, got, want))
+    return repr(got) == repr(want)
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.text(max_size=3),
+    st.floats(), st.complex_numbers(),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.complex_numbers().map(np.complex128),
+    st.sampled_from([math.inf, -math.inf, math.nan, np.float64(math.inf),
+                     np.float64(-math.inf), np.float64(math.nan)]),
+    hnp.arrays(st.sampled_from([np.float64, np.int64, np.complex128, np.bool_]),
+               hnp.array_shapes(min_dims=0, max_dims=2, max_side=3)))
+_KEYS = st.one_of(st.text(max_size=3), st.integers(-3, 3), st.booleans(),
+                  st.none(), st.floats(allow_nan=False))
+
+
+class _Row(list):
+    """A list subclass: converted like the list it holds."""
+
+
+_VALUES = st.recursive(_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.lists(children, max_size=3).map(_Row),
+    st.dictionaries(_KEYS, children, max_size=4),
+    st.dictionaries(_KEYS, children, max_size=3).map(OrderedDict)), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_to_jsonable_matches_the_reference_walk(value):
+    # np.bool_ scalars are left out: the reference returns them unchanged
+    want = to_jsonable_oracle(value)
+    assert _same(rep.to_jsonable(value), want)
+    assert _same(to_jsonable_oracle(value), want)      # the input is unchanged
+
+
+def test_to_jsonable_converts_numpy_bools():
+    # every numpy scalar becomes its Python value; a np.bool_ used to come
+    # back as it was, which json.dumps rejects
+    value = {"flag": np.bool_(False), "flags": [np.bool_(True), (np.bool_(False),)]}
+    assert _same(rep.to_jsonable(value),
+                 {"flag": False, "flags": [True, [False]]})
+    assert json.dumps(rep.to_jsonable(np.bool_(True))) == "true"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json.dumps(to_jsonable_oracle(np.bool_(True)))
+
+
+def test_to_jsonable_copies_only_what_changes():
+    plain = {"key": "query-0000", "query": [0.5, -1.0], "tested": 3,
+             "certificate": {"direction": [0.6, 0.8], "offset": None}}
+    assert rep.to_jsonable(plain) is plain
+    mixed = {"a": [1.0], "b": (2.0,), "c": [np.float64(3.0)], 4: "four"}
+    out = rep.to_jsonable(mixed)
+    assert out == {"a": [1.0], "b": [2.0], "c": [3.0], "4": "four"}
+    assert out["a"] is mixed["a"] and out["c"] is not mixed["c"]
+    assert mixed["b"] == (2.0,) and type(mixed["c"][0]) is np.float64
 
 
 def test_reports_agree_across_worker_counts():
@@ -505,13 +581,21 @@ SHIPPED_COMMANDS = {"ball_classify": "classify",
                     "complement_disc_probe": "disc-probe"}
 
 
-def test_shipped_configs_run():
+def test_shipped_configs_run(monkeypatch):
+    # each report has the canonical bytes that the reference walk gives
+    build_report, built = rep.build_report, []
+    monkeypatch.setattr(rep, "build_report",
+                        lambda *args: built.append(args) or build_report(*args))
     paths = sorted(CONFIGS.glob("*.yaml"))
     assert len(paths) == len(SHIPPED_COMMANDS)
     for path in paths:
         report, code = run_command(SHIPPED_COMMANDS[path.stem], load_config_file(path))
         assert code in (0, 2)
         assert rep.verify_report(report).passed
+        with monkeypatch.context() as walk:
+            walk.setattr(rep, "to_jsonable", to_jsonable_oracle)
+            reference = build_report(*built[-1])
+        assert rep.canonical_bytes(report) == rep.canonical_bytes(reference), path.name
 
 
 WORKFLOW = CONFIGS.parent / ".github" / "workflows" / "tests.yml"

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levikit import hulls
@@ -334,6 +334,47 @@ def test_first_failing_query_of_a_chunk_raises(first, second):
     assert ("NaN" in expected) == (first == "nan")
     with pytest.raises(LevikitError, match=f"^{re.escape(expected)}$"):
         hulls.affine_hull_membership(square, queries)
+
+
+_BAD_QUERIES = {"nan": [math.nan, 0.5],       # a NaN margin
+                "range": [6e307, 0.0],      # B finite, 2B not: a NaN margin
+                "bound": [0.5, 1e308]}      # B itself not finite
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(0, 199), st.sampled_from(sorted(_BAD_QUERIES))),
+                max_size=3))
+@example(seed=0, bad=[(100, "bound"), (5, "nan")])        # margin, pass 0
+@example(seed=0, bad=[(150, "nan"), (70, "bound")])       # bound, pass 1
+@example(seed=0, bad=[(130, "bound"), (129, "range")])    # margin, one pass
+@example(seed=0, bad=[(2, "bound"), (199, "nan")])        # bound, first pass
+def test_first_error_of_a_query_list_matches_the_oracle(seed, bad):
+    # four passes of queries with bad ones set in: the first in order raises,
+    # whichever pass holds it and whatever comes after
+    rng = np.random.default_rng(seed)
+    square = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    queries = 1.5 * rng.standard_normal((200, 2))
+    for position, kind in bad:
+        queries[position] = _BAD_QUERIES[kind]
+    batched = _results_or_error(lambda: hulls.affine_hull_membership(
+        square, queries, 40, seed))
+    oracle = _results_or_error(lambda: [
+        affine_membership_oracle(square, q, 40, seed) for q in queries])
+    if isinstance(oracle, str):
+        assert batched == oracle
+    else:
+        _same_bits(batched, oracle)
+
+
+def test_a_nan_point_of_k_fails_on_the_bound_like_the_oracle():
+    # a NaN sup_K |coordinate| makes B NaN, as Python's max keeps a NaN first
+    # argument; a NaN query coordinate is skipped instead (above)
+    k_set = [[0.0, 0.0], [math.nan, 1.0], [1.0, 1.0]]
+    expected = _first_oracle_error(k_set, [[0.5, 0.5]])
+    assert expected == "affine offset bound 2*max|coordinate| is nan, not finite"
+    with pytest.raises(LevikitError, match=f"^{re.escape(expected)}$"):
+        hulls.affine_hull_membership(k_set, [[0.5, 0.5]])
 
 
 @pytest.mark.parametrize("query, named", [
