@@ -48,10 +48,12 @@ def load_config_file(path) -> dict:
         with open(path, encoding="utf-8") as fh:
             # libyaml parses where PyYAML has it; PyYAML resolves the values
             data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as err:
+        raise ConfigError(f"cannot read config file {path}: {err.strerror}") from None
     except yaml.YAMLError as err:
         raise ConfigError(f"config file is not valid YAML: {err}") from None
+    except ValueError as err:       # bytes that are not UTF-8, or a bad date
+        raise ConfigError(f"cannot load config file {path}: {err}") from None
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -321,6 +323,9 @@ def _run_hull(cfg):
         except OSError as err:
             raise ConfigError(f"points_file: cannot read {cfg['points_file']!r}: "
                               f"{err.strerror}") from None
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"points_file: cannot read {cfg['points_file']!r}: "
+                              f"not UTF-8 text ({err.reason})") from None
     else:
         points = hulls.decode_points(_require(cfg, "points"), is_complex, "points")
     if kind == "affine" and is_complex:
@@ -332,20 +337,18 @@ def _run_hull(cfg):
     functionals = _count(cfg, "functionals", 500)
     degree = _count(cfg, "degree", 8)
     random_count = _count(cfg, "random_count", 0, minimum=0)
-    results = (hulls.affine_hull_membership(points, query_points, functionals, seed, tol)
+    records = (hulls.affine_hull_membership(points, query_points, functionals, seed, tol)
                if kind == "affine" else hulls.polynomial_hull_membership(
                    points, query_points, degree, random_count, seed, tol))
-    # the query as the list the report holds: an affine record is then plain,
-    # and build_report walks it without a copy
-    records = [{"key": f"query-{i:04d}", "query": list(r.query), "verdict": r.verdict,
-                "certificate": r.certificate, "tested": r.tested,
-                "best_margin": r.best_margin} for i, r in enumerate(results)]
-    outside = sum(r["verdict"] == "Outside" for r in records)
-    bound = hulls.hull_boundedness_check(points)
-    records.append({"key": "bounds", "per_coordinate": bound.per_coordinate,
-                    "bound": bound.bound})
+    outside = 0
+    for i, record in enumerate(records):
+        record["key"] = f"query-{i:04d}"
+        outside += record["verdict"] == "Outside"
+    bounds = hulls.hull_boundedness_check(points)
+    bounds["key"] = "bounds"
+    records.append(bounds)
     summary = (f"{outside}/{len(queries)} queries separated ({kind} family); "
-               f"coordinate bound {bound.bound:.6g}")
+               f"coordinate bound {bounds['bound']:.6g}")
     echo = {"kind": kind, "is_complex": is_complex, "points": points,
             "queries": queries, "seed": seed,
             "tol": tol, "functionals": functionals, "degree": degree,

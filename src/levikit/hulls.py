@@ -2,13 +2,13 @@
 
 Membership verdicts are one-sided by design: "Outside" always carries a
 separating certificate that re-evaluates with margin above tolerance, while
-"Inside" only means the tested functional family found no separation.
+"Inside" only means the tested functional family found no separation.  Each
+query's verdict is the plain dict its report record holds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -89,15 +89,6 @@ def decode_points(rows, is_complex: bool, path: str,
     return np.array(out, dtype=complex if is_complex else float)
 
 
-@dataclass(frozen=True)
-class HullMembershipResult:
-    query: tuple
-    verdict: str               # "Inside" | "Outside" | "BoundaryAmbiguous"
-    certificate: dict          # separating functional/polynomial, or None
-    tested: int
-    best_margin: float         # max over tested of |A(x)| - ||A||_K
-
-
 _VERDICTS = ("Inside", "BoundaryAmbiguous", "Outside")
 
 
@@ -112,13 +103,16 @@ def _best(margins, *arrays) -> tuple:
 
 def _membership(queries, best, margin, value, norm, tested, tol,
                 certificate) -> list:
-    """The verdicts shared by both families, one per query, from the
-    columns ``_best`` picks over the queries: the index of the tested f that
-    decides, its margin |f(x)| - sup_K |f|, |f(x)| and sup_K |f|.  One
+    """The verdicts shared by both families, one plain dict per query, from
+    the columns ``_best`` picks over the queries: the index of the tested f
+    that decides, its margin |f(x)| - sup_K |f|, |f(x)| and sup_K |f|.  One
     ``np.isfinite`` scan finds the first query in order with a NaN or
-    infinite margin, which raises, and two comparisons give the verdicts;
-    ``certificate(j, i)`` describes f_i at query j for an Outside
-    certificate."""
+    infinite margin, which raises, and two comparisons give the verdicts.
+    A record holds the ``query`` (a list), its ``verdict`` ("Inside",
+    "BoundaryAmbiguous" or "Outside"), the ``tested`` count, the
+    ``best_margin`` and a ``certificate``: None, or for an Outside verdict
+    ``certificate(j, i)``, which describes f_i at query j, with its
+    ``value`` |f(x)| and ``norm_on_set`` sup_K |f|."""
     finite = np.isfinite(margin)
     if not finite.all():
         j = int(finite.argmin())
@@ -129,9 +123,10 @@ def _membership(queries, best, margin, value, norm, tested, tol,
                            f"is {value[j]} and sup_K |f| is {norm[j]} for "
                            f"tested function {int(best[j])}")
     codes = np.where(margin > tol, 2, margin >= -tol)
-    return [HullMembershipResult(
-                query, _VERDICTS[code], None if code < 2 else {
-                    **certificate(j, i), "value": v, "norm_on_set": s}, tested, m)
+    return [{"query": query, "verdict": _VERDICTS[code],
+             "certificate": None if code < 2 else {
+                 **certificate(j, i), "value": v, "norm_on_set": s},
+             "tested": tested, "best_margin": m}
             for j, (query, code, i, m, v, s) in enumerate(zip(
                 queries, codes.tolist(), best.tolist(), margin.tolist(),
                 value.tolist(), norm.tolist()))]
@@ -215,7 +210,8 @@ _QUERY_CHUNK = 64      # queries per array pass of affine_hull_membership
 def affine_hull_membership(k_set, queries, functionals: int = 500,
                            seed: int = 0, tol: float = 1e-9) -> list:
     """Sampled-affine-functional membership of each query in the convex hull
-    of K, the rows of the (k, n) real array ``k_set``, one result per query.
+    of K, the rows of the (k, n) real array ``k_set``, one record per query
+    (see ``_membership``).
 
     Functionals are A(y) = u . y + b with unit u and offset b uniform in
     [-B, B], B = 2 * coordinate bound of K and the query; offsets matter
@@ -231,7 +227,7 @@ def affine_hull_membership(k_set, queries, functionals: int = 500,
     bit for bit.  Of these a pass keeps five columns over its queries: the
     index of the first best functional, and its margin, |A(x)|, sup_K |A|
     and offset.  One verdict pass over all the columns follows, so no
-    Python turn is taken per query until the results are built.  Passes
+    Python turn is taken per query until the records are built.  Passes
     of 64 keep the buffers at a few hundred kB (passes of 256 raised the
     peak RSS of a 5,000-query run by about 4 MB).  ``np.matmul`` on one
     (n, 1) column per query is the gemv of ``dirs @ x`` bit for bit; one
@@ -277,14 +273,14 @@ def affine_hull_membership(k_set, queries, functionals: int = 500,
         best[start:start + q], *picked = _best(margin, value, norm, off)
         columns[:, start:start + q] = picked
     offset = columns[3].tolist()
-    results = _membership(
-        zip(*xs.T.tolist()), best, *columns[:3], functionals, tol,
+    records = _membership(
+        xs.tolist(), best, *columns[:3], functionals, tol,
         lambda j, i: {"kind": "affine", "direction": dirs[i].tolist(),
                       "offset": offset[j]})
     if end < len(bounds):
         raise LevikitError(f"affine offset bound 2*max|coordinate| is "
                            f"{float(bounds[end])}, not finite")
-    return results
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +329,9 @@ def _moduli(exponents, coefficients, zs) -> np.ndarray:
 
 def polynomial_hull_membership(k_set, queries, degree: int, count: int = 0,
                                seed: int = 0, tol: float = 1e-9) -> list:
-    """Outer polynomial-family test, one result per query z, with K the rows
-    of the (k, n) array ``k_set``: Outside iff some tested p has
+    """Outer polynomial-family test, one record per query z (see
+    ``_membership``; the query is n [re, im] pairs), with K the rows of the
+    (k, n) array ``k_set``: Outside iff some tested p has
     |p(z)| > sup_K |p| + tol, with sup_K |p| computed once.
 
     The family is every monomial of total degree 1..degree plus ``count``
@@ -358,7 +355,7 @@ def polynomial_hull_membership(k_set, queries, degree: int, count: int = 0,
         margins = values - norms
     best, margin, value = _best(margins, values)
     return _membership(
-        [tuple((v.real, v.imag) for v in z) for z in zs], best, margin, value,
+        [[[v.real, v.imag] for v in z] for z in zs.tolist()], best, margin, value,
         norms[best], len(candidates), tol, lambda j, i: {
             "kind": "polynomial", "exponents": [list(e) for e in candidates[i][0]],
             "coefficients": [[c.real, c.imag] for c in map(complex, candidates[i][1])]})
@@ -390,14 +387,9 @@ def certificate_failure(points: np.ndarray, query, certificate, tol: float,
     return "separation certificate does not re-check"
 
 
-@dataclass(frozen=True)
-class CoordinateBound:
-    per_coordinate: tuple
-    bound: float
-
-
-def hull_boundedness_check(k_set) -> CoordinateBound:
-    """sup_K |z_j| per coordinate over the rows of the (k, n) array ``k_set``;
-    any query exceeding a bound is Outside via that coordinate functional."""
-    per = tuple(float(v) for v in np.max(np.abs(_point_set(k_set, None)), axis=0))
-    return CoordinateBound(per, max(per))
+def hull_boundedness_check(k_set) -> dict:
+    """``per_coordinate``, the list of sup_K |z_j| over the rows of the
+    (k, n) array ``k_set``, and their maximum ``bound``; any query exceeding
+    a bound is Outside via that coordinate functional."""
+    per = [float(v) for v in np.max(np.abs(_point_set(k_set, None)), axis=0)]
+    return {"per_coordinate": per, "bound": max(per)}

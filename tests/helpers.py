@@ -198,13 +198,14 @@ def membership_oracle(queries, values, norms, tol, certificate) -> list:
                                f"{values[j, idx]} and sup_K |f| is {norms[j, idx]} "
                                f"for tested function {idx}")
         if best_margin > tol:
-            results.append(hulls.HullMembershipResult(query, "Outside", {
+            results.append({"query": query, "verdict": "Outside", "certificate": {
                 **certificate(j, idx), "value": float(values[j, idx]),
-                "norm_on_set": float(norms[j, idx])}, tested, best_margin))
+                "norm_on_set": float(norms[j, idx])}, "tested": tested,
+                "best_margin": best_margin})
         else:
             verdict = "BoundaryAmbiguous" if best_margin >= -tol else "Inside"
-            results.append(hulls.HullMembershipResult(query, verdict, None, tested,
-                                                       best_margin))
+            results.append({"query": query, "verdict": verdict, "certificate": None,
+                            "tested": tested, "best_margin": best_margin})
     return results
 
 
@@ -228,7 +229,7 @@ def affine_membership_oracle(k_set, x, functionals=500, seed=0, tol=1e-9):
         offs = -bound + (2.0 * bound) * np.random.default_rng(ss_b).random(functionals)
         values = np.abs(dirs @ xx + offs)
         norms = np.max(np.abs(pts @ dirs.T + offs), axis=0)
-    return membership_oracle([tuple(float(v) for v in xx)], values[None], norms[None],
+    return membership_oracle([[float(v) for v in xx]], values[None], norms[None],
                              tol, lambda _, i: {"kind": "affine",
                                                 "direction": dirs[i].tolist(),
                                                 "offset": float(offs[i])})[0]
@@ -256,7 +257,7 @@ def polynomial_membership_oracle(k_set, z, degree, count=0, seed=0, tol=1e-9):
             value = math.inf
         sizes.append((value, norm))
     values, norms = np.array(sizes).T
-    query = tuple((v.real, v.imag) for v in np.asarray(z, dtype=complex))
+    query = [[v.real, v.imag] for v in np.asarray(z, dtype=complex).tolist()]
     return membership_oracle([query], values[None], norms[None], tol, lambda _, i: {
         "kind": "polynomial", "exponents": [list(e) for e in candidates[i][0]],
         "coefficients": [[c.real, c.imag] for c in map(complex, candidates[i][1])]})[0]

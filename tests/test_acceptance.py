@@ -211,11 +211,11 @@ def test_criterion_10_hull_cross_validation():
                                                seed=trial)
         for q, res in zip(queries, results):
             inside_exact = hulls.polygon_contains(hull, q, tol=1e-12)
-            if inside_exact and res.verdict == "Outside":
+            if inside_exact and res["verdict"] == "Outside":
                 false_outside += 1
             elif not inside_exact and hulls.distance_to_polygon(hull, q) >= 0.1:
                 outside_far += 1
-                if res.verdict != "Outside":
+                if res["verdict"] != "Outside":
                     outside_missed += 1
     elapsed = time.perf_counter() - start
     rate = outside_missed / max(outside_far, 1)

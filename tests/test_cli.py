@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import OrderedDict
@@ -425,10 +426,15 @@ def test_points_file_with_a_non_numeric_token_names_the_line(tmp_path):
         run_command("hull", cfg)
 
 
-def test_missing_points_file_is_a_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("name, content", [
+    ("absent.txt", None), ("latin1.txt", "0.5,0.5\n# caf\xe9\n".encode("latin-1")),
+], ids=["missing", "not-utf8"])
+def test_missing_points_file_is_a_config_error(tmp_path, capsys, name, content):
+    if content is not None:
+        (tmp_path / name).write_bytes(content)
     cfg = {"kind": "affine", "is_complex": False, "dimension": 2,
-           "points_file": str(tmp_path / "absent.txt"), "queries": [[0.5, 0.5]]}
-    with pytest.raises(ConfigError, match=r"points_file: cannot read .*absent\.txt"):
+           "points_file": str(tmp_path / name), "queries": [[0.5, 0.5]]}
+    with pytest.raises(ConfigError, match=f"points_file: cannot read .*{name}"):
         run_command("hull", cfg)
     config = tmp_path / "hull.yaml"
     config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
@@ -506,13 +512,24 @@ def test_config_loader_reads_what_the_python_safe_loader_reads(tmp_path):
     assert python["merged"] == {"radius": 2.0, "center": [[0.0, 0.0]]}
 
 
-def test_invalid_yaml_is_a_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("content, message", [
+    (b"domain: {variant: ball\nsamples: [1, 2\n", "config file is not valid YAML"),
+    (None, "cannot read config file .*broken.yaml: Is a directory"),
+    ("samples: 4  # caf\xe9\n".encode("latin-1"),
+     "cannot load config file .*broken.yaml: 'utf-8' codec"),
+    (b"samples: 2020-13-45\n", "cannot load config file .*broken.yaml: month"),
+], ids=["invalid-yaml", "directory", "not-utf8", "bad-date"])
+def test_invalid_yaml_is_a_config_error(tmp_path, capsys, content, message):
     path = tmp_path / "broken.yaml"
-    path.write_text("domain: {variant: ball\nsamples: [1, 2\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="config file is not valid YAML"):
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    with pytest.raises(ConfigError, match=message):
         load_config_file(path)
     assert main(["classify", "--config", str(path)]) == 1
-    assert "error: config file is not valid YAML" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert re.match(f"error: {message}", err) and "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
@@ -596,6 +613,20 @@ def test_shipped_configs_run(monkeypatch):
             walk.setattr(rep, "to_jsonable", to_jsonable_oracle)
             reference = build_report(*built[-1])
         assert rep.canonical_bytes(report) == rep.canonical_bytes(reference), path.name
+
+
+@pytest.mark.parametrize("stem", ["hull_affine", "hull_polynomial"])
+def test_hull_records_reach_the_report_plain(monkeypatch, stem):
+    # the membership functions return the records themselves, so every one,
+    # the bounds record too, is walked by build_report without a copy
+    build_report, built = rep.build_report, []
+    monkeypatch.setattr(rep, "build_report",
+                        lambda *args: built.append(args) or build_report(*args))
+    run_command("hull", load_config_file(CONFIGS / f"{stem}.yaml"))
+    (_, _, records, *_), = built
+    assert records[-1]["key"] == "bounds"
+    for record in records:
+        assert rep.to_jsonable(record) is record, record["key"]
 
 
 WORKFLOW = CONFIGS.parent / ".github" / "workflows" / "tests.yml"

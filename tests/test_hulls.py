@@ -44,9 +44,9 @@ def test_hull_matches_brute_force_oracle():
 def test_affine_membership_inside_and_outside():
     square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
     inside, outside = hulls.affine_hull_membership(square, [[0.5, 0.5], [2, 0]])
-    assert inside.verdict == "Inside"
-    assert outside.verdict == "Outside"
-    cert = outside.certificate
+    assert inside["verdict"] == "Inside"
+    assert outside["verdict"] == "Outside"
+    cert = outside["certificate"]
     u = np.asarray(cert["direction"])
     value = abs(u @ np.array([2.0, 0.0]) + cert["offset"])
     norm_k = max(abs(u @ p + cert["offset"]) for p in square)
@@ -67,11 +67,11 @@ def test_affine_membership_cross_validation():
                                                seed=trial)
         for q, res in zip(queries, results):
             exact_inside = hulls.polygon_contains(hull, q, tol=1e-12)
-            if exact_inside and res.verdict == "Outside":
+            if exact_inside and res["verdict"] == "Outside":
                 false_outside += 1
             if not exact_inside and hulls.distance_to_polygon(hull, q) >= 0.1:
                 outside_far += 1
-                if res.verdict != "Outside":
+                if res["verdict"] != "Outside":
                     outside_missed += 1
         assert false_outside == 0
         assert outside_missed <= 0.05 * max(outside_far, 1)
@@ -84,9 +84,9 @@ def test_affine_membership_monotone_in_functional_count():
     for small, large in zip(
             hulls.affine_hull_membership(pts, queries, functionals=100, seed=9),
             hulls.affine_hull_membership(pts, queries, functionals=400, seed=9)):
-        if small.verdict == "Outside":
-            assert large.verdict == "Outside"
-            assert large.best_margin >= small.best_margin - 1e-15
+        if small["verdict"] == "Outside":
+            assert large["verdict"] == "Outside"
+            assert large["best_margin"] >= small["best_margin"] - 1e-15
 
 
 def test_affine_membership_idempotent_under_certified_inside_points():
@@ -95,44 +95,44 @@ def test_affine_membership_idempotent_under_certified_inside_points():
     candidates = rng.standard_normal((100, 2))
     inside_points = [q for q, res in zip(
         candidates, hulls.affine_hull_membership(pts, candidates, seed=4))
-        if res.verdict == "Inside"]
+        if res["verdict"] == "Inside"]
     augmented = np.vstack([pts, inside_points])
     queries = 1.5 * rng.standard_normal((100, 2))
     for a, b in zip(hulls.affine_hull_membership(pts, queries, seed=4),
                     hulls.affine_hull_membership(augmented, queries, seed=4)):
-        assert a.verdict == b.verdict
-        assert a.best_margin == pytest.approx(b.best_margin, abs=1e-14)
+        assert a["verdict"] == b["verdict"]
+        assert a["best_margin"] == pytest.approx(b["best_margin"], abs=1e-14)
 
 
 def test_polynomial_membership_circle():
     circle = [[np.exp(2j * np.pi * k / 64)] for k in range(64)]
     for degree in (1, 3, 8):
         res, = hulls.polynomial_hull_membership(circle, [[0]], degree)
-        assert res.verdict == "Inside"   # maximum modulus forces |p(0)| <= 1
+        assert res["verdict"] == "Inside"   # maximum modulus forces |p(0)| <= 1
     out, = hulls.polynomial_hull_membership(circle, [[2]], 8)
-    assert out.verdict == "Outside"
+    assert out["verdict"] == "Outside"
     # the identity map already separates at degree 1
     ident, = hulls.polynomial_hull_membership(circle, [[2]], 1)
-    assert ident.verdict == "Outside"
-    assert ident.certificate["exponents"] == [[1]]
+    assert ident["verdict"] == "Outside"
+    assert ident["certificate"]["exponents"] == [[1]]
 
 
 def test_polynomial_membership_distinguished_boundary_of_polydisc():
     torus = [[np.exp(2j * np.pi * j / 24), np.exp(2j * np.pi * k / 24)]
              for j in range(24) for k in range(24)]
     res, = hulls.polynomial_hull_membership(torus, [[0.5, 0.5]], 8)
-    assert res.verdict == "Inside"
+    assert res["verdict"] == "Inside"
     out, = hulls.polynomial_hull_membership(torus, [[0, 5]], 1)
-    assert out.verdict == "Outside"
+    assert out["verdict"] == "Outside"
     # separated by the second coordinate function
-    assert out.certificate["exponents"] == [[0, 1]]
+    assert out["certificate"]["exponents"] == [[0, 1]]
 
 
 def test_polynomial_membership_with_random_family_keeps_soundness():
     circle = [[np.exp(2j * np.pi * k / 64)] for k in range(64)]
     res, = hulls.polynomial_hull_membership(circle, [[0.2 + 0.1j]], 6,
                                             count=40, seed=5)
-    assert res.verdict == "Inside"
+    assert res["verdict"] == "Inside"
 
 
 def test_outside_certificates_reverify_with_margin():
@@ -142,8 +142,8 @@ def test_outside_certificates_reverify_with_margin():
                for _ in range(20)]
     for q, res in zip(queries, hulls.polynomial_hull_membership(
             pts, queries, 4, count=10, seed=7)):
-        if res.verdict == "Outside":
-            cert = res.certificate
+        if res["verdict"] == "Outside":
+            cert = res["certificate"]
             coeffs = [complex(c[0], c[1]) for c in cert["coefficients"]]
             exps = [tuple(e) for e in cert["exponents"]]
             value = abs(hulls._eval_poly(exps, coeffs, q.reshape(1, -1))[0])
@@ -155,9 +155,9 @@ def test_outside_certificates_reverify_with_margin():
 def test_hull_boundedness_check():
     circle = [[np.exp(2j * np.pi * k / 32)] for k in range(32)]
     bound = hulls.hull_boundedness_check(circle)
-    assert bound.bound == pytest.approx(1.0, abs=1e-12)
+    assert bound["bound"] == pytest.approx(1.0, abs=1e-12)
     more = circle + [[3.0]]
-    assert hulls.hull_boundedness_check(more).bound >= bound.bound
+    assert hulls.hull_boundedness_check(more)["bound"] >= bound["bound"]
 
 
 def test_load_point_set(tmp_path):
@@ -176,8 +176,8 @@ def test_load_point_set(tmp_path):
 def test_first_of_tied_polynomial_candidates_is_the_certificate():
     # z2 and z1 (in monomial order) both reach |p(z)| = 2 against sup_K = 0
     res, = hulls.polynomial_hull_membership([[0, 0]], [[2, 2]], 1)
-    assert res.verdict == "Outside" and res.best_margin == 2.0
-    assert res.certificate["exponents"] == [[0, 1]]
+    assert res["verdict"] == "Outside" and res["best_margin"] == 2.0
+    assert res["certificate"]["exponents"] == [[0, 1]]
 
 
 @pytest.mark.parametrize("member", [
@@ -208,12 +208,12 @@ def test_overflowing_polynomial_is_an_error_not_a_certificate(points, query, deg
 
 
 def _same_bits(batched, oracle):
-    """Field for field, floats by their bits: the repr of a float is its
+    """Key for key, floats by their bits: the repr of a float is its
     shortest round trip, so equal reprs are equal bits (signed zeros too)."""
     assert len(batched) == len(oracle)
     for got, want in zip(batched, oracle):
-        for field in ("query", "verdict", "certificate", "tested", "best_margin"):
-            assert repr(getattr(got, field)) == repr(getattr(want, field)), field
+        for key in ("query", "verdict", "certificate", "tested", "best_margin"):
+            assert repr(got[key]) == repr(want[key]), key
 
 
 def _hull_queries(rng, pts, count):
@@ -310,7 +310,7 @@ def test_affine_membership_matches_the_oracle_across_query_chunks(count):
     pset = rng.standard_normal((30, 3))
     queries = 1.5 * rng.standard_normal((count, 3))
     batched = hulls.affine_hull_membership(pset, queries, 200, count)
-    assert {r.verdict for r in batched} == {"Inside", "Outside"}
+    assert {r["verdict"] for r in batched} == {"Inside", "Outside"}
     _same_bits(batched, [affine_membership_oracle(pset, q, 200, count)
                          for q in queries])
 

@@ -73,6 +73,9 @@ REMOVED = [
     # one disc class: Hartogs and exp-twisted discs are labelled affine discs
     (discs, "HartogsDisc"),
     (discs, "ExpTwistedDisc"),
+    # hull membership returns the plain records its report holds
+    (hulls, "HullMembershipResult"),
+    (hulls, "CoordinateBound"),
 ]
 
 
